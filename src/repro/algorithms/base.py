@@ -33,9 +33,14 @@ ENGINE_SPF = "spf"
 #: pairs and the unit-mode region sweep go through a Numba ``@njit`` (or
 #: system-compiler) kernel when one is available, and fall back to the
 #: pure-Python/NumPy paths — bit-identically — when none is (no provider
-#: installed, or ``RTED_NO_NATIVE=1``).  ``auto`` never selects it: the
-#: compiled backend is opt-in, so default runs stay reproducible on machines
-#: without any provider.
+#: installed, or ``RTED_NO_NATIVE=1``).  The registry's ``auto`` never
+#: selects it: :func:`~repro.algorithms.registry.make_algorithm` runs the
+#: literal algorithm, with or without a provider.  The one use under
+#: ``auto`` is :func:`repro.api.compute`'s small-pair rule — unit-cost
+#: ``rted`` pairs of trees up to ``SMALL_PAIR_CUTOFF`` nodes run the
+#: small-pair program, compiled when a provider is present — which stays
+#: reproducible on every host because the compiled program and its Python
+#: twin agree on distances, cell counts and bounded outcomes.
 ENGINE_NATIVE = "native"
 
 ENGINES = (ENGINE_AUTO, ENGINE_RECURSIVE, ENGINE_SPF, ENGINE_NATIVE)
@@ -71,7 +76,10 @@ class TEDResult:
         Name of the algorithm that produced the result.
     subproblems:
         Number of relevant subproblems (distinct forest-pair distances) the
-        algorithm evaluated; the unit in which the paper measures work.
+        executed program evaluated; the unit in which the paper measures
+        work.  For the small-pair program (``extra["kernel"] ==
+        "small-pair"``) this is the left-path program's cell count, not
+        the wrapped algorithm's.
     strategy_time:
         Seconds spent computing the decomposition strategy (0 for algorithms
         with a hard-coded strategy).

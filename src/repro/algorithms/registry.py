@@ -15,6 +15,11 @@ recursive cross-check oracle for the algorithm's strategy.  Unknown engine
 names raise :class:`~repro.exceptions.UnknownEngineError` — there is no
 silent fallback — and names with a single implementation (e.g. ``simple``)
 reject explicit engine selection the same way.
+
+``auto`` here always means the literal algorithm — the experiments time
+and count each algorithm through this registry.  Only the API's
+:func:`repro.api.compute` goes further and runs small unit-cost ``rted``
+pairs through the small-pair program.
 """
 
 from __future__ import annotations
@@ -119,8 +124,11 @@ def make_algorithm(
 
     ``engine`` selects the execution backend for names that support several
     (``"auto"``, ``"recursive"``, ``"spf"``, ``"native"``); ``None`` is
-    equivalent to ``"auto"`` and always valid.  ``"native"`` is the ``spf``
-    executor with the optional compiled backend
+    equivalent to ``"auto"`` and always valid.  ``"auto"`` runs the named
+    algorithm as written (``rted`` computes Algorithm 2's strategy and runs
+    it on ``spf``, whatever the pair size); the small-pair shortcut of
+    :func:`repro.api.compute` is deliberately not applied here.
+    ``"native"`` is the ``spf`` executor with the optional compiled backend
     (:mod:`repro.algorithms.native`) opted in: it implies a workspace (one
     is created when none is passed, so the compiled small-pair kernel has
     its dispatch layer) and silently degrades to the stock NumPy/Python

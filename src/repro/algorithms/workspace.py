@@ -199,6 +199,13 @@ MAX_DENSE_ALPHABET = 2048
 SMALL_PAIR_CUTOFF = env_int("RTED_SMALL_PAIR_CUTOFF", 64, minimum=1)
 
 
+def _finite_cutoff(cutoff: Optional[float]) -> Optional[float]:
+    """``None`` for an infinite cutoff, which bounds nothing (every distance
+    is finite) and which the banded small-pair programs cannot represent:
+    the band width ``ceil(cutoff) - 1`` has no integer value."""
+    return None if cutoff == inf else cutoff
+
+
 class TedWorkspace:
     """Reusable cross-pair state for batch tree edit distance computation.
 
@@ -524,6 +531,7 @@ class TedWorkspace:
         n, m = tree_f.n, tree_g.n
         if n > self.small_pair_cutoff or m > self.small_pair_cutoff:
             return None
+        cutoff = _finite_cutoff(cutoff)
         if cutoff is not None and abs(n - m) >= cutoff:
             raise CutoffExceeded(float(abs(n - m)))
         arrays_f = self._small_arrays(tree_f)
@@ -532,6 +540,11 @@ class TedWorkspace:
             return None
         lml_f, keyroots_f, codes_f = arrays_f
         lml_g, keyroots_g, codes_g = arrays_g
+        # The row ticks are amortized (a tiny pair may never reach a clock
+        # read), so settle an already-blown budget before the sweep.
+        deadline = active_deadline()
+        if deadline is not None:
+            deadline.check()
         self.stats.small_pair_runs += 1
         # Unit-cost band half-width: |i − j| > band_w ⇔ the cell's forest
         # sizes differ by ≥ cutoff operations ⇔ its value is ≥ cutoff.  The
@@ -547,7 +560,7 @@ class TedWorkspace:
 
         return self._small_pair_regions(
             n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
-            lml_g, keyroots_g, codes_g, D, fd, active_deadline(),
+            lml_g, keyroots_g, codes_g, D, fd, deadline,
         )
 
     def compute_small_native(
@@ -560,13 +573,19 @@ class TedWorkspace:
         is inapplicable *or* no compiled provider is available, so callers
         chain straight into the pure-Python kernel.  The dispatch order —
         unit-cost gate, size gate, bounded size pre-check *before* the code
-        gate — replicates :meth:`compute_small` exactly.
+        gate — replicates :meth:`compute_small` exactly.  The compiled
+        kernel has no deadline hook, so the ambient deadline is checked once
+        before the call: an expired or cancelled budget raises
+        :class:`~repro.exceptions.ComputeTimeoutError` exactly where the
+        interpreted kernel would, and a small pair's compiled run is too
+        short to need a mid-run check.
         """
         if not self.unit_cost:
             return None
         n, m = tree_f.n, tree_g.n
         if n > self.small_pair_cutoff or m > self.small_pair_cutoff:
             return None
+        cutoff = _finite_cutoff(cutoff)
         if cutoff is not None and abs(n - m) >= cutoff:
             raise CutoffExceeded(float(abs(n - m)))
         from .native import native_available, native_small_pair
@@ -577,6 +596,9 @@ class TedWorkspace:
         arrays_g = self._small_arrays(tree_g)
         if arrays_f is None or arrays_g is None:
             return None
+        deadline = active_deadline()
+        if deadline is not None:
+            deadline.check()
         out = native_small_pair(arrays_f, n, arrays_g, m, cutoff)
         if out is None:
             return None
@@ -753,12 +775,23 @@ class TedWorkspace:
         )
 
 
+#: ``extra["kernel"]`` of results produced by the small-pair program (the
+#: compiled kernel or its pure-Python twin — they are bit-identical, so the
+#: name does not say which ran).
+SMALL_PAIR_KERNEL = "small-pair"
+
+
+def _small_pair_extra() -> dict:
+    return {"workspace": "small-pair-unit", "kernel": SMALL_PAIR_KERNEL}
+
+
 class WorkspaceTED(TEDAlgorithm):
     """Wrap any algorithm with a workspace-accelerated batch fast path.
 
     ``compute`` consults the workspace first: matching unit-cost small pairs
     run through :meth:`TedWorkspace.compute_small` (reporting the executed
-    left-path program's subproblem count and ``extra["workspace"]``);
+    left-path program's subproblem count, ``extra["workspace"]`` and
+    ``extra["kernel"] == SMALL_PAIR_KERNEL``);
     everything else — large pairs, fractional cost models, unhashable labels
     — delegates to the wrapped algorithm, which itself uses workspace-backed
     contexts when it supports them (RTED/GTED on the ``spf`` engine).  A
@@ -820,7 +853,7 @@ class WorkspaceTED(TEDAlgorithm):
                     distance_time=watch.elapsed(),
                     n_f=tree_f.n,
                     n_g=tree_g.n,
-                    extra={"workspace": "small-pair-unit"},
+                    extra=_small_pair_extra(),
                 )
             if small is not None:
                 # A bounded run that was not cut short is exact and below
@@ -833,7 +866,7 @@ class WorkspaceTED(TEDAlgorithm):
                     distance_time=watch.elapsed(),
                     n_f=tree_f.n,
                     n_g=tree_g.n,
-                    extra={"workspace": "small-pair-unit"},
+                    extra=_small_pair_extra(),
                 )
         else:
             workspace.stats.bypasses += 1

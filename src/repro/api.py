@@ -18,9 +18,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .algorithms.base import BoundedResult, TEDResult, resolve_engine
+from .algorithms.base import ENGINE_AUTO, BoundedResult, TEDResult, resolve_engine
 from .algorithms.edit_mapping import EditMapping, EditOperation, compute_edit_mapping
 from .algorithms.registry import PAPER_ALGORITHMS, make_algorithm
+from .algorithms.rted import RTED
+from .algorithms.workspace import TedWorkspace, WorkspaceTED
 from .costs import CostModel
 from .exceptions import ParseError
 from .io.bracket import parse_bracket, to_bracket
@@ -100,15 +102,25 @@ def tree_edit_distance(
         variant), ``"recursive"`` (the strategy-driven reference oracle,
         kept for cross-checking), or ``"native"`` (the ``spf`` executor
         with the optional compiled unit-cost kernels of
-        :mod:`repro.algorithms.native` opted in — bit-identical, never
-        selected by ``auto``, and silently falling back to the stock
-        kernels when no compiled provider is available or
-        ``RTED_NO_NATIVE=1`` is set).  The ``spf`` engine evaluates
-        *every* strategy step — left, right and heavy paths — with
-        array-based single-path functions: it is the fastest
-        pure-Python/NumPy choice across algorithms and, being
+        :mod:`repro.algorithms.native` opted in — bit-identical, and
+        silently falling back to the stock kernels when no compiled
+        provider is available or ``RTED_NO_NATIVE=1`` is set).  The
+        ``spf`` engine evaluates *every* strategy step — left, right and
+        heavy paths — with array-based single-path functions: it is the
+        fastest pure-Python/NumPy choice across algorithms and, being
         recursion-free, handles arbitrarily deep trees without touching
         the interpreter recursion limit.
+
+        One exception at this API level: under ``auto``, ``"rted"`` (or an
+        alias) on a unit-cost pair whose trees both have at most
+        ``SMALL_PAIR_CUTOFF`` nodes (64; ``RTED_SMALL_PAIR_CUTOFF``) runs
+        the small-pair program of
+        :class:`~repro.algorithms.workspace.WorkspaceTED` instead of
+        Algorithm 2 plus ``spf``.  Every strategy yields the same distance,
+        so only the cost differs: the program is the compiled kernel when a
+        provider is available and its bit-identical pure-Python twin
+        otherwise.  :func:`~repro.algorithms.registry.make_algorithm` keeps
+        running the literal algorithm under ``auto``.
     cutoff:
         Optional bound ``τ``: when given, the exact distance is returned if
         it is below ``τ`` (bit-identical to the unbounded computation) and
@@ -153,7 +165,15 @@ def compute(
 
     ``engine`` selects the execution backend exactly as in
     :func:`tree_edit_distance`; the engine actually used is reported in
-    ``result.extra["engine"]`` for algorithms that support several.
+    ``result.extra["engine"]`` for algorithms that support several, and the
+    program that produced the numbers in ``result.extra["kernel"]`` —
+    ``"small-pair"`` for the small-pair program the default ``rted`` runs
+    on small unit-cost pairs, otherwise the engine (``"spf"``, ...).
+    ``result.subproblems`` counts the forest-distance cells that program
+    evaluated: on the small-pair program that is the left-path program's
+    count, which can exceed RTED's optimal count (about 3× in total on the
+    deep, flat and caterpillar pairs of ``perfbench``'s ``pair-distance``,
+    close to 1× on uniformly random trees) — the distance is the same.
 
     With ``cutoff=τ`` the computation is bounded: the returned object is the
     exact :class:`~repro.algorithms.base.TEDResult` when ``distance < τ``
@@ -171,10 +191,26 @@ def compute(
     """
     algo = make_algorithm(algorithm, engine=engine)
     f, g = parse_tree(tree_f), parse_tree(tree_g)
+    if (
+        type(algo) is RTED
+        and algo.engine == ENGINE_AUTO
+        and (cutoff is None or math.isfinite(cutoff))
+    ):
+        # The wrapper runs the small-pair program where its own gates admit
+        # the pair (unit costs, both trees within SMALL_PAIR_CUTOFF,
+        # internable labels) and hands every other pair to the wrapped RTED
+        # unchanged.  The workspace is fresh per call: nothing is shared
+        # across the service's compute threads, and ad-hoc labels cannot
+        # grow a long-lived interner.  Non-finite cutoffs keep RTED's
+        # handling.
+        algo = WorkspaceTED(algo, TedWorkspace(), use_native=True)
     with deadline_scope(as_deadline(deadline)):
         if cutoff is None:
-            return algo.compute(f, g, cost_model=cost_model)
-        return algo.compute(f, g, cost_model=cost_model, cutoff=cutoff)
+            result = algo.compute(f, g, cost_model=cost_model)
+        else:
+            result = algo.compute(f, g, cost_model=cost_model, cutoff=cutoff)
+    result.extra.setdefault("kernel", result.extra.get("engine", resolve_engine(engine)))
+    return result
 
 
 def edit_mapping(

@@ -111,8 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=list(ENGINES),
         help="execution engine: auto (default, resolves to the iterative spf "
-        "executor), spf (fully iterative single-path functions for all path "
-        "kinds), native (spf plus the optional compiled unit-cost kernels; "
+        "executor; rted runs unit-cost pairs of trees up to 64 nodes through "
+        "the small-pair program instead), spf (fully iterative single-path "
+        "functions for all path kinds), native (spf plus the optional compiled unit-cost kernels; "
         "falls back to spf kernels when no compiled provider is available), "
         "or recursive (the cross-check oracle)",
     )
@@ -369,6 +370,7 @@ def _dispatch(args) -> int:
             print(f"algorithm:   {result.algorithm}")
             if "engine" in result.extra:
                 print(f"engine:      {result.extra['engine']}")
+            print(f"kernel:      {result.extra['kernel']}")
             if result.bounded:
                 print(f"distance:    >= {result.cutoff:g} (lower bound {result.lower_bound:g})")
                 print(f"aborted:     {'early' if result.aborted else 'final check'}")

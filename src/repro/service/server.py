@@ -8,7 +8,10 @@ once, not per request.  :class:`RtedService` registers
 
 ``POST /distance``
     ``{"tree_a": "{a{b}}", "tree_b": "{a{c}}", "algorithm": "rted",
-    "cutoff": 2.0, "deadline": 0.5}`` → the exact (or τ-bounded) distance.
+    "cutoff": 2.0, "deadline": 0.5}`` → the exact (or τ-bounded) distance,
+    the ``subproblems`` count and the ``kernel`` that computed it
+    (``"small-pair"`` or ``"spf"`` for the default ``rted``; see
+    :func:`repro.api.compute`).
 ``POST /knn`` / ``POST /range``
     One-vs-corpus retrieval through the registered corpus's cached
     :class:`~repro.join.query.QueryEngine`.  A deadline expiry returns the
@@ -36,10 +39,10 @@ once, not per request.  :class:`RtedService` registers
 **Epoch-keyed pair caching.**  ``POST /distance`` with ``{"corpus": ...,
 "i": 3, "j": 7}`` computes the distance between two *registered* trees and
 memoizes it in a per-corpus LRU keyed by ``(epoch, i, j, algorithm,
-cost model, cutoff)``.  Because the corpus epoch is part of the key, a
-mutation invalidates every stale entry implicitly — there is no explicit
-flush, and a hit can never serve a distance computed against a superseded
-tree set.
+engine, cost model, cutoff)``.  Because the corpus epoch is part of the
+key, a mutation invalidates every stale entry implicitly — there is no
+explicit flush, and a hit can never serve a distance computed against a
+superseded tree set.
 
 **Deadlines end to end.**  Every compute request runs under a
 :class:`~repro.runtime.Deadline` combining its per-request budget (the
@@ -88,6 +91,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
+from ..algorithms.base import resolve_engine
 from ..api import compute, parse_tree
 from ..exceptions import ComputeTimeoutError, ReproError
 from ..join.corpus import TreeCorpus
@@ -666,6 +670,7 @@ class RtedService:
         )
         body: Dict[str, object] = {
             "algorithm": result.algorithm,
+            "kernel": result.extra["kernel"],
             "subproblems": result.subproblems,
         }
         if result.bounded:
@@ -677,17 +682,20 @@ class RtedService:
     def _do_corpus_distance(self, payload, deadline: Deadline):
         """Distance between two registered trees, memoized per epoch.
 
-        The cache key is ``(epoch, i, j, algorithm, cost model, cutoff)``:
-        the epoch component makes mutation invalidation implicit (a stale
-        entry's key can never be constructed again), and the cost-model
-        component is the literal ``"unit"`` until the endpoint grows a
-        cost-model field — kept in the key now so adding one later cannot
-        silently alias entries.
+        The cache key is ``(epoch, i, j, algorithm, engine, cost model,
+        cutoff)``: the epoch component makes mutation invalidation implicit
+        (a stale entry's key can never be constructed again); the engine
+        component keeps bodies apart whose ``kernel`` and ``subproblems``
+        differ (``auto`` may run the small-pair program where ``spf`` runs
+        RTED's strategy); and the cost-model component is the literal
+        ``"unit"`` until the endpoint grows a cost-model field — kept in the
+        key now so adding one later cannot silently alias entries.
         """
         name, _ = self._corpus_engine(payload)
         i = self._field(payload, "i", int, "an integer tree id")
         j = self._field(payload, "j", int, "an integer tree id")
         algorithm = payload.get("algorithm", self.algorithm)
+        engine = resolve_engine(payload.get("engine", self.engine))
         cutoff = payload.get("cutoff")
         cache = self._pair_caches[name]
         with self._locks[name]:
@@ -698,7 +706,7 @@ class RtedService:
                     400, f"tree ids must be in [0, {n}) for corpus {name!r}"
                 )
             epoch = corpus.epoch
-            key = (epoch, i, j, str(algorithm), "unit", cutoff)
+            key = (epoch, i, j, str(algorithm), engine, "unit", cutoff)
             cached = cache.get(key)
             if cached is not None:
                 return {**cached, "cached": True, "epoch": epoch}
@@ -706,12 +714,13 @@ class RtedService:
                 corpus.trees[i],
                 corpus.trees[j],
                 algorithm=algorithm,
-                engine=payload.get("engine", self.engine),
+                engine=engine,
                 cutoff=cutoff,
                 deadline=deadline,
             )
             body: Dict[str, object] = {
                 "algorithm": result.algorithm,
+                "kernel": result.extra["kernel"],
                 "subproblems": result.subproblems,
             }
             if result.bounded:

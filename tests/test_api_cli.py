@@ -158,6 +158,12 @@ class TestCli:
         output = capsys.readouterr().out
         assert "distance" in output and "subproblems" in output
 
+    def test_distance_verbose_names_kernel(self, capsys):
+        assert cli_main(["distance", "{a{b}}", "{a{c}}", "--verbose"]) == 0
+        assert "kernel:      small-pair" in capsys.readouterr().out
+        assert cli_main(["distance", "{a{b}}", "{a{c}}", "--verbose", "--engine", "spf"]) == 0
+        assert "kernel:      spf" in capsys.readouterr().out
+
     def test_distance_engine_flag(self, capsys):
         assert cli_main(
             ["distance", "{a{b}}", "{a{c}}", "--algorithm", "zhang-l", "--engine", "spf",

@@ -102,6 +102,49 @@ class TestEndpoints:
 
         run_service(body)
 
+    def test_distance_reports_kernel(self):
+        # Small unit-cost rted pairs run the small-pair program; a pair with
+        # a tree over SMALL_PAIR_CUTOFF stays on RTED's strategy and spf.
+        # Either way the body carries exactly what compute() returns.
+        async def body(service, base):
+            for size, kernel in ((64, "small-pair"), (65, "spf")):
+                f, g = random_tree(size, rng=size), random_tree(40, rng=size + 1)
+                status, _, payload = await asyncio.to_thread(
+                    _post, base, "/distance",
+                    {"tree_a": to_bracket(f), "tree_b": to_bracket(g)},
+                )
+                assert status == 200
+                direct = compute(f, g)
+                assert payload["kernel"] == direct.extra["kernel"] == kernel
+                assert payload["distance"] == direct.distance
+                assert payload["subproblems"] == direct.subproblems
+                assert payload["algorithm"] == direct.algorithm
+
+        run_service(body)
+
+    def test_corpus_distance_reports_kernel_per_engine(self):
+        # The pair cache keys on the engine: an explicit spf request for a
+        # pair already answered under auto recomputes instead of serving the
+        # small-pair body.
+        async def body(service, base):
+            corpus = service.corpora["default"]
+            expected = {
+                engine: compute(corpus.trees[0], corpus.trees[1], engine=engine)
+                for engine in ("auto", "spf")
+            }
+            for engine, kernel in (("auto", "small-pair"), ("spf", "spf")):
+                status, _, payload = await asyncio.to_thread(
+                    _post, base, "/distance",
+                    {"corpus": "default", "i": 0, "j": 1, "engine": engine},
+                )
+                assert status == 200
+                assert payload["cached"] is False
+                assert payload["kernel"] == kernel
+                assert payload["distance"] == expected[engine].distance
+                assert payload["subproblems"] == expected[engine].subproblems
+
+        run_service(body)
+
     def test_bounded_distance(self):
         async def body(service, base):
             status, _, payload = await asyncio.to_thread(
