@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark: the struct-of-arrays batch kernel and the compiled backend.
+"""Benchmark: the small-pair program, Python twin vs batched C kernel.
 
-Measures the per-pair cost of small unit-cost TED through three kernels —
-always asserting bit-identical results between them first:
+Measures the per-pair cost of small unit-cost TED through the two
+implementations of the small-pair program — always asserting bit-identical
+results between them first:
 
-* **scalar** — PR 4's per-pair fast path (``TedWorkspace.compute_small``),
-  the ~130 µs/pair baseline recorded by ``bench_batch_ted.py``;
-* **numpy** — the lockstep SoA batch kernel
-  (:func:`repro.algorithms.batch_kernel.run_batch`), one vectorized row
-  update per DP step across all lanes;
-* **native** — the compiled backend
-  (:func:`repro.algorithms.native.native_batch`, Numba or a
-  runtime-compiled C library), one library call per batch.
+* **scalar** — the per-pair fast path (``TedWorkspace.compute_small``)
+  running the Python twin (timed with ``RTED_NO_NATIVE=1``), the
+  ~130 µs/pair baseline recorded by ``bench_batch_ted.py``;
+* **native** — the C kernel
+  (:func:`repro.algorithms.native.native_batch`, a runtime-compiled C
+  library), one library call per batch.
 
 Measurement families:
 
@@ -30,17 +29,19 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_batch_kernel.py --quick   # CI smoke gate
 
 In ``--quick`` mode nothing is written unless ``--output`` is given, and the
-process exits non-zero unless every kernel is bit-identical to the scalar
-reference and the batch kernels do not regress it (plus, when a compiled
-provider is present, native stays ≤ 25 µs/pair on the reduced headline —
-conservative CI gates; the committed full-mode ``BENCH_batch.json`` records
-the reference numbers, ≈ 3 µs/pair native on the baseline container).
+process exits non-zero unless the C kernel is bit-identical to the scalar
+reference, does not regress it, and stays ≤ 25 µs/pair on the reduced
+headline — conservative CI gates; without a compiler only the scalar path
+runs.  The committed full-mode ``BENCH_batch.json`` records the reference
+numbers (≈ 3 µs/pair native on the baseline container); it predates the
+removal of the NumPy lockstep kernel, whose column it still carries.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import random
 import sys
@@ -51,8 +52,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.algorithms import TedWorkspace, make_algorithm
 from repro.algorithms.base import CutoffExceeded
-from repro.algorithms.batch_kernel import build_corpus_pack, run_batch
-from repro.algorithms.native import native_available, native_batch, native_provider
+from repro.algorithms.batch_kernel import build_corpus_pack
+from repro.algorithms.native import (
+    KILL_SWITCH,
+    native_available,
+    native_batch,
+    native_provider,
+)
 from repro.datasets import clustered_corpus
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_batch.json"
@@ -77,17 +83,26 @@ def make_workload(tree_size: int, pairs: int, rng: int = 1):
 
 
 def scalar_run(workspace, trees, pairs, cutoff):
-    """(total_seconds, results) for the per-pair scalar kernel."""
+    """(total_seconds, results) for the per-pair Python twin."""
     compute_small = workspace.compute_small
     out: List[Tuple] = []
-    start = time.perf_counter()
-    for i, j in pairs:
-        try:
-            value, cells = compute_small(trees[i], trees[j], cutoff=cutoff)
-            out.append((value, cells, False))
-        except CutoffExceeded as exceeded:
-            out.append((exceeded.lower_bound, exceeded.subproblems, True))
-    return time.perf_counter() - start, out
+    previous = os.environ.get(KILL_SWITCH)
+    os.environ[KILL_SWITCH] = "1"
+    try:
+        start = time.perf_counter()
+        for i, j in pairs:
+            try:
+                value, cells = compute_small(trees[i], trees[j], cutoff=cutoff)
+                out.append((value, cells, False))
+            except CutoffExceeded as exceeded:
+                out.append((exceeded.lower_bound, exceeded.subproblems, True))
+        elapsed = time.perf_counter() - start
+    finally:
+        if previous is None:
+            del os.environ[KILL_SWITCH]
+        else:
+            os.environ[KILL_SWITCH] = previous
+    return elapsed, out
 
 
 def batch_run(kernel, pack, fi, gi, cutoff):
@@ -130,7 +145,7 @@ def measure_kernels(trees, pairs, cutoff, repeats: int) -> Dict:
     for tree in trees:  # warm the per-tree caches out of the timed region
         workspace._small_arrays(tree)
 
-    times: Dict[str, List[float]] = {"scalar": [], "numpy": [], "native": []}
+    times: Dict[str, List[float]] = {"scalar": [], "native": []}
     reference = None
     for _ in range(repeats):
         elapsed, results = scalar_run(workspace, trees, pairs, cutoff)
@@ -138,10 +153,6 @@ def measure_kernels(trees, pairs, cutoff, repeats: int) -> Dict:
         if reference is None:
             reference = results
         assert results == reference
-
-        elapsed, results = batch_run(run_batch, pack, fi, gi, cutoff)
-        assert results == reference, "numpy batch kernel diverged from scalar"
-        times["numpy"].append(elapsed)
 
         if native_available():
             elapsed, results = batch_run(native_batch, pack, fi, gi, cutoff)
@@ -167,10 +178,7 @@ def run_headline(pairs: int, repeats: int) -> Dict:
     trees, pair_list = make_workload(12, pairs)
     unbounded = measure_kernels(trees, pair_list, None, repeats)
     bounded = measure_kernels(trees, pair_list, HEADLINE_CUTOFF, repeats)
-    best = min(
-        unbounded["per_pair_us"].get("native", float("inf")),
-        unbounded["per_pair_us"]["numpy"],
-    )
+    best = unbounded["per_pair_us"].get("native", unbounded["per_pair_us"]["scalar"])
     return {
         "workload": f"clustered 12-node corpus, {pairs} pairs, rted verify stage, unit costs",
         "pr4_scalar_baseline_us": PR4_BASELINE_US,
@@ -239,13 +247,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     repeats = 3 if args.quick else 7
 
     provider = native_provider()
-    print(f"native provider: {provider or 'none (pure NumPy fallback)'}")
+    print(f"native provider: {provider or 'none (Python twin only)'}")
 
     headline = run_headline(pairs, repeats)
     up = headline["unbounded"]["per_pair_us"]
     print(
-        f"headline 12-node x{pairs}: scalar {up['scalar']:.1f} us/pair, "
-        f"numpy {up['numpy']:.1f} us/pair"
+        f"headline 12-node x{pairs}: scalar {up['scalar']:.1f} us/pair"
         + (f", native {up['native']:.2f} us/pair" if "native" in up else "")
     )
     print(
@@ -262,7 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"size {entry['tree_size']:>2}: {speed} us/pair")
 
     report = {
-        "benchmark": "batch-vectorized small-pair TED (SoA batch kernel + compiled backend)",
+        "benchmark": "small-pair TED (Python twin per pair vs batched C kernel)",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "native_provider": provider,
@@ -291,13 +298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"batch kernel regressed the scalar path "
                     f"({best:.1f} vs {up['scalar']:.1f} us/pair)"
                 )
-        elif up["numpy"] > 2.0 * up["scalar"]:
-            # Fallback leg: the lockstep kernel only breaks even at small
-            # sizes, so gate it as a sanity bound, not a speedup.
-            failures.append(
-                f"numpy lockstep kernel unexpectedly slow "
-                f"({up['numpy']:.1f} vs scalar {up['scalar']:.1f} us/pair)"
-            )
         if failures:
             for failure in failures:
                 print(f"GATE FAILED: {failure}", file=sys.stderr)

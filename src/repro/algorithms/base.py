@@ -9,12 +9,14 @@ subproblems, strategy-computation time, distance-computation time), and
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..costs import UNIT_COST, CostModel, UnitCostModel
-from ..exceptions import UnknownEngineError
+from ..exceptions import CutoffError, UnknownEngineError
 from ..trees.tree import Tree
 
 #: Execution-engine identifiers.  ``auto`` picks each algorithm's production
@@ -28,19 +30,18 @@ from ..trees.tree import Tree
 ENGINE_AUTO = "auto"
 ENGINE_RECURSIVE = "recursive"
 ENGINE_SPF = "spf"
-#: ``native`` runs the iterative ``spf`` executor with the optional compiled
-#: backend (:mod:`repro.algorithms.native`) layered on top: small unit-cost
-#: pairs and the unit-mode region sweep go through a Numba ``@njit`` (or
-#: system-compiler) kernel when one is available, and fall back to the
-#: pure-Python/NumPy paths — bit-identically — when none is (no provider
-#: installed, or ``RTED_NO_NATIVE=1``).  The registry's ``auto`` never
-#: selects it: :func:`~repro.algorithms.registry.make_algorithm` runs the
-#: literal algorithm, with or without a provider.  The one use under
-#: ``auto`` is :func:`repro.api.compute`'s small-pair rule — unit-cost
-#: ``rted`` pairs of trees up to ``SMALL_PAIR_CUTOFF`` nodes run the
-#: small-pair program, compiled when a provider is present — which stays
-#: reproducible on every host because the compiled program and its Python
-#: twin agree on distances, cell counts and bounded outcomes.
+#: ``native`` is the iterative ``spf`` executor with a
+#: :class:`~repro.algorithms.workspace.TedWorkspace` attached, so small
+#: unit-cost pairs run the small-pair program
+#: (:mod:`repro.algorithms.batch_kernel`) — the C kernel when a compiler is
+#: present, its bit-identical Python twin otherwise (or with
+#: ``RTED_NO_NATIVE=1``).  The registry's ``auto`` never selects it:
+#: :func:`~repro.algorithms.registry.make_algorithm` runs the literal
+#: algorithm.  The one use of the small-pair program under ``auto`` is
+#: :func:`repro.api.compute`'s rule for unit-cost ``rted`` pairs of trees
+#: up to ``SMALL_PAIR_CUTOFF`` nodes, which stays reproducible on every host
+#: because the two implementations agree on distances, cell counts and
+#: bounded outcomes.
 ENGINE_NATIVE = "native"
 
 ENGINES = (ENGINE_AUTO, ENGINE_RECURSIVE, ENGINE_SPF, ENGINE_NATIVE)
@@ -182,6 +183,22 @@ class CutoffExceeded(Exception):
 #: :class:`~repro.costs.UnitCostModel` needs no slack: its arithmetic is
 #: integer-valued float64 throughout and therefore exact.
 CUTOFF_SLACK = 2.0 ** -26
+
+
+def validate_cutoff(cutoff):
+    """A caller-supplied cutoff, checked: ``None`` when it bounds nothing.
+
+    ``None`` and ``+inf`` both mean no cutoff (every distance is finite).
+    Bools, non-numbers and NaN raise :class:`~repro.exceptions.CutoffError`;
+    any other number is returned unchanged.
+    """
+    if cutoff is None:
+        return None
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real):
+        raise CutoffError(f"cutoff must be a number, got {cutoff!r}")
+    if math.isnan(cutoff):
+        raise CutoffError("cutoff must not be NaN")
+    return None if cutoff == math.inf else cutoff
 
 
 def cutoff_slack(cost_model: CostModel) -> float:

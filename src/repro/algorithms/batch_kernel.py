@@ -1,56 +1,50 @@
-"""Struct-of-arrays batch kernel for small unit-cost pairs.
+"""The unit-cost small-pair program and its batch driver.
 
-The scalar small-pair fast path (:meth:`TedWorkspace.compute_small`) already
-strips the per-pair cost of TED down to a flat left-path keyroot program —
-but at ~12-node trees the program touches only a few hundred DP cells, so
-the Python interpreter's per-*statement* cost dominates the arithmetic.
-This module removes the remaining per-pair dispatch by executing the same
-program for an **entire batch of pairs in lockstep**:
+Small unit-cost pairs (both trees within ``SMALL_PAIR_CUTOFF`` nodes) skip
+the strategy executor and run one flat program: the left-path keyroot
+sweep of the Zhang–Shasha recurrence over per-tree ``(lml, keyroots,
+codes)`` arrays.  The program has exactly two implementations:
+
+* **the C kernel** — :func:`repro.algorithms.native.native_batch`, used
+  whenever a compiled provider is present;
+* **the Python twin** — :func:`small_pair_regions` in this module, used
+  otherwise (no C compiler, or ``RTED_NO_NATIVE=1``).
+
+Single pairs (:meth:`TedWorkspace.compute_small
+<repro.algorithms.workspace.TedWorkspace.compute_small>`) and batch lanes
+(:func:`kernel_chunk_entries`) both take the C kernel when it is there and
+the twin when it is not, so every path runs the same program.
 
 * **Packing** — :func:`build_corpus_pack` lowers a corpus into
-  struct-of-arrays form (:class:`CorpusPack`): interned postorder label
-  codes, per-keyroot column tables (codes / spanning flags / split columns /
-  node ids, padded to a common width) and, for the decomposed side, the
-  *step program* — the flattened sequence of forest-distance rows the
-  left-path keyroot sweep executes, one entry per row.  Each keyroot's
-  region sweeps its whole subtree, so the program has ``S_F = Σ |subtree(kf)|``
-  steps — the tree's relevant-subproblem count along the decomposed axis;
-  a pair's full program is ``S_F · K_G`` steps (the F program repeated
-  once per G keyroot, i.e. the region loops in ``kg``-major order — any
-  ascending keyroot order is a valid schedule because a region only reads
-  subtree distances whose covering keyroots are ≤ its own, and the final
-  whole-tree region still runs last).
-* **Lockstep execution** — :func:`run_batch` advances every pair ("lane")
-  through its program simultaneously: step ``t`` performs *one* vectorized
-  row update across the batch axis (the insert coupling resolved by the
-  same prefix-minimum trick as :func:`repro.algorithms.spf_numpy._region`),
-  so the per-step ufunc dispatch is amortized over all active lanes.
-  Lanes whose programs end — and, in τ-bounded mode, lanes whose row-abort
-  check fires — simply drop out of the active mask.
+  struct-of-arrays form (:class:`CorpusPack`): per-tree sizes and gate
+  flags plus the concatenated ``lml`` / label-code / keyroot arrays the C
+  kernel reads.  A pack is built once per corpus epoch and can be exported
+  zero-copy to worker processes (:mod:`repro.join.shared`).
+* **Batches** — :func:`kernel_chunk_entries` applies the per-pair gates of
+  ``compute_small`` and runs the surviving lanes in one
+  :func:`~repro.algorithms.native.native_batch` call, or lane by lane
+  through :func:`run_batch` (the twin over the pack arrays) without a
+  provider.
 
 Bit-identity
 ------------
-All arithmetic is the unit-cost integer-valued float64 of the scalar
-kernel: min and +1 are exact, the prefix-minimum unrolling reproduces the
-sequential insert recurrence value-for-value, and the padded tail columns
-of a row (``j ≥ cols``) are never read by any valid cell (reads at column
-``j`` only touch columns ``≤ j`` of finished rows and finalized subtree
-distances).  τ-bounded lanes run *unbanded* rows but make the identical
-abort decisions as the banded scalar kernel: a banded cell below the
-cutoff is bit-exact (PR 5's band invariant), and every out-of-band cell's
-true value is ``≥ |i − j| ≥ cutoff``, so the row minima reach the cutoff
-in exactly the same row — and the reported cell counts use the scalar
-band-window arithmetic (``hi − lo + 1`` per row), not the padded width.
-The property suite asserts exact equality against both
-:meth:`TedWorkspace.compute_small` and ``zhang_shasha_distance``.
+Both implementations execute the same integer-valued float64 arithmetic —
+every add is by 1.0, every min is exact — and the bounded mode runs the
+same banded sweep, per-row abort test and band cell accounting, so values,
+subproblem counts and abort flags are equal, not just close.  The property
+suite asserts exact equality against ``zhang_shasha_distance`` and between
+the two implementations.
 """
 
 from __future__ import annotations
 
-from math import ceil
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import chain
+from math import ceil, inf
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import active_deadline
+from . import native
+from .base import CutoffExceeded, check_row_cutoff
 
 try:  # Optional accelerator, mirroring repro.algorithms.workspace.
     import numpy as _np
@@ -59,54 +53,196 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 
 def kernel_available() -> bool:
-    """Whether the batch kernel can run (NumPy importable)."""
+    """Whether corpus packs can be built (NumPy importable)."""
     return _np is not None
 
 
-#: Per-lane-block element budget: lanes are processed in blocks sized so
-#: ``block_lanes × program_steps`` stays below this, bounding the transient
-#: step-metadata matrices (a handful of ``(lanes, steps)`` int64 arrays).
-_LANE_ELEMENT_BUDGET = 1 << 20
+def small_pair_regions(
+    n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
+    lml_g, keyroots_g, codes_g, D, fd, deadline=None,
+) -> Tuple[float, int]:
+    """The small-pair program in Python: the twin of the C kernel.
+
+    Sweeps every keyroot-pair region of the left-path program over the
+    per-tree ``lml`` / ``keyroots`` / label-code arrays and returns
+    ``(distance, cells)``.  ``D`` is a flat buffer of at least ``n · m``
+    subtree distances and ``fd`` at least ``n + 1`` forest-distance rows
+    of width ``m + 1``; both may hold stale values from earlier pairs.
+    ``band_w`` is ``None`` for an unbounded run, otherwise
+    :func:`band_width` of the cutoff; bounded callers must have run the
+    size pre-check (``|n − m| < cutoff``), which keeps the final corner
+    in-band.
+
+    Bounded runs raise :class:`~repro.algorithms.base.CutoffExceeded` with
+    the cutoff as the proving bound and the evaluated cell count attached,
+    so aborted runs report work in the same currency as finished ones.
+    """
+    cells = 0
+    for kf in keyroots_f:
+        lf = lml_f[kf]
+        rows = kf - lf + 2
+        for kg in keyroots_g:
+            # Keyroots ascend, so the whole-tree region runs last; only
+            # its rows are whole-tree prefix distances, making the row
+            # abort sound there (unit band 1).
+            final = cutoff is not None and kf == n - 1 and kg == m - 1
+            lg = lml_g[kg]
+            cols = kg - lg + 2
+            row = fd[0]
+            for j in range(cols):
+                row[j] = float(j)
+            if band_w is None:
+                for i in range(1, rows):
+                    if deadline is not None:
+                        deadline.tick()
+                    node_f = lf + i - 1
+                    spans_f = lml_f[node_f] == lf
+                    code_f = codes_f[node_f]
+                    offset = node_f * m
+                    prev = fd[i - 1]
+                    row = fd[i]
+                    row[0] = float(i)
+                    split_row = fd[lml_f[node_f] - lf]
+                    for j in range(1, cols):
+                        node_g = lg + j - 1
+                        best = prev[j] + 1.0
+                        candidate = row[j - 1] + 1.0
+                        if candidate < best:
+                            best = candidate
+                        if spans_f and lml_g[node_g] == lg:
+                            candidate = prev[j - 1] + (
+                                0.0 if code_f == codes_g[node_g] else 1.0
+                            )
+                            if candidate < best:
+                                best = candidate
+                            row[j] = best
+                            D[offset + node_g] = best
+                        else:
+                            candidate = split_row[lml_g[node_g] - lg] + D[offset + node_g]
+                            if candidate < best:
+                                best = candidate
+                            row[j] = best
+                cells += (rows - 1) * (cols - 1)
+                continue
+            # τ-bounded sweep: each row only fills its |i − j| ≤ band_w
+            # window; out-of-band values are ≥ cutoff by the size
+            # argument, so reading them as +inf only inflates cells that
+            # are themselves ≥ cutoff (sub-cutoff cells and their
+            # winning candidate chains stay in-band and bit-identical).
+            # The reused buffers hold stale garbage outside the window,
+            # hence the inf sentinels flanking each row and the explicit
+            # band predicates on split/subtree reads.
+            for i in range(1, rows):
+                if deadline is not None:
+                    deadline.tick()
+                lo = i - band_w
+                if lo < 1:
+                    lo = 1
+                hi = i + band_w
+                if hi > cols - 1:
+                    hi = cols - 1
+                if lo > hi:
+                    # The band left the table; every later row is
+                    # farther out still, so the region is finished.
+                    break
+                node_f = lf + i - 1
+                spans_f = lml_f[node_f] == lf
+                code_f = codes_f[node_f]
+                offset = node_f * m
+                prev = fd[i - 1]
+                row = fd[i]
+                row[0] = float(i)
+                if lo > 1:
+                    row[lo - 1] = inf
+                si = lml_f[node_f] - lf
+                split_row = fd[si]
+                rem_f_node = node_f - lml_f[node_f]
+                for j in range(lo, hi + 1):
+                    node_g = lg + j - 1
+                    best = prev[j] + 1.0
+                    candidate = row[j - 1] + 1.0
+                    if candidate < best:
+                        best = candidate
+                    if spans_f and lml_g[node_g] == lg:
+                        candidate = prev[j - 1] + (
+                            0.0 if code_f == codes_g[node_g] else 1.0
+                        )
+                        if candidate < best:
+                            best = candidate
+                        row[j] = best
+                        D[offset + node_g] = best
+                    else:
+                        sc = lml_g[node_g] - lg
+                        if si == 0 or sc == 0 or (si - band_w <= sc <= si + band_w):
+                            candidate = split_row[sc]
+                        else:
+                            candidate = inf
+                        # The subtree pair's spanning cell was written
+                        # iff it was in-band in its own region.
+                        if abs(rem_f_node - (node_g - lml_g[node_g])) <= band_w:
+                            candidate += D[offset + node_g]
+                        else:
+                            candidate = inf
+                        if candidate < best:
+                            best = candidate
+                        row[j] = best
+                if hi + 1 <= cols - 1:
+                    row[hi + 1] = inf
+                cells += hi - lo + 1
+                if final:
+                    try:
+                        check_row_cutoff(
+                            row, cols, rows - 1 - i, cutoff, 1.0, lo, hi,
+                            exact_values=False,
+                        )
+                    except CutoffExceeded as exceeded:
+                        exceeded.subproblems = cells
+                        raise
+    distance = D[(n - 1) * m + m - 1]
+    if cutoff is not None and distance >= cutoff:
+        # Banded values at or above the cutoff may be inflated; the
+        # cutoff itself is the certified lower bound.
+        exceeded = CutoffExceeded(cutoff)
+        exceeded.subproblems = cells
+        raise exceeded
+    return distance, cells
+
+
+def band_width(cutoff: Optional[float]) -> Optional[int]:
+    """The unit-cost band half-width of a bounded run (``None`` unbounded).
+
+    ``|i − j| > band_w`` ⇔ the cell's forest sizes differ by at least
+    ``cutoff`` operations ⇔ its value is ``≥ cutoff``.
+    """
+    return None if cutoff is None else max(0, ceil(cutoff) - 1)
 
 
 class CorpusPack:
-    """Struct-of-arrays form of one corpus side for :func:`run_batch`.
+    """Struct-of-arrays form of one corpus side for the small-pair kernels.
 
-    All fields are flat NumPy arrays indexed by tree, by keyroot (through
-    ``kr_off``/``kr_count``) or by program step (through ``prog_off``);
-    trees that do not qualify for the kernel (too large, zero-sized, or
-    uninternable labels) contribute empty slices and are flagged off in
-    :attr:`eligible`.  A pack is immutable and can serve both sides of a
-    batch; packs meant for one batch must share one
+    All fields are flat NumPy arrays indexed by tree, or by node / keyroot
+    through the per-tree offsets; trees that do not qualify for the kernel
+    (too large, zero-sized, or uninternable labels) contribute empty slices
+    and are flagged off in :attr:`eligible`.  A pack is immutable and can
+    serve both sides of a batch; packs meant for one batch must share one
     :class:`~repro.algorithms.workspace.LabelInterner` so their codes agree.
 
-    The layout (``E`` = eligible trees, ``K`` = their keyroots, ``P`` =
-    their program steps, ``W`` = :attr:`pad_w`)::
+    The layout (``N`` = total nodes, ``K`` = total keyroots of the
+    eligible trees)::
 
-        sizes[n_trees]      size_ok[n_trees]     eligible[n_trees]
-        kr_off[n_trees] ─┐  prog_off[n_trees] ─┐
-        kcols[K] ◄───────┘  prog_i/si/rem[P] ◄─┘   (row index / split row /
-        kcodes[K, W]        prog_code/node[P]       rows-1-i of each step)
-        kspans[K, W]        prog_spans[P]          (node_f on kf's left path)
-        ksc[K, W]           prog_last[P]           (step lies in the last,
-        knode[K, W]                                 whole-tree kf block)
+        sizes[n_trees]   size_ok[n_trees]   eligible[n_trees]
+        node_off[n_trees] ─► lml_flat[N], codes_flat[N]  (tree-local lml)
+        kr_off[n_trees], kr_count[n_trees] ─► kroots[K]  (ascending)
 
-    ``kcodes``/``kspans``/``ksc``/``knode`` are the per-keyroot *column
-    tables*: entry ``j-1`` of keyroot ``kg``'s row describes column ``j``
-    of its regions (``node_g = lg + j − 1``) — its label code, whether it
-    lies on ``kg``'s left path, its split column ``lml(node_g) − lg`` and
-    its postorder id — padded with inert values (0 / ``False``) beyond the
-    region width so full-width vector rows need no per-lane trimming.
+    ``sizes``/``size_ok``/``eligible`` feed the per-pair gates of
+    :func:`kernel_chunk_entries`; the rest is what the C kernel and
+    :func:`run_batch` read.
     """
 
     __slots__ = (
-        "n_trees", "small_pair_cutoff", "pad_w",
+        "n_trees", "small_pair_cutoff",
         "sizes", "size_ok", "eligible",
-        "kr_off", "kr_count", "kcols", "kcodes", "kspans", "ksc", "knode",
-        "prog_off", "prog_len",
-        "prog_i", "prog_si", "prog_rem", "prog_code", "prog_node",
-        "prog_spans", "prog_last",
-        "node_off", "lml_flat", "codes_flat", "kroots",
+        "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
         "_shm",
     )
 
@@ -123,11 +259,7 @@ class CorpusPack:
     #: :mod:`repro.join.shared`.
     ARRAY_FIELDS = (
         "sizes", "size_ok", "eligible",
-        "kr_off", "kr_count", "kcols", "kcodes", "kspans", "ksc", "knode",
-        "prog_off", "prog_len",
-        "prog_i", "prog_si", "prog_rem", "prog_code", "prog_node",
-        "prog_spans", "prog_last",
-        "node_off", "lml_flat", "codes_flat", "kroots",
+        "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
     )
 
 
@@ -140,22 +272,18 @@ def build_corpus_pack(trees: Sequence, interner, small_pair_cutoff: int) -> Corp
     per-pair path.
     """
     if _np is None:  # pragma: no cover - callers gate on kernel_available()
-        raise RuntimeError("the batch kernel requires numpy")
+        raise RuntimeError("corpus packs require numpy")
     n_trees = len(trees)
     sizes = _np.zeros(n_trees, dtype=_np.int64)
     size_ok = _np.zeros(n_trees, dtype=bool)
     eligible = _np.zeros(n_trees, dtype=bool)
     kr_off = _np.zeros(n_trees, dtype=_np.int64)
     kr_count = _np.zeros(n_trees, dtype=_np.int64)
-    prog_off = _np.zeros(n_trees, dtype=_np.int64)
-    prog_len = _np.zeros(n_trees, dtype=_np.int64)
-
     node_off = _np.zeros(n_trees, dtype=_np.int64)
-
-    packed: List[Tuple[int, object, List[int], Sequence[int], List[int]]] = []
-    pad_w = 1
+    lml_parts: List[List[int]] = []
+    code_parts: List[Sequence[int]] = []
+    kr_parts: List[List[int]] = []
     total_kr = 0
-    total_prog = 0
     total_nodes = 0
     for idx, tree in enumerate(trees):
         n = tree.n
@@ -168,87 +296,43 @@ def build_corpus_pack(trees: Sequence, interner, small_pair_cutoff: int) -> Corp
             continue
         eligible[idx] = True
         keyroots = tree.keyroots_left()
-        lml = tree.lml
         kr_off[idx] = total_kr
         kr_count[idx] = len(keyroots)
-        prog_off[idx] = total_prog
         node_off[idx] = total_nodes
-        # One program step per forest-distance row: each keyroot's region
-        # sweeps its whole subtree, so the program length is the tree's
-        # relevant-subproblem count along this axis, Σ |subtree(kf)|.
-        prog_len[idx] = sum(kf - lml[kf] + 1 for kf in keyroots)
-        packed.append((idx, tree, lml, codes, keyroots))
-        pad_w = max(pad_w, n)  # the root keyroot's region spans all n nodes
+        lml_parts.append(tree.lml)
+        code_parts.append(codes)
+        kr_parts.append(keyroots)
         total_kr += len(keyroots)
-        total_prog += int(prog_len[idx])
         total_nodes += n
 
-    kcols = _np.zeros(total_kr, dtype=_np.int64)
-    kcodes = _np.zeros((total_kr, pad_w), dtype=_np.int64)
-    kspans = _np.zeros((total_kr, pad_w), dtype=bool)
-    ksc = _np.zeros((total_kr, pad_w), dtype=_np.int64)
-    knode = _np.zeros((total_kr, pad_w), dtype=_np.int64)
-    prog_i = _np.zeros(total_prog, dtype=_np.int64)
-    prog_si = _np.zeros(total_prog, dtype=_np.int64)
-    prog_rem = _np.zeros(total_prog, dtype=_np.int64)
-    prog_code = _np.zeros(total_prog, dtype=_np.int64)
-    prog_node = _np.zeros(total_prog, dtype=_np.int64)
-    prog_spans = _np.zeros(total_prog, dtype=bool)
-    prog_last = _np.zeros(total_prog, dtype=bool)
-    # Raw concatenated per-tree arrays — the inputs of the compiled backend
-    # (:mod:`repro.algorithms.native`), which re-runs the scalar keyroot
-    # program per lane instead of consuming the lockstep column tables.
-    lml_flat = _np.zeros(total_nodes, dtype=_np.int64)
-    codes_flat = _np.zeros(total_nodes, dtype=_np.int64)
-    kroots = _np.zeros(total_kr, dtype=_np.int64)
-
-    kr = 0
-    p = 0
-    node = 0
-    for idx, tree, lml, codes, keyroots in packed:
-        n = tree.n
-        lml_flat[node : node + n] = lml
-        codes_flat[node : node + n] = codes
-        node += n
-        kroots[kr : kr + len(keyroots)] = keyroots
-        for kg in keyroots:
-            lg = lml[kg]
-            width = kg - lg + 1  # cols - 1
-            kcols[kr] = width + 1
-            for jj in range(width):
-                node_g = lg + jj
-                kcodes[kr, jj] = codes[node_g]
-                kspans[kr, jj] = lml[node_g] == lg
-                ksc[kr, jj] = lml[node_g] - lg
-                knode[kr, jj] = node_g
-            kr += 1
-        for kf in keyroots:
-            lf = lml[kf]
-            last = kf == n - 1
-            rows = kf - lf + 2
-            for i in range(1, rows):
-                node_f = lf + i - 1
-                prog_i[p] = i
-                prog_si[p] = lml[node_f] - lf
-                prog_rem[p] = rows - 1 - i
-                prog_code[p] = codes[node_f]
-                prog_node[p] = node_f
-                prog_spans[p] = lml[node_f] == lf
-                prog_last[p] = last
-                p += 1
+    def flat(parts, size):
+        return _np.fromiter(chain.from_iterable(parts), dtype=_np.int64, count=size)
 
     return CorpusPack(
-        n_trees=n_trees, small_pair_cutoff=int(small_pair_cutoff), pad_w=pad_w,
+        n_trees=n_trees, small_pair_cutoff=int(small_pair_cutoff),
         sizes=sizes, size_ok=size_ok, eligible=eligible,
-        kr_off=kr_off, kr_count=kr_count, kcols=kcols, kcodes=kcodes,
-        kspans=kspans, ksc=ksc, knode=knode,
-        prog_off=prog_off, prog_len=prog_len,
-        prog_i=prog_i, prog_si=prog_si, prog_rem=prog_rem,
-        prog_code=prog_code, prog_node=prog_node,
-        prog_spans=prog_spans, prog_last=prog_last,
-        node_off=node_off, lml_flat=lml_flat, codes_flat=codes_flat,
-        kroots=kroots,
+        kr_off=kr_off, kr_count=kr_count, node_off=node_off,
+        lml_flat=flat(lml_parts, total_nodes),
+        codes_flat=flat(code_parts, total_nodes),
+        kroots=flat(kr_parts, total_kr),
     )
+
+
+def _lane_arrays(pack: CorpusPack, tree: int, cache: Dict[int, tuple]) -> tuple:
+    """``(n, lml, keyroots, codes)`` of one packed tree as Python lists."""
+    arrays = cache.get(tree)
+    if arrays is None:
+        n = int(pack.sizes[tree])
+        node = int(pack.node_off[tree])
+        kr = int(pack.kr_off[tree])
+        arrays = (
+            n,
+            pack.lml_flat[node : node + n].tolist(),
+            pack.kroots[kr : kr + int(pack.kr_count[tree])].tolist(),
+            pack.codes_flat[node : node + n].tolist(),
+        )
+        cache[tree] = arrays
+    return arrays
 
 
 def run_batch(
@@ -258,15 +342,16 @@ def run_batch(
     gi,
     cutoff: Optional[float] = None,
 ):
-    """Execute the batched small-pair program for lanes ``(fi[p], gi[p])``.
+    """Run the Python twin over the pack lanes ``(fi[p], gi[p])``.
 
-    Every lane must be eligible in its pack, and — in bounded mode — must
+    The no-provider counterpart of
+    :func:`repro.algorithms.native.native_batch`, with the same contract:
+    every lane must be eligible in its pack and — in bounded mode — must
     have passed the size pre-check (``|n − m| < cutoff``); the chunk driver
     (:func:`kernel_chunk_entries`) handles both.  Returns
     ``(values, cells, aborted)`` arrays in lane order: for finished lanes
     ``values`` is the exact distance, for bounded lanes at/above the cutoff
-    it is the proving bound (the cutoff itself — banded values may be
-    inflated, exactly like the scalar kernel) with ``aborted=True``.
+    it is the proving bound (the cutoff itself) with ``aborted=True``.
     """
     fi = _np.ascontiguousarray(fi, dtype=_np.int64)
     gi = _np.ascontiguousarray(gi, dtype=_np.int64)
@@ -276,192 +361,27 @@ def run_batch(
     aborted = _np.zeros(lanes, dtype=bool)
     if lanes == 0:
         return values, cells, aborted
-
+    band_w = band_width(cutoff)
+    max_n = int(pack_a.sizes[fi].max())
+    max_m = int(pack_b.sizes[gi].max())
+    D = [0.0] * (max_n * max_m)
+    fd = [[0.0] * (max_m + 1) for _ in range(max_n + 1)]
     deadline = active_deadline()
-    total = pack_a.prog_len[fi] * pack_b.kr_count[gi]
-    order = _np.argsort(-total, kind="stable")
-    start = 0
-    while start < lanes:
-        t_blk = int(total[order[start]])
-        block = max(1, _LANE_ELEMENT_BUDGET // max(1, t_blk))
-        sel = order[start : start + block]
-        v, c, a = _run_block(pack_a, pack_b, fi[sel], gi[sel], cutoff, deadline)
-        values[sel] = v
-        cells[sel] = c
-        aborted[sel] = a
-        start += block
+    cache_a: Dict[int, tuple] = {}
+    cache_b = cache_a if pack_b is pack_a else {}
+    for p, (i, j) in enumerate(zip(fi.tolist(), gi.tolist())):
+        n, lml_f, keyroots_f, codes_f = _lane_arrays(pack_a, i, cache_a)
+        m, lml_g, keyroots_g, codes_g = _lane_arrays(pack_b, j, cache_b)
+        try:
+            values[p], cells[p] = small_pair_regions(
+                n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
+                lml_g, keyroots_g, codes_g, D, fd, deadline,
+            )
+        except CutoffExceeded as exceeded:
+            values[p] = exceeded.lower_bound
+            cells[p] = exceeded.subproblems
+            aborted[p] = True
     return values, cells, aborted
-
-
-def _run_block(pack_a, pack_b, fi, gi, cutoff, deadline=None):
-    """One lane block in lockstep; lanes arrive sorted by descending work."""
-    lanes = fi.size
-    n = pack_a.sizes[fi]
-    m = pack_b.sizes[gi]
-    steps = pack_a.prog_len[fi]
-    nkr = pack_b.kr_count[gi]
-    total = steps * nkr
-    t_max = int(total[0])
-
-    # Step metadata, (lanes, t_max), gathered once: step t of lane p runs
-    # F-program row (t mod n_p) against G keyroot (t div n_p).
-    t_range = _np.arange(t_max, dtype=_np.int64)
-    s_idx = t_range[None, :] % steps[:, None]
-    blk = _np.minimum(t_range[None, :] // steps[:, None], (nkr - 1)[:, None])
-    pf = pack_a.prog_off[fi][:, None] + s_idx
-    gk = pack_b.kr_off[gi][:, None] + blk
-    del s_idx
-    active = t_range[None, :] < total[:, None]
-    # Transposed (t_max, lanes) so each step reads contiguous rows.
-    i_t = _np.ascontiguousarray(pack_a.prog_i[pf].T)
-    si_t = _np.ascontiguousarray(pack_a.prog_si[pf].T)
-    code_t = _np.ascontiguousarray(pack_a.prog_code[pf].T)
-    node_t = _np.ascontiguousarray(pack_a.prog_node[pf].T)
-    spans_t = _np.ascontiguousarray(pack_a.prog_spans[pf].T)
-    gk_t = _np.ascontiguousarray(gk.T)
-    cols_t = _np.ascontiguousarray(pack_b.kcols[gk].T)
-
-    if cutoff is None:
-        cells_total = ((pack_b.kcols[gk] - 1) * active).sum(axis=1)
-        cells_cum = None
-        final_t = rem_t = None
-        any_final = None
-    else:
-        # Scalar band bookkeeping, computed analytically: the banded sweep
-        # visits max(0, hi - lo + 1) cells per row with
-        # hi = min(cols - 1, i + bw), lo = max(1, i - bw); rows the scalar
-        # kernel breaks out of (band left the table) contribute 0 either way.
-        band_w = max(0, ceil(cutoff) - 1)
-        i_all = pack_a.prog_i[pf]
-        cols_all = pack_b.kcols[gk]
-        hi = _np.minimum(cols_all - 1, i_all + band_w)
-        lo = _np.maximum(1, i_all - band_w)
-        cells_cum = _np.cumsum(
-            _np.clip(hi - lo + 1, 0, None) * active, axis=1
-        )
-        cells_total = cells_cum[:, -1]
-        del i_all, cols_all, hi, lo
-        final = pack_a.prog_last[pf] & (blk == (nkr - 1)[:, None])
-        final_t = _np.ascontiguousarray(final.T)
-        rem_t = _np.ascontiguousarray(pack_a.prog_rem[pf].T)
-        any_final = final.any(axis=0)
-        del final
-    del pf, gk, active
-
-    width = int(m.max()) + 1  # row length: columns 0..cols-1, cols ≤ m+1
-    w1 = width - 1
-    rows_max = int(n.max()) + 1
-    fd = _np.zeros((lanes, rows_max, width), dtype=_np.float64)
-    fd[:, 0, :] = _np.arange(width, dtype=_np.float64)
-    dm = _np.zeros((lanes, int((n * m).max())), dtype=_np.float64)
-    iota = _np.arange(width, dtype=_np.float64)
-    jw = _np.arange(width, dtype=_np.int64)
-
-    values = _np.empty(lanes, dtype=_np.float64)
-    aborted = _np.zeros(lanes, dtype=bool)
-    out_cells = _np.asarray(cells_total, dtype=_np.int64).copy()
-    alive = _np.ones(lanes, dtype=bool)
-    lane_idx = _np.arange(lanes, dtype=_np.int64)
-    limit = lanes
-    act = lane_idx
-    act_stale = False
-
-    for t in range(t_max):
-        while limit > 0 and total[limit - 1] <= t:
-            limit -= 1
-            act_stale = True
-        if limit == 0:
-            break
-        if deadline is not None:
-            # One lockstep step is a whole vectorized row update across
-            # every active lane, so weight the tick by the lane count.
-            deadline.tick(limit)
-        if act_stale:
-            act = lane_idx[:limit][alive[:limit]]
-            act_stale = False
-            if act.size == 0:
-                break
-        contiguous = act.size == limit  # no dead lanes in the prefix
-
-        if contiguous:
-            i = i_t[t, :limit]
-            si = si_t[t, :limit]
-            code_f = code_t[t, :limit]
-            node_f = node_t[t, :limit]
-            spans_f = spans_t[t, :limit]
-            kg = gk_t[t, :limit]
-            mm = m[:limit]
-        else:
-            i = i_t[t, act]
-            si = si_t[t, act]
-            code_f = code_t[t, act]
-            node_f = node_t[t, act]
-            spans_f = spans_t[t, act]
-            kg = gk_t[t, act]
-            mm = m[act]
-
-        prev = fd[act, i - 1]  # (a, width)
-        split = fd[act, si]
-        col_codes = pack_b.kcodes[kg, :w1]
-        col_spans = pack_b.kspans[kg, :w1]
-        col_sc = pack_b.ksc[kg, :w1]
-        col_node = pack_b.knode[kg, :w1]
-        dcol = node_f[:, None] * mm[:, None] + col_node
-        rows2d = _np.broadcast_to(act[:, None], dcol.shape)
-        # Candidate 3: forest split (finalized subtree distances) or, on
-        # spanning×spanning cells, rename — a code equality compare.
-        special = _np.take_along_axis(split, col_sc, axis=1)
-        special += dm[rows2d, dcol]
-        cell_span = spans_f[:, None] & col_spans
-        _np.copyto(
-            special, prev[:, :-1] + (col_codes != code_f[:, None]), where=cell_span
-        )
-        # Delete candidate, then the insert coupling via the prefix minimum.
-        row = _np.empty((act.size, width), dtype=_np.float64)
-        _np.add(prev[:, 1:], 1.0, out=row[:, 1:])
-        _np.minimum(row[:, 1:], special, out=row[:, 1:])
-        row[:, 0] = i
-        row -= iota
-        _np.minimum.accumulate(row, axis=1, out=row)
-        row += iota
-        fd[act, i] = row
-        if cell_span.any():
-            dm[rows2d[cell_span], dcol[cell_span]] = row[:, 1:][cell_span]
-
-        if any_final is not None and any_final[t]:
-            fsel = final_t[t, act] if not contiguous else final_t[t, :limit]
-            if fsel.any():
-                sub = _np.flatnonzero(fsel)
-                cols_f = pack_b.kcols[kg[sub]]
-                rem_f = rem_t[t, act[sub]].astype(_np.float64)
-                rem_g = (cols_f - 1)[:, None] - jw[None, :]
-                terms = _np.where(
-                    jw[None, :] < cols_f[:, None],
-                    row[sub] + _np.abs(rem_f[:, None] - rem_g),
-                    _np.inf,
-                )
-                fired = terms.min(axis=1) >= cutoff
-                if fired.any():
-                    dead = act[sub[fired]]
-                    alive[dead] = False
-                    aborted[dead] = True
-                    values[dead] = cutoff
-                    out_cells[dead] = cells_cum[dead, t]
-                    act_stale = True
-
-    live = _np.flatnonzero(alive)
-    if live.size:
-        dist = dm[live, (n[live] - 1) * m[live] + (m[live] - 1)]
-        values[live] = dist
-        if cutoff is not None:
-            over = dist >= cutoff
-            if over.any():
-                lanes_over = live[over]
-                # Banded values at/above the cutoff may be inflated; the
-                # cutoff itself is the certified bound (scalar final check).
-                values[lanes_over] = cutoff
-                aborted[lanes_over] = True
-    return values, out_cells, aborted
 
 
 def kernel_chunk_entries(
@@ -471,9 +391,8 @@ def kernel_chunk_entries(
     cutoff: Optional[float],
     fallback: Callable[[int, int], Tuple],
     workspace=None,
-    use_native: bool = False,
 ) -> List[Tuple]:
-    """Batch result tuples for one chunk, kernel-eligible lanes in lockstep.
+    """Batch result tuples for one chunk, kernel-eligible lanes batched.
 
     Replicates the scalar dispatch of :meth:`TedWorkspace.compute_small`
     pair by pair — in order: size gate (oversized pairs fall back), bounded
@@ -482,10 +401,9 @@ def kernel_chunk_entries(
     labels fall back) — so the emitted tuples are bit-identical to the
     per-pair path, including the ``aborted`` flag and subproblem counts.
     ``fallback`` computes one pair through the ordinary per-pair machinery
-    and must return a finished result tuple.  With ``use_native=True`` the
-    lanes run through the compiled backend
-    (:func:`repro.algorithms.native.native_batch`) when a provider is
-    available, falling back to the NumPy lockstep kernel otherwise.
+    and must return a finished result tuple.  The lanes run through the C
+    kernel (:func:`repro.algorithms.native.native_batch`) when a provider
+    is available and through :func:`run_batch` otherwise.
     """
     entries: List[Optional[Tuple]] = [None] * len(pairs)
     lane_pos: List[int] = []
@@ -513,22 +431,20 @@ def kernel_chunk_entries(
         lane_i.append(i)
         lane_j.append(j)
     if lane_pos:
-        out = None
-        if use_native:
-            from .native import native_batch
-
-            deadline = active_deadline()
-            if deadline is not None:
-                # The compiled backend runs a whole chunk to completion, so
-                # check once up front: a chunk is bounded (small pairs only)
-                # and the granularity matches the supervisor's per-chunk
-                # deadline handling.
-                deadline.check()
-            out = native_batch(pack_a, pack_b, lane_i, lane_j, cutoff=cutoff)
-            if out is not None and workspace is not None:
-                workspace.stats.native_runs += len(lane_pos)
+        # An infinite cutoff bounds nothing and has no band width.
+        kernel_cutoff = None if cutoff == inf else cutoff
+        deadline = active_deadline()
+        if deadline is not None:
+            # The C kernel runs a whole chunk to completion, so check once
+            # up front: a chunk is bounded (small pairs only) and the
+            # granularity matches the supervisor's per-chunk deadline
+            # handling.  The twin additionally ticks per row.
+            deadline.check()
+        out = native.native_batch(pack_a, pack_b, lane_i, lane_j, cutoff=kernel_cutoff)
         if out is None:
-            out = run_batch(pack_a, pack_b, lane_i, lane_j, cutoff=cutoff)
+            out = run_batch(pack_a, pack_b, lane_i, lane_j, cutoff=kernel_cutoff)
+        elif workspace is not None:
+            workspace.stats.native_runs += len(lane_pos)
         values, cell_counts, aborts = out
         if workspace is not None:
             workspace.stats.small_pair_runs += len(lane_pos)

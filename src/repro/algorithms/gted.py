@@ -30,7 +30,6 @@ from ..runtime import as_deadline, deadline_scope
 from ..trees.tree import HEAVY, LEFT, RIGHT, Tree
 from .base import (
     ENGINE_AUTO,
-    ENGINE_NATIVE,
     ENGINE_RECURSIVE,
     ENGINE_SPF,
     BoundedResult,
@@ -81,7 +80,6 @@ class StrategyExecutor:
         use_numpy: Optional[bool] = None,
         workspace=None,
         cutoff: Optional[float] = None,
-        use_native: bool = False,
     ) -> None:
         self.tree_f = tree_f
         self.tree_g = tree_g
@@ -89,7 +87,6 @@ class StrategyExecutor:
         self.context = SinglePathContext(
             tree_f, tree_g, cost_model=cost_model, use_numpy=use_numpy, workspace=workspace,
             cutoff=cutoff, cutoff_pair=(tree_f.root, tree_g.root),
-            use_native=use_native,
         )
         #: Relevant subproblems evaluated, in the paper's currency: keyroot
         #: table cells for left/right steps, chain-steps × |A(other)| for
@@ -200,11 +197,11 @@ def run_engine(
         recursive = DecompositionEngine(tree_f, tree_g, strategy, cost_model=cost_model)
         distance, subproblems = recursive.distance(), recursive.subproblems
     else:
-        # ``native`` runs the same iterative executor with the compiled
-        # region sweep opted in (absent providers fall back silently).
+        # ``spf`` and ``native`` run the same iterative executor; ``native``
+        # differs only in the workspace the registry attaches.
         executor = StrategyExecutor(
             tree_f, tree_g, strategy, cost_model=cost_model, workspace=workspace,
-            cutoff=cutoff, use_native=engine == ENGINE_NATIVE,
+            cutoff=cutoff,
         )
         try:
             distance = executor.distance()

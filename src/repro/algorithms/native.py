@@ -1,35 +1,25 @@
-"""Optional compiled backend for the unit-cost TED kernels (``engine=native``).
+"""The compiled small-pair kernel: a C translation unit built on demand.
 
-The batch kernel (:mod:`repro.algorithms.batch_kernel`) removes per-pair
-*dispatch* overhead, but a 12-node pair still spends its time in a few
-hundred interpreted/vectorized DP-cell updates.  This module ports the exact
-small-pair left-path keyroot program (:meth:`TedWorkspace.compute_small` /
-``_small_pair_regions``, both modes) and the unit-mode region sweep of
-:func:`repro.algorithms.spf_numpy._region` to compiled code, through two
-interchangeable **providers**:
+This module holds the C implementation of the unit-cost small-pair program
+(the left-path keyroot sweep, unbounded and banded); its Python twin is
+:func:`repro.algorithms.batch_kernel.small_pair_regions`.  The single
+provider, ``cc``, compiles :data:`_C_SOURCE` with the system compiler
+(``$CC`` / ``cc`` / ``gcc`` / ``clang``) on first use and loads it through
+:mod:`ctypes` — no third-party dependency at all.
 
-``numba``
-    ``@njit``-compiled ports, lazily imported and compiled on first use.
-    Covers the batched small-pair kernel *and* the region sweep.
-``cc``
-    A self-contained C translation unit compiled on demand with the system
-    compiler (``$CC`` / ``cc`` / ``gcc`` / ``clang``) and loaded through
-    :mod:`ctypes` — no third-party dependency at all.  Covers the batched
-    small-pair kernel; the region sweep stays on the NumPy path.
+Every entry point degrades gracefully: when no compiler is available — or
+the ``RTED_NO_NATIVE=1`` kill-switch is set — callers receive ``None`` and
+run the Python twin instead, bit-identically.  Callers never choose: single
+pairs (``TedWorkspace.compute_small``) and batch lanes
+(``batch_kernel.kernel_chunk_entries``) take the C kernel whenever it is
+there.
 
-Provider selection is automatic (``numba`` preferred, then ``cc``) and every
-entry point degrades gracefully: when no provider is available — or the
-``RTED_NO_NATIVE=1`` kill-switch is set — callers receive ``None`` and fall
-back to the pure-Python/NumPy kernels, bit-identically.  ``engine="native"``
-therefore *always* resolves (``UnknownEngineError`` semantics are untouched);
-it just runs unaccelerated where no compiler exists.
-
-Bit-identity: both providers execute the same integer-valued float64
-arithmetic as the interpreted kernels — every add is by 1.0, every min is
-exact — and the bounded mode ports the banded sweep, the per-row abort test
-and the band cell accounting statement by statement, so values, subproblem
-counts and abort flags are equal, not just close.  The property suite
-asserts exact equality whenever a provider is importable.
+Bit-identity: the C kernel executes the same integer-valued float64
+arithmetic as the twin — every add is by 1.0, every min is exact — and the
+bounded mode ports the banded sweep, the per-row abort test and the band
+cell accounting statement by statement, so values, subproblem counts and
+abort flags are equal, not just close.  The property suite asserts exact
+equality whenever a compiler is present.
 """
 
 from __future__ import annotations
@@ -41,6 +31,7 @@ import shutil
 import subprocess
 import tempfile
 import time
+from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 try:  # Optional accelerator, mirroring repro.algorithms.workspace.
@@ -50,9 +41,9 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 
 #: Environment kill-switch: a truthy value (``1``/``true``/``yes``/``on``)
-#: disables every compiled provider (CI base legs set it to pin the fallback
-#: path).  Parsed with warn-and-fallback semantics — an unrecognized word
-#: warns and leaves the providers enabled instead of silently killing them.
+#: disables the compiled provider (CI legs set it to pin the Python twin).
+#: Parsed with warn-and-fallback semantics — an unrecognized word warns and
+#: leaves the provider enabled instead of silently killing it.
 KILL_SWITCH = "RTED_NO_NATIVE"
 
 
@@ -66,7 +57,7 @@ def _killed() -> bool:
 # The C provider
 # --------------------------------------------------------------------------- #
 #: The complete C translation unit: a batched port of
-#: ``TedWorkspace._small_pair_regions`` (unbounded and banded sweeps).  Lanes
+#: ``batch_kernel.small_pair_regions`` (unbounded and banded sweeps).  Lanes
 #: are post-precheck — the ``|n − m| ≥ cutoff`` case never reaches the
 #: kernel — and per-lane outputs mirror the scalar contract: the exact
 #: distance, the evaluated cell count, and an abort flag whose value field
@@ -152,7 +143,7 @@ void ted_small_batch(
                     cells += (rows - 1) * (cols - 1);
                     continue;
                 }
-                /* tau-bounded banded sweep (workspace._small_pair_regions) */
+                /* tau-bounded banded sweep (batch_kernel.small_pair_regions) */
                 for (int64_t i = 1; i < rows; i++) {
                     int64_t lo = i - band_w;
                     if (lo < 1) lo = 1;
@@ -370,270 +361,21 @@ def _compile_cc_library():
 
 
 # --------------------------------------------------------------------------- #
-# The Numba provider
-# --------------------------------------------------------------------------- #
-def _batch_kernel_source(
-    lml_a, codes_a, kr_a, noff_a, koff_a, kcnt_a, sizes_a,
-    lml_b, codes_b, kr_b, noff_b, koff_b, kcnt_b, sizes_b,
-    fi, gi, has_cutoff, cutoff, D, fd, out_val, out_cells, out_ab,
-):  # pragma: no cover - compiled (and exercised) only when numba is present
-    """The ``@njit`` twin of the C kernel (``fd`` is a 2-D scratch here)."""
-    INF = _np.inf
-    band_w = 0
-    if has_cutoff:
-        band_w = int(_np.ceil(cutoff)) - 1
-        if band_w < 0:
-            band_w = 0
-    for p in range(fi.shape[0]):
-        ta = fi[p]
-        tb = gi[p]
-        na = noff_a[ta]
-        nb = noff_b[tb]
-        ka = koff_a[ta]
-        kb = koff_b[tb]
-        nkf = kcnt_a[ta]
-        nkg = kcnt_b[tb]
-        n = sizes_a[ta]
-        m = sizes_b[tb]
-        cells = 0
-        aborted = False
-        for a in range(nkf):
-            if aborted:
-                break
-            kf = kr_a[ka + a]
-            lf = lml_a[na + kf]
-            rows = kf - lf + 2
-            for b in range(nkg):
-                if aborted:
-                    break
-                kg = kr_b[kb + b]
-                lg = lml_b[nb + kg]
-                cols = kg - lg + 2
-                final_region = has_cutoff and kf == n - 1 and kg == m - 1
-                for j in range(cols):
-                    fd[0, j] = float(j)
-                if not has_cutoff:
-                    for i in range(1, rows):
-                        node_f = lf + i - 1
-                        spans_f = lml_a[na + node_f] == lf
-                        code_f = codes_a[na + node_f]
-                        offset = node_f * m
-                        si = lml_a[na + node_f] - lf
-                        fd[i, 0] = float(i)
-                        for j in range(1, cols):
-                            node_g = lg + j - 1
-                            best = fd[i - 1, j] + 1.0
-                            cand = fd[i, j - 1] + 1.0
-                            if cand < best:
-                                best = cand
-                            if spans_f and lml_b[nb + node_g] == lg:
-                                if code_f == codes_b[nb + node_g]:
-                                    cand = fd[i - 1, j - 1]
-                                else:
-                                    cand = fd[i - 1, j - 1] + 1.0
-                                if cand < best:
-                                    best = cand
-                                fd[i, j] = best
-                                D[offset + node_g] = best
-                            else:
-                                cand = (
-                                    fd[si, lml_b[nb + node_g] - lg]
-                                    + D[offset + node_g]
-                                )
-                                if cand < best:
-                                    best = cand
-                                fd[i, j] = best
-                    cells += (rows - 1) * (cols - 1)
-                    continue
-                for i in range(1, rows):
-                    lo = i - band_w
-                    if lo < 1:
-                        lo = 1
-                    hi = i + band_w
-                    if hi > cols - 1:
-                        hi = cols - 1
-                    if lo > hi:
-                        break
-                    node_f = lf + i - 1
-                    spans_f = lml_a[na + node_f] == lf
-                    code_f = codes_a[na + node_f]
-                    offset = node_f * m
-                    fd[i, 0] = float(i)
-                    if lo > 1:
-                        fd[i, lo - 1] = INF
-                    si = lml_a[na + node_f] - lf
-                    rem_f_node = node_f - lml_a[na + node_f]
-                    for j in range(lo, hi + 1):
-                        node_g = lg + j - 1
-                        best = fd[i - 1, j] + 1.0
-                        cand = fd[i, j - 1] + 1.0
-                        if cand < best:
-                            best = cand
-                        if spans_f and lml_b[nb + node_g] == lg:
-                            if code_f == codes_b[nb + node_g]:
-                                cand = fd[i - 1, j - 1]
-                            else:
-                                cand = fd[i - 1, j - 1] + 1.0
-                            if cand < best:
-                                best = cand
-                            fd[i, j] = best
-                            D[offset + node_g] = best
-                        else:
-                            sc = lml_b[nb + node_g] - lg
-                            if si == 0 or sc == 0 or (
-                                si - band_w <= sc and sc <= si + band_w
-                            ):
-                                cand = fd[si, sc]
-                            else:
-                                cand = INF
-                            rem_g_node = node_g - lml_b[nb + node_g]
-                            dr = rem_f_node - rem_g_node
-                            if dr < 0:
-                                dr = -dr
-                            if dr <= band_w:
-                                cand = cand + D[offset + node_g]
-                            else:
-                                cand = INF
-                            if cand < best:
-                                best = cand
-                            fd[i, j] = best
-                    if hi + 1 <= cols - 1:
-                        fd[i, hi + 1] = INF
-                    cells += hi - lo + 1
-                    if final_region:
-                        rem_f = rows - 1 - i
-                        diag = cols - 1 - rem_f
-                        if lo <= diag and diag <= hi and fd[i, diag] < cutoff:
-                            continue
-                        best = INF
-                        if lo > 0:
-                            d0 = rem_f - (cols - 1)
-                            if d0 < 0:
-                                d0 = -d0
-                            best = fd[i, 0] + float(d0)
-                        for j in range(lo, hi + 1):
-                            dj = rem_f - (cols - 1 - j)
-                            if dj < 0:
-                                dj = -dj
-                            t = fd[i, j] + float(dj)
-                            if t < best:
-                                best = t
-                        if best >= cutoff:
-                            aborted = True
-                            break
-        if aborted:
-            out_val[p] = cutoff
-            out_cells[p] = cells
-            out_ab[p] = 1
-            continue
-        distance = D[(n - 1) * m + (m - 1)]
-        if has_cutoff and distance >= cutoff:
-            out_val[p] = cutoff
-            out_cells[p] = cells
-            out_ab[p] = 1
-            continue
-        out_val[p] = distance
-        out_cells[p] = cells
-        out_ab[p] = 0
-
-
-def _region_unit_source(
-    lml_f, lml_g, codes_f, codes_g, to_post_f, to_post_g, base,
-    kf, kg, armed, cutoff, band, slack,
-):  # pragma: no cover - compiled (and exercised) only when numba is present
-    """``@njit`` twin of :func:`spf_numpy._region`'s unit-cost hot loop.
-
-    ``base`` is the (possibly transposed) tree-distance matrix in *frame
-    post* coordinates; ``to_post_*`` map frame ids to rows/columns.  Returns
-    ``(cells, bound)`` — ``bound < 0`` means no abort, otherwise the caller
-    raises ``CutoffExceeded(bound)`` (the region's cells are dropped, just
-    like the interpreted kernel that raises mid-region).
-    """
-    lf = lml_f[kf]
-    lg = lml_g[kg]
-    rows = kf - lf + 2
-    cols = kg - lg + 2
-    fd = _np.empty((rows, cols), dtype=_np.float64)
-    for j in range(cols):
-        fd[0, j] = float(j)
-    for i in range(1, rows):
-        node_f = lf + i - 1
-        spans_f = lml_f[node_f] == lf
-        code_f = codes_f[node_f]
-        si = lml_f[node_f] - lf
-        row_post = to_post_f[node_f]
-        fd[i, 0] = float(i)
-        for j in range(1, cols):
-            node_g = lg + j - 1
-            best = fd[i - 1, j] + 1.0
-            cand = fd[i, j - 1] + 1.0
-            if cand < best:
-                best = cand
-            if spans_f and lml_g[node_g] == lg:
-                if code_f == codes_g[node_g]:
-                    cand = fd[i - 1, j - 1]
-                else:
-                    cand = fd[i - 1, j - 1] + 1.0
-                if cand < best:
-                    best = cand
-                fd[i, j] = best
-                base[row_post, to_post_g[node_g]] = best
-            else:
-                cand = (
-                    fd[si, lml_g[node_g] - lg]
-                    + base[row_post, to_post_g[node_g]]
-                )
-                if cand < best:
-                    best = cand
-                fd[i, j] = best
-        if armed:
-            rem_f = rows - 1 - i
-            diag = cols - 1 - rem_f
-            if 0 <= diag < cols and fd[i, diag] < cutoff:
-                continue
-            bound = _np.inf
-            for j in range(cols):
-                rem_g = cols - 1 - j
-                dr = float(rem_f - rem_g)
-                if dr < 0.0:
-                    dr = -dr
-                t = fd[i, j] + band * dr
-                if t < bound:
-                    bound = t
-            bound *= 1.0 - slack
-            if bound >= cutoff:
-                return (rows - 1) * (cols - 1), bound
-    return (rows - 1) * (cols - 1), -1.0
-
-
-# --------------------------------------------------------------------------- #
 # Provider discovery (cached; the kill-switch is re-read on every call)
 # --------------------------------------------------------------------------- #
 _PROVIDER: Optional[str] = None
 _PROBED = False
 _CC_LIB = None
-_NUMBA_BATCH = None
-_NUMBA_REGION = None
 
 
 def _probe() -> Optional[str]:
-    global _PROVIDER, _PROBED, _CC_LIB, _NUMBA_BATCH, _NUMBA_REGION
+    global _PROVIDER, _PROBED, _CC_LIB
     if _PROBED:
         return _PROVIDER
     _PROBED = True
     _PROVIDER = None
     if _np is None:
         return None
-    try:  # pragma: no cover - numba is optional in the base environment
-        import numba
-
-        _NUMBA_BATCH = numba.njit(cache=False)(_batch_kernel_source)
-        _NUMBA_REGION = numba.njit(cache=False)(_region_unit_source)
-        _PROVIDER = "numba"
-        return _PROVIDER
-    except Exception:
-        _NUMBA_BATCH = None
-        _NUMBA_REGION = None
     try:
         _CC_LIB = _compile_cc_library()
         _PROVIDER = "cc"
@@ -643,25 +385,23 @@ def _probe() -> Optional[str]:
 
 
 def native_provider() -> Optional[str]:
-    """The active compiled provider (``"numba"`` / ``"cc"``) or ``None``."""
+    """The active compiled provider (``"cc"``) or ``None``."""
     if _killed():
         return None
     return _probe()
 
 
 def native_available() -> bool:
-    """Whether any compiled provider is usable (and not killed by env)."""
+    """Whether the compiled provider is usable (and not killed by env)."""
     return native_provider() is not None
 
 
 def _reset_provider_cache() -> None:
     """Testing hook: forget the probe result (e.g. around env changes)."""
-    global _PROBED, _PROVIDER, _CC_LIB, _NUMBA_BATCH, _NUMBA_REGION
+    global _PROBED, _PROVIDER, _CC_LIB
     _PROBED = False
     _PROVIDER = None
     _CC_LIB = None
-    _NUMBA_BATCH = None
-    _NUMBA_REGION = None
 
 
 atexit.register(_reset_provider_cache)
@@ -675,8 +415,8 @@ def native_batch(pack_a, pack_b, fi, gi, cutoff: Optional[float] = None):
 
     Same contract as :func:`repro.algorithms.batch_kernel.run_batch` —
     eligible, post-precheck lanes in, ``(values, cells, aborted)`` out,
-    bit-identical to the scalar kernel — or ``None`` when no provider is
-    available (callers fall back to the NumPy lockstep kernel).
+    bit-identical to the Python twin — or ``None`` when no provider is
+    available (callers run the twin instead).
     """
     provider = native_provider()
     if provider is None:
@@ -702,14 +442,6 @@ def native_batch(pack_a, pack_b, fi, gi, cutoff: Optional[float] = None):
         pack_b.lml_flat, pack_b.codes_flat, pack_b.kroots,
         pack_b.node_off, pack_b.kr_off, pack_b.kr_count, pack_b.sizes,
     )
-    if provider == "numba":  # pragma: no cover - exercised on the numba CI leg
-        fd = _np.zeros((max_n + 1, max_m + 1), dtype=_np.float64)
-        _NUMBA_BATCH(
-            *[_np.ascontiguousarray(x, dtype=_np.int64) for x in arrays_a],
-            *[_np.ascontiguousarray(x, dtype=_np.int64) for x in arrays_b],
-            fi, gi, has_cutoff, cut, D, fd, values, cells, aborted_u8,
-        )
-        return values, cells, aborted_u8.astype(bool)
     import ctypes
 
     fd = _np.zeros((max_n + 1) * (max_m + 1), dtype=_np.float64)
@@ -732,6 +464,20 @@ def native_batch(pack_a, pack_b, fi, gi, cutoff: Optional[float] = None):
     return values, cells, aborted_u8.astype(bool)
 
 
+def _one_tree_pack(lml, keyroots, codes, n: int) -> SimpleNamespace:
+    """A single-tree stand-in for a :class:`CorpusPack` (the fields
+    :func:`native_batch` reads)."""
+    return SimpleNamespace(
+        lml_flat=_np.asarray(lml, dtype=_np.int64),
+        codes_flat=_np.asarray(codes, dtype=_np.int64),
+        kroots=_np.asarray(keyroots, dtype=_np.int64),
+        node_off=_np.zeros(1, dtype=_np.int64),
+        kr_off=_np.zeros(1, dtype=_np.int64),
+        kr_count=_np.asarray([len(keyroots)], dtype=_np.int64),
+        sizes=_np.asarray([n], dtype=_np.int64),
+    )
+
+
 def native_small_pair(
     arrays_f: Tuple[Sequence[int], Sequence[int], Sequence[int]],
     n: int,
@@ -739,54 +485,21 @@ def native_small_pair(
     m: int,
     cutoff: Optional[float] = None,
 ) -> Optional[Tuple[float, int, bool]]:
-    """One pair through the compiled batch kernel (``engine=native``).
+    """One pair through the compiled kernel.
 
     ``arrays_*`` are the ``(lml, keyroots, codes)`` triples of
     ``TedWorkspace._small_arrays``.  Returns ``(value, cells, aborted)`` or
     ``None`` when no provider is available.  The per-call array packing
-    costs a few µs — still several times cheaper than the interpreted
-    kernel it replaces; corpus batches amortize it via :func:`native_batch`.
+    costs a few µs — still several times cheaper than the Python twin;
+    corpus batches amortize it via :func:`native_batch`.
     """
     if native_provider() is None:
         return None
-    lml_f, kr_f, codes_f = arrays_f
-    lml_g, kr_g, codes_g = arrays_g
-
-    class _OnePack:
-        pass
-
-    pa = _OnePack()
-    pa.lml_flat = _np.asarray(lml_f, dtype=_np.int64)
-    pa.codes_flat = _np.asarray(codes_f, dtype=_np.int64)
-    pa.kroots = _np.asarray(kr_f, dtype=_np.int64)
-    pa.node_off = _np.zeros(1, dtype=_np.int64)
-    pa.kr_off = _np.zeros(1, dtype=_np.int64)
-    pa.kr_count = _np.asarray([len(kr_f)], dtype=_np.int64)
-    pa.sizes = _np.asarray([n], dtype=_np.int64)
-    pb = _OnePack()
-    pb.lml_flat = _np.asarray(lml_g, dtype=_np.int64)
-    pb.codes_flat = _np.asarray(codes_g, dtype=_np.int64)
-    pb.kroots = _np.asarray(kr_g, dtype=_np.int64)
-    pb.node_off = _np.zeros(1, dtype=_np.int64)
-    pb.kr_off = _np.zeros(1, dtype=_np.int64)
-    pb.kr_count = _np.asarray([len(kr_g)], dtype=_np.int64)
-    pb.sizes = _np.asarray([m], dtype=_np.int64)
-    out = native_batch(pa, pb, [0], [0], cutoff=cutoff)
+    out = native_batch(
+        _one_tree_pack(*arrays_f, n), _one_tree_pack(*arrays_g, m), [0], [0],
+        cutoff=cutoff,
+    )
     if out is None:
         return None
     values, cells, aborted = out
     return float(values[0]), int(cells[0]), bool(aborted[0])
-
-
-def native_region_kernel():
-    """The compiled unit-mode region sweep, or ``None``.
-
-    Only the ``numba`` provider implements it (the C provider is scoped to
-    the batched small-pair kernel); :func:`repro.algorithms.spf_numpy.run_regions`
-    falls back to its vectorized/scalar row sweeps otherwise.  The returned
-    callable has the signature of :func:`_region_unit_source` and returns
-    ``(cells, bound)``.
-    """
-    if native_provider() != "numba":
-        return None
-    return _NUMBA_REGION  # pragma: no cover - exercised on the numba CI leg

@@ -128,12 +128,10 @@ def make_algorithm(
     algorithm as written (``rted`` computes Algorithm 2's strategy and runs
     it on ``spf``, whatever the pair size); the small-pair shortcut of
     :func:`repro.api.compute` is deliberately not applied here.
-    ``"native"`` is the ``spf`` executor with the optional compiled backend
-    (:mod:`repro.algorithms.native`) opted in: it implies a workspace (one
-    is created when none is passed, so the compiled small-pair kernel has
-    its dispatch layer) and silently degrades to the stock NumPy/Python
-    kernels when no compiled provider is available or ``RTED_NO_NATIVE=1``
-    is set — the engine name itself is always valid.
+    ``"native"`` is the ``spf`` executor with a workspace: one is created
+    when none is passed, so small unit-cost pairs take the small-pair
+    program (the C kernel when a compiler is present, its Python twin
+    otherwise) — the engine name itself is always valid.
 
     ``workspace`` (a :class:`~repro.algorithms.workspace.TedWorkspace`)
     enables the amortized batch path: factories that support it receive the
@@ -169,8 +167,7 @@ def make_algorithm(
         and workspace is None
         and "workspace" in parameters
     ):
-        # The compiled small-pair path dispatches through the workspace
-        # layer, so ``native`` implies one.
+        # ``native`` is ``spf`` with a workspace.
         workspace = TedWorkspace()
     if "engine" in parameters:
         if workspace is not None and "workspace" in parameters:
@@ -185,9 +182,7 @@ def make_algorithm(
             )
         algorithm = factory()
     if workspace is not None:
-        algorithm = WorkspaceTED(
-            algorithm, workspace, use_native=resolved == ENGINE_NATIVE
-        )
+        algorithm = WorkspaceTED(algorithm, workspace)
     return algorithm
 
 

@@ -121,6 +121,7 @@ class SimpleTED(TEDAlgorithm):
                 distance_time=watch.elapsed(),
                 n_f=tree_f.n,
                 n_g=tree_g.n,
+                extra={"kernel": "simple"},
             )
         return TEDResult(
             distance=value,
@@ -129,6 +130,7 @@ class SimpleTED(TEDAlgorithm):
             distance_time=watch.elapsed(),
             n_f=tree_f.n,
             n_g=tree_g.n,
+            extra={"kernel": "simple"},
         )
 
 

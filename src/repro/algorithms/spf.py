@@ -281,16 +281,10 @@ class SinglePathContext:
         workspace=None,
         cutoff: Optional[float] = None,
         cutoff_pair: Optional[Tuple[int, int]] = None,
-        use_native: bool = False,
     ) -> None:
         self.tree_f = tree_f
         self.tree_g = tree_g
         self.cost_model = resolve_cost_model(cost_model)
-        #: ``engine="native"``: unit-mode regions may run the compiled
-        #: region sweep (numba provider only; resolved lazily on first use
-        #: and silently absent otherwise — the graceful-fallback rule).
-        self.use_native = bool(use_native)
-        self._native_region = False  # not yet probed
         if workspace is not None and not workspace.matches(self.cost_model):
             # Silent fallback to fresh per-call state; the bypass is counted
             # once at the WorkspaceTED layer, not per context.
@@ -551,13 +545,6 @@ class SinglePathContext:
             unit_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=True)
             rename = None if unit_codes is not None else self._rename_matrix(side, kind)
             fallback_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=False)
-            native_region = None
-            if self.use_native and unit_codes is not None:
-                if self._native_region is False:
-                    from .native import native_region_kernel
-
-                    self._native_region = native_region_kernel()
-                native_region = self._native_region
             cells = _np_kernel.run_regions(
                 dec, oth, dec_keyroots, oth_keyroots, del_costs, ins_costs, rename, base,
                 fallback=self._region_kernel_py(
@@ -565,7 +552,6 @@ class SinglePathContext:
                 ),
                 unit_codes=unit_codes,
                 abort=abort,
-                native_region=native_region,
                 deadline=self.deadline,
             )
         else:

@@ -115,7 +115,6 @@ def run_regions(
     fallback: Callable[[int, int], int],
     unit_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     abort: Optional[Tuple[int, int, float, float, float]] = None,
-    native_region: Optional[Callable] = None,
     deadline=None,
 ) -> int:
     """Fill every keyroot-pair table of the given keyroot lists.
@@ -129,48 +128,22 @@ def run_regions(
     to 1.  ``abort`` — a ``(kf, kg, cutoff, band, slack)`` spec naming the final
     region of a bounded computation — arms the per-row early-abort check in
     that region (the fallback kernel carries its own copy of the spec).
-    ``native_region`` — the compiled unit-mode region sweep of
-    :func:`repro.algorithms.native.native_region_kernel` (``engine="native"``
-    with the numba provider) — replaces :func:`_region` on the regions the
-    vectorized kernel would sweep, bit-identically (same arithmetic, same
-    abort decisions and bounds; its cells are likewise dropped on abort).
     Returns the number of forest-distance cells evaluated.
     """
     oth_arrays = _frame_arrays(oth)
     dec_arrays = _frame_arrays(dec)
     oth_lml = oth.lml
-    if native_region is not None and unit_codes is not None:
-        lml_f_arr = dec_arrays["lml"]
-        lml_g_arr = oth_arrays["lml"]
-        to_post_f = dec_arrays["to_post"]
-        to_post_g = oth_arrays["to_post"]
-    else:
-        native_region = None
     cells = 0
     for kg in oth_keyroots:
         vectorize = kg - oth_lml[kg] + 1 >= MIN_VECTOR_COLS
         for kf in dec_keyroots:
             if deadline is not None:
-                # Region-granular check; the vectorized/native sweeps below
-                # additionally tick per row through the ``deadline`` argument
-                # of :func:`_region` (compiled regions run to completion —
-                # they are bounded by one keyroot region).
+                # Region-granular check; the vectorized sweep below
+                # additionally ticks per row through the ``deadline``
+                # argument of :func:`_region`.
                 deadline.tick()
             if vectorize:
                 cut = abort[2:] if abort is not None and (kf, kg) == abort[:2] else None
-                if native_region is not None:
-                    armed = cut is not None
-                    r_cells, bound = native_region(
-                        lml_f_arr, lml_g_arr, unit_codes[0], unit_codes[1],
-                        to_post_f, to_post_g, base, kf, kg, armed,
-                        cut[0] if armed else 0.0,
-                        cut[1] if armed else 0.0,
-                        cut[2] if armed else 0.0,
-                    )
-                    if bound >= 0.0:
-                        raise CutoffExceeded(bound)
-                    cells += r_cells
-                    continue
                 cells += _region(
                     dec, oth, kf, kg, del_costs, ins_costs, rename, base,
                     dec_arrays["to_post"], oth_arrays["to_post"], oth_arrays["lml"],

@@ -56,7 +56,7 @@ this with exact equality.
 
 from __future__ import annotations
 
-from math import ceil, inf, nan
+from math import inf, nan
 from typing import Dict, List, Optional, Tuple
 
 from ..costs import CostModel, UnitCostModel
@@ -69,9 +69,10 @@ from .base import (
     Stopwatch,
     TEDAlgorithm,
     TEDResult,
-    check_row_cutoff,
     resolve_cost_model,
 )
+from .batch_kernel import band_width, small_pair_regions
+from .native import native_small_pair
 from .spf import _Frame, _GridFrame, _resolve_use_numpy
 
 try:  # Optional accelerator, mirroring repro.algorithms.spf's import split.
@@ -506,12 +507,15 @@ class TedWorkspace:
     ) -> Optional[Tuple[float, int]]:
         """Exact unit-cost TED for a small pair, or ``None`` when inapplicable.
 
-        A flat left-path keyroot program (the Zhang–Shasha recurrence) over
-        cached per-tree arrays and reused buffers: no context, no executor,
-        no per-region dispatch.  Only unit-cost workspaces qualify — there
-        every intermediate value is an integer-valued float64, so the result
-        is bit-identical to every other kernel — and only pairs whose trees
-        both fit :attr:`small_pair_cutoff`.  Returns ``(distance, cells)``
+        The small-pair program (:mod:`repro.algorithms.batch_kernel`): a
+        flat left-path keyroot sweep (the Zhang–Shasha recurrence) over
+        cached per-tree arrays — no context, no executor, no per-region
+        dispatch.  It runs in the C kernel when a compiled provider is
+        present and in its Python twin over reused buffers otherwise.  Only
+        unit-cost workspaces qualify — there every intermediate value is an
+        integer-valued float64, so the result is bit-identical to every
+        other kernel — and only pairs whose trees both fit
+        :attr:`small_pair_cutoff`.  Returns ``(distance, cells)``
         with ``cells`` the number of forest-distance cells evaluated (the
         relevant subproblems of the executed left-path program).
 
@@ -525,6 +529,9 @@ class TedWorkspace:
         Sub-cutoff results are bit-identical to unbounded runs — every cell
         whose true value is below the cutoff lies in the band and its
         minimum-winning candidate chain repeats the identical arithmetic.
+        The gate order — unit-cost gate, size gate, bounded size pre-check
+        *before* the code gate — is the one :func:`kernel_chunk_entries
+        <repro.algorithms.batch_kernel.kernel_chunk_entries>` replicates.
         """
         if not self.unit_cost:
             return None
@@ -538,18 +545,22 @@ class TedWorkspace:
         arrays_g = self._small_arrays(tree_g)
         if arrays_f is None or arrays_g is None:
             return None
-        lml_f, keyroots_f, codes_f = arrays_f
-        lml_g, keyroots_g, codes_g = arrays_g
-        # The row ticks are amortized (a tiny pair may never reach a clock
-        # read), so settle an already-blown budget before the sweep.
+        # The C kernel has no deadline hook and the twin's row ticks are
+        # amortized (a tiny pair may never reach a clock read), so settle
+        # an already-blown budget before the sweep.
         deadline = active_deadline()
         if deadline is not None:
             deadline.check()
         self.stats.small_pair_runs += 1
-        # Unit-cost band half-width: |i − j| > band_w ⇔ the cell's forest
-        # sizes differ by ≥ cutoff operations ⇔ its value is ≥ cutoff.  The
-        # size pre-check above guarantees the final corner stays in-band.
-        band_w = None if cutoff is None else max(0, ceil(cutoff) - 1)
+        out = native_small_pair(arrays_f, n, arrays_g, m, cutoff)
+        if out is not None:
+            self.stats.native_runs += 1
+            value, cells, aborted = out
+            if aborted:
+                exceeded = CutoffExceeded(value)
+                exceeded.subproblems = cells
+                raise exceeded
+            return value, cells
 
         D = self._small_D
         if len(D) < n * m:
@@ -557,198 +568,9 @@ class TedWorkspace:
         fd = self._small_fd
         while len(fd) < n + 1:
             fd.append([0.0] * (self.small_pair_cutoff + 1))
-
-        return self._small_pair_regions(
-            n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
-            lml_g, keyroots_g, codes_g, D, fd, deadline,
+        return small_pair_regions(
+            n, m, cutoff, band_width(cutoff), *arrays_f, *arrays_g, D, fd, deadline,
         )
-
-    def compute_small_native(
-        self, tree_f: Tree, tree_g: Tree, cutoff: Optional[float] = None
-    ) -> Optional[Tuple[float, int]]:
-        """:meth:`compute_small` through the compiled backend.
-
-        Same contract and bit-identical results (the backend ports the same
-        integer-valued float64 program); returns ``None`` whenever the pair
-        is inapplicable *or* no compiled provider is available, so callers
-        chain straight into the pure-Python kernel.  The dispatch order —
-        unit-cost gate, size gate, bounded size pre-check *before* the code
-        gate — replicates :meth:`compute_small` exactly.  The compiled
-        kernel has no deadline hook, so the ambient deadline is checked once
-        before the call: an expired or cancelled budget raises
-        :class:`~repro.exceptions.ComputeTimeoutError` exactly where the
-        interpreted kernel would, and a small pair's compiled run is too
-        short to need a mid-run check.
-        """
-        if not self.unit_cost:
-            return None
-        n, m = tree_f.n, tree_g.n
-        if n > self.small_pair_cutoff or m > self.small_pair_cutoff:
-            return None
-        cutoff = _finite_cutoff(cutoff)
-        if cutoff is not None and abs(n - m) >= cutoff:
-            raise CutoffExceeded(float(abs(n - m)))
-        from .native import native_available, native_small_pair
-
-        if not native_available():
-            return None
-        arrays_f = self._small_arrays(tree_f)
-        arrays_g = self._small_arrays(tree_g)
-        if arrays_f is None or arrays_g is None:
-            return None
-        deadline = active_deadline()
-        if deadline is not None:
-            deadline.check()
-        out = native_small_pair(arrays_f, n, arrays_g, m, cutoff)
-        if out is None:
-            return None
-        self.stats.small_pair_runs += 1
-        self.stats.native_runs += 1
-        value, cells, aborted = out
-        if aborted:
-            exceeded = CutoffExceeded(value)
-            exceeded.subproblems = cells
-            raise exceeded
-        return value, cells
-
-    def _small_pair_regions(
-        self, n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
-        lml_g, keyroots_g, codes_g, D, fd, deadline=None,
-    ) -> Tuple[float, int]:
-        """The keyroot-region sweep of :meth:`compute_small` (both modes).
-
-        Aborts re-raise with the completed regions' cell count attached, so
-        aborted sentinels report work in the same currency as finished runs.
-        """
-        cells = 0
-        for kf in keyroots_f:
-            lf = lml_f[kf]
-            rows = kf - lf + 2
-            for kg in keyroots_g:
-                # Keyroots ascend, so the whole-tree region runs last; only
-                # its rows are whole-tree prefix distances, making the row
-                # abort sound there (unit band 1).
-                final = cutoff is not None and kf == n - 1 and kg == m - 1
-                lg = lml_g[kg]
-                cols = kg - lg + 2
-                row = fd[0]
-                for j in range(cols):
-                    row[j] = float(j)
-                if band_w is None:
-                    for i in range(1, rows):
-                        if deadline is not None:
-                            deadline.tick()
-                        node_f = lf + i - 1
-                        spans_f = lml_f[node_f] == lf
-                        code_f = codes_f[node_f]
-                        offset = node_f * m
-                        prev = fd[i - 1]
-                        row = fd[i]
-                        row[0] = float(i)
-                        split_row = fd[lml_f[node_f] - lf]
-                        for j in range(1, cols):
-                            node_g = lg + j - 1
-                            best = prev[j] + 1.0
-                            candidate = row[j - 1] + 1.0
-                            if candidate < best:
-                                best = candidate
-                            if spans_f and lml_g[node_g] == lg:
-                                candidate = prev[j - 1] + (
-                                    0.0 if code_f == codes_g[node_g] else 1.0
-                                )
-                                if candidate < best:
-                                    best = candidate
-                                row[j] = best
-                                D[offset + node_g] = best
-                            else:
-                                candidate = split_row[lml_g[node_g] - lg] + D[offset + node_g]
-                                if candidate < best:
-                                    best = candidate
-                                row[j] = best
-                    cells += (rows - 1) * (cols - 1)
-                    continue
-                # τ-bounded sweep: each row only fills its |i − j| ≤ band_w
-                # window; out-of-band values are ≥ cutoff by the size
-                # argument, so reading them as +inf only inflates cells that
-                # are themselves ≥ cutoff (sub-cutoff cells and their
-                # winning candidate chains stay in-band and bit-identical).
-                # The reused buffers hold stale garbage outside the window,
-                # hence the inf sentinels flanking each row and the explicit
-                # band predicates on split/subtree reads.
-                for i in range(1, rows):
-                    if deadline is not None:
-                        deadline.tick()
-                    lo = i - band_w
-                    if lo < 1:
-                        lo = 1
-                    hi = i + band_w
-                    if hi > cols - 1:
-                        hi = cols - 1
-                    if lo > hi:
-                        # The band left the table; every later row is
-                        # farther out still, so the region is finished.
-                        break
-                    node_f = lf + i - 1
-                    spans_f = lml_f[node_f] == lf
-                    code_f = codes_f[node_f]
-                    offset = node_f * m
-                    prev = fd[i - 1]
-                    row = fd[i]
-                    row[0] = float(i)
-                    if lo > 1:
-                        row[lo - 1] = inf
-                    si = lml_f[node_f] - lf
-                    split_row = fd[si]
-                    rem_f_node = node_f - lml_f[node_f]
-                    for j in range(lo, hi + 1):
-                        node_g = lg + j - 1
-                        best = prev[j] + 1.0
-                        candidate = row[j - 1] + 1.0
-                        if candidate < best:
-                            best = candidate
-                        if spans_f and lml_g[node_g] == lg:
-                            candidate = prev[j - 1] + (
-                                0.0 if code_f == codes_g[node_g] else 1.0
-                            )
-                            if candidate < best:
-                                best = candidate
-                            row[j] = best
-                            D[offset + node_g] = best
-                        else:
-                            sc = lml_g[node_g] - lg
-                            if si == 0 or sc == 0 or (si - band_w <= sc <= si + band_w):
-                                candidate = split_row[sc]
-                            else:
-                                candidate = inf
-                            # The subtree pair's spanning cell was written
-                            # iff it was in-band in its own region.
-                            if abs(rem_f_node - (node_g - lml_g[node_g])) <= band_w:
-                                candidate += D[offset + node_g]
-                            else:
-                                candidate = inf
-                            if candidate < best:
-                                best = candidate
-                            row[j] = best
-                    if hi + 1 <= cols - 1:
-                        row[hi + 1] = inf
-                    cells += hi - lo + 1
-                    if final:
-                        try:
-                            check_row_cutoff(
-                                row, cols, rows - 1 - i, cutoff, 1.0, lo, hi,
-                                exact_values=False,
-                            )
-                        except CutoffExceeded as exceeded:
-                            exceeded.subproblems = cells
-                            raise
-        distance = D[(n - 1) * m + m - 1]
-        if cutoff is not None and distance >= cutoff:
-            # Banded values at or above the cutoff may be inflated; the
-            # cutoff itself is the certified lower bound.
-            exceeded = CutoffExceeded(cutoff)
-            exceeded.subproblems = cells
-            raise exceeded
-        return distance, cells
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
@@ -775,9 +597,9 @@ class TedWorkspace:
         )
 
 
-#: ``extra["kernel"]`` of results produced by the small-pair program (the
-#: compiled kernel or its pure-Python twin — they are bit-identical, so the
-#: name does not say which ran).
+#: ``extra["kernel"]`` of results produced by the small-pair program (the C
+#: kernel or its Python twin — they are bit-identical, so the name does not
+#: say which ran).
 SMALL_PAIR_KERNEL = "small-pair"
 
 
@@ -799,15 +621,9 @@ class WorkspaceTED(TEDAlgorithm):
     wrapper is always exact.
     """
 
-    def __init__(
-        self, inner: TEDAlgorithm, workspace: TedWorkspace, use_native: bool = False
-    ) -> None:
+    def __init__(self, inner: TEDAlgorithm, workspace: TedWorkspace) -> None:
         self.inner = inner
         self.workspace = workspace
-        #: ``engine="native"``: matching small pairs try the compiled
-        #: backend first (bit-identical; silently skipped when no provider
-        #: is available, per the graceful-fallback rule).
-        self.use_native = bool(use_native)
         self.name = inner.name
 
     def compute(
@@ -836,13 +652,7 @@ class WorkspaceTED(TEDAlgorithm):
             watch = Stopwatch()
             watch.start()
             try:
-                small = None
-                if self.use_native:
-                    small = workspace.compute_small_native(
-                        tree_f, tree_g, cutoff=cutoff
-                    )
-                if small is None:
-                    small = workspace.compute_small(tree_f, tree_g, cutoff=cutoff)
+                small = workspace.compute_small(tree_f, tree_g, cutoff=cutoff)
             except CutoffExceeded as exceeded:
                 return BoundedResult(
                     lower_bound=exceeded.lower_bound,

@@ -36,6 +36,11 @@ from .base import (
 )
 
 
+def _kernel_extra() -> dict:
+    """``extra`` of results computed by the dedicated tables."""
+    return {"kernel": "zhang-shasha"}
+
+
 class _ZhangShashaBase(TEDAlgorithm):
     """Shared compute/bounding scaffold of the two dedicated ZS variants."""
 
@@ -63,7 +68,9 @@ class _ZhangShashaBase(TEDAlgorithm):
         cm = resolve_cost_model(cost_model)
         watch = Stopwatch()
         watch.start()
-        pre = precheck_bounded(tree_f, tree_g, cm, cutoff, self.name, watch)
+        pre = precheck_bounded(
+            tree_f, tree_g, cm, cutoff, self.name, watch, extra=_kernel_extra()
+        )
         if pre is not None:
             return pre
         run_f, run_g = self._trees(tree_f, tree_g)
@@ -79,6 +86,7 @@ class _ZhangShashaBase(TEDAlgorithm):
                 distance_time=watch.elapsed(),
                 n_f=tree_f.n,
                 n_g=tree_g.n,
+                extra=_kernel_extra(),
             )
         if cutoff is not None and distance >= cutoff:
             return BoundedResult(
@@ -90,6 +98,7 @@ class _ZhangShashaBase(TEDAlgorithm):
                 distance_time=watch.elapsed(),
                 n_f=tree_f.n,
                 n_g=tree_g.n,
+                extra=_kernel_extra(),
             )
         return TEDResult(
             distance=distance,
@@ -98,6 +107,7 @@ class _ZhangShashaBase(TEDAlgorithm):
             distance_time=watch.elapsed(),
             n_f=tree_f.n,
             n_g=tree_g.n,
+            extra=_kernel_extra(),
         )
 
 

@@ -18,7 +18,13 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .algorithms.base import ENGINE_AUTO, BoundedResult, TEDResult, resolve_engine
+from .algorithms.base import (
+    ENGINE_AUTO,
+    BoundedResult,
+    TEDResult,
+    resolve_engine,
+    validate_cutoff,
+)
 from .algorithms.edit_mapping import EditMapping, EditOperation, compute_edit_mapping
 from .algorithms.registry import PAPER_ALGORITHMS, make_algorithm
 from .algorithms.rted import RTED
@@ -101,10 +107,8 @@ def tree_edit_distance(
         single-path executor ``auto`` resolves to for every GTED/RTED
         variant), ``"recursive"`` (the strategy-driven reference oracle,
         kept for cross-checking), or ``"native"`` (the ``spf`` executor
-        with the optional compiled unit-cost kernels of
-        :mod:`repro.algorithms.native` opted in — bit-identical, and
-        silently falling back to the stock kernels when no compiled
-        provider is available or ``RTED_NO_NATIVE=1`` is set).  The
+        with a workspace, so small unit-cost pairs run the small-pair
+        program — bit-identical to ``spf``).  The
         ``spf`` engine evaluates *every* strategy step — left, right and
         heavy paths — with array-based single-path functions: it is the
         fastest pure-Python/NumPy choice across algorithms and, being
@@ -117,17 +121,18 @@ def tree_edit_distance(
         the small-pair program of
         :class:`~repro.algorithms.workspace.WorkspaceTED` instead of
         Algorithm 2 plus ``spf``.  Every strategy yields the same distance,
-        so only the cost differs: the program is the compiled kernel when a
-        provider is available and its bit-identical pure-Python twin
-        otherwise.  :func:`~repro.algorithms.registry.make_algorithm` keeps
-        running the literal algorithm under ``auto``.
+        so only the cost differs: the program is the C kernel when a
+        compiler is available and its bit-identical Python twin otherwise.
+        :func:`~repro.algorithms.registry.make_algorithm` keeps running the
+        literal algorithm under ``auto``.
     cutoff:
         Optional bound ``τ``: when given, the exact distance is returned if
         it is below ``τ`` (bit-identical to the unbounded computation) and
         ``math.inf`` otherwise — the computation aborts as soon as
         ``distance ≥ τ`` is proven, which is much cheaper than finishing it.
         Use :func:`compute` to obtain the proving lower bound instead of
-        ``inf``.
+        ``inf``.  ``math.inf`` means no cutoff; a bool, a non-number or NaN
+        raises :class:`~repro.exceptions.CutoffError`.
     deadline:
         Optional compute budget in seconds (or a pre-built
         :class:`~repro.runtime.Deadline`).  The kernels test it
@@ -168,7 +173,9 @@ def compute(
     ``result.extra["engine"]`` for algorithms that support several, and the
     program that produced the numbers in ``result.extra["kernel"]`` —
     ``"small-pair"`` for the small-pair program the default ``rted`` runs
-    on small unit-cost pairs, otherwise the engine (``"spf"``, ...).
+    on small unit-cost pairs, ``"zhang-shasha"`` for the dedicated tables
+    ``zhang-l``/``zhang-r`` use under ``auto``, ``"simple"`` for the
+    reference oracle, otherwise the engine (``"spf"``, ...).
     ``result.subproblems`` counts the forest-distance cells that program
     evaluated: on the small-pair program that is the left-path program's
     count, which can exceed RTED's optimal count (about 3× in total on the
@@ -189,6 +196,7 @@ def compute(
     around the whole computation, so registered algorithms that predate the
     keyword still honor it through their instrumented kernels.
     """
+    cutoff = validate_cutoff(cutoff)
     algo = make_algorithm(algorithm, engine=engine)
     f, g = parse_tree(tree_f), parse_tree(tree_g)
     if (
@@ -201,9 +209,8 @@ def compute(
         # internable labels) and hands every other pair to the wrapped RTED
         # unchanged.  The workspace is fresh per call: nothing is shared
         # across the service's compute threads, and ad-hoc labels cannot
-        # grow a long-lived interner.  Non-finite cutoffs keep RTED's
-        # handling.
-        algo = WorkspaceTED(algo, TedWorkspace(), use_native=True)
+        # grow a long-lived interner.  A -inf cutoff keeps RTED's handling.
+        algo = WorkspaceTED(algo, TedWorkspace())
     with deadline_scope(as_deadline(deadline)):
         if cutoff is None:
             result = algo.compute(f, g, cost_model=cost_model)
@@ -312,9 +319,9 @@ def similarity_join(
     ``result.stats.aborted_early`` counts the verifications cut short.
 
     ``batch_kernel`` (default on) verifies small unit-cost pairs through
-    the struct-of-arrays batch kernel — one vectorized (or, under
-    ``engine="native"``, compiled) program per chunk instead of one
-    interpreted run per pair; results are bit-identical, including
+    the struct-of-arrays batch kernel — one C kernel call per chunk (or
+    the Python twin, lane by lane, without a compiler) instead of one
+    per-pair ``compute()``; results are bit-identical, including
     subproblem counts.  In the ``workers > 1`` fan-out the corpus pack is
     exported once into ``multiprocessing.shared_memory`` and workers
     attach zero-copy (:mod:`repro.join.shared`).  Note a survivor set no
@@ -452,7 +459,8 @@ def range_query(
     ``(distance, index)``; distances are always exact.  See :func:`knn`
     for the ``corpus``, keyword-argument and ``deadline`` conventions (on
     expiry the matches found so far return with ``stats.partial = True`` —
-    a subset of the full answer, never a wrong superset).
+    a subset of the full answer, never a wrong superset).  A non-finite
+    ``threshold`` raises :class:`~repro.exceptions.QueryError`.
 
     Examples
     --------

@@ -40,6 +40,7 @@ from .datasets.shapes import SHAPE_GENERATORS, make_shape
 from .exceptions import (
     BatchExecutionError,
     ComputeTimeoutError,
+    CutoffError,
     ParseError,
     QueryError,
     ReproError,
@@ -113,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution engine: auto (default, resolves to the iterative spf "
         "executor; rted runs unit-cost pairs of trees up to 64 nodes through "
         "the small-pair program instead), spf (fully iterative single-path "
-        "functions for all path kinds), native (spf plus the optional compiled unit-cost kernels; "
-        "falls back to spf kernels when no compiled provider is available), "
+        "functions for all path kinds), native (spf with a workspace: small unit-cost pairs run "
+        "the small-pair program), "
         "or recursive (the cross-check oracle)",
     )
     distance.add_argument("--format", dest="fmt", default=None, help="bracket | newick | xml")
@@ -592,7 +593,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except TreeConstructionError as exc:
         print(f"rted: invalid tree: {exc}", file=sys.stderr)
         return EXIT_CODES["data"]
-    except (UnknownAlgorithmError, UnknownEngineError, QueryError) as exc:
+    except (UnknownAlgorithmError, UnknownEngineError, QueryError, CutoffError) as exc:
         print(f"rted: {exc}", file=sys.stderr)
         return EXIT_CODES["usage"]
     except BatchExecutionError as exc:

@@ -112,7 +112,13 @@ class CorpusError(ReproError):
 
 
 class QueryError(ReproError):
-    """Raised when a retrieval query is malformed (e.g. ``k < 0``)."""
+    """Raised when a retrieval query is malformed (e.g. ``k < 0`` or a
+    non-finite range threshold)."""
+
+
+class CutoffError(ReproError):
+    """Raised when a distance cutoff is not a number (a bool, a string, a
+    list) or is NaN, or when a join threshold is NaN."""
 
 
 class FaultInjectionError(ReproError):

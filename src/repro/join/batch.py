@@ -32,6 +32,7 @@ from ..algorithms.batch_kernel import (
 from ..algorithms.registry import make_algorithm
 from ..algorithms.workspace import TedWorkspace, WorkspaceTED
 from ..costs import CostModel
+from ..exceptions import CutoffError
 from ..runtime import active_deadline, as_deadline, deadline_scope
 from ..trees.tree import Tree
 from . import faults
@@ -235,7 +236,6 @@ def _worker_chunk(pairs: List[Tuple[int, int]]) -> List[Tuple]:
         return kernel_chunk_entries(
             pack_a, _WORKER_STATE["pack_b"], pairs, cutoff, fallback,
             workspace=_WORKER_STATE["kernel_ws"],
-            use_native=getattr(algo, "use_native", False),
         )
     return [fallback(i, j) for i, j in pairs]
 
@@ -314,8 +314,8 @@ def batch_distances(
 
     ``batch_kernel`` (default on) routes small unit-cost pairs through the
     struct-of-arrays batch kernel (:mod:`repro.algorithms.batch_kernel`) —
-    one vectorized (or compiled, under ``engine="native"``) program per
-    chunk instead of one interpreted run per pair, bit-identical results
+    one C kernel call per chunk (the Python twin, lane by lane, without a
+    compiler) instead of one per-pair ``compute()``, bit-identical results
     including subproblem counts and bounded aborts.  It engages only where
     the scalar small-pair path would: registry-name algorithms with the
     amortized workspace on a unit cost model; in the multiprocessing
@@ -421,7 +421,6 @@ def batch_distances(
                     chunk_results = kernel_chunk_entries(
                         pack_a, pack_b, chunk, cutoff, fallback,
                         workspace=kernel_ws,
-                        use_native=getattr(algo, "use_native", False),
                     )
                 else:
                     chunk_results = [fallback(i, j) for i, j in chunk]
@@ -634,7 +633,7 @@ def batch_similarity_join(
     Parameters mirror :func:`batch_distances` for the verification stage
     (``workers``, ``chunk_size``, ``workspace`` — the amortized execution
     layer, on by default and bit-identical to per-call contexts — and
-    ``batch_kernel``, the vectorized/compiled small-pair fast path);
+    ``batch_kernel``, the batched small-pair fast path);
     filtering always runs in the parent process because it is cheap
     relative to exact TED.  Note that a survivor set no larger than one
     chunk verifies serially even with ``workers > 1``;
@@ -655,10 +654,13 @@ def batch_similarity_join(
     chunks retried, and execution degrades down an exact-result ladder
     rather than aborting the join.  ``policy`` tunes that behavior; the
     recovery telemetry lands in ``JoinStats`` (``retried_chunks``,
-    ``failed_workers``, ``degraded_to``, ``poisoned_pairs``).
+    ``failed_workers``, ``degraded_to``, ``poisoned_pairs``).  A NaN
+    ``threshold`` raises :class:`~repro.exceptions.CutoffError`.
     """
     from .pipeline import BatchRefiner, Planner, execute_plan
 
+    if threshold != threshold:
+        raise CutoffError("threshold must not be NaN")
     stats = JoinStats()
     started = time.perf_counter()
 

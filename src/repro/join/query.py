@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -92,7 +93,7 @@ KNN_PROBE = 32
 
 #: Frontier expansion width for best-first kNN: up to this many VP-tree
 #: nodes are popped per round and their vantages evaluated in ONE batched
-#: refiner call, so vantage distances go through the vectorized small-pair
+#: refiner call, so vantage distances go through the batched small-pair
 #: kernel instead of one Python ``compute()`` per node.  The price is a
 #: slightly stale radius within a round (a sequential search might have
 #: pruned a few of them); results are identical either way.
@@ -782,7 +783,7 @@ class QueryEngine:
                 )
             if not batch:
                 continue
-            # One batched (kernel-vectorized) evaluation for every vantage in
+            # One batched (small-pair kernel) evaluation for every vantage in
             # the round, bounded at the loosest per-node abort threshold: an
             # abort then proves d(q, v) > r + mu for *its* node too, which
             # prunes the inside ball (d ≥ d(q,v) − mu > r) and rules the
@@ -874,6 +875,12 @@ class QueryEngine:
         added since the pin are refined exactly at τ and merged — the
         result equals a fresh query over the current trees.
         """
+        if (
+            isinstance(threshold, bool)
+            or not isinstance(threshold, numbers.Real)
+            or not math.isfinite(threshold)
+        ):
+            raise QueryError(f"threshold must be a finite number, got {threshold!r}")
         started = time.perf_counter()
         stats = QueryStats()
         snap = self._pinned()

@@ -23,7 +23,7 @@ This module provides the primitives:
 :func:`deadline_scope` / :func:`active_deadline`
     Thread-local propagation.  ``compute(deadline=...)`` installs the
     deadline for the duration of the call; the row kernels (``spf.py``,
-    ``spf_numpy.py``, ``workspace.compute_small``, ``batch_kernel.run_batch``,
+    ``spf_numpy.py``, ``batch_kernel.small_pair_regions``,
     ``zhang_shasha.py``) pick it up via :func:`active_deadline` without any
     per-kernel plumbing.  A ``None`` scope is a no-op, so nested computations
     inherit the caller's deadline.

@@ -91,7 +91,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
-from ..algorithms.base import resolve_engine
+from ..algorithms.base import resolve_engine, validate_cutoff
 from ..api import compute, parse_tree
 from ..exceptions import ComputeTimeoutError, ReproError
 from ..join.corpus import TreeCorpus
@@ -696,7 +696,9 @@ class RtedService:
         j = self._field(payload, "j", int, "an integer tree id")
         algorithm = payload.get("algorithm", self.algorithm)
         engine = resolve_engine(payload.get("engine", self.engine))
-        cutoff = payload.get("cutoff")
+        # Validated before it enters the cache key, so +inf and no cutoff
+        # share one entry.
+        cutoff = validate_cutoff(payload.get("cutoff"))
         cache = self._pair_caches[name]
         with self._locks[name]:
             corpus = self.corpora[name]

@@ -10,12 +10,20 @@ from repro import (
     edit_script,
     make_algorithm,
     parse_tree,
+    range_query,
+    similarity_join,
     tree_edit_distance,
     tree_to_bracket,
 )
 from repro.algorithms import register_algorithm, SimpleTED, PAPER_ALGORITHMS
 from repro.cli import main as cli_main
-from repro.exceptions import ParseError, UnknownAlgorithmError, UnknownEngineError
+from repro.exceptions import (
+    CutoffError,
+    ParseError,
+    QueryError,
+    UnknownAlgorithmError,
+    UnknownEngineError,
+)
 from repro.trees import Node, Tree, tree_from_nested
 
 
@@ -73,6 +81,42 @@ class TestHighLevelApi:
     def test_tree_to_bracket_round_trip(self):
         text = "{a{b}{c{d}}}"
         assert tree_to_bracket(parse_tree(text)) == text
+
+    @pytest.mark.parametrize("algorithm", ["rted", "zhang-l", "zhang-r", "simple", "klein-h"])
+    @pytest.mark.parametrize("cutoff", ["abc", [1], float("nan"), True, False])
+    def test_malformed_cutoff_raises(self, algorithm, cutoff):
+        with pytest.raises(CutoffError):
+            compute("{a{b}{c}}", "{a{b}{d}{e}}", algorithm=algorithm, cutoff=cutoff)
+        with pytest.raises(CutoffError):
+            tree_edit_distance("{a{b}{c}}", "{a{b}{d}{e}}", algorithm=algorithm, cutoff=cutoff)
+
+    @pytest.mark.parametrize("algorithm", ["rted", "zhang-l", "zhang-r", "simple", "klein-h"])
+    def test_infinite_cutoff_is_no_cutoff(self, algorithm):
+        bounded = compute("{a{b}{c}}", "{a{b}{d}{e}}", algorithm=algorithm, cutoff=float("inf"))
+        plain = compute("{a{b}{c}}", "{a{b}{d}{e}}", algorithm=algorithm)
+        assert not bounded.bounded
+        assert (bounded.distance, bounded.subproblems) == (plain.distance, plain.subproblems)
+        assert bounded.extra["kernel"] == plain.extra["kernel"]
+
+    @pytest.mark.parametrize(
+        "threshold", [float("nan"), float("inf"), float("-inf"), True, "abc"]
+    )
+    def test_non_finite_range_threshold_raises(self, threshold):
+        with pytest.raises(QueryError):
+            range_query("{a{b}}", ["{a{b}{c}}", "{x}"], threshold)
+
+    def test_nan_join_threshold_raises(self):
+        with pytest.raises(CutoffError):
+            similarity_join(["{a{b}}", "{a{c}}"], float("nan"))
+
+    @pytest.mark.parametrize(
+        "algorithm, kernel",
+        [("zhang-l", "zhang-shasha"), ("zhang-r", "zhang-shasha"), ("simple", "simple")],
+    )
+    def test_kernel_names_the_implementation(self, algorithm, kernel):
+        for cutoff in (None, 1.0, 2.5):
+            result = compute("{a{b}{c}}", "{a{b}{d}{e}}", algorithm=algorithm, cutoff=cutoff)
+            assert result.extra["kernel"] == kernel
 
 
 class TestRegistry:
@@ -163,6 +207,20 @@ class TestCli:
         assert "kernel:      small-pair" in capsys.readouterr().out
         assert cli_main(["distance", "{a{b}}", "{a{c}}", "--verbose", "--engine", "spf"]) == 0
         assert "kernel:      spf" in capsys.readouterr().out
+        for algorithm, kernel in (
+            ("zhang-l", "zhang-shasha"), ("zhang-r", "zhang-shasha"), ("simple", "simple"),
+        ):
+            assert cli_main(
+                ["distance", "{a{b}}", "{a{c}}", "--verbose", "--algorithm", algorithm]
+            ) == 0
+            assert f"kernel:      {kernel}" in capsys.readouterr().out
+
+    def test_distance_malformed_cutoff_is_usage_error(self, capsys):
+        assert cli_main(["distance", "{a{b}}", "{a{c}}", "--cutoff", "nan"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("rted: ") and "NaN" in err
+        assert cli_main(["distance", "{a{b}}", "{a{c}}", "--cutoff", "inf"]) == 0
+        assert capsys.readouterr().out.strip() == "1.0"
 
     def test_distance_engine_flag(self, capsys):
         assert cli_main(

@@ -147,11 +147,12 @@ class TestBypasses:
         [
             ({"engine": "spf"}, "spf"),
             ({"engine": "recursive"}, "recursive"),
-            ({"algorithm": "zhang-l"}, "auto"),
-            ({"algorithm": "simple"}, "auto"),
+            ({"algorithm": "zhang-l"}, "zhang-shasha"),
+            ({"algorithm": "zhang-r"}, "zhang-shasha"),
+            ({"algorithm": "simple"}, "simple"),
             ({"cost_model": WeightedCostModel(1.0, 1.0, 2.0)}, "spf"),
         ],
-        ids=["spf", "recursive", "zhang-l", "simple", "weighted"],
+        ids=["spf", "recursive", "zhang-l", "zhang-r", "simple", "weighted"],
     )
     def test_bypass(self, kwargs, kernel):
         result = compute(self.F, self.G, **kwargs)
@@ -169,11 +170,13 @@ class TestBypasses:
         assert result.extra["kernel"] == "spf"
         assert _outcome(result) == _outcome(make_algorithm("rted").compute(tree, other))
 
-    def test_infinite_cutoff_bypasses(self):
-        result = compute(self.F, self.G, cutoff=float("inf"))
-        assert result.extra["kernel"] == "spf"
+    @pytest.mark.parametrize("algorithm", ["rted", "zhang-l", "zhang-r", "simple"])
+    def test_infinite_cutoff_is_no_cutoff(self, algorithm):
+        result = compute(self.F, self.G, algorithm=algorithm, cutoff=float("inf"))
+        unbounded = compute(self.F, self.G, algorithm=algorithm)
         assert not result.bounded
-        assert result.distance == compute(self.F, self.G).distance
+        assert _outcome(result) == _outcome(unbounded)
+        assert result.extra["kernel"] == unbounded.extra["kernel"]
 
 
 class TestInfiniteCutoff:

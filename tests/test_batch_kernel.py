@@ -1,12 +1,13 @@
-"""Property tests for the struct-of-arrays batch kernel, the optional
-compiled backend, and the zero-copy shared corpus packs.
+"""Property tests for the small-pair program, its batch driver, and the
+zero-copy shared corpus packs.
 
-The contract under test is *bit-identity*: the batch kernel
-(:mod:`repro.algorithms.batch_kernel`), the compiled backend
-(:mod:`repro.algorithms.native`) and the shared-memory multiprocessing
-fan-out (:mod:`repro.join.shared`) must reproduce the scalar small-pair
-kernel — values, subproblem counts and bounded-abort decisions — exactly,
-with and without a cutoff, over ragged batches of 2–64-node trees.
+The contract under test is *bit-identity*: the Python twin
+(:func:`repro.algorithms.batch_kernel.run_batch`), the C kernel
+(:func:`repro.algorithms.native.native_batch`) and the shared-memory
+multiprocessing fan-out (:mod:`repro.join.shared`) must reproduce the
+per-pair kernel and the Zhang–Shasha oracle — values, subproblem counts and
+bounded-abort decisions — exactly, with and without a cutoff, over ragged
+batches of 2–64-node trees.
 """
 
 import os
@@ -32,6 +33,17 @@ from repro.algorithms.native import (
     native_provider,
     native_small_pair,
 )
+
+#: The two implementations of the small-pair program over pack lanes: the
+#: Python twin always, the C kernel where a compiler is present.
+BATCH_KERNELS = [
+    pytest.param(run_batch, id="twin"),
+    pytest.param(
+        native_batch,
+        id="native",
+        marks=pytest.mark.skipif(not native_available(), reason="no compiled provider"),
+    ),
+]
 from repro.algorithms.workspace import SMALL_PAIR_CUTOFF, TedWorkspace
 from repro.algorithms.zhang_shasha import zhang_shasha_distance
 from repro.costs import UnitCostModel, WeightedCostModel
@@ -39,6 +51,8 @@ from repro.datasets import perturb_tree, random_tree
 from repro.exceptions import UnknownEngineError
 from repro.join import (
     JoinStats,
+    QueryEngine,
+    TreeCorpus,
     attach_pack,
     batch_distances,
     batch_similarity_join,
@@ -121,7 +135,8 @@ class TestBatchKernelIdentity:
             expected = scalar_entry(reference, corpus, i, j, cutoff)
             assert entry == expected, (i, j, cutoff)
 
-    def test_unbounded_values_match_zhang_shasha(self, corpus, pairs):
+    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
+    def test_unbounded_values_match_zhang_shasha(self, corpus, pairs, kernel):
         workspace = TedWorkspace()
         pack = build_corpus_pack(corpus, workspace.interner, workspace.small_pair_cutoff)
         lanes = [
@@ -129,7 +144,7 @@ class TestBatchKernelIdentity:
         ]
         fi = [i for i, _ in lanes]
         gi = [j for _, j in lanes]
-        values, cells, aborted = run_batch(pack, pack, fi, gi)
+        values, cells, aborted = kernel(pack, pack, fi, gi)
         assert not aborted.any()
         for p, (i, j) in enumerate(lanes):
             distance, subproblems, _ = zhang_shasha_distance(
@@ -138,7 +153,8 @@ class TestBatchKernelIdentity:
             assert values[p] == distance
             assert cells[p] == subproblems
 
-    def test_bounded_aborts_match_scalar_decisions(self, corpus, pairs):
+    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
+    def test_bounded_aborts_match_scalar_decisions(self, corpus, pairs, kernel):
         cutoff = 3.0
         workspace = TedWorkspace()
         pack = build_corpus_pack(corpus, workspace.interner, workspace.small_pair_cutoff)
@@ -149,7 +165,7 @@ class TestBatchKernelIdentity:
             and pack.eligible[j]
             and abs(corpus[i].n - corpus[j].n) < cutoff  # post-precheck lanes
         ]
-        values, cells, aborted = run_batch(
+        values, cells, aborted = kernel(
             pack, pack, [i for i, _ in lanes], [j for _, j in lanes], cutoff=cutoff
         )
         reference = TedWorkspace()
@@ -167,10 +183,11 @@ class TestBatchKernelIdentity:
                 seen_abort = True
         assert seen_abort and seen_exact  # both branches exercised
 
-    def test_empty_batch_and_single_pair(self, corpus):
+    @pytest.mark.parametrize("kernel", BATCH_KERNELS)
+    def test_empty_batch_and_single_pair(self, corpus, kernel):
         workspace = TedWorkspace()
         pack = build_corpus_pack(corpus, workspace.interner, workspace.small_pair_cutoff)
-        values, cells, aborted = run_batch(pack, pack, [], [])
+        values, cells, aborted = kernel(pack, pack, [], [])
         assert values.size == 0 and cells.size == 0 and aborted.size == 0
         assert kernel_chunk_entries(pack, pack, [], None, None) == []
         (entry,) = kernel_chunk_entries(
@@ -185,11 +202,11 @@ class TestBatchKernelIdentity:
 
 
 class TestNativeBackend:
-    """The compiled providers vs the pure-Python kernels."""
+    """The C kernel vs its Python twin."""
 
     @pytest.mark.skipif(not native_available(), reason="no compiled provider")
     @pytest.mark.parametrize("cutoff", CUTOFFS)
-    def test_native_batch_bit_identical_to_numpy(self, corpus, pairs, cutoff):
+    def test_native_batch_bit_identical_to_twin(self, corpus, pairs, cutoff):
         workspace = TedWorkspace()
         pack = build_corpus_pack(corpus, workspace.interner, workspace.small_pair_cutoff)
         lanes = [
@@ -209,25 +226,30 @@ class TestNativeBackend:
         assert (n_cells == cells).all()
         assert (n_aborted == aborted).all()
 
-    @pytest.mark.skipif(not native_available(), reason="no compiled provider")
     @pytest.mark.parametrize("cutoff", CUTOFFS)
-    def test_compute_small_native_matches_compute_small(self, corpus, pairs, cutoff):
-        native_ws = TedWorkspace()
-        python_ws = TedWorkspace()
-        for i, j in pairs[:120]:
-            if max(corpus[i].n, corpus[j].n) > native_ws.small_pair_cutoff:
-                continue
-
-            def run(workspace, method):
+    def test_compute_small_same_with_and_without_provider(
+        self, corpus, pairs, cutoff, monkeypatch
+    ):
+        def run_all(workspace):
+            out = []
+            for i, j in pairs[:120]:
+                if max(corpus[i].n, corpus[j].n) > workspace.small_pair_cutoff:
+                    continue
                 try:
-                    return method(corpus[i], corpus[j], cutoff=cutoff)
+                    out.append(workspace.compute_small(corpus[i], corpus[j], cutoff=cutoff))
                 except CutoffExceeded as exceeded:
-                    return ("abort", exceeded.lower_bound, exceeded.subproblems)
+                    out.append(("abort", exceeded.lower_bound, exceeded.subproblems))
+            return out
 
-            native = run(native_ws, native_ws.compute_small_native)
-            python = run(python_ws, python_ws.compute_small)
-            assert native == python, (i, j, cutoff)
-        assert native_ws.stats.native_runs > 0
+        default_ws = TedWorkspace()
+        default = run_all(default_ws)
+        monkeypatch.setenv("RTED_NO_NATIVE", "1")
+        twin_ws = TedWorkspace()
+        assert run_all(twin_ws) == default
+        assert twin_ws.stats.native_runs == 0
+        assert twin_ws.stats.small_pair_runs == default_ws.stats.small_pair_runs
+        if native_available():
+            assert default_ws.stats.native_runs == default_ws.stats.small_pair_runs > 0
 
     @pytest.mark.skipif(not native_available(), reason="no compiled provider")
     def test_native_small_pair_direct(self, corpus):
@@ -236,44 +258,8 @@ class TestNativeBackend:
         arrays_f = workspace._small_arrays(f)
         arrays_g = workspace._small_arrays(g)
         value, cells, aborted = native_small_pair(arrays_f, f.n, arrays_g, g.n, None)
-        expected_value, expected_cells = TedWorkspace().compute_small(f, g)
+        expected_value, expected_cells, _ = zhang_shasha_distance(f, g, UnitCostModel())
         assert (value, cells, aborted) == (expected_value, expected_cells, False)
-
-    def test_numba_provider_compiles_the_python_sources(self):
-        numba = pytest.importorskip("numba")
-        native_mod._reset_provider_cache()
-        try:
-            assert native_provider() == "numba"
-        finally:
-            native_mod._reset_provider_cache()
-
-    def test_python_source_twin_is_directly_callable(self, corpus):
-        # The numba sources are plain Python functions: interpretable without
-        # numba, so the port itself is testable in every environment.
-        workspace = TedWorkspace()
-        pack = build_corpus_pack(corpus, workspace.interner, workspace.small_pair_cutoff)
-        fi = np.array([0, 2], dtype=np.int64)
-        gi = np.array([1, 3], dtype=np.int64)
-        lanes = fi.size
-        scratch_n = int(pack.sizes[fi].max())
-        scratch_m = int(pack.sizes[gi].max())
-        D = np.zeros(scratch_n * scratch_m, dtype=np.float64)
-        fd = np.zeros((scratch_n + 1, scratch_m + 1), dtype=np.float64)
-        out_val = np.zeros(lanes, dtype=np.float64)
-        out_cells = np.zeros(lanes, dtype=np.int64)
-        out_ab = np.zeros(lanes, dtype=np.uint8)
-        native_mod._batch_kernel_source(
-            pack.lml_flat, pack.codes_flat, pack.kroots, pack.node_off,
-            pack.kr_off, pack.kr_count, pack.sizes,
-            pack.lml_flat, pack.codes_flat, pack.kroots, pack.node_off,
-            pack.kr_off, pack.kr_count, pack.sizes,
-            fi, gi, False, 0.0, D, fd, out_val, out_cells, out_ab,
-        )
-        reference = TedWorkspace()
-        for p in range(lanes):
-            value, cells = reference.compute_small(corpus[int(fi[p])], corpus[int(gi[p])])
-            assert out_val[p] == value and out_cells[p] == cells
-            assert out_ab[p] == 0
 
     def test_kill_switch_disables_native(self, monkeypatch):
         monkeypatch.setenv("RTED_NO_NATIVE", "1")
@@ -283,7 +269,12 @@ class TestNativeBackend:
             assert native_provider() is None
             workspace = TedWorkspace()
             f, g = random_tree(10, rng=7), random_tree(11, rng=8)
-            assert workspace.compute_small_native(f, g) is None
+            assert native_small_pair(
+                workspace._small_arrays(f), f.n, workspace._small_arrays(g), g.n
+            ) is None
+            value, cells = workspace.compute_small(f, g)
+            assert (value, cells) == zhang_shasha_distance(f, g, UnitCostModel())[:2]
+            assert workspace.stats.native_runs == 0
         finally:
             monkeypatch.delenv("RTED_NO_NATIVE")
             native_mod._reset_provider_cache()
@@ -333,7 +324,6 @@ class TestSharedPack:
                 assert (view == original).all()
                 assert not view.flags.owndata  # zero-copy view over the block
             assert attached.n_trees == pack.n_trees
-            assert attached.pad_w == pack.pad_w
             assert attached.small_pair_cutoff == pack.small_pair_cutoff
             # The attached pack is a working kernel input.
             values, cells, _ = run_batch(attached, attached, [0], [1])
@@ -372,7 +362,6 @@ class TestBatchDistancesIdentity:
         )
         assert normalize(serial) == normalize(no_kernel) == normalize(mp_shared)
 
-    @pytest.mark.skipif(not native_available(), reason="no compiled provider")
     def test_engine_native_batch_agrees(self, corpus, pairs):
         baseline = batch_distances(corpus, None, pairs, algorithm="rted")
         native = batch_distances(corpus, None, pairs, algorithm="rted", engine="native")
@@ -399,12 +388,60 @@ class TestBatchDistancesIdentity:
             batch_similarity_join(corpus, threshold, batch_kernel=False),
             batch_similarity_join(corpus, threshold, workers=3, chunk_size=16),
             batch_similarity_join(corpus, threshold, workspace=False),
+            batch_similarity_join(corpus, threshold, engine="native"),
         ]
-        if native_available():
-            variants.append(batch_similarity_join(corpus, threshold, engine="native"))
         for variant in variants:
             assert variant.match_set == baseline.match_set
             assert sorted(variant.matches) == sorted(baseline.matches)
+
+
+class TestEveryPathRunsOneProgram:
+    """Batch, query and join paths agree with and without the C kernel."""
+
+    @staticmethod
+    def _run(corpus, pairs, **options):
+        def counts(stats):
+            return {k: v for k, v in stats.as_dict().items() if not k.endswith("_time")}
+
+        distances = {
+            cutoff: sorted(
+                batch_distances(
+                    corpus, None, pairs, algorithm="rted", cutoff=cutoff, **options
+                )
+            )
+            for cutoff in (None, 4.0)
+        }
+        engine = QueryEngine(TreeCorpus(list(corpus)), **options)
+        queries = [engine.range_query(corpus[q], 4.0) for q in (0, 7, 19)]
+        queries += [engine.knn(corpus[q], 5) for q in (3, 12, 20)]
+        join = batch_similarity_join(corpus, 4.0, **options)
+        return {
+            "distances": distances,
+            "queries": [(q.matches, counts(q.stats)) for q in queries],
+            "join": (sorted(join.matches), counts(join.stats)),
+        }
+
+    def test_default_engine_identical_without_provider_and_to_spf(
+        self, corpus, pairs, monkeypatch
+    ):
+        default = self._run(corpus, pairs)
+        monkeypatch.setenv("RTED_NO_NATIVE", "1")
+        assert self._run(corpus, pairs) == default
+        monkeypatch.delenv("RTED_NO_NATIVE")
+
+        spf = self._run(corpus, pairs, engine="spf", workspace=False)
+        # The spf executor runs RTED's strategy, so subproblem counts and
+        # bounds differ; exact distances and every answer must not.
+        assert [e[:3] for e in spf["distances"][None]] == [
+            e[:3] for e in default["distances"][None]
+        ]
+
+        def below(entries, tau):
+            return [(i, j, d) for i, j, d, *_ in entries if d < tau]
+
+        assert below(spf["distances"][4.0], 4.0) == below(default["distances"][4.0], 4.0)
+        assert [m for m, _ in spf["queries"]] == [m for m, _ in default["queries"]]
+        assert spf["join"][0] == default["join"][0]
 
 
 class TestConfiguration:

@@ -119,6 +119,70 @@ class TestEndpoints:
                 assert payload["distance"] == direct.distance
                 assert payload["subproblems"] == direct.subproblems
                 assert payload["algorithm"] == direct.algorithm
+            # The dedicated Zhang–Shasha tables and the oracle name themselves.
+            for algorithm, kernel in (
+                ("zhang-l", "zhang-shasha"), ("zhang-r", "zhang-shasha"), ("simple", "simple"),
+            ):
+                status, _, payload = await asyncio.to_thread(
+                    _post, base, "/distance",
+                    {"tree_a": "{a{b}{c}}", "tree_b": "{a{b}{d}}", "algorithm": algorithm},
+                )
+                assert status == 200
+                assert payload["kernel"] == kernel
+
+        run_service(body)
+
+    def test_malformed_cutoff_is_400(self):
+        async def body(service, base):
+            pair = {"tree_a": "{a{b}{c}}", "tree_b": "{a{b}{d}{e}}"}
+            corpus_pair = {"corpus": "default", "i": 0, "j": 1}
+            for cutoff in ("abc", [1], float("nan"), True):
+                for request in (pair, corpus_pair):
+                    for algorithm in ("rted", "zhang-l"):
+                        status, _, payload = await asyncio.to_thread(
+                            _post, base, "/distance",
+                            {**request, "algorithm": algorithm, "cutoff": cutoff},
+                        )
+                        assert status == 400, (cutoff, request, algorithm, payload)
+                        assert "cutoff" in payload["error"]
+
+        run_service(body)
+
+    def test_infinite_cutoff_means_no_cutoff(self):
+        async def body(service, base):
+            pair = {"tree_a": "{a{b}{c}}", "tree_b": "{a{b}{d}{e}}"}
+            for algorithm in ("rted", "zhang-l", "zhang-r", "simple", "klein-h"):
+                bodies = []
+                for extra in ({}, {"cutoff": float("inf")}):
+                    status, _, payload = await asyncio.to_thread(
+                        _post, base, "/distance", {**pair, "algorithm": algorithm, **extra},
+                    )
+                    assert status == 200, (algorithm, payload)
+                    bodies.append(payload)
+                assert bodies[0] == bodies[1]
+                assert bodies[1]["distance"] == 2.0
+
+        run_service(body)
+
+    def test_malformed_thresholds_are_400(self):
+        async def body(service, base):
+            query = to_bracket(random_tree(20, rng=90))
+            for threshold in (float("nan"), float("inf"), float("-inf"), "abc", True):
+                status, _, payload = await asyncio.to_thread(
+                    _post, base, "/range", {"query": query, "threshold": threshold},
+                )
+                assert status == 400, (threshold, payload)
+            for threshold in (float("nan"), "abc", True):
+                status, _, payload = await asyncio.to_thread(
+                    _post, base, "/join", {"threshold": threshold},
+                )
+                assert status == 400, (threshold, payload)
+            # An infinite join threshold is well defined: every pair matches.
+            status, _, payload = await asyncio.to_thread(
+                _post, base, "/join", {"threshold": float("inf")},
+            )
+            assert status == 200
+            assert len(payload["matches"]) == 24 * 23 // 2
 
         run_service(body)
 
