@@ -18,14 +18,16 @@ Measurement families:
   ``bench_batch_ted.py`` (the ROADMAP target: ≤ 10 µs/pair, ≥ 10x over the
   PR 4 scalar baseline), unbounded and τ-bounded (cutoff 3);
 * **size classes** — the speedup curve at 8/16/32/64-node trees;
-* **cutoff sweep** (``--sweep``) — per-pair cost of the small-pair fast
-  path vs the full spf executor across tree sizes, the experiment behind
-  the ``RTED_SMALL_PAIR_CUTOFF`` default of 64.
+* **budget check** (``--sweep``) — per-pair cost of the small-pair program
+  (C kernel and twin) vs RTED's strategy on the spf executor, on comb,
+  zigzag and caterpillar pairs at the largest size whose cheaper sweep
+  still fits ``SMALL_PAIR_CELLS``: the costliest pairs the cell gate
+  admits.
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_batch_kernel.py           # full, writes BENCH_batch.json
-    PYTHONPATH=src python benchmarks/bench_batch_kernel.py --sweep   # full + cutoff sweep
+    PYTHONPATH=src python benchmarks/bench_batch_kernel.py --sweep   # full + budget check
     PYTHONPATH=src python benchmarks/bench_batch_kernel.py --quick   # CI smoke gate
 
 In ``--quick`` mode nothing is written unless ``--output`` is given, and the
@@ -46,13 +48,19 @@ import platform
 import random
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from statistics import median
 from typing import Dict, List, Optional, Tuple
 
 from repro.algorithms import TedWorkspace, make_algorithm
 from repro.algorithms.base import CutoffExceeded
-from repro.algorithms.batch_kernel import build_corpus_pack
+from repro.algorithms.batch_kernel import (
+    SMALL_PAIR_CELLS,
+    build_corpus_pack,
+    choose_sweep,
+    sweep_sizes,
+)
 from repro.algorithms.native import (
     KILL_SWITCH,
     native_available,
@@ -60,6 +68,8 @@ from repro.algorithms.native import (
     native_provider,
 )
 from repro.datasets import clustered_corpus
+from repro.datasets.realworld import treefam_like_tree
+from repro.datasets.shapes import right_branch_tree, zigzag_tree
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_batch.json"
 
@@ -82,13 +92,25 @@ def make_workload(tree_size: int, pairs: int, rng: int = 1):
     return trees, all_pairs[:pairs]
 
 
+@contextmanager
+def python_twin():
+    """Pin the small-pair program to its Python twin inside the block."""
+    previous = os.environ.get(KILL_SWITCH)
+    os.environ[KILL_SWITCH] = "1"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[KILL_SWITCH]
+        else:
+            os.environ[KILL_SWITCH] = previous
+
+
 def scalar_run(workspace, trees, pairs, cutoff):
     """(total_seconds, results) for the per-pair Python twin."""
     compute_small = workspace.compute_small
     out: List[Tuple] = []
-    previous = os.environ.get(KILL_SWITCH)
-    os.environ[KILL_SWITCH] = "1"
-    try:
+    with python_twin():
         start = time.perf_counter()
         for i, j in pairs:
             try:
@@ -97,11 +119,6 @@ def scalar_run(workspace, trees, pairs, cutoff):
             except CutoffExceeded as exceeded:
                 out.append((exceeded.lower_bound, exceeded.subproblems, True))
         elapsed = time.perf_counter() - start
-    finally:
-        if previous is None:
-            del os.environ[KILL_SWITCH]
-        else:
-            os.environ[KILL_SWITCH] = previous
     return elapsed, out
 
 
@@ -132,18 +149,18 @@ def measure_kernels(trees, pairs, cutoff, repeats: int) -> Dict:
         pairs = [
             (i, j) for i, j in pairs if abs(trees[i].n - trees[j].n) < cutoff
         ]
-    pack = build_corpus_pack(trees, workspace.interner, workspace.small_pair_cutoff)
-    # Only kernel-eligible lanes are comparable across kernels (perturbation
-    # can push a few trees past the size cutoff; those pairs take the
-    # per-pair executor in production and are excluded here).
-    before = len(pairs)
-    pairs = [(i, j) for i, j in pairs if pack.eligible[i] and pack.eligible[j]]
-    if len(pairs) != before:
-        print(f"  (dropped {before - len(pairs)} kernel-ineligible pairs)")
-    fi = [i for i, _ in pairs]
-    gi = [j for _, j in pairs]
-    for tree in trees:  # warm the per-tree caches out of the timed region
-        workspace._small_arrays(tree)
+    pack = build_corpus_pack(trees, workspace.interner)
+    # Each lane runs in the direction the cell gate picks, as in
+    # kernel_chunk_entries: the pack's mirrored rows for the right sweep.
+    fi: List[int] = []
+    gi: List[int] = []
+    for i, j in pairs:
+        sweep = choose_sweep(sweep_sizes(trees[i]), sweep_sizes(trees[j]), SMALL_PAIR_CELLS)
+        shift = 0 if sweep == "left" else pack.n_trees
+        fi.append(shift + i)
+        gi.append(shift + j)
+    for i, j in pairs:  # warm the per-tree caches out of the timed region
+        workspace.compute_small(trees[i], trees[j])
 
     times: Dict[str, List[float]] = {"scalar": [], "native": []}
     reference = None
@@ -200,46 +217,74 @@ def run_size_classes(repeats: int, quick: bool) -> List[Dict]:
     return entries
 
 
-def run_cutoff_sweep(repeats: int) -> Dict:
-    """Small-pair fast path vs the spf executor across tree sizes.
+def budget_pairs(cap: int = 1201) -> List[Tuple[str, object, object]]:
+    """``(family, F, G)``: per shape family, the largest pair (up to ``cap``
+    nodes, odd sizes) whose cheaper sweep fits ``SMALL_PAIR_CELLS``."""
+    families = {
+        "comb": lambda n, seed: right_branch_tree(n, label="ab"[seed]),
+        "zigzag": lambda n, seed: zigzag_tree(n, label="ab"[seed]),
+        "caterpillar": lambda n, seed: treefam_like_tree(rng=seed, target_size=n),
+    }
+    out = []
+    for family, build in families.items():
+        best = None
+        for n in range(65, cap + 1, 2):
+            f, g = build(n, 0), build(n, 1)
+            if choose_sweep(sweep_sizes(f), sweep_sizes(g), SMALL_PAIR_CELLS) is None:
+                break
+            best = (family, f, g)
+        out.append(best)
+    return out
 
-    ``small_pair_cutoff`` decides which pairs take the flat keyroot program
-    instead of the full strategy-driven executor; the crossover of the two
-    curves is the evidence behind the default (64, overridable via
-    ``RTED_SMALL_PAIR_CUTOFF``).
+
+def run_budget_check(repeats: int) -> Dict:
+    """The small-pair program vs the spf executor at the cell budget.
+
+    The costliest pairs the cell gate admits: how long the C kernel's
+    uncancellable call gets, and what the Python twin costs against
+    RTED's own strategy when no compiler is present.
     """
     rows = []
-    for size in (16, 32, 48, 64, 80, 96):
-        trees, pair_list = make_workload(size, 60, rng=size)
-        per_path = {}
-        for path, cutoff_setting in (("small_pair", 128), ("spf_executor", 0)):
-            algo = make_algorithm(
-                "rted", workspace=TedWorkspace(small_pair_cutoff=cutoff_setting)
-            )
+    spf = make_algorithm("rted", engine="spf")
+    for family, f, g in budget_pairs():
+        per_path: Dict[str, float] = {}
+        runs = [("twin", python_twin)]
+        if native_available():
+            runs.insert(0, ("native", nullcontext))
+        reference = spf.compute(f, g)
+        for path, pin in runs:
+            workspace = TedWorkspace()
             samples = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                for i, j in pair_list:
-                    algo.compute(trees[i], trees[j])
+                with pin():
+                    value, cells = workspace.compute_small(f, g)
                 samples.append(time.perf_counter() - start)
-            per_path[path] = median(samples) / len(pair_list) * 1e6
-        rows.append({"tree_size": size, "per_pair_us": per_path})
-    return {
-        "workloads": rows,
-        "chosen_default": 64,
-        "note": "small-pair fast path per-pair cost vs the spf executor; "
-        "the flat program wins at every size but its edge narrows (~5x at "
-        "16 nodes, ~1.2x at 96) while its reusable buffers grow "
-        "quadratically with the cutoff — 64 keeps the decisive wins and "
-        "leaves strategy selection to the executor where it starts to "
-        "matter",
-    }
+                assert value == reference.distance
+            per_path[path] = median(samples) * 1e3
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            spf.compute(f, g)
+            samples.append(time.perf_counter() - start)
+        per_path["spf"] = median(samples) * 1e3
+        rows.append({
+            "family": family,
+            "sizes": [f.n, g.n],
+            "sweep": workspace.last_sweep,
+            "small_pair_cells": cells,
+            "rted_subproblems": reference.subproblems,
+            "per_pair_ms": per_path,
+        })
+    return {"cell_budget": SMALL_PAIR_CELLS, "workloads": rows}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke gate")
-    parser.add_argument("--sweep", action="store_true", help="include the cutoff sweep")
+    parser.add_argument(
+        "--sweep", action="store_true", help="include the check at the cell budget"
+    )
     parser.add_argument("--output", type=Path, default=None)
     args = parser.parse_args(argv)
 
@@ -278,12 +323,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "size_classes": size_classes,
     }
     if args.sweep:
-        report["cutoff_sweep"] = run_cutoff_sweep(repeats)
-        for row in report["cutoff_sweep"]["workloads"]:
-            per = row["per_pair_us"]
+        report["budget_check"] = run_budget_check(3)
+        for row in report["budget_check"]["workloads"]:
+            per = ", ".join(f"{path} {ms:.1f}" for path, ms in row["per_pair_ms"].items())
             print(
-                f"sweep size {row['tree_size']:>2}: small-pair "
-                f"{per['small_pair']:.0f} us vs spf {per['spf_executor']:.0f} us"
+                f"budget {row['family']} {row['sizes'][0]}x{row['sizes'][1]} "
+                f"({row['sweep']} sweep, {row['small_pair_cells']} cells vs RTED "
+                f"{row['rted_subproblems']}): {per} ms/pair"
             )
 
     if args.quick:

@@ -38,8 +38,8 @@ ENGINE_SPF = "spf"
 #: ``RTED_NO_NATIVE=1``).  The registry's ``auto`` never selects it:
 #: :func:`~repro.algorithms.registry.make_algorithm` runs the literal
 #: algorithm.  The one use of the small-pair program under ``auto`` is
-#: :func:`repro.api.compute`'s rule for unit-cost ``rted`` pairs of trees
-#: up to ``SMALL_PAIR_CUTOFF`` nodes, which stays reproducible on every host
+#: :func:`repro.api.compute`'s rule for unit-cost ``rted`` pairs within
+#: the ``SMALL_PAIR_CELLS`` cell budget, which stays reproducible on every host
 #: because the two implementations agree on distances, cell counts and
 #: bounded outcomes.
 ENGINE_NATIVE = "native"

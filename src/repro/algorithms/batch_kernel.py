@@ -1,9 +1,9 @@
 """The unit-cost small-pair program and its batch driver.
 
-Small unit-cost pairs (both trees within ``SMALL_PAIR_CUTOFF`` nodes) skip
-the strategy executor and run one flat program: the left-path keyroot
-sweep of the Zhang–Shasha recurrence over per-tree ``(lml, keyroots,
-codes)`` arrays.  The program has exactly two implementations:
+Unit-cost pairs whose sweep fits the cell budget skip the strategy executor
+and run one flat program: the left-path keyroot sweep of the Zhang–Shasha
+recurrence over per-tree ``(lml, keyroots, codes)`` arrays.  The program
+has exactly two implementations:
 
 * **the C kernel** — :func:`repro.algorithms.native.native_batch`, used
   whenever a compiled provider is present;
@@ -15,13 +15,24 @@ Single pairs (:meth:`TedWorkspace.compute_small
 (:func:`kernel_chunk_entries`) both take the C kernel when it is there and
 the twin when it is not, so every path runs the same program.
 
+* **The cell gate** — an unbounded left sweep evaluates exactly
+  ``S_L(F) · S_L(G)`` cells, with ``S_L(T)`` the summed subtree sizes of
+  ``T``'s left keyroots (:func:`sweep_sizes`); the right sweep evaluates
+  ``S_R(F) · S_R(G)``.  :func:`choose_sweep` admits a pair iff the cheaper
+  direction fits :data:`SMALL_PAIR_CELLS` and picks that direction, the
+  left one on ties.
+* **The right sweep** is the same program over the mirrored arrays of
+  :func:`mirrored_arrays` — reverse-postorder ``lml`` / keyroots / codes,
+  built from :meth:`Tree.rpost_of_post <repro.trees.Tree.rpost_of_post>`
+  without a mirrored tree.
 * **Packing** — :func:`build_corpus_pack` lowers a corpus into
-  struct-of-arrays form (:class:`CorpusPack`): per-tree sizes and gate
-  flags plus the concatenated ``lml`` / label-code / keyroot arrays the C
-  kernel reads.  A pack is built once per corpus epoch and can be exported
-  zero-copy to worker processes (:mod:`repro.join.shared`).
+  struct-of-arrays form (:class:`CorpusPack`): per-tree sizes, sweep sizes
+  and eligibility plus the concatenated ``lml`` / label-code / keyroot
+  arrays the C kernel reads, the mirrored trees stored as extra tree rows.
+  A pack is built once per corpus epoch and can be exported zero-copy to
+  worker processes (:mod:`repro.join.shared`).
 * **Batches** — :func:`kernel_chunk_entries` applies the per-pair gates of
-  ``compute_small`` and runs the surviving lanes in one
+  ``compute_small`` and runs the surviving lanes, left and right, in one
   :func:`~repro.algorithms.native.native_batch` call, or lane by lane
   through :func:`run_batch` (the twin over the pack arrays) without a
   provider.
@@ -43,6 +54,7 @@ from math import ceil, inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import active_deadline
+from ..trees.tree import LEFT, RIGHT
 from . import native
 from .base import CutoffExceeded, check_row_cutoff
 
@@ -217,101 +229,187 @@ def band_width(cutoff: Optional[float]) -> Optional[int]:
     return None if cutoff is None else max(0, ceil(cutoff) - 1)
 
 
+#: Largest cell count the small-pair program may evaluate for one pair:
+#: ``1056²``, the left-sweep count of two 64-node right combs whose spine
+#: ends in a one-leaf node (``S_L = 64 + 62 + … + 2``) — the costliest pair
+#: the former 64-node size gate admitted.  The C kernel has no deadline hook, so this bounds its longest
+#: uncancellable call; and since ``S(T) ≥ |T|`` it also bounds ``n · m``,
+#: hence the program's buffers.
+SMALL_PAIR_CELLS = 1056 * 1056
+
+
+def sweep_sizes(tree) -> Tuple[int, int]:
+    """``(S_L, S_R)``: the summed subtree sizes of ``tree``'s left and
+    right keyroots.  A left sweep over ``(F, G)`` evaluates exactly
+    ``S_L(F) · S_L(G)`` cells unbounded, a right sweep ``S_R(F) · S_R(G)``.
+    """
+    sizes = tree.sizes
+    return (
+        sum(sizes[k] for k in tree.keyroots_left()),
+        sum(sizes[k] for k in tree.keyroots_right()),
+    )
+
+
+def choose_sweep(
+    sweep_f: Tuple[int, int], sweep_g: Tuple[int, int], budget: int
+) -> Optional[str]:
+    """The cell gate: ``LEFT`` or ``RIGHT``, whichever evaluates fewer
+    cells (``LEFT`` on ties), or ``None`` when even that exceeds
+    ``budget``.  ``sweep_*`` are :func:`sweep_sizes` pairs."""
+    left = sweep_f[0] * sweep_g[0]
+    right = sweep_f[1] * sweep_g[1]
+    if left <= right:
+        return LEFT if left <= budget else None
+    return RIGHT if right <= budget else None
+
+
+def mirrored_arrays(tree, codes: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
+    """``(lml, keyroots, codes)`` of the mirrored tree, for the right sweep.
+
+    Indexed by reverse-postorder id — the postorder of the mirrored tree —
+    so the left-path program over these arrays is the right-path program
+    over ``tree``: node ``v`` at ``r = rpost_of_post[v]`` spans
+    ``[r − sizes[v] + 1, r]`` and keeps its label code.
+    """
+    rpost = tree.rpost_of_post()
+    sizes = tree.sizes
+    n = len(rpost)
+    lml = [0] * n
+    mirrored_codes = [0] * n
+    for v, r in enumerate(rpost):
+        lml[r] = r - sizes[v] + 1
+        mirrored_codes[r] = codes[v]
+    keyroots = sorted(rpost[k] for k in tree.keyroots_right())
+    return lml, keyroots, mirrored_codes
+
+
+def twin_buffers(D: List[float], fd: List[List[float]], n: int, m: int) -> None:
+    """Grow the twin's reusable buffers in place for an ``n × m`` pair:
+    ``D`` to ``n · m`` values, ``fd`` to ``n + 1`` rows of width ``m + 1``."""
+    if len(D) < n * m:
+        D.extend([0.0] * (n * m - len(D)))
+    width = m + 1
+    for i in range(min(len(fd), n + 1)):
+        if len(fd[i]) < width:
+            fd[i] = [0.0] * width
+    while len(fd) < n + 1:
+        fd.append([0.0] * width)
+
+
 class CorpusPack:
     """Struct-of-arrays form of one corpus side for the small-pair kernels.
 
-    All fields are flat NumPy arrays indexed by tree, or by node / keyroot
-    through the per-tree offsets; trees that do not qualify for the kernel
-    (too large, zero-sized, or uninternable labels) contribute empty slices
-    and are flagged off in :attr:`eligible`.  A pack is immutable and can
-    serve both sides of a batch; packs meant for one batch must share one
+    All fields are flat NumPy arrays indexed by tree row, or by node /
+    keyroot through the per-row offsets.  Tree ``t`` has two rows: row
+    ``t`` holds its arrays for the left sweep and row ``n_trees + t`` the
+    :func:`mirrored_arrays` for the right sweep, so a right lane ``(i, j)``
+    is the left program over rows ``(n_trees_a + i, n_trees_b + j)``.
+    Trees with uninternable labels contribute empty slices and are flagged
+    off in :attr:`eligible`.  A
+    pack is immutable and can serve both sides of a batch; packs meant for
+    one batch must share one
     :class:`~repro.algorithms.workspace.LabelInterner` so their codes agree.
 
-    The layout (``N`` = total nodes, ``K`` = total keyroots of the
-    eligible trees)::
+    The layout (``T`` = ``n_trees``, ``N`` = total nodes, ``K`` = total
+    keyroots over both rows of the eligible trees)::
 
-        sizes[n_trees]   size_ok[n_trees]   eligible[n_trees]
-        node_off[n_trees] ─► lml_flat[N], codes_flat[N]  (tree-local lml)
-        kr_off[n_trees], kr_count[n_trees] ─► kroots[K]  (ascending)
+        eligible[T]   sweep_l[T]   sweep_r[T]          (per tree)
+        sizes[2T]   node_off[2T] ─► lml_flat[N], codes_flat[N]  (row-local lml)
+        kr_off[2T], kr_count[2T] ─► kroots[K]  (ascending)
 
-    ``sizes``/``size_ok``/``eligible`` feed the per-pair gates of
-    :func:`kernel_chunk_entries`; the rest is what the C kernel and
-    :func:`run_batch` read.
+    ``sweep_l``/``sweep_r`` (:func:`sweep_sizes`, set for every tree) and
+    ``eligible`` feed the per-pair gates of :func:`kernel_chunk_entries`;
+    the row arrays are what the C kernel and :func:`run_batch` read.
     """
 
     __slots__ = (
-        "n_trees", "small_pair_cutoff",
-        "sizes", "size_ok", "eligible",
-        "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
-        "_shm",
+        "n_trees",
+        "eligible", "sweep_l", "sweep_r",
+        "sizes", "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
+        "_shm", "_gate",
     )
 
     def __init__(self, **arrays) -> None:
         for name in self.__slots__:
-            if name != "_shm":
+            if name not in ("_shm", "_gate"):
                 setattr(self, name, arrays[name])
         #: Keeps an attached shared-memory block alive for the pack's
         #: lifetime (see :mod:`repro.join.shared`); ``None`` for packs that
         #: own their arrays.
         self._shm = arrays.get("_shm")
+        self._gate = None
+
+    def gate_rows(self) -> Tuple[List[int], List[bool], List[Tuple[int, int]]]:
+        """Per-tree ``(sizes, eligible, sweep sizes)`` as Python lists,
+        built on first use: the per-pair gates read single entries, which
+        is far cheaper from a list than from a NumPy array."""
+        if self._gate is None:
+            self._gate = (
+                self.sizes[: self.n_trees].tolist(),
+                self.eligible.tolist(),
+                list(zip(self.sweep_l.tolist(), self.sweep_r.tolist())),
+            )
+        return self._gate
 
     #: The array fields (in a fixed order) — the serialization contract of
     #: :mod:`repro.join.shared`.
     ARRAY_FIELDS = (
-        "sizes", "size_ok", "eligible",
-        "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
+        "eligible", "sweep_l", "sweep_r",
+        "sizes", "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
     )
 
 
-def build_corpus_pack(trees: Sequence, interner, small_pair_cutoff: int) -> CorpusPack:
+def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
     """Lower ``trees`` into a :class:`CorpusPack` (one-time, ``O(Σ n)``).
 
-    ``interner`` provides the label codes (and records any new labels);
-    ``small_pair_cutoff`` bounds the tree sizes the kernel handles —
-    larger trees are packed as ineligible stubs and fall back to the
-    per-pair path.
+    ``interner`` provides the label codes (and records any new labels).
+    Every tree with internable labels gets both rows; which pairs the
+    kernel runs is decided per pair, by the cell gate.
     """
     if _np is None:  # pragma: no cover - callers gate on kernel_available()
         raise RuntimeError("corpus packs require numpy")
     n_trees = len(trees)
-    sizes = _np.zeros(n_trees, dtype=_np.int64)
-    size_ok = _np.zeros(n_trees, dtype=bool)
     eligible = _np.zeros(n_trees, dtype=bool)
-    kr_off = _np.zeros(n_trees, dtype=_np.int64)
-    kr_count = _np.zeros(n_trees, dtype=_np.int64)
-    node_off = _np.zeros(n_trees, dtype=_np.int64)
-    lml_parts: List[List[int]] = []
+    sweep_l = _np.zeros(n_trees, dtype=_np.int64)
+    sweep_r = _np.zeros(n_trees, dtype=_np.int64)
+    sizes = _np.zeros(2 * n_trees, dtype=_np.int64)
+    kr_off = _np.zeros(2 * n_trees, dtype=_np.int64)
+    kr_count = _np.zeros(2 * n_trees, dtype=_np.int64)
+    node_off = _np.zeros(2 * n_trees, dtype=_np.int64)
+    lml_parts: List[Sequence[int]] = []
     code_parts: List[Sequence[int]] = []
-    kr_parts: List[List[int]] = []
+    kr_parts: List[Sequence[int]] = []
     total_kr = 0
     total_nodes = 0
     for idx, tree in enumerate(trees):
         n = tree.n
-        sizes[idx] = n
-        if not 0 < n <= small_pair_cutoff:
-            continue
-        size_ok[idx] = True
+        sizes[idx] = sizes[n_trees + idx] = n
+        sweep_l[idx], sweep_r[idx] = sweep_sizes(tree)
         codes = interner.codes_postorder(tree)
         if codes is None:
             continue
         eligible[idx] = True
-        keyroots = tree.keyroots_left()
-        kr_off[idx] = total_kr
-        kr_count[idx] = len(keyroots)
-        node_off[idx] = total_nodes
-        lml_parts.append(tree.lml)
-        code_parts.append(codes)
-        kr_parts.append(keyroots)
-        total_kr += len(keyroots)
-        total_nodes += n
+        rows = (
+            (idx, (tree.lml, tree.keyroots_left(), codes)),
+            (n_trees + idx, mirrored_arrays(tree, codes)),
+        )
+        for row, (lml, keyroots, row_codes) in rows:
+            kr_off[row] = total_kr
+            kr_count[row] = len(keyroots)
+            node_off[row] = total_nodes
+            lml_parts.append(lml)
+            code_parts.append(row_codes)
+            kr_parts.append(keyroots)
+            total_kr += len(keyroots)
+            total_nodes += n
 
     def flat(parts, size):
         return _np.fromiter(chain.from_iterable(parts), dtype=_np.int64, count=size)
 
     return CorpusPack(
-        n_trees=n_trees, small_pair_cutoff=int(small_pair_cutoff),
-        sizes=sizes, size_ok=size_ok, eligible=eligible,
-        kr_off=kr_off, kr_count=kr_count, node_off=node_off,
+        n_trees=n_trees,
+        eligible=eligible, sweep_l=sweep_l, sweep_r=sweep_r,
+        sizes=sizes, kr_off=kr_off, kr_count=kr_count, node_off=node_off,
         lml_flat=flat(lml_parts, total_nodes),
         codes_flat=flat(code_parts, total_nodes),
         kroots=flat(kr_parts, total_kr),
@@ -346,6 +444,7 @@ def run_batch(
 
     The no-provider counterpart of
     :func:`repro.algorithms.native.native_batch`, with the same contract:
+    ``fi`` / ``gi`` are tree rows (a mirrored row runs the right sweep),
     every lane must be eligible in its pack and — in bounded mode — must
     have passed the size pre-check (``|n − m| < cutoff``); the chunk driver
     (:func:`kernel_chunk_entries`) handles both.  Returns
@@ -362,16 +461,15 @@ def run_batch(
     if lanes == 0:
         return values, cells, aborted
     band_w = band_width(cutoff)
-    max_n = int(pack_a.sizes[fi].max())
-    max_m = int(pack_b.sizes[gi].max())
-    D = [0.0] * (max_n * max_m)
-    fd = [[0.0] * (max_m + 1) for _ in range(max_n + 1)]
+    D: List[float] = []
+    fd: List[List[float]] = []
     deadline = active_deadline()
     cache_a: Dict[int, tuple] = {}
     cache_b = cache_a if pack_b is pack_a else {}
     for p, (i, j) in enumerate(zip(fi.tolist(), gi.tolist())):
         n, lml_f, keyroots_f, codes_f = _lane_arrays(pack_a, i, cache_a)
         m, lml_g, keyroots_g, codes_g = _lane_arrays(pack_b, j, cache_b)
+        twin_buffers(D, fd, n, m)
         try:
             values[p], cells[p] = small_pair_regions(
                 n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
@@ -395,32 +493,40 @@ def kernel_chunk_entries(
     """Batch result tuples for one chunk, kernel-eligible lanes batched.
 
     Replicates the scalar dispatch of :meth:`TedWorkspace.compute_small`
-    pair by pair — in order: size gate (oversized pairs fall back), bounded
-    size pre-check (``|n − m| ≥ cutoff`` aborts with the difference as the
-    bound *before* label codes are consulted), code gate (uninternable
-    labels fall back) — so the emitted tuples are bit-identical to the
-    per-pair path, including the ``aborted`` flag and subproblem counts.
-    ``fallback`` computes one pair through the ordinary per-pair machinery
-    and must return a finished result tuple.  The lanes run through the C
-    kernel (:func:`repro.algorithms.native.native_batch`) when a provider
-    is available and through :func:`run_batch` otherwise.
+    pair by pair — in order: cell gate (:func:`choose_sweep` over the
+    workspace's ``small_pair_cells``, :data:`SMALL_PAIR_CELLS` without a
+    workspace; pairs over budget fall back), bounded size pre-check
+    (``|n − m| ≥ cutoff`` aborts with the difference as the bound *before*
+    label codes are consulted), code gate (uninternable labels fall back)
+    — and runs each lane in the direction the gate chose, so the emitted
+    tuples are bit-identical to the per-pair path, including the
+    ``aborted`` flag and subproblem counts.  ``fallback`` computes one pair
+    through the ordinary per-pair machinery and must return a finished
+    result tuple.  Left and right lanes run together, through the C kernel
+    (:func:`repro.algorithms.native.native_batch`) when a provider is
+    available and through :func:`run_batch` otherwise.
     """
+    budget = SMALL_PAIR_CELLS if workspace is None else workspace.small_pair_cells
     entries: List[Optional[Tuple]] = [None] * len(pairs)
     lane_pos: List[int] = []
     lane_i: List[int] = []
     lane_j: List[int] = []
-    sizes_a = pack_a.sizes
-    sizes_b = pack_b.sizes
-    size_ok_a = pack_a.size_ok
-    size_ok_b = pack_b.size_ok
-    elig_a = pack_a.eligible
-    elig_b = pack_b.eligible
+    # Tree rows the kernel reads: i / j for a left lane, the mirrored rows
+    # n_trees + i / n_trees + j for a right lane.
+    row_i: List[int] = []
+    row_j: List[int] = []
+    right_lanes = 0
+    sizes_a, elig_a, sweeps_a = pack_a.gate_rows()
+    sizes_b, elig_b, sweeps_b = pack_b.gate_rows()
+    mirror_a = pack_a.n_trees
+    mirror_b = pack_b.n_trees
     for pos, (i, j) in enumerate(pairs):
-        if not (size_ok_a[i] and size_ok_b[j]):
+        sweep = choose_sweep(sweeps_a[i], sweeps_b[j], budget)
+        if sweep is None:
             entries[pos] = fallback(i, j)
             continue
         if cutoff is not None:
-            diff = abs(int(sizes_a[i]) - int(sizes_b[j]))
+            diff = abs(sizes_a[i] - sizes_b[j])
             if diff >= cutoff:
                 entries[pos] = (i, j, float(diff), 0, True)
                 continue
@@ -430,25 +536,33 @@ def kernel_chunk_entries(
         lane_pos.append(pos)
         lane_i.append(i)
         lane_j.append(j)
+        if sweep == LEFT:
+            row_i.append(i)
+            row_j.append(j)
+        else:
+            row_i.append(mirror_a + i)
+            row_j.append(mirror_b + j)
+            right_lanes += 1
     if lane_pos:
         # An infinite cutoff bounds nothing and has no band width.
         kernel_cutoff = None if cutoff == inf else cutoff
         deadline = active_deadline()
         if deadline is not None:
             # The C kernel runs a whole chunk to completion, so check once
-            # up front: a chunk is bounded (small pairs only) and the
+            # up front: every lane is within the cell budget and the
             # granularity matches the supervisor's per-chunk deadline
             # handling.  The twin additionally ticks per row.
             deadline.check()
-        out = native.native_batch(pack_a, pack_b, lane_i, lane_j, cutoff=kernel_cutoff)
+        out = native.native_batch(pack_a, pack_b, row_i, row_j, cutoff=kernel_cutoff)
         if out is None:
-            out = run_batch(pack_a, pack_b, lane_i, lane_j, cutoff=kernel_cutoff)
+            out = run_batch(pack_a, pack_b, row_i, row_j, cutoff=kernel_cutoff)
         elif workspace is not None:
             workspace.stats.native_runs += len(lane_pos)
         values, cell_counts, aborts = out
         if workspace is not None:
             workspace.stats.small_pair_runs += len(lane_pos)
             workspace.stats.batch_lanes += len(lane_pos)
+            workspace.stats.right_sweeps += right_lanes
         if cutoff is None:
             for p, pos in enumerate(lane_pos):
                 entries[pos] = (

@@ -410,13 +410,21 @@ atexit.register(_reset_provider_cache)
 # --------------------------------------------------------------------------- #
 # Entry points
 # --------------------------------------------------------------------------- #
+#: Largest forest-distance buffer (float64 entries) one compiled call
+#: shares between lanes.  The buffer is ``(max n + 1) × (max m + 1)`` over
+#: the call's lanes, so a batch mixing a tall-by-narrow lane with a
+#: narrow-by-tall one is split rather than sized by both maxima; a single
+#: lane always runs (the cell gate bounds its ``n · m``).
+_SHARED_FD_ENTRIES = 1 << 20
+
+
 def native_batch(pack_a, pack_b, fi, gi, cutoff: Optional[float] = None):
     """Batched small-pair TED over :class:`CorpusPack` lanes, compiled.
 
     Same contract as :func:`repro.algorithms.batch_kernel.run_batch` —
-    eligible, post-precheck lanes in, ``(values, cells, aborted)`` out,
-    bit-identical to the Python twin — or ``None`` when no provider is
-    available (callers run the twin instead).
+    eligible, post-precheck lanes over tree rows in, ``(values, cells,
+    aborted)`` out, bit-identical to the Python twin — or ``None`` when no
+    provider is available (callers run the twin instead).
     """
     provider = native_provider()
     if provider is None:
@@ -427,41 +435,51 @@ def native_batch(pack_a, pack_b, fi, gi, cutoff: Optional[float] = None):
     values = _np.empty(npairs, dtype=_np.float64)
     cells = _np.zeros(npairs, dtype=_np.int64)
     aborted_u8 = _np.zeros(npairs, dtype=_np.uint8)
-    if npairs == 0:
-        return values, cells, aborted_u8.astype(bool)
-    max_n = int(pack_a.sizes[fi].max())
-    max_m = int(pack_b.sizes[gi].max())
-    has_cutoff = cutoff is not None
-    cut = float(cutoff) if has_cutoff else -1.0
-    D = _np.zeros(max_n * max_m, dtype=_np.float64)
-    arrays_a = (
-        pack_a.lml_flat, pack_a.codes_flat, pack_a.kroots,
-        pack_a.node_off, pack_a.kr_off, pack_a.kr_count, pack_a.sizes,
-    )
-    arrays_b = (
-        pack_b.lml_flat, pack_b.codes_flat, pack_b.kroots,
-        pack_b.node_off, pack_b.kr_off, pack_b.kr_count, pack_b.sizes,
-    )
+    if npairs:
+        arrays = [
+            _np.ascontiguousarray(x, dtype=_np.int64)
+            for pack in (pack_a, pack_b)
+            for x in (
+                pack.lml_flat, pack.codes_flat, pack.kroots,
+                pack.node_off, pack.kr_off, pack.kr_count, pack.sizes,
+            )
+        ]
+        _run_lanes(arrays, fi, gi, cutoff, values, cells, aborted_u8)
+    return values, cells, aborted_u8.astype(bool)
+
+
+def _run_lanes(arrays, fi, gi, cutoff, values, cells, aborted_u8) -> None:
+    """One ``ted_small_batch`` call over the lanes, or two halves when
+    their shared ``fd`` buffer would exceed :data:`_SHARED_FD_ENTRIES`."""
+    n = arrays[6][fi]  # pack_a.sizes
+    m = arrays[13][gi]  # pack_b.sizes
+    rows = int(n.max()) + 1
+    stride = int(m.max()) + 1
+    if fi.size > 1 and rows * stride > _SHARED_FD_ENTRIES:
+        half = fi.size // 2
+        for part in (slice(0, half), slice(half, None)):
+            _run_lanes(
+                arrays, fi[part], gi[part], cutoff,
+                values[part], cells[part], aborted_u8[part],
+            )
+        return
     import ctypes
 
-    fd = _np.zeros((max_n + 1) * (max_m + 1), dtype=_np.float64)
+    # D is indexed with each lane's own m, so the largest n · m suffices.
+    D = _np.zeros(int((n * m).max()), dtype=_np.float64)
+    fd = _np.zeros(rows * stride, dtype=_np.float64)
     pi64 = ctypes.POINTER(ctypes.c_int64)
     pf64 = ctypes.POINTER(ctypes.c_double)
     pu8 = ctypes.POINTER(ctypes.c_uint8)
-
-    def _ip(arr):
-        return _np.ascontiguousarray(arr, dtype=_np.int64).ctypes.data_as(pi64)
-
+    has_cutoff = cutoff is not None
     _CC_LIB.ted_small_batch(
-        *[_ip(x) for x in arrays_a],
-        *[_ip(x) for x in arrays_b],
-        fi.ctypes.data_as(pi64), gi.ctypes.data_as(pi64), npairs,
-        1 if has_cutoff else 0, cut,
-        D.ctypes.data_as(pf64), fd.ctypes.data_as(pf64), max_m + 1,
+        *[x.ctypes.data_as(pi64) for x in arrays],
+        fi.ctypes.data_as(pi64), gi.ctypes.data_as(pi64), fi.size,
+        1 if has_cutoff else 0, float(cutoff) if has_cutoff else -1.0,
+        D.ctypes.data_as(pf64), fd.ctypes.data_as(pf64), stride,
         values.ctypes.data_as(pf64), cells.ctypes.data_as(pi64),
         aborted_u8.ctypes.data_as(pu8),
     )
-    return values, cells, aborted_u8.astype(bool)
 
 
 def _one_tree_pack(lml, keyroots, codes, n: int) -> SimpleNamespace:

@@ -25,9 +25,11 @@ over a corpus can pay for it once instead of once per pair.
   allocation;
 * **a unit-cost fast path** — under the exact
   :class:`~repro.costs.UnitCostModel` the rename matrix is never built at all
-  (kernels compare code arrays directly) and small pairs run through a flat
-  single-function keyroot program (:meth:`TedWorkspace.compute_small`) that
-  skips the strategy executor entirely.
+  (kernels compare code arrays directly) and every pair whose cheaper
+  Zhang–Shasha sweep fits the cell budget
+  (:data:`~repro.algorithms.batch_kernel.SMALL_PAIR_CELLS`) runs through a
+  flat single-function keyroot program (:meth:`TedWorkspace.compute_small`)
+  in that direction, skipping the strategy executor entirely.
 
 Soundness / invalidation rule
 -----------------------------
@@ -61,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..costs import CostModel, UnitCostModel
 from ..exceptions import WorkspaceError
-from ..runtime import active_deadline, as_deadline, deadline_scope, env_int
+from ..runtime import active_deadline, as_deadline, deadline_scope
 from ..trees.tree import LEFT, RIGHT, Tree
 from .base import (
     BoundedResult,
@@ -71,7 +73,15 @@ from .base import (
     TEDResult,
     resolve_cost_model,
 )
-from .batch_kernel import band_width, small_pair_regions
+from .batch_kernel import (
+    SMALL_PAIR_CELLS,
+    band_width,
+    choose_sweep,
+    mirrored_arrays,
+    small_pair_regions,
+    sweep_sizes,
+    twin_buffers,
+)
 from .native import native_small_pair
 from .spf import _Frame, _GridFrame, _resolve_use_numpy
 
@@ -166,6 +176,7 @@ class WorkspaceStats:
         "matrices_pooled",
         "matrices_allocated",
         "small_pair_runs",
+        "right_sweeps",
         "batch_lanes",
         "native_runs",
         "bypasses",
@@ -177,6 +188,8 @@ class WorkspaceStats:
         self.matrices_pooled = 0
         self.matrices_allocated = 0
         self.small_pair_runs = 0
+        #: Small-pair runs that took the right sweep (mirrored arrays).
+        self.right_sweeps = 0
         self.batch_lanes = 0
         self.native_runs = 0
         self.bypasses = 0
@@ -190,15 +203,6 @@ class WorkspaceStats:
 #: per-pair interning of :func:`repro.algorithms.spf_numpy.rename_matrix`
 #: takes over.
 MAX_DENSE_ALPHABET = 2048
-
-#: Largest tree size (both sides) routed through the flat unit-cost
-#: small-pair kernel.  Above it the region kernels (with their NumPy row
-#: sweeps) win; below it the executor/task machinery dominates the actual DP.
-#: Override with ``RTED_SMALL_PAIR_CUTOFF`` (mirroring ``RTED_MIN_VECTOR_COLS``)
-#: on hardware where the crossover sits elsewhere; the default is set from
-#: the sweep mode of ``benchmarks/bench_batch_kernel.py``.
-SMALL_PAIR_CUTOFF = env_int("RTED_SMALL_PAIR_CUTOFF", 64, minimum=1)
-
 
 def _finite_cutoff(cutoff: Optional[float]) -> Optional[float]:
     """``None`` for an infinite cutoff, which bounds nothing (every distance
@@ -222,8 +226,9 @@ class TedWorkspace:
     use_numpy:
         Kernel selection, identical semantics to
         :class:`~repro.algorithms.spf.SinglePathContext`.
-    small_pair_cutoff:
-        Largest tree size handled by the unit-cost small-pair kernel.
+    small_pair_cells:
+        Cell budget of the unit-cost small-pair program: a pair runs it iff
+        its cheaper sweep evaluates at most this many cells.
 
     A workspace is not thread-safe; share it across pairs, not across
     threads.  Memory is proportional to the number of distinct trees touched
@@ -243,13 +248,16 @@ class TedWorkspace:
         cost_model: Optional[CostModel] = None,
         interner: Optional[LabelInterner] = None,
         use_numpy: Optional[bool] = None,
-        small_pair_cutoff: int = SMALL_PAIR_CUTOFF,
+        small_pair_cells: int = SMALL_PAIR_CELLS,
     ) -> None:
         self.cost_model = resolve_cost_model(cost_model)
         self.unit_cost = type(self.cost_model) is UnitCostModel
         self.interner = interner if interner is not None else LabelInterner()
         self.use_numpy = _resolve_use_numpy(use_numpy)
-        self.small_pair_cutoff = small_pair_cutoff
+        self.small_pair_cells = small_pair_cells
+        #: Direction (``"left"`` / ``"right"``) of the last pair
+        #: :meth:`compute_small` admitted.
+        self.last_sweep: Optional[str] = None
         self.stats = WorkspaceStats()
 
         # Per-tree caches, keyed on id(tree); every value tuple starts with
@@ -260,7 +268,8 @@ class TedWorkspace:
         self._node_costs: Dict[Tuple[int, str], Tuple[Tree, List[float]]] = {}
         self._kind_equiv: Dict[int, Tuple[Tree, Tuple[List[bool], List[bool]]]] = {}
         self._grids: Dict[Tuple[int, int, str], Tuple[Tree, _GridFrame]] = {}
-        self._small: Dict[int, Tuple[Tree, Optional[tuple]]] = {}
+        self._small: Dict[Tuple[int, str], Tuple[Tree, Optional[tuple]]] = {}
+        self._sweeps: Dict[int, Tuple[Tree, Tuple[int, int]]] = {}
         #: Distinct trees currently covered by the caches (generation bound).
         self._seen_trees: Dict[int, Tree] = {}
 
@@ -314,6 +323,7 @@ class TedWorkspace:
                 self._kind_equiv.clear()
                 self._grids.clear()
                 self._small.clear()
+                self._sweeps.clear()
                 self._seen_trees.clear()
             self._seen_trees[id(tree)] = tree
 
@@ -492,32 +502,54 @@ class TedWorkspace:
     # ------------------------------------------------------------------ #
     # Unit-cost small-pair fast path
     # ------------------------------------------------------------------ #
-    def _small_arrays(self, tree: Tree) -> Optional[tuple]:
+    def _sweep_sizes(self, tree: Tree) -> Tuple[int, int]:
+        """Cached :func:`~repro.algorithms.batch_kernel.sweep_sizes`."""
         self._admit(tree)
-        cached = self._small.get(id(tree))
+        cached = self._sweeps.get(id(tree))
+        if cached is not None:
+            return cached[1]
+        sizes = sweep_sizes(tree)
+        self._sweeps[id(tree)] = (tree, sizes)
+        return sizes
+
+    def _small_arrays(self, tree: Tree, sweep: str = LEFT) -> Optional[tuple]:
+        """Cached ``(lml, keyroots, codes)`` for the ``sweep`` direction —
+        the mirrored arrays for ``RIGHT``, built only when first needed —
+        or ``None`` for uninternable labels."""
+        self._admit(tree)
+        key = (id(tree), sweep)
+        cached = self._small.get(key)
         if cached is not None:
             return cached[1]
         codes = self.interner.codes_postorder(tree)
-        arrays = None if codes is None else (tree.lml, tree.keyroots_left(), codes)
-        self._small[id(tree)] = (tree, arrays)
+        if codes is None:
+            arrays = None
+        elif sweep == LEFT:
+            arrays = (tree.lml, tree.keyroots_left(), codes)
+        else:
+            arrays = mirrored_arrays(tree, codes)
+        self._small[key] = (tree, arrays)
         return arrays
 
     def compute_small(
         self, tree_f: Tree, tree_g: Tree, cutoff: Optional[float] = None
     ) -> Optional[Tuple[float, int]]:
-        """Exact unit-cost TED for a small pair, or ``None`` when inapplicable.
+        """Exact unit-cost TED through the small-pair program, or ``None``
+        when inapplicable.
 
         The small-pair program (:mod:`repro.algorithms.batch_kernel`): a
-        flat left-path keyroot sweep (the Zhang–Shasha recurrence) over
-        cached per-tree arrays — no context, no executor, no per-region
-        dispatch.  It runs in the C kernel when a compiled provider is
-        present and in its Python twin over reused buffers otherwise.  Only
-        unit-cost workspaces qualify — there every intermediate value is an
+        flat keyroot sweep (the Zhang–Shasha recurrence) over cached
+        per-tree arrays — no context, no executor, no per-region dispatch.
+        It runs in the C kernel when a compiled provider is present and in
+        its Python twin over reused buffers otherwise.  Only unit-cost
+        workspaces qualify — there every intermediate value is an
         integer-valued float64, so the result is bit-identical to every
-        other kernel — and only pairs whose trees both fit
-        :attr:`small_pair_cutoff`.  Returns ``(distance, cells)``
-        with ``cells`` the number of forest-distance cells evaluated (the
-        relevant subproblems of the executed left-path program).
+        other kernel — and only pairs whose cheaper sweep evaluates at most
+        :attr:`small_pair_cells` cells.  That sweep runs: the left one, or
+        on a strictly cheaper right side the same program over the mirrored
+        arrays (:attr:`last_sweep` names it).  Returns ``(distance,
+        cells)`` with ``cells`` the number of forest-distance cells
+        evaluated (the relevant subproblems of the executed program).
 
         With ``cutoff`` the run is *τ-bounded* (``DESIGN.md``, *Bounded
         verification*): the size pre-check raises
@@ -529,20 +561,24 @@ class TedWorkspace:
         Sub-cutoff results are bit-identical to unbounded runs — every cell
         whose true value is below the cutoff lies in the band and its
         minimum-winning candidate chain repeats the identical arithmetic.
-        The gate order — unit-cost gate, size gate, bounded size pre-check
+        The gate order — unit-cost gate, cell gate, bounded size pre-check
         *before* the code gate — is the one :func:`kernel_chunk_entries
         <repro.algorithms.batch_kernel.kernel_chunk_entries>` replicates.
         """
         if not self.unit_cost:
             return None
-        n, m = tree_f.n, tree_g.n
-        if n > self.small_pair_cutoff or m > self.small_pair_cutoff:
+        sweep = choose_sweep(
+            self._sweep_sizes(tree_f), self._sweep_sizes(tree_g), self.small_pair_cells
+        )
+        if sweep is None:
             return None
+        self.last_sweep = sweep
+        n, m = tree_f.n, tree_g.n
         cutoff = _finite_cutoff(cutoff)
         if cutoff is not None and abs(n - m) >= cutoff:
             raise CutoffExceeded(float(abs(n - m)))
-        arrays_f = self._small_arrays(tree_f)
-        arrays_g = self._small_arrays(tree_g)
+        arrays_f = self._small_arrays(tree_f, sweep)
+        arrays_g = self._small_arrays(tree_g, sweep)
         if arrays_f is None or arrays_g is None:
             return None
         # The C kernel has no deadline hook and the twin's row ticks are
@@ -552,6 +588,8 @@ class TedWorkspace:
         if deadline is not None:
             deadline.check()
         self.stats.small_pair_runs += 1
+        if sweep == RIGHT:
+            self.stats.right_sweeps += 1
         out = native_small_pair(arrays_f, n, arrays_g, m, cutoff)
         if out is not None:
             self.stats.native_runs += 1
@@ -563,11 +601,8 @@ class TedWorkspace:
             return value, cells
 
         D = self._small_D
-        if len(D) < n * m:
-            D.extend([0.0] * (n * m - len(D)))
         fd = self._small_fd
-        while len(fd) < n + 1:
-            fd.append([0.0] * (self.small_pair_cutoff + 1))
+        twin_buffers(D, fd, n, m)
         return small_pair_regions(
             n, m, cutoff, band_width(cutoff), *arrays_f, *arrays_g, D, fd, deadline,
         )
@@ -582,6 +617,7 @@ class TedWorkspace:
         self._kind_equiv.clear()
         self._grids.clear()
         self._small.clear()
+        self._sweeps.clear()
         self._seen_trees.clear()
         self._delete_table = None
         self._insert_table = None
@@ -603,18 +639,19 @@ class TedWorkspace:
 SMALL_PAIR_KERNEL = "small-pair"
 
 
-def _small_pair_extra() -> dict:
-    return {"workspace": "small-pair-unit", "kernel": SMALL_PAIR_KERNEL}
+def _small_pair_extra(sweep: str) -> dict:
+    return {"workspace": "small-pair-unit", "kernel": SMALL_PAIR_KERNEL, "sweep": sweep}
 
 
 class WorkspaceTED(TEDAlgorithm):
     """Wrap any algorithm with a workspace-accelerated batch fast path.
 
-    ``compute`` consults the workspace first: matching unit-cost small pairs
-    run through :meth:`TedWorkspace.compute_small` (reporting the executed
-    left-path program's subproblem count, ``extra["workspace"]`` and
-    ``extra["kernel"] == SMALL_PAIR_KERNEL``);
-    everything else — large pairs, fractional cost models, unhashable labels
+    ``compute`` consults the workspace first: matching unit-cost pairs within
+    the cell budget run through :meth:`TedWorkspace.compute_small`
+    (reporting the executed program's subproblem count,
+    ``extra["workspace"]``, ``extra["kernel"] == SMALL_PAIR_KERNEL`` and
+    ``extra["sweep"]``, the direction that ran: ``"left"`` or ``"right"``);
+    everything else — pairs over budget, fractional cost models, unhashable labels
     — delegates to the wrapped algorithm, which itself uses workspace-backed
     contexts when it supports them (RTED/GTED on the ``spf`` engine).  A
     cost model the workspace is not bound to bypasses it entirely, so the
@@ -663,7 +700,7 @@ class WorkspaceTED(TEDAlgorithm):
                     distance_time=watch.elapsed(),
                     n_f=tree_f.n,
                     n_g=tree_g.n,
-                    extra=_small_pair_extra(),
+                    extra=_small_pair_extra(workspace.last_sweep),
                 )
             if small is not None:
                 # A bounded run that was not cut short is exact and below
@@ -676,7 +713,7 @@ class WorkspaceTED(TEDAlgorithm):
                     distance_time=watch.elapsed(),
                     n_f=tree_f.n,
                     n_g=tree_g.n,
-                    extra=_small_pair_extra(),
+                    extra=_small_pair_extra(workspace.last_sweep),
                 )
         else:
             workspace.stats.bypasses += 1

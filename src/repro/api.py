@@ -116,9 +116,9 @@ def tree_edit_distance(
         the interpreter recursion limit.
 
         One exception at this API level: under ``auto``, ``"rted"`` (or an
-        alias) on a unit-cost pair whose trees both have at most
-        ``SMALL_PAIR_CUTOFF`` nodes (64; ``RTED_SMALL_PAIR_CUTOFF``) runs
-        the small-pair program of
+        alias) on a unit-cost pair whose cheaper Zhang–Shasha sweep (left
+        or right path) evaluates at most ``SMALL_PAIR_CELLS`` cells
+        (``1056²``) runs that sweep through the small-pair program of
         :class:`~repro.algorithms.workspace.WorkspaceTED` instead of
         Algorithm 2 plus ``spf``.  Every strategy yields the same distance,
         so only the cost differs: the program is the C kernel when a
@@ -173,14 +173,16 @@ def compute(
     ``result.extra["engine"]`` for algorithms that support several, and the
     program that produced the numbers in ``result.extra["kernel"]`` —
     ``"small-pair"`` for the small-pair program the default ``rted`` runs
-    on small unit-cost pairs, ``"zhang-shasha"`` for the dedicated tables
-    ``zhang-l``/``zhang-r`` use under ``auto``, ``"simple"`` for the
-    reference oracle, otherwise the engine (``"spf"``, ...).
-    ``result.subproblems`` counts the forest-distance cells that program
-    evaluated: on the small-pair program that is the left-path program's
-    count, which can exceed RTED's optimal count (about 3× in total on the
-    deep, flat and caterpillar pairs of ``perfbench``'s ``pair-distance``,
-    close to 1× on uniformly random trees) — the distance is the same.
+    on unit-cost pairs within its cell budget (``result.extra["sweep"]``
+    then names the direction that ran, ``"left"`` or ``"right"``),
+    ``"zhang-shasha"`` for the dedicated tables ``zhang-l``/``zhang-r``
+    use under ``auto``, ``"simple"`` for the reference oracle, otherwise
+    the engine (``"spf"``, ...).  ``result.subproblems`` counts the
+    forest-distance cells that program evaluated: on the small-pair
+    program that is the cheaper Zhang–Shasha sweep's count, which can
+    exceed RTED's optimal count (about 1.2× in total on the deep, flat and
+    caterpillar pairs of ``perfbench``'s ``pair-distance``, close to 1× on
+    uniformly random trees) — the distance is the same.
 
     With ``cutoff=τ`` the computation is bounded: the returned object is the
     exact :class:`~repro.algorithms.base.TEDResult` when ``distance < τ``
@@ -205,7 +207,7 @@ def compute(
         and (cutoff is None or math.isfinite(cutoff))
     ):
         # The wrapper runs the small-pair program where its own gates admit
-        # the pair (unit costs, both trees within SMALL_PAIR_CUTOFF,
+        # the pair (unit costs, the cheaper sweep within SMALL_PAIR_CELLS,
         # internable labels) and hands every other pair to the wrapped RTED
         # unchanged.  The workspace is fresh per call: nothing is shared
         # across the service's compute threads, and ad-hoc labels cannot

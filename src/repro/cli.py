@@ -112,10 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=list(ENGINES),
         help="execution engine: auto (default, resolves to the iterative spf "
-        "executor; rted runs unit-cost pairs of trees up to 64 nodes through "
-        "the small-pair program instead), spf (fully iterative single-path "
-        "functions for all path kinds), native (spf with a workspace: small unit-cost pairs run "
-        "the small-pair program), "
+        "executor; rted runs unit-cost pairs whose cheaper Zhang-Shasha sweep "
+        "fits the small-pair cell budget through the small-pair program "
+        "instead), spf (fully iterative single-path functions for all path "
+        "kinds), native (spf with a workspace: unit-cost pairs within the "
+        "budget run the small-pair program), "
         "or recursive (the cross-check oracle)",
     )
     distance.add_argument("--format", dest="fmt", default=None, help="bracket | newick | xml")
@@ -372,6 +373,8 @@ def _dispatch(args) -> int:
             if "engine" in result.extra:
                 print(f"engine:      {result.extra['engine']}")
             print(f"kernel:      {result.extra['kernel']}")
+            if "sweep" in result.extra:
+                print(f"sweep:       {result.extra['sweep']}")
             if result.bounded:
                 print(f"distance:    >= {result.cutoff:g} (lower bound {result.lower_bound:g})")
                 print(f"aborted:     {'early' if result.aborted else 'final check'}")

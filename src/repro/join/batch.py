@@ -164,11 +164,9 @@ def _init_worker(
                 elif pack_desc_b is not None:
                     pack_b = attach_pack(pack_desc_b)
         if pack_a is None or pack_b is None:
-            pack_a = build_corpus_pack(
-                trees_a, kernel_ws.interner, kernel_ws.small_pair_cutoff
-            )
+            pack_a = build_corpus_pack(trees_a, kernel_ws.interner)
             pack_b = pack_a if trees_b is None else build_corpus_pack(
-                trees_b, kernel_ws.interner, kernel_ws.small_pair_cutoff
+                trees_b, kernel_ws.interner
             )
     _WORKER_STATE["pack_a"] = pack_a
     _WORKER_STATE["pack_b"] = pack_b
@@ -399,7 +397,7 @@ def batch_distances(
         )
         pack_a = pack_b = None
         if kernel_ws is not None:
-            pack_a = corpus_a.pack(kernel_ws.small_pair_cutoff)
+            pack_a = corpus_a.pack()
             if pack_a is not None:
                 # Cross batches pack side b against side a's interner so the
                 # label codes of the two packs agree; when the corpora already
@@ -410,11 +408,9 @@ def batch_distances(
                 if corpus_b is None:
                     pack_b = pack_a
                 elif corpus_b.shares_interner(corpus_a):
-                    pack_b = corpus_b.pack(kernel_ws.small_pair_cutoff)
+                    pack_b = corpus_b.pack()
                 else:
-                    pack_b = build_corpus_pack(
-                        corpus_b.trees, corpus_a.interner(), kernel_ws.small_pair_cutoff
-                    )
+                    pack_b = build_corpus_pack(corpus_b.trees, corpus_a.interner())
         with deadline_scope(dl):
             for chunk in _chunked(pair_list, chunk_size):
                 if pack_b is not None:
@@ -459,7 +455,7 @@ def batch_distances(
         if probe.unit_cost:
             from .shared import export_pack
 
-            pack_a = corpus_a.pack(probe.small_pair_cutoff)
+            pack_a = corpus_a.pack()
             exported = (
                 export_pack(pack_a, epoch=getattr(corpus_a, "epoch", 0))
                 if pack_a is not None
@@ -470,11 +466,9 @@ def batch_distances(
                 shared_handles.append(handle)
                 if corpus_b is not None:
                     if corpus_b.shares_interner(corpus_a):
-                        pack_b = corpus_b.pack(probe.small_pair_cutoff)
+                        pack_b = corpus_b.pack()
                     else:
-                        pack_b = build_corpus_pack(
-                            corpus_b.trees, corpus_a.interner(), probe.small_pair_cutoff
-                        )
+                        pack_b = build_corpus_pack(corpus_b.trees, corpus_a.interner())
                     exported_b = export_pack(
                         pack_b, epoch=getattr(corpus_b, "epoch", 0)
                     )

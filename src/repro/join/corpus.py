@@ -155,7 +155,7 @@ class TreeCorpus:
         self._size_order: Optional[Tuple[List[int], List[int]]] = None
         self._size_order_epoch = -1
         self._pack = None
-        self._pack_key: Optional[Tuple[int, int, int]] = None
+        self._pack_key: Optional[Tuple[int, int]] = None
         self._snapshot_cache: Optional["CorpusSnapshot"] = None
         # Mutation ledger (exposed verbatim by the service's /stats).
         self.adds = 0
@@ -431,32 +431,25 @@ class TreeCorpus:
         """
         return self._interner is not None and self._interner is other._interner
 
-    def pack(self, small_pair_cutoff: Optional[int] = None):
+    def pack(self):
         """The corpus's (cached) batch-kernel pack, or ``None`` sans NumPy.
 
         A :class:`~repro.algorithms.batch_kernel.CorpusPack` built over
         :meth:`interner` — the struct-of-arrays input of the batched
         small-pair kernels.  The cache is keyed on **(interner identity,
-        small-pair cutoff, epoch)**: a corpus mutation or a late
-        :meth:`share_interner` switch invalidates it (a pack whose label
-        codes or tree rows no longer match the corpus must never be served),
-        while repeated batches at one cutoff within one epoch share a single
-        pack, including zero-copy export to worker processes via
-        :mod:`repro.join.shared`.
+        epoch)**: a corpus mutation or a late :meth:`share_interner` switch
+        invalidates it (a pack whose label codes or tree rows no longer
+        match the corpus must never be served), while repeated batches
+        within one epoch share a single pack, including zero-copy export to
+        worker processes via :mod:`repro.join.shared`.
         """
         from ..algorithms.batch_kernel import build_corpus_pack, kernel_available
-        from ..algorithms.workspace import SMALL_PAIR_CUTOFF
 
         if not kernel_available():
             return None
-        if small_pair_cutoff is None:
-            small_pair_cutoff = SMALL_PAIR_CUTOFF
-        small_pair_cutoff = int(small_pair_cutoff)
-        key = (id(self.interner()), small_pair_cutoff, self._epoch)
+        key = (id(self.interner()), self._epoch)
         if self._pack_key != key:
-            self._pack = build_corpus_pack(
-                self.trees, self.interner(), small_pair_cutoff
-            )
+            self._pack = build_corpus_pack(self.trees, self.interner())
             self._pack_key = key
         return self._pack
 
@@ -704,14 +697,14 @@ class CorpusSnapshot(TreeCorpus):
             prof.pq_profile = pq
         return pq
 
-    def pack(self, small_pair_cutoff: Optional[int] = None):
+    def pack(self):
         # While the parent has not mutated, the snapshot's pack *is* the
         # parent's (same trees, same interner, same epoch-keyed cache) —
         # one pack serves both.  After a mutation the snapshot builds its
         # own (the parent's new pack no longer matches the pinned trees).
         if self.is_current():
-            return self._parent.pack(small_pair_cutoff)
-        return super().pack(small_pair_cutoff)
+            return self._parent.pack()
+        return super().pack()
 
 
 def _small_pairs(

@@ -66,7 +66,7 @@ def shared_available() -> bool:
 
 
 #: Scalar (non-array) pack fields carried inside the descriptor.
-_SCALAR_FIELDS = ("n_trees", "small_pair_cutoff")
+_SCALAR_FIELDS = ("n_trees",)
 
 #: Naming prefix of exported blocks.  Embedding the exporting pid lets
 #: :func:`reap_stale` distinguish orphans (owner dead) from live exports.

@@ -11,7 +11,8 @@ once, not per request.  :class:`RtedService` registers
     "cutoff": 2.0, "deadline": 0.5}`` → the exact (or τ-bounded) distance,
     the ``subproblems`` count and the ``kernel`` that computed it
     (``"small-pair"`` or ``"spf"`` for the default ``rted``; see
-    :func:`repro.api.compute`).
+    :func:`repro.api.compute`), plus the small-pair program's ``sweep``
+    (``"left"`` / ``"right"``).
 ``POST /knn`` / ``POST /range``
     One-vs-corpus retrieval through the registered corpus's cached
     :class:`~repro.join.query.QueryEngine`.  A deadline expiry returns the
@@ -124,6 +125,24 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _distance_body(result) -> Dict[str, object]:
+    """The ``POST /distance`` body of one computed result: the algorithm,
+    the ``kernel`` that ran (plus the small-pair program's ``sweep``), the
+    ``subproblems`` count and the distance or τ-bounded outcome."""
+    body: Dict[str, object] = {
+        "algorithm": result.algorithm,
+        "kernel": result.extra["kernel"],
+        "subproblems": result.subproblems,
+    }
+    if "sweep" in result.extra:
+        body["sweep"] = result.extra["sweep"]
+    if result.bounded:
+        body.update(bounded=True, lower_bound=result.lower_bound, cutoff=result.cutoff)
+    else:
+        body["distance"] = result.distance
+    return body
 
 
 @dataclass
@@ -668,16 +687,7 @@ class RtedService:
             cutoff=cutoff,
             deadline=deadline,
         )
-        body: Dict[str, object] = {
-            "algorithm": result.algorithm,
-            "kernel": result.extra["kernel"],
-            "subproblems": result.subproblems,
-        }
-        if result.bounded:
-            body.update(bounded=True, lower_bound=result.lower_bound, cutoff=result.cutoff)
-        else:
-            body["distance"] = result.distance
-        return body
+        return _distance_body(result)
 
     def _do_corpus_distance(self, payload, deadline: Deadline):
         """Distance between two registered trees, memoized per epoch.
@@ -720,17 +730,7 @@ class RtedService:
                 cutoff=cutoff,
                 deadline=deadline,
             )
-            body: Dict[str, object] = {
-                "algorithm": result.algorithm,
-                "kernel": result.extra["kernel"],
-                "subproblems": result.subproblems,
-            }
-            if result.bounded:
-                body.update(
-                    bounded=True, lower_bound=result.lower_bound, cutoff=result.cutoff
-                )
-            else:
-                body["distance"] = result.distance
+            body = _distance_body(result)
             cache.put(key, body)
             return {**body, "cached": False, "epoch": epoch}
 

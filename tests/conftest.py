@@ -43,6 +43,17 @@ def rng() -> random.Random:
     return random.Random(20110401)
 
 
+@pytest.fixture(params=[False, True], ids=["provider", "no-native"])
+def kill_switch(request, monkeypatch):
+    """Run a test with the compiled small-pair provider and again with
+    ``RTED_NO_NATIVE=1`` (the Python twin)."""
+    if request.param:
+        monkeypatch.setenv("RTED_NO_NATIVE", "1")
+    else:
+        monkeypatch.delenv("RTED_NO_NATIVE", raising=False)
+    return request.param
+
+
 def random_tree_pairs(count: int, max_size: int = 14, seed: int = 7):
     """Deterministic list of random tree pairs for cross-algorithm tests."""
     generator = random.Random(seed)

@@ -204,9 +204,16 @@ class TestCli:
 
     def test_distance_verbose_names_kernel(self, capsys):
         assert cli_main(["distance", "{a{b}}", "{a{c}}", "--verbose"]) == 0
-        assert "kernel:      small-pair" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "kernel:      small-pair" in output
+        assert "sweep:       left" in output  # equal costs keep the left sweep
+        # A right comb: the right sweep evaluates 7 · 7 cells, the left 9 · 9.
+        assert cli_main(["distance", "{a{b}{c{d}{e}}}", "{a{b}{c{d}{x}}}", "--verbose"]) == 0
+        output = capsys.readouterr().out
+        assert "sweep:       right" in output and "subproblems: 49" in output
         assert cli_main(["distance", "{a{b}}", "{a{c}}", "--verbose", "--engine", "spf"]) == 0
-        assert "kernel:      spf" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "kernel:      spf" in output and "sweep:" not in output
         for algorithm, kernel in (
             ("zhang-l", "zhang-shasha"), ("zhang-r", "zhang-shasha"), ("simple", "simple"),
         ):

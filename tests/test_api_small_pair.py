@@ -1,12 +1,16 @@
-"""The API's small-pair rule: default ``rted`` on small unit-cost pairs.
+"""The API's small-pair rule: default ``rted`` on unit-cost pairs within
+the cell budget.
 
 ``repro.api.compute`` runs a pair through the workspace's small-pair
 program when the algorithm is ``rted`` (or an alias), the engine is
-``auto``, the cost model is unit and both trees have at most
-``SMALL_PAIR_CUTOFF`` nodes.  These tests pin the rule down:
+``auto``, the cost model is unit and the cheaper of the two Zhang–Shasha
+sweeps evaluates at most ``SMALL_PAIR_CELLS`` cells; that sweep runs.
+These tests pin the rule down:
 
-* distances and bounded outcomes equal the literal RTED's, on both sides
-  of the 64/65 size boundary;
+* distances and bounded outcomes equal the literal RTED's, on pairs of up
+  to 120 nodes and on both sides of the cell budget;
+* the reported cell count is the chosen sweep's ``S_L · S_L`` or
+  ``S_R · S_R`` and equals ``zhang-l``'s or ``zhang-r``'s count;
 * distance, subproblem count and bounded outcome do not depend on whether
   a compiled provider is present (``RTED_NO_NATIVE=1``);
 * the registry's ``auto`` still runs the literal algorithm;
@@ -19,9 +23,11 @@ import random
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.algorithms.workspace import SMALL_PAIR_CUTOFF, SMALL_PAIR_KERNEL, TedWorkspace
+from repro.algorithms.batch_kernel import SMALL_PAIR_CELLS, sweep_sizes
+from repro.algorithms.workspace import SMALL_PAIR_KERNEL, TedWorkspace
 from repro.api import compare_algorithms, compute, parse_tree
 from repro.costs import WeightedCostModel
+from repro.datasets.shapes import right_branch_tree, zigzag_tree
 from repro.exceptions import ComputeTimeoutError
 from repro.runtime import CancelToken, Deadline
 from repro.trees import Node, Tree
@@ -54,7 +60,10 @@ def _caterpillar(rng: random.Random, n: int) -> str:
 
 
 SHAPES = {"deep": _deep, "flat": _flat, "caterpillar": _caterpillar}
-SIZES = [(1, 1), (1, 7), (5, 9), (17, 12), (33, 40), (63, 64), (64, 64), (64, 65), (65, 65)]
+SIZES = [
+    (1, 1), (1, 7), (5, 9), (17, 12), (33, 40), (63, 64), (64, 64), (64, 65), (65, 65),
+    (95, 120), (120, 120),
+]
 CUTOFFS = [None, 1.0, 3.0, 10.0]
 
 
@@ -67,6 +76,12 @@ def _pairs():
             yield pytest.param(f, g, id=f"{shape}-{n}x{m}")
 
 
+def _gate(f, g):
+    """``(left, right)`` unbounded cell counts of the two sweeps."""
+    (left_f, right_f), (left_g, right_g) = sweep_sizes(f), sweep_sizes(g)
+    return left_f * left_g, right_f * right_g
+
+
 def _outcome(result):
     """Everything a caller can observe about a result except timings."""
     if result.bounded:
@@ -74,24 +89,16 @@ def _outcome(result):
     return ("exact", result.distance, result.subproblems)
 
 
-@pytest.fixture(params=[False, True], ids=["provider", "no-native"])
-def kill_switch(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("RTED_NO_NATIVE", "1")
-    else:
-        monkeypatch.delenv("RTED_NO_NATIVE", raising=False)
-    return request.param
-
-
 class TestSameDistances:
     @pytest.mark.parametrize("f, g", _pairs())
     def test_matches_literal_rted(self, f, g):
         reference = make_algorithm("rted")
-        small = f.n <= SMALL_PAIR_CUTOFF and g.n <= SMALL_PAIR_CUTOFF
+        small = min(_gate(f, g)) <= SMALL_PAIR_CELLS
         for cutoff in CUTOFFS:
             got = compute(f, g, cutoff=cutoff)
             want = reference.compute(f, g, cutoff=cutoff)
             assert got.extra["kernel"] == (SMALL_PAIR_KERNEL if small else "spf")
+            assert ("sweep" in got.extra) == small
             assert got.bounded == want.bounded
             if got.bounded:
                 assert got.lower_bound >= cutoff
@@ -114,6 +121,49 @@ class TestSameDistances:
         f, g = parse_tree("{a{b}{c}}"), parse_tree("{a{c}{d}}")
         for name in ("rted", "RTED", "robust", "apted"):
             assert compute(f, g, algorithm=name).extra["kernel"] == SMALL_PAIR_KERNEL
+
+
+class TestCellGate:
+    @pytest.mark.parametrize("f, g", _pairs())
+    def test_cells_are_the_cheaper_sweeps_count(self, f, g):
+        left, right = _gate(f, g)
+        result = compute(f, g)
+        sweep = "left" if left <= right else "right"
+        assert result.extra["sweep"] == sweep
+        assert result.subproblems == min(left, right) <= SMALL_PAIR_CELLS
+        oracle = make_algorithm("zhang-l" if sweep == "left" else "zhang-r")
+        assert _outcome(result) == _outcome(oracle.compute(f, g))
+
+    def test_budget_is_the_64_node_comb_pair(self):
+        # The budget is the costliest left sweep the former 64-node gate
+        # admitted: a right comb whose spine ends in a one-leaf node has
+        # left keyroots of sizes 64, 62, …, 2.
+        spine = Node("a", [Node("a")])
+        for _ in range(31):
+            spine = Node("a", [Node("a"), spine])
+        costliest = Tree(spine)
+        assert costliest.n == 64 and sweep_sizes(costliest)[0] == 1056
+        assert SMALL_PAIR_CELLS == 1056**2
+        # Two 64-node right combs run the right sweep: 95 · 95 cells.
+        comb = right_branch_tree(64)
+        left, right = _gate(comb, comb)
+        assert right < left <= SMALL_PAIR_CELLS
+        result = compute(comb, right_branch_tree(64, label="b"))
+        assert result.extra["kernel"] == SMALL_PAIR_KERNEL
+        assert result.extra["sweep"] == "right"
+        assert result.subproblems == right == 9_025
+        assert result.distance == 64.0
+
+    def test_pair_just_over_budget_runs_spf(self):
+        f, g = zigzag_tree(88), zigzag_tree(90)
+        left, right = _gate(f, g)
+        assert SMALL_PAIR_CELLS < right < left < SMALL_PAIR_CELLS + 2_000
+        assert TedWorkspace().compute_small(f, g) is None
+        result = compute(f, g)
+        assert result.extra["kernel"] == "spf" and "sweep" not in result.extra
+        assert _outcome(result) == _outcome(make_algorithm("rted").compute(f, g))
+        # One zigzag fewer and the pair is back within budget.
+        assert compute(zigzag_tree(88), zigzag_tree(88)).extra["sweep"] == "left"
 
 
 class TestRegistryUnchanged:

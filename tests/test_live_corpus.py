@@ -190,7 +190,7 @@ class TestPackEpochKeying:
         # it after the switch would mix incompatible code spaces.
         assert rebuilt is not stale
         assert b.shares_interner(a)
-        assert b.pack() is rebuilt  # stable within (interner, cutoff, epoch)
+        assert b.pack() is rebuilt  # stable within (interner, epoch)
 
     def test_pack_invalidated_by_mutation(self):
         pytest.importorskip("numpy")

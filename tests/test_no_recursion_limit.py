@@ -126,7 +126,10 @@ class TestWorkspacePathRecursionFree:
         from repro.algorithms.zhang_shasha import zhang_shasha_distance
 
         bushy = random_tree(40, rng=9)
-        workspace = TedWorkspace()
+        # The default cell budget admits this pair (5000 · 124 cells) to the
+        # small-pair program; a zero budget keeps it on RTED's spf path,
+        # whose cached frames are what this test exercises.
+        workspace = TedWorkspace(small_pair_cells=0)
         algorithm = make_algorithm("rted", workspace=workspace)
         expected = zhang_shasha_distance(deep_tree, bushy, UNIT_COST)[0]
         # Twice: the second run exercises the cache-hit (reused frames,

@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import compute, parse_tree
 from repro.datasets import random_tree
+from repro.datasets.shapes import right_branch_tree, zigzag_tree
 from repro.io import to_bracket
 from repro.join.corpus import TreeCorpus
 from repro.join.shared import reap_stale
@@ -103,12 +104,19 @@ class TestEndpoints:
         run_service(body)
 
     def test_distance_reports_kernel(self):
-        # Small unit-cost rted pairs run the small-pair program; a pair with
-        # a tree over SMALL_PAIR_CUTOFF stays on RTED's strategy and spf.
-        # Either way the body carries exactly what compute() returns.
+        # Unit-cost rted pairs within the cell budget run the small-pair
+        # program in the cheaper sweep (two 64-node right combs: the right
+        # one); the 88 × 90 zigzag pair is over budget both ways and stays
+        # on RTED's strategy and spf.  Either way the body carries exactly
+        # what compute() returns.
+        cases = (
+            (random_tree(70, rng=70), random_tree(40, rng=71), "small-pair", "left"),
+            (right_branch_tree(64), right_branch_tree(64, label="b"), "small-pair", "right"),
+            (zigzag_tree(88), zigzag_tree(90), "spf", None),
+        )
+
         async def body(service, base):
-            for size, kernel in ((64, "small-pair"), (65, "spf")):
-                f, g = random_tree(size, rng=size), random_tree(40, rng=size + 1)
+            for f, g, kernel, sweep in cases:
                 status, _, payload = await asyncio.to_thread(
                     _post, base, "/distance",
                     {"tree_a": to_bracket(f), "tree_b": to_bracket(g)},
@@ -116,6 +124,7 @@ class TestEndpoints:
                 assert status == 200
                 direct = compute(f, g)
                 assert payload["kernel"] == direct.extra["kernel"] == kernel
+                assert payload.get("sweep") == direct.extra.get("sweep") == sweep
                 assert payload["distance"] == direct.distance
                 assert payload["subproblems"] == direct.subproblems
                 assert payload["algorithm"] == direct.algorithm

@@ -93,10 +93,12 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("cost_model", [UNIT_COST, FRACTIONAL], ids=["unit", "fractional"])
     def test_large_pairs_use_workspace_contexts(self, cost_model):
-        # Above the small-pair cutoff the executor runs with workspace-backed
-        # contexts (cached frames, interned rename tables, pooled matrices).
+        # Pairs outside the small-pair cell budget run the executor with
+        # workspace-backed contexts (cached frames, interned rename tables,
+        # pooled matrices).  These pairs fit the default budget, so a zero
+        # budget keeps the unit-cost ones on the executor too.
         trees = [random_tree(90 + 10 * k, rng=50 + k) for k in range(4)]
-        workspace = TedWorkspace(cost_model)
+        workspace = TedWorkspace(cost_model, small_pair_cells=0)
         amortized = make_algorithm("rted", workspace=workspace)
         fresh = make_algorithm("rted")
         for i in range(len(trees)):
@@ -273,11 +275,16 @@ class TestWorkspaceInternals:
         assert workspace.stats.matrices_pooled == 1
         assert second.shape == (8, 8) and np.isnan(second).all()
 
-    def test_small_pair_cutoff_respected(self):
-        workspace = TedWorkspace(small_pair_cutoff=8)
+    def test_small_pair_cells_respected(self):
+        from repro.algorithms.batch_kernel import sweep_sizes
+
         small = random_tree(8, rng=1)
         large = random_tree(9, rng=2)
-        assert workspace.compute_small(small, small) is not None
+        (left_s, right_s), (left_l, right_l) = sweep_sizes(small), sweep_sizes(large)
+        budget = min(left_s * left_s, right_s * right_s)
+        workspace = TedWorkspace(small_pair_cells=budget)
+        assert workspace.compute_small(small, small) == (0.0, budget)
+        assert min(left_s * left_l, right_s * right_l) > budget
         assert workspace.compute_small(small, large) is None
 
     def test_clear_resets_caches(self):
