@@ -114,7 +114,7 @@ def scalar_run(workspace, trees, pairs, cutoff):
         start = time.perf_counter()
         for i, j in pairs:
             try:
-                value, cells = compute_small(trees[i], trees[j], cutoff=cutoff)
+                value, cells, _ = compute_small(trees[i], trees[j], cutoff=cutoff)
                 out.append((value, cells, False))
             except CutoffExceeded as exceeded:
                 out.append((exceeded.lower_bound, exceeded.subproblems, True))
@@ -258,7 +258,7 @@ def run_budget_check(repeats: int) -> Dict:
             for _ in range(repeats):
                 start = time.perf_counter()
                 with pin():
-                    value, cells = workspace.compute_small(f, g)
+                    value, cells, sweep = workspace.compute_small(f, g)
                 samples.append(time.perf_counter() - start)
                 assert value == reference.distance
             per_path[path] = median(samples) * 1e3
@@ -271,7 +271,7 @@ def run_budget_check(repeats: int) -> Dict:
         rows.append({
             "family": family,
             "sizes": [f.n, g.n],
-            "sweep": workspace.last_sweep,
+            "sweep": sweep,
             "small_pair_cells": cells,
             "rted_subproblems": reference.subproblems,
             "per_pair_ms": per_path,

@@ -161,13 +161,16 @@ class CutoffExceeded(Exception):
     escapes the public API.  ``lower_bound`` carries the proving bound;
     ``subproblems`` the forest-distance cells evaluated before the abort
     (kernels that track a count attach it on the way out, so aborted
-    sentinels report their work in the same currency as completed runs).
+    sentinels report their work in the same currency as completed runs);
+    ``sweep`` the direction (``"left"`` / ``"right"``) when the small-pair
+    program raised it.
     """
 
     def __init__(self, lower_bound: float) -> None:
         super().__init__(lower_bound)
         self.lower_bound = float(lower_bound)
         self.subproblems = 0
+        self.sweep: Optional[str] = None
 
 
 #: Relative slack absorbing float round-off in the bounded-computation lower

@@ -33,9 +33,10 @@ the twin when it is not, so every path runs the same program.
   worker processes (:mod:`repro.join.shared`).
 * **Batches** — :func:`kernel_chunk_entries` applies the per-pair gates of
   ``compute_small`` and runs the surviving lanes, left and right, in one
-  :func:`~repro.algorithms.native.native_batch` call, or lane by lane
-  through :func:`run_batch` (the twin over the pack arrays) without a
-  provider.
+  :func:`~repro.algorithms.native.native_batch` call — under a deadline,
+  in calls of at most :data:`SMALL_PAIR_CELLS` summed cells — or lane by
+  lane through :func:`run_batch` (the twin over the pack arrays) without
+  a provider.
 
 Bit-identity
 ------------
@@ -232,9 +233,10 @@ def band_width(cutoff: Optional[float]) -> Optional[int]:
 #: Largest cell count the small-pair program may evaluate for one pair:
 #: ``1056²``, the left-sweep count of two 64-node right combs whose spine
 #: ends in a one-leaf node (``S_L = 64 + 62 + … + 2``) — the costliest pair
-#: the former 64-node size gate admitted.  The C kernel has no deadline hook, so this bounds its longest
-#: uncancellable call; and since ``S(T) ≥ |T|`` it also bounds ``n · m``,
-#: hence the program's buffers.
+#: the former 64-node size gate admitted.  The C kernel has no deadline
+#: hook, so this bounds its longest uncancellable call (batches run in calls
+#: of at most this many summed cells under a deadline); and since
+#: ``S(T) ≥ |T|`` it also bounds ``n · m``, hence the program's buffers.
 SMALL_PAIR_CELLS = 1056 * 1056
 
 
@@ -283,17 +285,12 @@ def mirrored_arrays(tree, codes: Sequence[int]) -> Tuple[List[int], List[int], L
     return lml, keyroots, mirrored_codes
 
 
-def twin_buffers(D: List[float], fd: List[List[float]], n: int, m: int) -> None:
-    """Grow the twin's reusable buffers in place for an ``n × m`` pair:
-    ``D`` to ``n · m`` values, ``fd`` to ``n + 1`` rows of width ``m + 1``."""
-    if len(D) < n * m:
-        D.extend([0.0] * (n * m - len(D)))
-    width = m + 1
-    for i in range(min(len(fd), n + 1)):
-        if len(fd[i]) < width:
-            fd[i] = [0.0] * width
-    while len(fd) < n + 1:
-        fd.append([0.0] * width)
+def twin_buffers(n: int, m: int) -> Tuple[List[float], List[List[float]]]:
+    """Fresh ``(D, fd)`` buffers of the twin for an ``n × m`` pair: ``n · m``
+    subtree distances and ``n + 1`` forest-distance rows of width ``m + 1``.
+    Allocating them costs far less than an unbounded sweep (``n · m`` is
+    at most its cell count), and nothing outlives the call."""
+    return [0.0] * (n * m), [[0.0] * (m + 1) for _ in range(n + 1)]
 
 
 class CorpusPack:
@@ -461,25 +458,35 @@ def run_batch(
     if lanes == 0:
         return values, cells, aborted
     band_w = band_width(cutoff)
-    D: List[float] = []
-    fd: List[List[float]] = []
     deadline = active_deadline()
     cache_a: Dict[int, tuple] = {}
     cache_b = cache_a if pack_b is pack_a else {}
     for p, (i, j) in enumerate(zip(fi.tolist(), gi.tolist())):
         n, lml_f, keyroots_f, codes_f = _lane_arrays(pack_a, i, cache_a)
         m, lml_g, keyroots_g, codes_g = _lane_arrays(pack_b, j, cache_b)
-        twin_buffers(D, fd, n, m)
         try:
             values[p], cells[p] = small_pair_regions(
                 n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
-                lml_g, keyroots_g, codes_g, D, fd, deadline,
+                lml_g, keyroots_g, codes_g, *twin_buffers(n, m), deadline,
             )
         except CutoffExceeded as exceeded:
             values[p] = exceeded.lower_bound
             cells[p] = exceeded.subproblems
             aborted[p] = True
     return values, cells, aborted
+
+
+def _call_groups(lane_cells: Sequence[int]):
+    """Split lanes into consecutive ``[start, stop)`` groups whose summed
+    cell counts stay within :data:`SMALL_PAIR_CELLS` (each lane alone
+    already does, by the cell gate)."""
+    start = total = 0
+    for p, cells in enumerate(lane_cells):
+        if p > start and total + cells > SMALL_PAIR_CELLS:
+            yield start, p
+            start, total = p, 0
+        total += cells
+    yield start, len(lane_cells)
 
 
 def kernel_chunk_entries(
@@ -493,20 +500,23 @@ def kernel_chunk_entries(
     """Batch result tuples for one chunk, kernel-eligible lanes batched.
 
     Replicates the scalar dispatch of :meth:`TedWorkspace.compute_small`
-    pair by pair — in order: cell gate (:func:`choose_sweep` over the
-    workspace's ``small_pair_cells``, :data:`SMALL_PAIR_CELLS` without a
-    workspace; pairs over budget fall back), bounded size pre-check
-    (``|n − m| ≥ cutoff`` aborts with the difference as the bound *before*
-    label codes are consulted), code gate (uninternable labels fall back)
-    — and runs each lane in the direction the gate chose, so the emitted
-    tuples are bit-identical to the per-pair path, including the
+    pair by pair — in order: cell gate (:func:`choose_sweep` over
+    :data:`SMALL_PAIR_CELLS`; pairs over budget fall back), bounded size
+    pre-check (``|n − m| ≥ cutoff`` aborts with the difference as the bound
+    *before* label codes are consulted), code gate (uninternable labels
+    fall back) — and runs each lane in the direction the gate chose, so the
+    emitted tuples are bit-identical to the per-pair path, including the
     ``aborted`` flag and subproblem counts.  ``fallback`` computes one pair
     through the ordinary per-pair machinery and must return a finished
     result tuple.  Left and right lanes run together, through the C kernel
     (:func:`repro.algorithms.native.native_batch`) when a provider is
     available and through :func:`run_batch` otherwise.
+
+    The C kernel cannot be interrupted, so under an ambient deadline the
+    lanes run in calls of at most :data:`SMALL_PAIR_CELLS` summed cells —
+    no call outlasts the costliest single pair — with a deadline check
+    before each.
     """
-    budget = SMALL_PAIR_CELLS if workspace is None else workspace.small_pair_cells
     entries: List[Optional[Tuple]] = [None] * len(pairs)
     lane_pos: List[int] = []
     lane_i: List[int] = []
@@ -515,13 +525,16 @@ def kernel_chunk_entries(
     # n_trees + i / n_trees + j for a right lane.
     row_i: List[int] = []
     row_j: List[int] = []
+    # Unbounded cell count of each lane's sweep (bounded runs evaluate less).
+    lane_cells: List[int] = []
     right_lanes = 0
     sizes_a, elig_a, sweeps_a = pack_a.gate_rows()
     sizes_b, elig_b, sweeps_b = pack_b.gate_rows()
     mirror_a = pack_a.n_trees
     mirror_b = pack_b.n_trees
     for pos, (i, j) in enumerate(pairs):
-        sweep = choose_sweep(sweeps_a[i], sweeps_b[j], budget)
+        sweep_f, sweep_g = sweeps_a[i], sweeps_b[j]
+        sweep = choose_sweep(sweep_f, sweep_g, SMALL_PAIR_CELLS)
         if sweep is None:
             entries[pos] = fallback(i, j)
             continue
@@ -539,39 +552,43 @@ def kernel_chunk_entries(
         if sweep == LEFT:
             row_i.append(i)
             row_j.append(j)
+            lane_cells.append(sweep_f[0] * sweep_g[0])
         else:
             row_i.append(mirror_a + i)
             row_j.append(mirror_b + j)
+            lane_cells.append(sweep_f[1] * sweep_g[1])
             right_lanes += 1
-    if lane_pos:
-        # An infinite cutoff bounds nothing and has no band width.
-        kernel_cutoff = None if cutoff == inf else cutoff
-        deadline = active_deadline()
+    if not lane_pos:
+        return entries
+    # An infinite cutoff bounds nothing and has no band width.
+    kernel_cutoff = None if cutoff == inf else cutoff
+    deadline = active_deadline()
+    groups = [(0, len(lane_pos))] if deadline is None else _call_groups(lane_cells)
+    values: List[float] = []
+    cell_counts: List[int] = []
+    aborts: List[bool] = []
+    native_lanes = 0
+    for start, stop in groups:
         if deadline is not None:
-            # The C kernel runs a whole chunk to completion, so check once
-            # up front: every lane is within the cell budget and the
-            # granularity matches the supervisor's per-chunk deadline
-            # handling.  The twin additionally ticks per row.
             deadline.check()
-        out = native.native_batch(pack_a, pack_b, row_i, row_j, cutoff=kernel_cutoff)
+        fi, gi = row_i[start:stop], row_j[start:stop]
+        out = native.native_batch(pack_a, pack_b, fi, gi, cutoff=kernel_cutoff)
         if out is None:
-            out = run_batch(pack_a, pack_b, row_i, row_j, cutoff=kernel_cutoff)
-        elif workspace is not None:
-            workspace.stats.native_runs += len(lane_pos)
-        values, cell_counts, aborts = out
-        if workspace is not None:
-            workspace.stats.small_pair_runs += len(lane_pos)
-            workspace.stats.batch_lanes += len(lane_pos)
-            workspace.stats.right_sweeps += right_lanes
-        if cutoff is None:
-            for p, pos in enumerate(lane_pos):
-                entries[pos] = (
-                    lane_i[p], lane_j[p], float(values[p]), int(cell_counts[p]),
-                )
+            out = run_batch(pack_a, pack_b, fi, gi, cutoff=kernel_cutoff)
         else:
-            for p, pos in enumerate(lane_pos):
-                entries[pos] = (
-                    lane_i[p], lane_j[p], float(values[p]), int(cell_counts[p]),
-                    bool(aborts[p]),
-                )
+            native_lanes += stop - start
+        values.extend(out[0].tolist())
+        cell_counts.extend(out[1].tolist())
+        aborts.extend(out[2].tolist())
+    if workspace is not None:
+        workspace.stats.native_runs += native_lanes
+        workspace.stats.small_pair_runs += len(lane_pos)
+        workspace.stats.batch_lanes += len(lane_pos)
+        workspace.stats.right_sweeps += right_lanes
+    if cutoff is None:
+        for p, pos in enumerate(lane_pos):
+            entries[pos] = (lane_i[p], lane_j[p], values[p], cell_counts[p])
+    else:
+        for p, pos in enumerate(lane_pos):
+            entries[pos] = (lane_i[p], lane_j[p], values[p], cell_counts[p], aborts[p])
     return entries

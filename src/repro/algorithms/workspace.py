@@ -73,8 +73,8 @@ from .base import (
     TEDResult,
     resolve_cost_model,
 )
+from . import batch_kernel
 from .batch_kernel import (
-    SMALL_PAIR_CELLS,
     band_width,
     choose_sweep,
     mirrored_arrays,
@@ -226,9 +226,6 @@ class TedWorkspace:
     use_numpy:
         Kernel selection, identical semantics to
         :class:`~repro.algorithms.spf.SinglePathContext`.
-    small_pair_cells:
-        Cell budget of the unit-cost small-pair program: a pair runs it iff
-        its cheaper sweep evaluates at most this many cells.
 
     A workspace is not thread-safe; share it across pairs, not across
     threads.  Memory is proportional to the number of distinct trees touched
@@ -248,16 +245,11 @@ class TedWorkspace:
         cost_model: Optional[CostModel] = None,
         interner: Optional[LabelInterner] = None,
         use_numpy: Optional[bool] = None,
-        small_pair_cells: int = SMALL_PAIR_CELLS,
     ) -> None:
         self.cost_model = resolve_cost_model(cost_model)
         self.unit_cost = type(self.cost_model) is UnitCostModel
         self.interner = interner if interner is not None else LabelInterner()
         self.use_numpy = _resolve_use_numpy(use_numpy)
-        self.small_pair_cells = small_pair_cells
-        #: Direction (``"left"`` / ``"right"``) of the last pair
-        #: :meth:`compute_small` admitted.
-        self.last_sweep: Optional[str] = None
         self.stats = WorkspaceStats()
 
         # Per-tree caches, keyed on id(tree); every value tuple starts with
@@ -281,10 +273,6 @@ class TedWorkspace:
         # Pooled float64 buffers for dense distance matrices, keyed by
         # power-of-two capacity class.
         self._matrix_pool: Dict[int, List[object]] = {}
-        # Reusable flat distance buffer + forest-distance rows for the
-        # small-pair kernel.
-        self._small_D: List[float] = []
-        self._small_fd: List[List[float]] = []
 
     # ------------------------------------------------------------------ #
     # Cost-model binding
@@ -533,7 +521,7 @@ class TedWorkspace:
 
     def compute_small(
         self, tree_f: Tree, tree_g: Tree, cutoff: Optional[float] = None
-    ) -> Optional[Tuple[float, int]]:
+    ) -> Optional[Tuple[float, int, str]]:
         """Exact unit-cost TED through the small-pair program, or ``None``
         when inapplicable.
 
@@ -545,11 +533,12 @@ class TedWorkspace:
         workspaces qualify — there every intermediate value is an
         integer-valued float64, so the result is bit-identical to every
         other kernel — and only pairs whose cheaper sweep evaluates at most
-        :attr:`small_pair_cells` cells.  That sweep runs: the left one, or
-        on a strictly cheaper right side the same program over the mirrored
-        arrays (:attr:`last_sweep` names it).  Returns ``(distance,
-        cells)`` with ``cells`` the number of forest-distance cells
-        evaluated (the relevant subproblems of the executed program).
+        :data:`~repro.algorithms.batch_kernel.SMALL_PAIR_CELLS` cells.  That
+        sweep runs: the left one, or on a strictly cheaper right side the
+        same program over the mirrored arrays.  Returns ``(distance, cells,
+        sweep)`` with ``cells`` the number of forest-distance cells
+        evaluated (the relevant subproblems of the executed program) and
+        ``sweep`` the direction that ran, ``"left"`` or ``"right"``.
 
         With ``cutoff`` the run is *τ-bounded* (``DESIGN.md``, *Bounded
         verification*): the size pre-check raises
@@ -557,7 +546,8 @@ class TedWorkspace:
         region is restricted to its ``|i − j| < cutoff`` band (out-of-band
         cells provably hold ``≥ cutoff`` and are read as ``+inf``), the
         final region runs the per-row abort, and a banded result landing at
-        or above the cutoff raises with the cutoff as the proving bound.
+        or above the cutoff raises with the cutoff as the proving bound; the
+        exception's ``sweep`` names the direction the gate chose.
         Sub-cutoff results are bit-identical to unbounded runs — every cell
         whose true value is below the cutoff lies in the band and its
         minimum-winning candidate chain repeats the identical arithmetic.
@@ -568,15 +558,18 @@ class TedWorkspace:
         if not self.unit_cost:
             return None
         sweep = choose_sweep(
-            self._sweep_sizes(tree_f), self._sweep_sizes(tree_g), self.small_pair_cells
+            self._sweep_sizes(tree_f),
+            self._sweep_sizes(tree_g),
+            batch_kernel.SMALL_PAIR_CELLS,
         )
         if sweep is None:
             return None
-        self.last_sweep = sweep
         n, m = tree_f.n, tree_g.n
         cutoff = _finite_cutoff(cutoff)
         if cutoff is not None and abs(n - m) >= cutoff:
-            raise CutoffExceeded(float(abs(n - m)))
+            exceeded = CutoffExceeded(float(abs(n - m)))
+            exceeded.sweep = sweep
+            raise exceeded
         arrays_f = self._small_arrays(tree_f, sweep)
         arrays_g = self._small_arrays(tree_g, sweep)
         if arrays_f is None or arrays_g is None:
@@ -590,22 +583,24 @@ class TedWorkspace:
         self.stats.small_pair_runs += 1
         if sweep == RIGHT:
             self.stats.right_sweeps += 1
-        out = native_small_pair(arrays_f, n, arrays_g, m, cutoff)
-        if out is not None:
-            self.stats.native_runs += 1
-            value, cells, aborted = out
-            if aborted:
-                exceeded = CutoffExceeded(value)
-                exceeded.subproblems = cells
-                raise exceeded
-            return value, cells
-
-        D = self._small_D
-        fd = self._small_fd
-        twin_buffers(D, fd, n, m)
-        return small_pair_regions(
-            n, m, cutoff, band_width(cutoff), *arrays_f, *arrays_g, D, fd, deadline,
-        )
+        try:
+            out = native_small_pair(arrays_f, n, arrays_g, m, cutoff)
+            if out is None:
+                value, cells = small_pair_regions(
+                    n, m, cutoff, band_width(cutoff), *arrays_f, *arrays_g,
+                    *twin_buffers(n, m), deadline,
+                )
+            else:
+                self.stats.native_runs += 1
+                value, cells, aborted = out
+                if aborted:
+                    exceeded = CutoffExceeded(value)
+                    exceeded.subproblems = cells
+                    raise exceeded
+        except CutoffExceeded as exceeded:
+            exceeded.sweep = sweep
+            raise
+        return value, cells, sweep
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
@@ -623,8 +618,6 @@ class TedWorkspace:
         self._insert_table = None
         self._rename_table = None
         self._matrix_pool.clear()
-        self._small_D = []
-        self._small_fd = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -700,12 +693,12 @@ class WorkspaceTED(TEDAlgorithm):
                     distance_time=watch.elapsed(),
                     n_f=tree_f.n,
                     n_g=tree_g.n,
-                    extra=_small_pair_extra(workspace.last_sweep),
+                    extra=_small_pair_extra(exceeded.sweep),
                 )
             if small is not None:
                 # A bounded run that was not cut short is exact and below
                 # the cutoff — compute_small raises for everything else.
-                distance, cells = small
+                distance, cells, sweep = small
                 return TEDResult(
                     distance=distance,
                     algorithm=self.name,
@@ -713,7 +706,7 @@ class WorkspaceTED(TEDAlgorithm):
                     distance_time=watch.elapsed(),
                     n_f=tree_f.n,
                     n_g=tree_g.n,
-                    extra=_small_pair_extra(workspace.last_sweep),
+                    extra=_small_pair_extra(sweep),
                 )
         else:
             workspace.stats.bypasses += 1

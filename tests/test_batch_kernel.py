@@ -18,6 +18,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.algorithms import make_algorithm
+from repro.algorithms import batch_kernel as batch_kernel_mod
 from repro.algorithms import native as native_mod
 from repro.algorithms.base import CutoffExceeded
 from repro.algorithms.batch_kernel import (
@@ -51,8 +52,9 @@ from repro.algorithms.zhang_shasha import zhang_shasha_distance
 from repro.costs import UnitCostModel, WeightedCostModel
 from repro.datasets import perturb_tree, random_tree
 from repro.datasets.shapes import left_branch_tree, right_branch_tree, zigzag_tree
+from repro.runtime import CancelToken, Deadline, deadline_scope
 from repro.trees import Node, Tree
-from repro.exceptions import UnknownEngineError
+from repro.exceptions import ComputeTimeoutError, UnknownEngineError
 from repro.join import (
     JoinStats,
     QueryEngine,
@@ -129,7 +131,7 @@ def scalar_entry(workspace, trees, i, j, cutoff):
     except CutoffExceeded as exceeded:
         return (i, j, exceeded.lower_bound, exceeded.subproblems, True)
     assert out is not None, "reference pair unexpectedly ineligible"
-    value, cells = out
+    value, cells, _ = out
     if cutoff is None:
         return (i, j, value, cells)
     return (i, j, value, cells, False)
@@ -216,7 +218,7 @@ class TestBatchKernelIdentity:
         seen_abort = seen_exact = False
         for p, (i, j) in enumerate(lanes):
             try:
-                value, sub = reference.compute_small(corpus[i], corpus[j], cutoff=cutoff)
+                value, sub, _ = reference.compute_small(corpus[i], corpus[j], cutoff=cutoff)
                 assert not aborted[p]
                 assert values[p] == value and cells[p] == sub
                 seen_exact = True
@@ -271,12 +273,12 @@ class TestCellGate:
                 refused += 1
                 continue
             sweep = "left" if left <= right else "right"
-            assert workspace.last_sweep == sweep
+            assert out[2] == sweep
             assert out[1] == min(left, right) <= SMALL_PAIR_CELLS
             if out[1] <= 50_000:  # keep the pure-Python oracle quick
                 oracle = make_algorithm("zhang-l" if sweep == "left" else "zhang-r")
                 reference = oracle.compute(f, g)
-                assert out == (reference.distance, reference.subproblems)
+                assert out == (reference.distance, reference.subproblems, sweep)
         assert refused == 1  # the 88 × 90 zigzag pair
         assert 0 < workspace.stats.right_sweeps < workspace.stats.small_pair_runs
 
@@ -285,8 +287,8 @@ class TestCellGate:
         left, right = gate_cells(tree, tree.mirrored())
         assert left == right
         workspace = TedWorkspace()
-        value, cells = workspace.compute_small(tree, tree.mirrored())
-        assert workspace.last_sweep == "left" and workspace.stats.right_sweeps == 0
+        value, cells, sweep = workspace.compute_small(tree, tree.mirrored())
+        assert sweep == "left" and workspace.stats.right_sweeps == 0
         reference = make_algorithm("zhang-l").compute(tree, tree.mirrored())
         assert (value, cells) == (reference.distance, reference.subproblems)
 
@@ -304,19 +306,68 @@ class TestCellGate:
             try:
                 out = reference.compute_small(shapes[i], shapes[j], cutoff=cutoff)
             except CutoffExceeded as exceeded:
+                assert exceeded.sweep in ("left", "right")
                 expected = (i, j, exceeded.lower_bound, exceeded.subproblems, True)
             else:
                 if out is None:
                     expected = ("fallback", i, j)
                 elif cutoff is None:
-                    expected = (i, j, *out)
+                    expected = (i, j, *out[:2])
                 else:
-                    expected = (i, j, *out, False)
+                    expected = (i, j, *out[:2], False)
             assert entry == expected, (i, j, cutoff)
         for name in ("small_pair_runs", "right_sweeps", "native_runs"):
             assert getattr(workspace.stats, name) == getattr(reference.stats, name)
         assert workspace.stats.right_sweeps > 0
         assert (workspace.stats.native_runs > 0) == (not kill_switch and native_available())
+
+    def test_deadline_splits_chunk_into_budget_sized_calls(self, monkeypatch):
+        # Under a deadline no kernel call sums more than SMALL_PAIR_CELLS,
+        # and a deadline that expires during one call stops the chunk
+        # before the next.  Each zigzag lane alone is over half the budget.
+        trees = [
+            zigzag_tree(76, label="a"), zigzag_tree(76, label="b"),
+            random_tree(12, rng=1), random_tree(14, rng=2),
+        ]
+        pairs = [(0, 1), (2, 3), (1, 0), (3, 2), (0, 1)]
+        big = min(gate_cells(trees[0], trees[1]))
+        assert SMALL_PAIR_CELLS // 2 < big <= SMALL_PAIR_CELLS
+        workspace = TedWorkspace()
+        pack = build_corpus_pack(trees, workspace.interner)
+        calls = []
+        token = CancelToken()
+        cancel_after = [None]
+
+        def recorded(kernel):
+            def run(pack_a, pack_b, fi, gi, cutoff=None):
+                out = kernel(pack_a, pack_b, fi, gi, cutoff=cutoff)
+                if out is not None:
+                    calls.append(len(fi))
+                    if len(calls) == cancel_after[0]:
+                        token.cancel()
+                return out
+            return run
+
+        monkeypatch.setattr(native_mod, "native_batch", recorded(native_mod.native_batch))
+        monkeypatch.setattr(batch_kernel_mod, "run_batch", recorded(batch_kernel_mod.run_batch))
+
+        def fallback(i, j):
+            pytest.fail("no fallback")
+
+        whole = kernel_chunk_entries(pack, pack, pairs, None, fallback)
+        assert calls == [len(pairs)]  # no deadline: one call
+        del calls[:]
+        with deadline_scope(Deadline(token=token)):
+            split = kernel_chunk_entries(pack, pack, pairs, None, fallback)
+        assert split == whole
+        assert calls == [2, 2, 1]  # (big, small), (big, small), (big)
+        assert big + min(gate_cells(trees[2], trees[3])) <= SMALL_PAIR_CELLS
+        del calls[:]
+        cancel_after[0] = 1
+        with deadline_scope(Deadline(token=token)):
+            with pytest.raises(ComputeTimeoutError):
+                kernel_chunk_entries(pack, pack, pairs, None, fallback)
+        assert calls == [2]
 
 
 class TestNativeBackend:
@@ -377,7 +428,9 @@ class TestNativeBackend:
                 try:
                     out.append(workspace.compute_small(corpus[i], corpus[j], cutoff=cutoff))
                 except CutoffExceeded as exceeded:
-                    out.append(("abort", exceeded.lower_bound, exceeded.subproblems))
+                    out.append(
+                        ("abort", exceeded.lower_bound, exceeded.subproblems, exceeded.sweep)
+                    )
             return out
 
         default_ws = TedWorkspace()
@@ -412,7 +465,7 @@ class TestNativeBackend:
             assert native_small_pair(
                 workspace._small_arrays(f), f.n, workspace._small_arrays(g), g.n
             ) is None
-            value, cells = workspace.compute_small(f, g)
+            value, cells, _ = workspace.compute_small(f, g)
             assert (value, cells) == zhang_shasha_distance(f, g, UnitCostModel())[:2]
             assert workspace.stats.native_runs == 0
         finally:
@@ -468,7 +521,7 @@ class TestSharedPack:
             row_f, row_g = gate_rows(attached, corpus, 0, 1)
             values, cells, _ = run_batch(attached, attached, [row_f], [row_g])
             expected = TedWorkspace().compute_small(corpus[0], corpus[1])
-            assert (values[0], cells[0]) == expected
+            assert (values[0], cells[0]) == expected[:2]
         finally:
             handle.close()
 

@@ -125,11 +125,11 @@ class TestWorkspacePathRecursionFree:
         from repro.algorithms import TedWorkspace, make_algorithm
         from repro.algorithms.zhang_shasha import zhang_shasha_distance
 
-        bushy = random_tree(40, rng=9)
-        # The default cell budget admits this pair (5000 · 124 cells) to the
-        # small-pair program; a zero budget keeps it on RTED's spf path,
-        # whose cached frames are what this test exercises.
-        workspace = TedWorkspace(small_pair_cells=0)
+        # Both sweeps of this pair (5000 · 231 and 5000 · 255 cells) exceed
+        # the small-pair budget, so it runs RTED's spf path, whose cached
+        # frames are what this test exercises.
+        bushy = random_tree(70, rng=9)
+        workspace = TedWorkspace()
         algorithm = make_algorithm("rted", workspace=workspace)
         expected = zhang_shasha_distance(deep_tree, bushy, UNIT_COST)[0]
         # Twice: the second run exercises the cache-hit (reused frames,
@@ -137,6 +137,7 @@ class TestWorkspacePathRecursionFree:
         assert algorithm.compute(deep_tree, bushy).distance == expected
         assert algorithm.compute(deep_tree, bushy).distance == expected
         assert workspace.stats.frame_hits > 0
+        assert workspace.stats.small_pair_runs == 0
 
     def test_workspace_small_pair_kernel_on_deep_chains(self, forbid_recursion_limit):
         from repro.algorithms import TedWorkspace, make_algorithm

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.algorithms import batch_kernel
 from repro.algorithms import (
     RTED,
     LabelInterner,
@@ -92,13 +93,14 @@ class TestBitIdentity:
         assert workspace.stats.frame_hits + workspace.stats.small_pair_runs > 0
 
     @pytest.mark.parametrize("cost_model", [UNIT_COST, FRACTIONAL], ids=["unit", "fractional"])
-    def test_large_pairs_use_workspace_contexts(self, cost_model):
+    def test_large_pairs_use_workspace_contexts(self, cost_model, monkeypatch):
         # Pairs outside the small-pair cell budget run the executor with
         # workspace-backed contexts (cached frames, interned rename tables,
         # pooled matrices).  These pairs fit the default budget, so a zero
         # budget keeps the unit-cost ones on the executor too.
+        monkeypatch.setattr(batch_kernel, "SMALL_PAIR_CELLS", 0)
         trees = [random_tree(90 + 10 * k, rng=50 + k) for k in range(4)]
-        workspace = TedWorkspace(cost_model, small_pair_cells=0)
+        workspace = TedWorkspace(cost_model)
         amortized = make_algorithm("rted", workspace=workspace)
         fresh = make_algorithm("rted")
         for i in range(len(trees)):
@@ -275,21 +277,23 @@ class TestWorkspaceInternals:
         assert workspace.stats.matrices_pooled == 1
         assert second.shape == (8, 8) and np.isnan(second).all()
 
-    def test_small_pair_cells_respected(self):
+    def test_small_pair_cells_respected(self, monkeypatch):
         from repro.algorithms.batch_kernel import sweep_sizes
 
         small = random_tree(8, rng=1)
         large = random_tree(9, rng=2)
         (left_s, right_s), (left_l, right_l) = sweep_sizes(small), sweep_sizes(large)
         budget = min(left_s * left_s, right_s * right_s)
-        workspace = TedWorkspace(small_pair_cells=budget)
-        assert workspace.compute_small(small, small) == (0.0, budget)
+        monkeypatch.setattr(batch_kernel, "SMALL_PAIR_CELLS", budget)
+        workspace = TedWorkspace()
+        assert workspace.compute_small(small, small)[:2] == (0.0, budget)
         assert min(left_s * left_l, right_s * right_l) > budget
         assert workspace.compute_small(small, large) is None
 
     def test_clear_resets_caches(self):
         workspace = TedWorkspace()
         tree = random_tree(10, rng=1)
-        workspace.compute_small(tree, tree)
+        first = workspace.compute_small(tree, tree)
         workspace.clear()
-        assert workspace.compute_small(tree, tree) == (0.0, workspace.compute_small(tree, tree)[1])
+        assert workspace.compute_small(tree, tree) == first
+        assert first[0] == 0.0
