@@ -7,7 +7,9 @@ by contract):
 
 * **join-verify (PR 3 corpus)** — the ``bench_join_scale.py`` 2k-tree
   clustered self-join (τ = 3, cascade on, ``early_accept=False`` so every
-  survivor runs exact TED), verify stage bounded vs unbounded.  On this
+  survivor runs exact TED): the join's verified pair list is timed through
+  ``batch_distances`` with ``cutoff=τ`` (what the join runs) and with
+  ``cutoff=None``.  On this
   corpus the cascade is highly selective, so most survivors are true
   matches and the gain comes from the τ-band restricting every pair's DP.
 * **join-verify (borderline clusters)** — clusters as wide as the
@@ -42,8 +44,9 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import make_algorithm
+from repro.costs import UNIT_COST
 from repro.datasets import clustered_corpus, perturb_tree, random_tree
-from repro.join import batch_self_join
+from repro.join import BatchRefiner, JoinStats, Planner, TreeCorpus, batch_distances, execute_plan
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_bounded.json"
 
@@ -53,6 +56,26 @@ PR3_TREE_SIZE = 12
 PR3_CLUSTER_SIZE = 10
 
 
+class _RecordingRefiner(BatchRefiner):
+    """The join's refiner, also keeping the pair list it verifies."""
+
+    def refine(self, pairs, cutoff, on_chunk):
+        self.pairs = list(pairs)
+        return super().refine(pairs, cutoff, on_chunk)
+
+
+def _join_survivors(trees, threshold: float, algorithm: str):
+    """The unit-cost self-join's matches and its verified (survivor) pairs,
+    with ``early_accept=False`` so every survivor runs exact TED."""
+    corpus = TreeCorpus(trees)
+    refiner = _RecordingRefiner(corpus, None, algorithm=algorithm)
+    plan = Planner(UNIT_COST).plan_join(
+        corpus, None, threshold, refiner, early_accept=False
+    )
+    matches = execute_plan(plan, JoinStats())
+    return {(i, j) for i, j, _ in matches}, getattr(refiner, "pairs", [])
+
+
 def run_join_verify(
     name: str,
     trees,
@@ -60,33 +83,39 @@ def run_join_verify(
     algorithm: str = "zhang-l",
     repeats: int = 3,
 ) -> Dict:
-    """Verify-stage wall clock, bounded vs unbounded (best of ``repeats``)."""
-    results = {}
+    """Verify-stage wall clock, bounded vs unbounded (best of ``repeats``).
+
+    The join's survivor list runs through :func:`batch_distances` with
+    ``cutoff=τ`` (the join's verifier) and ``cutoff=None``; each call
+    builds its corpus afresh, as a join call does.
+    """
+    join_matches, survivors = _join_survivors(trees, threshold, algorithm)
     times = {True: [], False: []}
+    results = {}
     for _ in range(repeats):
         for bounded in (False, True):
-            result = batch_self_join(
-                trees,
-                threshold,
-                algorithm=algorithm,
-                early_accept=False,
-                bounded_verify=bounded,
+            start = time.perf_counter()
+            entries = batch_distances(
+                trees, None, survivors, algorithm=algorithm,
+                cutoff=threshold if bounded else None,
             )
-            times[bounded].append(result.stats.verify_time)
-            results[bounded] = result
-    assert results[False].matches == results[True].matches, (
-        f"{name}: bounded verification changed the match set"
-    )
+            times[bounded].append(time.perf_counter() - start)
+            results[bounded] = entries
+    for bounded in (False, True):
+        assert {(i, j) for i, j, d, *_ in results[bounded] if d < threshold} == join_matches, (
+            f"{name}: {'bounded' if bounded else 'unbounded'} verification "
+            "changed the match set"
+        )
     off, on = min(times[False]), min(times[True])
-    stats = results[True].stats
+    aborted = sum(1 for entry in results[True] if entry[4])
     entry = {
         "workload": name,
         "num_trees": len(trees),
         "threshold": threshold,
         "algorithm": algorithm,
-        "exact_pairs_verified": stats.exact_computed,
-        "exact_matched": stats.exact_matched,
-        "aborted_early": stats.aborted_early,
+        "exact_pairs_verified": len(survivors),
+        "exact_matched": len(join_matches),
+        "aborted_early": aborted,
         "verify_s_unbounded": off,
         "verify_s_bounded": on,
         "verify_stage_speedup": off / on,
@@ -94,7 +123,7 @@ def run_join_verify(
     print(
         f"{name:<34} n={len(trees):<5} verify {off:7.3f}s -> {on:7.3f}s"
         f"  speedup {entry['verify_stage_speedup']:5.2f}x"
-        f"  ({stats.exact_computed} verified, {stats.aborted_early} aborted)",
+        f"  ({len(survivors)} verified, {aborted} aborted)",
         flush=True,
     )
     return entry

@@ -48,7 +48,6 @@ from repro.algorithms import (
     spf_L,
     spf_R,
 )
-from repro.algorithms.spf import numpy_available
 from repro.datasets import random_tree
 from repro.datasets.shapes import (
     left_branch_tree,
@@ -128,20 +127,10 @@ def run_lr_benchmark(quick: bool, spf_repeats: int = 3) -> Dict:
         )
         entry["recursive_seconds"] = recursive_time
 
-        python_time, python_distance = _time(
-            lambda: spf(tree_f, tree_g, use_numpy=False), repeats=spf_repeats
-        )
-        entry["spf_python_seconds"] = python_time
-        entry["spf_python_speedup"] = recursive_time / python_time
-        assert abs(python_distance - recursive_distance) < 1e-9, workload["name"]
-
-        if numpy_available():
-            numpy_time, numpy_distance = _time(
-                lambda: spf(tree_f, tree_g, use_numpy=True), repeats=spf_repeats
-            )
-            entry["spf_numpy_seconds"] = numpy_time
-            entry["spf_numpy_speedup"] = recursive_time / numpy_time
-            assert abs(numpy_distance - recursive_distance) < 1e-9, workload["name"]
+        spf_time, spf_distance = _time(lambda: spf(tree_f, tree_g), repeats=spf_repeats)
+        entry["spf_seconds"] = spf_time
+        entry["spf_speedup"] = recursive_time / spf_time
+        assert abs(spf_distance - recursive_distance) < 1e-9, workload["name"]
 
         entry["distance"] = float(recursive_distance)
         results.append(entry)
@@ -152,23 +141,15 @@ def run_lr_benchmark(quick: bool, spf_repeats: int = 3) -> Dict:
         "description": "recursive decomposition engine vs iterative SPF kernels",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "numpy_available": numpy_available(),
         "results": results,
     }
 
 
 def _print_lr_entry(entry: Dict) -> None:
-    line = (
+    print(
         f"{entry['workload']:28s} recursive={entry['recursive_seconds']:8.3f}s  "
-        f"spf-python={entry['spf_python_seconds']:7.3f}s "
-        f"({entry['spf_python_speedup']:6.1f}x)"
+        f"spf={entry['spf_seconds']:7.3f}s ({entry['spf_speedup']:6.1f}x)"
     )
-    if "spf_numpy_seconds" in entry:
-        line += (
-            f"  spf-numpy={entry['spf_numpy_seconds']:7.3f}s "
-            f"({entry['spf_numpy_speedup']:6.1f}x)"
-        )
-    print(line)
 
 
 # --------------------------------------------------------------------------- #
@@ -325,7 +306,6 @@ def run_rted_benchmark(quick: bool, spf_repeats: int = 2) -> Dict:
         ),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "numpy_available": numpy_available(),
         "heavy": heavy_entries,
         "rted": rted_entries,
         "algorithm2": alg2_entries,
@@ -380,12 +360,7 @@ def main() -> int:
         slowest = min(
             [e["speedup"] for e in rted_report["heavy"]]
             + [e["speedup"] for e in rted_report["rted"]]
-            + ([
-                min(e["spf_numpy_speedup"], e["spf_python_speedup"])
-                if "spf_numpy_speedup" in e
-                else e["spf_python_speedup"]
-                for e in lr_report["results"]
-            ] if lr_report is not None else [])
+            + ([e["spf_speedup"] for e in lr_report["results"]] if lr_report is not None else [])
         )
         if slowest < 1.0:
             print(f"FAIL: spf engine slower than the recursive engine ({slowest:.2f}x)")

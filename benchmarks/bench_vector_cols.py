@@ -5,17 +5,18 @@ The left/right single-path kernel sweeps each keyroot-pair table row with a
 handful of ``O(cols)`` NumPy operations whose fixed dispatch overhead only
 pays off for wide tables; regions narrower than
 :data:`repro.algorithms.spf_numpy.MIN_VECTOR_COLS` run through the scalar
-fallback kernel instead.  This benchmark sweeps candidate crossover values
+kernel instead.  This benchmark sweeps candidate crossover values
 over the shape families whose region-width distributions differ the most —
 
 * ``random`` (branchy: almost all regions narrow),
 * ``full-binary`` (mixed widths),
 * ``left-branch`` / ``zigzag`` (few keyroots, wide spine regions),
 
-timing full spf-engine distances per (family, size, candidate), and prints
-the total per candidate.  The committed default in ``spf_numpy.py`` is the
-winner on the reference container (see the rationale in ``DESIGN.md``); on
-other hardware run this benchmark and export ``RTED_MIN_VECTOR_COLS``.
+timing full spf-engine distances per (family, size, candidate) — each
+candidate is set by patching the module constant for the run — and prints
+the total per candidate.  The constant in ``spf_numpy.py`` is the winner on
+the reference container (see the rationale in ``DESIGN.md``); to retune it
+for other hardware, run this benchmark and change the constant.
 
 Run with::
 

@@ -8,7 +8,7 @@ unbalanced, binary).  This example:
 1. generates a TreeFam-like collection of phylogenies (Newick round-trip shows
    the trees are ordinary phylogenetic trees);
 2. runs a threshold similarity self-join with RTED, with and without the
-   cheap lower-bound filter;
+   filter cascade (size/label/traversal lower bounds, upper-bound accept);
 3. shows why RTED is the right default by counting the relevant subproblems
    each fixed-strategy competitor would have needed on the joined pairs.
 """
@@ -18,7 +18,7 @@ import itertools
 from repro.counting import count_subproblems_fast
 from repro.datasets import generate_collection
 from repro.io import to_newick
-from repro.join import similarity_self_join
+from repro.join import batch_self_join
 
 
 def main() -> None:
@@ -29,20 +29,21 @@ def main() -> None:
     print()
 
     threshold = 25.0
-    plain = similarity_self_join(collection, threshold, algorithm="rted")
-    filtered = similarity_self_join(
-        collection, threshold, algorithm="rted", use_lower_bound_filter=True
-    )
+    plain = batch_self_join(collection, threshold, algorithm="rted", use_cascade=False)
+    filtered = batch_self_join(collection, threshold, algorithm="rted")
 
     print(f"Similarity self-join with threshold τ = {threshold}")
     print(
-        f"  without filter: {len(plain.matches)} matches, "
-        f"{plain.pairs_computed} exact computations, {plain.total_time:.2f}s"
+        f"  without cascade: {len(plain.matches)} matches, "
+        f"{plain.stats.exact_computed} exact computations, {plain.stats.total_time:.2f}s"
     )
+    stats = filtered.stats
+    pruned = stats.pairs_total - stats.exact_computed - stats.accepted_early
     print(
-        f"  with filter:    {len(filtered.matches)} matches, "
-        f"{filtered.pairs_computed} exact computations "
-        f"({filtered.pairs_filtered} pairs pruned), {filtered.total_time:.2f}s"
+        f"  with cascade:    {len(filtered.matches)} matches, "
+        f"{stats.exact_computed} exact computations "
+        f"({pruned} pairs pruned, {stats.accepted_early} accepted early), "
+        f"{stats.total_time:.2f}s"
     )
     print()
 

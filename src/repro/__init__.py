@@ -34,8 +34,6 @@ from .algorithms import (
     GTED,
     RTED,
     BoundedResult,
-    DemaineTED,
-    KleinTED,
     SimpleTED,
     TEDAlgorithm,
     TEDResult,
@@ -111,8 +109,6 @@ __all__ = [
     "GTED",
     "ZhangShashaTED",
     "ZhangShashaRightTED",
-    "KleinTED",
-    "DemaineTED",
     "SimpleTED",
     "optimal_strategy",
     "make_algorithm",

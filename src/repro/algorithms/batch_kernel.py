@@ -54,20 +54,12 @@ from itertools import chain
 from math import ceil, inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from ..runtime import active_deadline
 from ..trees.tree import LEFT, RIGHT
 from . import native
 from .base import CutoffExceeded, check_row_cutoff
-
-try:  # Optional accelerator, mirroring repro.algorithms.workspace.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-
-def kernel_available() -> bool:
-    """Whether corpus packs can be built (NumPy importable)."""
-    return _np is not None
 
 
 def small_pair_regions(
@@ -363,8 +355,6 @@ def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
     Every tree with internable labels gets both rows; which pairs the
     kernel runs is decided per pair, by the cell gate.
     """
-    if _np is None:  # pragma: no cover - callers gate on kernel_available()
-        raise RuntimeError("corpus packs require numpy")
     n_trees = len(trees)
     eligible = _np.zeros(n_trees, dtype=bool)
     sweep_l = _np.zeros(n_trees, dtype=_np.int64)

@@ -77,7 +77,6 @@ class StrategyExecutor:
         tree_g: Tree,
         strategy: Strategy,
         cost_model: Optional[CostModel] = None,
-        use_numpy: Optional[bool] = None,
         workspace=None,
         cutoff: Optional[float] = None,
     ) -> None:
@@ -85,7 +84,7 @@ class StrategyExecutor:
         self.tree_g = tree_g
         self.strategy = strategy
         self.context = SinglePathContext(
-            tree_f, tree_g, cost_model=cost_model, use_numpy=use_numpy, workspace=workspace,
+            tree_f, tree_g, cost_model=cost_model, workspace=workspace,
             cutoff=cutoff, cutoff_pair=(tree_f.root, tree_g.root),
         )
         #: Relevant subproblems evaluated, in the paper's currency: keyroot

@@ -34,10 +34,7 @@ import time
 from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
-try:  # Optional accelerator, mirroring repro.algorithms.workspace.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 
 #: Environment kill-switch: a truthy value (``1``/``true``/``yes``/``on``)
@@ -374,8 +371,6 @@ def _probe() -> Optional[str]:
         return _PROVIDER
     _PROBED = True
     _PROVIDER = None
-    if _np is None:
-        return None
     try:
         _CC_LIB = _compile_cc_library()
         _PROVIDER = "cc"

@@ -18,9 +18,8 @@ share that layout:
   updates are NumPy vector operations, and the sequential child→parent cost
   flow inside a row is batched by *height level* of ``G`` (all nodes of one
   height are independent given the levels below).
-* :func:`_optimal_strategy_python` — the flat-int scalar fallback, used when
-  NumPy is unavailable or when ``G`` is so deep that level batching
-  degenerates.
+* :func:`_optimal_strategy_python` — the flat-int scalar loop, used when
+  the trees are so deep that level batching degenerates.
 * :func:`optimal_strategy_objects` — the legacy object-matrix
   implementation, kept verbatim as the cross-check oracle and the baseline
   of ``benchmarks/bench_spf.py``'s Algorithm 2 comparison.
@@ -39,14 +38,11 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from ..runtime import active_deadline
 from ..trees.tree import HEAVY, LEFT, RIGHT, Tree
 from .strategies import ALL_FIXED_CHOICES, EncodedStrategy, PathChoice
-
-try:  # NumPy is an optional accelerator, mirroring the SPF kernel split.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 #: Candidate order used for tie-breaking; matches the listing order of the
 #: cost formula in Figure 5 (heavy-F, heavy-G, left-F, left-G, right-F,
@@ -120,11 +116,11 @@ def optimal_strategy(tree_f: Tree, tree_g: Tree) -> OptimalStrategyResult:
     """Compute the optimal LRH strategy for ``(tree_f, tree_g)`` (Algorithm 2).
 
     Runs in ``O(|F| · |G|)`` time and space; dispatches to the vectorized
-    NumPy implementation when available and worthwhile, and to the flat-int
-    pure-Python loop otherwise.  Both produce bit-identical results (the
+    NumPy implementation when worthwhile, and to the flat-int pure-Python
+    loop otherwise.  Both produce bit-identical results (the
     test-suite cross-checks them and the legacy object-matrix oracle).
     """
-    if _np is not None and tree_f.n >= 2 and tree_g.n >= 2:
+    if tree_f.n >= 2 and tree_g.n >= 2:
         heights_f = _node_heights(tree_f)
         heights_g = _node_heights(tree_g)
         blocks = (max(heights_f) + 1) * (max(heights_g) + 1)
@@ -266,7 +262,6 @@ def _optimal_strategy_numpy(
     matrices.  Block order (G level ascending, F level ascending inside)
     guarantees every child pair is final before its parents read it.
     """
-    np = _np
     n_f, n_g = tree_f.n, tree_g.n
 
     sizes_f = np.asarray(tree_f.sizes, dtype=np.int64)

@@ -30,9 +30,7 @@ from typing import Callable, Dict, List, Optional
 from ..exceptions import UnknownAlgorithmError, UnknownEngineError
 from .base import ENGINE_AUTO, ENGINE_NATIVE, ENGINE_RECURSIVE, TEDAlgorithm, resolve_engine
 from .workspace import TedWorkspace, WorkspaceTED
-from .demaine import DemaineTED
 from .gted import GTED
-from .klein import KleinTED
 from .rted import RTED
 from .simple import SimpleTED
 from .strategies import (
@@ -60,14 +58,16 @@ def _zhang_r(engine: str = ENGINE_AUTO, workspace=None) -> TEDAlgorithm:
 
 
 def _klein(engine: str = ENGINE_AUTO, workspace=None) -> TEDAlgorithm:
+    # Klein [ESA 1998]: heavy paths of the left-hand tree, O(n³ log n).
     if engine == ENGINE_AUTO:
-        return KleinTED()
+        return GTED(HeavyFStrategy(), name="Klein-H")
     return GTED(HeavyFStrategy(), name=f"Klein-H[{engine}]", engine=engine, workspace=workspace)
 
 
 def _demaine(engine: str = ENGINE_AUTO, workspace=None) -> TEDAlgorithm:
+    # Demaine et al. [TALG 2009]: heavy paths of the larger subtree, O(n³).
     if engine == ENGINE_AUTO:
-        return DemaineTED()
+        return GTED(HeavyLargerStrategy(), name="Demaine-H")
     return GTED(
         HeavyLargerStrategy(), name=f"Demaine-H[{engine}]", engine=engine, workspace=workspace
     )

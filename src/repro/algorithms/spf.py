@@ -18,14 +18,16 @@ The recursive reference engine
 on any execution path — it survives purely as the cross-check oracle; see
 ``DESIGN.md`` for the full architecture.
 
-Two interchangeable kernels fill each keyroot-pair table:
+Two kernels fill each keyroot-pair table, selected by region width:
 
-* a pure-Python kernel (always available), and
-* a NumPy kernel (:mod:`repro.algorithms.spf_numpy`) that sweeps each table
-  row with vectorized operations — the running-minimum coupling between
-  ``fd[i][j-1]`` and ``fd[i][j]`` is resolved with a prefix-minimum over
-  ``t[j] - I[j]`` (``I`` = cumulative insert costs), so a whole row costs a
-  handful of ``O(cols)`` array operations.
+* a NumPy kernel (:mod:`repro.algorithms.spf_numpy`) that sweeps each row
+  of a wide table with vectorized operations — the running-minimum
+  coupling between ``fd[i][j-1]`` and ``fd[i][j]`` is resolved with a
+  prefix-minimum over ``t[j] - I[j]`` (``I`` = cumulative insert costs), so
+  a whole row costs a handful of ``O(cols)`` array operations;
+* a scalar kernel for narrow tables (below
+  :data:`~repro.algorithms.spf_numpy.MIN_VECTOR_COLS` columns), whose
+  per-region cost is lower than the vector kernel's dispatch overhead.
 
 The right-path variant reuses the left-path recurrence verbatim by switching
 to *reverse-postorder* coordinates (``Tree.rpost_of_post``), in which the
@@ -48,25 +50,8 @@ from ..costs import CostModel
 from ..runtime import active_deadline
 from ..trees.tree import HEAVY, LEFT, RIGHT, Tree
 from .base import CutoffExceeded, check_row_cutoff, cutoff_band, cutoff_slack, resolve_cost_model
+from . import spf_numpy as _np_kernel
 from .strategies import SIDE_F, SIDE_G
-
-try:  # NumPy is an optional accelerator, mirroring repro.counting's split.
-    from . import spf_numpy as _np_kernel
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np_kernel = None
-
-
-def numpy_available() -> bool:
-    """``True`` when the NumPy kernel can be used."""
-    return _np_kernel is not None
-
-
-def _resolve_use_numpy(use_numpy: Optional[bool]) -> bool:
-    if use_numpy is None:
-        return numpy_available()
-    if use_numpy and not numpy_available():
-        raise RuntimeError("NumPy kernel requested but numpy is not importable")
-    return bool(use_numpy)
 
 
 class _Frame:
@@ -277,7 +262,6 @@ class SinglePathContext:
         tree_f: Tree,
         tree_g: Tree,
         cost_model: Optional[CostModel] = None,
-        use_numpy: Optional[bool] = None,
         workspace=None,
         cutoff: Optional[float] = None,
         cutoff_pair: Optional[Tuple[int, int]] = None,
@@ -290,7 +274,6 @@ class SinglePathContext:
             # once at the WorkspaceTED layer, not per context.
             workspace = None
         self.workspace = workspace
-        self.use_numpy = _resolve_use_numpy(use_numpy)
         #: Number of forest-distance cells evaluated (the relevant subproblems).
         self.cells = 0
         #: Bounded-computation state: ``cutoff_pair`` is the subtree pair
@@ -313,13 +296,10 @@ class SinglePathContext:
         #: arithmetic and results are untouched either way.
         self.deadline = active_deadline()
 
-        if self.use_numpy:
-            if workspace is not None:
-                self.D = workspace.acquire_matrix(tree_f.n, tree_g.n)
-            else:
-                self.D = _np_kernel.allocate_matrix(tree_f.n, tree_g.n)
+        if workspace is not None:
+            self.D = workspace.acquire_matrix(tree_f.n, tree_g.n)
         else:
-            self.D = [[nan] * tree_g.n for _ in range(tree_f.n)]
+            self.D = _np_kernel.allocate_matrix(tree_f.n, tree_g.n)
 
         self._frames: Dict[Tuple[str, str], _Frame] = {}
         self._costs: Dict[Tuple[str, str, str], List[float]] = {}
@@ -333,9 +313,9 @@ class SinglePathContext:
 
         After release the matrix must not be read again — the executor calls
         this once the final distance has been extracted.  A no-op for
-        contexts without a workspace or without the NumPy matrix.
+        contexts without a workspace.
         """
-        if self.workspace is not None and self.use_numpy and self.D is not None:
+        if self.workspace is not None and self.D is not None:
             self.workspace.release_matrix(self.D)
             self.D = None
 
@@ -361,18 +341,16 @@ class SinglePathContext:
         if costs is None:
             tree = self.tree_f if which == SIDE_F else self.tree_g
             if self.workspace is not None:
-                costs = self.workspace.frame_cost_array(tree, kind, operation, self.use_numpy)
+                costs = self.workspace.frame_cost_array(tree, kind, operation)
             else:
                 frame = self._frame(which, kind)
                 fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
-                costs = [fn(label) for label in frame.labels]
-                if self.use_numpy:
-                    costs = _np_kernel.as_array(costs)
+                costs = _np_kernel.as_array([fn(label) for label in frame.labels])
             self._costs[key] = costs
         return costs
 
     def _rename_matrix(self, side: str, kind: str):
-        """Dense rename-cost matrix in frame coordinates (NumPy kernel only).
+        """Dense rename-cost matrix in frame coordinates (vector kernel).
 
         Row axis is the decomposed tree, column axis the other tree; for
         ``side == SIDE_G`` the stored costs are ``rename(label_F, label_G)``
@@ -540,33 +518,19 @@ class SinglePathContext:
         if self._cutoff_band is not None and (v, w) == self.cutoff_pair:
             abort = (dec_fid, oth_fid, self.cutoff, self._cutoff_band, self._cutoff_slack)
 
-        if self.use_numpy:
-            base = self.D if side == SIDE_F else self.D.T
-            unit_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=True)
-            rename = None if unit_codes is not None else self._rename_matrix(side, kind)
-            fallback_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=False)
-            cells = _np_kernel.run_regions(
-                dec, oth, dec_keyroots, oth_keyroots, del_costs, ins_costs, rename, base,
-                fallback=self._region_kernel_py(
-                    side, dec, oth, del_costs, ins_costs, fallback_codes, abort
-                ),
-                unit_codes=unit_codes,
-                abort=abort,
-                deadline=self.deadline,
-            )
-        else:
-            unit_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=False)
-            kernel = self._region_kernel_py(
-                side, dec, oth, del_costs, ins_costs, unit_codes, abort
-            )
-            cells = 0
-            deadline = self.deadline
-            for kf in dec_keyroots:
-                if deadline is not None:
-                    deadline.tick()
-                for kg in oth_keyroots:
-                    cells += kernel(kf, kg)
-        self.cells += cells
+        base = self.D if side == SIDE_F else self.D.T
+        unit_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=True)
+        rename = None if unit_codes is not None else self._rename_matrix(side, kind)
+        scalar_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=False)
+        self.cells += _np_kernel.run_regions(
+            dec, oth, dec_keyroots, oth_keyroots, del_costs, ins_costs, rename, base,
+            scalar=self._region_kernel_py(
+                side, dec, oth, del_costs, ins_costs, scalar_codes, abort
+            ),
+            unit_codes=unit_codes,
+            abort=abort,
+            deadline=self.deadline,
+        )
         return float(self.D[v][w])
 
     def _unit_codes(self, dec_which: str, oth_which: str, kind: str, as_numpy: bool):
@@ -623,7 +587,7 @@ class SinglePathContext:
         chain = _InnerChain(dec_tree, dec_root, kind)
         frame = self._grid_frame(oth_which, oth_root)
         dec_costs = self._node_costs(side, "delete" if side == SIDE_F else "insert")
-        if self.use_numpy and frame.m + 1 >= _np_kernel.MIN_INNER_VECTOR_WIDTH:
+        if frame.m + 1 >= _np_kernel.MIN_INNER_VECTOR_WIDTH:
             base = self.D if side == SIDE_F else self.D.T
             rename = self.cost_model.rename
             if side == SIDE_G:
@@ -677,7 +641,8 @@ class SinglePathContext:
         frame: _GridFrame,
         dec_costs: List[float],
     ) -> None:
-        """Pure-Python inner-path spine kernel.
+        """Scalar inner-path spine kernel, for grids narrower than
+        :data:`~repro.algorithms.spf_numpy.MIN_INNER_VECTOR_WIDTH`.
 
         Processes the relevant-subforest chain of the decomposed subtree from
         the empty forest backwards; each chain position owns one boundary-grid
@@ -690,33 +655,19 @@ class SinglePathContext:
         o_lo = frame.o_lo
         m = frame.m
         width = m + 1
-        use_np_matrix = self.use_numpy
+        # The decomposed tree's axis of D: rows when F is decomposed, the
+        # transposed view's rows (D's columns) when G is.
+        d_rows = D if side == SIDE_F else D.T
+
+        def read_d_row(u: int) -> List[float]:
+            return d_rows[u, o_lo : o_lo + m].tolist()
+
+        def write_d_row(u: int, values: List[float]) -> None:
+            d_rows[u, o_lo : o_lo + m] = values
 
         if side == SIDE_F:
-            def read_d_row(u: int) -> List[float]:
-                row = D[u]
-                if use_np_matrix:
-                    return row[o_lo : o_lo + m].tolist()
-                return row[o_lo : o_lo + m]
-
-            def write_d_row(u: int, values: List[float]) -> None:
-                # Slice assignment works for both the list and ndarray matrix.
-                D[u][o_lo : o_lo + m] = values
-
             rename = self.cost_model.rename
         else:
-            def read_d_row(u: int) -> List[float]:
-                if use_np_matrix:
-                    return D[o_lo : o_lo + m, u].tolist()
-                return [D[o_lo + p][u] for p in range(m)]
-
-            def write_d_row(u: int, values: List[float]) -> None:
-                if use_np_matrix:
-                    D[o_lo : o_lo + m, u] = values
-                else:
-                    for p in range(m):
-                        D[o_lo + p][u] = values[p]
-
             cm_rename = self.cost_model.rename
 
             def rename(a: object, b: object) -> float:
@@ -871,7 +822,7 @@ class SinglePathContext:
                     del rows[j]
 
     # ------------------------------------------------------------------ #
-    # Pure-Python kernel
+    # Scalar region kernel
     # ------------------------------------------------------------------ #
     def _region_kernel_py(
         self,
@@ -883,12 +834,13 @@ class SinglePathContext:
         unit_codes=None,
         abort: Optional[Tuple[int, int, float, float, float]] = None,
     ) -> Callable[[int, int], int]:
-        """Bind the pure-Python region kernel to one orientation.
+        """Bind the scalar region kernel to one orientation.
 
-        The returned callable fills a single keyroot-pair table; it is both
-        the pure-Python execution path and the small-region fallback of the
-        NumPy kernel (whose per-region setup overhead would dominate the many
-        tiny tables produced by branchy trees).  With ``unit_codes`` (a pair
+        The returned callable fills a single keyroot-pair table; it runs
+        the regions narrower than
+        :data:`~repro.algorithms.spf_numpy.MIN_VECTOR_COLS`, where the vector
+        kernel's per-region setup overhead would dominate (the many tiny
+        tables produced by branchy trees).  With ``unit_codes`` (a pair
         of frame-order code lists, unit-cost workspaces only) the bound
         kernel is the unit specialization: delete/insert constant-folded to
         1 and the rename term a code equality compare.  ``abort`` — a
@@ -958,7 +910,7 @@ def _region_py(
     cut: Optional[Tuple[float, float, float]] = None,
     deadline=None,
 ) -> int:
-    """Fill one keyroot-pair forest-distance table (pure-Python kernel).
+    """Fill one keyroot-pair forest-distance table (scalar kernel).
 
     The recurrence is the classic Zhang–Shasha one over frame-contiguous
     prefix forests; distances between pairs of complete subtrees are written
@@ -1119,7 +1071,6 @@ def spf_L(
     v: Optional[int] = None,
     w: Optional[int] = None,
     cost_model: Optional[CostModel] = None,
-    use_numpy: Optional[bool] = None,
     workspace=None,
 ) -> float:
     """Tree edit distance via the iterative left-path single-path function.
@@ -1129,9 +1080,7 @@ def spf_L(
     iterative keyroot tables: no recursion is involved, so arbitrarily deep
     trees are handled without touching the interpreter recursion limit.
     """
-    context = SinglePathContext(
-        tree_f, tree_g, cost_model=cost_model, use_numpy=use_numpy, workspace=workspace
-    )
+    context = SinglePathContext(tree_f, tree_g, cost_model=cost_model, workspace=workspace)
     distance = context.run(
         SIDE_F, LEFT, tree_f.root if v is None else v, tree_g.root if w is None else w
     )
@@ -1145,7 +1094,6 @@ def spf_R(
     v: Optional[int] = None,
     w: Optional[int] = None,
     cost_model: Optional[CostModel] = None,
-    use_numpy: Optional[bool] = None,
     workspace=None,
 ) -> float:
     """Tree edit distance via the iterative right-path single-path function.
@@ -1153,9 +1101,7 @@ def spf_R(
     The mirror image of :func:`spf_L` (the strategy of Zhang-R), executed in
     reverse-postorder coordinates instead of on mirrored tree copies.
     """
-    context = SinglePathContext(
-        tree_f, tree_g, cost_model=cost_model, use_numpy=use_numpy, workspace=workspace
-    )
+    context = SinglePathContext(tree_f, tree_g, cost_model=cost_model, workspace=workspace)
     distance = context.run(
         SIDE_F, RIGHT, tree_f.root if v is None else v, tree_g.root if w is None else w
     )
@@ -1169,7 +1115,6 @@ def spf_H(
     v: Optional[int] = None,
     w: Optional[int] = None,
     cost_model: Optional[CostModel] = None,
-    use_numpy: Optional[bool] = None,
     workspace=None,
 ) -> float:
     """Tree edit distance via the iterative heavy-path single-path function.
@@ -1182,8 +1127,7 @@ def spf_H(
     recursion limit.
     """
     return spf_A(
-        tree_f, tree_g, HEAVY, v=v, w=w, cost_model=cost_model,
-        use_numpy=use_numpy, workspace=workspace,
+        tree_f, tree_g, HEAVY, v=v, w=w, cost_model=cost_model, workspace=workspace
     )
 
 
@@ -1194,7 +1138,6 @@ def spf_A(
     v: Optional[int] = None,
     w: Optional[int] = None,
     cost_model: Optional[CostModel] = None,
-    use_numpy: Optional[bool] = None,
     workspace=None,
 ) -> float:
     """Tree edit distance via the general inner-path single-path function.
@@ -1205,9 +1148,7 @@ def spf_A(
     (slower, fully general) cross-check twin of :func:`spf_L` /
     :func:`spf_R`; for heavy paths it is the production implementation.
     """
-    context = SinglePathContext(
-        tree_f, tree_g, cost_model=cost_model, use_numpy=use_numpy, workspace=workspace
-    )
+    context = SinglePathContext(tree_f, tree_g, cost_model=cost_model, workspace=workspace)
     distance = context.run_inner(
         SIDE_F, kind, tree_f.root if v is None else v, tree_g.root if w is None else w
     )

@@ -1,8 +1,9 @@
 """NumPy kernel for the iterative single-path functions.
 
-Same semantics as the pure-Python kernel in :mod:`repro.algorithms.spf`
-(the test-suite cross-checks both), but each forest-distance table row is
-computed with a handful of ``O(cols)`` vector operations:
+Same semantics as the scalar kernels in :mod:`repro.algorithms.spf`, which
+run the tables too narrow to vectorize (the test-suite cross-checks both),
+but each forest-distance table row is computed with a handful of ``O(cols)``
+vector operations:
 
 * the delete / rename / split candidates of a row depend only on the previous
   row and on already-final tree distances, so they vectorize directly;
@@ -23,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..runtime import env_int
 from .base import CutoffExceeded
 
 
@@ -96,11 +96,10 @@ def _frame_arrays(frame) -> Dict[str, np.ndarray]:
 #: Minimum region width (columns) for the vectorized kernel.  Rows are swept
 #: with ``O(cols)`` array operations whose fixed overhead (~a dozen ufunc
 #: dispatches) only pays off for wide tables; narrow regions — the vast
-#: majority on branchy trees — run faster through the scalar fallback kernel.
-#: The default is set from ``benchmarks/bench_vector_cols.py`` (see the
-#: rationale in ``DESIGN.md``); override with ``RTED_MIN_VECTOR_COLS`` for
-#: hardware where the crossover sits elsewhere.
-MIN_VECTOR_COLS = env_int("RTED_MIN_VECTOR_COLS", 16, minimum=2)
+#: majority on branchy trees — run faster through the scalar kernel.  The
+#: value is the crossover measured by ``benchmarks/bench_vector_cols.py``
+#: (see the rationale in ``DESIGN.md``).
+MIN_VECTOR_COLS = 16
 
 
 def run_regions(
@@ -112,7 +111,7 @@ def run_regions(
     ins_costs: np.ndarray,
     rename: Optional[np.ndarray],
     base: np.ndarray,
-    fallback: Callable[[int, int], int],
+    scalar: Callable[[int, int], int],
     unit_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     abort: Optional[Tuple[int, int, float, float, float]] = None,
     deadline=None,
@@ -120,14 +119,14 @@ def run_regions(
     """Fill every keyroot-pair table of the given keyroot lists.
 
     Wide tables are swept with the vectorized row kernel; tables narrower
-    than :data:`MIN_VECTOR_COLS` are delegated to ``fallback`` (the bound
-    pure-Python kernel).  With ``unit_codes`` — frame-order integer label
+    than :data:`MIN_VECTOR_COLS` are delegated to ``scalar`` (the bound
+    scalar kernel).  With ``unit_codes`` — frame-order integer label
     codes of the decomposed / other tree, unit-cost workspaces only — the
     row sweep runs the unit specialization: ``rename`` may be ``None`` (no
     rename matrix is ever built) and delete/insert costs are constant-folded
     to 1.  ``abort`` — a ``(kf, kg, cutoff, band, slack)`` spec naming the final
     region of a bounded computation — arms the per-row early-abort check in
-    that region (the fallback kernel carries its own copy of the spec).
+    that region (the scalar kernel carries its own copy of the spec).
     Returns the number of forest-distance cells evaluated.
     """
     oth_arrays = _frame_arrays(oth)
@@ -150,7 +149,7 @@ def run_regions(
                     unit_codes, cut, deadline,
                 )
             else:
-                cells += fallback(kf, kg)
+                cells += scalar(kf, kg)
     return cells
 
 
@@ -292,7 +291,7 @@ def _region(
 # --------------------------------------------------------------------------- #
 
 #: Minimum grid width (``m + 1``) for the vectorized inner-path kernel; below
-#: this the pure-Python kernel wins on ufunc-dispatch overhead.
+#: this the scalar kernel wins on ufunc-dispatch overhead.
 MIN_INNER_VECTOR_WIDTH = 12
 
 

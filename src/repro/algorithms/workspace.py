@@ -61,6 +61,8 @@ from __future__ import annotations
 from math import inf, nan
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from ..costs import CostModel, UnitCostModel
 from ..exceptions import WorkspaceError
 from ..runtime import active_deadline, as_deadline, deadline_scope
@@ -83,12 +85,7 @@ from .batch_kernel import (
     twin_buffers,
 )
 from .native import native_small_pair
-from .spf import _Frame, _GridFrame, _resolve_use_numpy
-
-try:  # Optional accelerator, mirroring repro.algorithms.spf's import split.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from .spf import _Frame, _GridFrame
 
 
 class LabelInterner:
@@ -223,9 +220,6 @@ class TedWorkspace:
         Optional shared :class:`LabelInterner` (e.g.
         :meth:`repro.join.corpus.TreeCorpus.interner`); a private one is
         created when omitted.
-    use_numpy:
-        Kernel selection, identical semantics to
-        :class:`~repro.algorithms.spf.SinglePathContext`.
 
     A workspace is not thread-safe; share it across pairs, not across
     threads.  Memory is proportional to the number of distinct trees touched
@@ -244,18 +238,16 @@ class TedWorkspace:
         self,
         cost_model: Optional[CostModel] = None,
         interner: Optional[LabelInterner] = None,
-        use_numpy: Optional[bool] = None,
     ) -> None:
         self.cost_model = resolve_cost_model(cost_model)
         self.unit_cost = type(self.cost_model) is UnitCostModel
         self.interner = interner if interner is not None else LabelInterner()
-        self.use_numpy = _resolve_use_numpy(use_numpy)
         self.stats = WorkspaceStats()
 
         # Per-tree caches, keyed on id(tree); every value tuple starts with
         # the tree itself so the id cannot be recycled while cached.
         self._frames: Dict[Tuple[int, str], Tuple[Tree, _Frame]] = {}
-        self._frame_costs: Dict[Tuple[int, str, str, bool], Tuple[Tree, object]] = {}
+        self._frame_costs: Dict[Tuple[int, str, str], Tuple[Tree, object]] = {}
         self._frame_codes: Dict[Tuple[int, str, bool], Tuple[Tree, object]] = {}
         self._node_costs: Dict[Tuple[int, str], Tuple[Tree, List[float]]] = {}
         self._kind_equiv: Dict[int, Tuple[Tree, Tuple[List[bool], List[bool]]]] = {}
@@ -328,11 +320,10 @@ class TedWorkspace:
         self._frames[key] = (tree, frame)
         return frame
 
-    def frame_cost_array(
-        self, tree: Tree, kind: str, operation: str, as_numpy: bool
-    ):
-        """Cached per-frame-id node costs (``"delete"`` or ``"insert"``)."""
-        key = (id(tree), kind, operation, as_numpy)
+    def frame_cost_array(self, tree: Tree, kind: str, operation: str):
+        """Cached per-frame-id node costs (``"delete"`` or ``"insert"``) as a
+        float64 array."""
+        key = (id(tree), kind, operation)
         cached = self._frame_costs.get(key)
         if cached is not None:
             return cached[1]
@@ -342,12 +333,11 @@ class TedWorkspace:
         codes = self.frame_codes(tree, kind, as_numpy=False)
         table = self._cost_table(operation)
         if table is not None and codes is not None:
-            costs: object = [table[c] for c in codes]
+            values = [table[c] for c in codes]
         else:
             fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
-            costs = [fn(label) for label in frame.labels]
-        if as_numpy:
-            costs = _np.asarray(costs, dtype=_np.float64)
+            values = [fn(label) for label in frame.labels]
+        costs = _np.asarray(values, dtype=_np.float64)
         self._frame_costs[key] = (tree, costs)
         return costs
 
@@ -438,10 +428,10 @@ class TedWorkspace:
 
         ``table[code_a, code_b] == rename(label_a, label_b)``; rebuilt (and
         only then) when the alphabet has grown past the built size.  Returns
-        ``None`` when NumPy is unavailable, for oversized alphabets, and for
-        unit-cost workspaces (whose kernels compare code arrays instead).
+        ``None`` for oversized alphabets and for unit-cost workspaces (whose
+        kernels compare code arrays instead).
         """
-        if self.unit_cost or _np is None:
+        if self.unit_cost:
             return None
         size = len(self.interner)
         if size == 0 or size > MAX_DENSE_ALPHABET:

@@ -292,9 +292,6 @@ def similarity_join(
     use_cascade: bool = True,
     workers: int = 1,
     progress: Optional[Callable[[JoinStats], None]] = None,
-    workspace: bool = True,
-    bounded_verify: bool = True,
-    batch_kernel: bool = True,
     **kwargs,
 ) -> BatchJoinResult:
     """Corpus-indexed similarity join: all pairs with ``TED < threshold``.
@@ -309,26 +306,25 @@ def similarity_join(
     :class:`~repro.join.batch.BatchJoinResult` whose ``stats`` field carries
     the per-stage :class:`~repro.join.cascade.JoinStats`.
 
-    ``workspace`` (default on) runs the verification stage through the
-    amortized execution layer — per-tree frames, interned label cost tables
-    and pooled matrices shared across all verified pairs, plus the unit-cost
-    small-pair fast path; distances are bit-identical to per-call contexts.
-    Pass ``workspace=False`` to force fresh per-pair contexts.
+    Verification runs a registry ``algorithm`` through the amortized
+    execution layer — per-tree frames, interned label cost tables and
+    pooled matrices shared across all verified pairs — and small unit-cost
+    pairs through the struct-of-arrays batch kernel: one C kernel call per
+    chunk (or the Python twin, lane by lane, without a compiler) instead of
+    one per-pair ``compute()``.  Distances and subproblem counts are
+    bit-identical to per-pair computation.  In the ``workers > 1`` fan-out
+    the corpus pack is exported once into ``multiprocessing.shared_memory``
+    and workers attach zero-copy (:mod:`repro.join.shared`).  Note a
+    survivor set no larger than one chunk verifies serially regardless of
+    ``workers``; ``result.stats.verify_workers`` records the count actually
+    used.
 
-    ``bounded_verify`` (default on) verifies survivors with ``cutoff=τ``,
-    aborting each exact computation as soon as ``TED ≥ τ`` is proven; the
-    match set and every reported distance are identical either way, and
-    ``result.stats.aborted_early`` counts the verifications cut short.
-
-    ``batch_kernel`` (default on) verifies small unit-cost pairs through
-    the struct-of-arrays batch kernel — one C kernel call per chunk (or
-    the Python twin, lane by lane, without a compiler) instead of one
-    per-pair ``compute()``; results are bit-identical, including
-    subproblem counts.  In the ``workers > 1`` fan-out the corpus pack is
-    exported once into ``multiprocessing.shared_memory`` and workers
-    attach zero-copy (:mod:`repro.join.shared`).  Note a survivor set no
-    larger than one chunk verifies serially regardless of ``workers``;
-    ``result.stats.verify_workers`` records the count actually used.
+    Survivors are verified with ``cutoff=τ``, aborting each exact
+    computation as soon as ``TED ≥ τ`` is proven; every *verified* match
+    distance is exact, and ``result.stats.aborted_early`` counts the
+    verifications cut short.  Pairs the upper-bound stage accepts early are
+    never verified and report that mapping cost (an upper bound below τ),
+    not the TED; pass ``early_accept=False`` to verify them too.
 
     The ``workers > 1`` verification stage is *supervised*
     (:mod:`repro.join.supervisor`): crashed or hung workers are detected,
@@ -360,9 +356,6 @@ def similarity_join(
         use_cascade=use_cascade,
         workers=workers,
         progress=progress,
-        workspace=workspace,
-        bounded_verify=bounded_verify,
-        batch_kernel=batch_kernel,
         **kwargs,
     )
 
@@ -414,7 +407,7 @@ def knn(
     ``result.stats.epoch``/``snapshot_epoch`` record what was queried
     against what).  Extra keyword
     arguments reach the :class:`QueryEngine` (``chunk_size``, ``leaf_size``,
-    ``workspace``, ``batch_kernel``, ``policy``, ...).  ``deadline``
+    ``policy``, ...).  ``deadline``
     (seconds or a :class:`~repro.runtime.Deadline`) is per *call*, not part
     of the cached engine: on expiry the best results examined so far come
     back with ``result.stats.partial = True``.

@@ -16,15 +16,6 @@ from .pq_gram import pq_gram_distance, pq_gram_profile, pq_gram_symmetric_differ
 from .upper_bound import top_down_upper_bound, trivial_upper_bound
 
 
-def combined_lower_bound(tree_f, tree_g) -> float:
-    """The tightest of all implemented unit-cost lower bounds."""
-    return max(
-        float(cheap_lower_bound(tree_f, tree_g)),
-        float(traversal_string_lower_bound(tree_f, tree_g)),
-        binary_branch_lower_bound(tree_f, tree_g),
-    )
-
-
 __all__ = [
     "size_lower_bound",
     "label_multiset_lower_bound",
@@ -41,5 +32,4 @@ __all__ = [
     "pq_gram_symmetric_difference",
     "trivial_upper_bound",
     "top_down_upper_bound",
-    "combined_lower_bound",
 ]

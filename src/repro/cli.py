@@ -183,26 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add the pq-gram heuristic filter (may drop matches; faster)",
     )
-    join.add_argument(
-        "--no-workspace",
-        action="store_true",
-        help="disable the amortized verification workspace (fresh per-pair "
-        "contexts; distances are bit-identical either way)",
-    )
-    join.add_argument(
-        "--no-bounded-verify",
-        action="store_true",
-        help="disable τ-bounded verification (run every surviving pair's "
-        "exact TED to completion instead of aborting once TED >= τ is "
-        "proven; the match set is identical either way)",
-    )
-    join.add_argument(
-        "--no-batch-kernel",
-        action="store_true",
-        help="disable the struct-of-arrays batch verification kernel (verify "
-        "small unit-cost pairs one at a time; results are bit-identical "
-        "either way)",
-    )
     join.add_argument("--workers", type=int, default=1, help="verification processes")
     join.add_argument(
         "--chunk-timeout",
@@ -436,9 +416,6 @@ def _dispatch(args) -> int:
             use_cascade=not args.no_cascade,
             approximate=args.approximate,
             workers=args.workers,
-            workspace=not args.no_workspace,
-            bounded_verify=not args.no_bounded_verify,
-            batch_kernel=not args.no_batch_kernel,
             policy=policy,
             deadline=args.deadline,
         )

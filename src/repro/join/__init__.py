@@ -1,6 +1,6 @@
 """Similarity joins and query-centric retrieval over tree collections.
 
-Three layers:
+Two layers:
 
 * the **retrieval core** — the planner/filter/refiner pipeline
   (:mod:`repro.join.pipeline`) composing candidate sources (inverted
@@ -13,10 +13,7 @@ Three layers:
   the chunked/multiprocessing exact verifier (:func:`batch_distances`),
   whose fan-out is supervised: dead/hung workers recovered, failed chunks
   retried, degradation down an exact-result ladder
-  (:mod:`repro.join.supervisor`, testable via :mod:`repro.join.faults`);
-* the **legacy pairwise API** (:func:`similarity_self_join`,
-  :func:`similarity_join`) kept for the Table 1 experiment and small
-  collections.
+  (:mod:`repro.join.supervisor`, testable via :mod:`repro.join.faults`).
 """
 
 from .batch import (
@@ -67,12 +64,6 @@ from .supervisor import (
     ExecutionReport,
     PoisonedPair,
     run_supervised,
-)
-from .similarity_join import (
-    JoinResult,
-    similarity_join,
-    similarity_self_join,
-    top_k_closest_pairs,
 )
 
 __all__ = [
@@ -125,9 +116,4 @@ __all__ = [
     "UpperBoundAccept",
     "default_cascade",
     "operations_threshold",
-    # Legacy pairwise API
-    "JoinResult",
-    "similarity_self_join",
-    "similarity_join",
-    "top_k_closest_pairs",
 ]

@@ -24,11 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..algorithms.base import TEDAlgorithm, resolve_cost_model
-from ..algorithms.batch_kernel import (
-    build_corpus_pack,
-    kernel_available,
-    kernel_chunk_entries,
-)
+from ..algorithms.batch_kernel import build_corpus_pack, kernel_chunk_entries
 from ..algorithms.registry import make_algorithm
 from ..algorithms.workspace import TedWorkspace, WorkspaceTED
 from ..costs import CostModel
@@ -65,48 +61,18 @@ def as_corpus(trees: CorpusLike) -> TreeCorpus:
 # --------------------------------------------------------------------------- #
 # Batch exact distances (serial or multiprocessing fan-out)
 # --------------------------------------------------------------------------- #
-WorkspaceLike = Union[bool, TedWorkspace, None]
-
-
-def _make_workspace(
-    workspace: WorkspaceLike,
-    cost_model: Optional[CostModel],
-    corpus_a: Optional[TreeCorpus],
-) -> Optional[TedWorkspace]:
-    """Resolve the ``workspace`` batch parameter into a usable workspace.
-
-    ``True`` builds one bound to the batch's cost model, sharing the
-    corpus's label interner so repeated batches over the same corpus reuse
-    the interned code arrays.  ``False``/``None`` disables amortization.  An
-    explicit :class:`TedWorkspace` is validated against the batch's cost
-    model — the invalidation rule of ``DESIGN.md`` — and used as-is.
-    """
-    if workspace is None or workspace is False:
-        return None
-    if workspace is True:
-        interner = corpus_a.interner() if corpus_a is not None else None
-        return TedWorkspace(cost_model, interner=interner)
-    workspace.require(cost_model)
-    return workspace
-
-
-def _kernel_workspace(algo, batch_kernel: bool):
+def _kernel_workspace(algo) -> Optional[TedWorkspace]:
     """The workspace backing the batch kernel, or ``None`` if inapplicable.
 
     The kernel replaces :meth:`TedWorkspace.compute_small` calls only —
     so it requires the amortized wrapper (``WorkspaceTED``, i.e. a registry
     name on a workspace-capable engine; ``recursive`` and pre-built
-    instances never qualify) with a unit-cost workspace, plus NumPy.  Every
-    emitted tuple is bit-identical to the per-pair path either way.
+    instances never qualify) with a unit-cost workspace.  Every emitted
+    tuple is bit-identical to the per-pair path.
     """
-    if not batch_kernel or not kernel_available():
+    if not isinstance(algo, WorkspaceTED) or not algo.workspace.unit_cost:
         return None
-    if not isinstance(algo, WorkspaceTED):
-        return None
-    workspace = algo.workspace
-    if not workspace.unit_cost:
-        return None
-    return workspace
+    return algo.workspace
 
 
 def _effective_workers(workers: int, n_pairs: int, chunk_size: int) -> int:
@@ -130,8 +96,8 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(
-    trees_a, trees_b, algorithm, engine, cost_model, use_workspace, cutoff,
-    batch_kernel=False, pack_desc_a=None, pack_desc_b=None, fault_plan=None,
+    trees_a, trees_b, algorithm, engine, cost_model, cutoff, rung,
+    pack_desc_a=None, pack_desc_b=None, fault_plan=None,
 ) -> None:
     # Adopt the parent's fault-injection plan (usually None) before any
     # other setup, so injected shm-attach failures can hit the pack attach
@@ -141,18 +107,18 @@ def _init_worker(
     _WORKER_STATE["trees_b"] = trees_b if trees_b is not None else trees_a
     # Workspaces hold process-local caches, so each worker builds its own
     # (the parent's never crosses the pickle boundary).
-    workspace = TedWorkspace(cost_model) if use_workspace else None
-    algo = _resolve_algorithm(algorithm, engine, workspace)
+    algo = _resolve_algorithm(algorithm, engine, TedWorkspace(cost_model))
     _WORKER_STATE["algorithm"] = algo
     _WORKER_STATE["cost_model"] = cost_model
     _WORKER_STATE["cutoff"] = cutoff
     _WORKER_STATE["bounded_ok"] = _supports_cutoff(algo)
-    # Batch-kernel packs: attach the parent's shared-memory export
-    # (zero-copy) when descriptors came through; otherwise rebuild locally.
-    # Packs for both sides must share one interner so their codes agree —
-    # mixed attach/rebuild falls back to rebuilding both.
+    # Batch-kernel packs, on the kernel rungs of the degradation ladder:
+    # attach the parent's shared-memory export (zero-copy) when descriptors
+    # came through; otherwise rebuild locally.  Packs for both sides must
+    # share one interner so their codes agree — mixed attach/rebuild falls
+    # back to rebuilding both.
     pack_a = pack_b = None
-    kernel_ws = _kernel_workspace(algo, batch_kernel)
+    kernel_ws = _kernel_workspace(algo) if rung in (RUNG_SHM, RUNG_LOCAL_PACK) else None
     if kernel_ws is not None:
         if pack_desc_a is not None:
             from .shared import attach_pack
@@ -286,9 +252,8 @@ def batch_distances(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     on_chunk: Optional[Callable[[List[Tuple]], None]] = None,
     collect_results: bool = True,
-    workspace: WorkspaceLike = True,
+    workspace: Optional[TedWorkspace] = None,
     cutoff: Optional[float] = None,
-    batch_kernel: bool = True,
     policy: Optional[ExecutionPolicy] = None,
     exec_report: Optional[ExecutionReport] = None,
     deadline=None,
@@ -310,28 +275,24 @@ def batch_distances(
     full result list — at millions of pairs the tuples dominate memory —
     and returns ``[]``.
 
-    ``batch_kernel`` (default on) routes small unit-cost pairs through the
-    struct-of-arrays batch kernel (:mod:`repro.algorithms.batch_kernel`) —
-    one C kernel call per chunk (the Python twin, lane by lane, without a
-    compiler) instead of one per-pair ``compute()``, bit-identical results
-    including subproblem counts and bounded aborts.  It engages only where
-    the scalar small-pair path would: registry-name algorithms with the
-    amortized workspace on a unit cost model; in the multiprocessing
-    fan-out the parent additionally exports the corpus pack once into
-    ``multiprocessing.shared_memory`` and workers attach zero-copy instead
-    of rebuilding it (:mod:`repro.join.shared`; graceful fallback to local
-    rebuilds).
-
-    ``workspace`` controls the amortized execution layer (``DESIGN.md``,
-    *Amortized batch execution*): ``True`` (default) shares one
-    :class:`~repro.algorithms.workspace.TedWorkspace` across all pairs — one
-    per worker in the multiprocessing fan-out — so per-tree setup, interned
-    cost tables and matrix buffers are paid once instead of once per pair;
-    ``False`` restores fresh per-call contexts; an explicit workspace is
-    used directly (serial mode) and must match ``cost_model``.  Distances
-    are bit-identical either way.  The workspace applies to registry *names*
-    only — a pre-built algorithm instance runs exactly as configured, so an
-    explicitly constructed oracle is never short-circuited.
+    A registry *name* always runs through the amortized execution layer
+    (``DESIGN.md``, *Amortized batch execution*): one
+    :class:`~repro.algorithms.workspace.TedWorkspace` is shared across all
+    pairs — one per worker in the multiprocessing fan-out — so per-tree
+    setup, interned cost tables and matrix buffers are paid once instead of
+    once per pair.  ``workspace`` supplies that workspace explicitly
+    (serial mode; it must match ``cost_model``); by default one is built
+    over the corpus's label interner.  On a unit cost model, small pairs
+    additionally run through the struct-of-arrays batch kernel
+    (:mod:`repro.algorithms.batch_kernel`) — one C kernel call per chunk
+    (the Python twin, lane by lane, without a compiler) instead of one
+    per-pair ``compute()``, bit-identical results including subproblem
+    counts and bounded aborts.  In the multiprocessing fan-out the parent
+    exports the corpus pack once into ``multiprocessing.shared_memory`` and
+    workers attach zero-copy instead of rebuilding it
+    (:mod:`repro.join.shared`; graceful fallback to local rebuilds).  A
+    pre-built algorithm instance runs exactly as configured, per pair, so
+    an explicitly constructed oracle is never short-circuited.
 
     ``cutoff`` switches the batch to *bounded* computation: every pair runs
     ``compute(..., cutoff=cutoff)`` and result tuples gain a fifth field,
@@ -370,14 +331,16 @@ def batch_distances(
     if dl is None:
         dl = active_deadline()
 
-    if isinstance(workspace, TedWorkspace):
+    if workspace is not None:
         # Enforce the invalidation rule up front, for every execution mode
         # (workers rebuild their own workspaces, but a mismatched explicit
         # one should fail loudly, not silently go unamortized).
         workspace.require(cost_model)
 
     if _effective_workers(workers, len(pair_list), chunk_size) <= 1:
-        ws = _make_workspace(workspace, cost_model, corpus_a)
+        ws = workspace if workspace is not None else TedWorkspace(
+            cost_model, interner=corpus_a.interner()
+        )
         algo = _resolve_algorithm(algorithm, engine, ws)
         bounded_ok = cutoff is None or _supports_cutoff(algo)
         lookup_b = corpus_b.trees if corpus_b is not None else corpus_a.trees
@@ -390,27 +353,22 @@ def batch_distances(
 
         # The batch-kernel fast path applies only to registry names — a
         # pre-built instance runs exactly as configured, per-pair.
-        kernel_ws = (
-            _kernel_workspace(algo, batch_kernel)
-            if isinstance(algorithm, str)
-            else None
-        )
+        kernel_ws = _kernel_workspace(algo) if isinstance(algorithm, str) else None
         pack_a = pack_b = None
         if kernel_ws is not None:
             pack_a = corpus_a.pack()
-            if pack_a is not None:
-                # Cross batches pack side b against side a's interner so the
-                # label codes of the two packs agree; when the corpora already
-                # share one interner (e.g. a per-query corpus built with
-                # interner=corpus.interner()) side b's cached pack qualifies
-                # as-is — crucial for queries, where rebuilding the big
-                # corpus-side pack per call would dwarf the query itself.
-                if corpus_b is None:
-                    pack_b = pack_a
-                elif corpus_b.shares_interner(corpus_a):
-                    pack_b = corpus_b.pack()
-                else:
-                    pack_b = build_corpus_pack(corpus_b.trees, corpus_a.interner())
+            # Cross batches pack side b against side a's interner so the
+            # label codes of the two packs agree; when the corpora already
+            # share one interner (e.g. a per-query corpus built with
+            # interner=corpus.interner()) side b's cached pack qualifies
+            # as-is — crucial for queries, where rebuilding the big
+            # corpus-side pack per call would dwarf the query itself.
+            if corpus_b is None:
+                pack_b = pack_a
+            elif corpus_b.shares_interner(corpus_a):
+                pack_b = corpus_b.pack()
+            else:
+                pack_b = build_corpus_pack(corpus_b.trees, corpus_a.interner())
         with deadline_scope(dl):
             for chunk in _chunked(pair_list, chunk_size):
                 if pack_b is not None:
@@ -431,13 +389,7 @@ def batch_distances(
         policy = ExecutionPolicy.default()
     report = exec_report if exec_report is not None else ExecutionReport()
 
-    kernel_eligible = (
-        batch_kernel
-        and kernel_available()
-        and isinstance(algorithm, str)
-        and workspace is not False
-        and workspace is not None
-    )
+    kernel_eligible = isinstance(algorithm, str)
 
     # Export the corpus pack(s) into shared memory once so workers attach
     # zero-copy instead of each rebuilding the struct-of-arrays tables.
@@ -447,20 +399,11 @@ def batch_distances(
     pack_desc_a = pack_desc_b = None
     shared_handles = []
     if kernel_eligible:
-        probe = (
-            workspace
-            if isinstance(workspace, TedWorkspace)
-            else TedWorkspace(cost_model)
-        )
+        probe = workspace if workspace is not None else TedWorkspace(cost_model)
         if probe.unit_cost:
             from .shared import export_pack
 
-            pack_a = corpus_a.pack()
-            exported = (
-                export_pack(pack_a, epoch=getattr(corpus_a, "epoch", 0))
-                if pack_a is not None
-                else None
-            )
+            exported = export_pack(corpus_a.pack(), epoch=getattr(corpus_a, "epoch", 0))
             if exported is not None:
                 handle, pack_desc_a = exported
                 shared_handles.append(handle)
@@ -481,16 +424,14 @@ def batch_distances(
     # The fault plan active in the parent is threaded explicitly through the
     # pool initializer so workers never re-read the environment.
     plan = faults.active_plan()
-    use_ws = workspace is not False and workspace is not None
     trees_b_arg = corpus_b.trees if corpus_b is not None else None
 
     def _initargs(rung: str) -> tuple:
         desc_a = pack_desc_a if rung == RUNG_SHM else None
         desc_b = pack_desc_b if rung == RUNG_SHM else None
-        kernel_on = batch_kernel and rung in (RUNG_SHM, RUNG_LOCAL_PACK)
         return (
             corpus_a.trees, trees_b_arg, algorithm, engine, cost_model,
-            use_ws, cutoff, kernel_on, desc_a, desc_b, plan,
+            cutoff, rung, desc_a, desc_b, plan,
         )
 
     def _executor_factory(rung: str, n_workers: int):
@@ -517,9 +458,8 @@ def batch_distances(
 
     def _serial_pair(i: int, j: int) -> Tuple:
         if not serial_state:
-            ws = _make_workspace(
-                workspace if isinstance(workspace, TedWorkspace) else use_ws,
-                cost_model, corpus_a,
+            ws = workspace if workspace is not None else TedWorkspace(
+                cost_model, interner=corpus_a.interner()
             )
             algo = _resolve_algorithm(algorithm, engine, ws)
             serial_state["algo"] = algo
@@ -606,9 +546,6 @@ def batch_similarity_join(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     progress: Optional[Callable[[JoinStats], None]] = None,
-    workspace: WorkspaceLike = True,
-    bounded_verify: bool = True,
-    batch_kernel: bool = True,
     policy: Optional[ExecutionPolicy] = None,
     deadline=None,
 ) -> BatchJoinResult:
@@ -625,23 +562,20 @@ def batch_similarity_join(
     after every verified chunk.
 
     Parameters mirror :func:`batch_distances` for the verification stage
-    (``workers``, ``chunk_size``, ``workspace`` — the amortized execution
-    layer, on by default and bit-identical to per-call contexts — and
-    ``batch_kernel``, the batched small-pair fast path);
-    filtering always runs in the parent process because it is cheap
-    relative to exact TED.  Note that a survivor set no larger than one
-    chunk verifies serially even with ``workers > 1``;
-    ``JoinStats.verify_workers`` records the count actually used.
+    (``workers``, ``chunk_size``; registry names run amortized, through the
+    batched small-pair kernel where it applies); filtering always runs in
+    the parent process because it is cheap relative to exact TED.  Note
+    that a survivor set no larger than one chunk verifies serially even
+    with ``workers > 1``; ``JoinStats.verify_workers`` records the count
+    actually used.
 
-    ``bounded_verify`` (default on) runs the verifier with ``cutoff=τ``: a
-    survivor's exact TED computation aborts as soon as ``d ≥ τ`` is proven,
-    since the join only needs to know whether the pair is below the
-    threshold.  The match set — including every reported match distance — is
-    identical with and without bounded verification (the test suite asserts
-    this); only ``JoinStats.aborted_early`` and the verify-stage wall clock
-    change.  Disable it to record exact distances of non-matching survivors
-    via :func:`batch_distances` semantics (the join itself never reports
-    them either way).
+    Survivors are verified with ``cutoff=τ``: a survivor's exact TED
+    computation aborts as soon as ``d ≥ τ`` is proven, since the join only
+    needs to know whether the pair is below the threshold.  Every reported
+    match distance is exact (bounded results below the cutoff are
+    bit-identical to unbounded ones); ``JoinStats.aborted_early`` counts
+    the verifications cut short.  Use :func:`batch_distances` without a
+    cutoff to obtain exact distances of non-matching pairs.
 
     The multiprocessing verification stage is supervised (see
     :func:`batch_distances`): dead or hung workers are recovered, failed
@@ -680,8 +614,6 @@ def batch_similarity_join(
         engine=engine,
         workers=workers,
         chunk_size=chunk_size,
-        workspace=workspace,
-        batch_kernel=batch_kernel,
         policy=policy,
     )
     plan = Planner(cm).plan_join(
@@ -695,7 +627,6 @@ def batch_similarity_join(
         early_accept=early_accept,
         approximate=approximate,
         pq_gram_cutoff=pq_gram_cutoff,
-        bounded_verify=bounded_verify,
     )
     # The ambient scope covers the whole pipeline — candidate generation,
     # filter cascade, and exact verification (whose batch_distances call

@@ -247,7 +247,7 @@ class JoinStats:
     aborted_early: int = 0
     """Verifier runs the τ-bounded kernels cut short (``d ≥ τ`` proven
     before the exact distance was finished); a subset of the non-matching
-    ``exact_computed`` pairs.  Zero when ``bounded_verify`` is off."""
+    ``exact_computed`` pairs."""
 
     verify_workers: int = 1
     """The worker count the verification stage *actually* used: 1 whenever

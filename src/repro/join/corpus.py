@@ -432,7 +432,7 @@ class TreeCorpus:
         return self._interner is not None and self._interner is other._interner
 
     def pack(self):
-        """The corpus's (cached) batch-kernel pack, or ``None`` sans NumPy.
+        """The corpus's (cached) batch-kernel pack.
 
         A :class:`~repro.algorithms.batch_kernel.CorpusPack` built over
         :meth:`interner` — the struct-of-arrays input of the batched
@@ -443,10 +443,8 @@ class TreeCorpus:
         within one epoch share a single pack, including zero-copy export to
         worker processes via :mod:`repro.join.shared`.
         """
-        from ..algorithms.batch_kernel import build_corpus_pack, kernel_available
+        from ..algorithms.batch_kernel import build_corpus_pack
 
-        if not kernel_available():
-            return None
         key = (id(self.interner()), self._epoch)
         if self._pack_key != key:
             self._pack = build_corpus_pack(self.trees, self.interner())

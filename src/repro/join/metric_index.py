@@ -126,8 +126,7 @@ class VPTree:
         seed: int = 0,
         workers: int = 1,
         chunk_size: int = 256,
-        workspace=True,
-        batch_kernel: bool = True,
+        workspace=None,
     ) -> "VPTree":
         """Construct the index over every tree of ``corpus``.
 
@@ -185,7 +184,6 @@ class VPTree:
                     workers=workers,
                     chunk_size=chunk_size,
                     workspace=workspace,
-                    batch_kernel=batch_kernel,
                 )
                 build_distances += len(entries)
                 dist = {j: d for _, j, d, *_ in entries}

@@ -178,9 +178,9 @@ class BatchRefiner:
     """The exact-distance refiner: a bound :func:`batch_distances` call.
 
     Binds the two corpora plus every execution knob of the batch layer
-    (algorithm, engine, amortized workspace, batch kernel, worker fan-out,
-    supervision policy) so plans and query engines can refine pair lists
-    without re-threading a dozen parameters.  Refinement inherits all the
+    (algorithm, engine, amortized workspace, worker fan-out, supervision
+    policy) so plans and query engines can refine pair lists without
+    re-threading a dozen parameters.  Refinement inherits all the
     batch-layer guarantees: bit-identical amortized kernels, the shared
     corpus pack, and the PR 7 supervised degradation ladder when
     ``workers > 1``.
@@ -195,8 +195,7 @@ class BatchRefiner:
         engine: Optional[str] = None,
         workers: int = 1,
         chunk_size: int = 256,
-        workspace=True,
-        batch_kernel: bool = True,
+        workspace=None,
         policy=None,
     ) -> None:
         self.corpus_a = corpus_a
@@ -207,7 +206,6 @@ class BatchRefiner:
         self.workers = workers
         self.chunk_size = chunk_size
         self.workspace = workspace
-        self.batch_kernel = batch_kernel
         self.policy = policy
 
     def effective_workers(self, n_pairs: int) -> int:
@@ -243,7 +241,6 @@ class BatchRefiner:
             collect_results=False,
             workspace=self.workspace,
             cutoff=cutoff,
-            batch_kernel=self.batch_kernel,
             policy=self.policy,
             exec_report=report,
         )
@@ -260,8 +257,9 @@ class RetrievalPlan:
     ``profile_a(i)`` / ``profile_b(j)`` resolve the two sides of a pair key
     to their cached :class:`TreeProfile` artifacts — symmetric joins pass
     the same corpus accessor twice, queries pass the one-tree query corpus
-    on side *a*.  ``refine_cutoff`` is the τ handed to the refiner
-    (``None`` → unbounded verification).
+    on side *a*.  The refiner verifies with ``cutoff=ctx.threshold``: only
+    ``TED < τ`` matters, so each computation may stop once ``TED ≥ τ`` is
+    proven.
     """
 
     ctx: CascadeContext
@@ -270,7 +268,6 @@ class RetrievalPlan:
     refiner: Refiner
     profile_a: Callable[[int], TreeProfile]
     profile_b: Callable[[int], TreeProfile]
-    refine_cutoff: Optional[float] = None
 
 
 class Planner:
@@ -306,7 +303,6 @@ class Planner:
         early_accept: bool = True,
         approximate: bool = False,
         pq_gram_cutoff: float = 0.8,
-        bounded_verify: bool = True,
     ) -> RetrievalPlan:
         """The symmetric all-pairs similarity join as one plan.
 
@@ -334,7 +330,6 @@ class Planner:
             refiner=refiner,
             profile_a=corpus_a.profile,
             profile_b=profiles_b.profile,
-            refine_cutoff=threshold if bounded_verify else None,
         )
 
     def plan_range(
@@ -347,7 +342,6 @@ class Planner:
         cascade: Optional[Sequence[FilterStage]] = None,
         early_accept: bool = False,
         source: Optional[CandidateSource] = None,
-        bounded_verify: bool = True,
     ) -> RetrievalPlan:
         """A one-vs-corpus range query (``TED(query, tree) < τ``) as a plan.
 
@@ -380,7 +374,6 @@ class Planner:
             refiner=refiner,
             profile_a=query_corpus.profile,
             profile_b=corpus.profile,
-            refine_cutoff=threshold if bounded_verify else None,
         )
 
 
@@ -475,7 +468,7 @@ def execute_plan(
         if progress is not None:
             progress(stats)
 
-    report = plan.refiner.refine(survivors, plan.refine_cutoff, on_chunk)
+    report = plan.refiner.refine(survivors, ctx.threshold, on_chunk)
     if report is not None:
         stats.retried_chunks += report.retried_chunks
         stats.failed_workers += report.failed_workers

@@ -330,9 +330,8 @@ class QueryEngine:
     lazily rebuilt.
 
     Execution knobs (``algorithm``, ``engine``, ``workers``, ``chunk_size``,
-    ``workspace``, ``batch_kernel``, ``policy``) mirror the batch join and
-    apply to every refinement batch, including the PR 7 supervised
-    multiprocessing fan-out when ``workers > 1``.
+    ``policy``) mirror the batch join and apply to every refinement batch,
+    including the supervised multiprocessing fan-out when ``workers > 1``.
     """
 
     def __init__(
@@ -348,8 +347,6 @@ class QueryEngine:
         metric_index: Optional[VPTree] = None,
         leaf_size: int = DEFAULT_LEAF_SIZE,
         seed: int = 0,
-        workspace=True,
-        batch_kernel: bool = True,
         policy=None,
         staleness_budget: float = DEFAULT_STALENESS_BUDGET,
     ) -> None:
@@ -365,22 +362,13 @@ class QueryEngine:
         self.use_metric_index = use_metric_index
         self.leaf_size = leaf_size
         self.seed = seed
-        self.batch_kernel = batch_kernel
         self.policy = policy
         if not isinstance(staleness_budget, (int, float)) or staleness_budget < 0:
             raise QueryError(
                 f"staleness_budget must be a non-negative fraction, got {staleness_budget!r}"
             )
         self.staleness_budget = float(staleness_budget)
-        if workspace is True:
-            self._ws: Optional[TedWorkspace] = TedWorkspace(
-                self.cost_model, interner=self.corpus.interner()
-            )
-        elif workspace:
-            workspace.require(self.cost_model)
-            self._ws = workspace
-        else:
-            self._ws = None
+        self._ws = TedWorkspace(self.cost_model, interner=self.corpus.interner())
         self._algo = _resolve_algorithm(algorithm, engine, self._ws)
         self._bounded_ok = _supports_cutoff(self._algo)
         self._planner = Planner(self.cost_model)
@@ -526,8 +514,7 @@ class QueryEngine:
                     seed=self.seed,
                     workers=self.workers,
                     chunk_size=self.chunk_size,
-                    workspace=self._ws if self._ws is not None else False,
-                    batch_kernel=self.batch_kernel,
+                    workspace=self._ws,
                 )
         return self._vp
 
@@ -546,8 +533,7 @@ class QueryEngine:
             engine=self.engine,
             workers=self.workers,
             chunk_size=self.chunk_size,
-            workspace=self._ws if self._ws is not None else False,
-            batch_kernel=self.batch_kernel,
+            workspace=self._ws,
             policy=self.policy,
         )
 

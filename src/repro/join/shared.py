@@ -46,10 +46,7 @@ import signal
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
-try:  # Optional accelerator, mirroring repro.algorithms.workspace.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 from ..algorithms.batch_kernel import CorpusPack
 from . import faults
@@ -62,7 +59,7 @@ except ImportError:  # pragma: no cover - ancient/embedded platforms
 
 def shared_available() -> bool:
     """Whether shared-memory pack export can be attempted at all."""
-    return _shm_mod is not None and _np is not None
+    return _shm_mod is not None
 
 
 #: Scalar (non-array) pack fields carried inside the descriptor.

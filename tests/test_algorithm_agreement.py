@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from repro.algorithms import (
     GTED,
     RTED,
-    DemaineTED,
+    HeavyFStrategy,
     HeavyGStrategy,
-    KleinTED,
+    HeavyLargerStrategy,
     LeftGStrategy,
     RightGStrategy,
     SimpleTED,
     ZhangShashaRightTED,
     ZhangShashaTED,
+    make_algorithm,
 )
 from repro.costs import WeightedCostModel
 from repro.datasets import make_shape
@@ -28,8 +29,8 @@ from conftest import random_tree_pairs, tree_pairs
 ALL_ALGORITHMS = [
     ZhangShashaTED(),
     ZhangShashaRightTED(),
-    KleinTED(),
-    DemaineTED(),
+    make_algorithm("klein-h"),
+    make_algorithm("demaine-h"),
     RTED(),
     GTED(LeftGStrategy(), name="GTED(left-G)"),
     GTED(RightGStrategy(), name="GTED(right-G)"),
@@ -93,6 +94,25 @@ class TestAgreementPropertyBased:
     @settings(max_examples=25, deadline=None)
     def test_demaine_matches_oracle(self, pair):
         tree_f, tree_g = pair
-        assert DemaineTED().distance(tree_f, tree_g) == pytest.approx(
+        assert make_algorithm("demaine-h").distance(tree_f, tree_g) == pytest.approx(
             ORACLE.distance(tree_f, tree_g)
         )
+
+
+class TestHeavyPathRegistryEntries:
+    """``klein-h`` / ``demaine-h`` are plain GTED runs of a fixed strategy."""
+
+    @pytest.mark.parametrize(
+        "name, label, strategy",
+        [("klein-h", "Klein-H", HeavyFStrategy), ("demaine-h", "Demaine-H", HeavyLargerStrategy)],
+    )
+    def test_name_distance_and_subproblems(self, name, label, strategy):
+        algorithm = make_algorithm(name)
+        assert algorithm.name == label
+        reference = GTED(strategy(), name=label)
+        for tree_f, tree_g in RANDOM_PAIRS[:10]:
+            got = algorithm.compute(tree_f, tree_g)
+            want = reference.compute(tree_f, tree_g)
+            assert got.algorithm == label
+            assert got.distance == want.distance == ORACLE.distance(tree_f, tree_g)
+            assert got.subproblems == want.subproblems

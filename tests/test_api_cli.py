@@ -119,6 +119,49 @@ class TestHighLevelApi:
             assert result.extra["kernel"] == kernel
 
 
+def _execution_entry_points():
+    from repro.algorithms import (
+        SinglePathContext,
+        StrategyExecutor,
+        TedWorkspace,
+        spf_A,
+        spf_H,
+        spf_L,
+        spf_R,
+    )
+    from repro.join import (
+        BatchRefiner,
+        Planner,
+        QueryEngine,
+        VPTree,
+        batch_distances,
+        batch_similarity_join,
+    )
+
+    return [
+        similarity_join, batch_distances, batch_similarity_join, BatchRefiner,
+        Planner.plan_join, Planner.plan_range, QueryEngine, VPTree.build,
+        SinglePathContext, StrategyExecutor, TedWorkspace, spf_L, spf_R, spf_H, spf_A,
+    ]
+
+
+class TestNoSlowPathSwitches:
+    """Switches that could only select a slower path with identical results
+    are gone: every entry point runs its one (fastest) path."""
+
+    @pytest.mark.parametrize("switch", ["use_numpy", "bounded_verify", "batch_kernel"])
+    def test_no_entry_point_takes_the_switch(self, switch):
+        import inspect
+
+        for entry in _execution_entry_points():
+            assert switch not in inspect.signature(entry).parameters, entry
+
+    def test_join_rejects_removed_keywords(self):
+        for switch in ("bounded_verify", "batch_kernel"):
+            with pytest.raises(TypeError):
+                similarity_join(["{a{b}}", "{a{c}}"], 2.0, **{switch: False})
+
+
 class TestRegistry:
     def test_available_algorithms_contains_paper_set(self):
         names = available_algorithms()

@@ -25,7 +25,6 @@ from repro.algorithms.batch_kernel import (
     SMALL_PAIR_CELLS,
     build_corpus_pack,
     choose_sweep,
-    kernel_available,
     kernel_chunk_entries,
     run_batch,
     sweep_sizes,
@@ -135,6 +134,13 @@ def scalar_entry(workspace, trees, i, j, cutoff):
     if cutoff is None:
         return (i, j, value, cells)
     return (i, j, value, cells, False)
+
+
+def _per_pair_small_program():
+    """A pre-built ``rted`` wrapped in a unit-cost workspace: batch layers
+    run it pair by pair through :meth:`TedWorkspace.compute_small`, never
+    through the batch kernel — the per-pair oracle of the batched lanes."""
+    return make_algorithm("rted", workspace=TedWorkspace())
 
 
 @pytest.fixture(scope="module")
@@ -546,8 +552,10 @@ class TestBatchDistancesIdentity:
         serial = batch_distances(
             corpus, None, pairs, algorithm="rted", cutoff=cutoff
         )
+        # A pre-built instance runs per pair (no batch kernel): the
+        # workspace-wrapped one through TedWorkspace.compute_small.
         no_kernel = batch_distances(
-            corpus, None, pairs, algorithm="rted", cutoff=cutoff, batch_kernel=False
+            corpus, None, pairs, algorithm=_per_pair_small_program(), cutoff=cutoff
         )
         mp_shared = batch_distances(
             corpus, None, pairs, algorithm="rted", cutoff=cutoff,
@@ -567,7 +575,7 @@ class TestBatchDistancesIdentity:
         ]
         with_kernel = batch_distances(corpus, other, pair_list, algorithm="rted")
         without = batch_distances(
-            corpus, other, pair_list, algorithm="rted", batch_kernel=False
+            corpus, other, pair_list, algorithm=_per_pair_small_program()
         )
         assert with_kernel == without
 
@@ -578,9 +586,9 @@ class TestBatchDistancesIdentity:
         threshold = 4.0
         baseline = batch_similarity_join(corpus, threshold)
         variants = [
-            batch_similarity_join(corpus, threshold, batch_kernel=False),
+            batch_similarity_join(corpus, threshold, algorithm=_per_pair_small_program()),
             batch_similarity_join(corpus, threshold, workers=3, chunk_size=16),
-            batch_similarity_join(corpus, threshold, workspace=False),
+            batch_similarity_join(corpus, threshold, algorithm=make_algorithm("rted")),
             batch_similarity_join(corpus, threshold, engine="native"),
         ]
         for variant in variants:
@@ -592,22 +600,22 @@ class TestEveryPathRunsOneProgram:
     """Batch, query and join paths agree with and without the C kernel."""
 
     @staticmethod
-    def _run(corpus, pairs, **options):
+    def _run(corpus, pairs, algorithm="rted"):
         def counts(stats):
             return {k: v for k, v in stats.as_dict().items() if not k.endswith("_time")}
 
         distances = {
             cutoff: sorted(
                 batch_distances(
-                    corpus, None, pairs, algorithm="rted", cutoff=cutoff, **options
+                    corpus, None, pairs, algorithm=algorithm, cutoff=cutoff
                 )
             )
             for cutoff in (None, 4.0)
         }
-        engine = QueryEngine(TreeCorpus(list(corpus)), **options)
+        engine = QueryEngine(TreeCorpus(list(corpus)), algorithm=algorithm)
         queries = [engine.range_query(corpus[q], 4.0) for q in (0, 7, 19)]
         queries += [engine.knn(corpus[q], 5) for q in (3, 12, 20)]
-        join = batch_similarity_join(corpus, 4.0, **options)
+        join = batch_similarity_join(corpus, 4.0, algorithm=algorithm)
         return {
             "distances": distances,
             "queries": [(q.matches, counts(q.stats)) for q in queries],
@@ -622,7 +630,9 @@ class TestEveryPathRunsOneProgram:
         assert self._run(corpus, pairs) == default
         monkeypatch.delenv("RTED_NO_NATIVE")
 
-        spf = self._run(corpus, pairs, engine="spf", workspace=False)
+        # A pre-built instance runs exactly as configured: Algorithm 2 plus
+        # the spf executor on every pair, with fresh per-pair contexts.
+        spf = self._run(corpus, pairs, algorithm=make_algorithm("rted", engine="spf"))
         # The spf executor runs RTED's strategy, so subproblem counts and
         # bounds differ; exact distances and every answer must not.
         assert [e[:3] for e in spf["distances"][None]] == [

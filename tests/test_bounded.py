@@ -218,21 +218,22 @@ class TestCutoffPropertySuite:
     ]
 
     @pytest.mark.parametrize("model_name,model", MODELS, ids=[m[0] for m in MODELS])
-    @pytest.mark.parametrize("workspace", [True, False], ids=["workspace", "fresh"])
-    def test_bounded_batch_matches_unbounded(self, model_name, model, workspace):
+    @pytest.mark.parametrize("fresh", [False, True], ids=["workspace", "fresh"])
+    def test_bounded_batch_matches_unbounded(self, model_name, model, fresh):
+        # A registry name runs amortized; a pre-built instance runs with
+        # fresh per-pair contexts.
+        algorithm = make_algorithm("zhang-l") if fresh else "zhang-l"
         trees = []
         pairs = []
         for f, g in self.PAIRS:
             pairs.append((len(trees), len(trees) + 1))
             trees.extend([f, g])
         unbounded = batch_distances(
-            trees, None, pairs, algorithm="zhang-l", cost_model=model,
-            workspace=workspace,
+            trees, None, pairs, algorithm=algorithm, cost_model=model,
         )
         cutoff = 4.0
         bounded = batch_distances(
-            trees, None, pairs, algorithm="zhang-l", cost_model=model,
-            workspace=workspace, cutoff=cutoff,
+            trees, None, pairs, algorithm=algorithm, cost_model=model, cutoff=cutoff,
         )
         assert len(bounded) == len(unbounded) == len(pairs)
         for (i, j, exact, _), (bi, bj, value, _, aborted) in zip(unbounded, bounded):
@@ -260,22 +261,24 @@ class TestCutoffPropertySuite:
         assert sorted(serial) == sorted(fanned)
 
     @pytest.mark.parametrize("model_name,model", MODELS, ids=[m[0] for m in MODELS])
-    def test_join_identical_with_and_without_bounded_verify(self, model_name, model):
+    def test_join_matches_unbounded_distances(self, model_name, model):
+        # The join verifies with cutoff=τ; its matches must be exactly the
+        # pairs an unbounded all-pairs batch finds below τ, same distances.
         trees = clustered_corpus(
             num_clusters=6, cluster_size=6, tree_size=12, num_edits=4, rng=31
         )
+        pairs = [(i, j) for i in range(len(trees)) for j in range(i + 1, len(trees))]
+        exact = batch_distances(trees, None, pairs, algorithm="rted", cost_model=model)
         for threshold in (2.0, 3.5):
             bounded = batch_self_join(
                 trees, threshold, cost_model=model, early_accept=False,
-                bounded_verify=True,
             )
-            unbounded = batch_self_join(
-                trees, threshold, cost_model=model, early_accept=False,
-                bounded_verify=False,
+            assert bounded.matches == sorted(
+                (i, j, d) for i, j, d, _ in exact if d < threshold
             )
-            assert bounded.matches == unbounded.matches
-            assert unbounded.stats.aborted_early == 0
-            assert bounded.stats.exact_computed == unbounded.stats.exact_computed
+            assert bounded.stats.aborted_early <= (
+                bounded.stats.exact_computed - bounded.stats.exact_matched
+            )
 
 
 class TestThresholdBoundary:
@@ -293,17 +296,15 @@ class TestThresholdBoundary:
         f = parse_bracket("{a{b}{c}}")
         g = parse_bracket("{a{b}{x}{y}}")
         assert EXACT.distance(f, g, cost_model=model) == 2 * unit
-        for bounded_verify in (True, False):
-            at = batch_self_join(
-                [f, g], 2 * unit, cost_model=model, use_cascade=False,
-                bounded_verify=bounded_verify,
-            )
-            assert at.match_set == set()
-            above = batch_self_join(
-                [f, g], 2 * unit + unit / 2, cost_model=model, use_cascade=False,
-                bounded_verify=bounded_verify,
-            )
-            assert above.match_set == {(0, 1)}
+        at = batch_self_join([f, g], 2 * unit, cost_model=model, use_cascade=False)
+        assert at.match_set == set()
+        above = batch_self_join(
+            [f, g], 2 * unit + unit / 2, cost_model=model, use_cascade=False
+        )
+        assert above.match_set == {(0, 1)}
+        # The unbounded oracle sees the same boundary.
+        ((_, _, exact, _),) = batch_distances([f, g], None, [(0, 1)], cost_model=model)
+        assert exact == 2 * unit
 
     @pytest.mark.parametrize("model,unit", CASES, ids=["unit", "fractional"])
     def test_size_stage_boundary(self, model, unit):
@@ -480,17 +481,17 @@ class TestBoundedCLI:
         # Stats go to stderr (stdout carries only the match lines).
         assert "# aborted early:" in capsys.readouterr().err
 
-    def test_join_no_bounded_verify_flag(self, capsys, tmp_path):
+    def test_join_always_bounded_and_rejects_removed_switches(self, capsys, tmp_path):
         collection = tmp_path / "trees.txt"
         collection.write_text("{a{b}{c}}\n{a{b}{x}}\n")
-        code = cli_main(
-            [
-                "join", f"@{collection}", "--threshold", "2",
-                "--no-bounded-verify", "--stats",
-            ]
-        )
+        code = cli_main(["join", f"@{collection}", "--threshold", "2", "--stats"])
         assert code == 0
-        assert "# aborted early:    0" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["0\t1\t1"]
+        assert "# aborted early:    0" in captured.err
+        for flag in ("--no-bounded-verify", "--no-workspace", "--no-batch-kernel"):
+            with pytest.raises(SystemExit):
+                cli_main(["join", f"@{collection}", "--threshold", "2", flag])
 
 
 class TestWorkspaceBounded:

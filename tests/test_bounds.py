@@ -8,7 +8,6 @@ from repro.bounds import (
     binary_branch_distance,
     binary_branch_lower_bound,
     cheap_lower_bound,
-    combined_lower_bound,
     label_multiset_lower_bound,
     levenshtein,
     pq_gram_distance,
@@ -113,6 +112,15 @@ class TestBinaryBranchAndPqGrams:
         assert pq_gram_distance(base, near) <= pq_gram_distance(base, far)
 
 
+def _tightest_lower_bound(tree_f, tree_g) -> float:
+    """The largest of the unit-cost lower bounds (an operation count)."""
+    return max(
+        float(cheap_lower_bound(tree_f, tree_g)),
+        float(traversal_string_lower_bound(tree_f, tree_g)),
+        binary_branch_lower_bound(tree_f, tree_g),
+    )
+
+
 class TestSandwich:
     """lower bound ≤ exact distance ≤ upper bound, on many random pairs."""
 
@@ -124,7 +132,8 @@ class TestSandwich:
             assert preorder_string_lower_bound(tree_f, tree_g) <= exact + 1e-9
             assert postorder_string_lower_bound(tree_f, tree_g) <= exact + 1e-9
             assert binary_branch_lower_bound(tree_f, tree_g) <= exact + 1e-9
-            assert combined_lower_bound(tree_f, tree_g) <= exact + 1e-9
+            assert cheap_lower_bound(tree_f, tree_g) <= exact + 1e-9
+            assert traversal_string_lower_bound(tree_f, tree_g) <= exact + 1e-9
             assert exact <= top_down_upper_bound(tree_f, tree_g) + 1e-9
             assert exact <= trivial_upper_bound(tree_f, tree_g) + 1e-9
 
@@ -133,7 +142,7 @@ class TestSandwich:
     def test_sandwich_property_based(self, pair):
         tree_f, tree_g = pair
         exact = EXACT.distance(tree_f, tree_g)
-        assert combined_lower_bound(tree_f, tree_g) <= exact + 1e-9
+        assert _tightest_lower_bound(tree_f, tree_g) <= exact + 1e-9
         assert exact <= top_down_upper_bound(tree_f, tree_g) + 1e-9
 
     @given(tree_pairs())
@@ -177,10 +186,7 @@ class TestSandwichCustomCostModels:
         assert scale is not None and scale >= 0
         for tree_f, tree_g in random_tree_pairs(count=20, max_size=14, seed=53):
             exact = EXACT.distance(tree_f, tree_g, cost_model=cost_model)
-            ops_bound = max(
-                float(cheap_lower_bound(tree_f, tree_g)),
-                combined_lower_bound(tree_f, tree_g),
-            )
+            ops_bound = _tightest_lower_bound(tree_f, tree_g)
             assert scale * ops_bound <= exact + 1e-9
             assert exact <= top_down_upper_bound(tree_f, tree_g, cost_model) + 1e-9
             assert exact <= trivial_upper_bound(tree_f, tree_g, cost_model) + 1e-9

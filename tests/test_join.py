@@ -1,13 +1,20 @@
-"""Tests for the similarity join."""
+"""Tests for the similarity join (``batch_similarity_join``).
+
+Every match set is compared against a per-pair :class:`SimpleTED` loop, the
+independent oracle, so the filter cascade and the bounded verifier are
+checked for soundness, not just for self-consistency.
+"""
 
 import pytest
 
-from repro.algorithms import ZhangShashaTED
+from repro.algorithms import SimpleTED, ZhangShashaTED
 from repro.bounds import cheap_lower_bound
 from repro.costs import WeightedCostModel
 from repro.datasets import perturb_tree, random_tree
-from repro.join import similarity_join, similarity_self_join, top_k_closest_pairs
 from repro.io import parse_bracket
+from repro.join import batch_self_join, batch_similarity_join
+
+ORACLE = SimpleTED()
 
 
 @pytest.fixture
@@ -21,132 +28,110 @@ def collection():
     ]
 
 
+def _oracle_matches(trees_a, threshold, trees_b=None, cost_model=None):
+    """``{(i, j): distance}`` of every pair with ``TED < threshold``, by SimpleTED."""
+    if trees_b is None:
+        pairs = [(i, j) for i in range(len(trees_a)) for j in range(i + 1, len(trees_a))]
+        trees_b = trees_a
+    else:
+        pairs = [(i, j) for i in range(len(trees_a)) for j in range(len(trees_b))]
+    found = {}
+    for i, j in pairs:
+        distance = ORACLE.distance(trees_a[i], trees_b[j], cost_model=cost_model)
+        if distance < threshold:
+            found[(i, j)] = distance
+    return found
+
+
 class TestSelfJoin:
     def test_matches_respect_threshold(self, collection):
-        result = similarity_self_join(collection, threshold=3.5, algorithm="zhang-l")
-        exact = ZhangShashaTED()
-        expected = {
-            (i, j)
-            for i in range(len(collection))
-            for j in range(i + 1, len(collection))
-            if exact.distance(collection[i], collection[j]) < 3.5
-        }
-        assert {(i, j) for i, j, _ in result.matches} == expected
+        result = batch_self_join(collection, 3.5, algorithm="zhang-l", early_accept=False)
+        expected = _oracle_matches(collection, 3.5)
+        assert result.match_set == set(expected)
+        for i, j, distance in result.matches:
+            assert distance == expected[(i, j)]
 
     def test_pair_counting(self, collection):
-        result = similarity_self_join(collection, threshold=2.0, algorithm="zhang-l")
-        assert result.pairs_total == 6
-        assert result.pairs_computed == 6
-        assert result.pairs_filtered == 0
-        assert result.total_subproblems > 0
-        assert result.total_time >= 0.0
+        result = batch_self_join(collection, 2.0, algorithm="zhang-l", use_cascade=False)
+        stats = result.stats
+        assert stats.pairs_total == 6
+        assert stats.exact_computed == 6
+        assert stats.total_subproblems > 0
+        assert stats.total_time >= 0.0
 
     def test_rted_and_zhang_produce_identical_matches(self, collection):
-        zhang = similarity_self_join(collection, threshold=4.0, algorithm="zhang-l")
-        rted = similarity_self_join(collection, threshold=4.0, algorithm="rted")
-        assert {(i, j) for i, j, _ in zhang.matches} == {(i, j) for i, j, _ in rted.matches}
+        zhang = batch_self_join(collection, 4.0, algorithm="zhang-l")
+        rted = batch_self_join(collection, 4.0, algorithm="rted")
+        assert zhang.match_set == rted.match_set == set(_oracle_matches(collection, 4.0))
 
-    def test_lower_bound_filter_preserves_result(self, collection):
-        unfiltered = similarity_self_join(collection, threshold=3.0, algorithm="zhang-l")
-        filtered = similarity_self_join(
-            collection, threshold=3.0, algorithm="zhang-l", use_lower_bound_filter=True
+    def test_cascade_preserves_result(self, collection):
+        unfiltered = batch_self_join(collection, 3.0, algorithm="zhang-l", use_cascade=False)
+        filtered = batch_self_join(collection, 3.0, algorithm="zhang-l")
+        assert unfiltered.match_set == filtered.match_set == set(
+            _oracle_matches(collection, 3.0)
         )
-        assert {(i, j) for i, j, _ in unfiltered.matches} == {
-            (i, j) for i, j, _ in filtered.matches
-        }
-        assert filtered.pairs_filtered + filtered.pairs_computed == filtered.pairs_total
+        stats = filtered.stats
+        assert stats.exact_computed + stats.accepted_early <= stats.pairs_total
 
     def test_filter_reduces_work_for_dissimilar_trees(self):
         trees = [parse_bracket("{a{b}{c}}"), parse_bracket("{x{y{z{w{v}}}}}")]
-        result = similarity_self_join(
-            trees, threshold=1.0, algorithm="zhang-l", use_lower_bound_filter=True
-        )
-        assert result.pairs_filtered == 1
-        assert result.pairs_computed == 0
-        assert result.filter_rate == 1.0
-
-    def test_combined_filter_also_preserves_result(self, collection):
-        strict = similarity_self_join(
-            collection,
-            threshold=3.0,
-            algorithm="zhang-l",
-            use_lower_bound_filter=True,
-            cheap_filter_only=False,
-        )
-        baseline = similarity_self_join(collection, threshold=3.0, algorithm="zhang-l")
-        assert {(i, j) for i, j, _ in strict.matches} == {(i, j) for i, j, _ in baseline.matches}
+        result = batch_self_join(trees, 1.0, algorithm="zhang-l")
+        assert result.match_set == set()
+        assert result.stats.exact_computed == 0
 
     def test_algorithm_instance_accepted(self, collection):
-        result = similarity_self_join(collection, threshold=2.0, algorithm=ZhangShashaTED())
+        result = batch_self_join(collection, 2.0, algorithm=ZhangShashaTED())
         assert result.algorithm == "Zhang-L"
+        assert result.match_set == set(_oracle_matches(collection, 2.0))
 
 
 class TestFilterCostModelSoundness:
-    """Regression for the headline bug: the lower-bound filter used to compare
-    *unit-cost* bounds against the threshold regardless of the cost model, so
-    with operation costs below 1 it pruned pairs whose true distance beats τ."""
+    """The filters must scale their unit-cost bounds by the cost model: with
+    operation costs below 1, a unit-cost bound that reaches τ does not prove
+    that the true distance does."""
 
     def test_fractional_costs_do_not_lose_matches(self):
         tree_a = parse_bracket("{a{b}{c}}")
         tree_b = parse_bracket("{a}")
         cm = WeightedCostModel(0.4, 0.4, 0.4)
         threshold = 1.0
-        # The scenario the pre-fix code provably got wrong: the unit-cost
-        # bound reaches τ, but the true distance under the model is below it.
+        # The unit-cost bound reaches τ, but the true distance under the
+        # model is below it.
         assert cheap_lower_bound(tree_a, tree_b) >= threshold
         exact = ZhangShashaTED().distance(tree_a, tree_b, cost_model=cm)
         assert exact == pytest.approx(0.8)
         assert exact < threshold
 
-        filtered = similarity_self_join(
-            [tree_a, tree_b],
-            threshold=threshold,
-            algorithm="zhang-l",
-            cost_model=cm,
-            use_lower_bound_filter=True,
+        result = batch_self_join(
+            [tree_a, tree_b], threshold, algorithm="zhang-l", cost_model=cm
         )
-        assert {(i, j) for i, j, _ in filtered.matches} == {(0, 1)}
+        assert result.match_set == {(0, 1)}
 
-    def test_fractional_costs_combined_filter(self, collection):
+    def test_fractional_costs_with_and_without_cascade(self, collection):
         cm = WeightedCostModel(0.5, 0.5, 0.5)
-        baseline = similarity_self_join(
-            collection, threshold=2.0, algorithm="zhang-l", cost_model=cm
-        )
-        for cheap_only in (True, False):
-            filtered = similarity_self_join(
-                collection,
-                threshold=2.0,
-                algorithm="zhang-l",
-                cost_model=cm,
-                use_lower_bound_filter=True,
-                cheap_filter_only=cheap_only,
+        expected = set(_oracle_matches(collection, 2.0, cost_model=cm))
+        for use_cascade in (True, False):
+            result = batch_self_join(
+                collection, 2.0, algorithm="zhang-l", cost_model=cm, use_cascade=use_cascade
             )
-            assert {(i, j) for i, j, _ in filtered.matches} == {
-                (i, j) for i, j, _ in baseline.matches
-            }
+            assert result.match_set == expected
 
     def test_unit_costs_still_filter(self):
         trees = [parse_bracket("{a{b}{c}}"), parse_bracket("{x{y{z{w{v}}}}}")]
-        result = similarity_self_join(
-            trees, threshold=1.0, algorithm="zhang-l", use_lower_bound_filter=True
-        )
-        assert result.pairs_filtered == 1
+        result = batch_self_join(trees, 1.0, algorithm="zhang-l")
+        stats = result.stats
+        assert stats.index_pruned + sum(stats.stage_pruned.values()) == 1
 
 
 class TestCrossJoin:
     def test_join_of_two_collections(self, collection):
-        result = similarity_join(collection[:2], collection[2:], threshold=5.0, algorithm="zhang-l")
-        assert result.pairs_total == 4
+        left, right = collection[:2], collection[2:]
+        result = batch_similarity_join(
+            left, 5.0, corpus_b=right, algorithm="zhang-l", early_accept=False
+        )
+        assert result.stats.pairs_total == 4
+        expected = _oracle_matches(left, 5.0, trees_b=right)
+        assert result.match_set == set(expected)
         for i, j, distance in result.matches:
-            assert distance < 5.0
+            assert distance == expected[(i, j)]
             assert 0 <= i < 2 and 0 <= j < 2
-
-
-class TestTopK:
-    def test_top_k_returns_sorted_closest_pairs(self, collection):
-        top = top_k_closest_pairs(collection, k=2, algorithm="zhang-l")
-        assert len(top) == 2
-        assert top[0][2] <= top[1][2]
-
-    def test_top_k_with_k_larger_than_pairs(self, collection):
-        assert len(top_k_closest_pairs(collection, k=100, algorithm="zhang-l")) == 6

@@ -148,7 +148,7 @@ class TestWorkspacePathRecursionFree:
         trees = [_path_tree(60), _path_tree(59), _path_tree(58, label="b"), random_tree(30, rng=5)]
         workspace = TedWorkspace()
         pairs = [(i, j) for i in range(len(trees)) for j in range(i + 1, len(trees))]
-        on = batch_distances(trees, None, pairs, workspace=workspace)
-        off = batch_distances(trees, None, pairs, workspace=False)
-        assert [(i, j, d) for i, j, d, _ in on] == [(i, j, d) for i, j, d, _ in off]
+        amortized = batch_distances(trees, None, pairs, workspace=workspace)
+        fresh = batch_distances(trees, None, pairs, algorithm=make_algorithm("rted"))
+        assert [(i, j, d) for i, j, d, _ in amortized] == [(i, j, d) for i, j, d, _ in fresh]
         assert workspace.stats.small_pair_runs == len(pairs)

@@ -36,14 +36,27 @@ from repro.algorithms import (
     spf_R,
     zhang_shasha_distance,
 )
-from repro.algorithms.spf import numpy_available
+from repro.algorithms import spf_numpy
 from repro.costs import UNIT_COST, StringRenameCostModel, WeightedCostModel
 from repro.datasets import random_tree
 from repro.trees import HEAVY, LEFT, RIGHT, Node, Tree
 
 from conftest import random_tree_pairs, tree_pairs
 
-KERNELS = [False, True] if numpy_available() else [False]
+
+@pytest.fixture(params=["vector", "scalar"])
+def kernel(request, monkeypatch):
+    """Pin every region to one kernel family by moving the width thresholds.
+
+    ``vector`` sends every keyroot table and boundary grid through the
+    NumPy kernels of :mod:`repro.algorithms.spf_numpy`; ``scalar`` sends
+    them all through ``_region_py`` / ``_region_py_unit`` /
+    ``_inner_spine_py``, which by default run only the narrow tables.
+    """
+    width = 2 if request.param == "vector" else 10_000
+    monkeypatch.setattr(spf_numpy, "MIN_VECTOR_COLS", width)
+    monkeypatch.setattr(spf_numpy, "MIN_INNER_VECTOR_WIDTH", width)
+    return request.param
 
 #: 100 pairs for the left SPF + 100 pairs for the right SPF = the >= 200
 #: randomized cross-checked pairs required of this layer.
@@ -61,28 +74,25 @@ def _path_tree(depth: int, label: object = "a") -> Tree:
 
 
 class TestSinglePathFunctions:
-    @pytest.mark.parametrize("use_numpy", KERNELS)
-    def test_spf_left_matches_recursive_engine(self, use_numpy):
+    def test_spf_left_matches_recursive_engine(self, kernel):
         for tree_f, tree_g in SPF_PAIRS:
             expected = DecompositionEngine(tree_f, tree_g, LeftFStrategy()).distance()
-            assert spf_L(tree_f, tree_g, use_numpy=use_numpy) == pytest.approx(expected)
+            assert spf_L(tree_f, tree_g) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("use_numpy", KERNELS)
-    def test_spf_right_matches_recursive_engine(self, use_numpy):
+    def test_spf_right_matches_recursive_engine(self, kernel):
         for tree_f, tree_g in SPF_PAIRS:
             expected = DecompositionEngine(tree_f, tree_g, RightFStrategy()).distance()
-            assert spf_R(tree_f, tree_g, use_numpy=use_numpy) == pytest.approx(expected)
+            assert spf_R(tree_f, tree_g) == pytest.approx(expected)
 
     def test_spf_left_matches_zhang_shasha(self):
         for tree_f, tree_g in SPF_PAIRS[:40]:
             expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
             assert spf_L(tree_f, tree_g) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("use_numpy", KERNELS)
     @pytest.mark.parametrize(
         "cost_model", [WEIGHTED, StringRenameCostModel()], ids=["weighted", "string-rename"]
     )
-    def test_non_unit_costs_match_recursive_engine(self, use_numpy, cost_model):
+    def test_non_unit_costs_match_recursive_engine(self, kernel, cost_model):
         for tree_f, tree_g in SPF_PAIRS[:25]:
             left = DecompositionEngine(
                 tree_f, tree_g, LeftFStrategy(), cost_model=cost_model
@@ -90,23 +100,20 @@ class TestSinglePathFunctions:
             right = DecompositionEngine(
                 tree_f, tree_g, RightFStrategy(), cost_model=cost_model
             ).distance()
-            assert spf_L(tree_f, tree_g, cost_model=cost_model, use_numpy=use_numpy) == (
+            assert spf_L(tree_f, tree_g, cost_model=cost_model) == (
                 pytest.approx(left)
             )
-            assert spf_R(tree_f, tree_g, cost_model=cost_model, use_numpy=use_numpy) == (
+            assert spf_R(tree_f, tree_g, cost_model=cost_model) == (
                 pytest.approx(right)
             )
 
-    def test_kernels_agree_with_each_other(self):
-        if not numpy_available():
-            pytest.skip("numpy kernel unavailable")
-        for tree_f, tree_g in SPF_PAIRS[:30]:
-            assert spf_L(tree_f, tree_g, use_numpy=True) == pytest.approx(
-                spf_L(tree_f, tree_g, use_numpy=False)
-            )
-            assert spf_R(tree_f, tree_g, use_numpy=True) == pytest.approx(
-                spf_R(tree_f, tree_g, use_numpy=False)
-            )
+    def test_kernels_agree_with_each_other(self, monkeypatch):
+        pairs = SPF_PAIRS[:30]
+        monkeypatch.setattr(spf_numpy, "MIN_VECTOR_COLS", 2)
+        vector = [(spf_L(f, g), spf_R(f, g)) for f, g in pairs]
+        monkeypatch.setattr(spf_numpy, "MIN_VECTOR_COLS", 10_000)
+        scalar = [(spf_L(f, g), spf_R(f, g)) for f, g in pairs]
+        assert vector == scalar
 
     def test_subtree_pair_distances(self):
         """run() on inner subtree roots matches the engine's subtree_distance."""
@@ -154,71 +161,65 @@ def _caterpillar(k: int, leaf_first: bool = False, label: object = "a") -> Tree:
 class TestInnerPathFunctions:
     """The chain/grid single-path function Δ_A (heavy and arbitrary paths)."""
 
-    @pytest.mark.parametrize("use_numpy", KERNELS)
-    def test_spf_heavy_matches_recursive_engine(self, use_numpy):
+    def test_spf_heavy_matches_recursive_engine(self, kernel):
         # 100 pairs per kernel — together with the weighted/string-rename
         # sweeps below this layer is cross-checked on well over 200 pairs.
         for tree_f, tree_g in SPF_PAIRS:
             expected = DecompositionEngine(tree_f, tree_g, HeavyFStrategy()).distance()
-            assert spf_H(tree_f, tree_g, use_numpy=use_numpy) == pytest.approx(expected)
+            assert spf_H(tree_f, tree_g) == pytest.approx(expected)
 
     def test_spf_heavy_matches_zhang_shasha(self):
         for tree_f, tree_g in SPF_PAIRS[:40]:
             expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
             assert spf_H(tree_f, tree_g) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("use_numpy", KERNELS)
     @pytest.mark.parametrize(
         "cost_model", [WEIGHTED, StringRenameCostModel()], ids=["weighted", "string-rename"]
     )
-    def test_non_unit_costs_match_recursive_engine(self, use_numpy, cost_model):
+    def test_non_unit_costs_match_recursive_engine(self, kernel, cost_model):
         for tree_f, tree_g in SPF_PAIRS[:25]:
             expected = DecompositionEngine(
                 tree_f, tree_g, HeavyFStrategy(), cost_model=cost_model
             ).distance()
             assert spf_H(
-                tree_f, tree_g, cost_model=cost_model, use_numpy=use_numpy
+                tree_f, tree_g, cost_model=cost_model
             ) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("use_numpy", KERNELS)
-    def test_heavy_g_side(self, use_numpy):
+    def test_heavy_g_side(self, kernel):
         """Decomposing the right-hand tree exercises the transposed kernels."""
         for tree_f, tree_g in SPF_PAIRS[:25]:
             expected = DecompositionEngine(tree_f, tree_g, HeavyGStrategy()).distance()
-            context = SinglePathContext(tree_f, tree_g, use_numpy=use_numpy)
+            context = SinglePathContext(tree_f, tree_g)
             got = context.run_inner("G", HEAVY, tree_f.root, tree_g.root)
             assert got == pytest.approx(expected)
 
-    @pytest.mark.parametrize("use_numpy", KERNELS)
     @pytest.mark.parametrize("kind", [LEFT, RIGHT])
-    def test_inner_left_right_agree_with_keyroot_spfs(self, use_numpy, kind):
+    def test_inner_left_right_agree_with_keyroot_spfs(self, kernel, kind):
         """Δ_A with a left/right path must equal the dedicated Δ_L / Δ_R."""
         keyroot = spf_L if kind == LEFT else spf_R
         for tree_f, tree_g in SPF_PAIRS[:30]:
-            assert spf_A(tree_f, tree_g, kind, use_numpy=use_numpy) == pytest.approx(
+            assert spf_A(tree_f, tree_g, kind) == pytest.approx(
                 keyroot(tree_f, tree_g)
             )
 
-    @pytest.mark.parametrize("use_numpy", KERNELS)
-    def test_single_node_edge_cases(self, use_numpy):
+    def test_single_node_edge_cases(self, kernel):
         single = Tree(Node("x"))
         bigger = random_tree(9, rng=13)
-        assert spf_H(single, single, use_numpy=use_numpy) == 0.0
-        assert spf_H(single, Tree(Node("y")), use_numpy=use_numpy) == 1.0
+        assert spf_H(single, single) == 0.0
+        assert spf_H(single, Tree(Node("y"))) == 1.0
         expected = DecompositionEngine(single, bigger, HeavyFStrategy()).distance()
-        assert spf_H(single, bigger, use_numpy=use_numpy) == pytest.approx(expected)
+        assert spf_H(single, bigger) == pytest.approx(expected)
         expected = DecompositionEngine(bigger, single, HeavyFStrategy()).distance()
-        assert spf_H(bigger, single, use_numpy=use_numpy) == pytest.approx(expected)
+        assert spf_H(bigger, single) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("use_numpy", KERNELS)
     @pytest.mark.parametrize("leaf_first", [False, True], ids=["leaf-after", "leaf-before"])
-    def test_caterpillar_edge_cases(self, use_numpy, leaf_first):
+    def test_caterpillar_edge_cases(self, kernel, leaf_first):
         """Caterpillars maximize distinct forest-split targets per chain."""
         cat = _caterpillar(9, leaf_first=leaf_first)
         other = random_tree(15, rng=4)
         for tree_f, tree_g in ((cat, other), (other, cat), (cat, _caterpillar(7, label="b"))):
             expected = DecompositionEngine(tree_f, tree_g, HeavyFStrategy()).distance()
-            assert spf_H(tree_f, tree_g, use_numpy=use_numpy) == pytest.approx(expected)
+            assert spf_H(tree_f, tree_g) == pytest.approx(expected)
 
     def test_subtree_pair_distances(self):
         """run_inner() on inner subtree roots matches the engine's values."""

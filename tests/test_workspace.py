@@ -124,22 +124,25 @@ class TestBitIdentity:
 
 
 class TestBatchLayer:
-    def test_batch_distances_workspace_on_off_identical(self):
+    # The fresh-context oracle of these tests is a pre-built algorithm
+    # instance: batch_distances runs an instance exactly as configured, per
+    # pair, while a registry name runs amortized.
+    def test_batch_distances_amortized_matches_fresh_instance(self):
         trees = clustered_corpus(
             num_clusters=5, cluster_size=6, tree_size=12, num_edits=2, rng=9
         )
         pairs = [(i, j) for i in range(len(trees)) for j in range(i + 1, len(trees))]
-        on = batch_distances(trees, None, pairs, algorithm="rted", workspace=True)
-        off = batch_distances(trees, None, pairs, algorithm="rted", workspace=False)
-        assert [(i, j, d) for i, j, d, _ in on] == [(i, j, d) for i, j, d, _ in off]
+        amortized = batch_distances(trees, None, pairs, algorithm="rted")
+        fresh = batch_distances(trees, None, pairs, algorithm=make_algorithm("rted"))
+        assert [(i, j, d) for i, j, d, _ in amortized] == [(i, j, d) for i, j, d, _ in fresh]
 
-    def test_batch_join_workspace_on_off_identical(self):
+    def test_batch_join_amortized_matches_fresh_instance(self):
         trees = clustered_corpus(
             num_clusters=6, cluster_size=5, tree_size=12, num_edits=2, rng=4
         )
-        on = batch_self_join(trees, 3.0, algorithm="zhang-l")
-        off = batch_self_join(trees, 3.0, algorithm="zhang-l", workspace=False)
-        assert on.matches == off.matches
+        amortized = batch_self_join(trees, 3.0, algorithm="zhang-l")
+        fresh = batch_self_join(trees, 3.0, algorithm=make_algorithm("zhang-l"))
+        assert amortized.matches == fresh.matches
 
     def test_cross_corpus_interning(self):
         # A cross join interns both corpora into one dictionary; labels seen
@@ -148,9 +151,11 @@ class TestBatchLayer:
         b = TreeCorpus([random_tree(12, rng=30 + k, alphabet=["y", "z", "w"]) for k in range(5)])
         pairs = [(i, j) for i in range(len(a)) for j in range(len(b))]
         for cm in (None, FRACTIONAL):
-            on = batch_distances(a, b, pairs, algorithm="rted", cost_model=cm, workspace=True)
-            off = batch_distances(a, b, pairs, algorithm="rted", cost_model=cm, workspace=False)
-            assert [(i, j, d) for i, j, d, _ in on] == [(i, j, d) for i, j, d, _ in off]
+            amortized = batch_distances(a, b, pairs, algorithm="rted", cost_model=cm)
+            fresh = batch_distances(a, b, pairs, algorithm=make_algorithm("rted"), cost_model=cm)
+            assert [(i, j, d) for i, j, d, _ in amortized] == [
+                (i, j, d) for i, j, d, _ in fresh
+            ]
 
     def test_explicit_workspace_reused_across_batches(self):
         trees = TreeCorpus([random_tree(14, rng=k) for k in range(6)])
@@ -167,10 +172,8 @@ class TestBatchLayer:
             num_clusters=4, cluster_size=5, tree_size=12, num_edits=2, rng=2
         )
         pairs = [(i, j) for i in range(len(trees)) for j in range(i + 1, len(trees))]
-        serial = batch_distances(trees, None, pairs, algorithm="rted", workspace=True)
-        fanned = batch_distances(
-            trees, None, pairs, algorithm="rted", workspace=True, workers=2, chunk_size=20
-        )
+        serial = batch_distances(trees, None, pairs, algorithm="rted")
+        fanned = batch_distances(trees, None, pairs, algorithm="rted", workers=2, chunk_size=20)
         assert sorted(serial) == sorted(fanned)
 
 
@@ -247,7 +250,7 @@ class TestWorkspaceInternals:
         # as configured — the workspace applies to registry names only.
         trees = [random_tree(8, rng=1), random_tree(8, rng=2)]
         oracle = RTED(engine="recursive")
-        results = batch_distances(trees, None, [(0, 1)], algorithm=oracle, workspace=True)
+        results = batch_distances(trees, None, [(0, 1)], algorithm=oracle)
         expected = oracle.compute(trees[0], trees[1])
         assert results[0][2] == expected.distance
         assert results[0][3] == expected.subproblems
