@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.algorithms import TedWorkspace, make_algorithm
 from repro.costs import WeightedCostModel
 from repro.datasets import clustered_corpus, random_tree
-from repro.join import TreeCorpus, batch_self_join
+from repro.join import TreeCorpus, batch_self_join, default_cascade
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_batch.json"
 
@@ -117,7 +117,10 @@ def run_join_verify(num_trees: int, early_accept: bool) -> Dict:
     With ``early_accept=False`` every cascade survivor runs exact TED — the
     isolated verify-stage measurement (the default-cascade variant verifies
     only the few pairs the upper bound cannot settle, so its verify time is
-    tiny and noisy; it is reported for completeness, not gated on).
+    tiny and noisy; it is reported for completeness, not gated on).  Both
+    modes run the full default cascade explicitly: left to the planner, the
+    registry name would skip the O(n·m) stages for its small-pair-verified
+    pairs, and the two modes would verify different survivor sets.
     """
     trees = clustered_corpus(
         num_clusters=max(1, num_trees // 10),
@@ -131,7 +134,8 @@ def run_join_verify(num_trees: int, early_accept: bool) -> Dict:
     modes = {"fresh": make_algorithm("zhang-l"), "workspace": "zhang-l"}
     results = {
         mode: batch_self_join(
-            trees, JOIN_THRESHOLD, algorithm=algorithm, early_accept=early_accept
+            trees, JOIN_THRESHOLD, algorithm=algorithm, early_accept=early_accept,
+            cascade=default_cascade(),
         )
         for mode, algorithm in modes.items()
     }

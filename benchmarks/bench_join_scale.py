@@ -8,10 +8,14 @@ threshold where matches live (mostly) inside clusters.  Three measurement
 families:
 
 * **cascade off** — every pair runs exact TED (the pre-batch-subsystem
-  behaviour); measured at the 2k acceptance size (it is quadratic wall-clock,
-  larger sizes are extrapolated in the report);
+  behaviour, now through the batched small-pair kernel); measured at the 2k
+  acceptance size (it is quadratic wall-clock, larger sizes are
+  extrapolated in the report);
 * **cascade on** — inverted-index candidate generation + the sound filter
-  cascade + upper-bound early accept, exact TED only for the undecided rest;
+  cascade, exact TED for the undecided rest.  These 12-node pairs are all
+  verified by the small-pair program, so the planner runs only the size,
+  label and binary-branch stages on them (no traversal-string bound, no
+  upper-bound early accept) and every match distance is exact;
 * **worker counts** — the cascade-on verification fan-out at 1 and 2
   processes (informational on single-core runners).
 
@@ -20,9 +24,9 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_join_scale.py            # full, writes BENCH_join.json
     PYTHONPATH=src python benchmarks/bench_join_scale.py --quick    # CI smoke (<1 min)
 
-The committed ``BENCH_join.json`` is the baseline recorded on the machine
-that introduced the batch subsystem; per-stage filter counts are embedded in
-every entry.  In ``--quick`` mode nothing is written unless ``--output`` is
+The committed ``BENCH_join.json`` is a full run on a 2-vCPU x86-64 VM with
+the C kernel compiled; per-stage filter counts are embedded in every
+entry.  In ``--quick`` mode nothing is written unless ``--output`` is
 given and the process exits non-zero if the cascade-on join is less than 3x
 faster than cascade-off — the CI regression gate for the filter pipeline.
 """

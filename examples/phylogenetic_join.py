@@ -8,7 +8,9 @@ unbalanced, binary).  This example:
 1. generates a TreeFam-like collection of phylogenies (Newick round-trip shows
    the trees are ordinary phylogenetic trees);
 2. runs a threshold similarity self-join with RTED, with and without the
-   filter cascade (size/label/traversal lower bounds, upper-bound accept);
+   filter cascade (size/label/binary-branch lower bounds; pairs too large
+   for the small-pair program also meet the traversal-string bound and the
+   upper-bound accept, so "accepted early" counts only those);
 3. shows why RTED is the right default by counting the relevant subproblems
    each fixed-strategy competitor would have needed on the joined pairs.
 """

@@ -300,9 +300,8 @@ def similarity_join(
     ``i < j``).  Elements may be trees or parseable tree descriptions (see
     :func:`parse_tree`).  The join computes per-tree filter artifacts once,
     generates candidates from a binary-branch inverted index, prunes with
-    cost-model-scaled lower bounds, accepts early via the top-down upper
-    bound, and verifies the survivors exactly — optionally fanned out over
-    ``workers`` processes.  Returns a
+    cost-model-scaled lower bounds, and verifies the survivors exactly —
+    optionally fanned out over ``workers`` processes.  Returns a
     :class:`~repro.join.batch.BatchJoinResult` whose ``stats`` field carries
     the per-stage :class:`~repro.join.cascade.JoinStats`.
 
@@ -322,9 +321,15 @@ def similarity_join(
     Survivors are verified with ``cutoff=τ``, aborting each exact
     computation as soon as ``TED ≥ τ`` is proven; every *verified* match
     distance is exact, and ``result.stats.aborted_early`` counts the
-    verifications cut short.  Pairs the upper-bound stage accepts early are
-    never verified and report that mapping cost (an upper bound below τ),
-    not the TED; pass ``early_accept=False`` to verify them too.
+    verifications cut short.  Stages are chosen per pair
+    (:meth:`~repro.join.pipeline.Planner.filters`): pairs verified by the
+    small-pair program — the default unit-cost join on pairs within the
+    cell gate — skip the O(n·m) traversal-string and upper-bound stages, so
+    they are never accepted early and report their exact TED.  Pairs
+    verified per pair in Python (non-unit cost models, pre-built algorithm
+    instances, pairs over the cell gate) keep the full cascade, and an
+    early accept there reports the top-down mapping cost (an upper bound
+    below τ), not the TED; pass ``early_accept=False`` to verify them too.
 
     The ``workers > 1`` verification stage is *supervised*
     (:mod:`repro.join.supervisor`): crashed or hung workers are detected,

@@ -30,6 +30,7 @@ from .pipeline import (
     CandidateSource,
     Filter,
     JoinIndexSource,
+    PairFilters,
     Planner,
     QueryIndexSource,
     Refiner,
@@ -77,6 +78,7 @@ __all__ = [
     "QueryIndexSource",
     "BatchRefiner",
     "Planner",
+    "PairFilters",
     "RetrievalPlan",
     "execute_plan",
     "VPTree",

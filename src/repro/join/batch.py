@@ -9,7 +9,10 @@ The v2 join pipeline (see ``DESIGN.md``, *Batch joins*):
    only the pairs that can still match (sound for any cost model with a
    positive :meth:`~repro.costs.CostModel.min_operation_cost`).
 3. **Filter cascade** — ordered per-pair stages prune with scaled lower
-   bounds and accept early with the top-down upper bound.
+   bounds and accept early with the top-down upper bound; pairs the
+   small-pair program verifies skip the O(n·m) stages (traversal-string,
+   upper bound), since the exact answer costs them less
+   (:meth:`~repro.join.pipeline.Planner.filters`).
 4. **Exact verification** — surviving pairs run exact TED with any registry
    algorithm/engine, optionally fanned out over a ``multiprocessing`` pool in
    chunks, with the streaming :class:`~repro.join.cascade.JoinStats` updated
@@ -517,9 +520,13 @@ class BatchJoinResult:
     matches: List[Tuple[int, int, float]] = field(default_factory=list)
     """Matched pairs as ``(index_a, index_b, distance)`` triples.
 
-    For pairs accepted early by the upper-bound stage the distance is the
-    top-down upper bound (a valid mapping cost below ``τ``), not the exact
-    TED; disable ``early_accept`` to force exact distances everywhere.
+    The distance is the exact TED for every verified pair, which on the
+    default unit-cost plan is every pair within the small-pair cell gate.
+    Pairs verified per pair in Python (non-unit cost models, pre-built
+    algorithm instances, pairs over the gate) still meet the upper-bound
+    stage; for those it accepts early the distance is the top-down upper
+    bound (a valid mapping cost below ``τ``).  Disable ``early_accept`` to
+    force exact distances everywhere.
     """
 
     stats: JoinStats = field(default_factory=JoinStats)

@@ -96,6 +96,12 @@ class FilterStage:
     #: exactly.
     is_accept_stage: bool = False
 
+    #: ``True`` for stages doing O(n·m) pure-Python work per pair.  They pay
+    #: off only in front of a per-pair Python verifier: the planner drops
+    #: them for pairs the small-pair program verifies, which settles such a
+    #: pair exactly in less time than the stage itself takes.
+    quadratic: bool = False
+
     def apply(self, a: TreeProfile, b: TreeProfile, ctx: CascadeContext) -> str:
         raise NotImplementedError
 
@@ -145,6 +151,7 @@ class TraversalStringFilter(FilterStage):
 
     name = "traversal-string"
     requires_ops_threshold = True
+    quadratic = True
 
     def apply(self, a: TreeProfile, b: TreeProfile, ctx: CascadeContext) -> str:
         if levenshtein(a.preorder_labels, b.preorder_labels) >= ctx.ops_threshold:
@@ -208,6 +215,7 @@ class UpperBoundAccept(FilterStage):
 
     name = "upper-bound"
     is_accept_stage = True
+    quadratic = True
 
     def apply(self, a: TreeProfile, b: TreeProfile, ctx: CascadeContext) -> str:
         upper = top_down_upper_bound(a.tree, b.tree, ctx.cost_model)
@@ -218,7 +226,13 @@ class UpperBoundAccept(FilterStage):
 
 
 def default_cascade() -> List[FilterStage]:
-    """The default (sound) stage order: cheapest bounds first, accept last."""
+    """The default (sound) stage order: cheapest bounds first, accept last.
+
+    Plans built by :class:`~repro.join.pipeline.Planner` run the
+    :attr:`~FilterStage.quadratic` stages of this list only for pairs that
+    are verified per pair in Python (see :class:`~repro.join.pipeline.
+    PairFilters`).
+    """
     return [
         SizeFilter(),
         LabelFilter(),

@@ -44,6 +44,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
+from ..algorithms.batch_kernel import SMALL_PAIR_CELLS, choose_sweep
+from ..algorithms.workspace import TedWorkspace
 from ..costs import CostModel
 from .cascade import (
     ACCEPT,
@@ -105,6 +107,8 @@ class Refiner(Protocol):
     """Computes exact (optionally τ-bounded) distances for candidate pairs."""
 
     def effective_workers(self, n_pairs: int) -> int: ...
+
+    def small_pair_gate(self) -> Optional[Callable[[int, int], bool]]: ...
 
     def refine(
         self,
@@ -213,6 +217,41 @@ class BatchRefiner:
 
         return _effective_workers(self.workers, n_pairs, self.chunk_size)
 
+    def small_pair_gate(self) -> Optional[Callable[[int, int], bool]]:
+        """Which pairs :meth:`refine` verifies with the small-pair program.
+
+        ``None`` when no pair is: a pre-built algorithm instance, a non-unit
+        cost model, or an engine without the amortized workspace
+        (:func:`~repro.join.batch._kernel_workspace`).  Otherwise a
+        predicate over ``(i, j)`` applying the per-pair gates of
+        :func:`~repro.algorithms.batch_kernel.kernel_chunk_entries`: label
+        codes on both sides and the cheaper sweep within
+        :data:`~repro.algorithms.batch_kernel.SMALL_PAIR_CELLS`.  It reads
+        no provider state — the C kernel and its twin run the same program —
+        so the answer is the same with or without a compiler.
+        """
+        from .batch import _kernel_workspace, _resolve_algorithm
+
+        if not isinstance(self.algorithm, str):
+            return None
+        probe = self.workspace if self.workspace is not None else TedWorkspace(
+            self.cost_model
+        )
+        if _kernel_workspace(_resolve_algorithm(self.algorithm, self.engine, probe)) is None:
+            return None
+        corpus_b = self.corpus_b if self.corpus_b is not None else self.corpus_a
+        _, elig_a, sweeps_a = self.corpus_a.pack().gate_rows()
+        _, elig_b, sweeps_b = corpus_b.pack().gate_rows()
+
+        def gate(i: int, j: int) -> bool:
+            return (
+                elig_a[i]
+                and elig_b[j]
+                and choose_sweep(sweeps_a[i], sweeps_b[j], SMALL_PAIR_CELLS) is not None
+            )
+
+        return gate
+
     def refine(
         self,
         pairs: Sequence[PairKey],
@@ -250,6 +289,37 @@ class BatchRefiner:
 # --------------------------------------------------------------------------- #
 # Plans, the planner and the executor
 # --------------------------------------------------------------------------- #
+class PairFilters:
+    """A plan's filter stages, chosen per pair by the verifier that runs it.
+
+    ``stages`` is the full list, run for pairs verified per pair in Python.
+    ``small_pair(i, j)``, when given, marks the pairs the refiner verifies
+    with the small-pair program instead; those skip the
+    :attr:`~repro.join.cascade.FilterStage.quadratic` stages, since the
+    program settles such a pair exactly in less time than one of those
+    stages takes.  The choice never changes a match set — every stage is
+    sound — only which pairs are decided by a bound and which exactly.
+    """
+
+    def __init__(
+        self,
+        stages: Sequence[FilterStage],
+        small_pair: Optional[Callable[[int, int], bool]] = None,
+    ) -> None:
+        self.stages = list(stages)
+        self.small_pair = small_pair
+        self.small_pair_stages = [s for s in self.stages if not s.quadratic]
+
+    def __bool__(self) -> bool:
+        return bool(self.stages)
+
+    def for_pair(self, i: int, j: int) -> List[FilterStage]:
+        """The stages pair ``(i, j)`` runs through."""
+        if self.small_pair is not None and self.small_pair(i, j):
+            return self.small_pair_stages
+        return self.stages
+
+
 @dataclass
 class RetrievalPlan:
     """One composed retrieval pipeline, ready for :func:`execute_plan`.
@@ -264,7 +334,7 @@ class RetrievalPlan:
 
     ctx: CascadeContext
     source: CandidateSource
-    filters: List[FilterStage]
+    filters: PairFilters
     refiner: Refiner
     profile_a: Callable[[int], TreeProfile]
     profile_b: Callable[[int], TreeProfile]
@@ -276,9 +346,10 @@ class Planner:
     The planner owns the workload-independent decisions: converting the
     distance threshold into operation-count space (the cost-model soundness
     rule), choosing the candidate source (inverted index vs plain
-    enumeration vs a caller-supplied metric-index traversal), assembling
-    the filter stage list, and stripping accept stages when exact distances
-    are required.
+    enumeration vs a caller-supplied metric-index traversal), choosing the
+    filter stages per pair against the verifier that will run it
+    (:meth:`filters`), and stripping accept stages when exact distances are
+    required.
     """
 
     def __init__(self, cost_model: CostModel) -> None:
@@ -290,6 +361,36 @@ class Planner:
             ops_threshold=operations_threshold(threshold, self.cost_model),
             cost_model=self.cost_model,
         )
+
+    def filters(
+        self,
+        refiner: Refiner,
+        use_cascade: bool = True,
+        cascade: Optional[Sequence[FilterStage]] = None,
+        early_accept: bool = True,
+        approximate: Optional[FilterStage] = None,
+    ) -> PairFilters:
+        """The filter stages of a plan, chosen per pair by cost.
+
+        ``cascade=None`` takes :func:`~repro.join.cascade.default_cascade`
+        and lets pairs that the refiner verifies with the small-pair program
+        (:meth:`BatchRefiner.small_pair_gate`: a registry name, a unit-cost
+        workspace, the pair within the cell gate) skip its O(n·m) Python
+        stages, ``traversal-string`` and ``upper-bound``.  Every other pair —
+        non-unit cost models, pre-built algorithm instances, pairs over the
+        cell gate — keeps the full sound cascade.  An explicit ``cascade``
+        runs as given.  ``approximate`` (a pq-gram stage) goes in before the
+        last stage; ``early_accept=False`` strips the accept stages.
+        """
+        if not use_cascade:
+            return PairFilters([])
+        stages = list(cascade) if cascade is not None else default_cascade()
+        if approximate is not None:
+            stages.insert(-1, approximate)
+        if not early_accept:
+            stages = [s for s in stages if not s.is_accept_stage]
+        small_pair = refiner.small_pair_gate() if cascade is None else None
+        return PairFilters(stages, small_pair)
 
     def plan_join(
         self,
@@ -315,13 +416,17 @@ class Planner:
             source: CandidateSource = JoinIndexSource(corpus_a, corpus_b)
         else:
             source = AllPairsSource(corpus_a, corpus_b)
-        filters: List[FilterStage] = []
-        if use_cascade:
-            filters = list(cascade) if cascade is not None else default_cascade()
-            if approximate:
-                filters.insert(-1, PQGramFilter(corpus_a, corpus_b, cutoff=pq_gram_cutoff))
-            if not early_accept:
-                filters = [s for s in filters if not s.is_accept_stage]
+        filters = self.filters(
+            refiner,
+            use_cascade=use_cascade,
+            cascade=cascade,
+            early_accept=early_accept,
+            approximate=(
+                PQGramFilter(corpus_a, corpus_b, cutoff=pq_gram_cutoff)
+                if approximate
+                else None
+            ),
+        )
         profiles_b = corpus_b if corpus_b is not None else corpus_a
         return RetrievalPlan(
             ctx=ctx,
@@ -362,11 +467,9 @@ class Planner:
                 source = QueryIndexSource(corpus, query_profile)
             else:
                 source = AllPairsSource(query_corpus, corpus)
-        filters: List[FilterStage] = []
-        if use_cascade:
-            filters = list(cascade) if cascade is not None else default_cascade()
-            if not early_accept:
-                filters = [s for s in filters if not s.is_accept_stage]
+        filters = self.filters(
+            refiner, use_cascade=use_cascade, cascade=cascade, early_accept=early_accept
+        )
         return RetrievalPlan(
             ctx=ctx,
             source=source,
@@ -402,8 +505,9 @@ def execute_plan(
     ctx = plan.ctx
     # One ambient budget governs the whole plan.  Refinement inherits it
     # through batch_distances; the cascade loop below ticks per candidate
-    # pair, since its stages (traversal-string edit distance in particular)
-    # do real per-pair work that would otherwise run unchecked.
+    # pair, since the stages that pairs verified per pair in Python still
+    # run (traversal-string edit distance, the top-down upper bound) do
+    # O(n·m) work that would otherwise run unchecked.
     dl = active_deadline()
 
     # ---- candidates ------------------------------------------------------ #
@@ -426,13 +530,14 @@ def execute_plan(
         if distance < ctx.threshold:
             stats.exact_matched += 1
             matches.append((i, j, distance))
-    if plan.filters:
+    filters = plan.filters
+    if filters:
         survivors: List[PairKey] = []
         for i, j in candidate_pairs:
             if dl is not None:
                 dl.tick()
             decision = run_cascade(
-                plan.filters, plan.profile_a(i), plan.profile_b(j), ctx, stats
+                filters.for_pair(i, j), plan.profile_a(i), plan.profile_b(j), ctx, stats
             )
             if decision == ACCEPT:
                 # The accepting stage certified a mapping below τ and left its

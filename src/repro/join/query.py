@@ -67,13 +67,12 @@ from .cascade import (
     CascadeContext,
     JoinStats,
     PRUNE,
-    default_cascade,
     operations_threshold,
     run_cascade,
 )
 from .corpus import CorpusSnapshot, TreeCorpus
 from .metric_index import DEFAULT_LEAF_SIZE, VPTree, metric_eligible
-from .pipeline import BatchRefiner, CandidateSet, Planner, execute_plan
+from .pipeline import BatchRefiner, CandidateSet, PairFilters, Planner, execute_plan
 
 _INF = float("inf")
 
@@ -537,14 +536,6 @@ class QueryEngine:
             policy=self.policy,
         )
 
-    def _query_filters(self) -> list:
-        if not self.use_cascade:
-            return []
-        # Accept stages report upper-bound mapping costs, not exact
-        # distances — fine for a join's match set, wrong for ranking — so
-        # queries always verify exactly.
-        return [stage for stage in default_cascade() if not stage.is_accept_stage]
-
     def _vantage_distance(
         self,
         corpus: TreeCorpus,
@@ -625,7 +616,12 @@ class QueryEngine:
                         ctx = CascadeContext(
                             threshold=_INF, ops_threshold=_INF, cost_model=self.cost_model
                         )
-                        filters = self._query_filters()
+                        # Accept stages report upper-bound mapping costs,
+                        # not exact distances — wrong for ranking — so kNN
+                        # always verifies exactly.
+                        filters = self._planner.filters(
+                            refiner, use_cascade=self.use_cascade, early_accept=False
+                        )
                         vp = self.metric_index()
                         if vp is not None:
                             stats.metric_index_used = True
@@ -675,7 +671,7 @@ class QueryEngine:
         candidates: List[int],
         profile,
         ctx: CascadeContext,
-        filters: list,
+        filters: PairFilters,
         refiner: BatchRefiner,
         stats: QueryStats,
         corpus: TreeCorpus,
@@ -693,7 +689,9 @@ class QueryEngine:
             survivors = [
                 j
                 for j in candidates
-                if run_cascade(filters, profile, corpus.profile(j), ctx, stats)
+                if run_cascade(
+                    filters.for_pair(0, j), profile, corpus.profile(j), ctx, stats
+                )
                 != PRUNE
             ]
         else:

@@ -39,7 +39,7 @@ from repro.costs import (
 )
 from repro.datasets import clustered_corpus, make_shape, random_tree
 from repro.io import parse_bracket
-from repro.join import batch_distances, batch_self_join
+from repro.join import batch_distances, batch_self_join, default_cascade
 
 EXACT = ZhangShashaTED()
 
@@ -334,13 +334,17 @@ class TestThresholdBoundary:
         # Identical shapes, k label mismatches: the top-down upper bound
         # equals the exact distance, so at τ == d the accept stage must NOT
         # fire (strict <) and the pair must not match.
+        # A unit-cost plan skips the stage for pairs the small-pair program
+        # verifies, so the unit case passes the full cascade explicitly; the
+        # fractional plan keeps the stage on its own.
+        kwargs = {"cascade": default_cascade()} if model is None else {}
         f = parse_bracket("{a{b}{c}{d}}")
         g = parse_bracket("{a{b}{x}{y}}")
         assert EXACT.distance(f, g, cost_model=model) == 2 * unit
-        at = batch_self_join([f, g], 2 * unit, cost_model=model)
+        at = batch_self_join([f, g], 2 * unit, cost_model=model, **kwargs)
         assert at.match_set == set()
         assert at.stats.accepted_early == 0
-        above = batch_self_join([f, g], 2 * unit + unit / 2, cost_model=model)
+        above = batch_self_join([f, g], 2 * unit + unit / 2, cost_model=model, **kwargs)
         assert above.match_set == {(0, 1)}
         assert above.stats.accepted_early == 1
 

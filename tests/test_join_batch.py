@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
-from repro.algorithms import ZhangShashaTED
+from repro.algorithms import ZhangShashaTED, make_algorithm
+from repro.algorithms.base import resolve_cost_model
+from repro.algorithms.batch_kernel import SMALL_PAIR_CELLS, choose_sweep, sweep_sizes
 from repro.bounds import binary_branch_profile
 from repro.costs import (
     PerLabelCostModel,
@@ -13,8 +15,11 @@ from repro.costs import (
     WeightedCostModel,
 )
 from repro.datasets import clustered_corpus, perturb_tree, random_tree
-from repro.io import parse_bracket
+from repro.datasets.shapes import zigzag_tree
+from repro.io import parse_bracket, to_bracket
 from repro.join import (
+    BatchRefiner,
+    Planner,
     TreeCorpus,
     batch_distances,
     batch_self_join,
@@ -267,3 +272,100 @@ class TestBatchDistances:
             trees, 4.0, algorithm="zhang-l", early_accept=False, workers=2, chunk_size=3
         )
         assert serial.match_set == fanned.match_set
+
+
+class TestStageChoice:
+    """The planner picks stages per pair against the verifier that runs it.
+
+    Pairs the refiner verifies with the small-pair program skip the O(n·m)
+    Python stages (``traversal-string``, ``upper-bound``); pairs verified
+    per pair in Python keep the full sound cascade.
+    """
+
+    QUADRATIC = {"traversal-string", "upper-bound"}
+
+    @staticmethod
+    def _stage_names(trees, i=0, j=1, cost_model=None, **kwargs):
+        corpus = TreeCorpus(trees)
+        refiner = BatchRefiner(
+            corpus, None, algorithm=kwargs.pop("algorithm", "rted"), cost_model=cost_model
+        )
+        plan = Planner(resolve_cost_model(cost_model)).plan_join(
+            corpus, None, 3.0, refiner, **kwargs
+        )
+        return [stage.name for stage in plan.filters.for_pair(i, j)]
+
+    @staticmethod
+    def _over_gate_pair():
+        # Two 90-node zigzags whose cheaper sweep exceeds SMALL_PAIR_CELLS,
+        # one relabel apart (top-down upper bound 1).
+        f = zigzag_tree(90)
+        g = parse_bracket(to_bracket(f).replace("{a}", "{b}", 1))
+        assert choose_sweep(sweep_sizes(f), sweep_sizes(g), SMALL_PAIR_CELLS) is None
+        return [f, g]
+
+    def test_unit_cost_registry_name_skips_quadratic_stages(self):
+        names = self._stage_names(small_corpus(num=2))
+        assert names == ["size", "label", "binary-branch"]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cost_model": WeightedCostModel(0.5, 0.5, 0.5)},
+            {"algorithm": make_algorithm("rted", engine="spf")},
+            {"algorithm": "rted", "cascade": default_cascade()},
+        ],
+        ids=["non-unit", "pre-built", "explicit-cascade"],
+    )
+    def test_per_pair_python_verification_keeps_full_cascade(self, kwargs):
+        names = self._stage_names(small_corpus(num=2), **kwargs)
+        assert names == [stage.name for stage in default_cascade()]
+
+    def test_over_gate_pair_keeps_full_cascade(self):
+        trees = self._over_gate_pair()
+        assert self.QUADRATIC <= set(self._stage_names(trees))
+        # ... and still accepts early instead of running RTED in Python.
+        result = batch_self_join(trees, 3.0)
+        assert result.matches == [(0, 1, 1.0)]
+        assert result.stats.accepted_early == 1
+        assert result.stats.exact_computed == 0
+
+    def test_early_accept_off_strips_accept_stages_only(self):
+        names = self._stage_names(
+            small_corpus(num=2), algorithm=make_algorithm("rted", engine="spf"),
+            early_accept=False,
+        )
+        assert names == ["size", "label", "traversal-string", "binary-branch"]
+
+    def test_default_join_equals_full_cascade_exact_join(self):
+        trees = clustered_corpus(
+            num_clusters=12, cluster_size=8, tree_size=14, num_edits=2, rng=5
+        )
+        default = batch_self_join(trees, 3.0)
+        full = batch_self_join(trees, 3.0, cascade=default_cascade(), early_accept=False)
+        assert default.matches == full.matches
+        assert default.matches
+        # Every reported distance is the exact TED, never an upper bound.
+        assert default.stats.accepted_early == 0
+        for i, j, distance in default.matches:
+            assert distance == EXACT.distance(trees[i], trees[j])
+        # The old default plan decided most matches by the upper bound.
+        legacy = batch_self_join(trees, 3.0, cascade=default_cascade())
+        assert legacy.match_set == default.match_set
+        assert legacy.stats.accepted_early > 0
+
+    def test_stage_choice_ignores_provider(self, monkeypatch):
+        trees = clustered_corpus(
+            num_clusters=6, cluster_size=6, tree_size=14, num_edits=2, rng=9
+        ) + self._over_gate_pair()
+
+        def run():
+            result = batch_self_join(trees, 3.0)
+            counts = {
+                k: v for k, v in result.stats.as_dict().items() if not k.endswith("_time")
+            }
+            return result.matches, counts
+
+        with_provider = run()
+        monkeypatch.setenv("RTED_NO_NATIVE", "1")
+        assert run() == with_provider

@@ -7,13 +7,16 @@ import pytest
 
 from repro import knn, range_query
 from repro.costs import StringRenameCostModel, UnitCostModel, WeightedCostModel
+from repro.datasets import clustered_corpus
 from repro.datasets.random_trees import random_tree
 from repro.exceptions import MetricGateError, QueryError
 from repro.join import (
+    PairFilters,
     QueryEngine,
     TreeCorpus,
     VPTree,
     batch_distances,
+    default_cascade,
     metric_eligible,
 )
 
@@ -198,3 +201,33 @@ class TestCorpusFreeze:
         corpus.branch_index()
         trees.append(trees[0])  # mutating the caller's list must not leak in
         assert len(corpus) == 4
+
+
+class TestStageChoice:
+    """Queries pick filter stages per pair, like joins, without changing an
+    answer: kNN and range results equal those of the old filter list (the
+    default cascade minus its accept stage, on every pair)."""
+
+    @pytest.mark.parametrize("use_metric_index", [True, False], ids=["vp-tree", "scan"])
+    def test_answers_match_old_filter_list(self, use_metric_index, monkeypatch):
+        trees = clustered_corpus(
+            num_clusters=10, cluster_size=6, tree_size=14, num_edits=2, rng=17
+        )
+        corpus = TreeCorpus(trees)
+        default = QueryEngine(corpus, use_metric_index=use_metric_index)
+        legacy = QueryEngine(corpus, use_metric_index=use_metric_index)
+        old_list = [stage for stage in default_cascade() if not stage.is_accept_stage]
+        monkeypatch.setattr(
+            legacy._planner, "filters", lambda refiner, **kwargs: PairFilters(old_list)
+        )
+        gate = default._refiner(default._query_corpus(trees[0]), corpus).small_pair_gate()
+        assert gate is not None and all(gate(0, j) for j in range(len(trees)))
+        for q in (0, 11, 23, 40):
+            query = trees[q]
+            for k in (1, 5, 12):
+                assert default.knn(query, k).matches == legacy.knn(query, k).matches
+            for threshold in (1.0, 3.0, 5.0):
+                new = default.range_query(query, threshold)
+                old = legacy.range_query(query, threshold)
+                assert new.matches == old.matches
+                assert "traversal-string" not in new.stats.stage_pruned
