@@ -29,8 +29,8 @@ the twin when it is not, so every path runs the same program.
   struct-of-arrays form (:class:`CorpusPack`): per-tree sizes, sweep sizes
   and eligibility plus the concatenated ``lml`` / label-code / keyroot
   arrays the C kernel reads, the mirrored trees stored as extra tree rows.
-  A pack is built once per corpus epoch and can be exported zero-copy to
-  worker processes (:mod:`repro.join.shared`).
+  A pack is built once per corpus epoch; the multiprocessing fan-out hands
+  the parent's pack to its workers through the pool initializer.
 * **Batches** — :func:`kernel_chunk_entries` applies the per-pair gates of
   ``compute_small`` and runs the surviving lanes, left and right, in one
   :func:`~repro.algorithms.native.native_batch` call — under a deadline,
@@ -294,10 +294,11 @@ class CorpusPack:
     :func:`mirrored_arrays` for the right sweep, so a right lane ``(i, j)``
     is the left program over rows ``(n_trees_a + i, n_trees_b + j)``.
     Trees with uninternable labels contribute empty slices and are flagged
-    off in :attr:`eligible`.  A
-    pack is immutable and can serve both sides of a batch; packs meant for
-    one batch must share one
+    off in :attr:`eligible`.  A pack is immutable and can serve both sides
+    of a batch; packs meant for one batch must share one
     :class:`~repro.algorithms.workspace.LabelInterner` so their codes agree.
+    It pickles field by field, which is how it reaches ``spawn`` and
+    ``forkserver`` workers.
 
     The layout (``T`` = ``n_trees``, ``N`` = total nodes, ``K`` = total
     keyroots over both rows of the eligible trees)::
@@ -315,17 +316,12 @@ class CorpusPack:
         "n_trees",
         "eligible", "sweep_l", "sweep_r",
         "sizes", "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
-        "_shm", "_gate",
+        "_gate",
     )
 
     def __init__(self, **arrays) -> None:
-        for name in self.__slots__:
-            if name not in ("_shm", "_gate"):
-                setattr(self, name, arrays[name])
-        #: Keeps an attached shared-memory block alive for the pack's
-        #: lifetime (see :mod:`repro.join.shared`); ``None`` for packs that
-        #: own their arrays.
-        self._shm = arrays.get("_shm")
+        for name in self.__slots__[:-1]:  # every field but the gate cache
+            setattr(self, name, arrays[name])
         self._gate = None
 
     def gate_rows(self) -> Tuple[List[int], List[bool], List[Tuple[int, int]]]:
@@ -339,13 +335,6 @@ class CorpusPack:
                 list(zip(self.sweep_l.tolist(), self.sweep_r.tolist())),
             )
         return self._gate
-
-    #: The array fields (in a fixed order) — the serialization contract of
-    #: :mod:`repro.join.shared`.
-    ARRAY_FIELDS = (
-        "eligible", "sweep_l", "sweep_r",
-        "sizes", "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
-    )
 
 
 def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:

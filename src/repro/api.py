@@ -312,8 +312,8 @@ def similarity_join(
     chunk (or the Python twin, lane by lane, without a compiler) instead of
     one per-pair ``compute()``.  Distances and subproblem counts are
     bit-identical to per-pair computation.  In the ``workers > 1`` fan-out
-    the corpus pack is exported once into ``multiprocessing.shared_memory``
-    and workers attach zero-copy (:mod:`repro.join.shared`).  Note a
+    the workers receive the parent's corpus pack through the pool
+    initializer (copy-on-write under ``fork``).  Note a
     survivor set no larger than one chunk verifies serially regardless of
     ``workers``; ``result.stats.verify_workers`` records the count actually
     used.
@@ -334,8 +334,8 @@ def similarity_join(
     The ``workers > 1`` verification stage is *supervised*
     (:mod:`repro.join.supervisor`): crashed or hung workers are detected,
     failed chunks retried with capped backoff, and execution degrades down
-    an exact-result ladder (shared-memory pack → local pack rebuild → no
-    batch kernel → in-process serial) instead of aborting the join.  Pass
+    an exact-result ladder (batch kernel on the parent's pack → no batch
+    kernel → in-process serial) instead of aborting the join.  Pass
     ``policy=ExecutionPolicy(...)`` to tune retries and the hang timeout;
     the recovery telemetry lands in ``result.stats`` (``retried_chunks``,
     ``failed_workers``, ``degraded_to``, ``poisoned_pairs``).

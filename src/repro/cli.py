@@ -17,7 +17,6 @@ Installed as the ``rted`` console script.  Sub-commands:
   per-request deadlines, admission control, SIGTERM graceful drain, live
   corpus management (``POST /corpora``, ``POST /corpora/NAME/trees``,
   ``DELETE /corpora/NAME/trees/ID``) and epoch-keyed pair-result caching;
-* ``rted shm-reap`` — remove shared-memory blocks orphaned by killed joins;
 * ``rted experiment fig8|fig9|fig10|table1|table2|ablation`` — run one of the
   paper's experiments and print its table(s).
 
@@ -205,8 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="wall-clock budget in seconds for the whole join; on expiry the "
-        "worker pool is torn down, shared memory unlinked, and the command "
-        "exits 124",
+        "worker pool is torn down and the command exits 124",
     )
     join.add_argument(
         "--stats",
@@ -319,16 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pair-cache-size", type=int, default=1024,
         help="per-corpus epoch-keyed LRU capacity for /distance pair "
         "results (0 disables caching)",
-    )
-
-    shm_reap = subparsers.add_parser(
-        "shm-reap",
-        help="remove shared-memory blocks orphaned by killed join processes",
-    )
-    shm_reap.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="list the orphaned blocks without removing them",
     )
 
     experiment = subparsers.add_parser("experiment", help="run one of the paper's experiments")
@@ -522,16 +510,6 @@ def _dispatch(args) -> int:
             workers=args.workers,
         )
 
-    if args.command == "shm-reap":
-        from .join.shared import reap_stale
-
-        reaped = reap_stale(dry_run=args.dry_run)
-        verb = "would reap" if args.dry_run else "reaped"
-        for name in reaped:
-            print(name)
-        print(f"# {verb} {len(reaped)} orphaned block(s)", file=sys.stderr)
-        return 0
-
     if args.command == "experiment":
         runners = {
             "fig8": lambda: fig8_subproblems.format_fig8(fig8_subproblems.run_fig8()),
@@ -583,9 +561,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"rted: {exc}", file=sys.stderr)
         return EXIT_CODES["timeout"]
     except KeyboardInterrupt:
-        # The supervised fan-out has already torn down its worker pool and
-        # unlinked exported shared memory on the way up (supervisor._drain
-        # re-raises only after a hard shutdown); report the conventional
+        # The supervised fan-out has already torn down its worker pool on
+        # the way up (supervisor._drain re-raises only after a hard
+        # shutdown); report the conventional
         # SIGINT status instead of a traceback.
         print("rted: interrupted", file=sys.stderr)
         return EXIT_CODES["interrupted"]

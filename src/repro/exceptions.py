@@ -62,6 +62,11 @@ class BatchExecutionError(ReproError):
     batch."""
 
 
+class BatchConfigError(ReproError):
+    """Raised when a batch execution parameter is invalid, e.g. a
+    ``chunk_size`` that is not a positive ``int``."""
+
+
 class ChunkFailure(BatchExecutionError):
     """One batch chunk exhausted its retry budget on every worker rung.
 

@@ -53,13 +53,6 @@ from .cascade import (
 )
 from .corpus import CorpusSnapshot, TreeCorpus, TreeProfile, branch_candidate_pairs
 from .faults import FaultPlan
-from .shared import (
-    SharedPackHandle,
-    attach_pack,
-    export_pack,
-    reap_stale,
-    shared_available,
-)
 from .supervisor import (
     ExecutionPolicy,
     ExecutionReport,
@@ -92,11 +85,6 @@ __all__ = [
     "CorpusSnapshot",
     "TreeProfile",
     "branch_candidate_pairs",
-    "SharedPackHandle",
-    "attach_pack",
-    "export_pack",
-    "reap_stale",
-    "shared_available",
     # Supervised execution / fault tolerance
     "ExecutionPolicy",
     "ExecutionReport",

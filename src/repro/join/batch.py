@@ -31,7 +31,7 @@ from ..algorithms.batch_kernel import build_corpus_pack, kernel_chunk_entries
 from ..algorithms.registry import make_algorithm
 from ..algorithms.workspace import TedWorkspace, WorkspaceTED
 from ..costs import CostModel
-from ..exceptions import CutoffError
+from ..exceptions import BatchConfigError, CutoffError
 from ..runtime import active_deadline, as_deadline, deadline_scope
 from ..trees.tree import Tree
 from . import faults
@@ -41,7 +41,6 @@ from .supervisor import (
     RUNG_LOCAL_PACK,
     RUNG_NO_KERNEL,
     RUNG_SERIAL,
-    RUNG_SHM,
     run_supervised,
 )
 from .cascade import FilterStage, JoinStats
@@ -78,6 +77,33 @@ def _kernel_workspace(algo) -> Optional[TedWorkspace]:
     return algo.workspace
 
 
+def _batch_packs(corpus_a: TreeCorpus, corpus_b: Optional[TreeCorpus]):
+    """The ``(pack_a, pack_b)`` kernel inputs of one batch.
+
+    Cross batches pack side b against side a's interner so the label codes
+    of the two packs agree; when the corpora already share one interner
+    (e.g. a per-query corpus built with ``interner=corpus.interner()``)
+    side b's cached pack qualifies as-is — crucial for queries, where
+    rebuilding the big corpus-side pack per call would dwarf the query.
+    """
+    pack_a = corpus_a.pack()
+    if corpus_b is None:
+        return pack_a, pack_a
+    if corpus_b.shares_interner(corpus_a):
+        return pack_a, corpus_b.pack()
+    return pack_a, build_corpus_pack(corpus_b.trees, corpus_a.interner())
+
+
+def _check_chunk_size(chunk_size, error=BatchConfigError) -> None:
+    """Raise ``error`` unless ``chunk_size`` is a positive ``int``.
+
+    A zero or negative size would otherwise chunk the pair list into
+    nothing and silently drop every pair.
+    """
+    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int) or chunk_size < 1:
+        raise error(f"chunk_size must be a positive int, got {chunk_size!r}")
+
+
 def _effective_workers(workers: int, n_pairs: int, chunk_size: int) -> int:
     """The worker count :func:`batch_distances` will actually use.
 
@@ -99,12 +125,11 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(
-    trees_a, trees_b, algorithm, engine, cost_model, cutoff, rung,
-    pack_desc_a=None, pack_desc_b=None, fault_plan=None,
+    trees_a, trees_b, algorithm, engine, cost_model, cutoff,
+    pack_a=None, pack_b=None, fault_plan=None,
 ) -> None:
     # Adopt the parent's fault-injection plan (usually None) before any
-    # other setup, so injected shm-attach failures can hit the pack attach
-    # below; this also marks the process as a supervised worker.
+    # other setup; this also marks the process as a supervised worker.
     faults.mark_worker(fault_plan)
     _WORKER_STATE["trees_a"] = trees_a
     _WORKER_STATE["trees_b"] = trees_b if trees_b is not None else trees_a
@@ -115,29 +140,11 @@ def _init_worker(
     _WORKER_STATE["cost_model"] = cost_model
     _WORKER_STATE["cutoff"] = cutoff
     _WORKER_STATE["bounded_ok"] = _supports_cutoff(algo)
-    # Batch-kernel packs, on the kernel rungs of the degradation ladder:
-    # attach the parent's shared-memory export (zero-copy) when descriptors
-    # came through; otherwise rebuild locally.  Packs for both sides must
-    # share one interner so their codes agree — mixed attach/rebuild falls
-    # back to rebuilding both.
-    pack_a = pack_b = None
-    kernel_ws = _kernel_workspace(algo) if rung in (RUNG_SHM, RUNG_LOCAL_PACK) else None
-    if kernel_ws is not None:
-        if pack_desc_a is not None:
-            from .shared import attach_pack
-
-            pack_a = attach_pack(pack_desc_a)
-            if pack_a is not None:
-                if trees_b is None:
-                    pack_b = pack_a
-                elif pack_desc_b is not None:
-                    pack_b = attach_pack(pack_desc_b)
-        if pack_a is None or pack_b is None:
-            pack_a = build_corpus_pack(trees_a, kernel_ws.interner)
-            pack_b = pack_a if trees_b is None else build_corpus_pack(
-                trees_b, kernel_ws.interner
-            )
-    _WORKER_STATE["pack_a"] = pack_a
+    # The parent's packs arrive on the local-pack rung only (inherited
+    # copy-on-write under fork, pickled once per worker otherwise); they
+    # already share one interner, so workers use them as given.
+    kernel_ws = _kernel_workspace(algo) if pack_a is not None else None
+    _WORKER_STATE["pack_a"] = pack_a if kernel_ws is not None else None
     _WORKER_STATE["pack_b"] = pack_b
     _WORKER_STATE["kernel_ws"] = kernel_ws
 
@@ -276,7 +283,8 @@ def batch_distances(
     completed chunk in completion order, enabling streaming consumption of
     a long batch; ``collect_results=False`` then skips accumulating the
     full result list — at millions of pairs the tuples dominate memory —
-    and returns ``[]``.
+    and returns ``[]``.  ``chunk_size`` must be a positive ``int``
+    (:class:`~repro.exceptions.BatchConfigError` otherwise).
 
     A registry *name* always runs through the amortized execution layer
     (``DESIGN.md``, *Amortized batch execution*): one
@@ -290,12 +298,12 @@ def batch_distances(
     (:mod:`repro.algorithms.batch_kernel`) — one C kernel call per chunk
     (the Python twin, lane by lane, without a compiler) instead of one
     per-pair ``compute()``, bit-identical results including subproblem
-    counts and bounded aborts.  In the multiprocessing fan-out the parent
-    exports the corpus pack once into ``multiprocessing.shared_memory`` and
-    workers attach zero-copy instead of rebuilding it
-    (:mod:`repro.join.shared`; graceful fallback to local rebuilds).  A
-    pre-built algorithm instance runs exactly as configured, per pair, so
-    an explicitly constructed oracle is never short-circuited.
+    counts and bounded aborts.  In the multiprocessing fan-out the parent's
+    corpus pack reaches the workers through the pool initializer —
+    inherited copy-on-write under ``fork``, pickled once per worker under
+    ``spawn``/``forkserver`` — so no worker rebuilds it.  A pre-built
+    algorithm instance runs exactly as configured, per pair, so an
+    explicitly constructed oracle is never short-circuited.
 
     ``cutoff`` switches the batch to *bounded* computation: every pair runs
     ``compute(..., cutoff=cutoff)`` and result tuples gain a fifth field,
@@ -310,8 +318,8 @@ def batch_distances(
     The multiprocessing fan-out is **supervised**
     (:mod:`repro.join.supervisor`): dead or hung workers are detected,
     failed chunks are retried with capped backoff, and execution degrades
-    along an explicit ladder (shared-memory pack → local pack rebuild → no
-    batch kernel → in-process serial) with bit-identical results at every
+    along an explicit ladder (batch kernel on the parent's pack → no batch
+    kernel → in-process serial) with bit-identical results at every
     rung.  ``policy`` tunes retries/timeouts (default:
     :meth:`ExecutionPolicy.default`, which honors ``RTED_CHUNK_TIMEOUT``
     and ``RTED_CHUNK_RETRIES``); pass an :class:`ExecutionReport` as
@@ -321,11 +329,12 @@ def batch_distances(
     ``deadline`` (seconds or a :class:`~repro.runtime.Deadline`) bounds the
     whole batch: serial chunks honor it through the ambient scope, and the
     supervised fan-out checks it between chunk completions — on expiry the
-    worker pool is hard-killed, shared-memory packs are unlinked, and
+    worker pool is hard-killed and
     :class:`~repro.exceptions.ComputeTimeoutError` propagates.  When omitted,
     an ambient deadline installed by an enclosing ``compute``/service request
     applies automatically.
     """
+    _check_chunk_size(chunk_size)
     corpus_a = as_corpus(trees_a)
     corpus_b = as_corpus(trees_b) if trees_b is not None else None
     pair_list = list(pairs)
@@ -359,19 +368,7 @@ def batch_distances(
         kernel_ws = _kernel_workspace(algo) if isinstance(algorithm, str) else None
         pack_a = pack_b = None
         if kernel_ws is not None:
-            pack_a = corpus_a.pack()
-            # Cross batches pack side b against side a's interner so the
-            # label codes of the two packs agree; when the corpora already
-            # share one interner (e.g. a per-query corpus built with
-            # interner=corpus.interner()) side b's cached pack qualifies
-            # as-is — crucial for queries, where rebuilding the big
-            # corpus-side pack per call would dwarf the query itself.
-            if corpus_b is None:
-                pack_b = pack_a
-            elif corpus_b.shares_interner(corpus_a):
-                pack_b = corpus_b.pack()
-            else:
-                pack_b = build_corpus_pack(corpus_b.trees, corpus_a.interner())
+            pack_a, pack_b = _batch_packs(corpus_a, corpus_b)
         with deadline_scope(dl):
             for chunk in _chunked(pair_list, chunk_size):
                 if pack_b is not None:
@@ -392,67 +389,36 @@ def batch_distances(
         policy = ExecutionPolicy.default()
     report = exec_report if exec_report is not None else ExecutionReport()
 
-    kernel_eligible = isinstance(algorithm, str)
-
-    # Export the corpus pack(s) into shared memory once so workers attach
-    # zero-copy instead of each rebuilding the struct-of-arrays tables.
-    # All-or-nothing per side pair: packs must share one interner, so a
-    # partial export (cross batch with one exportable side) is discarded
-    # and workers rebuild both sides locally.
-    pack_desc_a = pack_desc_b = None
-    shared_handles = []
-    if kernel_eligible:
+    # Workers get the parent's packs through the pool initializer: under
+    # fork they inherit them copy-on-write, otherwise each worker unpickles
+    # them once — no worker rebuilds a pack.
+    pack_a = pack_b = None
+    if isinstance(algorithm, str):
         probe = workspace if workspace is not None else TedWorkspace(cost_model)
         if probe.unit_cost:
-            from .shared import export_pack
-
-            exported = export_pack(corpus_a.pack(), epoch=getattr(corpus_a, "epoch", 0))
-            if exported is not None:
-                handle, pack_desc_a = exported
-                shared_handles.append(handle)
-                if corpus_b is not None:
-                    if corpus_b.shares_interner(corpus_a):
-                        pack_b = corpus_b.pack()
-                    else:
-                        pack_b = build_corpus_pack(corpus_b.trees, corpus_a.interner())
-                    exported_b = export_pack(
-                        pack_b, epoch=getattr(corpus_b, "epoch", 0)
-                    )
-                    if exported_b is None:  # pragma: no cover - shm race
-                        pack_desc_a = None
-                    else:
-                        handle_b, pack_desc_b = exported_b
-                        shared_handles.append(handle_b)
+            pack_a, pack_b = _batch_packs(corpus_a, corpus_b)
 
     # The fault plan active in the parent is threaded explicitly through the
     # pool initializer so workers never re-read the environment.
     plan = faults.active_plan()
     trees_b_arg = corpus_b.trees if corpus_b is not None else None
 
-    def _initargs(rung: str) -> tuple:
-        desc_a = pack_desc_a if rung == RUNG_SHM else None
-        desc_b = pack_desc_b if rung == RUNG_SHM else None
-        return (
-            corpus_a.trees, trees_b_arg, algorithm, engine, cost_model,
-            cutoff, rung, desc_a, desc_b, plan,
-        )
-
     def _executor_factory(rung: str, n_workers: int):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        packs = (pack_a, pack_b) if rung == RUNG_LOCAL_PACK else (None, None)
         return ProcessPoolExecutor(
             max_workers=n_workers,
             mp_context=multiprocessing.get_context(),
             initializer=_init_worker,
-            initargs=_initargs(rung),
+            initargs=(
+                corpus_a.trees, trees_b_arg, algorithm, engine, cost_model,
+                cutoff, *packs, plan,
+            ),
         )
 
-    rungs = []
-    if pack_desc_a is not None:
-        rungs.append(RUNG_SHM)
-    if kernel_eligible:
-        rungs.append(RUNG_LOCAL_PACK)
+    rungs = [RUNG_LOCAL_PACK] if pack_a is not None else []
     rungs.extend((RUNG_NO_KERNEL, RUNG_SERIAL))
 
     # Lazily-built in-process verifier for the serial rung (most batches
@@ -482,29 +448,22 @@ def batch_distances(
         if on_chunk is not None:
             on_chunk(chunk_results)
 
-    try:
-        # The scope covers the in-process serial rung (workers poll no
-        # ambient state across the process boundary; the supervisor's own
-        # per-completion deadline check governs the pool rungs instead).
-        with deadline_scope(dl):
-            run_supervised(
-                chunks=list(_chunked(pair_list, chunk_size)),
-                workers=_effective_workers(workers, len(pair_list), chunk_size),
-                rungs=rungs,
-                executor_factory=_executor_factory,
-                task=_supervised_chunk,
-                serial_pair=_serial_pair,
-                on_chunk=_consume_chunk,
-                policy=policy,
-                report=report,
-                deadline=dl,
-            )
-    finally:
-        # The parent owns the shared blocks; unlink only after the pools
-        # have been torn down (run_supervised shuts each executor down
-        # before returning, success or failure).
-        for handle in shared_handles:
-            handle.close()
+    # The scope covers the in-process serial rung (workers poll no ambient
+    # state across the process boundary; the supervisor's own
+    # per-completion deadline check governs the pool rungs instead).
+    with deadline_scope(dl):
+        run_supervised(
+            chunks=list(_chunked(pair_list, chunk_size)),
+            workers=_effective_workers(workers, len(pair_list), chunk_size),
+            rungs=rungs,
+            executor_factory=_executor_factory,
+            task=_supervised_chunk,
+            serial_pair=_serial_pair,
+            on_chunk=_consume_chunk,
+            policy=policy,
+            report=report,
+            deadline=dl,
+        )
     return results
 
 

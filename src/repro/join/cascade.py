@@ -278,8 +278,8 @@ class JoinStats:
     verification (crashed pools, hang teardowns, failed pool creation)."""
 
     degraded_to: Optional[str] = None
-    """The deepest degradation-ladder rung verification needed (``"shm"`` →
-    ``"local-pack"`` → ``"no-kernel"`` → ``"serial"``), or ``None`` when the
+    """The deepest degradation-ladder rung verification needed
+    (``"local-pack"`` → ``"no-kernel"`` → ``"serial"``), or ``None`` when the
     first rung sufficed.  Results are bit-identical at every rung."""
 
     poisoned_pairs: int = 0

@@ -440,8 +440,8 @@ class TreeCorpus:
         epoch)**: a corpus mutation or a late :meth:`share_interner` switch
         invalidates it (a pack whose label codes or tree rows no longer
         match the corpus must never be served), while repeated batches
-        within one epoch share a single pack, including zero-copy export to
-        worker processes via :mod:`repro.join.shared`.
+        within one epoch share a single pack, including the one handed to
+        worker processes through the pool initializer.
         """
         from ..algorithms.batch_kernel import build_corpus_pack
 

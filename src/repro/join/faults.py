@@ -1,8 +1,8 @@
 """Deterministic fault injection for the supervised batch executor.
 
 Every recovery path of :mod:`repro.join.supervisor` — worker crashes, hung
-chunks, shared-memory attach failures, poisoned pairs — must be testable in
-CI without flaky timing games.  This module injects those faults
+chunks, poisoned pairs — must be testable in CI without flaky timing
+games.  This module injects those faults
 *deterministically*: each decision hashes a stable key (fault kind, chunk
 index, attempt number, pair indices ...) with a seed, so a given spec
 reproduces the same fault schedule on every run, while retries (which bump
@@ -32,10 +32,6 @@ Fault kinds
 ``chunk_hang``
     Sleep at chunk start (default 600 s) — a wedged worker.  Keyed on
     ``(chunk_index, attempt)``; fires only in worker processes.
-``shm_attach_fail``
-    Makes :func:`repro.join.shared.attach_pack` report failure, exercising
-    the local-rebuild fallback.  Keyed on a per-process attach counter
-    (every worker attaches once, so in practice use rate ``1`` to force).
 ``poison_pair``
     Raises :class:`~repro.exceptions.InjectedFaultError` for the pair on
     *every* rung, including the serial fallback.  Keyed on ``(i, j)`` — a
@@ -61,11 +57,10 @@ SEED_ENV = "RTED_FAULT_SEED"
 
 WORKER_CRASH = "worker_crash"
 CHUNK_HANG = "chunk_hang"
-SHM_ATTACH_FAIL = "shm_attach_fail"
 POISON_PAIR = "poison_pair"
 
 #: Every recognized fault kind (unknown kinds in a spec raise).
-KINDS = (WORKER_CRASH, CHUNK_HANG, SHM_ATTACH_FAIL, POISON_PAIR)
+KINDS = (WORKER_CRASH, CHUNK_HANG, POISON_PAIR)
 
 #: Exit status used by injected crashes (mirrors a SIGKILL-ed worker).
 CRASH_EXIT_CODE = 137
@@ -160,7 +155,6 @@ def _plan_from_env(spec: str, seed_text: str) -> Optional[FaultPlan]:
 _UNSET = object()
 _ACTIVE = _UNSET
 _IN_WORKER = False
-_ATTACH_COUNTER = 0
 
 
 def active_plan() -> Optional[FaultPlan]:
@@ -218,17 +212,6 @@ def fire_worker_faults(chunk_index: int, attempt: int) -> None:
         os._exit(CRASH_EXIT_CODE)
     if plan.decide(CHUNK_HANG, chunk_index, attempt):
         time.sleep(plan.hang_seconds)
-
-
-def shm_attach_fails() -> bool:
-    """Whether the next shared-memory attach should be made to fail."""
-    plan = active_plan()
-    if plan is None:
-        return False
-    global _ATTACH_COUNTER
-    key = _ATTACH_COUNTER
-    _ATTACH_COUNTER += 1
-    return plan.decide(SHM_ATTACH_FAIL, key)
 
 
 def check_pair(i: int, j: int) -> None:

@@ -202,6 +202,9 @@ class BatchRefiner:
         workspace=None,
         policy=None,
     ) -> None:
+        from .batch import _check_chunk_size
+
+        _check_chunk_size(chunk_size)
         self.corpus_a = corpus_a
         self.corpus_b = corpus_b
         self.algorithm = algorithm

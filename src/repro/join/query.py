@@ -349,8 +349,9 @@ class QueryEngine:
         policy=None,
         staleness_budget: float = DEFAULT_STALENESS_BUDGET,
     ) -> None:
-        from .batch import as_corpus
+        from .batch import as_corpus, _check_chunk_size
 
+        _check_chunk_size(chunk_size, QueryError)
         self.corpus = as_corpus(corpus)
         self.algorithm = algorithm
         self.engine = engine

@@ -16,8 +16,7 @@ with a supervisor that guarantees an **exact result at every rung**:
 3. walk an explicit **degradation ladder** when a rung keeps failing
    without making progress::
 
-       shm          mp workers + zero-copy shared-memory corpus pack
-       local-pack   mp workers, batch kernel, per-worker pack rebuild
+       local-pack   mp workers, batch kernel on the parent's corpus pack
        no-kernel    mp workers, per-pair scalar verification
        serial       in-process fallback, pair-at-a-time
 
@@ -48,9 +47,9 @@ from ..exceptions import BatchExecutionError, ChunkFailure, ComputeTimeoutError
 from ..runtime import env_float, env_int
 
 #: Ladder rung names, fastest first.  ``batch_distances`` assembles the
-#: subset that applies to a given batch (e.g. no ``shm`` rung when the pack
-#: could not be exported); ``serial`` is always the implicit last resort.
-RUNG_SHM = "shm"
+#: subset that applies to a given batch (no ``local-pack`` rung when the
+#: batch kernel does not apply); ``serial`` is always the implicit last
+#: resort.
 RUNG_LOCAL_PACK = "local-pack"
 RUNG_NO_KERNEL = "no-kernel"
 RUNG_SERIAL = "serial"

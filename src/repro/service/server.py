@@ -70,8 +70,7 @@ rather than memory growth and collapse.  Request bodies are capped
 listener, fails readiness, waits up to ``drain_grace`` seconds for
 in-flight requests to finish, then cancels the drain token — which expires
 every in-flight deadline, so stragglers return ``504`` promptly — and
-finally reaps any orphaned shared-memory blocks
-(:func:`~repro.join.shared.reap_stale`).  ``rted serve`` then exits 0.
+finally joins the compute executor.  ``rted serve`` then exits 0.
 
 Per-corpus compute (knn/range/join) serializes on a per-corpus lock —
 the cached engine's amortized workspace and the corpus's lazily built
@@ -340,12 +339,12 @@ class RtedService:
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, finish or cancel, clean up.
 
-        The sequence the ISSUE specifies: readiness fails immediately (new
+        The sequence: readiness fails immediately (new
         work is rejected), the listener closes, in-flight requests get
         ``drain_grace`` seconds to finish on their own budgets, whatever
         remains is cancelled through the shared token (each in-flight
         deadline expires, so the cooperative checks surface ``504`` within
-        one check interval), and orphaned shared-memory blocks are reaped.
+        one check interval), and the compute executor is joined.
         """
         self._draining = True
         if self._server is not None:
@@ -360,11 +359,6 @@ class RtedService:
             await asyncio.sleep(0.02)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        # In-flight supervised fan-outs unlink their shm exports on the way
-        # out; this sweep catches blocks orphaned by killed workers.
-        from ..join.shared import reap_stale
-
-        await asyncio.to_thread(reap_stale)
 
     # ------------------------------------------------------------------ #
     # HTTP plumbing

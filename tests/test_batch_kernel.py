@@ -1,16 +1,17 @@
 """Property tests for the small-pair program, its batch driver, and the
-zero-copy shared corpus packs.
+corpus packs handed to multiprocessing workers.
 
 The contract under test is *bit-identity*: the Python twin
 (:func:`repro.algorithms.batch_kernel.run_batch`), the C kernel
-(:func:`repro.algorithms.native.native_batch`) and the shared-memory
-multiprocessing fan-out (:mod:`repro.join.shared`) must reproduce the
+(:func:`repro.algorithms.native.native_batch`) and the multiprocessing
+fan-out over the parent's corpus packs must reproduce the
 per-pair kernel and the Zhang–Shasha oracle — values, subproblem counts and
 bounded-abort decisions — exactly, with and without a cutoff, over ragged
 batches of 2–120-node trees, in whichever sweep direction the cell gate
 picks.
 """
 
+import pickle
 import random
 
 import pytest
@@ -57,12 +58,10 @@ from repro.exceptions import ComputeTimeoutError, UnknownEngineError
 from repro.join import (
     JoinStats,
     QueryEngine,
+    ExecutionReport,
     TreeCorpus,
-    attach_pack,
     batch_distances,
     batch_similarity_join,
-    export_pack,
-    shared_available,
 )
 
 CUTOFFS = [None, 2.0, 3.0, 4.5, 8.0]
@@ -503,46 +502,31 @@ class TestNativeBackend:
             make_algorithm("rted", engine="compiled")
 
 
-class TestSharedPack:
-    """export_pack / attach_pack round-trip and lifecycle."""
+class TestPackPickling:
+    """Under ``spawn`` and ``forkserver`` a pack reaches workers pickled."""
 
-    @pytest.mark.skipif(not shared_available(), reason="no shared memory")
-    def test_round_trip_is_bit_identical(self, corpus):
-        workspace = TedWorkspace()
-        pack = build_corpus_pack(corpus, workspace.interner)
-        exported = export_pack(pack)
-        assert exported is not None
-        handle, descriptor = exported
-        try:
-            attached = attach_pack(descriptor)
-            assert attached is not None
-            for field in pack.ARRAY_FIELDS:
-                original = getattr(pack, field)
-                view = getattr(attached, field)
-                assert view.dtype == original.dtype and view.shape == original.shape
-                assert (view == original).all()
-                assert not view.flags.owndata  # zero-copy view over the block
-            assert attached.n_trees == pack.n_trees
-            # The attached pack is a working kernel input.
-            row_f, row_g = gate_rows(attached, corpus, 0, 1)
-            values, cells, _ = run_batch(attached, attached, [row_f], [row_g])
-            expected = TedWorkspace().compute_small(corpus[0], corpus[1])
-            assert (values[0], cells[0]) == expected[:2]
-        finally:
-            handle.close()
-
-    @pytest.mark.skipif(not shared_available(), reason="no shared memory")
-    def test_handle_close_is_idempotent(self, corpus):
-        workspace = TedWorkspace()
-        pack = build_corpus_pack(corpus, workspace.interner)
-        handle, descriptor = export_pack(pack)
-        handle.close()
-        handle.close()  # second close must be a no-op
-        assert attach_pack(descriptor) is None  # unlinked block: graceful miss
+    def test_round_trip_is_field_by_field_identical(self, corpus):
+        pack = build_corpus_pack(corpus, TedWorkspace().interner)
+        pack.gate_rows()  # a built gate cache travels too
+        clone = pickle.loads(pickle.dumps(pack))
+        assert clone is not pack
+        for name in type(pack).__slots__:
+            original, copied = getattr(pack, name), getattr(clone, name)
+            if isinstance(original, np.ndarray):
+                assert copied.dtype == original.dtype
+                assert copied.shape == original.shape
+                assert (copied == original).all()
+            else:
+                assert copied == original, name
+        # The unpickled pack is a working kernel input.
+        row_f, row_g = gate_rows(clone, corpus, 0, 1)
+        values, cells, _ = run_batch(clone, clone, [row_f], [row_g])
+        expected = TedWorkspace().compute_small(corpus[0], corpus[1])
+        assert (values[0], cells[0]) == expected[:2]
 
 
 class TestBatchDistancesIdentity:
-    """Serial vs multiprocessing vs shared-memory batch verification."""
+    """Serial vs multiprocessing batch verification."""
 
     @pytest.mark.parametrize("cutoff", [None, 4.0])
     def test_serial_mp_and_kernel_modes_agree(self, corpus, pairs, cutoff):
@@ -557,11 +541,30 @@ class TestBatchDistancesIdentity:
         no_kernel = batch_distances(
             corpus, None, pairs, algorithm=_per_pair_small_program(), cutoff=cutoff
         )
-        mp_shared = batch_distances(
+        report = ExecutionReport()
+        mp_packed = batch_distances(
             corpus, None, pairs, algorithm="rted", cutoff=cutoff,
-            workers=3, chunk_size=32,
+            workers=3, chunk_size=32, exec_report=report,
         )
-        assert normalize(serial) == normalize(no_kernel) == normalize(mp_shared)
+        assert normalize(serial) == normalize(no_kernel) == normalize(mp_packed)
+        assert report.rungs_used == ["local-pack"]
+
+        # Cross batch over corpora with separate interners: workers get
+        # side b's pack built against side a's interner.
+        other = TreeCorpus(
+            [perturb_tree(tree, 2, rng=700 + k) for k, tree in enumerate(corpus)]
+        )
+        cross = [(i, j) for i in range(len(corpus)) for j in range(len(other))]
+        cross_serial = batch_distances(
+            corpus, other, cross, algorithm="rted", cutoff=cutoff
+        )
+        cross_report = ExecutionReport()
+        cross_mp = batch_distances(
+            corpus, other, cross, algorithm="rted", cutoff=cutoff,
+            workers=3, chunk_size=32, exec_report=cross_report,
+        )
+        assert normalize(cross_serial) == normalize(cross_mp)
+        assert cross_report.rungs_used == ["local-pack"]
 
     def test_engine_native_batch_agrees(self, corpus, pairs):
         baseline = batch_distances(corpus, None, pairs, algorithm="rted")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import subprocess
-import sys
 
 import pytest
 
@@ -29,12 +28,10 @@ from repro.exceptions import (
 from repro.join import faults
 from repro.join.batch import batch_distances, batch_similarity_join
 from repro.join.faults import FaultPlan
-from repro.join.shared import SHM_PREFIX, _SHM_DIR, reap_stale
 from repro.join.supervisor import (
     ExecutionPolicy,
     ExecutionReport,
     RUNG_SERIAL,
-    RUNG_SHM,
 )
 
 
@@ -93,7 +90,7 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize(
         "spec", ["segfault:0.1", "worker_crash:x", "worker_crash:1.5",
-                 "chunk_hang:0.1@soon"],
+                 "chunk_hang:0.1@soon", "shm_attach_fail:1"],
     )
     def test_parse_rejects_bad_specs(self, spec):
         with pytest.raises(FaultInjectionError):
@@ -173,17 +170,6 @@ class TestRecoveryPaths:
         assert report.serial_chunks > 0
         assert any("chunk timeout" in f.errors[0] for f in report.chunk_failures)
 
-    def test_shm_attach_failure_falls_back_to_local_rebuild(
-        self, corpus, all_pairs, serial_baseline
-    ):
-        # Attach failure is recovered *inside* the worker (local pack
-        # rebuild), so the batch completes on the first rung undegraded.
-        plan = FaultPlan.parse("shm_attach_fail:1", seed=0)
-        results, report = _mp(corpus, all_pairs, plan)
-        assert results == serial_baseline
-        assert report.degraded_to is None
-        assert report.poisoned_pairs == []
-
     def test_poisoned_pairs_reported_not_fatal(
         self, corpus, all_pairs, serial_baseline
     ):
@@ -208,16 +194,6 @@ class TestRecoveryPaths:
                     corpus, None, all_pairs, workers=2, chunk_size=50,
                     policy=policy,
                 )
-
-    def test_no_orphaned_shared_memory_after_faulted_run(
-        self, corpus, all_pairs
-    ):
-        plan = FaultPlan.parse("worker_crash:0.2", seed=7)
-        _mp(corpus, all_pairs, plan)
-        if os.path.isdir(_SHM_DIR):
-            mine = f"{SHM_PREFIX}{os.getpid()}_"
-            leftovers = [e for e in os.listdir(_SHM_DIR) if e.startswith(mine)]
-            assert leftovers == []
 
 
 # --------------------------------------------------------------------------- #
@@ -261,46 +237,6 @@ class TestJoinStatsSurface:
         assert result.stats.failed_workers == 0
         assert result.stats.degraded_to is None
         assert result.stats.poisoned_pairs == 0
-
-
-# --------------------------------------------------------------------------- #
-# Shared-memory reaping
-# --------------------------------------------------------------------------- #
-@pytest.mark.skipif(
-    not os.path.isdir(_SHM_DIR) or not os.access(_SHM_DIR, os.W_OK),
-    reason="no writable /dev/shm",
-)
-class TestShmReap:
-    def _dead_pid(self) -> int:
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
-        return proc.pid
-
-    def test_reap_removes_only_dead_owner_blocks(self):
-        dead = self._dead_pid()
-        orphan = f"{SHM_PREFIX}{dead}_deadbeef"
-        live = f"{SHM_PREFIX}{os.getpid()}_feedface"
-        for name in (orphan, live):
-            with open(os.path.join(_SHM_DIR, name), "wb") as handle:
-                handle.write(b"\0")
-        try:
-            preview = reap_stale(dry_run=True)
-            assert orphan in preview
-            assert live not in preview
-            assert os.path.exists(os.path.join(_SHM_DIR, orphan))  # dry!
-            reaped = reap_stale()
-            assert orphan in reaped
-            assert not os.path.exists(os.path.join(_SHM_DIR, orphan))
-            assert os.path.exists(os.path.join(_SHM_DIR, live))
-        finally:
-            for name in (orphan, live):
-                try:
-                    os.unlink(os.path.join(_SHM_DIR, name))
-                except OSError:
-                    pass
-
-    def test_reap_ignores_foreign_blocks(self):
-        assert all(name.startswith(SHM_PREFIX) for name in reap_stale(dry_run=True))
 
 
 # --------------------------------------------------------------------------- #
@@ -375,9 +311,3 @@ class TestCliErrors:
 
         assert main(["distance", "{a{b}}", "{a{c}}"]) == 0
         assert capsys.readouterr().out.strip() == "1.0"
-
-    def test_shm_reap_dry_run(self, capsys):
-        from repro.cli import main
-
-        assert main(["shm-reap", "--dry-run"]) == 0
-        assert "would reap" in capsys.readouterr().err

@@ -29,6 +29,9 @@ from repro.join import (
     operations_threshold,
 )
 
+from repro.api import similarity_join
+from repro.exceptions import BatchConfigError
+
 EXACT = ZhangShashaTED()
 
 
@@ -272,6 +275,26 @@ class TestBatchDistances:
             trees, 4.0, algorithm="zhang-l", early_accept=False, workers=2, chunk_size=3
         )
         assert serial.match_set == fanned.match_set
+
+    @pytest.mark.parametrize("chunk_size", [-1, 0, True, 2.5, "8", None])
+    def test_non_positive_int_chunk_size_rejected(self, chunk_size):
+        # A non-positive size used to chunk the pairs into nothing and
+        # return no results (or fail with a bare ValueError at 0).
+        trees = small_corpus(num=6)
+        pairs = list(itertools.combinations(range(len(trees)), 2))
+        with pytest.raises(BatchConfigError, match="chunk_size"):
+            batch_distances(trees, None, pairs, chunk_size=chunk_size)
+        with pytest.raises(BatchConfigError, match="chunk_size"):
+            batch_distances(trees, None, [], chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [-1, 0, False])
+    def test_join_rejects_non_positive_chunk_size(self, chunk_size):
+        trees = clustered_corpus(num_clusters=6, cluster_size=5, tree_size=10, rng=7)
+        assert similarity_join(trees, 3.0).matches  # the join has work to drop
+        with pytest.raises(BatchConfigError, match=repr(chunk_size)):
+            similarity_join(trees, 3.0, chunk_size=chunk_size)
+        with pytest.raises(BatchConfigError, match="chunk_size"):
+            batch_self_join(trees, 3.0, chunk_size=chunk_size, workers=2)
 
 
 class TestStageChoice:

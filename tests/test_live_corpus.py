@@ -219,23 +219,6 @@ class TestPackEpochKeying:
         assert snap.pack() is not corpus.pack()
         assert snap.pack().n_trees == 5 and corpus.pack().n_trees == 6
 
-    def test_export_descriptor_carries_epoch(self):
-        pytest.importorskip("numpy")
-        from repro.join.shared import export_pack, shared_available
-
-        if not shared_available():
-            pytest.skip("shared memory unavailable")
-        corpus = TreeCorpus(_forest(4, seed=15))
-        corpus.add_trees(_forest(1, seed=16))
-        exported = export_pack(corpus.pack(), epoch=corpus.epoch)
-        if exported is None:
-            pytest.skip("shm export unavailable in this sandbox")
-        handle, descriptor = exported
-        try:
-            assert descriptor["epoch"] == 1
-        finally:
-            handle.close()
-
 
 # --------------------------------------------------------------------------- #
 # Engine staleness: pinning, side lists, prebuilt-index refusal

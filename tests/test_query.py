@@ -126,6 +126,16 @@ class TestQueryEngine:
         assert empty.knn(query, 3).matches == []
         assert empty.range_query(query, 2.0).matches == []
 
+    @pytest.mark.parametrize("chunk_size", [-1, 0, True, 1.5])
+    @pytest.mark.parametrize("use_metric_index", [False, True])
+    def test_non_positive_int_chunk_size_rejected(self, chunk_size, use_metric_index):
+        # Used to return [] from the scan and KeyError from VPTree.build.
+        corpus = TreeCorpus(_random_trees(12, random.Random(2)))
+        with pytest.raises(QueryError, match="chunk_size"):
+            QueryEngine(
+                corpus, chunk_size=chunk_size, use_metric_index=use_metric_index
+            )
+
     def test_range_nonpositive_threshold_is_empty(self):
         corpus = TreeCorpus(_random_trees(8, random.Random(5)))
         engine = QueryEngine(corpus)
