@@ -11,8 +11,8 @@ families:
   behaviour, now through the batched small-pair kernel); measured at the 2k
   acceptance size (it is quadratic wall-clock, larger sizes are
   extrapolated in the report);
-* **cascade on** — inverted-index candidate generation + the sound filter
-  cascade, exact TED for the undecided rest.  These 12-node pairs are all
+* **cascade on** — shared-branch candidate generation + the sound filter
+  cascade over pair arrays, exact TED for the undecided rest.  These 12-node pairs are all
   verified by the small-pair program, so the planner runs only the size,
   label and binary-branch stages on them (no traversal-string bound, no
   upper-bound early accept) and every match distance is exact;
@@ -25,8 +25,8 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_join_scale.py --quick    # CI smoke (<1 min)
 
 The committed ``BENCH_join.json`` is a full run on a 2-vCPU x86-64 VM with
-the C kernel compiled; per-stage filter counts are embedded in every
-entry.  In ``--quick`` mode nothing is written unless ``--output`` is
+the C kernel compiled, stamped with the git commit it measured and the
+machine; per-stage filter counts are embedded in every entry.  In ``--quick`` mode nothing is written unless ``--output`` is
 given and the process exits non-zero if the cascade-on join is less than 3x
 faster than cascade-off — the CI regression gate for the filter pipeline.
 """
@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -51,6 +53,33 @@ DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_join.json"
 THRESHOLD = 3.0
 TREE_SIZE = 12
 CLUSTER_SIZE = 10
+
+
+def _stamp() -> Dict[str, object]:
+    """The git commit of the checkout and the machine the run measured."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True,
+            timeout=10,
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    cpu_model = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()} {cpu_model}",
+        "nproc": os.cpu_count(),
+    }
 
 
 def build_corpus(num_trees: int, seed: int = 20110713):
@@ -138,8 +167,7 @@ def run_benchmark(
             "random", "left-branch", "right-branch", "full-binary", "zigzag", "mixed",
         ],
         "algorithm": algorithm,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **_stamp(),
         "entries": entries,
         "speedup_cascade_on_vs_off": speedups,
     }

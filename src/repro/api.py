@@ -299,9 +299,11 @@ def similarity_join(
     ``collection_b=None`` performs a self join over ``collection_a`` (pairs
     ``i < j``).  Elements may be trees or parseable tree descriptions (see
     :func:`parse_tree`).  The join computes per-tree filter artifacts once,
-    generates candidates from a binary-branch inverted index, prunes with
-    cost-model-scaled lower bounds, and verifies the survivors exactly —
-    optionally fanned out over ``workers`` processes.  Returns a
+    generates candidates as index arrays from shared binary branches,
+    prunes them block by block with cost-model-scaled lower bounds (size,
+    label and binary-branch as NumPy passes over the block, the costlier
+    stages pair by pair), and verifies the survivors exactly — optionally
+    fanned out over ``workers`` processes.  Returns a
     :class:`~repro.join.batch.BatchJoinResult` whose ``stats`` field carries
     the per-stage :class:`~repro.join.cascade.JoinStats`.
 

@@ -3,9 +3,10 @@
 Two layers:
 
 * the **retrieval core** — the planner/filter/refiner pipeline
-  (:mod:`repro.join.pipeline`) composing candidate sources (inverted
-  indexes, the :mod:`repro.join.metric_index` VP-tree), the ordered filter
-  cascade and the batched exact refiner; the all-pairs join
+  (:mod:`repro.join.pipeline`) composing candidate sources (shared binary
+  branches over the pair arrays of :mod:`repro.join.pairs`, the
+  :mod:`repro.join.metric_index` VP-tree), the ordered filter cascade and
+  the batched exact refiner; the all-pairs join
   (:func:`batch_similarity_join`) and one-vs-corpus queries
   (:class:`~repro.join.query.QueryEngine` — ``knn`` / ``range_query``) are
   both compositions of it;
@@ -28,7 +29,6 @@ from .pipeline import (
     BatchRefiner,
     CandidateSet,
     CandidateSource,
-    Filter,
     JoinIndexSource,
     PairFilters,
     Planner,
@@ -39,6 +39,7 @@ from .pipeline import (
 )
 from .query import QueryEngine, QueryResult, QueryStats, query_engine
 from .cascade import (
+    ArrayStage,
     BinaryBranchFilter,
     CascadeContext,
     FilterStage,
@@ -51,7 +52,8 @@ from .cascade import (
     default_cascade,
     operations_threshold,
 )
-from .corpus import CorpusSnapshot, TreeCorpus, TreeProfile, branch_candidate_pairs
+from .corpus import CorpusSnapshot, TreeCorpus, TreeProfile
+from .pairs import CandidatePairs, FilterArrays, branch_candidate_pairs
 from .faults import FaultPlan
 from .supervisor import (
     ExecutionPolicy,
@@ -63,7 +65,6 @@ from .supervisor import (
 __all__ = [
     # Retrieval core (planner / filter / refiner)
     "CandidateSource",
-    "Filter",
     "Refiner",
     "CandidateSet",
     "AllPairsSource",
@@ -85,6 +86,8 @@ __all__ = [
     "CorpusSnapshot",
     "TreeProfile",
     "branch_candidate_pairs",
+    "CandidatePairs",
+    "FilterArrays",
     # Supervised execution / fault tolerance
     "ExecutionPolicy",
     "ExecutionReport",
@@ -97,6 +100,7 @@ __all__ = [
     "batch_similarity_join",
     "JoinStats",
     "FilterStage",
+    "ArrayStage",
     "CascadeContext",
     "SizeFilter",
     "LabelFilter",

@@ -5,11 +5,13 @@ The v2 join pipeline (see ``DESIGN.md``, *Batch joins*):
 1. **Profile** — build/reuse the per-tree artifacts of the
    :class:`~repro.join.corpus.TreeCorpus` (computed once per tree, not per
    pair).
-2. **Candidate generation** — the binary-branch inverted index materializes
-   only the pairs that can still match (sound for any cost model with a
-   positive :meth:`~repro.costs.CostModel.min_operation_cost`).
-3. **Filter cascade** — ordered per-pair stages prune with scaled lower
-   bounds and accept early with the top-down upper bound; pairs the
+2. **Candidate generation** — grouping the corpus's sorted binary-branch
+   keys materializes only the pairs that can still match (sound for any
+   cost model with a positive
+   :meth:`~repro.costs.CostModel.min_operation_cost`).
+3. **Filter cascade** — ordered stages prune with scaled lower bounds
+   (size, label and binary-branch over arrays of pair indices, block by
+   block) and accept early with the top-down upper bound; pairs the
    small-pair program verifies skip the O(n·m) stages (traversal-string,
    upper bound), since the exact answer costs them less
    (:meth:`~repro.join.pipeline.Planner.filters`).
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..algorithms.base import TEDAlgorithm, resolve_cost_model
-from ..algorithms.batch_kernel import build_corpus_pack, kernel_chunk_entries
+from ..algorithms.batch_kernel import kernel_chunk_entries
 from ..algorithms.registry import make_algorithm
 from ..algorithms.workspace import TedWorkspace, WorkspaceTED
 from ..costs import CostModel
@@ -85,13 +87,15 @@ def _batch_packs(corpus_a: TreeCorpus, corpus_b: Optional[TreeCorpus]):
     (e.g. a per-query corpus built with ``interner=corpus.interner()``)
     side b's cached pack qualifies as-is — crucial for queries, where
     rebuilding the big corpus-side pack per call would dwarf the query.
+    Both packs are cached per epoch, so the refiner's small-pair gate and
+    the batch it plans read the same packs.
     """
     pack_a = corpus_a.pack()
     if corpus_b is None:
         return pack_a, pack_a
     if corpus_b.shares_interner(corpus_a):
         return pack_a, corpus_b.pack()
-    return pack_a, build_corpus_pack(corpus_b.trees, corpus_a.interner())
+    return pack_a, corpus_b.pack_for(corpus_a.interner())
 
 
 def _check_chunk_size(chunk_size, error=BatchConfigError) -> None:

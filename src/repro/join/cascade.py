@@ -8,7 +8,18 @@ TreeCorpus` and decides one of three things for a candidate pair:
 * ``ACCEPT``  — an *upper bound* is already below the threshold, the pair
   matches without running exact TED;
 * ``CONTINUE`` — undecided, hand the pair to the next stage (ultimately the
-  exact ``spf``-engine verifier).
+  exact verifier).
+
+Stages come in two kinds.  The linear lower bounds — :class:`SizeFilter`,
+:class:`LabelFilter`, :class:`BinaryBranchFilter` — are :class:`ArrayStage`
+s: they decide a whole block of pairs at once over the corpus's flat filter
+arrays (:mod:`repro.join.pairs`).  Every other stage (``traversal-string``,
+``upper-bound``, ``pq-gram`` and any a caller passes in) implements
+:meth:`FilterStage.apply` and runs pair by pair, only on the pairs that
+reach it.  :meth:`PairFilters.run` is the one driver: it takes candidate
+pairs in blocks of :data:`PAIR_BLOCK`, checks the deadline between blocks,
+runs the stages in order, and counts each prune against the first stage
+that prunes the pair.
 
 Cost-model soundness rule
 -------------------------
@@ -30,12 +41,20 @@ mappings under the *actual* cost model and are valid for any model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..bounds.string_edit import levenshtein
 from ..bounds.upper_bound import top_down_upper_bound
 from ..costs import CostModel
+from ..runtime import active_deadline
 from .corpus import TreeCorpus, TreeProfile
+from .pairs import CandidatePairs, PairBlock, PairSides, filter_array_pair
+
+#: Candidate pairs per block of :meth:`PairFilters.run`; the deadline is
+#: checked before each block.
+PAIR_BLOCK = 4096
 
 #: Stage decisions.
 CONTINUE = "continue"
@@ -69,9 +88,9 @@ class CascadeContext:
     """Distance certified by the accepting stage for the *current* pair.
 
     Written by accept stages right before returning :data:`ACCEPT` so the
-    caller can report the certified distance without recomputing the bound.
-    Only meaningful immediately after :func:`run_cascade` returns
-    :data:`ACCEPT` (the cascade runs pairs serially in one process).
+    driver can report the certified distance without recomputing the bound.
+    Only meaningful immediately after such an ``apply`` call (per-pair
+    stages run serially in one process).
     """
 
 
@@ -79,9 +98,11 @@ class FilterStage:
     """A single stage of the filter cascade.
 
     Subclasses set :attr:`name` (the key under which
-    :class:`JoinStats.stage_pruned` reports the stage) and implement
-    :meth:`apply` returning :data:`PRUNE`, :data:`ACCEPT` or
-    :data:`CONTINUE`.
+    :class:`JoinStats.stage_pruned` reports the stage) and implement either
+    :meth:`apply`, deciding one pair from its two :class:`TreeProfile` s and
+    returning :data:`PRUNE`, :data:`ACCEPT` or :data:`CONTINUE`, or — as an
+    :class:`ArrayStage` — :meth:`ArrayStage.prune` over a block of pairs.
+    A pair reaches a stage only if every earlier stage let it through.
     """
 
     name: str = "abstract"
@@ -109,41 +130,38 @@ class FilterStage:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class SizeFilter(FilterStage):
-    """Prune on the size-difference lower bound ``| |F| − |G| |`` (O(1))."""
+class ArrayStage(FilterStage):
+    """An operation-count lower-bound stage decided for a block of pairs.
+
+    :meth:`prune` returns a boolean mask over a
+    :class:`~repro.join.pairs.PairBlock`: ``True`` where the bound reaches
+    ``ctx.ops_threshold``.  Array stages never accept.
+    """
+
+    requires_ops_threshold = True
+
+    def prune(self, block: PairBlock, ctx: CascadeContext) -> np.ndarray:
+        raise NotImplementedError
+
+
+class SizeFilter(ArrayStage):
+    """Prune on the size-difference lower bound ``| |F| − |G| |``."""
 
     name = "size"
-    requires_ops_threshold = True
 
-    def apply(self, a: TreeProfile, b: TreeProfile, ctx: CascadeContext) -> str:
-        if abs(a.size - b.size) >= ctx.ops_threshold:
-            return PRUNE
-        return CONTINUE
+    def prune(self, block: PairBlock, ctx: CascadeContext) -> np.ndarray:
+        size_a, size_b = block.sizes()
+        return np.abs(size_a - size_b) >= ctx.ops_threshold
 
 
-def _multiset_intersection(histogram_a, histogram_b) -> int:
-    """Size of the multiset intersection of two ``Counter``-like mappings."""
-    if len(histogram_a) > len(histogram_b):
-        histogram_a, histogram_b = histogram_b, histogram_a
-    intersection = 0
-    for key, count in histogram_a.items():
-        other = histogram_b.get(key, 0)
-        if other:
-            intersection += count if count < other else other
-    return intersection
-
-
-class LabelFilter(FilterStage):
-    """Prune on the label-multiset lower bound (O(alphabet))."""
+class LabelFilter(ArrayStage):
+    """Prune on the label-multiset lower bound ``max(|F|, |G|) − |L(F) ∩ L(G)|``."""
 
     name = "label"
-    requires_ops_threshold = True
 
-    def apply(self, a: TreeProfile, b: TreeProfile, ctx: CascadeContext) -> str:
-        intersection = _multiset_intersection(a.label_histogram, b.label_histogram)
-        if max(a.size, b.size) - intersection >= ctx.ops_threshold:
-            return PRUNE
-        return CONTINUE
+    def prune(self, block: PairBlock, ctx: CascadeContext) -> np.ndarray:
+        size_a, size_b = block.sizes()
+        return np.maximum(size_a, size_b) - block.label_intersection() >= ctx.ops_threshold
 
 
 class TraversalStringFilter(FilterStage):
@@ -161,18 +179,16 @@ class TraversalStringFilter(FilterStage):
         return CONTINUE
 
 
-class BinaryBranchFilter(FilterStage):
-    """Prune on the binary-branch lower bound ``BBD / 5`` (O(n))."""
+class BinaryBranchFilter(ArrayStage):
+    """Prune on the binary-branch lower bound ``BBD / 5``, with
+    ``BBD = |F| + |G| − 2·|B(F) ∩ B(G)|`` over the branch multisets."""
 
     name = "binary-branch"
-    requires_ops_threshold = True
 
-    def apply(self, a: TreeProfile, b: TreeProfile, ctx: CascadeContext) -> str:
-        intersection = _multiset_intersection(a.branch_profile, b.branch_profile)
-        distance = a.size + b.size - 2 * intersection
-        if distance / 5.0 >= ctx.ops_threshold:
-            return PRUNE
-        return CONTINUE
+    def prune(self, block: PairBlock, ctx: CascadeContext) -> np.ndarray:
+        size_a, size_b = block.sizes()
+        distance = size_a + size_b - 2 * block.branch_intersection()
+        return distance / 5.0 >= ctx.ops_threshold
 
 
 class PQGramFilter(FilterStage):
@@ -230,8 +246,7 @@ def default_cascade() -> List[FilterStage]:
 
     Plans built by :class:`~repro.join.pipeline.Planner` run the
     :attr:`~FilterStage.quadratic` stages of this list only for pairs that
-    are verified per pair in Python (see :class:`~repro.join.pipeline.
-    PairFilters`).
+    are verified per pair in Python (see :class:`PairFilters`).
     """
     return [
         SizeFilter(),
@@ -342,23 +357,110 @@ class JoinStats:
         }
 
 
-def run_cascade(
-    stages: Sequence[FilterStage],
-    a: TreeProfile,
-    b: TreeProfile,
-    ctx: CascadeContext,
-    stats: JoinStats,
-) -> str:
-    """Run a pair through the stages, recording prunes/accepts in ``stats``."""
-    skip_lower_bounds = ctx.ops_threshold == float("inf")
-    for stage in stages:
-        if skip_lower_bounds and stage.requires_ops_threshold:
-            continue
-        decision = stage.apply(a, b, ctx)
-        if decision == PRUNE:
-            stats.stage_pruned[stage.name] = stats.stage_pruned.get(stage.name, 0) + 1
-            return PRUNE
-        if decision == ACCEPT:
-            stats.accepted_early += 1
-            return ACCEPT
-    return CONTINUE
+class PairFilters:
+    """A plan's filter stages and the driver that runs pairs through them.
+
+    ``stages`` is the full list, run for pairs verified per pair in Python.
+    ``small_pair(i, j)``, when given, maps index arrays to a mask of the
+    pairs the refiner verifies with the small-pair program instead; those
+    skip the :attr:`FilterStage.quadratic` stages, since the program
+    settles such a pair exactly in less time than one of those stages
+    takes.  The choice never changes a match set — every stage is sound —
+    only which pairs are decided by a bound and which exactly.
+    """
+
+    def __init__(
+        self,
+        stages: Sequence[FilterStage],
+        small_pair: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    ) -> None:
+        self.stages = list(stages)
+        self.small_pair = small_pair
+
+    def __bool__(self) -> bool:
+        return bool(self.stages)
+
+    def runs_quadratic(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Mask of the pairs ``(i[p], j[p])`` that run the quadratic stages."""
+        if self.small_pair is None:
+            return np.ones(len(i), dtype=bool)
+        return ~self.small_pair(i, j)
+
+    def run(
+        self,
+        pairs: CandidatePairs,
+        corpus_a: TreeCorpus,
+        corpus_b: Optional[TreeCorpus],
+        ctx: CascadeContext,
+        stats: JoinStats,
+    ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int, float]]]:
+        """Run ``pairs`` through the stages: ``(survivors, accepted)``.
+
+        ``pairs`` index ``corpus_a`` (side a) and ``corpus_b`` (side b;
+        ``None`` for pairs within ``corpus_a``).  Survivors keep the
+        candidate order; ``accepted`` holds ``(i, j, distance)`` for pairs
+        an accept stage certified, in candidate order.  Prunes and accepts
+        are counted in ``stats``.  Lower-bound stages are skipped entirely
+        when ``ctx.ops_threshold`` is infinite.  The ambient deadline is
+        checked before every block, and ticked per pair inside per-pair
+        stages.
+        """
+        skip_lower_bounds = ctx.ops_threshold == float("inf")
+        stages = [
+            s for s in self.stages if not (skip_lower_bounds and s.requires_ops_threshold)
+        ]
+        if not stages:
+            return list(pairs), []
+        sides = None
+        if any(isinstance(stage, ArrayStage) for stage in stages):
+            sides = PairSides(*filter_array_pair(corpus_a, corpus_b))
+        profile_a = corpus_a.profile
+        profile_b = (corpus_b if corpus_b is not None else corpus_a).profile
+        dl = active_deadline()
+        survivors: List[Tuple[int, int]] = []
+        accepted: List[Tuple[int, int, float]] = []
+        for i, j, shared in pairs.blocks(PAIR_BLOCK):
+            if dl is not None:
+                dl.check()
+            block = PairBlock(sides, i, j, shared)
+            alive = np.ones(len(i), dtype=bool)
+            quadratic = None
+            accepted_here: List[Tuple[int, int, int, float]] = []
+            for stage in stages:
+                runs = alive
+                if stage.quadratic:
+                    if quadratic is None:
+                        quadratic = self.runs_quadratic(i, j)
+                    runs = alive & quadratic
+                idx = np.flatnonzero(runs)
+                if not len(idx):
+                    continue
+                if isinstance(stage, ArrayStage):
+                    part = block if len(idx) == len(i) else block.take(idx)
+                    gone = idx[stage.prune(part, ctx)]
+                    pruned = len(gone)
+                else:
+                    gone, pruned = [], 0
+                    for p, a, b in zip(idx.tolist(), i[idx].tolist(), j[idx].tolist()):
+                        if dl is not None:
+                            dl.tick()
+                        decision = stage.apply(profile_a(a), profile_b(b), ctx)
+                        if decision == PRUNE:
+                            pruned += 1
+                            gone.append(p)
+                        elif decision == ACCEPT:
+                            # The accepting stage certified a mapping below τ
+                            # and left its cost in ctx.accept_value.
+                            stats.accepted_early += 1
+                            accepted_here.append((p, a, b, ctx.accept_value))
+                            gone.append(p)
+                if pruned:
+                    stats.stage_pruned[stage.name] = (
+                        stats.stage_pruned.get(stage.name, 0) + pruned
+                    )
+                alive[gone] = False
+            accepted_here.sort()
+            accepted.extend((a, b, value) for _, a, b, value in accepted_here)
+            keep = np.flatnonzero(alive)
+            survivors.extend(zip(i[keep].tolist(), j[keep].tolist()))
+        return survivors, accepted

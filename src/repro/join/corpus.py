@@ -4,18 +4,16 @@ A join over ``N`` trees evaluates up to ``N·(N−1)/2`` pairs, but every filter
 in the bound cascade only consumes *per-tree* quantities: sizes, label
 multisets, traversal label strings, binary-branch profiles and pq-gram
 profiles.  :class:`TreeCorpus` computes each of these artifacts **once per
-tree** and reuses them across all pairs — the per-pair work of the cheap
-stages drops to a multiset intersection.
+tree** and reuses them across all pairs.  The size, label and binary-branch
+multisets are also lowered, once per epoch, into flat arrays
+(:meth:`TreeCorpus.filter_arrays`, see :mod:`repro.join.pairs`): candidate
+generation and the three linear stages run over those arrays for whole
+blocks of pairs, while the per-tree profiles serve the stages that still
+work pair by pair.
 
-On top of the per-tree profiles the corpus maintains *inverted indexes*
-(binary-branch → tree ids, pq-gram → tree ids).  For a selective threshold
-the binary-branch index generates candidate pairs directly: the branch
-distance satisfies ``BBD(F, G) ≤ 5 · TED_ops(F, G)``, and two trees sharing
-no branch have ``BBD = |F| + |G|``, so any pair with
-``(|F| + |G|) / 5 ≥ τ_ops`` and an empty branch intersection is pruned
-*without ever being materialized*.  The pq-gram index plays the same role for
-approximate joins (pq-grams do not lower-bound the TED — see the soundness
-rule in ``DESIGN.md``).
+The corpus also maintains *inverted indexes* (binary-branch → tree ids,
+pq-gram → tree ids), kept incrementally across mutations and exposed by
+:meth:`TreeCorpus.branch_index` / :meth:`TreeCorpus.pq_index`.
 
 **Live corpora (the versioned store).**  A corpus is no longer frozen at
 construction: :meth:`TreeCorpus.add_trees` and :meth:`TreeCorpus.remove_trees`
@@ -24,12 +22,12 @@ an add appends postings for the new trees only, a removal tombstones its
 slot (postings are filtered lazily and compacted past a dead-entry
 threshold; removal never triggers a full rebuild).  Every mutation bumps a
 monotonic :attr:`TreeCorpus.epoch`; all derived caches — the dense index
-views, ``size_order``, the batch-kernel pack — are keyed on the epoch, so a
-mutated corpus can never silently serve stale artifacts.  The invariant the
-property suite enforces: after **any** interleaving of adds and removals the
-corpus is observably identical (distances, join matches, kNN/range results,
-cascade stats) to a fresh :class:`TreeCorpus` built from the same final tree
-sequence.
+views, ``size_order``, the batch-kernel pack and the filter arrays — are
+keyed on the epoch, so a mutated corpus can never silently serve stale
+artifacts.  The invariant the property suite enforces: after **any**
+interleaving of adds and removals the corpus is observably identical
+(distances, join matches, kNN/range results, cascade stats) to a fresh
+:class:`TreeCorpus` built from the same final tree sequence.
 
 Downstream consumers that need a stable view across queries (the query
 engine's VP-tree, long refinement plans) pin a :class:`CorpusSnapshot` — an
@@ -39,7 +37,6 @@ reports the membership drift (:meth:`CorpusSnapshot.delta`) since the pin.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -154,8 +151,9 @@ class TreeCorpus:
         self._pq_view_epoch = -1
         self._size_order: Optional[Tuple[List[int], List[int]]] = None
         self._size_order_epoch = -1
-        self._pack = None
-        self._pack_key: Optional[Tuple[int, int]] = None
+        # Interner-coded arrays (batch-kernel pack, filter arrays), per epoch:
+        # (builder, own interner?) → (interner, epoch, arrays).
+        self._coded: Dict[Tuple[object, bool], Tuple[object, int, object]] = {}
         self._snapshot_cache: Optional["CorpusSnapshot"] = None
         # Mutation ledger (exposed verbatim by the service's /stats).
         self.adds = 0
@@ -443,13 +441,39 @@ class TreeCorpus:
         within one epoch share a single pack, including the one handed to
         worker processes through the pool initializer.
         """
+        return self.pack_for(self.interner())
+
+    def pack_for(self, interner):
+        """The batch-kernel pack coded by ``interner`` (cached like
+        :meth:`pack`); a cross batch packs side b against side a's
+        interner so the codes of both packs agree."""
         from ..algorithms.batch_kernel import build_corpus_pack
 
-        key = (id(self.interner()), self._epoch)
-        if self._pack_key != key:
-            self._pack = build_corpus_pack(self.trees, self.interner())
-            self._pack_key = key
-        return self._pack
+        return self._coded_arrays(build_corpus_pack, interner)
+
+    def filter_arrays(self, interner=None):
+        """The size, label and binary-branch arrays of the cascade.
+
+        A :class:`~repro.join.pairs.FilterArrays` over the live trees,
+        coded by ``interner`` (default: :meth:`interner`) and cached per
+        epoch like :meth:`pack`.  Built on first use by a join or query,
+        never by :meth:`add_trees` / :meth:`remove_trees`.
+        """
+        from .pairs import build_filter_arrays
+
+        if interner is None:
+            interner = self.interner()
+        return self._coded_arrays(build_filter_arrays, interner)
+
+    def _coded_arrays(self, build, interner):
+        """``build(trees, interner)``, cached per epoch and interner: one slot
+        for the corpus's own interner and one for the latest foreign one."""
+        slot = (build, interner is self._interner)
+        cached = self._coded.get(slot)
+        if cached is None or cached[0] is not interner or cached[1] != self._epoch:
+            cached = (interner, self._epoch, build(self.trees, interner))
+            self._coded[slot] = cached
+        return cached[2]
 
     # ------------------------------------------------------------------ #
     # Inverted indexes
@@ -540,43 +564,6 @@ class TreeCorpus:
             self._size_order = (order, [trees[i].n for i in order])
             self._size_order_epoch = self._epoch
         return self._size_order
-
-    def query_candidates(
-        self, profile: TreeProfile, ops_threshold: float
-    ) -> Tuple[Set[int], int]:
-        """Sound one-vs-corpus candidate generation from the branch index.
-
-        The asymmetric counterpart of :func:`branch_candidate_pairs`: for a
-        *query* profile (typically from a one-tree corpus, not from this
-        one) returns ``(candidates, pruned)`` where ``candidates`` is the
-        set of corpus tree indices that may still satisfy
-        ``TED(query, tree) < τ`` — trees sharing at least one binary branch
-        with the query, plus trees small enough to pass with a disjoint
-        branch profile — and ``pruned`` counts the corpus trees eliminated
-        without ever being examined.  ``ops_threshold`` is the threshold in
-        operation-count space (``τ / min_operation_cost``); ``inf``
-        disables pruning (every tree is a candidate).
-
-        Soundness: ``BBD(F, G) ≤ 5 · TED_ops`` (Yang et al., SIGMOD 2005)
-        and disjoint branch profiles force ``BBD = |F| + |G|``, so a
-        disjoint-profile tree can only match when
-        ``|F| + |G| < 5 · τ_ops``.
-        """
-        n = len(self)
-        if ops_threshold == float("inf"):
-            return set(range(n)), 0
-        candidates: Set[int] = set()
-        index = self.branch_index()
-        for branch in profile.branch_profile:
-            postings = index.get(branch)
-            if postings:
-                candidates.update(postings)
-        # Small-tree sweep: trees below the size budget stay candidates even
-        # with a fully disjoint branch profile.
-        order, sizes = self.size_order()
-        limit = bisect_left(sizes, 5.0 * ops_threshold - profile.size)
-        candidates.update(order[:limit])
-        return candidates, n - len(candidates)
 
 
 class CorpusSnapshot(TreeCorpus):
@@ -703,118 +690,3 @@ class CorpusSnapshot(TreeCorpus):
         if self.is_current():
             return self._parent.pack()
         return super().pack()
-
-
-def _small_pairs(
-    sizes_a: Sequence[int],
-    sizes_b: Optional[Sequence[int]],
-    size_budget: float,
-) -> Iterator[Tuple[int, int]]:
-    """All pairs whose combined size stays below ``size_budget``.
-
-    These are the pairs that can beat the threshold *without* sharing a single
-    binary branch (``BBD = |F| + |G| < 5·τ_ops``), so index-based candidate
-    generation must keep them even when their posting lists never meet.
-    Enumerated via a sorted-size sweep, so the cost is proportional to the
-    number of qualifying pairs, not to all pairs.
-    """
-    if size_budget <= 0:
-        return
-    if sizes_b is None:
-        order = sorted(range(len(sizes_a)), key=lambda i: sizes_a[i])
-        ordered = [sizes_a[i] for i in order]
-        for pos, i in enumerate(order):
-            # partners after `pos` in size order with size < budget - size_i
-            limit = bisect_left(ordered, size_budget - ordered[pos], lo=pos + 1)
-            for other in range(pos + 1, limit):
-                j = order[other]
-                yield (min(i, j), max(i, j))
-    else:
-        order_b = sorted(range(len(sizes_b)), key=lambda j: sizes_b[j])
-        ordered_b = [sizes_b[j] for j in order_b]
-        for i, size_a in enumerate(sizes_a):
-            limit = bisect_left(ordered_b, size_budget - size_a)
-            for pos in range(limit):
-                yield (i, order_b[pos])
-
-
-def branch_candidate_pairs(
-    corpus_a: TreeCorpus,
-    corpus_b: Optional[TreeCorpus],
-    ops_threshold: float,
-) -> Tuple[Set[Tuple[int, int]], int]:
-    """Sound candidate generation from the binary-branch inverted index.
-
-    Returns ``(candidates, pairs_skipped)`` where ``candidates`` is the set of
-    pairs that may still satisfy ``TED < τ`` — pairs sharing at least one
-    binary branch, plus pairs small enough to pass with a disjoint profile —
-    and ``pairs_skipped`` counts the pairs eliminated without being
-    materialized.  ``ops_threshold`` is the threshold converted to
-    operation-count space (``τ / min_operation_cost``); pass ``inf`` to
-    disable pruning (every pair is a candidate).
-
-    Soundness: ``BBD(F, G) ≤ 5 · TED_ops`` (Yang et al., SIGMOD 2005) and
-    disjoint profiles force ``BBD = |F| + |G|``.
-    """
-    if corpus_b is None:
-        total = len(corpus_a) * (len(corpus_a) - 1) // 2
-    else:
-        total = len(corpus_a) * len(corpus_b)
-
-    if ops_threshold == float("inf"):
-        if corpus_b is None:
-            candidates = {
-                (i, j) for i in range(len(corpus_a)) for j in range(i + 1, len(corpus_a))
-            }
-        else:
-            candidates = {
-                (i, j) for i in range(len(corpus_a)) for j in range(len(corpus_b))
-            }
-        return candidates, 0
-
-    candidates: Set[Tuple[int, int]] = set()
-
-    if corpus_b is None:
-        index = corpus_a.branch_index()
-        # Posting-list self-products cost Σ |postings|²; when the corpus shares
-        # branches so widely that this far exceeds the all-pairs count, the
-        # index cannot prune enough to pay for itself — fall back to all pairs
-        # (the per-pair cascade stages still run).
-        if sum(len(p) * len(p) for p in index.values()) > 8 * max(total, 1):
-            return (
-                {(i, j) for i in range(len(corpus_a)) for j in range(i + 1, len(corpus_a))},
-                0,
-            )
-        for postings in index.values():
-            for ai in range(len(postings)):
-                for bi in range(ai + 1, len(postings)):
-                    candidates.add((postings[ai], postings[bi]))
-        sizes = [tree.n for tree in corpus_a.trees]
-        candidates.update(_small_pairs(sizes, None, 5.0 * ops_threshold))
-    else:
-        index_a = corpus_a.branch_index()
-        index_b = corpus_b.branch_index()
-        # Same blowup guard as the self-join branch: posting-list products
-        # cost Σ |postings_a|·|postings_b| over shared branches; when that far
-        # exceeds the all-pairs count the index cannot pay for itself.
-        product_work = sum(
-            len(postings_a) * len(index_b.get(branch, ()))
-            for branch, postings_a in index_a.items()
-        )
-        if product_work > 8 * max(total, 1):
-            return (
-                {(i, j) for i in range(len(corpus_a)) for j in range(len(corpus_b))},
-                0,
-            )
-        for branch, postings_a in index_a.items():
-            postings_b = index_b.get(branch)
-            if not postings_b:
-                continue
-            for i in postings_a:
-                for j in postings_b:
-                    candidates.add((i, j))
-        sizes_a = [tree.n for tree in corpus_a.trees]
-        sizes_b = [tree.n for tree in corpus_b.trees]
-        candidates.update(_small_pairs(sizes_a, sizes_b, 5.0 * ops_threshold))
-
-    return candidates, total - len(candidates)

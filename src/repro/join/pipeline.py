@@ -6,15 +6,16 @@ workload: the symmetric all-pairs similarity join
 pairs from one corpus, ran them through the filter cascade and verified
 survivors exactly.  Query-centric workloads — one-vs-corpus top-k, range
 queries — need the same three capabilities wired differently, so the
-pipeline is factored into three small protocols:
+pipeline is factored into three pieces:
 
 * :class:`CandidateSource` — produces the pairs that may still satisfy the
-  predicate, pruning what it can *without materializing it* (inverted
-  indexes, metric-index traversals, or plain enumeration);
-* :class:`Filter` — a per-pair stage deciding ``PRUNE`` / ``ACCEPT`` /
-  ``CONTINUE`` from cached per-tree profiles (structurally identical to
-  :class:`~repro.join.cascade.FilterStage`, which remains the concrete
-  base class — the cascade of PR 3 *is* the filter layer);
+  predicate as index arrays (:class:`~repro.join.pairs.CandidatePairs`),
+  pruning what it can *without materializing it* (shared binary branches,
+  metric-index traversals, or plain enumeration);
+* :class:`~repro.join.cascade.PairFilters` — the ordered filter stages and
+  the one driver that runs candidate blocks through them, deciding
+  ``PRUNE`` / ``ACCEPT`` / ``CONTINUE`` (the linear bounds over pair
+  arrays, the rest pair by pair from cached per-tree profiles);
 * :class:`Refiner` — computes exact (optionally τ-bounded) distances for
   the surviving pairs; :class:`BatchRefiner` wraps
   :func:`~repro.join.batch.batch_distances`, so every refinement — join
@@ -30,12 +31,11 @@ range queries are another (``plan_range``); the best-first kNN search of
 its own control loop because its threshold shrinks while it runs.
 
 The evaluation path is **asymmetric** throughout: a plan carries two
-profile accessors (``profile_a`` for the left side of every pair,
-``profile_b`` for the right), so "query profile vs corpus profile" and
-"corpus profile vs corpus profile" are the same code path.  Pair
-orientation is preserved into the refiner — distances are computed as
-``d(tree_a[i], tree_b[j])`` — which keeps non-symmetric cost models
-correct for one-vs-corpus queries (side *a* is the query).
+corpora (``corpus_a`` for the left side of every pair, ``corpus_b`` for the
+right), so "query vs corpus" and "corpus vs corpus" are the same code path.
+Pair orientation is preserved into the refiner — distances are computed as
+``d(tree_a[i], tree_b[j])`` — which keeps non-symmetric cost models correct
+for one-vs-corpus queries (side *a* is the query).
 """
 
 from __future__ import annotations
@@ -44,22 +44,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
-from ..algorithms.batch_kernel import SMALL_PAIR_CELLS, choose_sweep
+import numpy as np
+
+from ..algorithms.batch_kernel import SMALL_PAIR_CELLS
 from ..algorithms.workspace import TedWorkspace
 from ..costs import CostModel
 from .cascade import (
-    ACCEPT,
     CascadeContext,
     FilterStage,
     JoinStats,
+    PairFilters,
     PQGramFilter,
-    PRUNE,
     default_cascade,
     operations_threshold,
-    run_cascade,
 )
-from ..runtime import active_deadline
-from .corpus import TreeCorpus, TreeProfile, branch_candidate_pairs
+from .corpus import TreeCorpus
+from .pairs import CandidatePairs, branch_candidate_pairs, query_candidate_pairs
 
 PairKey = Tuple[int, int]
 
@@ -71,14 +71,15 @@ PairKey = Tuple[int, int]
 class CandidateSet:
     """What a :class:`CandidateSource` hands to the executor.
 
-    ``pairs`` still need filtering and refinement; ``prerefined`` carries
+    ``pairs`` still need filtering and refinement (index arrays, see
+    :class:`~repro.join.pairs.CandidatePairs`); ``prerefined`` carries
     pairs whose **exact** distance the source already computed as a side
     effect of candidate generation (e.g. vantage points of a metric-index
     traversal) — the executor consumes the distance instead of recomputing
     it; ``pruned`` counts the pairs eliminated without being materialized.
     """
 
-    pairs: List[PairKey]
+    pairs: CandidatePairs
     prerefined: List[Tuple[int, int, float]] = field(default_factory=list)
     pruned: int = 0
 
@@ -89,26 +90,12 @@ class CandidateSource(Protocol):
     def candidates(self, ctx: CascadeContext) -> CandidateSet: ...
 
 
-class Filter(Protocol):
-    """A per-pair cascade stage (see :class:`~repro.join.cascade.FilterStage`).
-
-    The protocol exists so type annotations don't force the concrete base
-    class; every :class:`FilterStage` satisfies it.
-    """
-
-    name: str
-    requires_ops_threshold: bool
-    is_accept_stage: bool
-
-    def apply(self, a: TreeProfile, b: TreeProfile, ctx: CascadeContext) -> str: ...
-
-
 class Refiner(Protocol):
     """Computes exact (optionally τ-bounded) distances for candidate pairs."""
 
     def effective_workers(self, n_pairs: int) -> int: ...
 
-    def small_pair_gate(self) -> Optional[Callable[[int, int], bool]]: ...
+    def small_pair_gate(self) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]: ...
 
     def refine(
         self,
@@ -129,18 +116,14 @@ class AllPairsSource:
         self.corpus_b = corpus_b
 
     def candidates(self, ctx: CascadeContext) -> CandidateSet:
-        n_a = len(self.corpus_a)
-        if self.corpus_b is None:
-            pairs = [(i, j) for i in range(n_a) for j in range(i + 1, n_a)]
-        else:
-            pairs = [(i, j) for i in range(n_a) for j in range(len(self.corpus_b))]
-        return CandidateSet(pairs=pairs)
+        n_b = None if self.corpus_b is None else len(self.corpus_b)
+        return CandidateSet(pairs=CandidatePairs.all_pairs(len(self.corpus_a), n_b))
 
 
 class JoinIndexSource:
-    """Symmetric candidate generation from the binary-branch inverted index.
+    """Symmetric candidate generation from shared binary branches.
 
-    Wraps :func:`~repro.join.corpus.branch_candidate_pairs`; sound for any
+    Wraps :func:`~repro.join.pairs.branch_candidate_pairs`; sound for any
     cost model with a positive ``min_operation_cost`` (``ctx.ops_threshold``
     is already in operation-count space, ``inf`` disables pruning).
     """
@@ -153,26 +136,26 @@ class JoinIndexSource:
         found, skipped = branch_candidate_pairs(
             self.corpus_a, self.corpus_b, ctx.ops_threshold
         )
-        return CandidateSet(pairs=sorted(found), pruned=skipped)
+        return CandidateSet(pairs=found, pruned=skipped)
 
 
 class QueryIndexSource:
-    """Asymmetric one-vs-corpus candidate generation from the branch index.
+    """Asymmetric one-vs-corpus candidate generation from shared branches.
 
-    Emits ``(0, j)`` pairs — side *a* is a one-tree query corpus — for the
-    corpus trees that may still match the query profile
-    (:meth:`TreeCorpus.query_candidates`).
+    Emits ``(0, j)`` pairs — side *a* is the one-tree ``query_corpus`` —
+    for the corpus trees that may still match the query
+    (:func:`~repro.join.pairs.query_candidate_pairs`).
     """
 
-    def __init__(self, corpus: TreeCorpus, query_profile: TreeProfile) -> None:
+    def __init__(self, corpus: TreeCorpus, query_corpus: TreeCorpus) -> None:
         self.corpus = corpus
-        self.query_profile = query_profile
+        self.query_corpus = query_corpus
 
     def candidates(self, ctx: CascadeContext) -> CandidateSet:
-        found, skipped = self.corpus.query_candidates(
-            self.query_profile, ctx.ops_threshold
+        found, skipped = query_candidate_pairs(
+            self.query_corpus, self.corpus, ctx.ops_threshold
         )
-        return CandidateSet(pairs=[(0, j) for j in sorted(found)], pruned=skipped)
+        return CandidateSet(pairs=found, pruned=skipped)
 
 
 # --------------------------------------------------------------------------- #
@@ -220,20 +203,22 @@ class BatchRefiner:
 
         return _effective_workers(self.workers, n_pairs, self.chunk_size)
 
-    def small_pair_gate(self) -> Optional[Callable[[int, int], bool]]:
+    def small_pair_gate(self) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
         """Which pairs :meth:`refine` verifies with the small-pair program.
 
         ``None`` when no pair is: a pre-built algorithm instance, a non-unit
         cost model, or an engine without the amortized workspace
-        (:func:`~repro.join.batch._kernel_workspace`).  Otherwise a
-        predicate over ``(i, j)`` applying the per-pair gates of
-        :func:`~repro.algorithms.batch_kernel.kernel_chunk_entries`: label
-        codes on both sides and the cheaper sweep within
+        (:func:`~repro.join.batch._kernel_workspace`).  Otherwise a function
+        mapping index arrays ``(i, j)`` to a mask that applies the per-pair
+        gates of :func:`~repro.algorithms.batch_kernel.kernel_chunk_entries`:
+        label codes on both sides and the cheaper sweep within
         :data:`~repro.algorithms.batch_kernel.SMALL_PAIR_CELLS`.  It reads
-        no provider state — the C kernel and its twin run the same program —
-        so the answer is the same with or without a compiler.
+        the packs :meth:`refine` will run on (:func:`~repro.join.batch.
+        _batch_packs`) and no provider state — the C kernel and its twin run
+        the same program — so the answer is the same with or without a
+        compiler.
         """
-        from .batch import _kernel_workspace, _resolve_algorithm
+        from .batch import _batch_packs, _kernel_workspace, _resolve_algorithm
 
         if not isinstance(self.algorithm, str):
             return None
@@ -242,15 +227,17 @@ class BatchRefiner:
         )
         if _kernel_workspace(_resolve_algorithm(self.algorithm, self.engine, probe)) is None:
             return None
-        corpus_b = self.corpus_b if self.corpus_b is not None else self.corpus_a
-        _, elig_a, sweeps_a = self.corpus_a.pack().gate_rows()
-        _, elig_b, sweeps_b = corpus_b.pack().gate_rows()
+        pack_a, pack_b = _batch_packs(self.corpus_a, self.corpus_b)
 
-        def gate(i: int, j: int) -> bool:
+        def gate(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            # choose_sweep admits a pair iff its cheaper sweep fits; float
+            # products stay exact up to 2**53, far above the budget.
+            left = pack_a.sweep_l[i].astype(float) * pack_b.sweep_l[j]
+            right = pack_a.sweep_r[i].astype(float) * pack_b.sweep_r[j]
             return (
-                elig_a[i]
-                and elig_b[j]
-                and choose_sweep(sweeps_a[i], sweeps_b[j], SMALL_PAIR_CELLS) is not None
+                pack_a.eligible[i]
+                & pack_b.eligible[j]
+                & (np.minimum(left, right) <= SMALL_PAIR_CELLS)
             )
 
         return gate
@@ -292,55 +279,23 @@ class BatchRefiner:
 # --------------------------------------------------------------------------- #
 # Plans, the planner and the executor
 # --------------------------------------------------------------------------- #
-class PairFilters:
-    """A plan's filter stages, chosen per pair by the verifier that runs it.
-
-    ``stages`` is the full list, run for pairs verified per pair in Python.
-    ``small_pair(i, j)``, when given, marks the pairs the refiner verifies
-    with the small-pair program instead; those skip the
-    :attr:`~repro.join.cascade.FilterStage.quadratic` stages, since the
-    program settles such a pair exactly in less time than one of those
-    stages takes.  The choice never changes a match set — every stage is
-    sound — only which pairs are decided by a bound and which exactly.
-    """
-
-    def __init__(
-        self,
-        stages: Sequence[FilterStage],
-        small_pair: Optional[Callable[[int, int], bool]] = None,
-    ) -> None:
-        self.stages = list(stages)
-        self.small_pair = small_pair
-        self.small_pair_stages = [s for s in self.stages if not s.quadratic]
-
-    def __bool__(self) -> bool:
-        return bool(self.stages)
-
-    def for_pair(self, i: int, j: int) -> List[FilterStage]:
-        """The stages pair ``(i, j)`` runs through."""
-        if self.small_pair is not None and self.small_pair(i, j):
-            return self.small_pair_stages
-        return self.stages
-
-
 @dataclass
 class RetrievalPlan:
     """One composed retrieval pipeline, ready for :func:`execute_plan`.
 
-    ``profile_a(i)`` / ``profile_b(j)`` resolve the two sides of a pair key
-    to their cached :class:`TreeProfile` artifacts — symmetric joins pass
-    the same corpus accessor twice, queries pass the one-tree query corpus
-    on side *a*.  The refiner verifies with ``cutoff=ctx.threshold``: only
-    ``TED < τ`` matters, so each computation may stop once ``TED ≥ τ`` is
-    proven.
+    Pair keys index ``corpus_a`` (side *a*) and ``corpus_b`` (side *b*;
+    ``None`` for pairs within ``corpus_a``, as in a self join) — queries
+    put the one-tree query corpus on side *a*.  The refiner verifies with
+    ``cutoff=ctx.threshold``: only ``TED < τ`` matters, so each computation
+    may stop once ``TED ≥ τ`` is proven.
     """
 
     ctx: CascadeContext
     source: CandidateSource
     filters: PairFilters
     refiner: Refiner
-    profile_a: Callable[[int], TreeProfile]
-    profile_b: Callable[[int], TreeProfile]
+    corpus_a: TreeCorpus
+    corpus_b: Optional[TreeCorpus]
 
 
 class Planner:
@@ -430,14 +385,13 @@ class Planner:
                 else None
             ),
         )
-        profiles_b = corpus_b if corpus_b is not None else corpus_a
         return RetrievalPlan(
             ctx=ctx,
             source=source,
             filters=filters,
             refiner=refiner,
-            profile_a=corpus_a.profile,
-            profile_b=profiles_b.profile,
+            corpus_a=corpus_a,
+            corpus_b=corpus_b,
         )
 
     def plan_range(
@@ -464,10 +418,9 @@ class Planner:
         match set but wrong for result ranking.
         """
         ctx = self._context(threshold)
-        query_profile = query_corpus.profile(0)
         if source is None:
             if use_cascade:
-                source = QueryIndexSource(corpus, query_profile)
+                source = QueryIndexSource(corpus, query_corpus)
             else:
                 source = AllPairsSource(query_corpus, corpus)
         filters = self.filters(
@@ -478,8 +431,8 @@ class Planner:
             source=source,
             filters=filters,
             refiner=refiner,
-            profile_a=query_corpus.profile,
-            profile_b=corpus.profile,
+            corpus_a=query_corpus,
+            corpus_b=corpus,
         )
 
 
@@ -506,19 +459,12 @@ def execute_plan(
     if started is None:
         started = time.perf_counter()
     ctx = plan.ctx
-    # One ambient budget governs the whole plan.  Refinement inherits it
-    # through batch_distances; the cascade loop below ticks per candidate
-    # pair, since the stages that pairs verified per pair in Python still
-    # run (traversal-string edit distance, the top-down upper bound) do
-    # O(n·m) work that would otherwise run unchecked.
-    dl = active_deadline()
 
     # ---- candidates ------------------------------------------------------ #
     tick = time.perf_counter()
     generated = plan.source.candidates(ctx)
-    candidate_pairs = generated.pairs
     stats.index_pruned = generated.pruned
-    stats.candidate_pairs = len(candidate_pairs) + len(generated.prerefined)
+    stats.candidate_pairs = len(generated.pairs) + len(generated.prerefined)
     stats.candidate_time = time.perf_counter() - tick
     if progress is not None:
         progress(stats)
@@ -533,23 +479,13 @@ def execute_plan(
         if distance < ctx.threshold:
             stats.exact_matched += 1
             matches.append((i, j, distance))
-    filters = plan.filters
-    if filters:
-        survivors: List[PairKey] = []
-        for i, j in candidate_pairs:
-            if dl is not None:
-                dl.tick()
-            decision = run_cascade(
-                filters.for_pair(i, j), plan.profile_a(i), plan.profile_b(j), ctx, stats
-            )
-            if decision == ACCEPT:
-                # The accepting stage certified a mapping below τ and left its
-                # cost in ctx.accept_value; report that as the distance.
-                matches.append((i, j, ctx.accept_value))
-            elif decision != PRUNE:
-                survivors.append((i, j))
-    else:
-        survivors = list(candidate_pairs)
+    # One ambient budget governs the whole plan: the cascade checks it
+    # between pair blocks (and per pair in per-pair stages), refinement
+    # inherits it through batch_distances.
+    survivors, accepted = plan.filters.run(
+        generated.pairs, plan.corpus_a, plan.corpus_b, ctx, stats
+    )
+    matches.extend(accepted)
     stats.cascade_time = time.perf_counter() - tick
     if progress is not None:
         progress(stats)

@@ -63,16 +63,11 @@ from ..exceptions import ComputeTimeoutError, QueryError
 from ..runtime import active_deadline, as_deadline, deadline_scope
 from ..trees.tree import Tree
 from .batch import DEFAULT_CHUNK_SIZE, _resolve_algorithm, _supports_cutoff
-from .cascade import (
-    CascadeContext,
-    JoinStats,
-    PRUNE,
-    operations_threshold,
-    run_cascade,
-)
+from .cascade import CascadeContext, JoinStats, PairFilters, operations_threshold
 from .corpus import CorpusSnapshot, TreeCorpus
 from .metric_index import DEFAULT_LEAF_SIZE, VPTree, metric_eligible
-from .pipeline import BatchRefiner, CandidateSet, PairFilters, Planner, execute_plan
+from .pairs import CandidatePairs
+from .pipeline import BatchRefiner, CandidateSet, Planner, execute_plan
 
 _INF = float("inf")
 
@@ -300,7 +295,11 @@ class _MetricRangeSource:
             if node.outside >= 0:
                 stack.append((max(bound, node.mu - distance), node.outside))
         pairs.sort()
-        return CandidateSet(pairs=pairs, prerefined=prerefined, pruned=pruned)
+        return CandidateSet(
+            pairs=CandidatePairs([0] * len(pairs), [j for _, j in pairs]),
+            prerefined=prerefined,
+            pruned=pruned,
+        )
 
 
 class QueryEngine:
@@ -611,7 +610,6 @@ class QueryEngine:
             try:
                 with deadline_scope(dl):
                     query_corpus = self._query_corpus(query)
-                    profile = query_corpus.profile(0)
                     if len(snap) > 0:
                         refiner = self._refiner(query_corpus, snap)
                         ctx = CascadeContext(
@@ -627,11 +625,11 @@ class QueryEngine:
                         if vp is not None:
                             stats.metric_index_used = True
                             self._knn_best_first(
-                                vp, query, profile, ctx, filters, refiner, top, stats, snap
+                                vp, query_corpus, ctx, filters, refiner, top, stats, snap
                             )
                         else:
                             self._knn_scan(
-                                query, profile, ctx, filters, refiner, top, stats, snap
+                                query_corpus, ctx, filters, refiner, top, stats, snap
                             )
                     if added:
                         # Provisional k-th best among snapshot survivors caps
@@ -670,7 +668,7 @@ class QueryEngine:
         self,
         top: _TopK,
         candidates: List[int],
-        profile,
+        query_corpus: TreeCorpus,
         ctx: CascadeContext,
         filters: PairFilters,
         refiner: BatchRefiner,
@@ -685,18 +683,11 @@ class QueryEngine:
         order), while everything strictly farther aborts as a bounded run.
         """
         radius, _ = top.worst()
-        if filters:
-            self._shrinking_ctx(ctx, radius)
-            survivors = [
-                j
-                for j in candidates
-                if run_cascade(
-                    filters.for_pair(0, j), profile, corpus.profile(j), ctx, stats
-                )
-                != PRUNE
-            ]
-        else:
-            survivors = list(candidates)
+        self._shrinking_ctx(ctx, radius)
+        survivors, _ = filters.run(
+            CandidatePairs([0] * len(candidates), candidates),
+            query_corpus, corpus, ctx, stats,
+        )
         if not survivors:
             return
         cutoff = None if radius == _INF else _just_above(radius)
@@ -713,7 +704,7 @@ class QueryEngine:
                 # compete normally even as the radius keeps shrinking.
                 top.offer(j, value)
 
-        report = refiner.refine([(0, j) for j in survivors], cutoff, on_chunk)
+        report = refiner.refine(survivors, cutoff, on_chunk)
         _merge_report(stats, report)
 
     def _size_order(self, corpus: TreeCorpus, query_size: int) -> List[int]:
@@ -725,7 +716,7 @@ class QueryEngine:
         )
 
     def _knn_best_first(
-        self, vp: VPTree, query, profile, ctx, filters, refiner, top: _TopK, stats,
+        self, vp: VPTree, query_corpus, ctx, filters, refiner, top: _TopK, stats,
         corpus: TreeCorpus,
     ) -> None:
         """Best-first VP-tree search with a shrinking radius.
@@ -740,8 +731,10 @@ class QueryEngine:
         # Warm start: verify a small block of size-nearest trees to make the
         # radius finite before any vantage evaluation (trees re-encountered
         # by the traversal are no-ops — offers are idempotent per index).
-        probe = self._size_order(corpus, profile.size)[:KNN_PROBE]
-        self._refine_candidates(top, probe, profile, ctx, filters, refiner, stats, corpus)
+        probe = self._size_order(corpus, query_corpus.trees[0].n)[:KNN_PROBE]
+        self._refine_candidates(
+            top, probe, query_corpus, ctx, filters, refiner, stats, corpus
+        )
         frontier: List[Tuple[float, int]] = [(0.0, vp.root)]
         while frontier:
             radius, _ = top.worst()
@@ -764,7 +757,7 @@ class QueryEngine:
                     batch.append((bound, node))
             if bucket_members:
                 self._refine_candidates(
-                    top, bucket_members, profile, ctx, filters, refiner, stats, corpus
+                    top, bucket_members, query_corpus, ctx, filters, refiner, stats, corpus
                 )
             if not batch:
                 continue
@@ -823,7 +816,7 @@ class QueryEngine:
                     )
 
     def _knn_scan(
-        self, query, profile, ctx, filters, refiner, top: _TopK, stats,
+        self, query_corpus, ctx, filters, refiner, top: _TopK, stats,
         corpus: TreeCorpus,
     ) -> None:
         """Linear-scan kNN (the sound fallback for non-metric cost models).
@@ -834,11 +827,11 @@ class QueryEngine:
         only the cascade's orientation-independent operation-count bounds
         prune, never the triangle inequality.
         """
-        order = self._size_order(corpus, profile.size)
+        order = self._size_order(corpus, query_corpus.trees[0].n)
         for start in range(0, len(order), self.chunk_size):
             block = order[start : start + self.chunk_size]
             self._refine_candidates(
-                top, block, profile, ctx, filters, refiner, stats, corpus
+                top, block, query_corpus, ctx, filters, refiner, stats, corpus
             )
 
     # ------------------------------------------------------------------ #

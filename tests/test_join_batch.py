@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.algorithms import ZhangShashaTED, make_algorithm
@@ -98,7 +99,7 @@ class TestCandidateGeneration:
         candidates, skipped = branch_candidate_pairs(corpus, None, threshold)
         total = len(trees) * (len(trees) - 1) // 2
         assert len(candidates) + skipped == total
-        assert brute_force_matches(trees, threshold) <= candidates
+        assert brute_force_matches(trees, threshold) <= set(candidates)
 
     def test_infinite_threshold_yields_all_pairs(self):
         corpus = TreeCorpus(small_corpus(num=6))
@@ -112,13 +113,13 @@ class TestCandidateGeneration:
         corpus_b = TreeCorpus(trees[8:])
         threshold = 4.0
         candidates, _ = branch_candidate_pairs(corpus_a, corpus_b, threshold)
-        assert brute_force_matches(trees[:8], threshold, trees[8:]) <= candidates
+        assert brute_force_matches(trees[:8], threshold, trees[8:]) <= set(candidates)
 
     def test_tiny_trees_survive_without_shared_branches(self):
         # Disjoint profiles, but |F| + |G| < 5·τ_ops: must stay candidates.
         trees = [parse_bracket("{a}"), parse_bracket("{b{c}}")]
         candidates, _ = branch_candidate_pairs(TreeCorpus(trees), None, 2.0)
-        assert (0, 1) in candidates
+        assert (0, 1) in set(candidates)
 
     def test_dense_corpus_blowup_guard_falls_back_to_all_pairs(self):
         # A tiny shared alphabet makes every posting list nearly full, so the
@@ -316,7 +317,12 @@ class TestStageChoice:
         plan = Planner(resolve_cost_model(cost_model)).plan_join(
             corpus, None, 3.0, refiner, **kwargs
         )
-        return [stage.name for stage in plan.filters.for_pair(i, j)]
+        quadratic = plan.filters.runs_quadratic(np.array([i]), np.array([j]))[0]
+        return [
+            stage.name
+            for stage in plan.filters.stages
+            if quadratic or not stage.quadratic
+        ]
 
     @staticmethod
     def _over_gate_pair():

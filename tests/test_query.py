@@ -3,6 +3,7 @@ corpus freezing, and the planner pipeline invariants."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import knn, range_query
@@ -231,7 +232,9 @@ class TestStageChoice:
             legacy._planner, "filters", lambda refiner, **kwargs: PairFilters(old_list)
         )
         gate = default._refiner(default._query_corpus(trees[0]), corpus).small_pair_gate()
-        assert gate is not None and all(gate(0, j) for j in range(len(trees)))
+        assert gate is not None and gate(
+            np.zeros(len(trees), dtype=np.int64), np.arange(len(trees))
+        ).all()
         for q in (0, 11, 23, 40):
             query = trees[q]
             for k in (1, 5, 12):
