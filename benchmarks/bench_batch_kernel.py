@@ -18,6 +18,10 @@ Measurement families:
   ``bench_batch_ted.py`` (the ROADMAP target: ≤ 10 µs/pair, ≥ 10x over the
   PR 4 scalar baseline), unbounded and τ-bounded (cutoff 3);
 * **size classes** — the speedup curve at 8/16/32/64-node trees;
+* **call overhead** — what one pair costs when it is the only lane: a
+  one-lane ``native_batch`` call and a warm ``TedWorkspace.compute_small``
+  in µs per call, over the pairs of the 16-node size class, against that
+  class's batched per-pair cost;
 * **budget check** (``--sweep``) — per-pair cost of the small-pair program
   (C kernel and twin) vs RTED's strategy on the spf executor, on comb,
   zigzag and caterpillar pairs at the largest size whose cheaper sweep
@@ -32,11 +36,13 @@ Run with::
 
 In ``--quick`` mode nothing is written unless ``--output`` is given, and the
 process exits non-zero unless the C kernel is bit-identical to the scalar
-reference, does not regress it, and stays ≤ 25 µs/pair on the reduced
-headline — conservative CI gates; without a compiler only the scalar path
-runs.  The committed full-mode ``BENCH_batch.json`` records the reference
-numbers (≈ 3 µs/pair native on the baseline container); it predates the
-removal of the NumPy lockstep kernel, whose column it still carries.
+reference, does not regress it, stays ≤ 25 µs/pair on the reduced
+headline, and a one-lane 16-node call costs at most
+:data:`MAX_CALL_OVERHEAD` times the batched per-pair cost of its size
+class, measured in the same run — conservative CI gates; without a
+compiler only the scalar path runs.  The committed full-mode
+``BENCH_batch.json`` records the reference numbers, stamped with the git
+commit it measured and the machine.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import random
 import sys
 import time
@@ -70,6 +75,7 @@ from repro.algorithms.native import (
 from repro.datasets import clustered_corpus
 from repro.datasets.realworld import treefam_like_tree
 from repro.datasets.shapes import right_branch_tree, zigzag_tree
+from stamp import machine_stamp
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_batch.json"
 
@@ -78,6 +84,11 @@ DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_batch.json"
 PR4_BASELINE_US = 129.86
 
 HEADLINE_CUTOFF = 3.0
+
+#: The call-overhead gate: a one-lane call on the 16-node size class may
+#: cost at most this many times that class's batched per-pair cost.
+MAX_CALL_OVERHEAD = 15.0
+OVERHEAD_SIZE = 16
 
 
 def make_workload(tree_size: int, pairs: int, rng: int = 1):
@@ -122,6 +133,19 @@ def scalar_run(workspace, trees, pairs, cutoff):
     return elapsed, out
 
 
+def lane_rows(trees, pairs, pack) -> Tuple[List[int], List[int]]:
+    """Each pair's pack rows in the direction the cell gate picks, as in
+    ``kernel_chunk_entries``: the mirrored rows for the right sweep."""
+    fi: List[int] = []
+    gi: List[int] = []
+    for i, j in pairs:
+        sweep = choose_sweep(sweep_sizes(trees[i]), sweep_sizes(trees[j]), SMALL_PAIR_CELLS)
+        shift = 0 if sweep == "left" else pack.n_trees
+        fi.append(shift + i)
+        gi.append(shift + j)
+    return fi, gi
+
+
 def batch_run(kernel, pack, fi, gi, cutoff):
     """(total_seconds, results) for one whole-batch kernel call."""
     start = time.perf_counter()
@@ -150,15 +174,7 @@ def measure_kernels(trees, pairs, cutoff, repeats: int) -> Dict:
             (i, j) for i, j in pairs if abs(trees[i].n - trees[j].n) < cutoff
         ]
     pack = build_corpus_pack(trees, workspace.interner)
-    # Each lane runs in the direction the cell gate picks, as in
-    # kernel_chunk_entries: the pack's mirrored rows for the right sweep.
-    fi: List[int] = []
-    gi: List[int] = []
-    for i, j in pairs:
-        sweep = choose_sweep(sweep_sizes(trees[i]), sweep_sizes(trees[j]), SMALL_PAIR_CELLS)
-        shift = 0 if sweep == "left" else pack.n_trees
-        fi.append(shift + i)
-        gi.append(shift + j)
+    fi, gi = lane_rows(trees, pairs, pack)
     for i, j in pairs:  # warm the per-tree caches out of the timed region
         workspace.compute_small(trees[i], trees[j])
 
@@ -206,15 +222,59 @@ def run_headline(pairs: int, repeats: int) -> Dict:
     }
 
 
+def size_class_workload(size: int, quick: bool):
+    pairs = 200 if quick else (1000 if size <= 16 else 400)
+    return make_workload(size, pairs, rng=size)
+
+
 def run_size_classes(repeats: int, quick: bool) -> List[Dict]:
     entries = []
     for size in (8, 16, 32, 64):
-        pairs = 200 if quick else (1000 if size <= 16 else 400)
-        trees, pair_list = make_workload(size, pairs, rng=size)
+        trees, pair_list = size_class_workload(size, quick)
         entry = measure_kernels(trees, pair_list, None, repeats)
         entry["tree_size"] = size
         entries.append(entry)
     return entries
+
+
+def run_call_overhead(repeats: int, quick: bool) -> Dict:
+    """µs per call for pairs run one at a time, over the pairs of the
+    :data:`OVERHEAD_SIZE`-node size class: a one-lane ``native_batch`` on
+    the corpus pack, and ``compute_small`` on a warm workspace (its cached
+    one-row packs).  Both must give the batched call's tuples."""
+    trees, pairs = size_class_workload(OVERHEAD_SIZE, quick)
+    workspace = TedWorkspace()
+    pack = build_corpus_pack(trees, workspace.interner)
+    fi, gi = lane_rows(trees, pairs, pack)
+    values, cells, aborted = native_batch(pack, pack, fi, gi)
+    reference = list(zip(values.tolist(), cells.tolist(), aborted.tolist()))
+    for i, j in pairs:  # warm the workspace's per-tree caches
+        workspace.compute_small(trees[i], trees[j])
+
+    def one_lane():
+        out = []
+        for p in range(len(fi)):
+            values, cells, aborted = native_batch(pack, pack, fi[p : p + 1], gi[p : p + 1])
+            out.append((float(values[0]), int(cells[0]), bool(aborted[0])))
+        return out
+
+    def single_pairs():
+        out = []
+        for i, j in pairs:
+            value, cells, _ = workspace.compute_small(trees[i], trees[j])
+            out.append((value, cells, False))
+        return out
+
+    entry: Dict = {"tree_size": OVERHEAD_SIZE, "pairs": len(pairs), "per_call_us": {}}
+    for name, run in (("native_batch_one_lane", one_lane), ("compute_small", single_pairs)):
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            results = run()
+            samples.append(time.perf_counter() - start)
+            assert results == reference, f"{name} diverged from the batched call"
+        entry["per_call_us"][name] = median(samples) / len(pairs) * 1e6
+    return entry
 
 
 def budget_pairs(cap: int = 1201) -> List[Tuple[str, object, object]]:
@@ -313,14 +373,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(f"size {entry['tree_size']:>2}: {speed} us/pair")
 
+    overhead = None
+    if provider is not None:
+        overhead = run_call_overhead(repeats, args.quick)
+        batched = next(
+            entry["per_pair_us"]["native"]
+            for entry in size_classes
+            if entry["tree_size"] == OVERHEAD_SIZE
+        )
+        overhead["batched_per_pair_us"] = batched
+        overhead["one_lane_vs_batched"] = (
+            overhead["per_call_us"]["native_batch_one_lane"] / batched
+        )
+        print(
+            f"call overhead, {OVERHEAD_SIZE}-node pairs: one-lane native_batch "
+            f"{overhead['per_call_us']['native_batch_one_lane']:.1f} us/call "
+            f"({overhead['one_lane_vs_batched']:.1f}x batched {batched:.2f} us/pair), "
+            f"compute_small {overhead['per_call_us']['compute_small']:.1f} us/call"
+        )
+
     report = {
         "benchmark": "small-pair TED (Python twin per pair vs batched C kernel)",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_stamp(),
         "native_provider": provider,
         "pr4_scalar_baseline_us": PR4_BASELINE_US,
         "headline": headline,
         "size_classes": size_classes,
+        "call_overhead": overhead,
     }
     if args.sweep:
         report["budget_check"] = run_budget_check(3)
@@ -343,6 +422,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 failures.append(
                     f"batch kernel regressed the scalar path "
                     f"({best:.1f} vs {up['scalar']:.1f} us/pair)"
+                )
+            if overhead["one_lane_vs_batched"] > MAX_CALL_OVERHEAD:
+                failures.append(
+                    f"one-lane call costs {overhead['one_lane_vs_batched']:.1f}x the "
+                    f"batched per-pair cost (gate {MAX_CALL_OVERHEAD:.0f}x)"
                 )
         if failures:
             for failure in failures:

@@ -35,9 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -45,6 +42,7 @@ from typing import Dict, List, Optional
 
 from repro.datasets import clustered_corpus
 from repro.join import batch_self_join
+from stamp import machine_stamp
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_join.json"
 
@@ -53,33 +51,6 @@ DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_join.json"
 THRESHOLD = 3.0
 TREE_SIZE = 12
 CLUSTER_SIZE = 10
-
-
-def _stamp() -> Dict[str, object]:
-    """The git commit of the checkout and the machine the run measured."""
-    root = Path(__file__).resolve().parent.parent
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True,
-            timeout=10,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        commit = None
-    cpu_model = platform.processor()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as handle:
-            for line in handle:
-                if line.startswith("model name"):
-                    cpu_model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {
-        "commit": commit,
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()} {cpu_model}",
-        "nproc": os.cpu_count(),
-    }
 
 
 def build_corpus(num_trees: int, seed: int = 20110713):
@@ -167,7 +138,7 @@ def run_benchmark(
             "random", "left-branch", "right-branch", "full-binary", "zigzag", "mixed",
         ],
         "algorithm": algorithm,
-        **_stamp(),
+        **machine_stamp(),
         "entries": entries,
         "speedup_cascade_on_vs_off": speedups,
     }

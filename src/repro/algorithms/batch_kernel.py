@@ -297,8 +297,8 @@ class CorpusPack:
     off in :attr:`eligible`.  A pack is immutable and can serve both sides
     of a batch; packs meant for one batch must share one
     :class:`~repro.algorithms.workspace.LabelInterner` so their codes agree.
-    It pickles field by field, which is how it reaches ``spawn`` and
-    ``forkserver`` workers.
+    It pickles field by field, without its address cache, which is how it
+    reaches ``spawn`` and ``forkserver`` workers.
 
     The layout (``T`` = ``n_trees``, ``N`` = total nodes, ``K`` = total
     keyroots over both rows of the eligible trees)::
@@ -310,19 +310,36 @@ class CorpusPack:
     ``sweep_l``/``sweep_r`` (:func:`sweep_sizes`, set for every tree) and
     ``eligible`` feed the per-pair gates of :func:`kernel_chunk_entries`;
     the row arrays are what the C kernel and :func:`run_batch` read.
+    :func:`row_pack` builds the one-row variant a single pair runs on.
     """
 
     __slots__ = (
         "n_trees",
         "eligible", "sweep_l", "sweep_r",
         "sizes", "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
-        "_gate",
+        "_gate", "_addresses",
+    )
+    #: The row arrays in the order the C kernel takes them.
+    _ROW_FIELDS = (
+        "lml_flat", "codes_flat", "kroots", "node_off", "kr_off", "kr_count", "sizes",
     )
 
     def __init__(self, **arrays) -> None:
-        for name in self.__slots__[:-1]:  # every field but the gate cache
+        for name in self.__slots__[:-2]:  # every field but the two caches
             setattr(self, name, arrays[name])
         self._gate = None
+        self._addresses = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The address cache stays behind: addresses are only valid in the
+        # process that computed them (a forked child inherits them along
+        # with the arrays, copy-on-write).
+        return {name: getattr(self, name) for name in self.__slots__[:-1]}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._addresses = None
 
     def gate_rows(self) -> Tuple[List[int], List[bool], List[Tuple[int, int]]]:
         """Per-tree ``(sizes, eligible, sweep sizes)`` as Python lists,
@@ -335,6 +352,43 @@ class CorpusPack:
                 list(zip(self.sweep_l.tolist(), self.sweep_r.tolist())),
             )
         return self._gate
+
+    def addresses(self) -> Tuple[int, ...]:
+        """The data addresses of the seven row arrays, in the C kernel's
+        argument order, computed on first use and cached for the pack's
+        life (the arrays never move)."""
+        if self._addresses is None:
+            rows = [getattr(self, name) for name in self._ROW_FIELDS]
+            if any(x.dtype != _np.int64 or not x.flags.c_contiguous for x in rows):
+                raise TypeError("pack row arrays must be C-contiguous int64")
+            self._addresses = tuple(x.ctypes.data for x in rows)
+        return self._addresses
+
+
+def row_pack(lml: Sequence[int], keyroots: Sequence[int], codes: Sequence[int]) -> CorpusPack:
+    """A one-row pack over one tree's ``(lml, keyroots, codes)`` for one
+    sweep direction: what a single pair hands the C kernel, as lane
+    ``(0, 0)``.  Only the row arrays are set — the gate fields are
+    ``None`` — and they are views into one int64 block, so their addresses
+    follow from the block's: one NumPy address lookup (~3 µs) instead of
+    seven, which a fresh workspace pays per request."""
+    n = len(lml)
+    k = len(keyroots)
+    block = _np.fromiter(
+        chain((0, 0, k, n), lml, codes, keyroots), dtype=_np.int64, count=4 + 2 * n + k
+    )
+    pack = CorpusPack(
+        n_trees=1, eligible=None, sweep_l=None, sweep_r=None,
+        node_off=block[0:1], kr_off=block[1:2], kr_count=block[2:3], sizes=block[3:4],
+        lml_flat=block[4 : 4 + n],
+        codes_flat=block[4 + n : 4 + 2 * n],
+        kroots=block[4 + 2 * n :],
+    )
+    base = block.ctypes.data
+    pack._addresses = (
+        base + 32, base + 32 + 8 * n, base + 32 + 16 * n, base, base + 8, base + 16, base + 24,
+    )
+    return pack
 
 
 def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:

@@ -31,10 +31,11 @@ import shutil
 import subprocess
 import tempfile
 import time
-from types import SimpleNamespace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as _np
+
+from ..runtime import env_flag
 
 
 #: Environment kill-switch: a truthy value (``1``/``true``/``yes``/``on``)
@@ -45,8 +46,6 @@ KILL_SWITCH = "RTED_NO_NATIVE"
 
 
 def _killed() -> bool:
-    from ..runtime import env_flag
-
     return env_flag(KILL_SWITCH, default=False)
 
 
@@ -345,14 +344,14 @@ def _compile_cc_library():
     except OSError:
         pass
     lib = ctypes.CDLL(lib_path)
+    # Pointers travel as plain addresses: callers pass integers they
+    # computed once per pack or per block (see native_batch).
     i64 = ctypes.c_int64
-    pi64 = ctypes.POINTER(i64)
-    pf64 = ctypes.POINTER(ctypes.c_double)
-    pu8 = ctypes.POINTER(ctypes.c_uint8)
+    ptr = ctypes.c_void_p
     lib.ted_small_batch.restype = None
     lib.ted_small_batch.argtypes = (
-        [pi64] * 7 + [pi64] * 7 + [pi64, pi64, i64, i64, ctypes.c_double]
-        + [pf64, pf64, i64, pf64, pi64, pu8]
+        [ptr] * 7 + [ptr] * 7 + [ptr, ptr, i64, i64, ctypes.c_double]
+        + [ptr, ptr, i64, ptr, ptr, ptr]
     )
     return lib
 
@@ -420,99 +419,65 @@ def native_batch(pack_a, pack_b, fi, gi, cutoff: Optional[float] = None):
     eligible, post-precheck lanes over tree rows in, ``(values, cells,
     aborted)`` out, bit-identical to the Python twin — or ``None`` when no
     provider is available (callers run the twin instead).
-    """
-    provider = native_provider()
-    if provider is None:
-        return None
-    fi = _np.ascontiguousarray(fi, dtype=_np.int64)
-    gi = _np.ascontiguousarray(gi, dtype=_np.int64)
-    npairs = fi.size
-    values = _np.empty(npairs, dtype=_np.float64)
-    cells = _np.zeros(npairs, dtype=_np.int64)
-    aborted_u8 = _np.zeros(npairs, dtype=_np.uint8)
-    if npairs:
-        arrays = [
-            _np.ascontiguousarray(x, dtype=_np.int64)
-            for pack in (pack_a, pack_b)
-            for x in (
-                pack.lml_flat, pack.codes_flat, pack.kroots,
-                pack.node_off, pack.kr_off, pack.kr_count, pack.sizes,
-            )
-        ]
-        _run_lanes(arrays, fi, gi, cutoff, values, cells, aborted_u8)
-    return values, cells, aborted_u8.astype(bool)
 
-
-def _run_lanes(arrays, fi, gi, cutoff, values, cells, aborted_u8) -> None:
-    """One ``ted_small_batch`` call over the lanes, or two halves when
-    their shared ``fd`` buffer would exceed :data:`_SHARED_FD_ENTRIES`."""
-    n = arrays[6][fi]  # pack_a.sizes
-    m = arrays[13][gi]  # pack_b.sizes
-    rows = int(n.max()) + 1
-    stride = int(m.max()) + 1
-    if fi.size > 1 and rows * stride > _SHARED_FD_ENTRIES:
-        half = fi.size // 2
-        for part in (slice(0, half), slice(half, None)):
-            _run_lanes(
-                arrays, fi[part], gi[part], cutoff,
-                values[part], cells[part], aborted_u8[part],
-            )
-        return
-    import ctypes
-
-    # D is indexed with each lane's own m, so the largest n · m suffices.
-    D = _np.zeros(int((n * m).max()), dtype=_np.float64)
-    fd = _np.zeros(rows * stride, dtype=_np.float64)
-    pi64 = ctypes.POINTER(ctypes.c_int64)
-    pf64 = ctypes.POINTER(ctypes.c_double)
-    pu8 = ctypes.POINTER(ctypes.c_uint8)
-    has_cutoff = cutoff is not None
-    _CC_LIB.ted_small_batch(
-        *[x.ctypes.data_as(pi64) for x in arrays],
-        fi.ctypes.data_as(pi64), gi.ctypes.data_as(pi64), fi.size,
-        1 if has_cutoff else 0, float(cutoff) if has_cutoff else -1.0,
-        D.ctypes.data_as(pf64), fd.ctypes.data_as(pf64), stride,
-        values.ctypes.data_as(pf64), cells.ctypes.data_as(pi64),
-        aborted_u8.ctypes.data_as(pu8),
-    )
-
-
-def _one_tree_pack(lml, keyroots, codes, n: int) -> SimpleNamespace:
-    """A single-tree stand-in for a :class:`CorpusPack` (the fields
-    :func:`native_batch` reads)."""
-    return SimpleNamespace(
-        lml_flat=_np.asarray(lml, dtype=_np.int64),
-        codes_flat=_np.asarray(codes, dtype=_np.int64),
-        kroots=_np.asarray(keyroots, dtype=_np.int64),
-        node_off=_np.zeros(1, dtype=_np.int64),
-        kr_off=_np.zeros(1, dtype=_np.int64),
-        kr_count=_np.asarray([len(keyroots)], dtype=_np.int64),
-        sizes=_np.asarray([n], dtype=_np.int64),
-    )
-
-
-def native_small_pair(
-    arrays_f: Tuple[Sequence[int], Sequence[int], Sequence[int]],
-    n: int,
-    arrays_g: Tuple[Sequence[int], Sequence[int], Sequence[int]],
-    m: int,
-    cutoff: Optional[float] = None,
-) -> Optional[Tuple[float, int, bool]]:
-    """One pair through the compiled kernel.
-
-    ``arrays_*`` are the ``(lml, keyroots, codes)`` triples of
-    ``TedWorkspace._small_arrays``.  Returns ``(value, cells, aborted)`` or
-    ``None`` when no provider is available.  The per-call array packing
-    costs a few µs — still several times cheaper than the Python twin;
-    corpus batches amortize it via :func:`native_batch`.
+    The packs' row addresses are cached on the packs
+    (:meth:`CorpusPack.addresses`).  Everything else a call needs is
+    allocated per call in two blocks: one int64 block holding the lanes,
+    the cell counts and the abort flags, and one float64 block holding
+    the values and the kernel's ``D`` and ``fd`` scratch.  No buffer
+    outlives the call or is shared with another, so threads may run the
+    kernel concurrently (ctypes releases the GIL during the call).  The
+    returned arrays are views into those blocks.
     """
     if native_provider() is None:
         return None
-    out = native_batch(
-        _one_tree_pack(*arrays_f, n), _one_tree_pack(*arrays_g, m), [0], [0],
-        cutoff=cutoff,
+    lanes = len(fi)
+    ints = _np.zeros(3 * lanes + (lanes + 7) // 8, dtype=_np.int64)
+    ints[:lanes] = fi
+    ints[lanes : 2 * lanes] = gi
+    cells = ints[2 * lanes : 3 * lanes]
+    aborted = ints[3 * lanes :].view(_np.bool_)[:lanes]
+    if not lanes:
+        return _np.zeros(0, dtype=_np.float64), cells, aborted
+    n = pack_a.sizes[ints[:lanes]].tolist()
+    m = pack_b.sizes[ints[lanes : 2 * lanes]].tolist()
+    groups = _fd_groups(n, m, 0, lanes)
+    floats = _np.zeros(
+        lanes + max(d + rows * stride for _, _, d, rows, stride in groups),
+        dtype=_np.float64,
     )
-    if out is None:
-        return None
-    values, cells, aborted = out
-    return float(values[0]), int(cells[0]), bool(aborted[0])
+    has_cutoff = cutoff is not None
+    args_a = pack_a.addresses()
+    args_b = pack_b.addresses()
+    int_base = ints.ctypes.data
+    float_base = floats.ctypes.data
+    d_base = float_base + 8 * lanes
+    for start, stop, d, _, stride in groups:
+        _CC_LIB.ted_small_batch(
+            *args_a, *args_b,
+            int_base + 8 * start, int_base + 8 * (lanes + start), stop - start,
+            1 if has_cutoff else 0, float(cutoff) if has_cutoff else -1.0,
+            d_base, d_base + 8 * d, stride,
+            float_base + 8 * start,
+            int_base + 8 * (2 * lanes + start),
+            int_base + 24 * lanes + start,
+        )
+    return floats[:lanes], cells, aborted
+
+
+def _fd_groups(
+    n: List[int], m: List[int], start: int, stop: int
+) -> List[Tuple[int, int, int, int, int]]:
+    """``(start, stop, D entries, fd rows, fd stride)`` per kernel call:
+    the lanes ``[start, stop)`` in one call, or in halves when their shared
+    ``fd`` buffer would exceed :data:`_SHARED_FD_ENTRIES`.  ``D`` is
+    indexed with each lane's own ``m``, so the largest ``n · m`` suffices."""
+    if stop - start == 1:  # a single lane always runs
+        return [(start, stop, n[start] * m[start], n[start] + 1, m[start] + 1)]
+    rows = max(n[start:stop]) + 1
+    stride = max(m[start:stop]) + 1
+    if rows * stride > _SHARED_FD_ENTRIES:
+        half = start + (stop - start) // 2
+        return _fd_groups(n, m, start, half) + _fd_groups(n, m, half, stop)
+    d = max(a * b for a, b in zip(n[start:stop], m[start:stop]))
+    return [(start, stop, d, rows, stride)]

@@ -80,11 +80,12 @@ from .batch_kernel import (
     band_width,
     choose_sweep,
     mirrored_arrays,
+    row_pack,
     small_pair_regions,
     sweep_sizes,
     twin_buffers,
 )
-from .native import native_small_pair
+from . import native
 from .spf import _Frame, _GridFrame
 
 
@@ -206,6 +207,10 @@ def _finite_cutoff(cutoff: Optional[float]) -> Optional[float]:
     is finite) and which the banded small-pair programs cannot represent:
     the band width ``ceil(cutoff) - 1`` has no integer value."""
     return None if cutoff == inf else cutoff
+
+
+#: The one lane of a single pair over two row packs.
+_LANE = (0,)
 
 
 class TedWorkspace:
@@ -491,9 +496,12 @@ class TedWorkspace:
         return sizes
 
     def _small_arrays(self, tree: Tree, sweep: str = LEFT) -> Optional[tuple]:
-        """Cached ``(lml, keyroots, codes)`` for the ``sweep`` direction —
-        the mirrored arrays for ``RIGHT``, built only when first needed —
-        or ``None`` for uninternable labels."""
+        """Cached ``((lml, keyroots, codes), row pack)`` for the ``sweep``
+        direction — the mirrored arrays for ``RIGHT``, built only when
+        first needed — or ``None`` for uninternable labels.  The arrays
+        feed the Python twin, the one-row pack
+        (:func:`~repro.algorithms.batch_kernel.row_pack`, its addresses
+        included) the C kernel."""
         self._admit(tree)
         key = (id(tree), sweep)
         cached = self._small.get(key)
@@ -501,13 +509,15 @@ class TedWorkspace:
             return cached[1]
         codes = self.interner.codes_postorder(tree)
         if codes is None:
-            arrays = None
-        elif sweep == LEFT:
-            arrays = (tree.lml, tree.keyroots_left(), codes)
+            entry = None
         else:
-            arrays = mirrored_arrays(tree, codes)
-        self._small[key] = (tree, arrays)
-        return arrays
+            if sweep == LEFT:
+                arrays = (tree.lml, tree.keyroots_left(), codes)
+            else:
+                arrays = mirrored_arrays(tree, codes)
+            entry = (arrays, row_pack(*arrays))
+        self._small[key] = (tree, entry)
+        return entry
 
     def compute_small(
         self, tree_f: Tree, tree_g: Tree, cutoff: Optional[float] = None
@@ -560,9 +570,9 @@ class TedWorkspace:
             exceeded = CutoffExceeded(float(abs(n - m)))
             exceeded.sweep = sweep
             raise exceeded
-        arrays_f = self._small_arrays(tree_f, sweep)
-        arrays_g = self._small_arrays(tree_g, sweep)
-        if arrays_f is None or arrays_g is None:
+        small_f = self._small_arrays(tree_f, sweep)
+        small_g = self._small_arrays(tree_g, sweep)
+        if small_f is None or small_g is None:
             return None
         # The C kernel has no deadline hook and the twin's row ticks are
         # amortized (a tiny pair may never reach a clock read), so settle
@@ -574,16 +584,17 @@ class TedWorkspace:
         if sweep == RIGHT:
             self.stats.right_sweeps += 1
         try:
-            out = native_small_pair(arrays_f, n, arrays_g, m, cutoff)
+            out = native.native_batch(small_f[1], small_g[1], _LANE, _LANE, cutoff)
             if out is None:
                 value, cells = small_pair_regions(
-                    n, m, cutoff, band_width(cutoff), *arrays_f, *arrays_g,
+                    n, m, cutoff, band_width(cutoff), *small_f[0], *small_g[0],
                     *twin_buffers(n, m), deadline,
                 )
             else:
                 self.stats.native_runs += 1
-                value, cells, aborted = out
-                if aborted:
+                value = float(out[0][0])
+                cells = int(out[1][0])
+                if out[2][0]:
                     exceeded = CutoffExceeded(value)
                     exceeded.subproblems = cells
                     raise exceeded

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import (
     Counter as CounterType,
     Dict,
@@ -59,16 +60,28 @@ from ..trees.tree import Tree
 
 @dataclass
 class TreeProfile:
-    """Per-tree filter artifacts, computed once and shared by every pair."""
+    """Per-tree filter artifacts, computed once and shared by every pair.
+
+    The label multiset and the binary-branch profile are built on first
+    access: the join and the queries read the corpus's filter arrays
+    instead, and both Counters need hashable labels, which interning and
+    verification do not.
+    """
 
     index: int
     tree: Tree
     size: int
-    label_histogram: CounterType[object]
     preorder_labels: List[object]
     postorder_labels: List[object]
-    branch_profile: CounterType[Tuple[object, object, object]]
     pq_profile: Optional[CounterType[Tuple[object, ...]]] = field(default=None, repr=False)
+
+    @cached_property
+    def label_histogram(self) -> CounterType[object]:
+        return Counter(self.tree.labels)
+
+    @cached_property
+    def branch_profile(self) -> CounterType[Tuple[object, object, object]]:
+        return binary_branch_profile(self.tree)
 
 
 class TreeCorpus:
@@ -83,11 +96,12 @@ class TreeCorpus:
         pq-gram shape parameters used when the pq-gram artifacts are
         requested (approximate joins only).
 
-    A corpus is cheap to construct: a tree's profile (sizes, label multiset,
-    traversal strings and binary-branch profile — all ``O(n)``) is built on
-    its first :meth:`profile` access and cached; only the pq-gram artifacts,
-    which no sound stage consumes, are deferred further until
-    :meth:`pq_profile` / :meth:`pq_index` is called.
+    A corpus is cheap to construct: a tree's profile (size and traversal
+    strings, ``O(n)``) is built on its first :meth:`profile` access and
+    cached; its label multiset and binary-branch profile on their first
+    access (:meth:`branch_index`), and the pq-gram artifacts, which no
+    sound stage consumes, once :meth:`pq_profile` / :meth:`pq_index` is
+    called.
 
     **Versioning.**  Internally trees live in append-only *slots*; a removal
     tombstones its slot (slot ids are never reused or renumbered, so pinned
@@ -340,10 +354,8 @@ class TreeCorpus:
                 index=slot,
                 tree=tree,
                 size=tree.n,
-                label_histogram=Counter(tree.labels),
                 preorder_labels=tree.labels_preorder(),
                 postorder_labels=tree.labels_postorder(),
-                branch_profile=binary_branch_profile(tree),
             )
             self._slot_profiles[slot] = prof
         return prof

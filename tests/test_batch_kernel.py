@@ -13,6 +13,8 @@ picks.
 
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -34,7 +36,6 @@ from repro.algorithms.native import (
     native_available,
     native_batch,
     native_provider,
-    native_small_pair,
 )
 
 #: The two implementations of the small-pair program over pack lanes: the
@@ -450,14 +451,68 @@ class TestNativeBackend:
             assert default_ws.stats.native_runs == default_ws.stats.small_pair_runs > 0
 
     @pytest.mark.skipif(not native_available(), reason="no compiled provider")
-    def test_native_small_pair_direct(self, corpus):
+    def test_native_batch_on_row_packs_direct(self, corpus):
+        # A single pair: the workspace's cached one-row packs, lane (0, 0).
         workspace = TedWorkspace()
         f, g = corpus[4], corpus[5]
-        arrays_f = workspace._small_arrays(f)
-        arrays_g = workspace._small_arrays(g)
-        value, cells, aborted = native_small_pair(arrays_f, f.n, arrays_g, g.n, None)
+        _, pack_f = workspace._small_arrays(f)
+        _, pack_g = workspace._small_arrays(g)
+        values, cells, aborted = native_batch(pack_f, pack_g, [0], [0], None)
+        value, cells, aborted = float(values[0]), int(cells[0]), bool(aborted[0])
         expected_value, expected_cells, _ = zhang_shasha_distance(f, g, UnitCostModel())
         assert (value, cells, aborted) == (expected_value, expected_cells, False)
+
+    @pytest.mark.parametrize("sweep", ["left", "right"])
+    def test_row_pack_addresses_are_its_arrays(self, corpus, sweep):
+        # row_pack derives its addresses from its block's; they must be
+        # exactly the addresses of the row arrays it exposes.
+        _, pack = TedWorkspace()._small_arrays(corpus[4], sweep)
+        assert pack.addresses() == tuple(
+            getattr(pack, name).ctypes.data for name in pack._ROW_FIELDS
+        )
+
+    @pytest.mark.skipif(not native_available(), reason="no compiled provider")
+    def test_concurrent_calls_share_no_buffer(self, corpus, pairs):
+        # ctypes releases the GIL, so threads can be inside the kernel at
+        # once over one pack; each call must own its scratch.  More threads
+        # than cores and a short switch interval make overlaps likely.
+        workspace = TedWorkspace()
+        pack = build_corpus_pack(corpus, workspace.interner)
+        lanes = [
+            gate_rows(pack, corpus, i, j)
+            for i, j in pairs
+            if pack.eligible[i] and pack.eligible[j]
+        ]
+        threads = 4
+        shares = [lanes[side::threads] for side in range(threads)]
+        assert min(len(share) for share in shares) >= 50
+
+        def run(share):
+            out = native_batch(pack, pack, [i for i, _ in share], [j for _, j in share])
+            return [a.tolist() for a in out]
+
+        serial = [run(share) for share in shares]
+        barrier = threading.Barrier(threads)
+        results = [[] for _ in range(threads)]
+
+        def worker(side):
+            barrier.wait()
+            for _ in range(20):
+                results[side].append(run(shares[side]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, args=(side,)) for side in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        for side in range(threads):
+            assert results[side] == [serial[side]] * 20
 
     def test_kill_switch_disables_native(self, monkeypatch):
         monkeypatch.setenv("RTED_NO_NATIVE", "1")
@@ -467,9 +522,9 @@ class TestNativeBackend:
             assert native_provider() is None
             workspace = TedWorkspace()
             f, g = random_tree(10, rng=7), random_tree(11, rng=8)
-            assert native_small_pair(
-                workspace._small_arrays(f), f.n, workspace._small_arrays(g), g.n
-            ) is None
+            _, pack_f = workspace._small_arrays(f)
+            _, pack_g = workspace._small_arrays(g)
+            assert native_batch(pack_f, pack_g, [0], [0]) is None
             value, cells, _ = workspace.compute_small(f, g)
             assert (value, cells) == zhang_shasha_distance(f, g, UnitCostModel())[:2]
             assert workspace.stats.native_runs == 0
@@ -523,6 +578,28 @@ class TestPackPickling:
         values, cells, _ = run_batch(clone, clone, [row_f], [row_g])
         expected = TedWorkspace().compute_small(corpus[0], corpus[1])
         assert (values[0], cells[0]) == expected[:2]
+
+    @pytest.mark.skipif(not native_available(), reason="no compiled provider")
+    @pytest.mark.parametrize("cutoff", [None, 3.0])
+    def test_round_trip_drops_the_address_cache(self, corpus, pairs, cutoff):
+        pack = build_corpus_pack(corpus, TedWorkspace().interner)
+        lanes = [
+            gate_rows(pack, corpus, i, j)
+            for i, j in pairs[:150]
+            if pack.eligible[i]
+            and pack.eligible[j]
+            and (cutoff is None or abs(corpus[i].n - corpus[j].n) < cutoff)
+        ]
+        fi = [i for i, _ in lanes]
+        gi = [j for _, j in lanes]
+        original = native_batch(pack, pack, fi, gi, cutoff=cutoff)
+        assert pack._addresses is not None  # cached by the call
+        clone = pickle.loads(pickle.dumps(pack))
+        assert clone._addresses is None
+        copied = native_batch(clone, clone, fi, gi, cutoff=cutoff)
+        assert clone.addresses() != pack.addresses()
+        for got, want in zip(copied, original):
+            assert got.tolist() == want.tolist()
 
 
 class TestBatchDistancesIdentity:

@@ -1,6 +1,7 @@
 """Tests for the corpus-indexed batch join: TreeCorpus, cascade, soundness."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from repro.costs import (
 from repro.datasets import clustered_corpus, perturb_tree, random_tree
 from repro.datasets.shapes import zigzag_tree
 from repro.io import parse_bracket, to_bracket
+from repro.trees import Node, Tree
 from repro.join import (
     BatchRefiner,
     Planner,
+    QueryEngine,
     TreeCorpus,
     batch_distances,
     batch_self_join,
@@ -398,3 +401,41 @@ class TestStageChoice:
         with_provider = run()
         monkeypatch.setenv("RTED_NO_NATIVE", "1")
         assert run() == with_provider
+
+
+def _mixed_label_trees(count, seed):
+    """Random trees whose labels mix strings with unhashable lists."""
+    rng = random.Random(seed)
+    labels = ["a", "b", ["a"], ["b"], ["c", 1]]
+    trees = []
+    for _ in range(count):
+        nodes = [Node(rng.choice(labels)) for _ in range(rng.randint(1, 9))]
+        for k in range(1, len(nodes)):
+            nodes[rng.randrange(k)].children.append(nodes[k])
+        trees.append(Tree(nodes[0]))
+    return trees
+
+
+class TestUnhashableLabels:
+    """Joins and queries over unhashable labels answer like brute force."""
+
+    def test_join_range_and_knn_match_brute_force(self):
+        trees = _mixed_label_trees(24, seed=5)
+        queries = _mixed_label_trees(6, seed=6)
+        for threshold in (1.0, 2.0, 3.5):
+            assert batch_similarity_join(trees, threshold).match_set == (
+                brute_force_matches(trees, threshold)
+            )
+            assert batch_similarity_join(trees[:10], threshold, trees[10:]).match_set == (
+                brute_force_matches(trees[:10], threshold, trees[10:])
+            )
+        engine = QueryEngine(trees)
+        for query in queries:
+            ranking = sorted((EXACT.distance(query, tree), j) for j, tree in enumerate(trees))
+            for k in (1, 3, len(trees)):
+                assert engine.knn(query, k).matches == [(j, d) for d, j in ranking[:k]]
+            for threshold in (1.0, 2.5):
+                assert engine.range_query(query, threshold).matches == sorted(
+                    ((j, d) for d, j in ranking if d < threshold),
+                    key=lambda entry: (entry[1], entry[0]),
+                )
