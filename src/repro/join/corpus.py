@@ -2,27 +2,20 @@
 
 A join over ``N`` trees evaluates up to ``N·(N−1)/2`` pairs, but every filter
 in the bound cascade only consumes *per-tree* quantities: sizes, label
-multisets, traversal label strings, binary-branch profiles and pq-gram
-profiles.  :class:`TreeCorpus` computes each of these artifacts **once per
-tree** and reuses them across all pairs.  The size, label and binary-branch
-multisets are also lowered, once per epoch, into flat arrays
+multisets, binary-branch multisets, traversal label strings and pq-gram
+profiles.  :class:`TreeCorpus` computes each of these **once per tree** (or
+once per epoch) and reuses it across all pairs.  The size, label and
+binary-branch multisets are lowered into flat arrays
 (:meth:`TreeCorpus.filter_arrays`, see :mod:`repro.join.pairs`): candidate
 generation and the three linear stages run over those arrays for whole
-blocks of pairs, while the per-tree profiles serve the stages that still
-work pair by pair.
+blocks of pairs, while the per-tree profiles (traversal strings, pq-grams)
+serve the stages that still work pair by pair.
 
-The corpus also maintains *inverted indexes* (binary-branch → tree ids,
-pq-gram → tree ids), kept incrementally across mutations and exposed by
-:meth:`TreeCorpus.branch_index` / :meth:`TreeCorpus.pq_index`.
-
-**Live corpora (the versioned store).**  A corpus is no longer frozen at
-construction: :meth:`TreeCorpus.add_trees` and :meth:`TreeCorpus.remove_trees`
-mutate membership while maintaining the inverted indexes *incrementally* —
-an add appends postings for the new trees only, a removal tombstones its
-slot (postings are filtered lazily and compacted past a dead-entry
-threshold; removal never triggers a full rebuild).  Every mutation bumps a
-monotonic :attr:`TreeCorpus.epoch`; all derived caches — the dense index
-views, ``size_order``, the batch-kernel pack and the filter arrays — are
+**Live corpora (the versioned store).**  A corpus is not frozen at
+construction: :meth:`TreeCorpus.add_trees` appends slots and
+:meth:`TreeCorpus.remove_trees` tombstones them; neither rebuilds anything.
+Every mutation bumps a monotonic :attr:`TreeCorpus.epoch`; all derived
+caches — the dense views, the batch-kernel pack and the filter arrays — are
 keyed on the epoch, so a mutated corpus can never silently serve stale
 artifacts.  The invariant the property suite enforces: after **any**
 interleaving of adds and removals the corpus is observably identical
@@ -37,9 +30,7 @@ reports the membership drift (:meth:`CorpusSnapshot.delta`) since the pin.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import (
     Counter as CounterType,
     Dict,
@@ -52,7 +43,6 @@ from typing import (
     Tuple,
 )
 
-from ..bounds.binary_branch import binary_branch_profile
 from ..bounds.pq_gram import pq_gram_profile
 from ..exceptions import CorpusError
 from ..trees.tree import Tree
@@ -60,13 +50,7 @@ from ..trees.tree import Tree
 
 @dataclass
 class TreeProfile:
-    """Per-tree filter artifacts, computed once and shared by every pair.
-
-    The label multiset and the binary-branch profile are built on first
-    access: the join and the queries read the corpus's filter arrays
-    instead, and both Counters need hashable labels, which interning and
-    verification do not.
-    """
+    """Per-tree filter artifacts, computed once and shared by every pair."""
 
     index: int
     tree: Tree
@@ -75,17 +59,9 @@ class TreeProfile:
     postorder_labels: List[object]
     pq_profile: Optional[CounterType[Tuple[object, ...]]] = field(default=None, repr=False)
 
-    @cached_property
-    def label_histogram(self) -> CounterType[object]:
-        return Counter(self.tree.labels)
-
-    @cached_property
-    def branch_profile(self) -> CounterType[Tuple[object, object, object]]:
-        return binary_branch_profile(self.tree)
-
 
 class TreeCorpus:
-    """A versioned collection of trees with per-tree artifacts and indexes.
+    """A versioned collection of trees with per-tree artifacts.
 
     Parameters
     ----------
@@ -98,21 +74,18 @@ class TreeCorpus:
 
     A corpus is cheap to construct: a tree's profile (size and traversal
     strings, ``O(n)``) is built on its first :meth:`profile` access and
-    cached; its label multiset and binary-branch profile on their first
-    access (:meth:`branch_index`), and the pq-gram artifacts, which no
-    sound stage consumes, once :meth:`pq_profile` / :meth:`pq_index` is
-    called.
+    cached, its pq-gram profile, which no sound stage consumes, on the first
+    :meth:`pq_profile` call, and the filter arrays and pack on the first join
+    or query of an epoch.
 
     **Versioning.**  Internally trees live in append-only *slots*; a removal
     tombstones its slot (slot ids are never reused or renumbered, so pinned
     snapshots stay translatable), and the public *dense* indices — what
     ``corpus.trees[i]``, join matches and query results mean — are the live
     slots in ascending slot order.  Every mutation bumps :attr:`epoch`;
-    dense views (the ``trees`` tuple, :meth:`branch_index`, :meth:`pq_index`,
-    :meth:`size_order`, :meth:`pack`) are rebuilt lazily when their cached
-    epoch is stale, and the inverted postings themselves are maintained
-    incrementally (appends for adds, tombstone filtering plus threshold
-    compaction for removals — never a full reprofile).
+    dense views (the ``trees`` tuple, :meth:`profile` wrappers,
+    :meth:`filter_arrays`, :meth:`pack`) are rebuilt lazily when their
+    cached epoch is stale, while slot-keyed profiles survive mutations.
 
     The dense tree sequence is exposed as a tuple, so accidental in-place
     mutation still surfaces as an error at the mutation site
@@ -125,12 +98,6 @@ class TreeCorpus:
     :meth:`interner`), so that e.g. a one-tree query corpus produces label
     codes compatible with the main corpus's cached batch-kernel pack.
     """
-
-    #: Dead posting entries tolerated before :meth:`remove_trees` compacts
-    #: the inverted indexes in place (also requires dead > live, so small
-    #: corpora never churn).  Compaction filters tombstoned slot ids out of
-    #: every posting list; slot ids are never renumbered.
-    COMPACTION_THRESHOLD = 64
 
     def __init__(
         self,
@@ -149,22 +116,12 @@ class TreeCorpus:
         self._interner = interner
         # Slot-keyed artifacts: survive mutations untouched.
         self._slot_profiles: Dict[int, TreeProfile] = {}
-        self._branch_postings: Optional[Dict[object, List[int]]] = None
-        self._pq_postings: Optional[Dict[object, List[int]]] = None
-        self._postings_live = 0
-        self._postings_dead = 0
         # Per-epoch dense views, rebuilt lazily after a mutation.
         self._view_epoch = -1
         self._view_slots: List[int] = []
         self._view_trees: Tuple[Tree, ...] = ()
         self._dense_of: Dict[int, int] = {}
         self._dense_profiles: List[Optional[TreeProfile]] = []
-        self._branch_view: Optional[Dict[object, List[int]]] = None
-        self._branch_view_epoch = -1
-        self._pq_view: Optional[Dict[object, List[int]]] = None
-        self._pq_view_epoch = -1
-        self._size_order: Optional[Tuple[List[int], List[int]]] = None
-        self._size_order_epoch = -1
         # Interner-coded arrays (batch-kernel pack, filter arrays), per epoch:
         # (builder, own interner?) → (interner, epoch, arrays).
         self._coded: Dict[Tuple[object, bool], Tuple[object, int, object]] = {}
@@ -174,7 +131,6 @@ class TreeCorpus:
         self.removals = 0
         self.trees_added = 0
         self.trees_removed = 0
-        self.compactions = 0
 
     # ------------------------------------------------------------------ #
     # Versioning
@@ -183,9 +139,10 @@ class TreeCorpus:
     def epoch(self) -> int:
         """Monotonic version counter; every mutation call bumps it by one.
 
-        All derived caches (dense views, size order, the batch-kernel pack,
-        the service's pair-result cache) key on the epoch, so invalidation
-        after a mutation is free — stale entries simply never match.
+        All derived caches (dense views, the filter arrays, the batch-kernel
+        pack, the service's pair-result cache) key on the epoch, so
+        invalidation after a mutation is free — stale entries simply never
+        match.
         """
         return self._epoch
 
@@ -207,10 +164,7 @@ class TreeCorpus:
     def add_trees(self, trees: Iterable[Tree]) -> List[int]:
         """Append trees to the corpus; returns their new dense indices.
 
-        Incremental by construction: new slots are appended, and if the
-        inverted indexes were already built their postings are *extended*
-        with the new trees only — existing entries are untouched, so the
-        cost is proportional to the added trees, not the corpus.  Bumps
+        Only appends slots (nothing is profiled or rebuilt here).  Bumps
         :attr:`epoch`.
         """
         new_trees = list(trees)
@@ -223,38 +177,18 @@ class TreeCorpus:
                 )
         self._refresh_view()
         first_dense = len(self._view_slots)
-        new_slots = []
-        for tree in new_trees:
-            slot = len(self._slots)
-            self._slots.append(tree)
-            new_slots.append(slot)
-        if self._branch_postings is not None:
-            count = 0
-            for slot in new_slots:
-                for branch in self._slot_profile(slot).branch_profile:
-                    self._branch_postings.setdefault(branch, []).append(slot)
-                    count += 1
-            self._postings_live += count
-        if self._pq_postings is not None:
-            count = 0
-            for slot in new_slots:
-                for gram in self._slot_pq_profile(slot):
-                    self._pq_postings.setdefault(gram, []).append(slot)
-                    count += 1
-            self._postings_live += count
+        self._slots.extend(new_trees)
         self._epoch += 1
         self.adds += 1
-        self.trees_added += len(new_slots)
-        return [first_dense + offset for offset in range(len(new_slots))]
+        self.trees_added += len(new_trees)
+        return list(range(first_dense, first_dense + len(new_trees)))
 
     def remove_trees(self, indices: Iterable[int]) -> List[int]:
         """Remove trees by their current dense indices; returns them sorted.
 
-        Removal never rebuilds: each tree's slot is tombstoned, its cached
-        profile dropped, and its posting entries counted as dead — the
-        postings themselves are filtered lazily by the dense index views and
-        compacted in place once dead entries exceed
-        ``max(COMPACTION_THRESHOLD, live entries)``.  Bumps :attr:`epoch`.
+        Removal never rebuilds: each tree's slot is tombstoned and its
+        cached profile and interner code array are dropped.  Bumps
+        :attr:`epoch`.
         Raises :class:`~repro.exceptions.CorpusError` for out-of-range ids.
         """
         self._refresh_view()
@@ -269,16 +203,7 @@ class TreeCorpus:
             )
         for index in dense:
             slot = self._view_slots[index]
-            prof = self._slot_profiles.pop(slot, None)
-            if prof is not None:
-                if self._branch_postings is not None:
-                    entries = len(prof.branch_profile)
-                    self._postings_dead += entries
-                    self._postings_live -= entries
-                if self._pq_postings is not None and prof.pq_profile is not None:
-                    entries = len(prof.pq_profile)
-                    self._postings_dead += entries
-                    self._postings_live -= entries
+            self._slot_profiles.pop(slot, None)
             tree = self._slots[slot]
             self._slots[slot] = None
             self._dead.add(slot)
@@ -289,25 +214,7 @@ class TreeCorpus:
         self._epoch += 1
         self.removals += 1
         self.trees_removed += len(dense)
-        self._maybe_compact()
         return dense
-
-    def _maybe_compact(self) -> None:
-        """Filter tombstoned slots out of the postings past the threshold."""
-        if self._postings_dead <= max(self.COMPACTION_THRESHOLD, self._postings_live):
-            return
-        dead = self._dead
-        for postings in (self._branch_postings, self._pq_postings):
-            if postings is None:
-                continue
-            for key in list(postings):
-                live = [s for s in postings[key] if s not in dead]
-                if live:
-                    postings[key] = live
-                else:
-                    del postings[key]
-        self._postings_dead = 0
-        self.compactions += 1
 
     def snapshot(self) -> "CorpusSnapshot":
         """An immutable view pinned at the current epoch (cached per epoch)."""
@@ -318,13 +225,12 @@ class TreeCorpus:
         return snap
 
     def mutation_counters(self) -> Dict[str, int]:
-        """The mutation ledger (adds/removals/compactions) as a dict."""
+        """The mutation ledger (adds/removals, trees added/removed) as a dict."""
         return {
             "adds": self.adds,
             "removals": self.removals,
             "trees_added": self.trees_added,
             "trees_removed": self.trees_removed,
-            "compactions": self.compactions,
         }
 
     # ------------------------------------------------------------------ #
@@ -486,96 +392,6 @@ class TreeCorpus:
             cached = (interner, self._epoch, build(self.trees, interner))
             self._coded[slot] = cached
         return cached[2]
-
-    # ------------------------------------------------------------------ #
-    # Inverted indexes
-    # ------------------------------------------------------------------ #
-    def _ensure_branch_postings(self) -> Dict[object, List[int]]:
-        """The slot-keyed branch postings (built once, then incremental)."""
-        if self._branch_postings is None:
-            postings: Dict[object, List[int]] = defaultdict(list)
-            count = 0
-            self._refresh_view()
-            for slot in self._view_slots:
-                for branch in self._slot_profile(slot).branch_profile:
-                    postings[branch].append(slot)
-                    count += 1
-            self._branch_postings = dict(postings)
-            self._postings_live += count
-        return self._branch_postings
-
-    def _ensure_pq_postings(self) -> Dict[object, List[int]]:
-        """The slot-keyed pq-gram postings (built once, then incremental)."""
-        if self._pq_postings is None:
-            postings: Dict[object, List[int]] = defaultdict(list)
-            count = 0
-            self._refresh_view()
-            for slot in self._view_slots:
-                for gram in self._slot_pq_profile(slot):
-                    postings[gram].append(slot)
-                    count += 1
-            self._pq_postings = dict(postings)
-            self._postings_live += count
-        return self._pq_postings
-
-    def _dense_postings(
-        self, postings: Dict[object, List[int]]
-    ) -> Dict[object, List[int]]:
-        """Slot-id postings filtered to live slots and mapped to dense ids.
-
-        With no tombstones slot ids *are* dense ids and the postings are
-        returned as-is (the view is only guaranteed for the epoch it was
-        obtained in); otherwise dead entries are dropped and survivors
-        translated — ascending slot order is ascending dense order, so the
-        result is exactly what a fresh corpus over the live trees builds.
-        """
-        self._refresh_view()
-        dead = self._dead
-        if not dead:
-            return postings
-        dense_of = self._dense_of
-        view: Dict[object, List[int]] = {}
-        for key, slots in postings.items():
-            live = [dense_of[s] for s in slots if s not in dead]
-            if live:
-                view[key] = live
-        return view
-
-    def branch_index(self) -> Dict[object, List[int]]:
-        """Inverted index: binary branch → sorted list of dense tree indices.
-
-        The returned view is valid for the current :attr:`epoch`; it is
-        rebuilt (cheaply, from the incrementally maintained postings) after
-        a mutation.
-        """
-        if self._branch_view is None or self._branch_view_epoch != self._epoch:
-            self._branch_view = self._dense_postings(self._ensure_branch_postings())
-            self._branch_view_epoch = self._epoch
-        return self._branch_view
-
-    def pq_index(self) -> Dict[object, List[int]]:
-        """Inverted index: pq-gram → sorted list of dense tree indices.
-
-        Epoch-keyed like :meth:`branch_index`.
-        """
-        if self._pq_view is None or self._pq_view_epoch != self._epoch:
-            self._pq_view = self._dense_postings(self._ensure_pq_postings())
-            self._pq_view_epoch = self._epoch
-        return self._pq_view
-
-    def size_order(self) -> Tuple[List[int], List[int]]:
-        """``(indices, sizes)`` of the live trees in ascending size order.
-
-        Cached per epoch; used by one-vs-corpus candidate generation (the
-        small-tree sweep) and by query planners that want to examine
-        near-sized trees first.
-        """
-        if self._size_order is None or self._size_order_epoch != self._epoch:
-            trees = self.trees
-            order = sorted(range(len(trees)), key=lambda i: trees[i].n)
-            self._size_order = (order, [trees[i].n for i in order])
-            self._size_order_epoch = self._epoch
-        return self._size_order
 
 
 class CorpusSnapshot(TreeCorpus):

@@ -167,6 +167,11 @@ def _hard_shutdown(executor) -> None:
     and a failure only means slower teardown, never a wrong result.
     """
     processes = list(getattr(executor, "_processes", {}).values())
+    # ``shutdown(wait=False)`` drops the executor's handle on its manager
+    # thread, which keeps running and joins the same workers; a worker it
+    # reaps first stays in ``active_children()`` until that thread stores
+    # the exit code, so it is joined below too.
+    manager = getattr(executor, "_executor_manager_thread", None)
     for process in processes:
         try:
             process.terminate()
@@ -185,6 +190,8 @@ def _hard_shutdown(executor) -> None:
                 process.join(1.0)
         except Exception:
             pass
+    if manager is not None:
+        manager.join(max(0.0, deadline - time.monotonic()))
 
 
 def _charge_failure(

@@ -68,8 +68,6 @@ class TestTreeCorpus:
         corpus = TreeCorpus(trees)
         prof = corpus.profile(0)
         assert prof.size == trees[0].n
-        assert prof.branch_profile == binary_branch_profile(trees[0])
-        assert sum(prof.label_histogram.values()) == trees[0].n
         assert corpus.profile(0) is prof  # cached
 
     def test_container_protocol(self):
@@ -79,18 +77,11 @@ class TestTreeCorpus:
         assert corpus[2] is trees[2]
         assert list(corpus) == trees
 
-    def test_branch_index_covers_all_profiles(self):
-        corpus = TreeCorpus(small_corpus())
-        index = corpus.branch_index()
-        for prof in corpus.profiles():
-            for branch in prof.branch_profile:
-                assert prof.index in index[branch]
-
-    def test_pq_index_built_lazily(self):
+    def test_pq_profile_built_lazily(self):
         corpus = TreeCorpus(small_corpus(num=4))
         assert corpus.profile(0).pq_profile is None
-        corpus.pq_index()
-        assert corpus.profile(0).pq_profile is not None
+        pq = corpus.pq_profile(0)
+        assert corpus.profile(0).pq_profile is pq
 
 
 class TestCandidateGeneration:
@@ -129,7 +120,11 @@ class TestCandidateGeneration:
         # posting-product guard must fall back to all pairs (still sound).
         trees = [random_tree(40, alphabet=["x", "y"], rng=i) for i in range(40)]
         corpus_a, corpus_b = TreeCorpus(trees[:20]), TreeCorpus(trees[20:])
-        index_a, index_b = corpus_a.branch_index(), corpus_b.branch_index()
+        index_a, index_b = {}, {}
+        for index, side in ((index_a, trees[:20]), (index_b, trees[20:])):
+            for i, tree in enumerate(side):
+                for branch in binary_branch_profile(tree):
+                    index.setdefault(branch, []).append(i)
         product_work = sum(
             len(postings) * len(index_b.get(branch, ()))
             for branch, postings in index_a.items()

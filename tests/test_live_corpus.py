@@ -21,6 +21,7 @@ injection leaves untouched, so results stay deterministic either way.
 import asyncio
 import random
 
+import numpy as np
 import pytest
 
 from repro.costs import UnitCostModel, WeightedCostModel
@@ -54,6 +55,30 @@ def _forest(count, seed, lo=3, hi=8):
     return [random_tree(rng.randint(lo, hi), rng=seed * 1000 + i) for i in range(count)]
 
 
+#: The FilterArrays rows the join and the queries read.
+_ARRAY_FIELDS = (
+    "sizes",
+    "label_off",
+    "label_code",
+    "label_count",
+    "branch_off",
+    "branch_key",
+    "branch_count",
+    "branch_tree",
+)
+
+
+def _assert_same_filter_arrays(live, fresh=None):
+    """``live``'s filter arrays equal a fresh corpus's over the same trees,
+    coded by the same interner."""
+    if fresh is None:
+        fresh = TreeCorpus(list(live.trees))
+    got = live.filter_arrays()
+    want = fresh.filter_arrays(live.interner())
+    for name in _ARRAY_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 # --------------------------------------------------------------------------- #
 # Versioned store mechanics
 # --------------------------------------------------------------------------- #
@@ -75,7 +100,6 @@ class TestVersionedCorpus:
             "removals": 1,
             "trees_added": 2,
             "trees_removed": 2,
-            "compactions": 0,
         }
 
     def test_mutation_validation(self):
@@ -91,32 +115,14 @@ class TestVersionedCorpus:
     def test_incremental_index_maintenance(self):
         trees = _forest(12, seed=3)
         corpus = TreeCorpus(trees[:8])
-        # Build the postings first, so adds/removes take the incremental path.
-        corpus.branch_index()
-        corpus.pq_index()
+        # Build the arrays first, so the mutations must invalidate them.
+        corpus.filter_arrays()
         corpus.add_trees(trees[8:])
         corpus.remove_trees([0, 5])
-        fresh = TreeCorpus(list(corpus.trees))
-        assert corpus.branch_index() == fresh.branch_index()
-        assert corpus.pq_index() == fresh.pq_index()
-        assert corpus.size_order() == fresh.size_order()
+        _assert_same_filter_arrays(corpus)
         assert [corpus.profile(i).index for i in range(len(corpus))] == list(
             range(len(corpus))
         )
-
-    def test_removal_compacts_past_threshold_without_rebuild(self):
-        trees = _forest(24, seed=4)
-        corpus = TreeCorpus(trees)
-        corpus.branch_index()
-        corpus.COMPACTION_THRESHOLD = 0  # instance override: compact eagerly
-        corpus.remove_trees(list(range(16)))
-        assert corpus.compactions >= 1
-        fresh = TreeCorpus(list(corpus.trees))
-        assert corpus.branch_index() == fresh.branch_index()
-        # Compaction filtered the slot-keyed postings in place: no tombstoned
-        # slot id survives anywhere.
-        for slots in corpus._branch_postings.values():
-            assert not set(slots) & corpus._dead
 
     def test_trees_tuple_resists_in_place_mutation(self):
         corpus = TreeCorpus(_forest(3, seed=5))
@@ -287,9 +293,7 @@ class TestMutationEquivalence:
     def _check_step(self, live, engine, cost_model, query):
         fresh = TreeCorpus(list(live.trees))
         assert live.trees == fresh.trees
-        assert live.branch_index() == fresh.branch_index()
-        assert live.pq_index() == fresh.pq_index()
-        assert live.size_order() == fresh.size_order()
+        _assert_same_filter_arrays(live, fresh)
         live_join = batch_similarity_join(live, self.THRESHOLD, cost_model=cost_model)
         fresh_join = batch_similarity_join(fresh, self.THRESHOLD, cost_model=cost_model)
         assert live_join.matches == fresh_join.matches
@@ -311,7 +315,7 @@ class TestMutationEquivalence:
         pool = _forest(160, seed=seed, lo=3, hi=8)
         cursor = 18
         live = TreeCorpus(pool[:cursor])
-        live.branch_index()  # force the incremental maintenance path
+        live.filter_arrays()  # built before the first mutation
         engine = QueryEngine(live, cost_model=cost_model)
         query = random_tree(6, rng=seed + 1)
         mutations = 0

@@ -209,7 +209,7 @@ class TestCorpusFreeze:
     def test_constructor_snapshots_input_list(self):
         trees = _random_trees(4, random.Random(2))
         corpus = TreeCorpus(trees)
-        corpus.branch_index()
+        assert len(corpus.trees) == 4
         trees.append(trees[0])  # mutating the caller's list must not leak in
         assert len(corpus) == 4
 
