@@ -451,8 +451,9 @@ class TestNativeBackend:
             assert default_ws.stats.native_runs == default_ws.stats.small_pair_runs > 0
 
     @pytest.mark.skipif(not native_available(), reason="no compiled provider")
-    def test_native_batch_on_row_packs_direct(self, corpus):
-        # A single pair: the workspace's cached one-row packs, lane (0, 0).
+    def test_native_small_pair_direct(self, corpus):
+        # A single pair through native_batch: the workspace's cached one-row
+        # packs, lane (0, 0).
         workspace = TedWorkspace()
         f, g = corpus[4], corpus[5]
         _, pack_f = workspace._small_arrays(f)

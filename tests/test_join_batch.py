@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.algorithms import ZhangShashaTED, make_algorithm
 from repro.algorithms.base import resolve_cost_model
 from repro.algorithms.batch_kernel import SMALL_PAIR_CELLS, choose_sweep, sweep_sizes
 from repro.bounds import binary_branch_profile
+from repro.bounds.binary_branch import NULL_LABEL
 from repro.costs import (
     PerLabelCostModel,
     StringRenameCostModel,
@@ -20,6 +22,7 @@ from repro.datasets import clustered_corpus, perturb_tree, random_tree
 from repro.datasets.shapes import zigzag_tree
 from repro.io import parse_bracket, to_bracket
 from repro.trees import Node, Tree
+from repro.join.pairs import _CODE_SHIFT, _FIELD_BITS, NULL_CODE
 from repro.join import (
     BatchRefiner,
     Planner,
@@ -82,6 +85,50 @@ class TestTreeCorpus:
         assert corpus.profile(0).pq_profile is None
         pq = corpus.pq_profile(0)
         assert corpus.profile(0).pq_profile is pq
+
+    @staticmethod
+    def _decoder(corpus):
+        labels = corpus.interner().labels
+        return lambda code: NULL_LABEL if code == NULL_CODE else labels[code - _CODE_SHIFT]
+
+    def test_filter_arrays_label_rows_are_label_histograms(self):
+        trees = small_corpus()
+        corpus = TreeCorpus(trees)
+        arrays = corpus.filter_arrays()
+        label = self._decoder(corpus)
+        assert arrays.sizes.tolist() == [tree.n for tree in trees]
+        for t, tree in enumerate(trees):
+            lo, hi = arrays.label_off[t], arrays.label_off[t + 1]
+            codes = arrays.label_code[lo:hi].tolist()
+            assert codes == sorted(set(codes))
+            histogram = {
+                label(code): int(count)
+                for code, count in zip(codes, arrays.label_count[lo:hi])
+            }
+            assert histogram == Counter(tree.labels)
+
+    def test_filter_arrays_branch_rows_are_branch_profiles(self):
+        # Decoded through the interner, each tree's branch rows are exactly
+        # its binary-branch profile (small codes: no field folding).
+        trees = small_corpus()
+        corpus = TreeCorpus(trees)
+        arrays = corpus.filter_arrays()
+        label = self._decoder(corpus)
+        mask = (1 << _FIELD_BITS) - 1
+        for t, tree in enumerate(trees):
+            lo, hi = arrays.branch_off[t], arrays.branch_off[t + 1]
+            keys = arrays.branch_key[lo:hi].tolist()
+            assert keys == sorted(set(keys))
+            assert arrays.branch_tree[lo:hi].tolist() == [t] * (hi - lo)
+            profile = {
+                (
+                    label(key >> (2 * _FIELD_BITS)),
+                    label((key >> _FIELD_BITS) & mask),
+                    label(key & mask),
+                ): int(count)
+                for key, count in zip(keys, arrays.branch_count[lo:hi])
+            }
+            assert profile == binary_branch_profile(tree)
 
 
 class TestCandidateGeneration:

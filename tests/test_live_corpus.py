@@ -124,6 +124,25 @@ class TestVersionedCorpus:
             range(len(corpus))
         )
 
+    def test_mass_removal_drops_state_without_rebuild(self):
+        trees = _forest(24, seed=4)
+        corpus = TreeCorpus(trees)
+        corpus.filter_arrays()
+        interner = corpus.interner()
+        profiles = corpus.profiles()
+        kept = {slot: profiles[slot] for slot in range(16, 24)}
+        corpus.remove_trees(list(range(16)))
+        # Survivors keep their slot profiles (nothing rebuilt); removed
+        # trees leave neither a profile nor a cached code array behind.
+        assert set(corpus._slot_profiles) == set(kept)
+        for slot, prof in kept.items():
+            assert corpus._slot_profiles[slot] is prof
+        assert {id(tree) for tree, _ in interner._tree_codes.values()} == {
+            id(tree) for tree in trees[16:]
+        }
+        _assert_same_filter_arrays(corpus)
+        assert [corpus.profile(i).tree for i in range(len(corpus))] == trees[16:]
+
     def test_trees_tuple_resists_in_place_mutation(self):
         corpus = TreeCorpus(_forest(3, seed=5))
         with pytest.raises(TypeError):
