@@ -62,13 +62,12 @@ def main() -> None:
     print()
 
     # 5. Execution engines.  "spf" — the recommended default, and what
-    #    "auto" resolves to for every GTED/RTED variant (rted, klein-h,
-    #    demaine-h; zhang-l/r keep their dedicated Zhang–Shasha tables) —
-    #    runs *every* strategy phase (left, right and heavy paths) through
-    #    iterative, array-based single-path functions and, being
-    #    recursion-free, handles arbitrarily deep trees without touching the
-    #    interpreter recursion limit.  "recursive" is the reference oracle
-    #    kept for cross-checking only.
+    #    "auto" resolves to for every GTED/RTED variant (rted, zhang-l/r,
+    #    klein-h, demaine-h) — runs *every* strategy phase (left, right and
+    #    heavy paths) through iterative, array-based single-path functions
+    #    and, being recursion-free, handles arbitrarily deep trees without
+    #    touching the interpreter recursion limit.  "recursive" is the
+    #    reference oracle kept for cross-checking only.
     print("Engine comparison (rted):")
     for engine in ("spf", "recursive"):
         result = compute(original, revised, algorithm="rted", engine=engine)

@@ -37,8 +37,6 @@ from .algorithms import (
     SimpleTED,
     TEDAlgorithm,
     TEDResult,
-    ZhangShashaRightTED,
-    ZhangShashaTED,
     available_algorithms,
     make_algorithm,
     optimal_strategy,
@@ -107,8 +105,6 @@ __all__ = [
     "BoundedResult",
     "RTED",
     "GTED",
-    "ZhangShashaTED",
-    "ZhangShashaRightTED",
     "SimpleTED",
     "optimal_strategy",
     "make_algorithm",

@@ -20,8 +20,8 @@ from ..exceptions import CutoffError, UnknownEngineError
 from ..trees.tree import Tree
 
 #: Execution-engine identifiers.  ``auto`` picks each algorithm's production
-#: default — the iterative ``spf`` executor for every GTED/RTED variant, the
-#: dedicated Zhang–Shasha tables for ``zhang-l``/``zhang-r``; ``spf`` forces
+#: default — the iterative ``spf`` executor for every GTED/RTED variant,
+#: ``zhang-l``/``zhang-r`` included; ``spf`` forces
 #: the iterative executor that dispatches *every* strategy step (left, right
 #: and heavy) to the single-path functions of :mod:`repro.algorithms.spf`;
 #: ``recursive`` forces the strategy-driven

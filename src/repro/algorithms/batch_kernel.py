@@ -44,8 +44,9 @@ Both implementations execute the same integer-valued float64 arithmetic —
 every add is by 1.0, every min is exact — and the bounded mode runs the
 same banded sweep, per-row abort test and band cell accounting, so values,
 subproblem counts and abort flags are equal, not just close.  The property
-suite asserts exact equality against ``zhang_shasha_distance`` and between
-the two implementations.
+suite asserts exact equality against the ``zhang-l`` / ``zhang-r`` registry
+entries (GTED with the left/right-path strategy on the ``spf`` executor) —
+values and cell counts — and between the two implementations.
 """
 
 from __future__ import annotations

@@ -2,10 +2,16 @@
 
 Beyond the distance *value*, many applications (diffing, change detection,
 record linkage) need the actual node alignment that realizes the minimum
-cost.  This module backtracks through the Zhang–Shasha dynamic program to
-produce an :class:`EditMapping` — the set of matched node pairs plus the
-deleted and inserted nodes — and converts it into a human-readable edit
-script.
+cost.  This module backtracks through the left-path (Zhang–Shasha) forest
+recurrence to produce an :class:`EditMapping` — the set of matched node
+pairs plus the deleted and inserted nodes — and converts it into a
+human-readable edit script.
+
+The backtrace needs only the subtree-distance table ``D[v][w]`` of every
+subtree pair plus forest tables recomputed for the subtree pairs it visits
+(Paaßen, arXiv 1805.06869).  The table comes from the ``spf`` executor
+running ``GTED`` with the left-path strategy, the decomposition whose forest
+recurrence the backtrace repeats.
 
 The mapping produced is optimal for the supplied cost model: its cost always
 equals the tree edit distance.
@@ -19,7 +25,9 @@ from typing import List, Optional, Tuple
 from ..costs import CostModel
 from ..trees.tree import Tree
 from .base import resolve_cost_model
-from .zhang_shasha import zhang_shasha_distance
+from .gted import StrategyExecutor
+from .strategies import LeftFStrategy
+from .workspace import TedWorkspace
 
 
 @dataclass
@@ -134,9 +142,16 @@ class EditMapping:
 def compute_edit_mapping(
     tree_f: Tree, tree_g: Tree, cost_model: Optional[CostModel] = None
 ) -> EditMapping:
-    """Compute an optimal edit mapping by backtracking the Zhang–Shasha DP."""
+    """Compute an optimal edit mapping by backtracking the left-path DP."""
     cm = resolve_cost_model(cost_model)
-    distance, _, tree_dist = zhang_shasha_distance(tree_f, tree_g, cm)
+    # A fresh workspace changes no value; it lets unit-cost regions compare
+    # interned label codes instead of calling the cost model.
+    executor = StrategyExecutor(
+        tree_f, tree_g, LeftFStrategy(), cost_model=cm, workspace=TedWorkspace(cm)
+    )
+    distance = executor.distance()
+    # Once the root pair is done, D holds the distance of every subtree pair.
+    tree_dist = executor.context.D.tolist()
 
     mapping = EditMapping(cost=distance)
     matched_f = set()

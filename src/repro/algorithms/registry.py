@@ -7,14 +7,15 @@ in without touching the call sites.
 
 Factories may accept an ``engine`` keyword (see
 :func:`repro.algorithms.base.resolve_engine`) selecting the execution
-backend: ``engine="auto"`` is each name's production default (the iterative
-``spf`` executor for every GTED/RTED variant, the dedicated Zhang–Shasha
-tables for ``zhang-l``/``zhang-r``), while ``engine="spf"`` /
-``engine="recursive"`` force the iterative single-path executor or the
-recursive cross-check oracle for the algorithm's strategy.  Unknown engine
-names raise :class:`~repro.exceptions.UnknownEngineError` — there is no
-silent fallback — and names with a single implementation (e.g. ``simple``)
-reject explicit engine selection the same way.
+backend: ``engine="auto"`` is each name's production default, the iterative
+``spf`` executor for every GTED/RTED variant — ``zhang-l``/``zhang-r``
+included, which are GTED with the left/right-path strategy of the left-hand
+tree — while ``engine="spf"`` / ``engine="recursive"`` force the iterative
+single-path executor or the recursive cross-check oracle for the
+algorithm's strategy.  Unknown engine names raise
+:class:`~repro.exceptions.UnknownEngineError` — there is no silent
+fallback — and names with a single implementation (e.g. ``simple``) reject
+explicit engine selection the same way.
 
 ``auto`` here always means the literal algorithm — the experiments time
 and count each algorithm through this registry.  Only the API's
@@ -42,45 +43,37 @@ from .strategies import (
     RightFStrategy,
     RightGStrategy,
 )
-from .zhang_shasha import ZhangShashaRightTED, ZhangShashaTED
 
 
-def _zhang_l(engine: str = ENGINE_AUTO, workspace=None) -> TEDAlgorithm:
-    if engine == ENGINE_AUTO:
-        return ZhangShashaTED()
-    return GTED(LeftFStrategy(), name=f"Zhang-L[{engine}]", engine=engine, workspace=workspace)
+def _paper_gted(strategy_type: type, label: str) -> Callable[..., TEDAlgorithm]:
+    """Factory of a paper algorithm that is GTED with a fixed path strategy.
 
+    ``auto`` builds ``GTED(strategy)`` named ``label``; an explicit engine
+    appends ``[<engine>]`` to the name and passes the workspace through.
+    """
 
-def _zhang_r(engine: str = ENGINE_AUTO, workspace=None) -> TEDAlgorithm:
-    if engine == ENGINE_AUTO:
-        return ZhangShashaRightTED()
-    return GTED(RightFStrategy(), name=f"Zhang-R[{engine}]", engine=engine, workspace=workspace)
+    def factory(engine: str = ENGINE_AUTO, workspace=None) -> TEDAlgorithm:
+        if engine == ENGINE_AUTO:
+            return GTED(strategy_type(), name=label)
+        return GTED(
+            strategy_type(), name=f"{label}[{engine}]", engine=engine, workspace=workspace
+        )
 
-
-def _klein(engine: str = ENGINE_AUTO, workspace=None) -> TEDAlgorithm:
-    # Klein [ESA 1998]: heavy paths of the left-hand tree, O(n³ log n).
-    if engine == ENGINE_AUTO:
-        return GTED(HeavyFStrategy(), name="Klein-H")
-    return GTED(HeavyFStrategy(), name=f"Klein-H[{engine}]", engine=engine, workspace=workspace)
-
-
-def _demaine(engine: str = ENGINE_AUTO, workspace=None) -> TEDAlgorithm:
-    # Demaine et al. [TALG 2009]: heavy paths of the larger subtree, O(n³).
-    if engine == ENGINE_AUTO:
-        return GTED(HeavyLargerStrategy(), name="Demaine-H")
-    return GTED(
-        HeavyLargerStrategy(), name=f"Demaine-H[{engine}]", engine=engine, workspace=workspace
-    )
+    return factory
 
 
 _FACTORIES: Dict[str, Callable[..., TEDAlgorithm]] = {
     "rted": lambda engine=ENGINE_AUTO, workspace=None: RTED(
         engine=engine, workspace=workspace
     ),
-    "zhang-l": _zhang_l,
-    "zhang-r": _zhang_r,
-    "klein-h": _klein,
-    "demaine-h": _demaine,
+    # Zhang & Shasha [SIAM J. Comput. 1989]: left (right) paths of the
+    # left-hand tree, the classic keyroot program and its mirror.
+    "zhang-l": _paper_gted(LeftFStrategy, "Zhang-L"),
+    "zhang-r": _paper_gted(RightFStrategy, "Zhang-R"),
+    # Klein [ESA 1998]: heavy paths of the left-hand tree, O(n³ log n).
+    "klein-h": _paper_gted(HeavyFStrategy, "Klein-H"),
+    # Demaine et al. [TALG 2009]: heavy paths of the larger subtree, O(n³).
+    "demaine-h": _paper_gted(HeavyLargerStrategy, "Demaine-H"),
     "simple": SimpleTED,
     # GTED variants that decompose the right-hand tree; mostly of interest for
     # experimentation with the strategy space.

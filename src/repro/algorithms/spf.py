@@ -850,15 +850,24 @@ class SinglePathContext:
         D = self.D
         to_post_dec = dec.to_post
         to_post_oth = oth.to_post
+        # Left frames number the other tree in postorder, so a region's
+        # columns are one contiguous slice of ``D``, read as plain Python
+        # floats (``tolist``): NumPy scalars would make every candidate sum
+        # a slow NumPy-scalar operation.  Right frames gather their columns.
+        contiguous = oth.kind == LEFT
         if side == SIDE_F:
             rename = self.cost_model.rename
 
-            def read_row(node_post: int, col_posts: List[int]) -> List[float]:
-                row = D[node_post]
-                return [row[p] for p in col_posts]
+            if contiguous:
+                def read_row(node_post: int, col_posts: List[int]) -> List[float]:
+                    return D[node_post, col_posts[0] : col_posts[-1] + 1].tolist()
+            else:
+                def read_row(node_post: int, col_posts: List[int]) -> List[float]:
+                    row = D[node_post]
+                    return [row[p] for p in col_posts]
 
             def write(node_post: int, col_post: int, value: float) -> None:
-                D[node_post][col_post] = value
+                D[node_post, col_post] = value
 
         else:
             cm_rename = self.cost_model.rename
@@ -866,11 +875,15 @@ class SinglePathContext:
             def rename(a: object, b: object) -> float:
                 return cm_rename(b, a)
 
-            def read_row(node_post: int, col_posts: List[int]) -> List[float]:
-                return [D[p][node_post] for p in col_posts]
+            if contiguous:
+                def read_row(node_post: int, col_posts: List[int]) -> List[float]:
+                    return D[col_posts[0] : col_posts[-1] + 1, node_post].tolist()
+            else:
+                def read_row(node_post: int, col_posts: List[int]) -> List[float]:
+                    return [D[p][node_post] for p in col_posts]
 
             def write(node_post: int, col_post: int, value: float) -> None:
-                D[col_post][node_post] = value
+                D[col_post, node_post] = value
 
         deadline = self.deadline
         if unit_codes is not None:

@@ -97,8 +97,8 @@ def _frame_arrays(frame) -> Dict[str, np.ndarray]:
 #: with ``O(cols)`` array operations whose fixed overhead (~a dozen ufunc
 #: dispatches) only pays off for wide tables; narrow regions — the vast
 #: majority on branchy trees — run faster through the scalar kernel.  The
-#: value is the crossover measured by ``benchmarks/bench_vector_cols.py``
-#: (see the rationale in ``DESIGN.md``).
+#: value is the middle of the measured crossover plateau over shape families
+#: with very different region widths (see the rationale in ``DESIGN.md``).
 MIN_VECTOR_COLS = 16
 
 

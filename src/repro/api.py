@@ -175,9 +175,9 @@ def compute(
     ``"small-pair"`` for the small-pair program the default ``rted`` runs
     on unit-cost pairs within its cell budget (``result.extra["sweep"]``
     then names the direction that ran, ``"left"`` or ``"right"``),
-    ``"zhang-shasha"`` for the dedicated tables ``zhang-l``/``zhang-r``
-    use under ``auto``, ``"simple"`` for the reference oracle, otherwise
-    the engine (``"spf"``, ...).  ``result.subproblems`` counts the
+    ``"simple"`` for the reference oracle, otherwise the engine (``"spf"``
+    for every GTED/RTED variant under ``auto``, ``zhang-l``/``zhang-r``
+    included, ...).  ``result.subproblems`` counts the
     forest-distance cells that program evaluated: on the small-pair
     program that is the cheaper Zhang–Shasha sweep's count, which can
     exceed RTED's optimal count (about 1.2× in total on the deep, flat and
@@ -264,9 +264,8 @@ def compare_algorithms(
     exactly as in :func:`compute` — e.g. ``engine="recursive"`` cross-checks
     the whole panel on the reference oracle.  The backend each algorithm
     actually resolved is reported in ``result.extra["engine"]`` (algorithms
-    with a single dedicated implementation, like the Zhang–Shasha tables
-    that ``zhang-l``/``zhang-r`` use for ``auto``, report the requested
-    selector).  Names that do not support engine selection (e.g.
+    with a single implementation, like the ``simple`` oracle, report the
+    requested selector).  Names that do not support engine selection (e.g.
     ``"simple"``) raise for any non-``auto`` engine, as in
     :func:`make_algorithm`.
     """

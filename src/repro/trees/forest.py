@@ -10,8 +10,8 @@ recursive tree edit distance formula needs.
 
 The representation is deliberately simple: it favours clarity and testability
 over raw speed, which is what the generic decomposition engine
-(:mod:`repro.algorithms.forest_engine`) needs.  The production Zhang–Shasha
-implementation does not use it.
+(:mod:`repro.algorithms.forest_engine`) needs.  The production ``spf``
+executor does not use it.
 """
 
 from __future__ import annotations

@@ -17,8 +17,6 @@ from repro.algorithms import (
     LeftGStrategy,
     RightGStrategy,
     SimpleTED,
-    ZhangShashaRightTED,
-    ZhangShashaTED,
     make_algorithm,
 )
 from repro.costs import WeightedCostModel
@@ -27,8 +25,8 @@ from repro.datasets import make_shape
 from conftest import random_tree_pairs, tree_pairs
 
 ALL_ALGORITHMS = [
-    ZhangShashaTED(),
-    ZhangShashaRightTED(),
+    make_algorithm("zhang-l"),
+    make_algorithm("zhang-r"),
     make_algorithm("klein-h"),
     make_algorithm("demaine-h"),
     RTED(),
@@ -86,7 +84,7 @@ class TestAgreementPropertyBased:
     @settings(max_examples=40, deadline=None)
     def test_zhang_shasha_matches_oracle(self, pair):
         tree_f, tree_g = pair
-        assert ZhangShashaTED().distance(tree_f, tree_g) == pytest.approx(
+        assert make_algorithm("zhang-l").distance(tree_f, tree_g) == pytest.approx(
             ORACLE.distance(tree_f, tree_g)
         )
 

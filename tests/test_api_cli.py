@@ -111,7 +111,7 @@ class TestHighLevelApi:
 
     @pytest.mark.parametrize(
         "algorithm, kernel",
-        [("zhang-l", "zhang-shasha"), ("zhang-r", "zhang-shasha"), ("simple", "simple")],
+        [("zhang-l", "spf"), ("zhang-r", "spf"), ("simple", "simple")],
     )
     def test_kernel_names_the_implementation(self, algorithm, kernel):
         for cutoff in (None, 1.0, 2.5):
@@ -258,7 +258,7 @@ class TestCli:
         output = capsys.readouterr().out
         assert "kernel:      spf" in output and "sweep:" not in output
         for algorithm, kernel in (
-            ("zhang-l", "zhang-shasha"), ("zhang-r", "zhang-shasha"), ("simple", "simple"),
+            ("zhang-l", "spf"), ("zhang-r", "spf"), ("simple", "simple"),
         ):
             assert cli_main(
                 ["distance", "{a{b}}", "{a{c}}", "--verbose", "--algorithm", algorithm]

@@ -197,8 +197,8 @@ class TestBypasses:
         [
             ({"engine": "spf"}, "spf"),
             ({"engine": "recursive"}, "recursive"),
-            ({"algorithm": "zhang-l"}, "zhang-shasha"),
-            ({"algorithm": "zhang-r"}, "zhang-shasha"),
+            ({"algorithm": "zhang-l"}, "spf"),
+            ({"algorithm": "zhang-r"}, "spf"),
             ({"algorithm": "simple"}, "simple"),
             ({"cost_model": WeightedCostModel(1.0, 1.0, 2.0)}, "spf"),
         ],

@@ -5,7 +5,10 @@ The contract under test is *bit-identity*: the Python twin
 (:func:`repro.algorithms.batch_kernel.run_batch`), the C kernel
 (:func:`repro.algorithms.native.native_batch`) and the multiprocessing
 fan-out over the parent's corpus packs must reproduce the
-per-pair kernel and the Zhang–Shasha oracle — values, subproblem counts and
+per-pair kernel and the Zhang–Shasha oracle (the ``zhang-l`` / ``zhang-r``
+registry entries, GTED with the left/right-path strategy on the ``spf``
+executor, which shares no code with the small-pair program) — values,
+subproblem counts and
 bounded-abort decisions — exactly, with and without a cutoff, over ragged
 batches of 2–120-node trees, in whichever sweep direction the cell gate
 picks.
@@ -49,8 +52,7 @@ BATCH_KERNELS = [
     ),
 ]
 from repro.algorithms.workspace import TedWorkspace
-from repro.algorithms.zhang_shasha import zhang_shasha_distance
-from repro.costs import UnitCostModel, WeightedCostModel
+from repro.costs import WeightedCostModel
 from repro.datasets import perturb_tree, random_tree
 from repro.datasets.shapes import left_branch_tree, right_branch_tree, zigzag_tree
 from repro.runtime import CancelToken, Deadline, deadline_scope
@@ -66,6 +68,14 @@ from repro.join import (
 )
 
 CUTOFFS = [None, 2.0, 3.0, 4.5, 8.0]
+
+ZHANG = {"left": make_algorithm("zhang-l"), "right": make_algorithm("zhang-r")}
+
+
+def zhang_reference(f, g, sweep="left"):
+    """``(distance, cells)`` of the Zhang–Shasha sweep in ``sweep``'s direction."""
+    result = ZHANG[sweep].compute(f, g)
+    return result.distance, result.subproblems
 
 
 def ragged_corpus():
@@ -166,9 +176,7 @@ class TestBatchKernelIdentity:
         def fallback(i, j):
             # Pairs the gates refuse: same shape as the batch entries, via
             # the unbounded left-sweep oracle.
-            value, cells, _ = zhang_shasha_distance(
-                corpus[i], corpus[j], UnitCostModel()
-            )
+            value, cells = zhang_reference(corpus[i], corpus[j])
             if cutoff is None:
                 return (i, j, value, cells)
             return (i, j, value, cells, value >= cutoff)
@@ -184,8 +192,8 @@ class TestBatchKernelIdentity:
     @pytest.mark.parametrize("sweep", ["left", "right"])
     @pytest.mark.parametrize("kernel", BATCH_KERNELS)
     def test_unbounded_values_match_zhang_shasha(self, corpus, pairs, kernel, sweep):
-        # Row t runs tree t's left sweep, row n_trees + t its right sweep:
-        # Zhang-Shasha over the mirrored trees.
+        # Row t runs tree t's left sweep, row n_trees + t its right sweep
+        # (the left sweep over the mirrored tree): zhang-l / zhang-r.
         workspace = TedWorkspace()
         pack = build_corpus_pack(corpus, workspace.interner)
         shift = 0 if sweep == "left" else pack.n_trees
@@ -197,10 +205,7 @@ class TestBatchKernelIdentity:
         values, cells, aborted = kernel(pack, pack, fi, gi)
         assert not aborted.any()
         for p, (i, j) in enumerate(lanes):
-            f, g = corpus[i], corpus[j]
-            if sweep == "right":
-                f, g = f.mirrored(), g.mirrored()
-            distance, subproblems, _ = zhang_shasha_distance(f, g, UnitCostModel())
+            distance, subproblems = zhang_reference(corpus[i], corpus[j], sweep)
             assert values[p] == distance
             assert cells[p] == subproblems
 
@@ -282,9 +287,7 @@ class TestCellGate:
             assert out[2] == sweep
             assert out[1] == min(left, right) <= SMALL_PAIR_CELLS
             if out[1] <= 50_000:  # keep the pure-Python oracle quick
-                oracle = make_algorithm("zhang-l" if sweep == "left" else "zhang-r")
-                reference = oracle.compute(f, g)
-                assert out == (reference.distance, reference.subproblems, sweep)
+                assert out == (*zhang_reference(f, g, sweep), sweep)
         assert refused == 1  # the 88 × 90 zigzag pair
         assert 0 < workspace.stats.right_sweeps < workspace.stats.small_pair_runs
 
@@ -295,8 +298,7 @@ class TestCellGate:
         workspace = TedWorkspace()
         value, cells, sweep = workspace.compute_small(tree, tree.mirrored())
         assert sweep == "left" and workspace.stats.right_sweeps == 0
-        reference = make_algorithm("zhang-l").compute(tree, tree.mirrored())
-        assert (value, cells) == (reference.distance, reference.subproblems)
+        assert (value, cells) == zhang_reference(tree, tree.mirrored())
 
     @pytest.mark.parametrize("cutoff", [None, 3.0, 10.0, float("inf")])
     def test_chunk_entries_match_compute_small(self, shapes, cutoff, kill_switch):
@@ -460,7 +462,7 @@ class TestNativeBackend:
         _, pack_g = workspace._small_arrays(g)
         values, cells, aborted = native_batch(pack_f, pack_g, [0], [0], None)
         value, cells, aborted = float(values[0]), int(cells[0]), bool(aborted[0])
-        expected_value, expected_cells, _ = zhang_shasha_distance(f, g, UnitCostModel())
+        expected_value, expected_cells = zhang_reference(f, g)
         assert (value, cells, aborted) == (expected_value, expected_cells, False)
 
     @pytest.mark.parametrize("sweep", ["left", "right"])
@@ -527,7 +529,7 @@ class TestNativeBackend:
             _, pack_g = workspace._small_arrays(g)
             assert native_batch(pack_f, pack_g, [0], [0]) is None
             value, cells, _ = workspace.compute_small(f, g)
-            assert (value, cells) == zhang_shasha_distance(f, g, UnitCostModel())[:2]
+            assert (value, cells) == zhang_reference(f, g)
             assert workspace.stats.native_runs == 0
         finally:
             monkeypatch.delenv("RTED_NO_NATIVE")

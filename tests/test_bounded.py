@@ -26,11 +26,9 @@ from repro.algorithms import (
     LeftFStrategy,
     RightGStrategy,
     TedWorkspace,
-    ZhangShashaTED,
     make_algorithm,
 )
 from repro.algorithms.base import CutoffExceeded, cutoff_band, cutoff_precheck
-from repro.algorithms.zhang_shasha import zhang_shasha_distance
 from repro.cli import main as cli_main
 from repro.costs import (
     StringRenameCostModel,
@@ -41,7 +39,7 @@ from repro.datasets import clustered_corpus, make_shape, random_tree
 from repro.io import parse_bracket
 from repro.join import batch_distances, batch_self_join, default_cascade
 
-EXACT = ZhangShashaTED()
+EXACT = make_algorithm("zhang-l")
 
 #: Dyadic fractional model: every cost is an exact float and sums commute
 #: bit-exactly, so boundary tests at ``TED == τ`` are deterministic.
@@ -192,19 +190,6 @@ class TestCutoffContract:
                 else:
                     assert result.bounded
                     assert cutoff <= result.lower_bound <= max(exact, cutoff)
-
-    def test_banded_zhang_shasha_matches_unbounded_below_cutoff(self):
-        for f, g in shape_family_pairs(20, seed=99):
-            for model in (UnitCostModel(), FRACTIONAL):
-                exact, subproblems, _ = zhang_shasha_distance(f, g, model)
-                bounded, banded_cells, _ = zhang_shasha_distance(
-                    f, g, model, cutoff=exact + 1.0
-                )
-                assert bounded == exact
-                assert banded_cells <= subproblems
-                with pytest.raises(CutoffExceeded) as info:
-                    zhang_shasha_distance(f, g, model, cutoff=max(exact, 0.5))
-                assert info.value.lower_bound <= max(exact, 0.5)
 
 
 class TestCutoffPropertySuite:
@@ -384,26 +369,30 @@ class TestLegacyAlgorithmInstances:
         # A pre-built instance whose compute() predates the cutoff keyword
         # must keep working under the bounded-verify default: the batch
         # falls back to unbounded computation for it.
-        class LegacyTED(ZhangShashaTED):
+        class LegacyTED(GTED):
             def compute(self, tree_f, tree_g, cost_model=None):
                 return super().compute(tree_f, tree_g, cost_model=cost_model)
 
         trees = clustered_corpus(
             num_clusters=4, cluster_size=5, tree_size=10, num_edits=3, rng=55
         )
-        legacy = batch_self_join(trees, 2.5, algorithm=LegacyTED(), early_accept=False)
+        legacy = batch_self_join(
+            trees, 2.5, algorithm=LegacyTED(LeftFStrategy()), early_accept=False
+        )
         modern = batch_self_join(trees, 2.5, algorithm="zhang-l", early_accept=False)
         assert legacy.matches == modern.matches
         assert legacy.stats.aborted_early == 0
 
     def test_legacy_instance_in_bounded_batch_distances(self):
-        class LegacyTED(ZhangShashaTED):
+        class LegacyTED(GTED):
             def compute(self, tree_f, tree_g, cost_model=None):
                 return super().compute(tree_f, tree_g, cost_model=cost_model)
 
         f = random_tree(8, rng=1)
         g = random_tree(8, rng=2)
-        rows = batch_distances([f, g], None, [(0, 1)], algorithm=LegacyTED(), cutoff=1.0)
+        rows = batch_distances(
+            [f, g], None, [(0, 1)], algorithm=LegacyTED(LeftFStrategy()), cutoff=1.0
+        )
         (i, j, value, _, aborted) = rows[0]
         assert (i, j) == (0, 1) and not aborted
         assert value == EXACT.distance(f, g)
@@ -443,10 +432,12 @@ class TestCompareAlgorithmsEngine:
         results = compare_algorithms("{a{b}}", "{a{c}}")
         for name, result in results.items():
             assert "engine" in result.extra
-        # GTED/RTED variants resolve auto to the spf executor and say so.
-        assert results["rted"].extra["engine"] == "spf"
-        # Dedicated single-implementation algorithms report the selector.
-        assert results["zhang-l"].extra["engine"] == "auto"
+        # GTED/RTED variants — zhang-l and zhang-r included — resolve auto
+        # to the spf executor and say so.
+        assert {result.extra["engine"] for result in results.values()} == {"spf"}
+        # A single-implementation algorithm reports the selector.
+        simple = compare_algorithms("{a{b}}", "{a{c}}", algorithms=["simple"])
+        assert simple["simple"].extra["engine"] == "auto"
 
     def test_unknown_engine_raises(self):
         from repro.exceptions import UnknownEngineError

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.algorithms import ZhangShashaTED
+from repro.algorithms import make_algorithm
 from repro.bounds import (
     binary_branch_distance,
     binary_branch_lower_bound,
@@ -32,7 +32,7 @@ from repro.datasets import perturb_tree, random_tree
 
 from conftest import random_tree_pairs, tree_pairs
 
-EXACT = ZhangShashaTED()
+EXACT = make_algorithm("zhang-l")
 
 
 class TestLevenshtein:

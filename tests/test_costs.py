@@ -12,7 +12,7 @@ from repro.costs import (
 )
 from repro.exceptions import CostModelError
 from repro.trees import tree_from_nested
-from repro.algorithms import RTED, ZhangShashaTED, SimpleTED
+from repro.algorithms import RTED, SimpleTED, make_algorithm
 
 
 class TestUnitCostModel:
@@ -118,25 +118,26 @@ class TestCostModelsInDistances:
 
     def test_unit_cost_rename(self, pair):
         t1, t2 = pair
-        assert ZhangShashaTED().distance(t1, t2) == 1.0
+        assert make_algorithm("zhang-l").distance(t1, t2) == 1.0
 
     def test_weighted_rename_cost_scales_distance(self, pair):
         t1, t2 = pair
         model = WeightedCostModel(rename_cost=0.25)
-        assert ZhangShashaTED().distance(t1, t2, cost_model=model) == 0.25
+        assert make_algorithm("zhang-l").distance(t1, t2, cost_model=model) == 0.25
 
     def test_expensive_rename_forces_delete_insert(self, pair):
         t1, t2 = pair
         # Renaming costs more than delete + insert, so the optimum switches.
         model = WeightedCostModel(delete_cost=1.0, insert_cost=1.0, rename_cost=5.0)
-        assert ZhangShashaTED().distance(t1, t2, cost_model=model) == 2.0
+        assert make_algorithm("zhang-l").distance(t1, t2, cost_model=model) == 2.0
 
     def test_all_algorithms_respect_custom_costs(self, pair):
         t1, t2 = pair
         model = WeightedCostModel(delete_cost=2.0, insert_cost=3.0, rename_cost=1.5)
         reference = SimpleTED().distance(t1, t2, cost_model=model)
         assert RTED().distance(t1, t2, cost_model=model) == pytest.approx(reference)
-        assert ZhangShashaTED().distance(t1, t2, cost_model=model) == pytest.approx(reference)
+        zhang_l = make_algorithm("zhang-l")
+        assert zhang_l.distance(t1, t2, cost_model=model) == pytest.approx(reference)
 
     def test_asymmetric_costs_break_symmetry(self):
         t1 = tree_from_nested(("a", ["b"]))

@@ -1,5 +1,7 @@
 """Tests for the subproblem counting machinery (cost formula, Lemmas 1-3)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -20,7 +22,7 @@ from repro.counting import (
     zhang_left_count,
     zhang_right_count,
 )
-from repro.algorithms import PathChoice, SIDE_F, SIDE_G
+from repro.algorithms import PathChoice, SIDE_F, SIDE_G, make_algorithm
 from repro.exceptions import UnknownAlgorithmError
 from repro.datasets import (
     full_binary_tree,
@@ -154,6 +156,23 @@ class TestFastCountersAgree:
             count_subproblems("tai-1979", tree, tree)
         with pytest.raises(UnknownAlgorithmError):
             count_subproblems_fast("tai-1979", tree, tree)
+
+
+class TestMeasuredCountsEqualFormula:
+    """The paper's cost formula on F ≠ G: the forest-distance cells Zhang-L
+    and Zhang-R evaluate equal ``count_subproblems`` for every shape pair."""
+
+    SHAPES = ["left-branch", "right-branch", "full-binary", "zigzag", "mixed"]
+
+    @pytest.mark.parametrize("engine", ["auto", "spf"])
+    @pytest.mark.parametrize("name", ["zhang-l", "zhang-r"])
+    def test_shape_pairs(self, name, engine):
+        algorithm = make_algorithm(name, engine=engine)
+        for shape_f, shape_g in itertools.product(self.SHAPES, repeat=2):
+            tree_f = make_shape(shape_f, 29)
+            tree_g = make_shape(shape_g, 22)
+            measured = algorithm.compute(tree_f, tree_g).subproblems
+            assert measured == count_subproblems(name, tree_f, tree_g), (shape_f, shape_g)
 
 
 class TestRestrictedOptimum:

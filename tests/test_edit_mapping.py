@@ -1,13 +1,30 @@
-"""Tests for edit mappings and edit scripts."""
+"""Tests for edit mappings and edit scripts.
+
+The mapping's table comes from the ``spf`` executor, so distances are
+checked against the independent oracle :class:`SimpleTED`.
+"""
 
 import pytest
 from hypothesis import given, settings
 
-from repro.algorithms import ZhangShashaTED, compute_edit_mapping, mapping_cost
+from repro.algorithms import SimpleTED, compute_edit_mapping, mapping_cost
 from repro.costs import UnitCostModel, WeightedCostModel
+from repro.datasets import make_shape, random_tree
 from repro.io import parse_bracket
 
 from conftest import random_tree_pairs, tree_pairs
+
+ORACLE = SimpleTED()
+
+#: Shape-family pairs with F ≠ G: zigzags and left/right branches, whose
+#: long spines give the backtrace long chains of composite cells.
+SHAPE_PAIRS = [
+    (make_shape("zigzag", 15), make_shape("left-branch", 13)),
+    (make_shape("right-branch", 14), make_shape("zigzag", 12, label="b")),
+    (make_shape("left-branch", 11), make_shape("right-branch", 15)),
+    (make_shape("zigzag", 16), random_tree(12, rng=3)),
+    (random_tree(13, rng=4), make_shape("right-branch", 13)),
+]
 
 
 class TestMappingOnExamples:
@@ -56,7 +73,7 @@ class TestMappingValidity:
     def test_mapping_cost_equals_distance_on_random_pairs(self):
         for tree_f, tree_g in random_tree_pairs(count=20, max_size=15, seed=23):
             mapping = compute_edit_mapping(tree_f, tree_g)
-            distance = ZhangShashaTED().distance(tree_f, tree_g)
+            distance = ORACLE.distance(tree_f, tree_g)
             assert mapping.cost == pytest.approx(distance)
             assert mapping_cost(mapping, tree_f, tree_g) == pytest.approx(distance)
 
@@ -70,7 +87,7 @@ class TestMappingValidity:
     def test_property_mapping_cost_equals_distance(self, pair):
         tree_f, tree_g = pair
         mapping = compute_edit_mapping(tree_f, tree_g)
-        assert mapping.cost == pytest.approx(ZhangShashaTED().distance(tree_f, tree_g))
+        assert mapping.cost == pytest.approx(ORACLE.distance(tree_f, tree_g))
         assert mapping_cost(mapping, tree_f, tree_g) == pytest.approx(mapping.cost)
         assert mapping.is_valid_mapping(tree_f, tree_g)
 
@@ -79,7 +96,7 @@ class TestMappingValidity:
         t2 = parse_bracket("{a{c}{d}}")
         model = WeightedCostModel(delete_cost=1.0, insert_cost=1.0, rename_cost=0.4)
         mapping = compute_edit_mapping(t1, t2, cost_model=model)
-        distance = ZhangShashaTED().distance(t1, t2, cost_model=model)
+        distance = ORACLE.distance(t1, t2, cost_model=model)
         assert mapping_cost(mapping, t1, t2, cost_model=model) == pytest.approx(distance)
 
 
@@ -106,9 +123,10 @@ class TestExactBacktrace:
 
     @pytest.mark.parametrize("name,model", MODELS, ids=[m[0] for m in MODELS])
     def test_property_mapping_cost_equals_distance_exactly(self, name, model):
-        for tree_f, tree_g in random_tree_pairs(count=25, max_size=14, seed=101):
+        pairs = random_tree_pairs(count=25, max_size=14, seed=101) + SHAPE_PAIRS
+        for tree_f, tree_g in pairs:
             mapping = compute_edit_mapping(tree_f, tree_g, cost_model=model)
-            distance = ZhangShashaTED().distance(tree_f, tree_g, cost_model=model)
+            distance = ORACLE.distance(tree_f, tree_g, cost_model=model)
             assert mapping.cost == distance
             assert mapping_cost(mapping, tree_f, tree_g, cost_model=model) == distance
             assert mapping.is_valid_mapping(tree_f, tree_g)

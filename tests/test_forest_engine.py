@@ -10,7 +10,7 @@ from repro.algorithms import (
     LeftFStrategy,
     RightFStrategy,
     SimpleTED,
-    ZhangShashaTED,
+    make_algorithm,
     optimal_strategy,
 )
 from repro.counting import count_subproblems
@@ -28,7 +28,7 @@ class TestEngineBasics:
     def test_distance_matches_zhang_shasha(self):
         t1 = parse_bracket("{a{b{x}{y}}{c}}")
         t2 = parse_bracket("{a{b{y}}{d{e}}}")
-        expected = ZhangShashaTED().distance(t1, t2)
+        expected = make_algorithm("zhang-l").distance(t1, t2)
         for strategy in [LeftFStrategy(), RightFStrategy(), HeavyFStrategy(), HeavyLargerStrategy()]:
             engine = DecompositionEngine(t1, t2, strategy)
             assert engine.distance() == pytest.approx(expected)

@@ -7,7 +7,7 @@ checked for soundness, not just for self-consistency.
 
 import pytest
 
-from repro.algorithms import SimpleTED, ZhangShashaTED
+from repro.algorithms import SimpleTED, make_algorithm
 from repro.bounds import cheap_lower_bound
 from repro.costs import WeightedCostModel
 from repro.datasets import perturb_tree, random_tree
@@ -80,7 +80,7 @@ class TestSelfJoin:
         assert result.stats.exact_computed == 0
 
     def test_algorithm_instance_accepted(self, collection):
-        result = batch_self_join(collection, 2.0, algorithm=ZhangShashaTED())
+        result = batch_self_join(collection, 2.0, algorithm=make_algorithm("zhang-l"))
         assert result.algorithm == "Zhang-L"
         assert result.match_set == set(_oracle_matches(collection, 2.0))
 
@@ -98,7 +98,7 @@ class TestFilterCostModelSoundness:
         # The unit-cost bound reaches τ, but the true distance under the
         # model is below it.
         assert cheap_lower_bound(tree_a, tree_b) >= threshold
-        exact = ZhangShashaTED().distance(tree_a, tree_b, cost_model=cm)
+        exact = make_algorithm("zhang-l").distance(tree_a, tree_b, cost_model=cm)
         assert exact == pytest.approx(0.8)
         assert exact < threshold
 

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.algorithms import ZhangShashaTED, make_algorithm
+from repro.algorithms import make_algorithm
 from repro.algorithms.base import resolve_cost_model
 from repro.algorithms.batch_kernel import SMALL_PAIR_CELLS, choose_sweep, sweep_sizes
 from repro.bounds import binary_branch_profile
@@ -39,7 +39,7 @@ from repro.join import (
 from repro.api import similarity_join
 from repro.exceptions import BatchConfigError
 
-EXACT = ZhangShashaTED()
+EXACT = make_algorithm("zhang-l")
 
 
 def small_corpus(num=8, size=14, seed=11):

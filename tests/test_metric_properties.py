@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.algorithms import RTED, ZhangShashaTED
+from repro.algorithms import RTED, make_algorithm
 from repro.datasets import perturb_tree, random_tree
 
 from conftest import tree_pairs, trees
 
-EXACT = ZhangShashaTED()
+EXACT = make_algorithm("zhang-l")
 
 
 class TestMetricAxioms:

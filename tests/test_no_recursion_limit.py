@@ -13,10 +13,10 @@ import sys
 
 import pytest
 
+from repro.algorithms import TedWorkspace, batch_kernel
 from repro.algorithms.edit_mapping import compute_edit_mapping, mapping_cost
-from repro.algorithms.zhang_shasha import zhang_shasha_distance
 from repro.bounds import pq_gram_profile, top_down_upper_bound, trivial_upper_bound
-from repro.costs import UNIT_COST, WeightedCostModel
+from repro.costs import WeightedCostModel
 from repro.datasets import random_tree
 from repro.io.bracket import parse_bracket, to_bracket
 from repro.join import batch_self_join
@@ -31,6 +31,14 @@ def _path_tree(depth: int, label: object = "a") -> Tree:
     for _ in range(depth - 1):
         node = Node(label, [node])
     return Tree(node)
+
+
+def _small_pair_distance(tree_f: Tree, tree_g: Tree) -> float:
+    """Unit-cost reference distance from the small-pair program (the C
+    kernel or its Python twin), whose flat keyroot sweep is iterative."""
+    result = TedWorkspace().compute_small(tree_f, tree_g)
+    assert result is not None, "pair exceeds the small-pair cell budget"
+    return result[0]
 
 
 @pytest.fixture
@@ -75,7 +83,7 @@ class TestDeepEditMapping:
         """Acceptance: edit_mapping on a 5000-deep path tree at the default
         recursion limit, with sys.setrecursionlimit forbidden end to end."""
         bushy = random_tree(30, rng=7)
-        expected = zhang_shasha_distance(deep_tree, bushy, UNIT_COST)[0]
+        expected = _small_pair_distance(deep_tree, bushy)
         mapping = compute_edit_mapping(deep_tree, bushy)
         assert mapping.cost == pytest.approx(expected)
         assert mapping_cost(mapping, deep_tree, bushy) == pytest.approx(expected)
@@ -89,7 +97,9 @@ class TestDeepEditMapping:
         left = _path_tree(1500)
         right = _path_tree(1498, label="b")
         cm = WeightedCostModel(1.0, 1.0, 0.5)
-        expected = zhang_shasha_distance(left, right, cm)[0]
+        # Two label-disjoint paths: rename all 1498 nodes of the shorter
+        # path (0.5 each) and delete the other two (1.0 each).
+        expected = 1498 * 0.5 + 2 * 1.0
         mapping = compute_edit_mapping(left, right, cost_model=cm)
         assert mapping.cost == pytest.approx(expected)
         assert mapping_cost(mapping, left, right, cost_model=cm) == pytest.approx(expected)
@@ -118,20 +128,22 @@ class TestJoinPipelineRecursionFree:
 class TestWorkspacePathRecursionFree:
     """The amortized workspace layer must stay iterative end to end."""
 
-    def test_workspace_rted_on_5000_deep_tree(self, deep_tree):
+    def test_workspace_rted_on_5000_deep_tree(self, deep_tree, monkeypatch):
         """Acceptance: a workspace-backed RTED distance involving a
         5000-deep path tree at the default recursion limit, with
         sys.setrecursionlimit forbidden end to end."""
-        from repro.algorithms import TedWorkspace, make_algorithm
-        from repro.algorithms.zhang_shasha import zhang_shasha_distance
+        from repro.algorithms import make_algorithm
 
         # Both sweeps of this pair (5000 · 231 and 5000 · 255 cells) exceed
         # the small-pair budget, so it runs RTED's spf path, whose cached
-        # frames are what this test exercises.
+        # frames are what this test exercises.  The reference raises the
+        # budget for its own run only.
         bushy = random_tree(70, rng=9)
         workspace = TedWorkspace()
         algorithm = make_algorithm("rted", workspace=workspace)
-        expected = zhang_shasha_distance(deep_tree, bushy, UNIT_COST)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(batch_kernel, "SMALL_PAIR_CELLS", 2_000_000)
+            expected = _small_pair_distance(deep_tree, bushy)
         # Twice: the second run exercises the cache-hit (reused frames,
         # pooled matrix) path on the same deep tree.
         assert algorithm.compute(deep_tree, bushy).distance == expected
@@ -140,7 +152,7 @@ class TestWorkspacePathRecursionFree:
         assert workspace.stats.small_pair_runs == 0
 
     def test_workspace_small_pair_kernel_on_deep_chains(self, forbid_recursion_limit):
-        from repro.algorithms import TedWorkspace, make_algorithm
+        from repro.algorithms import make_algorithm
         from repro.join import batch_distances
 
         # Path trees under the small-pair cutoff run the flat unit kernel;

@@ -127,9 +127,9 @@ class TestEndpoints:
                 assert payload["distance"] == direct.distance
                 assert payload["subproblems"] == direct.subproblems
                 assert payload["algorithm"] == direct.algorithm
-            # The dedicated Zhang–Shasha tables and the oracle name themselves.
+            # Zhang-L/R run on the spf executor; the oracle names itself.
             for algorithm, kernel in (
-                ("zhang-l", "zhang-shasha"), ("zhang-r", "zhang-shasha"), ("simple", "simple"),
+                ("zhang-l", "spf"), ("zhang-r", "spf"), ("simple", "simple"),
             ):
                 status, _, payload = await asyncio.to_thread(
                     _post, base, "/distance",

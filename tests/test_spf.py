@@ -2,10 +2,11 @@
 
 The recursive :class:`DecompositionEngine` is the reference oracle; every
 test here cross-checks the iterative SPFs and the strategy executor against
-it (and against the independent Zhang–Shasha implementation), on randomized
-tree pairs with unit and non-unit cost models, and on deep path-shaped trees
-that the recursive engine could only handle by raising the interpreter
-recursion limit.
+it (and, under unit costs, against the small-pair program — the C kernel or
+its Python twin, which share no code with ``spf``), on randomized tree pairs
+with unit and non-unit cost models, and on deep path-shaped trees that the
+recursive engine could only handle by raising the interpreter recursion
+limit.
 """
 
 import random
@@ -27,17 +28,16 @@ from repro.algorithms import (
     RightGStrategy,
     SinglePathContext,
     StrategyExecutor,
-    ZhangShashaTED,
+    TedWorkspace,
     make_algorithm,
     optimal_strategy,
     spf_A,
     spf_H,
     spf_L,
     spf_R,
-    zhang_shasha_distance,
 )
-from repro.algorithms import spf_numpy
-from repro.costs import UNIT_COST, StringRenameCostModel, WeightedCostModel
+from repro.algorithms import batch_kernel, spf_numpy
+from repro.costs import StringRenameCostModel, WeightedCostModel
 from repro.datasets import random_tree
 from repro.trees import HEAVY, LEFT, RIGHT, Node, Tree
 
@@ -65,6 +65,19 @@ SPF_PAIRS = random_tree_pairs(count=100, max_size=14, seed=20110713)
 WEIGHTED = WeightedCostModel(delete_cost=1.5, insert_cost=0.5, rename_cost=2.0)
 
 
+def _small_pair_distance(tree_f: Tree, tree_g: Tree) -> float:
+    """Unit-cost reference distance from the small-pair program: the
+    Zhang–Shasha keyroot sweep, in the C kernel or its Python twin.
+
+    The sweep runs iteratively, so any depth within the cell budget is
+    fine; a pair over the budget fails the test rather than silently
+    losing its reference.
+    """
+    result = TedWorkspace().compute_small(tree_f, tree_g)
+    assert result is not None, "pair exceeds the small-pair cell budget"
+    return result[0]
+
+
 def _path_tree(depth: int, label: object = "a") -> Tree:
     """A linear (path-shaped) tree with ``depth`` edges, built iteratively."""
     node = Node(label)
@@ -86,7 +99,7 @@ class TestSinglePathFunctions:
 
     def test_spf_left_matches_zhang_shasha(self):
         for tree_f, tree_g in SPF_PAIRS[:40]:
-            expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
+            expected = _small_pair_distance(tree_f, tree_g)
             assert spf_L(tree_f, tree_g) == pytest.approx(expected)
 
     @pytest.mark.parametrize(
@@ -137,7 +150,7 @@ class TestSinglePathFunctions:
     @settings(max_examples=40, deadline=None)
     def test_property_spf_matches_zhang_shasha(self, pair):
         tree_f, tree_g = pair
-        expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
+        expected = _small_pair_distance(tree_f, tree_g)
         assert spf_L(tree_f, tree_g) == pytest.approx(expected)
         assert spf_R(tree_f, tree_g) == pytest.approx(expected)
 
@@ -170,7 +183,7 @@ class TestInnerPathFunctions:
 
     def test_spf_heavy_matches_zhang_shasha(self):
         for tree_f, tree_g in SPF_PAIRS[:40]:
-            expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
+            expected = _small_pair_distance(tree_f, tree_g)
             assert spf_H(tree_f, tree_g) == pytest.approx(expected)
 
     @pytest.mark.parametrize(
@@ -243,7 +256,7 @@ class TestInnerPathFunctions:
     @settings(max_examples=40, deadline=None)
     def test_property_spf_heavy_matches_zhang_shasha(self, pair):
         tree_f, tree_g = pair
-        expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
+        expected = _small_pair_distance(tree_f, tree_g)
         assert spf_H(tree_f, tree_g) == pytest.approx(expected)
 
 
@@ -315,14 +328,14 @@ class TestNoRecursiveEngineOnDefaultPath:
 
     def test_rted_auto_never_uses_recursive_engine(self, forbidden_recursive_engine):
         for tree_f, tree_g in SPF_PAIRS[:20]:
-            expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
+            expected = _small_pair_distance(tree_f, tree_g)
             assert RTED().distance(tree_f, tree_g) == pytest.approx(expected)
             assert RTED(engine="spf").distance(tree_f, tree_g) == pytest.approx(expected)
 
     @pytest.mark.parametrize("strategy", EXECUTOR_STRATEGIES, ids=lambda s: s.name)
     def test_gted_spf_never_uses_recursive_engine(self, forbidden_recursive_engine, strategy):
         for tree_f, tree_g in SPF_PAIRS[:10]:
-            expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
+            expected = _small_pair_distance(tree_f, tree_g)
             assert GTED(strategy, engine="spf").distance(tree_f, tree_g) == (
                 pytest.approx(expected)
             )
@@ -330,7 +343,7 @@ class TestNoRecursiveEngineOnDefaultPath:
     @pytest.mark.parametrize("name", ["rted", "klein-h", "demaine-h", "zhang-l", "zhang-r"])
     def test_registry_auto_never_uses_recursive_engine(self, forbidden_recursive_engine, name):
         tree_f, tree_g = SPF_PAIRS[3]
-        expected = zhang_shasha_distance(tree_f, tree_g, UNIT_COST)[0]
+        expected = _small_pair_distance(tree_f, tree_g)
         assert make_algorithm(name).distance(tree_f, tree_g) == pytest.approx(expected)
 
     def test_recursive_engine_still_selectable(self):
@@ -345,7 +358,7 @@ class TestDeepTrees:
     def test_deep_left_path_spf(self):
         deep = _path_tree(1200)
         bushy = random_tree(24, rng=3)
-        expected = zhang_shasha_distance(deep, bushy, UNIT_COST)[0]
+        expected = _small_pair_distance(deep, bushy)
         assert spf_L(deep, bushy) == pytest.approx(expected)
         assert spf_R(deep, bushy) == pytest.approx(expected)
 
@@ -361,7 +374,7 @@ class TestDeepTrees:
         sys.setrecursionlimit forbidden for the whole computation."""
         deep = _path_tree(5000)
         bushy = random_tree(30, rng=7)
-        expected = zhang_shasha_distance(deep, bushy, UNIT_COST)[0]
+        expected = _small_pair_distance(deep, bushy)
 
         def forbidden(limit):  # pragma: no cover - would fail the test
             raise AssertionError("sys.setrecursionlimit must not be touched")
@@ -383,7 +396,7 @@ class TestDeepTrees:
         sys.setrecursionlimit forbidden end-to-end."""
         deep = _path_tree(5000)
         bushy = random_tree(30, rng=7)
-        expected = zhang_shasha_distance(deep, bushy, UNIT_COST)[0]
+        expected = _small_pair_distance(deep, bushy)
 
         def forbidden(limit):  # pragma: no cover - would fail the test
             raise AssertionError("sys.setrecursionlimit must not be touched")
@@ -400,16 +413,19 @@ class TestDeepTrees:
         assert compute(deep, bushy, algorithm="rted").distance == pytest.approx(expected)
         assert compute(bushy, deep, algorithm="klein-h").distance == pytest.approx(expected)
 
-    def test_deep_heavy_both_directions(self):
+    def test_deep_heavy_both_directions(self, monkeypatch):
         """Heavy spine runs on deep × deep caterpillar pairs.
 
         Caterpillars are the worst case for the boundary grid (|A| is
         genuinely quadratic, so no keyroot shortcut applies) — kept at a
         moderate size for runtime, the point is depth × depth correctness.
+        Both sweeps of this pair exceed the small-pair cell budget (about
+        5.7M cells), so the budget is raised for the reference run.
         """
         left_cat = _caterpillar(130)
         right_cat = _caterpillar(120, leaf_first=True, label="b")
-        expected = zhang_shasha_distance(left_cat, right_cat, UNIT_COST)[0]
+        monkeypatch.setattr(batch_kernel, "SMALL_PAIR_CELLS", 8_000_000)
+        expected = _small_pair_distance(left_cat, right_cat)
         assert spf_H(left_cat, right_cat) == pytest.approx(expected)
 
     def test_fallback_engine_still_bumps_recursion_limit_capped(self):

@@ -1,16 +1,19 @@
-"""Unit tests for the Zhang–Shasha algorithm and the simple oracle."""
+"""Unit tests for the Zhang–Shasha algorithm and the simple oracle.
 
-import pytest
+Zhang-L and Zhang-R are GTED with the left- and right-path strategy of the
+left-hand tree; both are reached through their registry names.
+"""
 
-from repro.algorithms import (
-    SimpleTED,
-    ZhangShashaRightTED,
-    ZhangShashaTED,
-    simple_ted,
-    zhang_shasha,
-)
+from repro.algorithms import SimpleTED, make_algorithm, simple_ted
 from repro.trees import tree_from_nested
 from repro.io import parse_bracket
+
+ZHANG_L = make_algorithm("zhang-l")
+ZHANG_R = make_algorithm("zhang-r")
+
+
+def zhang_shasha(tree_f, tree_g):
+    return ZHANG_L.distance(tree_f, tree_g)
 
 
 class TestKnownDistances:
@@ -72,7 +75,7 @@ class TestResultMetadata:
     def test_result_fields(self):
         t1 = parse_bracket("{a{b}{c}}")
         t2 = parse_bracket("{a{b}{d}}")
-        result = ZhangShashaTED().compute(t1, t2)
+        result = ZHANG_L.compute(t1, t2)
         assert result.algorithm == "Zhang-L"
         assert result.distance == 1.0
         assert result.subproblems > 0
@@ -83,14 +86,14 @@ class TestResultMetadata:
     def test_right_variant_gives_same_distance(self):
         t1 = parse_bracket("{a{b{x}{y}}{c}}")
         t2 = parse_bracket("{a{b{y}}{d}}")
-        assert ZhangShashaTED().distance(t1, t2) == ZhangShashaRightTED().distance(t1, t2)
+        assert ZHANG_L.distance(t1, t2) == ZHANG_R.distance(t1, t2)
 
     def test_left_and_right_subproblem_counts_differ_on_skewed_trees(self):
         from repro.datasets import left_branch_tree
 
         tree = left_branch_tree(41)
-        left = ZhangShashaTED().compute(tree, tree).subproblems
-        right = ZhangShashaRightTED().compute(tree, tree).subproblems
+        left = ZHANG_L.compute(tree, tree).subproblems
+        right = ZHANG_R.compute(tree, tree).subproblems
         # Zhang-L is optimal for the left branch shape; the mirror variant
         # must evaluate strictly more forest-distance cells.
         assert right > left
@@ -98,7 +101,7 @@ class TestResultMetadata:
     def test_symmetry_of_unit_cost_distance(self):
         t1 = parse_bracket("{a{b{c}}{d}}")
         t2 = parse_bracket("{a{x}{d{e}}}")
-        assert ZhangShashaTED().distance(t1, t2) == ZhangShashaTED().distance(t2, t1)
+        assert ZHANG_L.distance(t1, t2) == ZHANG_L.distance(t2, t1)
 
 
 class TestSimpleOracle:
