@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.algorithms import TedWorkspace
 from repro.trees import Node, Tree, tree_from_nested
 from repro.datasets import random_tree
 
@@ -68,6 +69,19 @@ def random_tree_pairs(count: int, max_size: int = 14, seed: int = 7):
             )
         )
     return pairs
+
+
+def small_pair_distance(tree_f: Tree, tree_g: Tree) -> float:
+    """Unit-cost reference distance from the small-pair program: the
+    Zhang–Shasha keyroot sweep, in the C kernel or its Python twin.
+
+    It shares no code with the ``spf`` executor, and the sweep runs
+    iteratively, so any depth within the cell budget is fine; a pair over
+    the budget fails the test rather than silently losing its reference.
+    """
+    result = TedWorkspace().compute_small(tree_f, tree_g)
+    assert result is not None, "pair exceeds the small-pair cell budget"
+    return result[0]
 
 
 # --------------------------------------------------------------------------- #

@@ -23,6 +23,8 @@ from repro.join import batch_self_join
 from repro.trees import Node, Tree
 from repro.visualize import render_mapping, render_outline, render_tree
 
+from conftest import small_pair_distance
+
 DEPTH = 5000
 
 
@@ -31,14 +33,6 @@ def _path_tree(depth: int, label: object = "a") -> Tree:
     for _ in range(depth - 1):
         node = Node(label, [node])
     return Tree(node)
-
-
-def _small_pair_distance(tree_f: Tree, tree_g: Tree) -> float:
-    """Unit-cost reference distance from the small-pair program (the C
-    kernel or its Python twin), whose flat keyroot sweep is iterative."""
-    result = TedWorkspace().compute_small(tree_f, tree_g)
-    assert result is not None, "pair exceeds the small-pair cell budget"
-    return result[0]
 
 
 @pytest.fixture
@@ -83,7 +77,7 @@ class TestDeepEditMapping:
         """Acceptance: edit_mapping on a 5000-deep path tree at the default
         recursion limit, with sys.setrecursionlimit forbidden end to end."""
         bushy = random_tree(30, rng=7)
-        expected = _small_pair_distance(deep_tree, bushy)
+        expected = small_pair_distance(deep_tree, bushy)
         mapping = compute_edit_mapping(deep_tree, bushy)
         assert mapping.cost == pytest.approx(expected)
         assert mapping_cost(mapping, deep_tree, bushy) == pytest.approx(expected)
@@ -143,7 +137,7 @@ class TestWorkspacePathRecursionFree:
         algorithm = make_algorithm("rted", workspace=workspace)
         with monkeypatch.context() as patch:
             patch.setattr(batch_kernel, "SMALL_PAIR_CELLS", 2_000_000)
-            expected = _small_pair_distance(deep_tree, bushy)
+            expected = small_pair_distance(deep_tree, bushy)
         # Twice: the second run exercises the cache-hit (reused frames,
         # pooled matrix) path on the same deep tree.
         assert algorithm.compute(deep_tree, bushy).distance == expected

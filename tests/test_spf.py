@@ -28,7 +28,6 @@ from repro.algorithms import (
     RightGStrategy,
     SinglePathContext,
     StrategyExecutor,
-    TedWorkspace,
     make_algorithm,
     optimal_strategy,
     spf_A,
@@ -41,7 +40,7 @@ from repro.costs import StringRenameCostModel, WeightedCostModel
 from repro.datasets import random_tree
 from repro.trees import HEAVY, LEFT, RIGHT, Node, Tree
 
-from conftest import random_tree_pairs, tree_pairs
+from conftest import random_tree_pairs, small_pair_distance, tree_pairs
 
 
 @pytest.fixture(params=["vector", "scalar"])
@@ -65,19 +64,6 @@ SPF_PAIRS = random_tree_pairs(count=100, max_size=14, seed=20110713)
 WEIGHTED = WeightedCostModel(delete_cost=1.5, insert_cost=0.5, rename_cost=2.0)
 
 
-def _small_pair_distance(tree_f: Tree, tree_g: Tree) -> float:
-    """Unit-cost reference distance from the small-pair program: the
-    Zhang–Shasha keyroot sweep, in the C kernel or its Python twin.
-
-    The sweep runs iteratively, so any depth within the cell budget is
-    fine; a pair over the budget fails the test rather than silently
-    losing its reference.
-    """
-    result = TedWorkspace().compute_small(tree_f, tree_g)
-    assert result is not None, "pair exceeds the small-pair cell budget"
-    return result[0]
-
-
 def _path_tree(depth: int, label: object = "a") -> Tree:
     """A linear (path-shaped) tree with ``depth`` edges, built iteratively."""
     node = Node(label)
@@ -99,7 +85,7 @@ class TestSinglePathFunctions:
 
     def test_spf_left_matches_zhang_shasha(self):
         for tree_f, tree_g in SPF_PAIRS[:40]:
-            expected = _small_pair_distance(tree_f, tree_g)
+            expected = small_pair_distance(tree_f, tree_g)
             assert spf_L(tree_f, tree_g) == pytest.approx(expected)
 
     @pytest.mark.parametrize(
@@ -150,7 +136,7 @@ class TestSinglePathFunctions:
     @settings(max_examples=40, deadline=None)
     def test_property_spf_matches_zhang_shasha(self, pair):
         tree_f, tree_g = pair
-        expected = _small_pair_distance(tree_f, tree_g)
+        expected = small_pair_distance(tree_f, tree_g)
         assert spf_L(tree_f, tree_g) == pytest.approx(expected)
         assert spf_R(tree_f, tree_g) == pytest.approx(expected)
 
@@ -183,7 +169,7 @@ class TestInnerPathFunctions:
 
     def test_spf_heavy_matches_zhang_shasha(self):
         for tree_f, tree_g in SPF_PAIRS[:40]:
-            expected = _small_pair_distance(tree_f, tree_g)
+            expected = small_pair_distance(tree_f, tree_g)
             assert spf_H(tree_f, tree_g) == pytest.approx(expected)
 
     @pytest.mark.parametrize(
@@ -256,7 +242,7 @@ class TestInnerPathFunctions:
     @settings(max_examples=40, deadline=None)
     def test_property_spf_heavy_matches_zhang_shasha(self, pair):
         tree_f, tree_g = pair
-        expected = _small_pair_distance(tree_f, tree_g)
+        expected = small_pair_distance(tree_f, tree_g)
         assert spf_H(tree_f, tree_g) == pytest.approx(expected)
 
 
@@ -328,14 +314,14 @@ class TestNoRecursiveEngineOnDefaultPath:
 
     def test_rted_auto_never_uses_recursive_engine(self, forbidden_recursive_engine):
         for tree_f, tree_g in SPF_PAIRS[:20]:
-            expected = _small_pair_distance(tree_f, tree_g)
+            expected = small_pair_distance(tree_f, tree_g)
             assert RTED().distance(tree_f, tree_g) == pytest.approx(expected)
             assert RTED(engine="spf").distance(tree_f, tree_g) == pytest.approx(expected)
 
     @pytest.mark.parametrize("strategy", EXECUTOR_STRATEGIES, ids=lambda s: s.name)
     def test_gted_spf_never_uses_recursive_engine(self, forbidden_recursive_engine, strategy):
         for tree_f, tree_g in SPF_PAIRS[:10]:
-            expected = _small_pair_distance(tree_f, tree_g)
+            expected = small_pair_distance(tree_f, tree_g)
             assert GTED(strategy, engine="spf").distance(tree_f, tree_g) == (
                 pytest.approx(expected)
             )
@@ -343,7 +329,7 @@ class TestNoRecursiveEngineOnDefaultPath:
     @pytest.mark.parametrize("name", ["rted", "klein-h", "demaine-h", "zhang-l", "zhang-r"])
     def test_registry_auto_never_uses_recursive_engine(self, forbidden_recursive_engine, name):
         tree_f, tree_g = SPF_PAIRS[3]
-        expected = _small_pair_distance(tree_f, tree_g)
+        expected = small_pair_distance(tree_f, tree_g)
         assert make_algorithm(name).distance(tree_f, tree_g) == pytest.approx(expected)
 
     def test_recursive_engine_still_selectable(self):
@@ -358,7 +344,7 @@ class TestDeepTrees:
     def test_deep_left_path_spf(self):
         deep = _path_tree(1200)
         bushy = random_tree(24, rng=3)
-        expected = _small_pair_distance(deep, bushy)
+        expected = small_pair_distance(deep, bushy)
         assert spf_L(deep, bushy) == pytest.approx(expected)
         assert spf_R(deep, bushy) == pytest.approx(expected)
 
@@ -374,7 +360,7 @@ class TestDeepTrees:
         sys.setrecursionlimit forbidden for the whole computation."""
         deep = _path_tree(5000)
         bushy = random_tree(30, rng=7)
-        expected = _small_pair_distance(deep, bushy)
+        expected = small_pair_distance(deep, bushy)
 
         def forbidden(limit):  # pragma: no cover - would fail the test
             raise AssertionError("sys.setrecursionlimit must not be touched")
@@ -396,7 +382,7 @@ class TestDeepTrees:
         sys.setrecursionlimit forbidden end-to-end."""
         deep = _path_tree(5000)
         bushy = random_tree(30, rng=7)
-        expected = _small_pair_distance(deep, bushy)
+        expected = small_pair_distance(deep, bushy)
 
         def forbidden(limit):  # pragma: no cover - would fail the test
             raise AssertionError("sys.setrecursionlimit must not be touched")
@@ -425,7 +411,7 @@ class TestDeepTrees:
         left_cat = _caterpillar(130)
         right_cat = _caterpillar(120, leaf_first=True, label="b")
         monkeypatch.setattr(batch_kernel, "SMALL_PAIR_CELLS", 8_000_000)
-        expected = _small_pair_distance(left_cat, right_cat)
+        expected = small_pair_distance(left_cat, right_cat)
         assert spf_H(left_cat, right_cat) == pytest.approx(expected)
 
     def test_fallback_engine_still_bumps_recursion_limit_capped(self):
