@@ -279,8 +279,8 @@ def check_row_cutoff(
     rem_f: int,
     cutoff: float,
     band: float,
-    lo: int = 0,
-    hi: Optional[int] = None,
+    lo: int,
+    hi: int,
     exact_values: bool = True,
     slack: float = 0.0,
 ) -> None:
@@ -311,8 +311,6 @@ def check_row_cutoff(
     a pair whose *float* distance is below the cutoff — see
     :data:`CUTOFF_SLACK`.
     """
-    if hi is None:
-        hi = cols - 1
     # O(1) probe before the O(cols) scan: the diagonal cell (equal remaining
     # sizes, zero band term) upper-bounds the row minimum, so a sub-cutoff
     # probe proves the scan cannot fire.  On similar pairs — the ones that

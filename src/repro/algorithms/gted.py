@@ -129,8 +129,13 @@ class StrategyExecutor:
                     if (v, root) not in done:
                         stack.append((v, root, None))
 
-        self.subproblems = self.context.cells
-        return float(self.context.D[tree_f.root][tree_g.root])
+        context = self.context
+        self.subproblems = context.cells
+        distance = float(context.D[tree_f.root][tree_g.root])
+        if context.band_w is not None and distance >= context.cutoff:
+            # Banded values ≥ cutoff may be inflated; the cutoff is the bound.
+            raise CutoffExceeded(context.cutoff)
+        return distance
 
     def _executable_choice(self, choice: PathChoice, v: int, w: int) -> PathChoice:
         """Guard heavy steps against pathological boundary-grid blowup.

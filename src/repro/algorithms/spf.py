@@ -43,13 +43,14 @@ pair of subtrees ``(x, y)`` with ``x ∈ F_v`` and ``y ∈ G_w``.
 
 from __future__ import annotations
 
-from math import nan
+from functools import partial
+from math import ceil, inf, nan
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..costs import CostModel
 from ..runtime import active_deadline
 from ..trees.tree import HEAVY, LEFT, RIGHT, Tree
-from .base import CutoffExceeded, check_row_cutoff, cutoff_band, cutoff_slack, resolve_cost_model
+from .base import check_row_cutoff, cutoff_band, cutoff_slack, resolve_cost_model
 from . import spf_numpy as _np_kernel
 from .strategies import SIDE_F, SIDE_G
 
@@ -238,7 +239,8 @@ class SinglePathContext:
 
     Owns the dense ``n_f × n_g`` tree-distance matrix ``D`` (postorder ×
     postorder, initialized to NaN so that a contract violation surfaces as a
-    NaN distance instead of a silently wrong number), the lazily built
+    NaN distance instead of a silently wrong number; to ``+inf`` in
+    τ-banded contexts, see :attr:`band_w`), the lazily built
     coordinate frames, per-frame cost arrays, and the relevant-subproblem
     counter ``cells``.
 
@@ -290,6 +292,18 @@ class SinglePathContext:
             cutoff_band(self.cost_model) if cutoff is not None else None
         )
         self._cutoff_slack = cutoff_slack(self.cost_model)
+        #: τ-band of a bounded context with a cost floor (else ``None``):
+        #: scalar keyroot regions fill only their ``|i − j| ≤ band_w`` cells,
+        #: as an out-of-band cell costs ``≥ cutoff`` by size alone (widened
+        #: for float round-off), and read skipped cells as ``+inf``, which
+        #: keeps every sub-cutoff value bit-identical (``DESIGN.md``).
+        self.band_w: Optional[int] = None
+        if self._cutoff_band is not None:
+            width = self.cutoff * (1.0 + self._cutoff_slack) / self._cutoff_band
+            # A band at least as wide as the trees restricts nothing (and a
+            # cutoff near the float maximum would overflow ``ceil``).
+            if width <= max(tree_f.n, tree_g.n):
+                self.band_w = max(0, ceil(width) - 1)
         #: Ambient cooperative deadline (:mod:`repro.runtime`), captured once
         #: per context; the row kernels test it amortized.  ``None`` on the
         #: (common) deadline-free path — every check is guarded, so the
@@ -300,6 +314,10 @@ class SinglePathContext:
             self.D = workspace.acquire_matrix(tree_f.n, tree_g.n)
         else:
             self.D = _np_kernel.allocate_matrix(tree_f.n, tree_g.n)
+        if self.band_w is not None:
+            # Subtree pairs outside their region's band are never written;
+            # they must read as +inf, not as the NaN contract sentinel.
+            self.D.fill(inf)
 
         self._frames: Dict[Tuple[str, str], _Frame] = {}
         self._costs: Dict[Tuple[str, str, str], List[float]] = {}
@@ -518,18 +536,30 @@ class SinglePathContext:
         if self._cutoff_band is not None and (v, w) == self.cutoff_pair:
             abort = (dec_fid, oth_fid, self.cutoff, self._cutoff_band, self._cutoff_slack)
 
+        # The other subtree's own region is the widest.  Unit costs are exact
+        # in either kernel, so a narrow band runs every region scalar; other
+        # models keep the unbounded kernel choice (and every sub-cutoff bit).
+        min_cols = _np_kernel.MIN_VECTOR_COLS
+        vectorize = oth_fid - oth.lml[oth_fid] + 1 >= min_cols and not (
+            self.band_w is not None
+            and self._cutoff_slack == 0.0
+            and 2 * self.band_w + 1 < min_cols
+        )
+        unit_codes = rename = None
+        if vectorize:
+            unit_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=True)
+            if unit_codes is None:
+                rename = self._rename_matrix(side, kind)
+
         base = self.D if side == SIDE_F else self.D.T
-        unit_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=True)
-        rename = None if unit_codes is not None else self._rename_matrix(side, kind)
         scalar_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=False)
         self.cells += _np_kernel.run_regions(
             dec, oth, dec_keyroots, oth_keyroots, del_costs, ins_costs, rename, base,
-            scalar=self._region_kernel_py(
-                side, dec, oth, del_costs, ins_costs, scalar_codes, abort
-            ),
+            scalar=self._region_kernel_py(side, dec, oth, del_costs, ins_costs, scalar_codes),
             unit_codes=unit_codes,
             abort=abort,
             deadline=self.deadline,
+            vectorize=vectorize,
         )
         return float(self.D[v][w])
 
@@ -832,106 +862,75 @@ class SinglePathContext:
         del_costs: List[float],
         ins_costs: List[float],
         unit_codes=None,
-        abort: Optional[Tuple[int, int, float, float, float]] = None,
-    ) -> Callable[[int, int], int]:
+    ) -> Callable[[int, int, Optional[Tuple[float, float, float]]], int]:
         """Bind the scalar region kernel to one orientation.
 
-        The returned callable fills a single keyroot-pair table; it runs
-        the regions narrower than
+        The returned callable ``(kf, kg, cut)`` fills a single keyroot-pair
+        table; it runs the regions narrower than
         :data:`~repro.algorithms.spf_numpy.MIN_VECTOR_COLS`, where the vector
         kernel's per-region setup overhead would dominate (the many tiny
         tables produced by branchy trees).  With ``unit_codes`` (a pair
         of frame-order code lists, unit-cost workspaces only) the bound
         kernel is the unit specialization: delete/insert constant-folded to
-        1 and the rename term a code equality compare.  ``abort`` — a
-        ``(kf, kg, cutoff, band, slack)`` spec — arms the early-abort row
-        check for the one region it names.
+        1 and the rename term a code equality compare.  The binding is a
+        :func:`functools.partial`, so a region costs no extra Python frame.
         """
-        D = self.D
-        to_post_dec = dec.to_post
-        to_post_oth = oth.to_post
+        base = self.D if side == SIDE_F else self.D.T
         # Left frames number the other tree in postorder, so a region's
         # columns are one contiguous slice of ``D``, read as plain Python
         # floats (``tolist``): NumPy scalars would make every candidate sum
         # a slow NumPy-scalar operation.  Right frames gather their columns.
-        contiguous = oth.kind == LEFT
+        if oth.kind == LEFT:
+            def read_row(node_post: int, col_posts: List[int], lo: int, hi: int) -> List[float]:
+                return base[node_post, col_posts[lo - 1] : col_posts[hi - 1] + 1].tolist()
+        else:
+            def read_row(node_post: int, col_posts: List[int], lo: int, hi: int) -> List[float]:
+                row = base[node_post]
+                return [row[p] for p in col_posts[lo - 1 : hi]]
+
+        shared = (dec.to_post, oth.to_post, read_row, base, self.deadline, self.band_w)
+        if unit_codes is not None:
+            return partial(_region_py_unit, dec, oth, unit_codes[0], unit_codes[1], *shared)
         if side == SIDE_F:
             rename = self.cost_model.rename
-
-            if contiguous:
-                def read_row(node_post: int, col_posts: List[int]) -> List[float]:
-                    return D[node_post, col_posts[0] : col_posts[-1] + 1].tolist()
-            else:
-                def read_row(node_post: int, col_posts: List[int]) -> List[float]:
-                    row = D[node_post]
-                    return [row[p] for p in col_posts]
-
-            def write(node_post: int, col_post: int, value: float) -> None:
-                D[node_post, col_post] = value
-
         else:
             cm_rename = self.cost_model.rename
 
             def rename(a: object, b: object) -> float:
                 return cm_rename(b, a)
 
-            if contiguous:
-                def read_row(node_post: int, col_posts: List[int]) -> List[float]:
-                    return D[col_posts[0] : col_posts[-1] + 1, node_post].tolist()
-            else:
-                def read_row(node_post: int, col_posts: List[int]) -> List[float]:
-                    return [D[p][node_post] for p in col_posts]
-
-            def write(node_post: int, col_post: int, value: float) -> None:
-                D[col_post, node_post] = value
-
-        deadline = self.deadline
-        if unit_codes is not None:
-            codes_dec, codes_oth = unit_codes
-
-            def kernel(kf: int, kg: int) -> int:
-                cut = abort[2:] if abort is not None and (kf, kg) == abort[:2] else None
-                return _region_py_unit(
-                    dec, oth, kf, kg, codes_dec, codes_oth,
-                    to_post_dec, to_post_oth, read_row, write, cut, deadline,
-                )
-
-            return kernel
-
-        def kernel(kf: int, kg: int) -> int:
-            cut = abort[2:] if abort is not None and (kf, kg) == abort[:2] else None
-            return _region_py(
-                dec, oth, kf, kg, del_costs, ins_costs, rename,
-                to_post_dec, to_post_oth, read_row, write, cut, deadline,
-            )
-
-        return kernel
+        return partial(_region_py, dec, oth, del_costs, ins_costs, rename, *shared)
 
 
 def _region_py(
     dec: _Frame,
     oth: _Frame,
-    kf: int,
-    kg: int,
     del_costs: List[float],
     ins_costs: List[float],
     rename: Callable[[object, object], float],
     to_post_dec: List[int],
     to_post_oth: List[int],
-    read_row: Callable[[int, List[int]], List[float]],
-    write: Callable[[int, int, float], None],
+    read_row: Callable[[int, List[int], int, int], List[float]],
+    base,
+    deadline,
+    band_w: Optional[int],
+    kf: int,
+    kg: int,
     cut: Optional[Tuple[float, float, float]] = None,
-    deadline=None,
 ) -> int:
     """Fill one keyroot-pair forest-distance table (scalar kernel).
 
     The recurrence is the classic Zhang–Shasha one over frame-contiguous
     prefix forests; distances between pairs of complete subtrees are written
-    to the shared matrix, and distances of previously completed subtree pairs
-    are read back for the forest-split case.  ``cut`` —
-    ``(cutoff, band, slack)``, final region of a bounded computation only —
-    arms the per-row early
-    abort (:func:`repro.algorithms.base.check_row_cutoff`).
+    to ``base`` (``D``, or its transposed view when ``G`` is decomposed), and
+    distances of previously completed subtree pairs are read back for the
+    forest-split case.  ``cut`` — ``(cutoff, band, slack)``, final region of
+    a bounded computation only — arms the per-row early abort
+    (:func:`repro.algorithms.base.check_row_cutoff`).  ``band_w`` (see
+    :attr:`SinglePathContext.band_w`) restricts each row to its
+    ``|i − j| ≤ band_w`` window of a table that starts out ``+inf``; rows
+    wholly outside the band are never built.  Returns the number of cells
+    evaluated.
     """
     lml_f, lml_g = dec.lml, oth.lml
     labels_f, labels_g = dec.labels, oth.labels
@@ -951,24 +950,34 @@ def _region_py(
 
     col_posts = to_post_oth[lg : kg + 1]
 
-    fd: List[List[float]] = [[0.0] * cols for _ in range(rows)]
-    for i in range(1, rows):
-        fd[i][0] = fd[i - 1][0] + del_costs[lf + i - 1]
-    first_row = fd[0]
-    for j in range(1, cols):
-        first_row[j] = first_row[j - 1] + ins_costs[lg + j - 1]
+    stop, last_j = rows, cols
+    if band_w is not None:
+        stop = rows if rows < cols + band_w else cols + band_w
+        last_j = cols if cols <= band_w else band_w + 1
+    row = [inf] * cols
+    row[0] = 0.0
+    for j in range(1, last_j):
+        row[j] = row[j - 1] + ins_costs[lg + j - 1]
+    fd: List[List[float]] = [row]
 
-    for i in range(1, rows):
+    cells = 0
+    lo, hi = 1, cols - 1
+    for i in range(1, stop):
+        if band_w is not None:
+            lo = i - band_w if i > band_w else 1
+            hi = i + band_w if i + band_w < cols else cols - 1
         node_f = lf + i - 1
         spans_f = lml_f[node_f] == lf
         delete_cost = del_costs[node_f]
         label_f = labels_f[node_f]
         node_f_post = to_post_dec[node_f]
-        prev = fd[i - 1]
-        row = fd[i]
+        prev = row
+        row = [inf] * cols
+        row[0] = prev[0] + delete_cost
+        fd.append(row)
         split_row = fd[lml_f[node_f] - lf]
-        dist_row = None if spans_f else read_row(node_f_post, col_posts)
-        for j in range(1, cols):
+        dist_row = None if spans_f else read_row(node_f_post, col_posts, lo, hi)
+        for j in range(lo, hi + 1):
             node_g = lg + j - 1
             best = prev[j] + delete_cost
             candidate = row[j - 1] + ins_costs[node_g]
@@ -979,35 +988,38 @@ def _region_py(
                 if candidate < best:
                     best = candidate
                 row[j] = best
-                write(node_f_post, col_posts[j - 1], best)
+                base[node_f_post, col_posts[j - 1]] = best
             else:
                 if dist_row is None:
-                    dist_row = read_row(node_f_post, col_posts)
-                candidate = split_row[lml_g[node_g] - lg] + dist_row[j - 1]
+                    dist_row = read_row(node_f_post, col_posts, lo, hi)
+                candidate = split_row[lml_g[node_g] - lg] + dist_row[j - lo]
                 if candidate < best:
                     best = candidate
                 row[j] = best
+        cells += hi - lo + 1
         if cut is not None:
-            check_row_cutoff(row, cols, rows - 1 - i, cut[0], cut[1], slack=cut[2])
+            check_row_cutoff(row, cols, rows - 1 - i, cut[0], cut[1], lo, hi,
+                             exact_values=False, slack=cut[2])
         if row_deadline is not None:
             row_deadline.tick(cols)
 
-    return (rows - 1) * (cols - 1)
+    return cells
 
 
 def _region_py_unit(
     dec: _Frame,
     oth: _Frame,
-    kf: int,
-    kg: int,
     codes_dec: List[int],
     codes_oth: List[int],
     to_post_dec: List[int],
     to_post_oth: List[int],
-    read_row: Callable[[int, List[int]], List[float]],
-    write: Callable[[int, int, float], None],
+    read_row: Callable[[int, List[int], int, int], List[float]],
+    base,
+    deadline,
+    band_w: Optional[int],
+    kf: int,
+    kg: int,
     cut: Optional[Tuple[float, float, float]] = None,
-    deadline=None,
 ) -> int:
     """Unit-cost specialization of :func:`_region_py`.
 
@@ -1016,7 +1028,7 @@ def _region_py_unit(
     compare instead of a cost-model call.  Every intermediate value is an
     integer-valued float64, evaluated exactly, so the produced distances are
     bit-identical to the general kernels under the unit cost model.
-    ``cut`` arms the per-row early abort exactly as in :func:`_region_py`.
+    ``cut`` and ``band_w`` act exactly as in :func:`_region_py`.
     """
     lml_f, lml_g = dec.lml, oth.lml
     lf, lg = lml_f[kf], lml_g[kg]
@@ -1032,23 +1044,34 @@ def _region_py_unit(
 
     col_posts = to_post_oth[lg : kg + 1]
 
-    fd: List[List[float]] = [[0.0] * cols for _ in range(rows)]
-    for i in range(1, rows):
-        fd[i][0] = float(i)
-    first_row = fd[0]
-    for j in range(1, cols):
-        first_row[j] = float(j)
+    # Same table layout as :func:`_region_py`.
+    stop, last_j = rows, cols
+    if band_w is not None:
+        stop = rows if rows < cols + band_w else cols + band_w
+        last_j = cols if cols <= band_w else band_w + 1
+    row = [inf] * cols
+    row[0] = 0.0
+    for j in range(1, last_j):
+        row[j] = float(j)
+    fd: List[List[float]] = [row]
 
-    for i in range(1, rows):
+    cells = 0
+    lo, hi = 1, cols - 1
+    for i in range(1, stop):
+        if band_w is not None:
+            lo = i - band_w if i > band_w else 1
+            hi = i + band_w if i + band_w < cols else cols - 1
         node_f = lf + i - 1
         spans_f = lml_f[node_f] == lf
         code_f = codes_dec[node_f]
         node_f_post = to_post_dec[node_f]
-        prev = fd[i - 1]
-        row = fd[i]
+        prev = row
+        row = [inf] * cols
+        row[0] = float(i)
+        fd.append(row)
         split_row = fd[lml_f[node_f] - lf]
-        dist_row = None if spans_f else read_row(node_f_post, col_posts)
-        for j in range(1, cols):
+        dist_row = None if spans_f else read_row(node_f_post, col_posts, lo, hi)
+        for j in range(lo, hi + 1):
             node_g = lg + j - 1
             best = prev[j] + 1.0
             candidate = row[j - 1] + 1.0
@@ -1059,20 +1082,22 @@ def _region_py_unit(
                 if candidate < best:
                     best = candidate
                 row[j] = best
-                write(node_f_post, col_posts[j - 1], best)
+                base[node_f_post, col_posts[j - 1]] = best
             else:
                 if dist_row is None:
-                    dist_row = read_row(node_f_post, col_posts)
-                candidate = split_row[lml_g[node_g] - lg] + dist_row[j - 1]
+                    dist_row = read_row(node_f_post, col_posts, lo, hi)
+                candidate = split_row[lml_g[node_g] - lg] + dist_row[j - lo]
                 if candidate < best:
                     best = candidate
                 row[j] = best
+        cells += hi - lo + 1
         if cut is not None:
-            check_row_cutoff(row, cols, rows - 1 - i, cut[0], cut[1], slack=cut[2])
+            check_row_cutoff(row, cols, rows - 1 - i, cut[0], cut[1], lo, hi,
+                             exact_values=False, slack=cut[2])
         if row_deadline is not None:
             row_deadline.tick(cols)
 
-    return (rows - 1) * (cols - 1)
+    return cells
 
 
 # --------------------------------------------------------------------------- #

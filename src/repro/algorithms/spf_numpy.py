@@ -111,45 +111,49 @@ def run_regions(
     ins_costs: np.ndarray,
     rename: Optional[np.ndarray],
     base: np.ndarray,
-    scalar: Callable[[int, int], int],
+    scalar: Callable[[int, int, Optional[Tuple[float, float, float]]], int],
     unit_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     abort: Optional[Tuple[int, int, float, float, float]] = None,
     deadline=None,
+    vectorize: bool = True,
 ) -> int:
     """Fill every keyroot-pair table of the given keyroot lists.
 
     Wide tables are swept with the vectorized row kernel; tables narrower
-    than :data:`MIN_VECTOR_COLS` are delegated to ``scalar`` (the bound
-    scalar kernel).  With ``unit_codes`` — frame-order integer label
-    codes of the decomposed / other tree, unit-cost workspaces only — the
-    row sweep runs the unit specialization: ``rename`` may be ``None`` (no
-    rename matrix is ever built) and delete/insert costs are constant-folded
-    to 1.  ``abort`` — a ``(kf, kg, cutoff, band, slack)`` spec naming the final
-    region of a bounded computation — arms the per-row early-abort check in
-    that region (the scalar kernel carries its own copy of the spec).
+    than :data:`MIN_VECTOR_COLS` are delegated to ``scalar``, the bound
+    scalar kernel, called as ``scalar(kf, kg, cut)``.  With ``unit_codes``
+    — frame-order integer label codes of the decomposed / other tree,
+    unit-cost workspaces only — the row sweep runs the unit
+    specialization: ``rename`` may be ``None`` (no rename matrix is ever
+    built) and delete/insert costs are constant-folded to 1.  ``abort`` — a
+    ``(kf, kg, cutoff, band, slack)`` spec naming the final region of a
+    bounded computation — arms the per-row early-abort check in that
+    region, whichever kernel runs it.  ``vectorize=False`` sends every
+    region to ``scalar`` (``rename`` and ``unit_codes`` are then unused).
     Returns the number of forest-distance cells evaluated.
     """
-    oth_arrays = _frame_arrays(oth)
-    dec_arrays = _frame_arrays(dec)
+    if vectorize:
+        oth_arrays = _frame_arrays(oth)
+        dec_arrays = _frame_arrays(dec)
     oth_lml = oth.lml
     cells = 0
     for kg in oth_keyroots:
-        vectorize = kg - oth_lml[kg] + 1 >= MIN_VECTOR_COLS
+        wide = vectorize and kg - oth_lml[kg] + 1 >= MIN_VECTOR_COLS
         for kf in dec_keyroots:
             if deadline is not None:
                 # Region-granular check; the vectorized sweep below
                 # additionally ticks per row through the ``deadline``
                 # argument of :func:`_region`.
                 deadline.tick()
-            if vectorize:
-                cut = abort[2:] if abort is not None and (kf, kg) == abort[:2] else None
+            cut = abort[2:] if abort is not None and (kf, kg) == abort[:2] else None
+            if wide:
                 cells += _region(
                     dec, oth, kf, kg, del_costs, ins_costs, rename, base,
                     dec_arrays["to_post"], oth_arrays["to_post"], oth_arrays["lml"],
                     unit_codes, cut, deadline,
                 )
             else:
-                cells += scalar(kf, kg)
+                cells += scalar(kf, kg, cut)
     return cells
 
 
@@ -197,7 +201,8 @@ def _region(
     reaching the cutoff proves ``d ≥ cutoff`` and raises
     :class:`~repro.algorithms.base.CutoffExceeded`.  The check reads the
     finished row and never alters the arithmetic, so sub-cutoff results stay
-    bit-identical.
+    bit-identical.  Subtree distances read from τ-banded regions may be
+    inflated above the cutoff, so the cutoff itself is the reported bound.
     """
     lml_f = dec.lml
     lf = lml_f[kf]
@@ -281,7 +286,7 @@ def _region(
                 # Round-off slack for non-dyadic cost sums (base.CUTOFF_SLACK).
                 bound *= 1.0 - cut_slack
                 if bound >= cut_cutoff:
-                    raise CutoffExceeded(bound)
+                    raise CutoffExceeded(cut_cutoff)
 
     return (rows - 1) * (cols - 1)
 

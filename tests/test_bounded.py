@@ -181,7 +181,7 @@ class TestCutoffContract:
         model = WeightedCostModel(0.1, 0.3, 0.7)
         for f, g in shape_family_pairs(30, seed=4242):
             exact = EXACT.compute(f, g, cost_model=model).distance
-            for cutoff in (exact * 0.5 + 0.05, exact, exact + 0.1, exact * 3 + 1.0):
+            for cutoff in (exact * 0.5 + 0.05, exact, exact + 0.1, exact * 3 + 1.0, 1e308):
                 if cutoff <= 0:
                     continue
                 result = EXACT.compute(f, g, cost_model=model, cutoff=cutoff)
@@ -190,6 +190,30 @@ class TestCutoffContract:
                 else:
                     assert result.bounded
                     assert cutoff <= result.lower_bound <= max(exact, cutoff)
+
+    def test_banded_zhang_shasha_matches_unbounded_below_cutoff(self):
+        # Bounded contexts band every scalar keyroot region to
+        # |i − j| ≤ band_w: exact below the cutoff, never more cells than
+        # the unbounded run, and the cutoff as the bound at or above it.
+        pruned = 0
+        for name in ("zhang-l", "zhang-r"):
+            algo = make_algorithm(name)
+            for f, g in shape_family_pairs(20, seed=99):
+                for model in (UnitCostModel(), FRACTIONAL):
+                    exact = algo.compute(f, g, cost_model=model)
+                    below = algo.compute(
+                        f, g, cost_model=model, cutoff=exact.distance + 1.0
+                    )
+                    assert not below.bounded
+                    assert below.distance == exact.distance
+                    assert below.subproblems <= exact.subproblems
+                    pruned += below.subproblems < exact.subproblems
+                    cutoff = max(exact.distance, 0.5)
+                    at = algo.compute(f, g, cost_model=model, cutoff=cutoff)
+                    assert at.bounded == (exact.distance >= cutoff)
+                    if at.bounded:
+                        assert at.lower_bound == cutoff
+        assert pruned > 0
 
 
 class TestCutoffPropertySuite:

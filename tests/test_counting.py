@@ -164,10 +164,9 @@ class TestMeasuredCountsEqualFormula:
 
     SHAPES = ["left-branch", "right-branch", "full-binary", "zigzag", "mixed"]
 
-    @pytest.mark.parametrize("engine", ["auto", "spf"])
     @pytest.mark.parametrize("name", ["zhang-l", "zhang-r"])
-    def test_shape_pairs(self, name, engine):
-        algorithm = make_algorithm(name, engine=engine)
+    def test_shape_pairs(self, name):
+        algorithm = make_algorithm(name)
         for shape_f, shape_g in itertools.product(self.SHAPES, repeat=2):
             tree_f = make_shape(shape_f, 29)
             tree_g = make_shape(shape_g, 22)
