@@ -1,25 +1,22 @@
 #!/usr/bin/env python3
-"""Benchmark: iterative SPF engines vs the recursive oracle, plus Algorithm 2.
+"""Benchmark: iterative SPF engines vs the recursive oracle.
 
-Three benchmark families, tracking the perf trajectory of the distance core:
+Two benchmark families, tracking the perf trajectory of the distance core:
 
 * **left/right** — the keyroot single-path functions ``Δ_L``/``Δ_R`` against
   the recursive engine on the PR-1 workloads (recorded in ``BENCH_spf.json``);
 * **heavy / full RTED** — the inner-path program ``Δ_A`` (chain × boundary
   grid) and the full iterative RTED pipeline against the recursive engine on
   300-node heavy-strategy workloads of several shapes (deep, branchy, zigzag,
-  mixed) plus a deep-path workload (recorded in ``BENCH_rted.json``);
-* **algorithm2** — the flat-array / vectorized Algorithm 2 against the legacy
-  object-matrix implementation on 1000-node trees (also in
-  ``BENCH_rted.json``).
+  mixed) plus a deep-path workload (recorded in ``BENCH_rted.json``).
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_spf.py            # full baselines
     PYTHONPATH=src python benchmarks/bench_spf.py --quick    # CI smoke (<1 min)
 
-The committed JSON files are the baselines recorded on the machine that
-introduced each layer; regenerate to compare.  In ``--quick`` mode the
+The committed JSON files carry the git commit, machine and Python version
+they measured (``stamp.py``); regenerate to compare.  In ``--quick`` mode the
 workloads shrink, nothing is written unless ``--output``/``--output-rted``
 are given explicitly, and the process exits non-zero if the SPF engine is
 slower than the recursive engine anywhere — the CI regression gate.
@@ -29,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import statistics
 import time
 from pathlib import Path
@@ -43,7 +39,6 @@ from repro.algorithms import (
     RightFStrategy,
     StrategyExecutor,
     optimal_strategy,
-    optimal_strategy_objects,
     spf_H,
     spf_L,
     spf_R,
@@ -56,6 +51,7 @@ from repro.datasets.shapes import (
     zigzag_tree,
 )
 from repro.trees import Node, Tree
+from stamp import machine_stamp
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_spf.json"
 DEFAULT_OUTPUT_RTED = Path(__file__).parent / "BENCH_rted.json"
@@ -139,8 +135,7 @@ def run_lr_benchmark(quick: bool, spf_repeats: int = 3) -> Dict:
     return {
         "benchmark": "bench_spf",
         "description": "recursive decomposition engine vs iterative SPF kernels",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_stamp(),
         "results": results,
     }
 
@@ -203,27 +198,6 @@ def _rted_workloads(quick: bool) -> List[Dict]:
     ]
 
 
-def _alg2_workloads(quick: bool) -> List[Dict]:
-    if quick:
-        return [
-            {"name": "alg2-random-200", "trees": (random_tree(200, rng=9), random_tree(200, rng=10))},
-        ]
-    return [
-        {
-            "name": "alg2-random-1000",
-            "trees": (random_tree(1000, rng=11), random_tree(1000, rng=12)),
-        },
-        {
-            "name": "alg2-full-binary-1023",
-            "trees": (make_shape("full-binary", 1023), make_shape("full-binary", 1023, label="b")),
-        },
-        {
-            "name": "alg2-mixed-1001",
-            "trees": (make_shape("mixed", 1001), make_shape("mixed", 1001, label="b")),
-        },
-    ]
-
-
 def run_rted_benchmark(quick: bool, spf_repeats: int = 2) -> Dict:
     heavy_entries = []
     for workload in _heavy_workloads(quick):
@@ -271,47 +245,16 @@ def run_rted_benchmark(quick: bool, spf_repeats: int = 2) -> Dict:
             f"spf={spf_time:7.3f}s ({entry['speedup']:6.1f}x)"
         )
 
-    alg2_entries = []
-    # Warm both implementations once (NumPy lazy state, allocator) so the
-    # best-of timings below compare steady-state costs.
-    warm_f, warm_g = random_tree(60, rng=0), random_tree(60, rng=1)
-    optimal_strategy(warm_f, warm_g)
-    optimal_strategy_objects(warm_f, warm_g)
-    alg2_repeats = max(3, spf_repeats)
-    for workload in _alg2_workloads(quick):
-        tree_f, tree_g = workload["trees"]
-        entry = {"workload": workload["name"], "n_f": tree_f.n, "n_g": tree_g.n}
-        object_time, object_result = _time(
-            lambda: optimal_strategy_objects(tree_f, tree_g), repeats=alg2_repeats
-        )
-        flat_time, flat_result = _time(
-            lambda: optimal_strategy(tree_f, tree_g), repeats=alg2_repeats
-        )
-        assert flat_result.cost == object_result.cost, workload["name"]
-        entry["object_seconds"] = object_time
-        entry["flat_seconds"] = flat_time
-        entry["speedup"] = object_time / flat_time
-        entry["optimal_cost"] = int(flat_result.cost)
-        alg2_entries.append(entry)
-        print(
-            f"{entry['workload']:36s} object   ={object_time:8.3f}s  "
-            f"flat={flat_time:7.3f}s ({entry['speedup']:6.1f}x)"
-        )
-
     return {
         "benchmark": "bench_rted",
         "description": (
-            "iterative heavy-path SPF + full RTED pipeline vs the recursive "
-            "oracle, and flat-array Algorithm 2 vs the object-matrix version"
+            "iterative heavy-path SPF + full RTED pipeline vs the recursive oracle"
         ),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_stamp(),
         "heavy": heavy_entries,
         "rted": rted_entries,
-        "algorithm2": alg2_entries,
         "heavy_median_speedup": statistics.median(e["speedup"] for e in heavy_entries),
         "rted_median_speedup": statistics.median(e["speedup"] for e in rted_entries),
-        "algorithm2_median_speedup": statistics.median(e["speedup"] for e in alg2_entries),
     }
 
 
@@ -341,10 +284,6 @@ def main() -> int:
     print()
     print(f"heavy-path median speedup:  {rted_report['heavy_median_speedup']:.1f}x (target >= 5x)")
     print(f"full-RTED median speedup:   {rted_report['rted_median_speedup']:.1f}x")
-    print(
-        f"Algorithm 2 median speedup: {rted_report['algorithm2_median_speedup']:.1f}x "
-        f"(target >= 3x on the full workloads)"
-    )
 
     if not args.quick or args.output is not None:
         output = args.output or DEFAULT_OUTPUT

@@ -9,7 +9,7 @@ the best and worst competitor.  It then repeats the comparison on a pair of
 optimal strategy shines.
 """
 
-from repro.counting import count_subproblems_fast
+from repro.counting import count_subproblems
 from repro.datasets import make_shape, random_tree
 from repro.experiments.runner import format_count, format_table
 
@@ -28,7 +28,7 @@ def main() -> None:
     rows = []
     for shape in SHAPES:
         tree = tree_of(shape)
-        counts = {name: count_subproblems_fast(name, tree, tree) for name in ALGORITHMS}
+        counts = {name: count_subproblems(name, tree, tree) for name in ALGORITHMS}
         competitors = {name: value for name, value in counts.items() if name != "rted"}
         best = min(competitors, key=competitors.get)
         worst = max(competitors, key=competitors.get)
@@ -50,7 +50,7 @@ def main() -> None:
     # Pairs of different shapes: the situation of the similarity join (Table 1).
     tree_f = make_shape("left-branch", SIZE)
     tree_g = make_shape("right-branch", SIZE, label="b")
-    counts = {name: count_subproblems_fast(name, tree_f, tree_g) for name in ALGORITHMS}
+    counts = {name: count_subproblems(name, tree_f, tree_g) for name in ALGORITHMS}
     print("Left-branch vs. right-branch pair (every fixed strategy degenerates):")
     for name in ALGORITHMS:
         marker = "  <-- robust" if name == "rted" else ""

@@ -17,7 +17,7 @@ unbalanced, binary).  This example:
 
 import itertools
 
-from repro.counting import count_subproblems_fast
+from repro.counting import count_subproblems
 from repro.datasets import generate_collection
 from repro.io import to_newick
 from repro.join import batch_self_join
@@ -59,7 +59,7 @@ def main() -> None:
     print("Relevant subproblems over the whole join workload (cost formula):")
     for algorithm in ["zhang-l", "zhang-r", "klein-h", "demaine-h", "rted"]:
         total = sum(
-            count_subproblems_fast(algorithm, collection[i], collection[j]) for i, j in pairs
+            count_subproblems(algorithm, collection[i], collection[j]) for i, j in pairs
         )
         print(f"  {algorithm:10s} {total:>12,}")
 

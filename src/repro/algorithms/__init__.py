@@ -35,7 +35,6 @@ from .optimal_strategy import (
     OptimalStrategyResult,
     optimal_strategy,
     optimal_strategy_cost,
-    optimal_strategy_objects,
 )
 from .forest_engine import DecompositionEngine
 from .spf import SinglePathContext, spf_A, spf_H, spf_L, spf_R
@@ -89,7 +88,6 @@ __all__ = [
     "OptimalStrategyResult",
     "optimal_strategy",
     "optimal_strategy_cost",
-    "optimal_strategy_objects",
     "DecompositionEngine",
     "SinglePathContext",
     "spf_A",

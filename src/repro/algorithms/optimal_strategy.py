@@ -11,7 +11,7 @@ algorithm of Section 6.1, implemented in
 
 The strategy matrix is stored as flat integers — entry ``(v, w)`` is an index
 into :data:`~repro.algorithms.strategies.ALL_FIXED_CHOICES` — and the cost
-matrix as flat ints, never as ``|F| × |G|`` objects.  Three implementations
+matrix as flat ints, never as ``|F| × |G|`` objects.  Two implementations
 share that layout:
 
 * :func:`_optimal_strategy_numpy` — the production path: per-``v`` row
@@ -20,9 +20,12 @@ share that layout:
   height are independent given the levels below).
 * :func:`_optimal_strategy_python` — the flat-int scalar loop, used when
   the trees are so deep that level batching degenerates.
-* :func:`optimal_strategy_objects` — the legacy object-matrix
-  implementation, kept verbatim as the cross-check oracle and the baseline
-  of ``benchmarks/bench_spf.py``'s Algorithm 2 comparison.
+
+Each wins on its own inputs (a deep zigzag favours the flat loop, a bushy
+random tree the level blocks), and :func:`optimal_strategy` picks one by
+the height test.  The test-suite checks both against a direct re-derivation
+of Figure 5 at every subtree pair, and their costs against the memoized
+brute force of :func:`repro.counting.optimal_cost_bruteforce`.
 
 The module exposes:
 
@@ -76,11 +79,11 @@ class OptimalStrategyResult:
 
     __slots__ = ("choice_codes", "cost", "costs", "_choices")
 
-    def __init__(self, choice_codes, cost: int, costs, choices=None) -> None:
+    def __init__(self, choice_codes, cost: int, costs) -> None:
         self.choice_codes = choice_codes
         self.cost = int(cost)
         self.costs = costs
-        self._choices = choices
+        self._choices = None
 
     @property
     def choices(self) -> List[List[PathChoice]]:
@@ -118,7 +121,7 @@ def optimal_strategy(tree_f: Tree, tree_g: Tree) -> OptimalStrategyResult:
     Runs in ``O(|F| · |G|)`` time and space; dispatches to the vectorized
     NumPy implementation when worthwhile, and to the flat-int pure-Python
     loop otherwise.  Both produce bit-identical results (the
-    test-suite cross-checks them and the legacy object-matrix oracle).
+    test-suite re-derives every entry of both from Figure 5).
     """
     if tree_f.n >= 2 and tree_g.n >= 2:
         heights_f = _node_heights(tree_f)
@@ -134,8 +137,9 @@ def optimal_strategy(tree_f: Tree, tree_g: Tree) -> OptimalStrategyResult:
 def optimal_strategy_cost(tree_f: Tree, tree_g: Tree) -> int:
     """Number of relevant subproblems of the optimal LRH strategy.
 
-    Convenience wrapper around :func:`optimal_strategy` for callers (counters,
-    experiments) that only need the cost value.
+    Convenience wrapper around :func:`optimal_strategy` for callers that only
+    need the cost value; :func:`repro.counting.rted_count` computes the same
+    number without building the strategy matrix.
     """
     return optimal_strategy(tree_f, tree_g).cost
 
@@ -374,95 +378,4 @@ def _optimal_strategy_numpy(
         choice_codes=choice_codes,
         cost=int(costs[n_f - 1, n_g - 1]),
         costs=costs,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Legacy object-matrix implementation (oracle / benchmark baseline)
-# --------------------------------------------------------------------------- #
-def optimal_strategy_objects(tree_f: Tree, tree_g: Tree) -> OptimalStrategyResult:
-    """Algorithm 2 building ``|F| × |G|`` matrices of :class:`PathChoice`.
-
-    This is the pre-vectorization implementation, preserved unchanged as the
-    cross-check oracle for the flat-array versions and as the baseline of the
-    Algorithm 2 benchmark — its per-pair tuple construction and object-matrix
-    stores are precisely the overhead the rewrite removes.
-    """
-    n_f, n_g = tree_f.n, tree_g.n
-
-    sizes_f, sizes_g = tree_f.sizes, tree_g.sizes
-    parents_f, parents_g = tree_f.parents, tree_g.parents
-
-    full_f, full_g, left_f, left_g, right_f, right_g = _shared_factors(tree_f, tree_g)
-
-    on_left_f = [tree_f.on_parent_path(v, LEFT) for v in range(n_f)]
-    on_right_f = [tree_f.on_parent_path(v, RIGHT) for v in range(n_f)]
-    on_heavy_f = [tree_f.on_parent_path(v, HEAVY) for v in range(n_f)]
-    on_left_g = [tree_g.on_parent_path(w, LEFT) for w in range(n_g)]
-    on_right_g = [tree_g.on_parent_path(w, RIGHT) for w in range(n_g)]
-    on_heavy_g = [tree_g.on_parent_path(w, HEAVY) for w in range(n_g)]
-
-    left_sums_f = [[0] * n_g for _ in range(n_f)]
-    right_sums_f = [[0] * n_g for _ in range(n_f)]
-    heavy_sums_f = [[0] * n_g for _ in range(n_f)]
-
-    choices: List[List[PathChoice]] = [[None] * n_g for _ in range(n_f)]  # type: ignore[list-item]
-    codes: List[List[int]] = [[0] * n_g for _ in range(n_f)]
-    costs: List[List[int]] = [[0] * n_g for _ in range(n_f)]
-
-    for v in range(n_f):
-        size_v = sizes_f[v]
-        full_v = full_f[v]
-        left_v = left_f[v]
-        right_v = right_f[v]
-        parent_v = parents_f[v]
-        row_left_v = left_sums_f[v]
-        row_right_v = right_sums_f[v]
-        row_heavy_v = heavy_sums_f[v]
-        row_choices = choices[v]
-        row_codes = codes[v]
-        row_costs = costs[v]
-
-        left_sums_g = [0] * n_g
-        right_sums_g = [0] * n_g
-        heavy_sums_g = [0] * n_g
-
-        for w in range(n_g):
-            size_w = sizes_g[w]
-
-            candidates = (
-                size_v * full_g[w] + row_heavy_v[w],  # γ_H(F_v)
-                size_w * full_v + heavy_sums_g[w],  # γ_H(G_w)
-                size_v * left_g[w] + row_left_v[w],  # γ_L(F_v)
-                size_w * left_v + left_sums_g[w],  # γ_L(G_w)
-                size_v * right_g[w] + row_right_v[w],  # γ_R(F_v)
-                size_w * right_v + right_sums_g[w],  # γ_R(G_w)
-            )
-            best_index = 0
-            best_cost = candidates[0]
-            for index in range(1, 6):
-                if candidates[index] < best_cost:
-                    best_cost = candidates[index]
-                    best_index = index
-
-            row_choices[w] = _CANDIDATE_CHOICES[best_index]
-            row_codes[w] = best_index
-            row_costs[w] = best_cost
-
-            if parent_v != -1:
-                left_sums_f[parent_v][w] += row_left_v[w] if on_left_f[v] else best_cost
-                right_sums_f[parent_v][w] += row_right_v[w] if on_right_f[v] else best_cost
-                heavy_sums_f[parent_v][w] += row_heavy_v[w] if on_heavy_f[v] else best_cost
-
-            parent_w = parents_g[w]
-            if parent_w != -1:
-                left_sums_g[parent_w] += left_sums_g[w] if on_left_g[w] else best_cost
-                right_sums_g[parent_w] += right_sums_g[w] if on_right_g[w] else best_cost
-                heavy_sums_g[parent_w] += heavy_sums_g[w] if on_heavy_g[w] else best_cost
-
-    return OptimalStrategyResult(
-        choice_codes=codes,
-        cost=costs[n_f - 1][n_g - 1],
-        costs=costs,
-        choices=choices,
     )

@@ -26,7 +26,7 @@ pairs through the small-pair program.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import UnknownAlgorithmError, UnknownEngineError
 from .base import ENGINE_AUTO, ENGINE_NATIVE, ENGINE_RECURSIVE, TEDAlgorithm, resolve_engine
@@ -88,6 +88,19 @@ _FACTORIES: Dict[str, Callable[..., TEDAlgorithm]] = {
     ),
 }
 
+
+def _factory_keywords(factory: Callable[..., TEDAlgorithm]) -> Tuple[bool, bool]:
+    """Whether ``factory`` accepts the ``engine`` / ``workspace`` keywords."""
+    parameters = inspect.signature(factory).parameters
+    return "engine" in parameters, "workspace" in parameters
+
+
+#: :func:`_factory_keywords` of every registered factory, resolved once at
+#: registration so :func:`make_algorithm` never inspects a signature.
+_KEYWORDS: Dict[str, Tuple[bool, bool]] = {
+    name: _factory_keywords(factory) for name, factory in _FACTORIES.items()
+}
+
 _ALIASES: Dict[str, str] = {
     "zhang": "zhang-l",
     "zhang-shasha": "zhang-l",
@@ -108,6 +121,16 @@ PAPER_ALGORITHMS: List[str] = ["zhang-l", "zhang-r", "klein-h", "demaine-h", "rt
 def available_algorithms() -> List[str]:
     """Sorted list of canonical algorithm names."""
     return sorted(_FACTORIES)
+
+
+def canonical_algorithm(name: str) -> str:
+    """The registry key of ``name``: lower-cased, stripped, aliases resolved.
+
+    Unknown names come back normalized but unresolved; :func:`make_algorithm`
+    rejects them (the CLI's ``--algorithm`` choices do the same).
+    """
+    key = name.strip().lower()
+    return _ALIASES.get(key, key)
 
 
 def make_algorithm(
@@ -141,8 +164,7 @@ def make_algorithm(
     otherwise — including the workspace fast path and both engines (the
     oracles never abort mid-computation; they apply the final check only).
     """
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
+    key = canonical_algorithm(name)
     factory = _FACTORIES.get(key)
     if factory is None:
         raise UnknownAlgorithmError(
@@ -152,18 +174,14 @@ def make_algorithm(
     # selector always surfaces as UnknownEngineError, never as a silently
     # ignored keyword.
     resolved = resolve_engine(engine)
-    parameters = inspect.signature(factory).parameters
+    takes_engine, takes_workspace = _KEYWORDS[key]
     if resolved == ENGINE_RECURSIVE or key == "simple":
         workspace = None  # oracles never run amortized
-    elif (
-        resolved == ENGINE_NATIVE
-        and workspace is None
-        and "workspace" in parameters
-    ):
+    elif resolved == ENGINE_NATIVE and workspace is None and takes_workspace:
         # ``native`` is ``spf`` with a workspace.
         workspace = TedWorkspace()
-    if "engine" in parameters:
-        if workspace is not None and "workspace" in parameters:
+    if takes_engine:
+        if workspace is not None and takes_workspace:
             algorithm = factory(engine=resolved, workspace=workspace)
         else:
             algorithm = factory(engine=resolved)
@@ -184,5 +202,8 @@ def register_algorithm(name: str, factory: Callable[..., TEDAlgorithm]) -> None:
 
     The factory may be zero-argument or accept an ``engine`` keyword; only
     factories with an ``engine`` parameter participate in engine selection.
+    Its signature is read once, here, not on every :func:`make_algorithm`.
     """
-    _FACTORIES[name.strip().lower()] = factory
+    key = name.strip().lower()
+    _FACTORIES[key] = factory
+    _KEYWORDS[key] = _factory_keywords(factory)

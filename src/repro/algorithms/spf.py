@@ -25,9 +25,12 @@ Two kernels fill each keyroot-pair table, selected by region width:
   coupling between ``fd[i][j-1]`` and ``fd[i][j]`` is resolved with a
   prefix-minimum over ``t[j] - I[j]`` (``I`` = cumulative insert costs), so
   a whole row costs a handful of ``O(cols)`` array operations;
-* a scalar kernel for narrow tables (below
+* the scalar kernel :func:`_region_py` for narrow tables (below
   :data:`~repro.algorithms.spf_numpy.MIN_VECTOR_COLS` columns), whose
-  per-region cost is lower than the vector kernel's dispatch overhead.
+  per-region cost is lower than the vector kernel's dispatch overhead.  It
+  is the one scalar keyroot kernel for every cost model (unit-cost
+  workspaces bind it to interned label codes) and does all its arithmetic
+  on Python floats.
 
 The right-path variant reuses the left-path recurrence verbatim by switching
 to *reverse-postorder* coordinates (``Tree.rpost_of_post``), in which the
@@ -45,12 +48,19 @@ from __future__ import annotations
 
 from functools import partial
 from math import ceil, inf, nan
+from operator import ne
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..costs import CostModel
 from ..runtime import active_deadline
 from ..trees.tree import HEAVY, LEFT, RIGHT, Tree
-from .base import check_row_cutoff, cutoff_band, cutoff_slack, resolve_cost_model
+from .base import (
+    CutoffExceeded,
+    check_row_cutoff,
+    cutoff_band,
+    cutoff_slack,
+    resolve_cost_model,
+)
 from . import spf_numpy as _np_kernel
 from .strategies import SIDE_F, SIDE_G
 
@@ -241,8 +251,9 @@ class SinglePathContext:
     postorder, initialized to NaN so that a contract violation surfaces as a
     NaN distance instead of a silently wrong number; to ``+inf`` in
     τ-banded contexts, see :attr:`band_w`), the lazily built
-    coordinate frames, per-frame cost arrays, and the relevant-subproblem
-    counter ``cells``.
+    coordinate frames, per-frame cost arrays (and their Python-float lists
+    for the scalar kernel), and the relevant-subproblem counter ``cells``,
+    which keeps the completed keyroot regions of a run that aborted.
 
     A context is used directly by :func:`spf_L` / :func:`spf_R` for whole
     subtree pairs, and incrementally by the GTED executor which calls
@@ -320,7 +331,8 @@ class SinglePathContext:
             self.D.fill(inf)
 
         self._frames: Dict[Tuple[str, str], _Frame] = {}
-        self._costs: Dict[Tuple[str, str, str], List[float]] = {}
+        self._cost_arrays: Dict[Tuple[str, str, str], object] = {}
+        self._cost_lists: Dict[Tuple[str, str, str], List[float]] = {}
         self._renames: Dict[Tuple[str, str], object] = {}
         self._grids: Dict[Tuple[str, int], _GridFrame] = {}
         self._node_cost_arrays: Dict[Tuple[str, str], List[float]] = {}
@@ -352,10 +364,11 @@ class SinglePathContext:
             self._frames[key] = frame
         return frame
 
-    def _cost_array(self, which: str, kind: str, operation: str) -> List[float]:
-        """Per-frame-id node costs; ``operation`` is ``"delete"`` or ``"insert"``."""
+    def _cost_array(self, which: str, kind: str, operation: str):
+        """Per-frame-id node costs as a float64 array (the vector kernel's);
+        ``operation`` is ``"delete"`` or ``"insert"``."""
         key = (which, kind, operation)
-        costs = self._costs.get(key)
+        costs = self._cost_arrays.get(key)
         if costs is None:
             tree = self.tree_f if which == SIDE_F else self.tree_g
             if self.workspace is not None:
@@ -364,7 +377,18 @@ class SinglePathContext:
                 frame = self._frame(which, kind)
                 fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
                 costs = _np_kernel.as_array([fn(label) for label in frame.labels])
-            self._costs[key] = costs
+            self._cost_arrays[key] = costs
+        return costs
+
+    def _cost_list(self, which: str, kind: str, operation: str) -> List[float]:
+        """:meth:`_cost_array` as Python floats, for the scalar kernel: a
+        NumPy scalar there would make every candidate sum a slow
+        NumPy-scalar operation."""
+        key = (which, kind, operation)
+        costs = self._cost_lists.get(key)
+        if costs is None:
+            costs = self._cost_array(which, kind, operation).tolist()
+            self._cost_lists[key] = costs
         return costs
 
     def _rename_matrix(self, side: str, kind: str):
@@ -521,8 +545,8 @@ class SinglePathContext:
         # Removing a node from the decomposed tree is a *delete* when F is
         # decomposed and an *insert* when G is (and vice versa for the other
         # side), which keeps asymmetric cost models exact.
-        del_costs = self._cost_array(dec_which, kind, "delete" if side == SIDE_F else "insert")
-        ins_costs = self._cost_array(oth_which, kind, "insert" if side == SIDE_F else "delete")
+        del_op = "delete" if side == SIDE_F else "insert"
+        ins_op = "insert" if side == SIDE_F else "delete"
 
         dec_keyroots = [dec_fid] if spine_only else dec.subtree_keyroots(dec_fid)
         oth_keyroots = oth.subtree_keyroots(oth_fid)
@@ -545,22 +569,34 @@ class SinglePathContext:
             and self._cutoff_slack == 0.0
             and 2 * self.band_w + 1 < min_cols
         )
-        unit_codes = rename = None
+        del_costs = ins_costs = unit_codes = rename = None
         if vectorize:
+            del_costs = self._cost_array(dec_which, kind, del_op)
+            ins_costs = self._cost_array(oth_which, kind, ins_op)
             unit_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=True)
             if unit_codes is None:
                 rename = self._rename_matrix(side, kind)
 
         base = self.D if side == SIDE_F else self.D.T
-        scalar_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=False)
-        self.cells += _np_kernel.run_regions(
-            dec, oth, dec_keyroots, oth_keyroots, del_costs, ins_costs, rename, base,
-            scalar=self._region_kernel_py(side, dec, oth, del_costs, ins_costs, scalar_codes),
-            unit_codes=unit_codes,
-            abort=abort,
-            deadline=self.deadline,
-            vectorize=vectorize,
+        scalar = self._region_kernel_py(
+            side, dec, oth,
+            self._cost_list(dec_which, kind, del_op),
+            self._cost_list(oth_which, kind, ins_op),
+            self._unit_codes(dec_which, oth_which, kind, as_numpy=False),
         )
+        try:
+            self.cells += _np_kernel.run_regions(
+                dec, oth, dec_keyroots, oth_keyroots, del_costs, ins_costs, rename, base,
+                scalar=scalar,
+                unit_codes=unit_codes,
+                abort=abort,
+                deadline=self.deadline,
+                vectorize=vectorize,
+            )
+        except CutoffExceeded as exceeded:
+            # The regions completed before the abort are work done too.
+            self.cells += exceeded.subproblems
+            raise
         return float(self.D[v][w])
 
     def _unit_codes(self, dec_which: str, oth_which: str, kind: str, as_numpy: bool):
@@ -863,48 +899,58 @@ class SinglePathContext:
         ins_costs: List[float],
         unit_codes=None,
     ) -> Callable[[int, int, Optional[Tuple[float, float, float]]], int]:
-        """Bind the scalar region kernel to one orientation.
+        """Bind the scalar region kernel :func:`_region_py` to one orientation.
 
         The returned callable ``(kf, kg, cut)`` fills a single keyroot-pair
         table; it runs the regions narrower than
         :data:`~repro.algorithms.spf_numpy.MIN_VECTOR_COLS`, where the vector
         kernel's per-region setup overhead would dominate (the many tiny
-        tables produced by branchy trees).  With ``unit_codes`` (a pair
-        of frame-order code lists, unit-cost workspaces only) the bound
-        kernel is the unit specialization: delete/insert constant-folded to
-        1 and the rename term a code equality compare.  The binding is a
+        tables produced by branchy trees).  ``del_costs`` / ``ins_costs`` are
+        Python-float lists.  With ``unit_codes`` (a pair of frame-order code
+        lists, unit-cost workspaces only) the kernel compares interned codes
+        instead of labels and ``rename`` is :func:`operator.ne`: a ``bool``
+        added to an integer-valued float is exact, so the distances are
+        bit-identical to calling the unit cost model.  The binding is a
         :func:`functools.partial`, so a region costs no extra Python frame.
         """
         base = self.D if side == SIDE_F else self.D.T
-        # Left frames number the other tree in postorder, so a region's
-        # columns are one contiguous slice of ``D``, read as plain Python
-        # floats (``tolist``): NumPy scalars would make every candidate sum
-        # a slow NumPy-scalar operation.  Right frames gather their columns.
+        # Rows of ``D`` are read as plain Python floats: NumPy scalars would
+        # make every candidate sum a slow NumPy-scalar operation.  Left
+        # frames number the other tree in postorder, so a region's columns
+        # are one contiguous slice (``tolist``); right frames gather theirs
+        # with ``ndarray.item``.
         if oth.kind == LEFT:
             def read_row(node_post: int, col_posts: List[int], lo: int, hi: int) -> List[float]:
                 return base[node_post, col_posts[lo - 1] : col_posts[hi - 1] + 1].tolist()
         else:
+            item = base.item
+
             def read_row(node_post: int, col_posts: List[int], lo: int, hi: int) -> List[float]:
-                row = base[node_post]
-                return [row[p] for p in col_posts[lo - 1 : hi]]
+                return [item(node_post, p) for p in col_posts[lo - 1 : hi]]
 
-        shared = (dec.to_post, oth.to_post, read_row, base, self.deadline, self.band_w)
         if unit_codes is not None:
-            return partial(_region_py_unit, dec, oth, unit_codes[0], unit_codes[1], *shared)
-        if side == SIDE_F:
-            rename = self.cost_model.rename
+            labels_f, labels_g = unit_codes
+            rename: Callable[[object, object], float] = ne
         else:
-            cm_rename = self.cost_model.rename
+            labels_f, labels_g = dec.labels, oth.labels
+            rename = self.cost_model.rename
+            if side == SIDE_G:
+                cm_rename = rename
 
-            def rename(a: object, b: object) -> float:
-                return cm_rename(b, a)
+                def rename(a: object, b: object) -> float:
+                    return cm_rename(b, a)
 
-        return partial(_region_py, dec, oth, del_costs, ins_costs, rename, *shared)
+        return partial(
+            _region_py, dec.lml, oth.lml, labels_f, labels_g, del_costs, ins_costs, rename,
+            dec.to_post, oth.to_post, read_row, base, self.deadline, self.band_w,
+        )
 
 
 def _region_py(
-    dec: _Frame,
-    oth: _Frame,
+    lml_f: List[int],
+    lml_g: List[int],
+    labels_f: List[object],
+    labels_g: List[object],
     del_costs: List[float],
     ins_costs: List[float],
     rename: Callable[[object, object], float],
@@ -932,8 +978,6 @@ def _region_py(
     wholly outside the band are never built.  Returns the number of cells
     evaluated.
     """
-    lml_f, lml_g = dec.lml, oth.lml
-    labels_f, labels_g = dec.labels, oth.labels
     lf, lg = lml_f[kf], lml_g[kg]
     rows = kf - lf + 2
     cols = kg - lg + 2
@@ -985,100 +1029,6 @@ def _region_py(
                 best = candidate
             if spans_f and lml_g[node_g] == lg:
                 candidate = prev[j - 1] + rename(label_f, labels_g[node_g])
-                if candidate < best:
-                    best = candidate
-                row[j] = best
-                base[node_f_post, col_posts[j - 1]] = best
-            else:
-                if dist_row is None:
-                    dist_row = read_row(node_f_post, col_posts, lo, hi)
-                candidate = split_row[lml_g[node_g] - lg] + dist_row[j - lo]
-                if candidate < best:
-                    best = candidate
-                row[j] = best
-        cells += hi - lo + 1
-        if cut is not None:
-            check_row_cutoff(row, cols, rows - 1 - i, cut[0], cut[1], lo, hi,
-                             exact_values=False, slack=cut[2])
-        if row_deadline is not None:
-            row_deadline.tick(cols)
-
-    return cells
-
-
-def _region_py_unit(
-    dec: _Frame,
-    oth: _Frame,
-    codes_dec: List[int],
-    codes_oth: List[int],
-    to_post_dec: List[int],
-    to_post_oth: List[int],
-    read_row: Callable[[int, List[int], int, int], List[float]],
-    base,
-    deadline,
-    band_w: Optional[int],
-    kf: int,
-    kg: int,
-    cut: Optional[Tuple[float, float, float]] = None,
-) -> int:
-    """Unit-cost specialization of :func:`_region_py`.
-
-    Delete and insert costs are constant-folded to 1 (so the table borders
-    are plain index counts) and the rename term is an integer code equality
-    compare instead of a cost-model call.  Every intermediate value is an
-    integer-valued float64, evaluated exactly, so the produced distances are
-    bit-identical to the general kernels under the unit cost model.
-    ``cut`` and ``band_w`` act exactly as in :func:`_region_py`.
-    """
-    lml_f, lml_g = dec.lml, oth.lml
-    lf, lg = lml_f[kf], lml_g[kg]
-    rows = kf - lf + 2
-    cols = kg - lg + 2
-
-    # Same region-granular deadline amortization as :func:`_region_py`.
-    row_deadline = None
-    if deadline is not None:
-        deadline.tick((rows - 1) * (cols - 1))
-        if cols >= 64:
-            row_deadline = deadline
-
-    col_posts = to_post_oth[lg : kg + 1]
-
-    # Same table layout as :func:`_region_py`.
-    stop, last_j = rows, cols
-    if band_w is not None:
-        stop = rows if rows < cols + band_w else cols + band_w
-        last_j = cols if cols <= band_w else band_w + 1
-    row = [inf] * cols
-    row[0] = 0.0
-    for j in range(1, last_j):
-        row[j] = float(j)
-    fd: List[List[float]] = [row]
-
-    cells = 0
-    lo, hi = 1, cols - 1
-    for i in range(1, stop):
-        if band_w is not None:
-            lo = i - band_w if i > band_w else 1
-            hi = i + band_w if i + band_w < cols else cols - 1
-        node_f = lf + i - 1
-        spans_f = lml_f[node_f] == lf
-        code_f = codes_dec[node_f]
-        node_f_post = to_post_dec[node_f]
-        prev = row
-        row = [inf] * cols
-        row[0] = float(i)
-        fd.append(row)
-        split_row = fd[lml_f[node_f] - lf]
-        dist_row = None if spans_f else read_row(node_f_post, col_posts, lo, hi)
-        for j in range(lo, hi + 1):
-            node_g = lg + j - 1
-            best = prev[j] + 1.0
-            candidate = row[j - 1] + 1.0
-            if candidate < best:
-                best = candidate
-            if spans_f and lml_g[node_g] == lg:
-                candidate = prev[j - 1] + (0.0 if code_f == codes_oth[node_g] else 1.0)
                 if candidate < best:
                     best = candidate
                 row[j] = best

@@ -107,8 +107,8 @@ def run_regions(
     oth,
     dec_keyroots: List[int],
     oth_keyroots: List[int],
-    del_costs: np.ndarray,
-    ins_costs: np.ndarray,
+    del_costs: Optional[np.ndarray],
+    ins_costs: Optional[np.ndarray],
     rename: Optional[np.ndarray],
     base: np.ndarray,
     scalar: Callable[[int, int, Optional[Tuple[float, float, float]]], int],
@@ -120,40 +120,48 @@ def run_regions(
     """Fill every keyroot-pair table of the given keyroot lists.
 
     Wide tables are swept with the vectorized row kernel; tables narrower
-    than :data:`MIN_VECTOR_COLS` are delegated to ``scalar``, the bound
-    scalar kernel, called as ``scalar(kf, kg, cut)``.  With ``unit_codes``
-    — frame-order integer label codes of the decomposed / other tree,
-    unit-cost workspaces only — the row sweep runs the unit
+    than :data:`MIN_VECTOR_COLS` are delegated to ``scalar``, the scalar
+    kernel :func:`repro.algorithms.spf._region_py` bound to its own
+    Python-float costs, called as ``scalar(kf, kg, cut)``.  With
+    ``unit_codes`` — frame-order integer label codes of the decomposed /
+    other tree, unit-cost workspaces only — the row sweep runs the unit
     specialization: ``rename`` may be ``None`` (no rename matrix is ever
     built) and delete/insert costs are constant-folded to 1.  ``abort`` — a
     ``(kf, kg, cutoff, band, slack)`` spec naming the final region of a
     bounded computation — arms the per-row early-abort check in that
-    region, whichever kernel runs it.  ``vectorize=False`` sends every
-    region to ``scalar`` (``rename`` and ``unit_codes`` are then unused).
-    Returns the number of forest-distance cells evaluated.
+    region, whichever kernel runs it; the
+    :class:`~repro.algorithms.base.CutoffExceeded` it raises leaves with
+    ``subproblems`` set to the cells of the regions completed before it.
+    ``vectorize=False`` sends every region to ``scalar`` (``del_costs``,
+    ``ins_costs``, ``rename`` and ``unit_codes`` are then unused and may be
+    ``None``).  Returns the number of forest-distance cells evaluated.
     """
     if vectorize:
         oth_arrays = _frame_arrays(oth)
         dec_arrays = _frame_arrays(dec)
     oth_lml = oth.lml
     cells = 0
-    for kg in oth_keyroots:
-        wide = vectorize and kg - oth_lml[kg] + 1 >= MIN_VECTOR_COLS
-        for kf in dec_keyroots:
-            if deadline is not None:
-                # Region-granular check; the vectorized sweep below
-                # additionally ticks per row through the ``deadline``
-                # argument of :func:`_region`.
-                deadline.tick()
-            cut = abort[2:] if abort is not None and (kf, kg) == abort[:2] else None
-            if wide:
-                cells += _region(
-                    dec, oth, kf, kg, del_costs, ins_costs, rename, base,
-                    dec_arrays["to_post"], oth_arrays["to_post"], oth_arrays["lml"],
-                    unit_codes, cut, deadline,
-                )
-            else:
-                cells += scalar(kf, kg, cut)
+    try:
+        for kg in oth_keyroots:
+            wide = vectorize and kg - oth_lml[kg] + 1 >= MIN_VECTOR_COLS
+            for kf in dec_keyroots:
+                if deadline is not None:
+                    # Region-granular check; the vectorized sweep below
+                    # additionally ticks per row through the ``deadline``
+                    # argument of :func:`_region`.
+                    deadline.tick()
+                cut = abort[2:] if abort is not None and (kf, kg) == abort[:2] else None
+                if wide:
+                    cells += _region(
+                        dec, oth, kf, kg, del_costs, ins_costs, rename, base,
+                        dec_arrays["to_post"], oth_arrays["to_post"], oth_arrays["lml"],
+                        unit_codes, cut, deadline,
+                    )
+                else:
+                    cells += scalar(kf, kg, cut)
+    except CutoffExceeded as exceeded:
+        exceeded.subproblems = cells
+        raise
     return cells
 
 

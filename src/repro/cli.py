@@ -33,7 +33,7 @@ from typing import List, Optional
 
 from .api import compare_algorithms, compute, edit_script, parse_tree
 from .algorithms.base import ENGINES
-from .algorithms.registry import available_algorithms
+from .algorithms.registry import available_algorithms, canonical_algorithm
 from .datasets.random_trees import random_tree
 from .datasets.shapes import SHAPE_GENERATORS, make_shape
 from .exceptions import (
@@ -94,6 +94,12 @@ def _load_collection_argument(argument: str):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Shared ``--algorithm`` settings: registry aliases (``zs``, ``klein``,
+    # ``robust``, ...) resolve to their canonical name before argparse checks
+    # the choices, as :func:`repro.algorithms.make_algorithm` resolves them.
+    algorithm_argument = dict(
+        default="rted", type=canonical_algorithm, choices=available_algorithms()
+    )
     parser = argparse.ArgumentParser(
         prog="rted",
         description="RTED: robust tree edit distance (reproduction of Pawlik & Augsten, VLDB 2011)",
@@ -103,9 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     distance = subparsers.add_parser("distance", help="compute the tree edit distance")
     distance.add_argument("tree_f", help="first tree (inline or @file)")
     distance.add_argument("tree_g", help="second tree (inline or @file)")
-    distance.add_argument(
-        "--algorithm", default="rted", choices=available_algorithms(), help="algorithm to use"
-    )
+    distance.add_argument("--algorithm", help="algorithm to use", **algorithm_argument)
     distance.add_argument(
         "--engine",
         default=None,
@@ -168,9 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="second collection (@path) for a cross join; omitted = self join",
     )
     join.add_argument("--threshold", type=float, required=True, help="match when TED < τ")
-    join.add_argument(
-        "--algorithm", default="rted", choices=available_algorithms(), help="exact verifier"
-    )
+    join.add_argument("--algorithm", help="exact verifier", **algorithm_argument)
     join.add_argument("--engine", default=None, choices=list(ENGINES))
     join.add_argument(
         "--no-cascade",
@@ -234,9 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="return every corpus tree with TED < τ",
     )
-    query.add_argument(
-        "--algorithm", default="rted", choices=available_algorithms(), help="exact verifier"
-    )
+    query.add_argument("--algorithm", help="exact verifier", **algorithm_argument)
     query.add_argument("--engine", default=None, choices=list(ENGINES))
     query.add_argument("--format", dest="fmt", default=None, help="bracket | newick | xml")
     query.add_argument(
@@ -285,8 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listen port (0 binds an ephemeral port, printed on stderr)",
     )
     serve.add_argument(
-        "--algorithm", default="rted", choices=available_algorithms(),
-        help="default algorithm for requests that name none",
+        "--algorithm", help="default algorithm for requests that name none",
+        **algorithm_argument,
     )
     serve.add_argument("--engine", default=None, choices=list(ENGINES))
     serve.add_argument(

@@ -21,14 +21,6 @@ from .cost_formula import (
     zhang_left_count,
     zhang_right_count,
 )
-from .cost_formula_numpy import (
-    count_subproblems_fast,
-    demaine_count_fast,
-    klein_count_fast,
-    rted_count_fast,
-    zhang_left_count_fast,
-    zhang_right_count_fast,
-)
 
 __all__ = [
     "full_decomposition_size",
@@ -48,10 +40,4 @@ __all__ = [
     "optimal_cost_bruteforce",
     "optimal_cost_restricted",
     "count_subproblems",
-    "count_subproblems_fast",
-    "zhang_left_count_fast",
-    "zhang_right_count_fast",
-    "klein_count_fast",
-    "demaine_count_fast",
-    "rted_count_fast",
 ]

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..counting import count_subproblems_fast
+from ..counting import count_subproblems
 from ..datasets.random_trees import random_tree
 from ..datasets.shapes import make_shape
 from ..trees.tree import Tree
@@ -98,7 +98,7 @@ def run_fig8(
             tree = _tree_for_shape(shape, size, seed)
             point = Fig8Point(shape=shape, size=tree.n)
             for algorithm in algorithms:
-                point.counts[algorithm] = count_subproblems_fast(algorithm, tree, tree)
+                point.counts[algorithm] = count_subproblems(algorithm, tree, tree)
             points.append(point)
         result.points[shape] = points
     return result

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..algorithms.registry import PAPER_ALGORITHMS, make_algorithm
-from ..counting import count_subproblems_fast
+from ..counting import count_subproblems
 from ..datasets.workloads import join_workload
 from ..trees.tree import Tree
 from .runner import format_count, format_seconds, format_table
@@ -94,7 +94,7 @@ def run_table1(
         seconds = time.perf_counter() - start
 
         cost_formula_subproblems = sum(
-            count_subproblems_fast(name, workload[i], workload[j]) for i, j in pairs
+            count_subproblems(name, workload[i], workload[j]) for i, j in pairs
         )
         result.rows.append(
             Table1Row(

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..counting import count_subproblems_fast
+from ..counting import count_subproblems
 from ..datasets.workloads import sample_partition, treefam_partitions
 from ..trees.tree import Tree
 from .runner import format_table
@@ -87,9 +87,9 @@ def run_table2(
             ratios_best: List[float] = []
             ratios_worst: List[float] = []
             for tree_f, tree_g in itertools.product(sample_f, sample_g):
-                rted = count_subproblems_fast("rted", tree_f, tree_g)
+                rted = count_subproblems("rted", tree_f, tree_g)
                 competitor_counts = [
-                    count_subproblems_fast(name, tree_f, tree_g) for name in TABLE2_COMPETITORS
+                    count_subproblems(name, tree_f, tree_g) for name in TABLE2_COMPETITORS
                 ]
                 best = min(competitor_counts)
                 worst = max(competitor_counts)

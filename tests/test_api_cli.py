@@ -16,7 +16,7 @@ from repro import (
     tree_to_bracket,
 )
 from repro.algorithms import register_algorithm, SimpleTED, PAPER_ALGORITHMS
-from repro.cli import main as cli_main
+from repro.cli import _build_parser, main as cli_main
 from repro.exceptions import (
     CutoffError,
     ParseError,
@@ -180,6 +180,33 @@ class TestRegistry:
         register_algorithm("my-oracle", SimpleTED)
         assert make_algorithm("my-oracle").name == "Simple"
 
+    def test_factory_keywords_are_read_once_at_registration(self, monkeypatch):
+        from repro.algorithms import registry
+
+        # Registrations go into copies, so they end with the test.
+        monkeypatch.setattr(registry, "_FACTORIES", dict(registry._FACTORIES))
+        monkeypatch.setattr(registry, "_KEYWORDS", dict(registry._KEYWORDS))
+        seen = []
+
+        def engine_factory(engine="auto"):
+            seen.append(engine)
+            return SimpleTED()
+
+        register_algorithm("my-engine-oracle", engine_factory)
+        register_algorithm("my-plain-oracle", SimpleTED)
+
+        def no_signature(factory):
+            raise AssertionError("make_algorithm inspected a factory signature")
+
+        monkeypatch.setattr(registry.inspect, "signature", no_signature)
+        for name in ("rted", "zhang-l", "simple", "my-plain-oracle"):
+            make_algorithm(name)
+        make_algorithm("zhang-l", engine="native")
+        make_algorithm("my-engine-oracle", engine="spf")
+        assert seen == ["spf"]
+        with pytest.raises(UnknownEngineError):
+            make_algorithm("my-plain-oracle", engine="spf")
+
     def test_engine_selection(self):
         for name in ("zhang-l", "zhang-r", "rted", "klein-h", "demaine-h"):
             for engine in ("auto", "recursive", "spf"):
@@ -264,6 +291,24 @@ class TestCli:
                 ["distance", "{a{b}}", "{a{c}}", "--verbose", "--algorithm", algorithm]
             ) == 0
             assert f"kernel:      {kernel}" in capsys.readouterr().out
+
+    def test_algorithm_accepts_registry_aliases(self, tmp_path, capsys):
+        assert cli_main(
+            ["distance", "{a{b}}", "{a{c}}", "--verbose", "--algorithm", "zs"]
+        ) == 0
+        assert "algorithm:   Zhang-L" in capsys.readouterr().out
+        path = tmp_path / "collection.txt"
+        path.write_text("{a{b}{c}}\n{a{b}{d}}\n")
+        assert cli_main(["join", f"@{path}", "--threshold", "2", "--algorithm", "klein"]) == 0
+        assert capsys.readouterr().out.split("\t")[:2] == ["0", "1"]
+        assert cli_main(
+            ["query", "{a{b}}", f"@{path}", "--top-k", "1", "--algorithm", "Robust"]
+        ) == 0
+        capsys.readouterr()
+        serve = _build_parser().parse_args(["serve", "--algorithm", "demaine"])
+        assert serve.algorithm == "demaine-h"
+        with pytest.raises(SystemExit):
+            cli_main(["distance", "{a}", "{b}", "--algorithm", "quantum-ted"])
 
     def test_distance_malformed_cutoff_is_usage_error(self, capsys):
         assert cli_main(["distance", "{a{b}}", "{a{c}}", "--cutoff", "nan"]) == 64

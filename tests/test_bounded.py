@@ -215,6 +215,29 @@ class TestCutoffContract:
                         assert at.lower_bound == cutoff
         assert pruned > 0
 
+    def test_aborted_run_counts_its_completed_regions(self, monkeypatch):
+        # An abort in the goal pair's final region must not drop the cells
+        # of the keyroot regions the same single-path call completed.
+        from repro.algorithms import spf, spf_numpy
+
+        completed = []
+
+        def recording(kernel):
+            def region(*args, **kwargs):
+                cells = kernel(*args, **kwargs)
+                completed.append(cells)
+                return cells
+            return region
+
+        monkeypatch.setattr(spf, "_region_py", recording(spf._region_py))
+        monkeypatch.setattr(spf_numpy, "_region", recording(spf_numpy._region))
+        f, g = random_tree(128, rng=1), random_tree(128, rng=2)
+        result = EXACT.compute(f, g, cutoff=8.0)
+        assert result.bounded and result.lower_bound == 8.0
+        assert result.subproblems == sum(completed) == 42_568
+        monkeypatch.undo()
+        assert result.subproblems < EXACT.compute(f, g).subproblems
+
 
 class TestCutoffPropertySuite:
     """≥200 pairs × cost models × workspace/serial-mp: the acceptance suite."""

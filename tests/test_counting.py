@@ -7,11 +7,11 @@ from hypothesis import given, settings
 
 from repro.counting import (
     count_subproblems,
-    count_subproblems_fast,
     demaine_count,
     full_decomposition_size,
     full_decomposition_size_enumerated,
     klein_count,
+    optimal_cost_bruteforce,
     optimal_cost_restricted,
     recursive_decomposition_size,
     recursive_decomposition_size_enumerated,
@@ -19,6 +19,7 @@ from repro.counting import (
     rted_count,
     single_path_subforest_count,
     single_path_subforest_count_enumerated,
+    strategy_cost,
     zhang_left_count,
     zhang_right_count,
 )
@@ -124,38 +125,47 @@ class TestCostFormulaKnownValues:
         assert zhang_left_count(tree, tree) == 1
 
 
-class TestFastCountersAgree:
-    @given(tree_pairs())
-    @settings(max_examples=30, deadline=None)
-    def test_fast_matches_reference(self, pair):
-        tree_f, tree_g = pair
-        for algorithm in ["zhang-l", "zhang-r", "klein-h", "demaine-h", "rted"]:
-            assert count_subproblems_fast(algorithm, tree_f, tree_g) == count_subproblems(
-                algorithm, tree_f, tree_g
-            )
+def _demaine_reference(tree_f, tree_g):
+    """Demaine-H's count by the memoized cost-formula recursion."""
+    heavy_f, heavy_g = PathChoice(SIDE_F, HEAVY), PathChoice(SIDE_G, HEAVY)
+    return strategy_cost(
+        tree_f,
+        tree_g,
+        lambda v, w: heavy_f if tree_f.sizes[v] >= tree_g.sizes[w] else heavy_g,
+    )
 
-    @pytest.mark.parametrize("algorithm", ["zhang-l", "zhang-r", "klein-h", "demaine-h", "rted"])
-    def test_fast_matches_reference_on_shapes(self, algorithm):
-        tree_f = make_shape("mixed", 37)
-        tree_g = make_shape("zigzag", 29)
-        assert count_subproblems_fast(algorithm, tree_f, tree_g) == count_subproblems(
-            algorithm, tree_f, tree_g
+
+class TestFlatScansMatchReferences:
+    """``demaine_count`` and ``rted_count`` scan every pair flat; the
+    memoized recursion with the Demaine chooser and the brute-force optimum
+    evaluate Figure 5 directly."""
+
+    def _assert_references(self, tree_f, tree_g):
+        assert count_subproblems("demaine-h", tree_f, tree_g) == _demaine_reference(
+            tree_f, tree_g
+        )
+        assert count_subproblems("rted", tree_f, tree_g) == optimal_cost_bruteforce(
+            tree_f, tree_g
         )
 
+    @given(tree_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_flat_scans_match_references(self, pair):
+        self._assert_references(*pair)
+
+    @pytest.mark.parametrize(
+        "shape_f", ["left-branch", "right-branch", "full-binary", "zigzag", "mixed"]
+    )
+    def test_flat_scans_match_references_on_shapes(self, shape_f):
+        self._assert_references(make_shape(shape_f, 37), make_shape("zigzag", 29))
+
     def test_asymmetric_pairs(self):
-        tree_f = random_tree(25, rng=1)
-        tree_g = random_tree(40, rng=2)
-        for algorithm in ["zhang-l", "zhang-r", "klein-h", "demaine-h", "rted"]:
-            assert count_subproblems_fast(algorithm, tree_f, tree_g) == count_subproblems(
-                algorithm, tree_f, tree_g
-            )
+        self._assert_references(random_tree(25, rng=1), random_tree(40, rng=2))
 
     def test_unknown_algorithm_rejected(self):
         tree = random_tree(5, rng=1)
         with pytest.raises(UnknownAlgorithmError):
             count_subproblems("tai-1979", tree, tree)
-        with pytest.raises(UnknownAlgorithmError):
-            count_subproblems_fast("tai-1979", tree, tree)
 
 
 class TestMeasuredCountsEqualFormula:

@@ -11,7 +11,6 @@ from repro.algorithms import (
     SIDE_G,
     optimal_strategy,
     optimal_strategy_cost,
-    optimal_strategy_objects,
 )
 from repro.algorithms.optimal_strategy import (
     _node_heights,
@@ -21,9 +20,10 @@ from repro.algorithms.optimal_strategy import (
 from repro.counting import (
     count_subproblems,
     optimal_cost_bruteforce,
-    rted_count_fast,
+    rted_count,
     strategy_cost,
 )
+from repro.counting.cost_formula import _single_path_cost
 from repro.datasets import (
     full_binary_tree,
     left_branch_tree,
@@ -84,9 +84,9 @@ class TestOptimalityAgainstBruteForce:
 
     @given(tree_pairs())
     @settings(max_examples=40, deadline=None)
-    def test_numpy_counter_agrees(self, pair):
+    def test_rted_count_agrees(self, pair):
         tree_f, tree_g = pair
-        assert rted_count_fast(tree_f, tree_g) == optimal_strategy_cost(tree_f, tree_g)
+        assert rted_count(tree_f, tree_g) == optimal_strategy_cost(tree_f, tree_g)
 
 
 class TestOptimalityAgainstFixedStrategies:
@@ -118,72 +118,68 @@ class TestOptimalityAgainstFixedStrategies:
             assert optimal <= count_subproblems(algorithm, tree_f, tree_g)
 
 
-class TestFlatArrayImplementationsAgree:
-    """The vectorized and flat-scalar Algorithm 2 must be bit-identical to
-    the legacy object-matrix implementation (codes, costs, and total)."""
+def _implementations(tree_f, tree_g):
+    """Both Algorithm 2 implementations and the dispatcher on one pair."""
+    return (
+        _optimal_strategy_python(tree_f, tree_g),
+        _optimal_strategy_numpy(tree_f, tree_g, _node_heights(tree_f), _node_heights(tree_g)),
+        optimal_strategy(tree_f, tree_g),
+    )
+
+
+class TestAlgorithm2MatchesFigure5:
+    """Every entry of both Algorithm 2 implementations, re-derived from the
+    cost formula: the six Figure 5 candidates of ``(v, w)`` are the
+    single-path cost (Lemma 4) plus the result's own costs over the
+    relevant subtrees; ``costs[v][w]`` must be their minimum and
+    ``choice_codes[v][w]`` the first candidate attaining it."""
 
     @staticmethod
-    def _as_lists(matrix):
-        return [[int(value) for value in row] for row in matrix]
+    def _assert_figure5(tree_f, tree_g, result):
+        costs = [[int(value) for value in row] for row in result.costs]
+        for v in range(tree_f.n):
+            for w in range(tree_g.n):
+                candidates = []
+                for choice in ALL_FIXED_CHOICES:
+                    total = _single_path_cost(tree_f, tree_g, v, w, choice)
+                    if choice.side == SIDE_F:
+                        total += sum(costs[x][w] for x in tree_f.relevant_subtrees(v, choice.kind))
+                    else:
+                        total += sum(costs[v][y] for y in tree_g.relevant_subtrees(w, choice.kind))
+                    candidates.append(total)
+                best = min(candidates)
+                assert costs[v][w] == best
+                assert int(result.choice_codes[v][w]) == candidates.index(best)
+        assert result.cost == costs[tree_f.root][tree_g.root]
 
-    def _assert_same(self, result, oracle):
-        assert result.cost == oracle.cost
-        assert self._as_lists(result.choice_codes) == self._as_lists(oracle.choice_codes)
-        assert self._as_lists(result.costs) == self._as_lists(oracle.costs)
+    def _check(self, tree_f, tree_g):
+        for result in _implementations(tree_f, tree_g):
+            self._assert_figure5(tree_f, tree_g, result)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_trees(self, seed):
-        tree_f = random_tree(6 + 2 * seed, rng=seed, max_depth=7, max_fanout=5)
-        tree_g = random_tree(5 + 2 * seed, rng=seed + 77, max_depth=7, max_fanout=5)
-        oracle = optimal_strategy_objects(tree_f, tree_g)
-        self._assert_same(_optimal_strategy_python(tree_f, tree_g), oracle)
-        self._assert_same(
-            _optimal_strategy_numpy(
-                tree_f, tree_g, _node_heights(tree_f), _node_heights(tree_g)
-            ),
-            oracle,
+        self._check(
+            random_tree(6 + 2 * seed, rng=seed, max_depth=7, max_fanout=5),
+            random_tree(5 + 2 * seed, rng=seed + 77, max_depth=7, max_fanout=5),
         )
-        self._assert_same(optimal_strategy(tree_f, tree_g), oracle)
 
     @pytest.mark.parametrize(
         "shape", ["left-branch", "right-branch", "full-binary", "zigzag", "mixed"]
     )
     def test_synthetic_shapes(self, shape):
         tree = make_shape(shape, 33)
-        oracle = optimal_strategy_objects(tree, tree)
-        self._assert_same(_optimal_strategy_python(tree, tree), oracle)
-        self._assert_same(
-            _optimal_strategy_numpy(tree, tree, _node_heights(tree), _node_heights(tree)),
-            oracle,
-        )
+        self._check(tree, tree)
 
     @given(tree_pairs())
     @settings(max_examples=25, deadline=None)
     def test_property_based(self, pair):
-        tree_f, tree_g = pair
-        oracle = optimal_strategy_objects(tree_f, tree_g)
-        self._assert_same(
-            _optimal_strategy_numpy(
-                tree_f, tree_g, _node_heights(tree_f), _node_heights(tree_g)
-            ),
-            oracle,
-        )
+        self._check(*pair)
 
     def test_single_node_edge_cases(self):
         one = random_tree(1, rng=0)
         other = random_tree(6, rng=1)
         for pair in ((one, one), (one, other), (other, one)):
-            self._assert_same(
-                _optimal_strategy_python(*pair), optimal_strategy_objects(*pair)
-            )
-
-    def test_strategy_is_encoded(self):
-        tree = random_tree(9, rng=2)
-        strategy = optimal_strategy(tree, tree).strategy
-        assert isinstance(strategy, EncodedStrategy)
-        decoded = strategy.as_matrix()
-        assert decoded[tree.root][tree.root] in ALL_FIXED_CHOICES
-        assert strategy.choose(tree, tree, 0, 0) is decoded[0][0]
+            self._check(*pair)
 
 
 class TestStrategyChoicesMatchShapes:
@@ -234,3 +230,11 @@ class TestStrategyMatrixShape:
         # The optimal cost of the root pair dominates that of any other pair.
         root_cost = result.costs[tree.root][tree.root]
         assert all(root_cost >= cost for row in result.costs for cost in row)
+
+    def test_strategy_is_encoded(self):
+        tree = random_tree(9, rng=2)
+        strategy = optimal_strategy(tree, tree).strategy
+        assert isinstance(strategy, EncodedStrategy)
+        decoded = strategy.as_matrix()
+        assert decoded[tree.root][tree.root] in ALL_FIXED_CHOICES
+        assert strategy.choose(tree, tree, 0, 0) is decoded[0][0]

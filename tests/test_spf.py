@@ -49,8 +49,9 @@ def kernel(request, monkeypatch):
 
     ``vector`` sends every keyroot table and boundary grid through the
     NumPy kernels of :mod:`repro.algorithms.spf_numpy`; ``scalar`` sends
-    them all through ``_region_py`` / ``_region_py_unit`` /
-    ``_inner_spine_py``, which by default run only the narrow tables.
+    them all through ``_region_py`` (the one scalar keyroot kernel, for
+    every cost model) and ``_inner_spine_py``, which by default run only
+    the narrow tables.
     """
     width = 2 if request.param == "vector" else 10_000
     monkeypatch.setattr(spf_numpy, "MIN_VECTOR_COLS", width)
