@@ -12,7 +12,6 @@ from .binary_branch import (
     binary_branch_lower_bound,
     binary_branch_profile,
 )
-from .pq_gram import pq_gram_distance, pq_gram_profile, pq_gram_symmetric_difference
 from .upper_bound import top_down_upper_bound, trivial_upper_bound
 
 
@@ -27,9 +26,6 @@ __all__ = [
     "binary_branch_profile",
     "binary_branch_distance",
     "binary_branch_lower_bound",
-    "pq_gram_profile",
-    "pq_gram_distance",
-    "pq_gram_symmetric_difference",
     "trivial_upper_bound",
     "top_down_upper_bound",
 ]

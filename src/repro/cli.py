@@ -179,11 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the filter cascade (verify every pair exactly)",
     )
-    join.add_argument(
-        "--approximate",
-        action="store_true",
-        help="add the pq-gram heuristic filter (may drop matches; faster)",
-    )
     join.add_argument("--workers", type=int, default=1, help="verification processes")
     join.add_argument(
         "--chunk-timeout",
@@ -402,7 +397,6 @@ def _dispatch(args) -> int:
             algorithm=args.algorithm,
             engine=args.engine,
             use_cascade=not args.no_cascade,
-            approximate=args.approximate,
             workers=args.workers,
             policy=policy,
             deadline=args.deadline,

@@ -45,7 +45,6 @@ from .cascade import (
     FilterStage,
     JoinStats,
     LabelFilter,
-    PQGramFilter,
     SizeFilter,
     TraversalStringFilter,
     UpperBoundAccept,
@@ -106,7 +105,6 @@ __all__ = [
     "LabelFilter",
     "TraversalStringFilter",
     "BinaryBranchFilter",
-    "PQGramFilter",
     "UpperBoundAccept",
     "default_cascade",
     "operations_threshold",

@@ -509,10 +509,7 @@ def batch_similarity_join(
     engine: Optional[str] = None,
     use_cascade: bool = True,
     cascade: Optional[Sequence[FilterStage]] = None,
-    use_candidate_index: bool = True,
     early_accept: bool = True,
-    approximate: bool = False,
-    pq_gram_cutoff: float = 0.8,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     progress: Optional[Callable[[JoinStats], None]] = None,
@@ -525,8 +522,7 @@ def batch_similarity_join(
     otherwise all cross pairs are joined.  ``use_cascade=False`` disables both
     candidate generation and the filter stages (every pair is verified
     exactly) — the match set is identical either way, which the test suite
-    asserts.  ``approximate=True`` appends the pq-gram heuristic stage, which
-    may drop matches in exchange for speed (see the soundness rule in
+    asserts: every stage that can run is sound (see the soundness rule in
     ``DESIGN.md``).  ``progress``, when given, receives the streaming
     :class:`JoinStats` after candidate generation, after the cascade, and
     after every verified chunk.
@@ -593,10 +589,7 @@ def batch_similarity_join(
         refiner,
         use_cascade=use_cascade,
         cascade=cascade,
-        use_candidate_index=use_candidate_index,
         early_accept=early_accept,
-        approximate=approximate,
-        pq_gram_cutoff=pq_gram_cutoff,
     )
     # The ambient scope covers the whole pipeline — candidate generation,
     # filter cascade, and exact verification (whose batch_distances call

@@ -14,7 +14,7 @@ Stages come in two kinds.  The linear lower bounds — :class:`SizeFilter`,
 :class:`LabelFilter`, :class:`BinaryBranchFilter` — are :class:`ArrayStage`
 s: they decide a whole block of pairs at once over the corpus's flat filter
 arrays (:mod:`repro.join.pairs`).  Every other stage (``traversal-string``,
-``upper-bound``, ``pq-gram`` and any a caller passes in) implements
+``upper-bound`` and any a caller passes in) implements
 :meth:`FilterStage.apply` and runs pair by pair, only on the pairs that
 reach it.  :meth:`PairFilters.run` is the one driver: it takes candidate
 pairs in blocks of :data:`PAIR_BLOCK`, checks the deadline between blocks,
@@ -189,35 +189,6 @@ class BinaryBranchFilter(ArrayStage):
         size_a, size_b = block.sizes()
         distance = size_a + size_b - 2 * block.branch_intersection()
         return distance / 5.0 >= ctx.ops_threshold
-
-
-class PQGramFilter(FilterStage):
-    """**Approximate** pruning on the normalized pq-gram distance.
-
-    pq-grams do *not* lower-bound the tree edit distance (a single edit at a
-    high-fanout node changes unboundedly many grams), so this stage may drop
-    true matches.  It is therefore not part of :data:`DEFAULT_CASCADE`; add
-    it explicitly — or via ``approximate=True`` on the batch join — for
-    approximate joins where recall may be traded for speed.
-    """
-
-    name = "pq-gram"
-
-    def __init__(self, corpus_a: TreeCorpus, corpus_b: Optional[TreeCorpus], cutoff: float) -> None:
-        self.corpus_a = corpus_a
-        self.corpus_b = corpus_b if corpus_b is not None else corpus_a
-        self.cutoff = cutoff
-
-    def apply(self, a: TreeProfile, b: TreeProfile, ctx: CascadeContext) -> str:
-        profile_a = self.corpus_a.pq_profile(a.index)
-        profile_b = self.corpus_b.pq_profile(b.index)
-        intersection = sum((profile_a & profile_b).values())
-        total = sum(profile_a.values()) + sum(profile_b.values())
-        if total == 0:
-            return CONTINUE
-        if 1.0 - 2.0 * intersection / total >= self.cutoff:
-            return PRUNE
-        return CONTINUE
 
 
 class UpperBoundAccept(FilterStage):

@@ -2,14 +2,14 @@
 
 A join over ``N`` trees evaluates up to ``N·(N−1)/2`` pairs, but every filter
 in the bound cascade only consumes *per-tree* quantities: sizes, label
-multisets, binary-branch multisets, traversal label strings and pq-gram
-profiles.  :class:`TreeCorpus` computes each of these **once per tree** (or
+multisets, binary-branch multisets and traversal label strings.
+:class:`TreeCorpus` computes each of these **once per tree** (or
 once per epoch) and reuses it across all pairs.  The size, label and
 binary-branch multisets are lowered into flat arrays
 (:meth:`TreeCorpus.filter_arrays`, see :mod:`repro.join.pairs`): candidate
 generation and the three linear stages run over those arrays for whole
-blocks of pairs, while the per-tree profiles (traversal strings, pq-grams)
-serve the stages that still work pair by pair.
+blocks of pairs, while the per-tree profiles (traversal strings) serve the
+stages that still work pair by pair.
 
 **Live corpora (the versioned store).**  A corpus is not frozen at
 construction: :meth:`TreeCorpus.add_trees` appends slots and
@@ -30,9 +30,8 @@ reports the membership drift (:meth:`CorpusSnapshot.delta`) since the pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
-    Counter as CounterType,
     Dict,
     Iterable,
     Iterator,
@@ -43,7 +42,6 @@ from typing import (
     Tuple,
 )
 
-from ..bounds.pq_gram import pq_gram_profile
 from ..exceptions import CorpusError
 from ..trees.tree import Tree
 
@@ -57,7 +55,6 @@ class TreeProfile:
     size: int
     preorder_labels: List[object]
     postorder_labels: List[object]
-    pq_profile: Optional[CounterType[Tuple[object, ...]]] = field(default=None, repr=False)
 
 
 class TreeCorpus:
@@ -68,15 +65,11 @@ class TreeCorpus:
     trees:
         The trees of the collection (kept in order; pair indices returned by
         the join refer to positions in the *current* live sequence).
-    p, q:
-        pq-gram shape parameters used when the pq-gram artifacts are
-        requested (approximate joins only).
 
     A corpus is cheap to construct: a tree's profile (size and traversal
     strings, ``O(n)``) is built on its first :meth:`profile` access and
-    cached, its pq-gram profile, which no sound stage consumes, on the first
-    :meth:`pq_profile` call, and the filter arrays and pack on the first join
-    or query of an epoch.
+    cached, and the filter arrays and pack on the first join or query of an
+    epoch.
 
     **Versioning.**  Internally trees live in append-only *slots*; a removal
     tombstones its slot (slot ids are never reused or renumbered, so pinned
@@ -102,8 +95,6 @@ class TreeCorpus:
     def __init__(
         self,
         trees: Sequence[Tree],
-        p: int = 2,
-        q: int = 3,
         interner=None,
     ) -> None:
         # Append-only slot storage: removed slots become None and their ids
@@ -111,8 +102,6 @@ class TreeCorpus:
         self._slots: List[Optional[Tree]] = list(trees)
         self._dead: Set[int] = set()
         self._epoch = 0
-        self.p = p
-        self.q = q
         self._interner = interner
         # Slot-keyed artifacts: survive mutations untouched.
         self._slot_profiles: Dict[int, TreeProfile] = {}
@@ -266,12 +255,6 @@ class TreeCorpus:
             self._slot_profiles[slot] = prof
         return prof
 
-    def _slot_pq_profile(self, slot: int) -> CounterType[Tuple[object, ...]]:
-        prof = self._slot_profile(slot)
-        if prof.pq_profile is None:
-            prof.pq_profile = pq_gram_profile(prof.tree, p=self.p, q=self.q)
-        return prof.pq_profile
-
     def profile(self, index: int) -> TreeProfile:
         """The (cached) filter artifacts of the tree at dense ``index``.
 
@@ -292,15 +275,6 @@ class TreeCorpus:
     def profiles(self) -> List[TreeProfile]:
         """Artifacts for every live tree (computing any still missing)."""
         return [self.profile(i) for i in range(len(self))]
-
-    def pq_profile(self, index: int) -> CounterType[Tuple[object, ...]]:
-        """The (cached) pq-gram profile of the tree at dense ``index``."""
-        self._refresh_view()
-        pq = self._slot_pq_profile(self._view_slots[index])
-        wrapper = self._dense_profiles[index]
-        if wrapper is not None and wrapper.pq_profile is None:
-            wrapper.pq_profile = pq
-        return pq
 
     # ------------------------------------------------------------------ #
     # Label interning (the amortized batch verification path)
@@ -415,9 +389,7 @@ class CorpusSnapshot(TreeCorpus):
 
     def __init__(self, parent: TreeCorpus) -> None:
         parent._refresh_view()
-        super().__init__(
-            parent._view_trees, p=parent.p, q=parent.q, interner=parent.interner()
-        )
+        super().__init__(parent._view_trees, interner=parent.interner())
         self._parent = parent
         self._pinned_epoch = parent._epoch
         # Parent slot ids of this snapshot's dense positions, plus the slot
@@ -498,17 +470,6 @@ class CorpusSnapshot(TreeCorpus):
         prof = base if base.index == slot else replace(base, index=slot)
         self._slot_profiles[slot] = prof
         return prof
-
-    def _slot_pq_profile(self, slot: int) -> CounterType[Tuple[object, ...]]:
-        parent = self._parent
-        parent_slot = self._slot_ids[slot]
-        if parent._slots[parent_slot] is None:
-            return super()._slot_pq_profile(slot)
-        pq = parent._slot_pq_profile(parent_slot)
-        prof = self._slot_profile(slot)
-        if prof.pq_profile is None:
-            prof.pq_profile = pq
-        return pq
 
     def pack(self):
         # While the parent has not mutated, the snapshot's pack *is* the

@@ -54,7 +54,6 @@ from .cascade import (
     FilterStage,
     JoinStats,
     PairFilters,
-    PQGramFilter,
     default_cascade,
     operations_threshold,
 )
@@ -326,7 +325,6 @@ class Planner:
         use_cascade: bool = True,
         cascade: Optional[Sequence[FilterStage]] = None,
         early_accept: bool = True,
-        approximate: Optional[FilterStage] = None,
     ) -> PairFilters:
         """The filter stages of a plan, chosen per pair by cost.
 
@@ -337,14 +335,11 @@ class Planner:
         stages, ``traversal-string`` and ``upper-bound``.  Every other pair —
         non-unit cost models, pre-built algorithm instances, pairs over the
         cell gate — keeps the full sound cascade.  An explicit ``cascade``
-        runs as given.  ``approximate`` (a pq-gram stage) goes in before the
-        last stage; ``early_accept=False`` strips the accept stages.
+        runs as given; ``early_accept=False`` strips the accept stages.
         """
         if not use_cascade:
             return PairFilters([])
         stages = list(cascade) if cascade is not None else default_cascade()
-        if approximate is not None:
-            stages.insert(-1, approximate)
         if not early_accept:
             stages = [s for s in stages if not s.is_accept_stage]
         small_pair = refiner.small_pair_gate() if cascade is None else None
@@ -358,10 +353,7 @@ class Planner:
         refiner: Refiner,
         use_cascade: bool = True,
         cascade: Optional[Sequence[FilterStage]] = None,
-        use_candidate_index: bool = True,
         early_accept: bool = True,
-        approximate: bool = False,
-        pq_gram_cutoff: float = 0.8,
     ) -> RetrievalPlan:
         """The symmetric all-pairs similarity join as one plan.
 
@@ -370,7 +362,7 @@ class Planner:
         legacy path and a refactored one.
         """
         ctx = self._context(threshold)
-        if use_cascade and use_candidate_index:
+        if use_cascade:
             source: CandidateSource = JoinIndexSource(corpus_a, corpus_b)
         else:
             source = AllPairsSource(corpus_a, corpus_b)
@@ -379,11 +371,6 @@ class Planner:
             use_cascade=use_cascade,
             cascade=cascade,
             early_accept=early_accept,
-            approximate=(
-                PQGramFilter(corpus_a, corpus_b, cutoff=pq_gram_cutoff)
-                if approximate
-                else None
-            ),
         )
         return RetrievalPlan(
             ctx=ctx,

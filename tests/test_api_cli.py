@@ -145,11 +145,18 @@ def _execution_entry_points():
     ]
 
 
-class TestNoSlowPathSwitches:
-    """Switches that could only select a slower path with identical results
-    are gone: every entry point runs its one (fastest) path."""
+REMOVED_SWITCHES = [
+    "use_numpy", "bounded_verify", "batch_kernel",
+    "approximate", "pq_gram_cutoff", "use_candidate_index",
+]
 
-    @pytest.mark.parametrize("switch", ["use_numpy", "bounded_verify", "batch_kernel"])
+
+class TestNoSlowPathSwitches:
+    """Switches that could only select a slower path with identical results,
+    or an approximate one, are gone: every entry point runs its one exact
+    (fastest) path."""
+
+    @pytest.mark.parametrize("switch", REMOVED_SWITCHES)
     def test_no_entry_point_takes_the_switch(self, switch):
         import inspect
 
@@ -157,7 +164,7 @@ class TestNoSlowPathSwitches:
             assert switch not in inspect.signature(entry).parameters, entry
 
     def test_join_rejects_removed_keywords(self):
-        for switch in ("bounded_verify", "batch_kernel"):
+        for switch in REMOVED_SWITCHES:
             with pytest.raises(TypeError):
                 similarity_join(["{a{b}}", "{a{c}}"], 2.0, **{switch: False})
 
@@ -176,9 +183,18 @@ class TestRegistry:
         with pytest.raises(UnknownAlgorithmError):
             make_algorithm("quantum-ted")
 
-    def test_register_custom_algorithm(self):
-        register_algorithm("my-oracle", SimpleTED)
-        assert make_algorithm("my-oracle").name == "Simple"
+    def test_register_custom_algorithm(self, monkeypatch):
+        from repro.algorithms import registry
+
+        before = available_algorithms()
+        # Registrations go into copies, so they end with the context.
+        with monkeypatch.context() as patch:
+            patch.setattr(registry, "_FACTORIES", dict(registry._FACTORIES))
+            patch.setattr(registry, "_KEYWORDS", dict(registry._KEYWORDS))
+            register_algorithm("my-oracle", SimpleTED)
+            assert make_algorithm("my-oracle").name == "Simple"
+            assert available_algorithms() == sorted(before + ["my-oracle"])
+        assert available_algorithms() == before
 
     def test_factory_keywords_are_read_once_at_registration(self, monkeypatch):
         from repro.algorithms import registry
@@ -359,6 +375,10 @@ class TestCli:
         # Stats go to stderr so piped stdout stays machine-parseable.
         assert "#" not in captured.out
         assert "# matches:" in captured.err and "# pairs total:      3" in captured.err
+        # The join answers exactly; there is no approximate mode to ask for.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["join", f"@{path}", "--threshold", "2", "--approximate"])
+        assert exit_info.value.code == 2
 
     def test_query_knn_command(self, tmp_path, capsys):
         path = tmp_path / "collection.txt"

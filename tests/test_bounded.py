@@ -356,7 +356,7 @@ class TestThresholdBoundary:
         f = parse_bracket("{a{b}{c}}")
         g = parse_bracket("{a{x}{y}}")
         assert EXACT.distance(f, g, cost_model=model) == 2 * unit
-        result = batch_self_join([f, g], 2 * unit, cost_model=model, use_candidate_index=False)
+        result = batch_self_join([f, g], 2 * unit, cost_model=model)
         assert result.match_set == set()
         pruned = result.stats.stage_pruned
         assert pruned.get("label", 0) == 1, pruned
@@ -380,21 +380,33 @@ class TestThresholdBoundary:
         assert above.match_set == {(0, 1)}
         assert above.stats.accepted_early == 1
 
+    # (f, g, the stage whose bound equals d == 2 operations) — every earlier
+    # stage's bound stays below d.  Swapping b and c changes two characters
+    # of each traversal string (branch bound 6/5).  Deleting the second
+    # child of the root and inserting c above the first three children
+    # changes 10 = 5·d binary branches but one character of each traversal
+    # string, and the trees still share a branch, so candidate generation
+    # keeps the pair.
+    STAGE_PAIRS = [
+        ("{a{b{c}}}", "{a{c{b}}}", "traversal-string"),
+        ("{a{a}{a{b}}{a}{a}}", "{a{c{a}{b}{a}}{a}}", "binary-branch"),
+    ]
+
     @pytest.mark.parametrize("model,unit", CASES, ids=["unit", "fractional"])
     def test_traversal_and_branch_stage_boundaries(self, model, unit):
-        # Force the traversal-string / binary-branch stages to the decision
-        # by disabling earlier pruning via use_candidate_index=False and
-        # observing that a TED == τ pair never matches whichever stage rules.
-        f = random_tree(10, rng=77)
-        g = random_tree(10, rng=78)
-        d = EXACT.distance(f, g, cost_model=model)
-        assert d > 0
-        result = batch_self_join([f, g], d, cost_model=model, use_candidate_index=False)
-        assert result.match_set == set()
-        above = batch_self_join(
-            [f, g], d + unit / 2, cost_model=model, use_candidate_index=False
-        )
-        assert above.match_set == {(0, 1)}
+        # At τ == d the pair's stage prunes it; just above d it matches.
+        # The unit case passes the full cascade explicitly, as in
+        # test_upper_bound_accept_boundary.
+        kwargs = {"cascade": default_cascade()} if model is None else {}
+        for f_text, g_text, stage in self.STAGE_PAIRS:
+            f, g = parse_bracket(f_text), parse_bracket(g_text)
+            d = EXACT.distance(f, g, cost_model=model)
+            assert d == 2 * unit
+            at = batch_self_join([f, g], d, cost_model=model, **kwargs)
+            assert at.match_set == set()
+            assert at.stats.stage_pruned == {stage: 1}
+            above = batch_self_join([f, g], d + unit / 2, cost_model=model, **kwargs)
+            assert above.match_set == {(0, 1)}
 
     def test_small_pair_sweep_boundary(self):
         # Disjoint-branch pairs with |F| + |G| == 5·τ_ops are correctly

@@ -10,8 +10,6 @@ from repro.bounds import (
     cheap_lower_bound,
     label_multiset_lower_bound,
     levenshtein,
-    pq_gram_distance,
-    pq_gram_profile,
     postorder_string_lower_bound,
     preorder_string_lower_bound,
     size_lower_bound,
@@ -87,29 +85,10 @@ class TestStringBounds:
         assert traversal_string_lower_bound(t1, t2) >= cheap_lower_bound(t1, t2)
 
 
-class TestBinaryBranchAndPqGrams:
+class TestBinaryBranch:
     def test_binary_branch_profile_size(self):
         tree = parse_bracket("{a{b}{c}}")
-        profile = pq_gram_profile(tree)
-        assert sum(profile.values()) > 0
-        assert sum(binary_branch_distance(tree, tree) for _ in range(1)) == 0
-
-    def test_pq_gram_distance_range(self):
-        t1 = parse_bracket("{a{b}{c}}")
-        t2 = parse_bracket("{x{y{z}}}")
-        assert 0.0 <= pq_gram_distance(t1, t2) <= 1.0
-        assert pq_gram_distance(t1, t1) == 0.0
-
-    def test_pq_gram_rejects_bad_parameters(self):
-        tree = parse_bracket("{a}")
-        with pytest.raises(ValueError):
-            pq_gram_profile(tree, p=0, q=2)
-
-    def test_similar_trees_have_smaller_pq_distance_than_dissimilar(self):
-        base = random_tree(30, rng=1)
-        near = perturb_tree(base, 2, rng=2)
-        far = random_tree(30, rng=99)
-        assert pq_gram_distance(base, near) <= pq_gram_distance(base, far)
+        assert binary_branch_distance(tree, tree) == 0
 
 
 def _tightest_lower_bound(tree_f, tree_g) -> float:

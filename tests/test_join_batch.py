@@ -80,12 +80,6 @@ class TestTreeCorpus:
         assert corpus[2] is trees[2]
         assert list(corpus) == trees
 
-    def test_pq_profile_built_lazily(self):
-        corpus = TreeCorpus(small_corpus(num=4))
-        assert corpus.profile(0).pq_profile is None
-        pq = corpus.pq_profile(0)
-        assert corpus.profile(0).pq_profile is pq
-
     @staticmethod
     def _decoder(corpus):
         labels = corpus.interner().labels
@@ -245,14 +239,6 @@ class TestBatchJoinEquivalence:
         )
         assert snapshots  # called at least once
         assert snapshots == sorted(snapshots)  # counters only grow
-
-    def test_approximate_mode_is_subset(self):
-        trees = small_corpus()
-        exact = batch_self_join(trees, 4.0, algorithm="zhang-l")
-        approx = batch_self_join(
-            trees, 4.0, algorithm="zhang-l", approximate=True, pq_gram_cutoff=0.05
-        )
-        assert approx.match_set <= exact.match_set
 
 
 class TestCostModelSoundness:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.algorithms import TedWorkspace, batch_kernel
 from repro.algorithms.edit_mapping import compute_edit_mapping, mapping_cost
-from repro.bounds import pq_gram_profile, top_down_upper_bound, trivial_upper_bound
+from repro.bounds import top_down_upper_bound, trivial_upper_bound
 from repro.costs import WeightedCostModel
 from repro.datasets import random_tree
 from repro.io.bracket import parse_bracket, to_bracket
@@ -54,11 +54,6 @@ class TestIterativeHelpers:
         tree = parse_bracket(text)
         assert tree.n == DEPTH
         assert to_bracket(tree) == text
-
-    def test_pq_gram_profile_on_deep_tree(self, deep_tree):
-        profile = pq_gram_profile(deep_tree)
-        # A unary chain yields 3 grams per internal node (q = 3) plus the leaf.
-        assert sum(profile.values()) == 3 * (DEPTH - 1) + 1
 
     def test_upper_bounds_on_deep_trees(self, deep_tree):
         other = _path_tree(DEPTH - 3, label="b")
