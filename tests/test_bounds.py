@@ -70,6 +70,22 @@ class TestSimpleBounds:
         assert traversal_string_lower_bound(tree, tree) == 0
         assert binary_branch_distance(tree, tree) == 0
 
+    def test_bound_reaches_distance_on_known_pair(self):
+        # Deleting the root's second child and inserting c above the first
+        # three children changes 10 binary branches: BBD / 5 == TED == 2.
+        f = parse_bracket("{a{a}{a{b}}{a}{a}}")
+        g = parse_bracket("{a{c{a}{b}{a}}{a}}")
+        assert binary_branch_distance(f, g) == 10
+        assert binary_branch_lower_bound(f, g) == EXACT.distance(f, g) == 2
+
+    def test_bounds_package_exports_only_sound_bounds(self):
+        import repro.bounds
+        import repro.join
+
+        for name in ("pq_gram_profile", "pq_gram_distance", "pq_gram_symmetric_difference"):
+            assert not hasattr(repro.bounds, name)
+        assert not hasattr(repro.join, "PQGramFilter")
+
 
 class TestStringBounds:
     def test_preorder_bound_on_rename(self):

@@ -85,6 +85,16 @@ class TestTreeCorpus:
         labels = corpus.interner().labels
         return lambda code: NULL_LABEL if code == NULL_CODE else labels[code - _CODE_SHIFT]
 
+    def test_corpus_takes_no_pq_gram_parameters(self):
+        # The corpus carries only sound-filter artifacts: no pq-gram
+        # shape parameters and no pq-gram profile per tree.
+        trees = small_corpus(num=4)
+        for keyword in ("p", "q"):
+            with pytest.raises(TypeError):
+                TreeCorpus(trees, **{keyword: 2})
+        profile = TreeCorpus(trees).profile(0)
+        assert not hasattr(profile, "pq_profile")
+
     def test_filter_arrays_label_rows_are_label_histograms(self):
         trees = small_corpus()
         corpus = TreeCorpus(trees)
@@ -195,6 +205,18 @@ class TestBatchJoinEquivalence:
             )
             assert on.match_set == off.match_set
             assert on.match_set == brute_force_matches(trees, threshold)
+
+    @pytest.mark.parametrize("use_cascade", [True, False])
+    def test_cascade_switch_alone_picks_candidate_source(self, use_cascade):
+        from repro.join import AllPairsSource, JoinIndexSource
+
+        corpus = TreeCorpus(small_corpus(num=4))
+        refiner = BatchRefiner(corpus, None, algorithm="rted")
+        plan = Planner(resolve_cost_model(None)).plan_join(
+            corpus, None, 3.0, refiner, use_cascade=use_cascade
+        )
+        expected = JoinIndexSource if use_cascade else AllPairsSource
+        assert type(plan.source) is expected
 
     def test_cross_join_matches_brute_force(self):
         trees = small_corpus()
