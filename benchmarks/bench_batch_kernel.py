@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark: the small-pair program, Python twin vs batched C kernel.
+"""Benchmark: the small-pair program, Python lanes vs batched C kernel.
 
 Measures the per-pair cost of small unit-cost TED through the two
 implementations of the small-pair program — always asserting bit-identical
 results between them first:
 
 * **scalar** — the per-pair fast path (``TedWorkspace.compute_small``)
-  running the Python twin (timed with ``RTED_NO_NATIVE=1``), the
+  running the Python lanes — spf's scalar region kernel driven by
+  ``batch_kernel.run_batch`` (timed with ``RTED_NO_NATIVE=1``), the
   ~130 µs/pair baseline recorded by ``bench_batch_ted.py``;
 * **native** — the C kernel
   (:func:`repro.algorithms.native.native_batch`, a runtime-compiled C
@@ -23,7 +24,8 @@ Measurement families:
   in µs per call, over the pairs of the 16-node size class, against that
   class's batched per-pair cost;
 * **budget check** (``--sweep``) — per-pair cost of the small-pair program
-  (C kernel and twin) vs RTED's strategy on the spf executor, on comb,
+  (C kernel and Python lanes, the latter reported under the key ``twin``)
+  vs RTED's strategy on the spf executor, on comb,
   zigzag and caterpillar pairs at the largest size whose cheaper sweep
   still fits ``SMALL_PAIR_CELLS``: the costliest pairs the cell gate
   admits.
@@ -104,8 +106,8 @@ def make_workload(tree_size: int, pairs: int, rng: int = 1):
 
 
 @contextmanager
-def python_twin():
-    """Pin the small-pair program to its Python twin inside the block."""
+def python_lanes():
+    """Pin the small-pair program to its Python lanes inside the block."""
     previous = os.environ.get(KILL_SWITCH)
     os.environ[KILL_SWITCH] = "1"
     try:
@@ -118,10 +120,10 @@ def python_twin():
 
 
 def scalar_run(workspace, trees, pairs, cutoff):
-    """(total_seconds, results) for the per-pair Python twin."""
+    """(total_seconds, results) for the per-pair Python lanes."""
     compute_small = workspace.compute_small
     out: List[Tuple] = []
-    with python_twin():
+    with python_lanes():
         start = time.perf_counter()
         for i, j in pairs:
             try:
@@ -301,14 +303,14 @@ def run_budget_check(repeats: int) -> Dict:
     """The small-pair program vs the spf executor at the cell budget.
 
     The costliest pairs the cell gate admits: how long the C kernel's
-    uncancellable call gets, and what the Python twin costs against
+    uncancellable call gets, and what the Python lanes cost against
     RTED's own strategy when no compiler is present.
     """
     rows = []
     spf = make_algorithm("rted", engine="spf")
     for family, f, g in budget_pairs():
         per_path: Dict[str, float] = {}
-        runs = [("twin", python_twin)]
+        runs = [("twin", python_lanes)]
         if native_available():
             runs.insert(0, ("native", nullcontext))
         reference = spf.compute(f, g)
@@ -352,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     repeats = 3 if args.quick else 7
 
     provider = native_provider()
-    print(f"native provider: {provider or 'none (Python twin only)'}")
+    print(f"native provider: {provider or 'none (Python lanes only)'}")
 
     headline = run_headline(pairs, repeats)
     up = headline["unbounded"]["per_pair_us"]
@@ -393,7 +395,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     report = {
-        "benchmark": "small-pair TED (Python twin per pair vs batched C kernel)",
+        "benchmark": "small-pair TED (Python lanes per pair vs batched C kernel)",
         **machine_stamp(),
         "native_provider": provider,
         "pr4_scalar_baseline_us": PR4_BASELINE_US,

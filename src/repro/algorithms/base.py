@@ -34,7 +34,7 @@ ENGINE_SPF = "spf"
 #: :class:`~repro.algorithms.workspace.TedWorkspace` attached, so small
 #: unit-cost pairs run the small-pair program
 #: (:mod:`repro.algorithms.batch_kernel`) — the C kernel when a compiler is
-#: present, its bit-identical Python twin otherwise (or with
+#: present, bit-identically spf's scalar region kernel otherwise (or with
 #: ``RTED_NO_NATIVE=1``).  The registry's ``auto`` never selects it:
 #: :func:`~repro.algorithms.registry.make_algorithm` runs the literal
 #: algorithm.  The one use of the small-pair program under ``auto`` is

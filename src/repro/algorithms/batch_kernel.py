@@ -3,17 +3,18 @@
 Unit-cost pairs whose sweep fits the cell budget skip the strategy executor
 and run one flat program: the left-path keyroot sweep of the Zhang–Shasha
 recurrence over per-tree ``(lml, keyroots, codes)`` arrays.  The program
-has exactly two implementations:
+runs in one of two places:
 
 * **the C kernel** — :func:`repro.algorithms.native.native_batch`, used
   whenever a compiled provider is present;
-* **the Python twin** — :func:`small_pair_regions` in this module, used
-  otherwise (no C compiler, or ``RTED_NO_NATIVE=1``).
+* **spf's scalar kernel** — :func:`repro.algorithms.spf._region_py`, the
+  keyroot-region kernel of the strategy executor, driven region by region
+  by :func:`run_batch` otherwise (no C compiler, or ``RTED_NO_NATIVE=1``).
 
 Single pairs (:meth:`TedWorkspace.compute_small
 <repro.algorithms.workspace.TedWorkspace.compute_small>`) and batch lanes
 (:func:`kernel_chunk_entries`) both take the C kernel when it is there and
-the twin when it is not, so every path runs the same program.
+:func:`run_batch` when it is not, so every path runs the same program.
 
 * **The cell gate** — an unbounded left sweep evaluates exactly
   ``S_L(F) · S_L(G)`` cells, with ``S_L(T)`` the summed subtree sizes of
@@ -35,24 +36,26 @@ the twin when it is not, so every path runs the same program.
   ``compute_small`` and runs the surviving lanes, left and right, in one
   :func:`~repro.algorithms.native.native_batch` call — under a deadline,
   in calls of at most :data:`SMALL_PAIR_CELLS` summed cells — or lane by
-  lane through :func:`run_batch` (the twin over the pack arrays) without
-  a provider.
+  lane through :func:`run_batch` without a provider.
 
 Bit-identity
 ------------
-Both implementations execute the same integer-valued float64 arithmetic —
-every add is by 1.0, every min is exact — and the bounded mode runs the
-same banded sweep, per-row abort test and band cell accounting, so values,
+Both kernels execute the same integer-valued float64 arithmetic — every
+add is by 1.0, every min is exact — and the bounded mode runs the same
+banded sweep, per-row abort test and band cell accounting, so values,
 subproblem counts and abort flags are equal, not just close.  The property
-suite asserts exact equality against the ``zhang-l`` / ``zhang-r`` registry
-entries (GTED with the left/right-path strategy on the ``spf`` executor) —
-values and cell counts — and between the two implementations.
+suite asserts exact equality between the two, against the ``zhang-l`` /
+``zhang-r`` registry entries (GTED with the left/right-path strategy on
+the ``spf`` executor) — values and cell counts — and, since the Python
+lanes share ``_region_py`` with ``spf``, against the ``SimpleTED`` oracle.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from math import ceil, inf
+from operator import ne
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -60,158 +63,8 @@ import numpy as _np
 from ..runtime import active_deadline
 from ..trees.tree import LEFT, RIGHT
 from . import native
-from .base import CutoffExceeded, check_row_cutoff
-
-
-def small_pair_regions(
-    n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
-    lml_g, keyroots_g, codes_g, D, fd, deadline=None,
-) -> Tuple[float, int]:
-    """The small-pair program in Python: the twin of the C kernel.
-
-    Sweeps every keyroot-pair region of the left-path program over the
-    per-tree ``lml`` / ``keyroots`` / label-code arrays and returns
-    ``(distance, cells)``.  ``D`` is a flat buffer of at least ``n · m``
-    subtree distances and ``fd`` at least ``n + 1`` forest-distance rows
-    of width ``m + 1``; both may hold stale values from earlier pairs.
-    ``band_w`` is ``None`` for an unbounded run, otherwise
-    :func:`band_width` of the cutoff; bounded callers must have run the
-    size pre-check (``|n − m| < cutoff``), which keeps the final corner
-    in-band.
-
-    Bounded runs raise :class:`~repro.algorithms.base.CutoffExceeded` with
-    the cutoff as the proving bound and the evaluated cell count attached,
-    so aborted runs report work in the same currency as finished ones.
-    """
-    cells = 0
-    for kf in keyroots_f:
-        lf = lml_f[kf]
-        rows = kf - lf + 2
-        for kg in keyroots_g:
-            # Keyroots ascend, so the whole-tree region runs last; only
-            # its rows are whole-tree prefix distances, making the row
-            # abort sound there (unit band 1).
-            final = cutoff is not None and kf == n - 1 and kg == m - 1
-            lg = lml_g[kg]
-            cols = kg - lg + 2
-            row = fd[0]
-            for j in range(cols):
-                row[j] = float(j)
-            if band_w is None:
-                for i in range(1, rows):
-                    if deadline is not None:
-                        deadline.tick()
-                    node_f = lf + i - 1
-                    spans_f = lml_f[node_f] == lf
-                    code_f = codes_f[node_f]
-                    offset = node_f * m
-                    prev = fd[i - 1]
-                    row = fd[i]
-                    row[0] = float(i)
-                    split_row = fd[lml_f[node_f] - lf]
-                    for j in range(1, cols):
-                        node_g = lg + j - 1
-                        best = prev[j] + 1.0
-                        candidate = row[j - 1] + 1.0
-                        if candidate < best:
-                            best = candidate
-                        if spans_f and lml_g[node_g] == lg:
-                            candidate = prev[j - 1] + (
-                                0.0 if code_f == codes_g[node_g] else 1.0
-                            )
-                            if candidate < best:
-                                best = candidate
-                            row[j] = best
-                            D[offset + node_g] = best
-                        else:
-                            candidate = split_row[lml_g[node_g] - lg] + D[offset + node_g]
-                            if candidate < best:
-                                best = candidate
-                            row[j] = best
-                cells += (rows - 1) * (cols - 1)
-                continue
-            # τ-bounded sweep: each row only fills its |i − j| ≤ band_w
-            # window; out-of-band values are ≥ cutoff by the size
-            # argument, so reading them as +inf only inflates cells that
-            # are themselves ≥ cutoff (sub-cutoff cells and their
-            # winning candidate chains stay in-band and bit-identical).
-            # The reused buffers hold stale garbage outside the window,
-            # hence the inf sentinels flanking each row and the explicit
-            # band predicates on split/subtree reads.
-            for i in range(1, rows):
-                if deadline is not None:
-                    deadline.tick()
-                lo = i - band_w
-                if lo < 1:
-                    lo = 1
-                hi = i + band_w
-                if hi > cols - 1:
-                    hi = cols - 1
-                if lo > hi:
-                    # The band left the table; every later row is
-                    # farther out still, so the region is finished.
-                    break
-                node_f = lf + i - 1
-                spans_f = lml_f[node_f] == lf
-                code_f = codes_f[node_f]
-                offset = node_f * m
-                prev = fd[i - 1]
-                row = fd[i]
-                row[0] = float(i)
-                if lo > 1:
-                    row[lo - 1] = inf
-                si = lml_f[node_f] - lf
-                split_row = fd[si]
-                rem_f_node = node_f - lml_f[node_f]
-                for j in range(lo, hi + 1):
-                    node_g = lg + j - 1
-                    best = prev[j] + 1.0
-                    candidate = row[j - 1] + 1.0
-                    if candidate < best:
-                        best = candidate
-                    if spans_f and lml_g[node_g] == lg:
-                        candidate = prev[j - 1] + (
-                            0.0 if code_f == codes_g[node_g] else 1.0
-                        )
-                        if candidate < best:
-                            best = candidate
-                        row[j] = best
-                        D[offset + node_g] = best
-                    else:
-                        sc = lml_g[node_g] - lg
-                        if si == 0 or sc == 0 or (si - band_w <= sc <= si + band_w):
-                            candidate = split_row[sc]
-                        else:
-                            candidate = inf
-                        # The subtree pair's spanning cell was written
-                        # iff it was in-band in its own region.
-                        if abs(rem_f_node - (node_g - lml_g[node_g])) <= band_w:
-                            candidate += D[offset + node_g]
-                        else:
-                            candidate = inf
-                        if candidate < best:
-                            best = candidate
-                        row[j] = best
-                if hi + 1 <= cols - 1:
-                    row[hi + 1] = inf
-                cells += hi - lo + 1
-                if final:
-                    try:
-                        check_row_cutoff(
-                            row, cols, rows - 1 - i, cutoff, 1.0, lo, hi,
-                            exact_values=False,
-                        )
-                    except CutoffExceeded as exceeded:
-                        exceeded.subproblems = cells
-                        raise
-    distance = D[(n - 1) * m + m - 1]
-    if cutoff is not None and distance >= cutoff:
-        # Banded values at or above the cutoff may be inflated; the
-        # cutoff itself is the certified lower bound.
-        exceeded = CutoffExceeded(cutoff)
-        exceeded.subproblems = cells
-        raise exceeded
-    return distance, cells
+from .base import CutoffExceeded
+from .spf import _region_py
 
 
 def band_width(cutoff: Optional[float]) -> Optional[int]:
@@ -276,14 +129,6 @@ def mirrored_arrays(tree, codes: Sequence[int]) -> Tuple[List[int], List[int], L
         mirrored_codes[r] = codes[v]
     keyroots = sorted(rpost[k] for k in tree.keyroots_right())
     return lml, keyroots, mirrored_codes
-
-
-def twin_buffers(n: int, m: int) -> Tuple[List[float], List[List[float]]]:
-    """Fresh ``(D, fd)`` buffers of the twin for an ``n × m`` pair: ``n · m``
-    subtree distances and ``n + 1`` forest-distance rows of width ``m + 1``.
-    Allocating them costs far less than an unbounded sweep (``n · m`` is
-    at most its cell count), and nothing outlives the call."""
-    return [0.0] * (n * m), [[0.0] * (m + 1) for _ in range(n + 1)]
 
 
 class CorpusPack:
@@ -447,21 +292,66 @@ def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
     )
 
 
-def _lane_arrays(pack: CorpusPack, tree: int, cache: Dict[int, tuple]) -> tuple:
-    """``(n, lml, keyroots, codes)`` of one packed tree as Python lists."""
-    arrays = cache.get(tree)
+def _lane_arrays(pack: CorpusPack, row: int, cache: Dict[int, tuple]) -> tuple:
+    """``(n, lml, keyroots, codes)`` of one packed tree row as Python lists."""
+    arrays = cache.get(row)
     if arrays is None:
-        n = int(pack.sizes[tree])
-        node = int(pack.node_off[tree])
-        kr = int(pack.kr_off[tree])
+        n = int(pack.sizes[row])
+        node = int(pack.node_off[row])
+        kr = int(pack.kr_off[row])
         arrays = (
             n,
             pack.lml_flat[node : node + n].tolist(),
-            pack.kroots[kr : kr + int(pack.kr_count[tree])].tolist(),
+            pack.kroots[kr : kr + int(pack.kr_count[row])].tolist(),
             pack.codes_flat[node : node + n].tolist(),
         )
-        cache[tree] = arrays
+        cache[row] = arrays
     return arrays
+
+
+def _run_lane(
+    lane_f: tuple, lane_g: tuple, cutoff: Optional[float], deadline
+) -> Tuple[float, int]:
+    """``(distance, cells)`` of one lane: every keyroot-pair region, in
+    ascending order, through spf's scalar kernel :func:`_region_py` with
+    unit costs and :func:`operator.ne` over the label codes.
+
+    ``D`` starts out ``+inf`` in a bounded run, which is how ``_region_py``
+    reads the subtree distances its band never wrote.  Only the whole-tree
+    region (the last one) runs the per-row abort; its rows are prefix
+    distances of the two whole trees.  Bounded lanes raise
+    :class:`~repro.algorithms.base.CutoffExceeded` with the cutoff as the
+    proving bound and every evaluated cell attached.
+    """
+    n, lml_f, keyroots_f, codes_f = lane_f
+    m, lml_g, keyroots_g, codes_g = lane_g
+    D = _np.empty((n, m)) if cutoff is None else _np.full((n, m), inf)
+
+    def read_row(node: int, col_posts, lo: int, hi: int) -> List[float]:
+        return D[node, col_posts[lo - 1] : col_posts[hi - 1] + 1].tolist()
+
+    region = partial(
+        _region_py, lml_f, lml_g, codes_f, codes_g, [1.0] * n, [1.0] * m, ne,
+        range(n), range(m), read_row, D, deadline, band_width(cutoff),
+    )
+    cut = None if cutoff is None else (cutoff, 1.0, 0.0)
+    cells = 0
+    try:
+        for kf in keyroots_f:
+            for kg in keyroots_g:
+                final = kf == n - 1 and kg == m - 1
+                cells += region(kf, kg, cut if final else None)
+    except CutoffExceeded as exceeded:
+        exceeded.subproblems += cells
+        raise
+    distance = D.item(n - 1, m - 1)
+    if cutoff is not None and distance >= cutoff:
+        # Banded values at or above the cutoff may be inflated; the cutoff
+        # itself is the certified lower bound.
+        exceeded = CutoffExceeded(cutoff)
+        exceeded.subproblems = cells
+        raise exceeded
+    return distance, cells
 
 
 def run_batch(
@@ -471,7 +361,7 @@ def run_batch(
     gi,
     cutoff: Optional[float] = None,
 ):
-    """Run the Python twin over the pack lanes ``(fi[p], gi[p])``.
+    """Run the pack lanes ``(fi[p], gi[p])`` in Python, lane by lane.
 
     The no-provider counterpart of
     :func:`repro.algorithms.native.native_batch`, with the same contract:
@@ -489,20 +379,14 @@ def run_batch(
     values = _np.empty(lanes, dtype=_np.float64)
     cells = _np.zeros(lanes, dtype=_np.int64)
     aborted = _np.zeros(lanes, dtype=bool)
-    if lanes == 0:
-        return values, cells, aborted
-    band_w = band_width(cutoff)
     deadline = active_deadline()
     cache_a: Dict[int, tuple] = {}
     cache_b = cache_a if pack_b is pack_a else {}
     for p, (i, j) in enumerate(zip(fi.tolist(), gi.tolist())):
-        n, lml_f, keyroots_f, codes_f = _lane_arrays(pack_a, i, cache_a)
-        m, lml_g, keyroots_g, codes_g = _lane_arrays(pack_b, j, cache_b)
+        lane_f = _lane_arrays(pack_a, i, cache_a)
+        lane_g = _lane_arrays(pack_b, j, cache_b)
         try:
-            values[p], cells[p] = small_pair_regions(
-                n, m, cutoff, band_w, lml_f, keyroots_f, codes_f,
-                lml_g, keyroots_g, codes_g, *twin_buffers(n, m), deadline,
-            )
+            values[p], cells[p] = _run_lane(lane_f, lane_g, cutoff, deadline)
         except CutoffExceeded as exceeded:
             values[p] = exceeded.lower_bound
             cells[p] = exceeded.subproblems

@@ -1,24 +1,25 @@
 """The compiled small-pair kernel: a C translation unit built on demand.
 
 This module holds the C implementation of the unit-cost small-pair program
-(the left-path keyroot sweep, unbounded and banded); its Python twin is
-:func:`repro.algorithms.batch_kernel.small_pair_regions`.  The single
-provider, ``cc``, compiles :data:`_C_SOURCE` with the system compiler
+(the left-path keyroot sweep, unbounded and banded); without it,
+:func:`repro.algorithms.batch_kernel.run_batch` runs the same sweep through
+spf's scalar region kernel :func:`repro.algorithms.spf._region_py`.  The
+single provider, ``cc``, compiles :data:`_C_SOURCE` with the system compiler
 (``$CC`` / ``cc`` / ``gcc`` / ``clang``) on first use and loads it through
 :mod:`ctypes` — no third-party dependency at all.
 
 Every entry point degrades gracefully: when no compiler is available — or
 the ``RTED_NO_NATIVE=1`` kill-switch is set — callers receive ``None`` and
-run the Python twin instead, bit-identically.  Callers never choose: single
+run the Python lanes instead, bit-identically.  Callers never choose: single
 pairs (``TedWorkspace.compute_small``) and batch lanes
 (``batch_kernel.kernel_chunk_entries``) take the C kernel whenever it is
 there.
 
 Bit-identity: the C kernel executes the same integer-valued float64
-arithmetic as the twin — every add is by 1.0, every min is exact — and the
-bounded mode ports the banded sweep, the per-row abort test and the band
-cell accounting statement by statement, so values, subproblem counts and
-abort flags are equal, not just close.  The property suite asserts exact
+arithmetic as ``_region_py`` under unit costs — every add is by 1.0, every
+min is exact — and the bounded mode runs the same band, per-row abort test
+and band cell accounting, so values, subproblem counts and abort flags are
+equal, not just close.  The property suite asserts exact
 equality whenever a compiler is present.
 """
 
@@ -39,7 +40,7 @@ from ..runtime import env_flag
 
 
 #: Environment kill-switch: a truthy value (``1``/``true``/``yes``/``on``)
-#: disables the compiled provider (CI legs set it to pin the Python twin).
+#: disables the compiled provider (CI legs set it to pin the Python lanes).
 #: Parsed with warn-and-fallback semantics — an unrecognized word warns and
 #: leaves the provider enabled instead of silently killing it.
 KILL_SWITCH = "RTED_NO_NATIVE"
@@ -52,8 +53,8 @@ def _killed() -> bool:
 # --------------------------------------------------------------------------- #
 # The C provider
 # --------------------------------------------------------------------------- #
-#: The complete C translation unit: a batched port of
-#: ``batch_kernel.small_pair_regions`` (unbounded and banded sweeps).  Lanes
+#: The complete C translation unit: a batched left-path keyroot sweep
+#: (unbounded and banded) over the pack arrays.  Lanes
 #: are post-precheck — the ``|n − m| ≥ cutoff`` case never reaches the
 #: kernel — and per-lane outputs mirror the scalar contract: the exact
 #: distance, the evaluated cell count, and an abort flag whose value field
@@ -139,7 +140,7 @@ void ted_small_batch(
                     cells += (rows - 1) * (cols - 1);
                     continue;
                 }
-                /* tau-bounded banded sweep (batch_kernel.small_pair_regions) */
+                /* tau-bounded banded sweep */
                 for (int64_t i = 1; i < rows; i++) {
                     int64_t lo = i - band_w;
                     if (lo < 1) lo = 1;
@@ -417,8 +418,8 @@ def native_batch(pack_a, pack_b, fi, gi, cutoff: Optional[float] = None):
 
     Same contract as :func:`repro.algorithms.batch_kernel.run_batch` —
     eligible, post-precheck lanes over tree rows in, ``(values, cells,
-    aborted)`` out, bit-identical to the Python twin — or ``None`` when no
-    provider is available (callers run the twin instead).
+    aborted)`` out, bit-identical to the Python lanes — or ``None`` when no
+    provider is available (callers run that instead).
 
     The packs' row addresses are cached on the packs
     (:meth:`CorpusPack.addresses`).  Everything else a call needs is

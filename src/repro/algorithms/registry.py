@@ -146,8 +146,8 @@ def make_algorithm(
     :func:`repro.api.compute` is deliberately not applied here.
     ``"native"`` is the ``spf`` executor with a workspace: one is created
     when none is passed, so small unit-cost pairs take the small-pair
-    program (the C kernel when a compiler is present, its Python twin
-    otherwise) — the engine name itself is always valid.
+    program (the C kernel when a compiler is present, spf's scalar region
+    kernel otherwise) — the engine name itself is always valid.
 
     ``workspace`` (a :class:`~repro.algorithms.workspace.TedWorkspace`)
     enables the amortized batch path: factories that support it receive the

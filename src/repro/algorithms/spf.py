@@ -976,7 +976,8 @@ def _region_py(
     :attr:`SinglePathContext.band_w`) restricts each row to its
     ``|i − j| ≤ band_w`` window of a table that starts out ``+inf``; rows
     wholly outside the band are never built.  Returns the number of cells
-    evaluated.
+    evaluated; a row abort attaches the cells evaluated in this region to
+    the :class:`~repro.algorithms.base.CutoffExceeded` it raises.
     """
     lf, lg = lml_f[kf], lml_g[kg]
     rows = kf - lf + 2
@@ -1042,8 +1043,12 @@ def _region_py(
                 row[j] = best
         cells += hi - lo + 1
         if cut is not None:
-            check_row_cutoff(row, cols, rows - 1 - i, cut[0], cut[1], lo, hi,
-                             exact_values=False, slack=cut[2])
+            try:
+                check_row_cutoff(row, cols, rows - 1 - i, cut[0], cut[1], lo, hi,
+                                 exact_values=False, slack=cut[2])
+            except CutoffExceeded as exceeded:
+                exceeded.subproblems = cells
+                raise
         if row_deadline is not None:
             row_deadline.tick(cols)
 

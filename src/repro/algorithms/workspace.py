@@ -77,13 +77,11 @@ from .base import (
 )
 from . import batch_kernel
 from .batch_kernel import (
-    band_width,
+    CorpusPack,
     choose_sweep,
     mirrored_arrays,
     row_pack,
-    small_pair_regions,
     sweep_sizes,
-    twin_buffers,
 )
 from . import native
 from .spf import _Frame, _GridFrame
@@ -257,7 +255,7 @@ class TedWorkspace:
         self._node_costs: Dict[Tuple[int, str], Tuple[Tree, List[float]]] = {}
         self._kind_equiv: Dict[int, Tuple[Tree, Tuple[List[bool], List[bool]]]] = {}
         self._grids: Dict[Tuple[int, int, str], Tuple[Tree, _GridFrame]] = {}
-        self._small: Dict[Tuple[int, str], Tuple[Tree, Optional[tuple]]] = {}
+        self._small: Dict[Tuple[int, str], Tuple[Tree, Optional[CorpusPack]]] = {}
         self._sweeps: Dict[int, Tuple[Tree, Tuple[int, int]]] = {}
         #: Distinct trees currently covered by the caches (generation bound).
         self._seen_trees: Dict[int, Tree] = {}
@@ -495,13 +493,12 @@ class TedWorkspace:
         self._sweeps[id(tree)] = (tree, sizes)
         return sizes
 
-    def _small_arrays(self, tree: Tree, sweep: str = LEFT) -> Optional[tuple]:
-        """Cached ``((lml, keyroots, codes), row pack)`` for the ``sweep``
-        direction — the mirrored arrays for ``RIGHT``, built only when
-        first needed — or ``None`` for uninternable labels.  The arrays
-        feed the Python twin, the one-row pack
+    def _small_pack(self, tree: Tree, sweep: str = LEFT) -> Optional[CorpusPack]:
+        """Cached one-row pack
         (:func:`~repro.algorithms.batch_kernel.row_pack`, its addresses
-        included) the C kernel."""
+        included) of ``tree``'s arrays for the ``sweep`` direction — the
+        mirrored arrays for ``RIGHT``, built only when first needed — or
+        ``None`` for uninternable labels."""
         self._admit(tree)
         key = (id(tree), sweep)
         cached = self._small.get(key)
@@ -509,15 +506,13 @@ class TedWorkspace:
             return cached[1]
         codes = self.interner.codes_postorder(tree)
         if codes is None:
-            entry = None
+            pack = None
+        elif sweep == LEFT:
+            pack = row_pack(tree.lml, tree.keyroots_left(), codes)
         else:
-            if sweep == LEFT:
-                arrays = (tree.lml, tree.keyroots_left(), codes)
-            else:
-                arrays = mirrored_arrays(tree, codes)
-            entry = (arrays, row_pack(*arrays))
-        self._small[key] = (tree, entry)
-        return entry
+            pack = row_pack(*mirrored_arrays(tree, codes))
+        self._small[key] = (tree, pack)
+        return pack
 
     def compute_small(
         self, tree_f: Tree, tree_g: Tree, cutoff: Optional[float] = None
@@ -527,9 +522,10 @@ class TedWorkspace:
 
         The small-pair program (:mod:`repro.algorithms.batch_kernel`): a
         flat keyroot sweep (the Zhang–Shasha recurrence) over cached
-        per-tree arrays — no context, no executor, no per-region dispatch.
-        It runs in the C kernel when a compiled provider is present and in
-        its Python twin over reused buffers otherwise.  Only unit-cost
+        one-row packs — no context, no executor.  It runs in the C kernel
+        when a compiled provider is present and otherwise through
+        :func:`~repro.algorithms.batch_kernel.run_batch`, which drives spf's
+        scalar region kernel over the same packs.  Only unit-cost
         workspaces qualify — there every intermediate value is an
         integer-valued float64, so the result is bit-identical to every
         other kernel — and only pairs whose cheaper sweep evaluates at most
@@ -570,11 +566,11 @@ class TedWorkspace:
             exceeded = CutoffExceeded(float(abs(n - m)))
             exceeded.sweep = sweep
             raise exceeded
-        small_f = self._small_arrays(tree_f, sweep)
-        small_g = self._small_arrays(tree_g, sweep)
-        if small_f is None or small_g is None:
+        pack_f = self._small_pack(tree_f, sweep)
+        pack_g = self._small_pack(tree_g, sweep)
+        if pack_f is None or pack_g is None:
             return None
-        # The C kernel has no deadline hook and the twin's row ticks are
+        # The C kernel has no deadline hook and the Python lane's ticks are
         # amortized (a tiny pair may never reach a clock read), so settle
         # an already-blown budget before the sweep.
         deadline = active_deadline()
@@ -583,24 +579,18 @@ class TedWorkspace:
         self.stats.small_pair_runs += 1
         if sweep == RIGHT:
             self.stats.right_sweeps += 1
-        try:
-            out = native.native_batch(small_f[1], small_g[1], _LANE, _LANE, cutoff)
-            if out is None:
-                value, cells = small_pair_regions(
-                    n, m, cutoff, band_width(cutoff), *small_f[0], *small_g[0],
-                    *twin_buffers(n, m), deadline,
-                )
-            else:
-                self.stats.native_runs += 1
-                value = float(out[0][0])
-                cells = int(out[1][0])
-                if out[2][0]:
-                    exceeded = CutoffExceeded(value)
-                    exceeded.subproblems = cells
-                    raise exceeded
-        except CutoffExceeded as exceeded:
+        out = native.native_batch(pack_f, pack_g, _LANE, _LANE, cutoff)
+        if out is None:
+            out = batch_kernel.run_batch(pack_f, pack_g, _LANE, _LANE, cutoff)
+        else:
+            self.stats.native_runs += 1
+        value = float(out[0][0])
+        cells = int(out[1][0])
+        if out[2][0]:
+            exceeded = CutoffExceeded(value)
+            exceeded.subproblems = cells
             exceeded.sweep = sweep
-            raise
+            raise exceeded
         return value, cells, sweep
 
     # ------------------------------------------------------------------ #
@@ -628,7 +618,7 @@ class TedWorkspace:
 
 
 #: ``extra["kernel"]`` of results produced by the small-pair program (the C
-#: kernel or its Python twin — they are bit-identical, so the name does not
+#: kernel or the Python lanes — they are bit-identical, so the name does not
 #: say which ran).
 SMALL_PAIR_KERNEL = "small-pair"
 

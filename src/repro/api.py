@@ -122,7 +122,8 @@ def tree_edit_distance(
         :class:`~repro.algorithms.workspace.WorkspaceTED` instead of
         Algorithm 2 plus ``spf``.  Every strategy yields the same distance,
         so only the cost differs: the program is the C kernel when a
-        compiler is available and its bit-identical Python twin otherwise.
+        compiler is available and, bit-identically, spf's scalar region
+        kernel otherwise.
         :func:`~repro.algorithms.registry.make_algorithm` keeps running the
         literal algorithm under ``auto``.
     cutoff:
@@ -310,8 +311,8 @@ def similarity_join(
     execution layer — per-tree frames, interned label cost tables and
     pooled matrices shared across all verified pairs — and small unit-cost
     pairs through the struct-of-arrays batch kernel: one C kernel call per
-    chunk (or the Python twin, lane by lane, without a compiler) instead of
-    one per-pair ``compute()``.  Distances and subproblem counts are
+    chunk (or spf's scalar region kernel, lane by lane, without a compiler)
+    instead of one per-pair ``compute()``.  Distances and subproblem counts are
     bit-identical to per-pair computation.  In the ``workers > 1`` fan-out
     the workers receive the parent's corpus pack through the pool
     initializer (copy-on-write under ``fork``).  Note a

@@ -32,20 +32,6 @@ def escape_label(label: str) -> str:
     return "".join(out)
 
 
-def unescape_label(label: str) -> str:
-    """Inverse of :func:`escape_label`."""
-    out = []
-    i = 0
-    while i < len(label):
-        if label[i] == _ESCAPE and i + 1 < len(label):
-            out.append(label[i + 1])
-            i += 2
-        else:
-            out.append(label[i])
-            i += 1
-    return "".join(out)
-
-
 def parse_bracket_node(text: str) -> Node:
     """Parse bracket notation into a :class:`~repro.trees.node.Node`.
 

@@ -300,8 +300,8 @@ def batch_distances(
     over the corpus's label interner.  On a unit cost model, small pairs
     additionally run through the struct-of-arrays batch kernel
     (:mod:`repro.algorithms.batch_kernel`) — one C kernel call per chunk
-    (the Python twin, lane by lane, without a compiler) instead of one
-    per-pair ``compute()``, bit-identical results including subproblem
+    (spf's scalar region kernel, lane by lane, without a compiler) instead
+    of one per-pair ``compute()``, bit-identical results including subproblem
     counts and bounded aborts.  In the multiprocessing fan-out the parent's
     corpus pack reaches the workers through the pool initializer —
     inherited copy-on-write under ``fork``, pickled once per worker under

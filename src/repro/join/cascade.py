@@ -222,8 +222,8 @@ def default_cascade() -> List[FilterStage]:
     return [
         SizeFilter(),
         LabelFilter(),
-        TraversalStringFilter(),
         BinaryBranchFilter(),
+        TraversalStringFilter(),
         UpperBoundAccept(),
     ]
 

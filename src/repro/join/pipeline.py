@@ -213,9 +213,9 @@ class BatchRefiner:
         label codes on both sides and the cheaper sweep within
         :data:`~repro.algorithms.batch_kernel.SMALL_PAIR_CELLS`.  It reads
         the packs :meth:`refine` will run on (:func:`~repro.join.batch.
-        _batch_packs`) and no provider state — the C kernel and its twin run
-        the same program — so the answer is the same with or without a
-        compiler.
+        _batch_packs`) and no provider state — the C kernel and the Python
+        lanes run the same program — so the answer is the same with or
+        without a compiler.
         """
         from .batch import _batch_packs, _kernel_workspace, _resolve_algorithm
 

@@ -23,8 +23,8 @@ This module provides the primitives:
 :func:`deadline_scope` / :func:`active_deadline`
     Thread-local propagation.  ``compute(deadline=...)`` installs the
     deadline for the duration of the call; the row kernels (``spf.py``,
-    ``spf_numpy.py``, ``batch_kernel.small_pair_regions``) pick it up via
-    :func:`active_deadline` without any per-kernel plumbing.  A ``None``
+    which ``batch_kernel.run_batch`` also drives, and ``spf_numpy.py``) pick
+    it up via :func:`active_deadline` without any per-kernel plumbing.  A ``None``
     scope is a no-op, so nested computations inherit the caller's deadline.
 
 Expiry raises :class:`~repro.exceptions.ComputeTimeoutError` — unlike the

@@ -82,11 +82,6 @@ def collection_stats(trees: Iterable[Tree]) -> CollectionStats:
     )
 
 
-def average_depth_per_node(tree: Tree) -> float:
-    """Mean node depth, a finer-grained "deepness" measure than the height."""
-    return sum(tree.depths) / tree.n
-
-
 def label_histogram(tree: Tree) -> dict:
     """Multiset of labels as a ``label -> count`` dictionary."""
     histogram: dict = {}

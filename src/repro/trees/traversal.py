@@ -9,7 +9,7 @@ per-level grouping).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from .tree import Tree
 
@@ -77,17 +77,6 @@ def euler_tour(tree: Tree) -> List[Tuple[str, int]]:
 
     visit(tree.root)
     return events
-
-
-def iter_subtree_pairs(tree_f: Tree, tree_g: Tree) -> Iterator[Tuple[int, int]]:
-    """All pairs of node ids ``(v, w)``, both in ascending postorder.
-
-    This is the iteration order of Algorithm 2 (OptStrategy): children before
-    parents in both trees.
-    """
-    for v in range(tree_f.n):
-        for w in range(tree_g.n):
-            yield v, w
 
 
 def lowest_common_ancestor(tree: Tree, u: int, v: int) -> int:

@@ -47,7 +47,7 @@ def rng() -> random.Random:
 @pytest.fixture(params=[False, True], ids=["provider", "no-native"])
 def kill_switch(request, monkeypatch):
     """Run a test with the compiled small-pair provider and again with
-    ``RTED_NO_NATIVE=1`` (the Python twin)."""
+    ``RTED_NO_NATIVE=1`` (the Python lanes)."""
     if request.param:
         monkeypatch.setenv("RTED_NO_NATIVE", "1")
     else:
@@ -73,11 +73,15 @@ def random_tree_pairs(count: int, max_size: int = 14, seed: int = 7):
 
 def small_pair_distance(tree_f: Tree, tree_g: Tree) -> float:
     """Unit-cost reference distance from the small-pair program: the
-    Zhang–Shasha keyroot sweep, in the C kernel or its Python twin.
+    Zhang–Shasha keyroot sweep, in the C kernel or, without a provider,
+    through spf's scalar region kernel.
 
-    It shares no code with the ``spf`` executor, and the sweep runs
-    iteratively, so any depth within the cell budget is fine; a pair over
-    the budget fails the test rather than silently losing its reference.
+    With the C kernel it shares no code with the ``spf`` executor; without
+    one it shares ``spf._region_py``, and ``tests/test_batch_kernel.py``
+    checks those Python lanes against the ``SimpleTED`` oracle instead.
+    The sweep runs iteratively, so any depth within the cell budget is
+    fine; a pair over the budget fails the test rather than silently
+    losing its reference.
     """
     result = TedWorkspace().compute_small(tree_f, tree_g)
     assert result is not None, "pair exceeds the small-pair cell budget"

@@ -1,17 +1,17 @@
 """Property tests for the small-pair program, its batch driver, and the
 corpus packs handed to multiprocessing workers.
 
-The contract under test is *bit-identity*: the Python twin
+The contract under test is *bit-identity*: the Python lanes
 (:func:`repro.algorithms.batch_kernel.run_batch`), the C kernel
 (:func:`repro.algorithms.native.native_batch`) and the multiprocessing
 fan-out over the parent's corpus packs must reproduce the
 per-pair kernel and the Zhang–Shasha oracle (the ``zhang-l`` / ``zhang-r``
 registry entries, GTED with the left/right-path strategy on the ``spf``
-executor, which shares no code with the small-pair program) — values,
-subproblem counts and
-bounded-abort decisions — exactly, with and without a cutoff, over ragged
-batches of 2–120-node trees, in whichever sweep direction the cell gate
-picks.
+executor) — values, subproblem counts and bounded-abort decisions —
+exactly, with and without a cutoff, over ragged batches of 2–120-node
+trees, in whichever sweep direction the cell gate picks.  The Python lanes
+run spf's scalar region kernel, so they are also checked against
+``SimpleTED``, which shares no code with either.
 """
 
 import pickle
@@ -41,8 +41,9 @@ from repro.algorithms.native import (
     native_provider,
 )
 
-#: The two implementations of the small-pair program over pack lanes: the
-#: Python twin always, the C kernel where a compiler is present.
+#: The two kernels of the small-pair program over pack lanes: the Python
+#: lanes (id ``twin``, the C kernel's Python counterpart) always, the C
+#: kernel where a compiler is present.
 BATCH_KERNELS = [
     pytest.param(run_batch, id="twin"),
     pytest.param(
@@ -258,6 +259,60 @@ class TestBatchKernelIdentity:
         assert workspace.compute_small(corpus[0], corpus[1]) is None
 
 
+class TestPythonLanes:
+    """run_batch shares spf's scalar region kernel, so it is checked
+    against an oracle that shares nothing with either: ``SimpleTED``."""
+
+    @pytest.mark.parametrize("cutoff", [None, 3.0])
+    def test_left_and_mirrored_lanes_match_simple_ted(self, cutoff):
+        # Sizes within 2 of each other pass the bounded size pre-check.
+        rng = random.Random(2707)
+        trees = []
+        for _ in range(120):
+            n = rng.randint(1, 14)
+            m = min(14, max(1, n + rng.randint(-2, 2)))
+            trees.append(random_tree(n, rng=rng, max_fanout=4, alphabet="abc"))
+            trees.append(random_tree(m, rng=rng, max_fanout=4, alphabet="abc"))
+        pack = build_corpus_pack(trees, TedWorkspace().interner)
+        fi = list(range(0, len(trees), 2))
+        gi = list(range(1, len(trees), 2))
+        oracle = make_algorithm("simple")
+        expected = [oracle.compute(trees[i], trees[j]).distance for i, j in zip(fi, gi)]
+        assert cutoff is None or 0 < sum(d < cutoff for d in expected) < len(expected)
+        for shift in (0, pack.n_trees):  # left rows, then mirrored rows
+            values, _, aborted = run_batch(
+                pack, pack, [shift + i for i in fi], [shift + j for j in gi], cutoff=cutoff
+            )
+            for value, abort, d in zip(values.tolist(), aborted.tolist(), expected):
+                if cutoff is None or d < cutoff:
+                    assert (value, abort) == (d, False)
+                else:
+                    assert (value, abort) == (cutoff, True)
+
+    def test_cancel_stops_a_long_lane_mid_sweep(self, monkeypatch):
+        # The lane ticks the deadline once per keyroot region (and per row
+        # in regions at least 64 columns wide); cancelling halfway through
+        # its regions must stop it before the rest run.
+        f, g = zigzag_tree(100, label="a"), zigzag_tree(100, label="b")
+        pack = build_corpus_pack([f, g], TedWorkspace().interner)
+        total = len(f.keyroots_left()) * len(g.keyroots_left())
+        token = CancelToken()
+        regions = []
+        region_py = batch_kernel_mod._region_py
+
+        def counted(*args):
+            regions.append(None)
+            if len(regions) == total // 2:
+                token.cancel()
+            return region_py(*args)
+
+        monkeypatch.setattr(batch_kernel_mod, "_region_py", counted)
+        with deadline_scope(Deadline(token=token)):
+            with pytest.raises(ComputeTimeoutError):
+                run_batch(pack, pack, [0], [1])
+        assert total // 2 <= len(regions) < total
+
+
 @pytest.fixture(scope="module")
 def shapes():
     return shape_corpus()
@@ -379,7 +434,7 @@ class TestCellGate:
 
 
 class TestNativeBackend:
-    """The C kernel vs its Python twin."""
+    """The C kernel vs the Python lanes."""
 
     @pytest.mark.skipif(not native_available(), reason="no compiled provider")
     @pytest.mark.parametrize("cutoff", CUTOFFS)
@@ -458,8 +513,8 @@ class TestNativeBackend:
         # packs, lane (0, 0).
         workspace = TedWorkspace()
         f, g = corpus[4], corpus[5]
-        _, pack_f = workspace._small_arrays(f)
-        _, pack_g = workspace._small_arrays(g)
+        pack_f = workspace._small_pack(f)
+        pack_g = workspace._small_pack(g)
         values, cells, aborted = native_batch(pack_f, pack_g, [0], [0], None)
         value, cells, aborted = float(values[0]), int(cells[0]), bool(aborted[0])
         expected_value, expected_cells = zhang_reference(f, g)
@@ -469,7 +524,7 @@ class TestNativeBackend:
     def test_row_pack_addresses_are_its_arrays(self, corpus, sweep):
         # row_pack derives its addresses from its block's; they must be
         # exactly the addresses of the row arrays it exposes.
-        _, pack = TedWorkspace()._small_arrays(corpus[4], sweep)
+        pack = TedWorkspace()._small_pack(corpus[4], sweep)
         assert pack.addresses() == tuple(
             getattr(pack, name).ctypes.data for name in pack._ROW_FIELDS
         )
@@ -525,8 +580,8 @@ class TestNativeBackend:
             assert native_provider() is None
             workspace = TedWorkspace()
             f, g = random_tree(10, rng=7), random_tree(11, rng=8)
-            _, pack_f = workspace._small_arrays(f)
-            _, pack_g = workspace._small_arrays(g)
+            pack_f = workspace._small_pack(f)
+            pack_g = workspace._small_pack(g)
             assert native_batch(pack_f, pack_g, [0], [0]) is None
             value, cells, _ = workspace.compute_small(f, g)
             assert (value, cells) == zhang_reference(f, g)

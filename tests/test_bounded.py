@@ -37,7 +37,7 @@ from repro.costs import (
 )
 from repro.datasets import clustered_corpus, make_shape, random_tree
 from repro.io import parse_bracket
-from repro.join import batch_distances, batch_self_join, default_cascade
+from repro.join import BinaryBranchFilter, batch_distances, batch_self_join, default_cascade
 
 EXACT = make_algorithm("zhang-l")
 
@@ -407,6 +407,38 @@ class TestThresholdBoundary:
             assert at.stats.stage_pruned == {stage: 1}
             above = batch_self_join([f, g], d + unit / 2, cost_model=model, **kwargs)
             assert above.match_set == {(0, 1)}
+
+    # Moving v below n and its two children up to the root: d == 2, and
+    # both the binary-branch and the traversal-string bound reach 2.
+    BOTH_BOUNDS = ("{r{p}{v{x}{y}}{n{s}{t}{q}}}", "{r{p}{x}{y}{n{v{s}{t}}{q}}}")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"cascade": default_cascade()}, {"cost_model": WeightedCostModel(1, 1, 1.5)}],
+        ids=["unit-full-cascade", "weighted-default-plan"],
+    )
+    def test_linear_branch_stage_runs_before_traversal_strings(self, kwargs):
+        # The cascade runs its cheapest bounds first: the linear array
+        # stage prunes a pair both bounds reach before the O(n·m)
+        # traversal-string stage sees it, and the match sets equal those of
+        # the opposite order.
+        f, g = (parse_bracket(text) for text in self.BOTH_BOUNDS)
+        assert EXACT.distance(f, g, cost_model=kwargs.get("cost_model")) == 2.0
+        names = [stage.name for stage in default_cascade()]
+        assert names.index("binary-branch") < names.index("traversal-string")
+        at = batch_self_join([f, g], 2.0, **kwargs)
+        assert at.stats.stage_pruned == {"binary-branch": 1}
+        swapped = [stage for stage in default_cascade() if stage.name != "binary-branch"]
+        swapped.insert(names.index("traversal-string"), BinaryBranchFilter())
+        swapped_kwargs = dict(kwargs, cascade=swapped)
+        for threshold in (2.0, 2.5):
+            default = batch_self_join([f, g], threshold, **kwargs)
+            opposite = batch_self_join([f, g], threshold, **swapped_kwargs)
+            assert default.match_set == opposite.match_set
+            assert default.match_set == ({(0, 1)} if threshold > 2.0 else set())
+        assert batch_self_join([f, g], 2.0, **swapped_kwargs).stats.stage_pruned == {
+            "traversal-string": 1
+        }
 
     def test_small_pair_sweep_boundary(self):
         # Disjoint-branch pairs with |F| + |G| == 5·τ_ops are correctly

@@ -417,7 +417,7 @@ class TestStageChoice:
             small_corpus(num=2), algorithm=make_algorithm("rted", engine="spf"),
             early_accept=False,
         )
-        assert names == ["size", "label", "traversal-string", "binary-branch"]
+        assert names == ["size", "label", "binary-branch", "traversal-string"]
 
     def test_default_join_equals_full_cascade_exact_join(self):
         trees = clustered_corpus(

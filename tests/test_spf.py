@@ -2,8 +2,9 @@
 
 The recursive :class:`DecompositionEngine` is the reference oracle; every
 test here cross-checks the iterative SPFs and the strategy executor against
-it (and, under unit costs, against the small-pair program — the C kernel or
-its Python twin, which share no code with ``spf``), on randomized tree pairs
+it (and, under unit costs, against the small-pair program — the C kernel,
+which shares no code with ``spf``, or without a compiler the same keyroot
+sweep through spf's scalar region kernel), on randomized tree pairs
 with unit and non-unit cost models, and on deep path-shaped trees that the
 recursive engine could only handle by raising the interpreter recursion
 limit.
