@@ -8,15 +8,16 @@ the two modes (the workspace layer is bit-exact by contract):
   (12 and 48 nodes, the sizes a join cascade feeds the exact verifier by the
   thousands), per-pair wall-clock measured individually for ``rted`` (the
   default verifier) and ``zhang-l``; the reported figure is the *median
-  per-pair speedup* of workspace mode over fresh per-call contexts.
+  per-pair speedup* of workspace mode over a fresh workspace per call
+  (each call's context builds a private one).
 * **one-vs-many** — a single query tree against a 1000-tree corpus, the
   other workload whose per-tree setup a workspace amortizes across every
   pair.
 * **join-verify** — the ``bench_join_scale.py`` workload (clustered self
   join, τ = 3, cascade on) run through ``batch_similarity_join`` with the
   ``"zhang-l"`` registry name (amortized: workspace plus batch kernel) vs a
-  pre-built ``make_algorithm("zhang-l")`` instance (fresh per-pair
-  contexts); the figure is the verify-stage speedup.
+  pre-built ``make_algorithm("zhang-l")`` instance (a fresh workspace per
+  pair); the figure is the verify-stage speedup.
 
 A fractional-cost small-batch entry is included for honest reporting: there
 the unit-cost small-pair kernel does not apply and the gain comes from

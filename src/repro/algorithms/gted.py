@@ -190,8 +190,7 @@ def run_engine(
     — and ``distance`` is ``None``.  The optional
     :class:`~repro.algorithms.workspace.TedWorkspace` feeds the iterative
     executor's context from cross-pair caches (the recursive oracle never
-    uses it); its pooled distance matrix is released once the final distance
-    has been read, abort or not.
+    uses it).
     """
     if engine == ENGINE_RECURSIVE:
         # The recursive oracle never aborts mid-computation; bounded calls
@@ -212,8 +211,6 @@ def run_engine(
         except CutoffExceeded as exceeded:
             extra["rerouted_steps"] = executor.rerouted_steps
             return None, executor.context.cells, (exceeded.lower_bound, True)
-        finally:
-            executor.context.release()
         extra["rerouted_steps"] = executor.rerouted_steps
         subproblems = executor.subproblems
     if cutoff is not None and distance >= cutoff:
@@ -244,10 +241,11 @@ class GTED(TEDAlgorithm):
         engine, kept as a cross-check oracle).
     workspace:
         Optional :class:`~repro.algorithms.workspace.TedWorkspace` whose
-        cross-pair caches (frames, cost arrays, interned rename tables,
-        pooled matrices) feed the ``spf`` engine's contexts.  Ignored by the
-        recursive oracle, and bypassed per call when the supplied cost model
-        does not match the workspace's.
+        cross-pair caches (frames, cost arrays, interned rename tables)
+        feed the ``spf`` engine's contexts.  Without one, or when the
+        supplied cost model does not match the workspace's, each call's
+        context builds the same inputs in a private workspace.  Ignored by
+        the recursive oracle.
     """
 
     def __init__(

@@ -47,9 +47,9 @@ class RTED(TEDAlgorithm):
         (the reference decomposition engine, kept as a cross-check oracle).
     workspace:
         Optional :class:`~repro.algorithms.workspace.TedWorkspace` feeding
-        the ``spf`` engine's contexts from cross-pair caches (batch usage);
-        ignored by the recursive oracle and bypassed for non-matching cost
-        models.
+        the ``spf`` engine's contexts from cross-pair caches (batch usage).
+        Without one, or for a non-matching cost model, each call's context
+        uses a private workspace; the recursive oracle ignores it.
     """
 
     name = "RTED"
@@ -133,10 +133,6 @@ class RTED(TEDAlgorithm):
             n_g=tree_g.n,
             extra=extra,
         )
-
-    def compute_strategy(self, tree_f: Tree, tree_g: Tree) -> OptimalStrategyResult:
-        """Expose the strategy computation alone (used by Figure 10)."""
-        return optimal_strategy(tree_f, tree_g)
 
 
 def rted(

@@ -49,7 +49,7 @@ from __future__ import annotations
 from functools import partial
 from math import ceil, inf, nan
 from operator import ne
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..costs import CostModel
 from ..runtime import active_deadline
@@ -76,18 +76,18 @@ class _Frame:
     for reads/writes of the shared distance matrix.
     """
 
-    __slots__ = ("n", "kind", "tree", "labels", "lml", "sizes", "to_post", "of_post", "np_arrays")
+    __slots__ = ("kind", "tree", "labels", "lml", "to_post", "of_post", "np_arrays")
 
     def __init__(self, tree: Tree, kind: str) -> None:
-        self.n = tree.n
         self.kind = kind
         self.tree = tree
         #: Lazily built integer-array mirrors, populated by the NumPy kernel.
         self.np_arrays = None
+        # Frames share the tree's own (cached) arrays where they can; all
+        # frame arrays are read-only.
         if kind == LEFT:
-            self.labels: List[object] = list(tree.labels)
-            self.lml: List[int] = list(tree.lml)
-            self.sizes: List[int] = list(tree.sizes)
+            self.labels: Sequence[object] = tree.labels
+            self.lml: Sequence[int] = tree.lml
             self.to_post: List[int] = list(range(tree.n))
             self.of_post: List[int] = self.to_post
         elif kind == RIGHT:
@@ -95,9 +95,8 @@ class _Frame:
             post = tree.post_of_rpost()
             self.labels = [tree.labels[p] for p in post]
             self.lml = [rpost[tree.rml[p]] for p in post]
-            self.sizes = [tree.sizes[p] for p in post]
-            self.to_post = list(post)
-            self.of_post = list(rpost)
+            self.to_post = post
+            self.of_post = rpost
         else:
             raise ValueError(f"single-path functions support left/right paths, not {kind!r}")
 
@@ -250,24 +249,23 @@ class SinglePathContext:
     Owns the dense ``n_f × n_g`` tree-distance matrix ``D`` (postorder ×
     postorder, initialized to NaN so that a contract violation surfaces as a
     NaN distance instead of a silently wrong number; to ``+inf`` in
-    τ-banded contexts, see :attr:`band_w`), the lazily built
-    coordinate frames, per-frame cost arrays (and their Python-float lists
-    for the scalar kernel), and the relevant-subproblem counter ``cells``,
-    which keeps the completed keyroot regions of a run that aborted.
+    τ-banded contexts, see :attr:`band_w`), the pair's rename matrices, and
+    the relevant-subproblem counter ``cells``, which keeps the completed
+    keyroot regions of a run that aborted.
 
     A context is used directly by :func:`spf_L` / :func:`spf_R` for whole
     subtree pairs, and incrementally by the GTED executor which calls
     :meth:`run` once per strategy step with ``spine_only=True``.
 
-    When a :class:`~repro.algorithms.workspace.TedWorkspace` is supplied the
-    per-call setup is delegated to its cross-pair caches: coordinate frames,
-    cost arrays, grid frames and heavy-path equivalences come from the
-    workspace's per-tree caches, the distance matrix is a pooled buffer
-    (returned via :meth:`release`), rename matrices become integer-code
-    gathers from the workspace's alphabet table, and unit-cost workspaces
-    skip rename matrices entirely (the kernels compare code arrays).  A
-    workspace bound to a *different* cost model is ignored — the context
-    falls back to fresh per-call state, which is always correct.
+    Every per-tree input of the recurrence — coordinate frames, cost arrays,
+    node costs, grid frames, heavy-path equivalences and interned label
+    codes — comes from a :class:`~repro.algorithms.workspace.TedWorkspace`.
+    Rename matrices are integer-code gathers from its alphabet table, and
+    unit-cost workspaces skip them entirely (the kernels compare code
+    arrays).  A supplied workspace bound to the context's cost model shares
+    those inputs across pairs; without one (or with one bound to a
+    *different* cost model) the context creates a private workspace, which
+    computes the same inputs for this pair alone.
     """
 
     def __init__(
@@ -282,10 +280,14 @@ class SinglePathContext:
         self.tree_f = tree_f
         self.tree_g = tree_g
         self.cost_model = resolve_cost_model(cost_model)
-        if workspace is not None and not workspace.matches(self.cost_model):
-            # Silent fallback to fresh per-call state; the bypass is counted
-            # once at the WorkspaceTED layer, not per context.
-            workspace = None
+        if workspace is None or not workspace.matches(self.cost_model):
+            # A mismatched workspace is bypassed silently; the bypass is
+            # counted once at the WorkspaceTED layer, not per context.  The
+            # workspace module builds on this one's frames, so it is
+            # imported here, not when this module loads.
+            from .workspace import TedWorkspace
+
+            workspace = TedWorkspace(self.cost_model)
         self.workspace = workspace
         #: Number of forest-distance cells evaluated (the relevant subproblems).
         self.cells = 0
@@ -321,75 +323,12 @@ class SinglePathContext:
         #: arithmetic and results are untouched either way.
         self.deadline = active_deadline()
 
-        if workspace is not None:
-            self.D = workspace.acquire_matrix(tree_f.n, tree_g.n)
-        else:
-            self.D = _np_kernel.allocate_matrix(tree_f.n, tree_g.n)
-        if self.band_w is not None:
-            # Subtree pairs outside their region's band are never written;
-            # they must read as +inf, not as the NaN contract sentinel.
-            self.D.fill(inf)
-
-        self._frames: Dict[Tuple[str, str], _Frame] = {}
-        self._cost_arrays: Dict[Tuple[str, str, str], object] = {}
-        self._cost_lists: Dict[Tuple[str, str, str], List[float]] = {}
+        # Subtree pairs outside their region's band are never written; they
+        # must read as +inf, not as the NaN contract sentinel.
+        self.D = _np_kernel.allocate_matrix(
+            tree_f.n, tree_g.n, fill=nan if self.band_w is None else inf
+        )
         self._renames: Dict[Tuple[str, str], object] = {}
-        self._grids: Dict[Tuple[str, int], _GridFrame] = {}
-        self._node_cost_arrays: Dict[Tuple[str, str], List[float]] = {}
-        self._kind_equiv: Dict[str, Tuple[List[bool], List[bool]]] = {}
-
-    def release(self) -> None:
-        """Return the pooled distance matrix to the workspace (if any).
-
-        After release the matrix must not be read again — the executor calls
-        this once the final distance has been extracted.  A no-op for
-        contexts without a workspace.
-        """
-        if self.workspace is not None and self.D is not None:
-            self.workspace.release_matrix(self.D)
-            self.D = None
-
-    # ------------------------------------------------------------------ #
-    # Cached per-frame data
-    # ------------------------------------------------------------------ #
-    def _frame(self, which: str, kind: str) -> _Frame:
-        key = (which, kind)
-        frame = self._frames.get(key)
-        if frame is None:
-            tree = self.tree_f if which == SIDE_F else self.tree_g
-            if self.workspace is not None:
-                frame = self.workspace.frame(tree, kind)
-            else:
-                frame = _Frame(tree, kind)
-            self._frames[key] = frame
-        return frame
-
-    def _cost_array(self, which: str, kind: str, operation: str):
-        """Per-frame-id node costs as a float64 array (the vector kernel's);
-        ``operation`` is ``"delete"`` or ``"insert"``."""
-        key = (which, kind, operation)
-        costs = self._cost_arrays.get(key)
-        if costs is None:
-            tree = self.tree_f if which == SIDE_F else self.tree_g
-            if self.workspace is not None:
-                costs = self.workspace.frame_cost_array(tree, kind, operation)
-            else:
-                frame = self._frame(which, kind)
-                fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
-                costs = _np_kernel.as_array([fn(label) for label in frame.labels])
-            self._cost_arrays[key] = costs
-        return costs
-
-    def _cost_list(self, which: str, kind: str, operation: str) -> List[float]:
-        """:meth:`_cost_array` as Python floats, for the scalar kernel: a
-        NumPy scalar there would make every candidate sum a slow
-        NumPy-scalar operation."""
-        key = (which, kind, operation)
-        costs = self._cost_lists.get(key)
-        if costs is None:
-            costs = self._cost_array(which, kind, operation).tolist()
-            self._cost_lists[key] = costs
-        return costs
 
     def _rename_matrix(self, side: str, kind: str):
         """Dense rename-cost matrix in frame coordinates (vector kernel).
@@ -404,24 +343,28 @@ class SinglePathContext:
         if matrix is None:
             matrix = self._workspace_rename_matrix(side, kind)
             if matrix is None:
-                if side == SIDE_F:
-                    rows, cols = self._frame(SIDE_F, kind), self._frame(SIDE_G, kind)
-                    rename = self.cost_model.rename
-                else:
-                    rows, cols = self._frame(SIDE_G, kind), self._frame(SIDE_F, kind)
+                rows, cols = self.tree_f, self.tree_g
+                rename = self.cost_model.rename
+                if side == SIDE_G:
+                    rows, cols = cols, rows
                     rename = lambda a, b: self.cost_model.rename(b, a)  # noqa: E731
-                matrix = _np_kernel.rename_matrix(rows.labels, cols.labels, rename)
+                matrix = _np_kernel.rename_matrix(
+                    self.workspace.frame(rows, kind).labels,
+                    self.workspace.frame(cols, kind).labels,
+                    rename,
+                )
             self._renames[key] = matrix
         return matrix
 
     def _workspace_rename_matrix(self, side: str, kind: str):
         """Rename matrix as an integer-code gather from the workspace's
-        alphabet table (``None`` when interning is unavailable) — the same
-        values :func:`repro.algorithms.spf_numpy.rename_matrix` would produce
-        by calling the cost model, without the per-pair Python calls."""
+        alphabet table — the same values
+        :func:`repro.algorithms.spf_numpy.rename_matrix` would produce by
+        calling the cost model, without the per-pair Python calls.  ``None``
+        for labels that cannot be interned and for alphabets past
+        :data:`~repro.algorithms.workspace.MAX_DENSE_ALPHABET`, the cases
+        ``rename_matrix`` still serves."""
         workspace = self.workspace
-        if workspace is None:
-            return None
         # Intern both trees before sizing the table, so the alphabet covers
         # every code about to be gathered.
         codes_f = workspace.frame_codes(self.tree_f, kind, as_numpy=True)
@@ -435,74 +378,6 @@ class SinglePathContext:
             return table[codes_f[:, None], codes_g[None, :]]
         # Swapped orientation: matrix[i, j] = rename(label_F[j], label_G[i]).
         return table[codes_f[None, :], codes_g[:, None]]
-
-    def _node_costs(self, which: str, operation: str) -> List[float]:
-        """Per-node removal costs in plain postorder (used by inner paths)."""
-        key = (which, operation)
-        costs = self._node_cost_arrays.get(key)
-        if costs is None:
-            tree = self.tree_f if which == SIDE_F else self.tree_g
-            if self.workspace is not None:
-                costs = self.workspace.node_costs(tree, operation)
-            else:
-                fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
-                costs = [fn(label) for label in tree.labels]
-            self._node_cost_arrays[key] = costs
-        return costs
-
-    #: Cached grid frames kept per context; each holds an ``O(m^2)`` grid, so
-    #: the cache is bounded (executor task batches reuse the same other-side
-    #: subtree many times in a row — see ``_run_fixed_inner``).
-    _MAX_GRID_FRAMES = 8
-
-    def _grid_frame(self, which: str, root: int) -> _GridFrame:
-        # Removing a node of F is a delete, removing a node of G an
-        # insert — the same orientation rule as _node_costs.
-        tree = self.tree_f if which == SIDE_F else self.tree_g
-        if self.workspace is not None:
-            operation = "insert" if which == SIDE_G else "delete"
-            return self.workspace.grid_frame(tree, root, operation)
-        key = (which, root)
-        frame = self._grids.pop(key, None)
-        if frame is None:
-            removal = self.cost_model.insert if which == SIDE_G else self.cost_model.delete
-            frame = _GridFrame(tree, root, removal)
-            if len(self._grids) >= self._MAX_GRID_FRAMES:
-                self._grids.pop(next(iter(self._grids)))
-        # Re-insert on every access so eviction is least-recently-used.
-        self._grids[key] = frame
-        return frame
-
-    def _heavy_path_equivalences(self, which: str) -> Tuple[List[bool], List[bool]]:
-        """Per-node flags: does the heavy path of ``F_v`` equal its left
-        (resp. right) path?
-
-        True for every unary chain and for consistently left-/right-leaning
-        subtrees.  When it holds, the heavy single-path step *is* a left/right
-        step (same path γ, same relevant subtrees), so it can run through the
-        much tighter keyroot program instead of the boundary grid.
-        """
-        cached = self._kind_equiv.get(which)
-        if cached is None:
-            tree = self.tree_f if which == SIDE_F else self.tree_g
-            if self.workspace is not None:
-                cached = self.workspace.kind_equivalences(tree)
-                self._kind_equiv[which] = cached
-                return cached
-            n = tree.n
-            eq_left = [True] * n
-            eq_right = [True] * n
-            heavy = tree.heavy_child
-            children = tree.children
-            for v in range(n):
-                kids = children[v]
-                if kids:
-                    h = heavy[v]
-                    eq_left[v] = h == kids[0] and eq_left[h]
-                    eq_right[v] = h == kids[-1] and eq_right[h]
-            cached = (eq_left, eq_right)
-            self._kind_equiv[which] = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -531,14 +406,15 @@ class SinglePathContext:
         if kind not in (LEFT, RIGHT):
             raise ValueError(f"single-path functions support left/right/heavy paths, not {kind!r}")
         if side == SIDE_F:
-            dec_which, oth_which = SIDE_F, SIDE_G
+            dec_tree, oth_tree = self.tree_f, self.tree_g
             dec_root, oth_root = v, w
         else:
-            dec_which, oth_which = SIDE_G, SIDE_F
+            dec_tree, oth_tree = self.tree_g, self.tree_f
             dec_root, oth_root = w, v
 
-        dec = self._frame(dec_which, kind)
-        oth = self._frame(oth_which, kind)
+        workspace = self.workspace
+        dec = workspace.frame(dec_tree, kind)
+        oth = workspace.frame(oth_tree, kind)
         dec_fid = dec.of_post[dec_root]
         oth_fid = oth.of_post[oth_root]
 
@@ -571,18 +447,18 @@ class SinglePathContext:
         )
         del_costs = ins_costs = unit_codes = rename = None
         if vectorize:
-            del_costs = self._cost_array(dec_which, kind, del_op)
-            ins_costs = self._cost_array(oth_which, kind, ins_op)
-            unit_codes = self._unit_codes(dec_which, oth_which, kind, as_numpy=True)
+            del_costs = workspace.frame_costs(dec_tree, kind, del_op, as_numpy=True)
+            ins_costs = workspace.frame_costs(oth_tree, kind, ins_op, as_numpy=True)
+            unit_codes = self._unit_codes(dec_tree, oth_tree, kind, as_numpy=True)
             if unit_codes is None:
                 rename = self._rename_matrix(side, kind)
 
         base = self.D if side == SIDE_F else self.D.T
         scalar = self._region_kernel_py(
             side, dec, oth,
-            self._cost_list(dec_which, kind, del_op),
-            self._cost_list(oth_which, kind, ins_op),
-            self._unit_codes(dec_which, oth_which, kind, as_numpy=False),
+            workspace.frame_costs(dec_tree, kind, del_op, as_numpy=False),
+            workspace.frame_costs(oth_tree, kind, ins_op, as_numpy=False),
+            self._unit_codes(dec_tree, oth_tree, kind, as_numpy=False),
         )
         try:
             self.cells += _np_kernel.run_regions(
@@ -599,7 +475,7 @@ class SinglePathContext:
             raise
         return float(self.D[v][w])
 
-    def _unit_codes(self, dec_which: str, oth_which: str, kind: str, as_numpy: bool):
+    def _unit_codes(self, dec_tree: Tree, oth_tree: Tree, kind: str, as_numpy: bool):
         """Interned frame-order code arrays for the unit-cost kernel paths.
 
         Only unit-cost workspaces qualify (the specialization folds delete /
@@ -608,10 +484,8 @@ class SinglePathContext:
         kernels.
         """
         workspace = self.workspace
-        if workspace is None or not workspace.unit_cost:
+        if not workspace.unit_cost:
             return None
-        dec_tree = self.tree_f if dec_which == SIDE_F else self.tree_g
-        oth_tree = self.tree_f if oth_which == SIDE_F else self.tree_g
         dec_codes = workspace.frame_codes(dec_tree, kind, as_numpy=as_numpy)
         oth_codes = workspace.frame_codes(oth_tree, kind, as_numpy=as_numpy)
         if dec_codes is None or oth_codes is None:
@@ -636,23 +510,26 @@ class SinglePathContext:
         if not spine_only:
             return self._run_fixed_inner(side, kind, v, w)
         if side == SIDE_F:
-            dec_tree, dec_root, oth_which, oth_root = self.tree_f, v, SIDE_G, w
+            dec_tree, dec_root, oth_tree, oth_root = self.tree_f, v, self.tree_g, w
         else:
-            dec_tree, dec_root, oth_which, oth_root = self.tree_g, w, SIDE_F, v
+            dec_tree, dec_root, oth_tree, oth_root = self.tree_g, w, self.tree_f, v
+        workspace = self.workspace
         if kind == HEAVY:
             # When γ_H of the decomposed subtree coincides with its left or
             # right path (unary chains, leaning trees), the spine is a
             # left/right spine: same path, same relevant subtrees, but the
             # keyroot program evaluates |Γ|-many prefix forests of the other
             # tree instead of the full (m+1)² boundary grid.
-            eq_left, eq_right = self._heavy_path_equivalences(side)
+            eq_left, eq_right = workspace.kind_equivalences(dec_tree)
             if eq_left[dec_root]:
                 return self.run(side, LEFT, v, w, spine_only=True)
             if eq_right[dec_root]:
                 return self.run(side, RIGHT, v, w, spine_only=True)
         chain = _InnerChain(dec_tree, dec_root, kind)
-        frame = self._grid_frame(oth_which, oth_root)
-        dec_costs = self._node_costs(side, "delete" if side == SIDE_F else "insert")
+        # Removing a node of F is a delete, removing a node of G an insert.
+        del_op, ins_op = ("delete", "insert") if side == SIDE_F else ("insert", "delete")
+        frame = workspace.grid_frame(oth_tree, oth_root, ins_op)
+        dec_costs = workspace.node_costs(dec_tree, del_op)
         if frame.m + 1 >= _np_kernel.MIN_INNER_VECTOR_WIDTH:
             base = self.D if side == SIDE_F else self.D.T
             rename = self.cost_model.rename
@@ -1003,7 +880,7 @@ def _region_py(
     row[0] = 0.0
     for j in range(1, last_j):
         row[j] = row[j - 1] + ins_costs[lg + j - 1]
-    fd: List[List[float]] = [row]
+    fd: List[Optional[List[float]]] = [row]
 
     cells = 0
     lo, hi = 1, cols - 1
@@ -1012,7 +889,8 @@ def _region_py(
             lo = i - band_w if i > band_w else 1
             hi = i + band_w if i + band_w < cols else cols - 1
         node_f = lf + i - 1
-        spans_f = lml_f[node_f] == lf
+        lml_node = lml_f[node_f]
+        spans_f = lml_node == lf
         delete_cost = del_costs[node_f]
         label_f = labels_f[node_f]
         node_f_post = to_post_dec[node_f]
@@ -1020,7 +898,12 @@ def _region_py(
         row = [inf] * cols
         row[0] = prev[0] + delete_cost
         fd.append(row)
-        split_row = fd[lml_f[node_f] - lf]
+        split_row = fd[lml_node - lf]
+        if lml_node != node_f:
+            # A split reads ``fd[lml(node) − lf]``, the row just before a
+            # leaf; ``prev`` precedes a non-leaf, so no split will read it
+            # and a region keeps one row per leaf instead of every row.
+            fd[i - 1] = None
         dist_row = None if spans_f else read_row(node_f_post, col_posts, lo, hi)
         for j in range(lo, hi + 1):
             node_g = lg + j - 1
@@ -1074,11 +957,9 @@ def spf_L(
     trees are handled without touching the interpreter recursion limit.
     """
     context = SinglePathContext(tree_f, tree_g, cost_model=cost_model, workspace=workspace)
-    distance = context.run(
+    return context.run(
         SIDE_F, LEFT, tree_f.root if v is None else v, tree_g.root if w is None else w
     )
-    context.release()
-    return distance
 
 
 def spf_R(
@@ -1095,11 +976,9 @@ def spf_R(
     reverse-postorder coordinates instead of on mirrored tree copies.
     """
     context = SinglePathContext(tree_f, tree_g, cost_model=cost_model, workspace=workspace)
-    distance = context.run(
+    return context.run(
         SIDE_F, RIGHT, tree_f.root if v is None else v, tree_g.root if w is None else w
     )
-    context.release()
-    return distance
 
 
 def spf_H(
@@ -1142,8 +1021,6 @@ def spf_A(
     :func:`spf_R`; for heavy paths it is the production implementation.
     """
     context = SinglePathContext(tree_f, tree_g, cost_model=cost_model, workspace=workspace)
-    distance = context.run_inner(
+    return context.run_inner(
         SIDE_F, kind, tree_f.root if v is None else v, tree_g.root if w is None else w
     )
-    context.release()
-    return distance

@@ -27,18 +27,14 @@ import numpy as np
 from .base import CutoffExceeded
 
 
-def allocate_matrix(n: int, m: int) -> np.ndarray:
-    """Dense ``n × m`` tree-distance matrix, NaN-initialized.
+def allocate_matrix(n: int, m: int, fill: float = np.nan) -> np.ndarray:
+    """Dense ``n × m`` tree-distance matrix, NaN-initialized by default.
 
     NaN (rather than 0) makes a violated fill-order contract visible: any read
-    of a never-written entry propagates into the final distance.
+    of a never-written entry propagates into the final distance.  τ-banded
+    contexts pass ``fill=inf``, the value of every cell their band skips.
     """
-    return np.full((n, m), np.nan, dtype=np.float64)
-
-
-def as_array(values: Sequence[float]) -> np.ndarray:
-    """Cost list → float64 array."""
-    return np.asarray(values, dtype=np.float64)
+    return np.full((n, m), fill, dtype=np.float64)
 
 
 def rename_matrix(

@@ -2,14 +2,16 @@
 
 At corpus scale (similarity joins, one-vs-many queries, batch verification)
 the exact TED spends much of its time *outside* the forest-distance
-recurrence: every per-pair context rebuilds the coordinate frames, evaluates
-the cost-model callables into per-node arrays and dense rename matrices, and
-allocates a fresh NaN-initialized distance matrix.  All of that work depends
-only on a *single tree* (frames, cost arrays), on the *label alphabet*
-(rename tables) or on nothing at all (matrix buffers) — so a batch of pairs
-over a corpus can pay for it once instead of once per pair.
+recurrence: every pair needs coordinate frames, the cost-model callables
+evaluated into per-node arrays, and dense rename matrices.  All of that work
+depends only on a *single tree* (frames, cost arrays) or on the *label
+alphabet* (rename tables) — so a batch of pairs over a corpus can pay for it
+once instead of once per pair.
 
-:class:`TedWorkspace` is that shared state:
+:class:`TedWorkspace` is that shared state, and the one source of those
+inputs: a :class:`~repro.algorithms.spf.SinglePathContext` run without a
+matching workspace builds them in a private one for its pair alone.  It
+holds:
 
 * **per-tree caches** — :class:`~repro.algorithms.spf._Frame` coordinate
   views, per-frame delete/insert cost arrays, postorder node-cost arrays,
@@ -20,9 +22,6 @@ over a corpus can pay for it once instead of once per pair.
   alphabet-sized tables evaluated once per (interner, cost model), and
   per-pair rename matrices become integer-code gathers instead of Python
   cost-model calls;
-* **a pooled matrix allocator** — size-classed float64 buffers recycled
-  across pairs, so the dense ``n × m`` distance matrix stops being a per-pair
-  allocation;
 * **a unit-cost fast path** — under the exact
   :class:`~repro.costs.UnitCostModel` the rename matrix is never built at all
   (kernels compare code arrays directly) and every pair whose cheaper
@@ -37,8 +36,8 @@ Every cached cost quantity (cost arrays, grid frames, the alphabet tables)
 is derived from the workspace's cost model, so a workspace is **permanently
 bound** to the cost model it was created with: :meth:`TedWorkspace.matches`
 is the guard, :class:`WorkspaceTED` silently bypasses the workspace for
-non-matching models (falling back to a fresh per-pair context — correct,
-just not amortized), and the batch layer raises
+non-matching models (the wrapped algorithm's contexts then build private
+workspaces — correct, just not amortized), and the batch layer raises
 :class:`~repro.exceptions.WorkspaceError` when an explicitly supplied
 workspace disagrees with the join's cost model.  To switch cost models,
 create a new workspace; the label interner (which is cost-independent) can be
@@ -49,16 +48,16 @@ arguments — the same assumption the per-pair rename-matrix interning in
 Bit-identity
 ------------
 Workspace reuse never changes numerics: cached arrays hold exactly the
-values a fresh context would recompute, kernel selection is unchanged, and
-the unit-cost specializations only ever produce integer-valued float64
+values a private workspace would recompute, kernel selection is unchanged,
+and the unit-cost specializations only ever produce integer-valued float64
 arithmetic (which every kernel evaluates exactly), so batch results are
-bit-identical to fresh-context runs — the property-based test suite asserts
-this with exact equality.
+bit-identical to one-off runs — the property-based test suite asserts this
+with exact equality.
 """
 
 from __future__ import annotations
 
-from math import inf, nan
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 import numpy as _np
@@ -169,8 +168,6 @@ class WorkspaceStats:
     __slots__ = (
         "frame_hits",
         "frame_misses",
-        "matrices_pooled",
-        "matrices_allocated",
         "small_pair_runs",
         "right_sweeps",
         "batch_lanes",
@@ -181,8 +178,6 @@ class WorkspaceStats:
     def __init__(self) -> None:
         self.frame_hits = 0
         self.frame_misses = 0
-        self.matrices_pooled = 0
-        self.matrices_allocated = 0
         self.small_pair_runs = 0
         #: Small-pair runs that took the right sweep (mirrored arrays).
         self.right_sweeps = 0
@@ -233,8 +228,11 @@ class TedWorkspace:
     long-lived services).  :meth:`clear` drops everything explicitly.
     """
 
-    _MAX_GRID_FRAMES = 64
-    _MAX_POOLED_BUFFERS = 8
+    #: Grid frames kept (LRU), each an ``O(m²)`` grid; executor task batches
+    #: reuse one other-side subtree many times in a row.  One-off contexts
+    #: run over a private workspace too, and a bound of 64 raised their
+    #: peak memory (RTED on two 300-node zigzags) over that of 8.
+    _MAX_GRID_FRAMES = 8
     _MAX_CACHED_TREES = 4096
 
     def __init__(
@@ -250,7 +248,7 @@ class TedWorkspace:
         # Per-tree caches, keyed on id(tree); every value tuple starts with
         # the tree itself so the id cannot be recycled while cached.
         self._frames: Dict[Tuple[int, str], Tuple[Tree, _Frame]] = {}
-        self._frame_costs: Dict[Tuple[int, str, str], Tuple[Tree, object]] = {}
+        self._frame_costs: Dict[Tuple[int, str, str, bool], Tuple[Tree, object]] = {}
         self._frame_codes: Dict[Tuple[int, str, bool], Tuple[Tree, object]] = {}
         self._node_costs: Dict[Tuple[int, str], Tuple[Tree, List[float]]] = {}
         self._kind_equiv: Dict[int, Tuple[Tree, Tuple[List[bool], List[bool]]]] = {}
@@ -264,10 +262,6 @@ class TedWorkspace:
         self._delete_table = None
         self._insert_table = None
         self._rename_table = None
-
-        # Pooled float64 buffers for dense distance matrices, keyed by
-        # power-of-two capacity class.
-        self._matrix_pool: Dict[int, List[object]] = {}
 
     # ------------------------------------------------------------------ #
     # Cost-model binding
@@ -296,7 +290,9 @@ class TedWorkspace:
         :data:`_MAX_CACHED_TREES` distinct trees, so a long-lived workspace
         (one-vs-many services) cannot grow without bound.  Purely a cache
         reset — in-flight contexts keep their own references, and the next
-        access repopulates from the current working set."""
+        access repopulates from the current working set.  Called on cache
+        misses only: a tree with a cached entry is already admitted, as a
+        reset empties every cache together."""
         if id(tree) not in self._seen_trees:
             if len(self._seen_trees) >= self._MAX_CACHED_TREES:
                 self._frames.clear()
@@ -312,35 +308,42 @@ class TedWorkspace:
 
     def frame(self, tree: Tree, kind: str) -> _Frame:
         """Cached coordinate frame for ``(tree, kind)``."""
-        self._admit(tree)
         key = (id(tree), kind)
         cached = self._frames.get(key)
         if cached is not None:
             self.stats.frame_hits += 1
             return cached[1]
+        self._admit(tree)
         self.stats.frame_misses += 1
         frame = _Frame(tree, kind)
         self._frames[key] = (tree, frame)
         return frame
 
-    def frame_cost_array(self, tree: Tree, kind: str, operation: str):
-        """Cached per-frame-id node costs (``"delete"`` or ``"insert"``) as a
-        float64 array."""
-        key = (id(tree), kind, operation)
+    def frame_costs(self, tree: Tree, kind: str, operation: str, as_numpy: bool):
+        """Cached per-frame-id node costs (``"delete"`` or ``"insert"``): a
+        float64 array for the vector kernel, or its values as Python floats
+        for the scalar kernel, where a NumPy scalar would make every
+        candidate sum a slow NumPy-scalar operation."""
+        key = (id(tree), kind, operation, as_numpy)
         cached = self._frame_costs.get(key)
         if cached is not None:
             return cached[1]
-        frame = self.frame(tree, kind)
-        # Intern this tree's labels *before* fetching the table, so the table
-        # covers any codes the tree just added to the alphabet.
-        codes = self.frame_codes(tree, kind, as_numpy=False)
-        table = self._cost_table(operation)
-        if table is not None and codes is not None:
-            values = [table[c] for c in codes]
+        if as_numpy:
+            costs: object = _np.asarray(
+                self.frame_costs(tree, kind, operation, as_numpy=False), dtype=_np.float64
+            )
         else:
-            fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
-            values = [fn(label) for label in frame.labels]
-        costs = _np.asarray(values, dtype=_np.float64)
+            frame = self.frame(tree, kind)
+            # Intern this tree's labels *before* fetching the table, so the
+            # table covers any codes the tree just added to the alphabet.
+            codes = self.frame_codes(tree, kind, as_numpy=False)
+            table = self._cost_table(operation)
+            if table is not None and codes is not None:
+                # Nodes with one label share the table's float object.
+                costs = [table[c] for c in codes]
+            else:
+                fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
+                costs = [float(fn(label)) for label in frame.labels]
         self._frame_costs[key] = (tree, costs)
         return costs
 
@@ -354,7 +357,7 @@ class TedWorkspace:
         if post_codes is None:
             codes: object = None
         elif kind == LEFT:
-            codes = list(post_codes)
+            codes = post_codes
         else:
             codes = [post_codes[p] for p in tree.post_of_rpost()]
         if codes is not None and as_numpy:
@@ -364,22 +367,25 @@ class TedWorkspace:
 
     def node_costs(self, tree: Tree, operation: str) -> List[float]:
         """Cached per-node removal costs in plain postorder (inner paths)."""
-        self._admit(tree)
         key = (id(tree), operation)
         cached = self._node_costs.get(key)
         if cached is not None:
             return cached[1]
+        self._admit(tree)
         fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
         costs = [fn(label) for label in tree.labels]
         self._node_costs[key] = (tree, costs)
         return costs
 
     def kind_equivalences(self, tree: Tree) -> Tuple[List[bool], List[bool]]:
-        """Cached heavy≡left / heavy≡right per-node flags (see spf)."""
-        self._admit(tree)
+        """Cached per-node flags: is the heavy path of the subtree rooted
+        at ``v`` also its left (resp. right) path?  True for unary chains and
+        consistently left-/right-leaning subtrees, whose heavy steps spf
+        runs through the tighter keyroot program."""
         cached = self._kind_equiv.get(id(tree))
         if cached is not None:
             return cached[1]
+        self._admit(tree)
         n = tree.n
         eq_left = [True] * n
         eq_right = [True] * n
@@ -397,10 +403,10 @@ class TedWorkspace:
 
     def grid_frame(self, tree: Tree, root: int, operation: str) -> _GridFrame:
         """Cached boundary grid for ``(tree, root)``; LRU-bounded."""
-        self._admit(tree)
         key = (id(tree), root, operation)
         cached = self._grids.pop(key, None)
         if cached is None:
+            self._admit(tree)
             removal = self.cost_model.delete if operation == "delete" else self.cost_model.insert
             cached = (tree, _GridFrame(tree, root, removal))
             if len(self._grids) >= self._MAX_GRID_FRAMES:
@@ -412,14 +418,15 @@ class TedWorkspace:
     # Alphabet-sized cost tables
     # ------------------------------------------------------------------ #
     def _cost_table(self, operation: str) -> Optional[List[float]]:
-        """Per-code delete/insert costs for the current alphabet."""
+        """Per-code delete/insert costs for the current alphabet, as Python
+        floats (the values a float64 array of them holds)."""
         size = len(self.interner)
         if size == 0 or size > MAX_DENSE_ALPHABET:
             return None
         table = self._delete_table if operation == "delete" else self._insert_table
         if table is None or len(table) < size:
             fn = self.cost_model.delete if operation == "delete" else self.cost_model.insert
-            table = [fn(label) for label in self.interner.labels]
+            table = [float(fn(label)) for label in self.interner.labels]
             if operation == "delete":
                 self._delete_table = table
             else:
@@ -452,43 +459,14 @@ class TedWorkspace:
         return table
 
     # ------------------------------------------------------------------ #
-    # Pooled distance matrices
-    # ------------------------------------------------------------------ #
-    def acquire_matrix(self, n: int, m: int):
-        """A NaN-filled ``n × m`` float64 matrix backed by a pooled buffer."""
-        needed = n * m
-        capacity = 1
-        while capacity < needed:
-            capacity <<= 1
-        bucket = self._matrix_pool.get(capacity)
-        if bucket:
-            buffer = bucket.pop()
-            self.stats.matrices_pooled += 1
-        else:
-            buffer = _np.empty(capacity, dtype=_np.float64)
-            self.stats.matrices_allocated += 1
-        matrix = buffer[:needed].reshape(n, m)
-        matrix.fill(nan)
-        return matrix
-
-    def release_matrix(self, matrix) -> None:
-        """Return a matrix obtained from :meth:`acquire_matrix` to the pool."""
-        buffer = matrix
-        while buffer.base is not None:
-            buffer = buffer.base
-        bucket = self._matrix_pool.setdefault(buffer.size, [])
-        if len(bucket) < self._MAX_POOLED_BUFFERS:
-            bucket.append(buffer)
-
-    # ------------------------------------------------------------------ #
     # Unit-cost small-pair fast path
     # ------------------------------------------------------------------ #
     def _sweep_sizes(self, tree: Tree) -> Tuple[int, int]:
         """Cached :func:`~repro.algorithms.batch_kernel.sweep_sizes`."""
-        self._admit(tree)
         cached = self._sweeps.get(id(tree))
         if cached is not None:
             return cached[1]
+        self._admit(tree)
         sizes = sweep_sizes(tree)
         self._sweeps[id(tree)] = (tree, sizes)
         return sizes
@@ -499,11 +477,11 @@ class TedWorkspace:
         included) of ``tree``'s arrays for the ``sweep`` direction — the
         mirrored arrays for ``RIGHT``, built only when first needed — or
         ``None`` for uninternable labels."""
-        self._admit(tree)
         key = (id(tree), sweep)
         cached = self._small.get(key)
         if cached is not None:
             return cached[1]
+        self._admit(tree)
         codes = self.interner.codes_postorder(tree)
         if codes is None:
             pack = None
@@ -595,7 +573,7 @@ class TedWorkspace:
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Drop every cache (per-tree artifacts, tables, pooled buffers)."""
+        """Drop every cache (per-tree artifacts and alphabet tables)."""
         self._frames.clear()
         self._frame_costs.clear()
         self._frame_codes.clear()
@@ -608,7 +586,6 @@ class TedWorkspace:
         self._delete_table = None
         self._insert_table = None
         self._rename_table = None
-        self._matrix_pool.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

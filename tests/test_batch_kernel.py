@@ -312,6 +312,30 @@ class TestPythonLanes:
                 run_batch(pack, pack, [0], [1])
         assert total // 2 <= len(regions) < total
 
+    def test_lane_keeps_only_split_rows_alive(self):
+        # A unary chain is one keyroot region whose only split row is row 0,
+        # so the lane's peak is its NumPy ``D`` plus a few rows.  Keeping
+        # every forest-distance row alive would add ``rows × cols`` Python
+        # floats (about 5× ``D``) on top.
+        import tracemalloc
+
+        def chain(n, label):
+            node = Node(label)
+            for _ in range(n - 1):
+                node = Node(label, [node])
+            return Tree(node)
+
+        n = 300
+        pack = build_corpus_pack([chain(n, "a"), chain(n, "b")], TedWorkspace().interner)
+        tracemalloc.start()
+        try:
+            values, cells, _ = run_batch(pack, pack, [0], [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (values.tolist(), cells.tolist()) == ([float(n)], [n * n])
+        assert peak < 2 * n * n * 8
+
 
 @pytest.fixture(scope="module")
 def shapes():

@@ -1,11 +1,11 @@
-"""Tests for the amortized execution layer (TedWorkspace, interning, pooling).
+"""Tests for the amortized execution layer (TedWorkspace, interning).
 
 The contract under test is *bit-identity*: a workspace may cache frames,
-intern labels into alphabet tables, pool matrices and short-circuit small
-unit-cost pairs, but the distances it produces must equal the fresh-context
-results exactly (``==``, not ``approx``) — across random pairs, mixed
-shapes, unit and fractional cost models, and repeated-tree (self-join)
-sequences where stale caches would surface.
+intern labels into alphabet tables and short-circuit small unit-cost
+pairs, but the distances it produces must equal the one-off results
+exactly (``==``, not ``approx``) — across random pairs, mixed shapes, unit
+and fractional cost models, and repeated-tree (self-join) sequences where
+stale caches would surface.
 """
 
 import random
@@ -95,8 +95,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("cost_model", [UNIT_COST, FRACTIONAL], ids=["unit", "fractional"])
     def test_large_pairs_use_workspace_contexts(self, cost_model, monkeypatch):
         # Pairs outside the small-pair cell budget run the executor with
-        # workspace-backed contexts (cached frames, interned rename tables,
-        # pooled matrices).  These pairs fit the default budget, so a zero
+        # workspace-backed contexts (cached frames, interned rename tables).
+        # These pairs fit the default budget, so a zero
         # budget keeps the unit-cost ones on the executor too.
         monkeypatch.setattr(batch_kernel, "SMALL_PAIR_CELLS", 0)
         trees = [random_tree(90 + 10 * k, rng=50 + k) for k in range(4)]
@@ -110,7 +110,6 @@ class TestBitIdentity:
                 assert a == b
         assert workspace.stats.small_pair_runs == 0
         assert workspace.stats.frame_hits > 0
-        assert workspace.stats.matrices_pooled > 0
 
     def test_spf_functions_accept_workspace(self):
         workspace = TedWorkspace(FRACTIONAL)
@@ -268,18 +267,6 @@ class TestWorkspaceInternals:
             == make_algorithm("rted").compute(tree, other).distance
         )
 
-    def test_matrix_pool_round_trip(self):
-        pytest.importorskip("numpy")
-        import numpy as np
-
-        workspace = TedWorkspace()
-        first = workspace.acquire_matrix(7, 5)
-        assert first.shape == (7, 5) and np.isnan(first).all()
-        workspace.release_matrix(first)
-        second = workspace.acquire_matrix(8, 8)  # same power-of-two class (64)
-        assert workspace.stats.matrices_pooled == 1
-        assert second.shape == (8, 8) and np.isnan(second).all()
-
     def test_small_pair_cells_respected(self, monkeypatch):
         from repro.algorithms.batch_kernel import sweep_sizes
 
@@ -300,3 +287,67 @@ class TestWorkspaceInternals:
         workspace.clear()
         assert workspace.compute_small(tree, tree) == first
         assert first[0] == 0.0
+
+
+def _listified(tree):
+    """``tree`` with every label wrapped in a list (unhashable labels)."""
+    from repro.trees import Node, Tree
+
+    nodes = []
+    for v in range(tree.n):  # postorder: children come first
+        nodes.append(Node([tree.labels[v]], [nodes[c] for c in tree.children[v]]))
+    return Tree(nodes[tree.root])
+
+
+def _fallback_pairs():
+    rng = random.Random(41)
+    pairs = [
+        (random_tree(n, rng=rng, alphabet="abcdefgh"), random_tree(m, rng=rng, alphabet="abcdefgh"))
+        for n, m in ((24, 30), (40, 33), (18, 45))
+    ]
+    return pairs + [tuple(_listified(tree) for tree in pairs[0])]
+
+
+class TestRenameFallback:
+    """Alphabets past ``MAX_DENSE_ALPHABET`` and uninternable labels get
+    their rename matrices from :func:`repro.algorithms.spf_numpy.rename_matrix`
+    — with a shared workspace and with a context's private one alike."""
+
+    @pytest.mark.parametrize("runner", ["rted", "spf_L", "spf_H"])
+    def test_fallback_matches_simple_ted(self, runner, monkeypatch):
+        from repro.algorithms import SinglePathContext, spf_numpy, workspace as workspace_mod
+        from repro.algorithms.strategies import SIDE_F
+        from repro.trees.tree import HEAVY, LEFT
+
+        monkeypatch.setattr(workspace_mod, "MAX_DENSE_ALPHABET", 4)
+        fallbacks = []
+        rename_matrix = spf_numpy.rename_matrix
+
+        def counted(*args):
+            fallbacks.append(None)
+            return rename_matrix(*args)
+
+        monkeypatch.setattr(spf_numpy, "rename_matrix", counted)
+        cost_model = WeightedCostModel(1, 1, 1.5)
+
+        def run(tree_f, tree_g, workspace):
+            if runner == "rted":
+                result = RTED(engine="spf", workspace=workspace).compute(
+                    tree_f, tree_g, cost_model=cost_model
+                )
+                return result.distance, result.subproblems
+            context = SinglePathContext(tree_f, tree_g, cost_model=cost_model, workspace=workspace)
+            kind = LEFT if runner == "spf_L" else HEAVY
+            return context.run(SIDE_F, kind, tree_f.root, tree_g.root), context.cells
+
+        oracle = make_algorithm("simple")
+        shared = TedWorkspace(cost_model)
+        for tree_f, tree_g in _fallback_pairs():
+            assert len(set(map(repr, tree_f.labels + tree_g.labels))) >= 5
+            expected = oracle.compute(tree_f, tree_g, cost_model=cost_model).distance
+            one_off = run(tree_f, tree_g, None)
+            amortized = run(tree_f, tree_g, shared)
+            assert one_off == amortized
+            assert one_off[0] == expected
+        if runner != "spf_H":  # the inner-path kernels call the cost model directly
+            assert fallbacks
