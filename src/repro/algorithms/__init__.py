@@ -34,7 +34,6 @@ from .strategies import (
 from .optimal_strategy import (
     OptimalStrategyResult,
     optimal_strategy,
-    optimal_strategy_cost,
 )
 from .forest_engine import DecompositionEngine
 from .spf import SinglePathContext, spf_A, spf_H, spf_L, spf_R
@@ -87,7 +86,6 @@ __all__ = [
     "SIDE_G",
     "OptimalStrategyResult",
     "optimal_strategy",
-    "optimal_strategy_cost",
     "DecompositionEngine",
     "SinglePathContext",
     "spf_A",

@@ -9,17 +9,18 @@ which brings the strategy computation down from ``O(n^3)`` (the baseline
 algorithm of Section 6.1, implemented in
 :mod:`repro.counting.cost_formula`) to ``O(n^2)``.
 
-The strategy matrix is stored as flat integers — entry ``(v, w)`` is an index
-into :data:`~repro.algorithms.strategies.ALL_FIXED_CHOICES` — and the cost
-matrix as flat ints, never as ``|F| × |G|`` objects.  Two implementations
-share that layout:
+The strategy matrix is stored as an ``int8`` array — entry ``(v, w)`` is an
+index into :data:`~repro.algorithms.strategies.ALL_FIXED_CHOICES` — and the
+cost matrix as an ``int64`` array, never as ``|F| × |G|`` objects.  Two
+implementations share that layout:
 
-* :func:`_optimal_strategy_numpy` — the production path: per-``v`` row
-  updates are NumPy vector operations, and the sequential child→parent cost
-  flow inside a row is batched by *height level* of ``G`` (all nodes of one
-  height are independent given the levels below).
-* :func:`_optimal_strategy_python` — the flat-int scalar loop, used when
-  the trees are so deep that level batching degenerates.
+* :func:`_optimal_strategy_python` — the paper's loop over the pairs in
+  postorder, in its array layout: the ``F``-side cost sums are ``|F| × |G|``
+  ``int64`` arrays, the ``G``-side sums one list per row of ``F``;
+* :func:`_optimal_strategy_numpy` — the level-blocked version: the
+  sequential child→parent cost flow is batched by *height level* of both
+  trees (all pairs of one level pair are independent given the levels
+  below), each block a handful of NumPy vector operations.
 
 Each wins on its own inputs (a deep zigzag favours the flat loop, a bushy
 random tree the level blocks), and :func:`optimal_strategy` picks one by
@@ -27,14 +28,12 @@ the height test.  The test-suite checks both against a direct re-derivation
 of Figure 5 at every subtree pair, and their costs against the memoized
 brute force of :func:`repro.counting.optimal_cost_bruteforce`.
 
-The module exposes:
-
-* :func:`optimal_strategy` — the full Algorithm 2, returning an
-  :class:`OptimalStrategyResult` with the encoded strategy matrix and the
-  optimal subproblem count;
-* :attr:`OptimalStrategyResult.strategy` — an
-  :class:`~repro.algorithms.strategies.EncodedStrategy` ready to be passed
-  to GTED / the executors.
+The module exposes :func:`optimal_strategy`, the full Algorithm 2, returning
+an :class:`OptimalStrategyResult` with the encoded strategy matrix, the cost
+matrix and the optimal subproblem count;
+:attr:`OptimalStrategyResult.strategy` wraps the matrix as an
+:class:`~repro.algorithms.strategies.EncodedStrategy` ready to be passed to
+GTED / the executors.
 """
 
 from __future__ import annotations
@@ -45,20 +44,16 @@ import numpy as np
 
 from ..runtime import active_deadline
 from ..trees.tree import HEAVY, LEFT, RIGHT, Tree
-from .strategies import ALL_FIXED_CHOICES, EncodedStrategy, PathChoice
+from .strategies import EncodedStrategy
 
-#: Candidate order used for tie-breaking; matches the listing order of the
-#: cost formula in Figure 5 (heavy-F, heavy-G, left-F, left-G, right-F,
-#: right-G).  The first candidate attaining the minimum wins.  Identical to
-#: :data:`~repro.algorithms.strategies.ALL_FIXED_CHOICES`, whose positions
-#: are the integer codes stored in the strategy matrix.
-_CANDIDATE_CHOICES = tuple(ALL_FIXED_CHOICES)
-
-#: Per-block fixed overhead (ufunc dispatch, temporaries) of the vectorized
-#: implementation relative to per-pair scalar work: vectorize only when the
+#: Per-block fixed overhead (ufunc dispatch, temporaries) of the level-blocked
+#: implementation relative to per-pair scalar work: it runs only when the
 #: level-pair block count is at least this many times smaller than the pair
-#: count, else fall back to the flat scalar loop (deep, path-like trees).
-_BLOCK_OVERHEAD_FACTOR = 64
+#: count, else the flat loop does (deep, path-like trees).  Measured
+#: crossover on a 2-vCPU VM: the flat loop wins up to ~110 pairs per block
+#: (random-100, treebank-300, treefam-300), the blocks from ~135
+#: (treebank-400, random-150).
+_BLOCK_OVERHEAD_FACTOR = 128
 
 
 class OptimalStrategyResult:
@@ -67,32 +62,23 @@ class OptimalStrategyResult:
     Attributes
     ----------
     choice_codes:
-        ``|F| × |G|`` matrix of small ints; entry ``(v, w)`` indexes
+        ``|F| × |G|`` ``int8`` array; entry ``(v, w)`` indexes
         :data:`~repro.algorithms.strategies.ALL_FIXED_CHOICES` and encodes
         the optimal path for the subtree pair rooted at ``(v, w)``.
     cost:
         Number of relevant subproblems of the optimal strategy for the whole
         tree pair (the value of the cost formula at the roots).
     costs:
-        ``|F| × |G|`` matrix with the optimal cost of every subtree pair.
+        ``|F| × |G|`` ``int64`` array with the optimal cost of every subtree
+        pair.
     """
 
-    __slots__ = ("choice_codes", "cost", "costs", "_choices")
+    __slots__ = ("choice_codes", "cost", "costs")
 
     def __init__(self, choice_codes, cost: int, costs) -> None:
         self.choice_codes = choice_codes
         self.cost = int(cost)
         self.costs = costs
-        self._choices = None
-
-    @property
-    def choices(self) -> List[List[PathChoice]]:
-        """The decoded :class:`PathChoice` matrix, materialized on demand."""
-        if self._choices is None:
-            self._choices = [
-                [_CANDIDATE_CHOICES[code] for code in row] for row in self.choice_codes
-            ]
-        return self._choices
 
     @property
     def strategy(self) -> EncodedStrategy:
@@ -118,30 +104,20 @@ def _shared_factors(tree_f: Tree, tree_g: Tree):
 def optimal_strategy(tree_f: Tree, tree_g: Tree) -> OptimalStrategyResult:
     """Compute the optimal LRH strategy for ``(tree_f, tree_g)`` (Algorithm 2).
 
-    Runs in ``O(|F| · |G|)`` time and space; dispatches to the vectorized
-    NumPy implementation when worthwhile, and to the flat-int pure-Python
-    loop otherwise.  Both produce bit-identical results (the
-    test-suite re-derives every entry of both from Figure 5).
+    Runs in ``O(|F| · |G|)`` time and space; dispatches to the level-blocked
+    NumPy implementation when worthwhile, and to the flat loop otherwise.
+    Both produce bit-identical results (the test-suite re-derives every
+    entry of both from Figure 5).
     """
     if tree_f.n >= 2 and tree_g.n >= 2:
         heights_f = _node_heights(tree_f)
         heights_g = _node_heights(tree_g)
         blocks = (max(heights_f) + 1) * (max(heights_g) + 1)
         # Level-pair blocking degenerates on deep, path-like inputs (blocks
-        # shrink towards single pairs); the flat scalar loop wins there.
+        # shrink towards single pairs); the flat loop wins there.
         if blocks * _BLOCK_OVERHEAD_FACTOR <= tree_f.n * tree_g.n:
             return _optimal_strategy_numpy(tree_f, tree_g, heights_f, heights_g)
     return _optimal_strategy_python(tree_f, tree_g)
-
-
-def optimal_strategy_cost(tree_f: Tree, tree_g: Tree) -> int:
-    """Number of relevant subproblems of the optimal LRH strategy.
-
-    Convenience wrapper around :func:`optimal_strategy` for callers that only
-    need the cost value; :func:`repro.counting.rted_count` computes the same
-    number without building the strategy matrix.
-    """
-    return optimal_strategy(tree_f, tree_g).cost
 
 
 def _node_heights(tree: Tree) -> List[int]:
@@ -156,17 +132,23 @@ def _node_heights(tree: Tree) -> List[int]:
 
 
 # --------------------------------------------------------------------------- #
-# Pure-Python flat-int implementation
+# Flat loop
 # --------------------------------------------------------------------------- #
 def _optimal_strategy_python(tree_f: Tree, tree_g: Tree) -> OptimalStrategyResult:
-    """Algorithm 2 over flat int rows — no PathChoice objects anywhere."""
-    n_f, n_g = tree_f.n, tree_g.n
+    """Algorithm 2 as one flat loop over the pairs ``(v, w)`` in postorder.
 
+    The paper's array layout: the ``F``-side cost sums ``Lv/Rv/Hv`` are
+    ``int64`` rows over ``G`` (each row's three ``F``-path candidates are one
+    vector expression, and a finished row is added onto its parent's with
+    one vector add), the ``G``-side sums ``Lw/Rw/Hw`` per-row lists.
+    """
+    n_f, n_g = tree_f.n, tree_g.n
     sizes_f, sizes_g = tree_f.sizes, tree_g.sizes
     parents_f, parents_g = tree_f.parents, tree_g.parents
-
     full_f, full_g, left_f, left_g, right_f, right_g = _shared_factors(tree_f, tree_g)
-
+    full_g = np.asarray(full_g, dtype=np.int64)
+    left_g = np.asarray(left_g, dtype=np.int64)
+    right_g = np.asarray(right_g, dtype=np.int64)
     on_left_f = tree_f.on_parent_path_all(LEFT)
     on_right_f = tree_f.on_parent_path_all(RIGHT)
     on_heavy_f = tree_f.on_parent_path_all(HEAVY)
@@ -174,14 +156,11 @@ def _optimal_strategy_python(tree_f: Tree, tree_g: Tree) -> OptimalStrategyResul
     on_right_g = tree_g.on_parent_path_all(RIGHT)
     on_heavy_g = tree_g.on_parent_path_all(HEAVY)
 
-    # Cost sums over the relevant subtrees of F_v w.r.t. each path kind,
-    # indexed [v][w]; and the symmetric per-v sums for G_w, indexed [w].
-    left_sums_f = [[0] * n_g for _ in range(n_f)]
-    right_sums_f = [[0] * n_g for _ in range(n_f)]
-    heavy_sums_f = [[0] * n_g for _ in range(n_f)]
-
-    choice_codes: List[List[int]] = [[0] * n_g for _ in range(n_f)]
-    costs: List[List[int]] = [[0] * n_g for _ in range(n_f)]
+    left_sums_f = np.zeros((n_f, n_g), dtype=np.int64)
+    right_sums_f = np.zeros((n_f, n_g), dtype=np.int64)
+    heavy_sums_f = np.zeros((n_f, n_g), dtype=np.int64)
+    choice_codes = np.empty((n_f, n_g), dtype=np.int8)
+    costs = np.empty((n_f, n_g), dtype=np.int64)
 
     deadline = active_deadline()
     for v in range(n_f):
@@ -189,60 +168,57 @@ def _optimal_strategy_python(tree_f: Tree, tree_g: Tree) -> OptimalStrategyResul
             # One v-row is O(n_g) scalar work; weight the tick accordingly.
             deadline.tick(n_g)
         size_v = sizes_f[v]
-        full_v = full_f[v]
-        left_v = left_f[v]
-        right_v = right_f[v]
-        parent_v = parents_f[v]
-        row_left_v = left_sums_f[v]
-        row_right_v = right_sums_f[v]
-        row_heavy_v = heavy_sums_f[v]
-        row_codes = choice_codes[v]
-        row_costs = costs[v]
-
-        # Per-v cost sums for the relevant subtrees of G's subtrees; children
-        # of w are processed before w because the inner loop is in postorder.
+        full_v, left_v, right_v = full_f[v], left_f[v], right_f[v]
+        heavy_f_term = (size_v * full_g + heavy_sums_f[v]).tolist()
+        left_f_term = (size_v * left_g + left_sums_f[v]).tolist()
+        right_f_term = (size_v * right_g + right_sums_f[v]).tolist()
         left_sums_g = [0] * n_g
         right_sums_g = [0] * n_g
         heavy_sums_g = [0] * n_g
-
+        code_row = [0] * n_g
+        cost_row = [0] * n_g
         for w in range(n_g):
+            # The six candidates in the cost formula's tie-breaking order
+            # (ALL_FIXED_CHOICES); the first minimum wins.
             size_w = sizes_g[w]
-
-            best_cost = size_v * full_g[w] + row_heavy_v[w]  # γ_H(F_v)
-            best_index = 0
+            best = heavy_f_term[w]  # γ_H(F_v)
+            code = 0
             cand = size_w * full_v + heavy_sums_g[w]  # γ_H(G_w)
-            if cand < best_cost:
-                best_cost, best_index = cand, 1
-            cand = size_v * left_g[w] + row_left_v[w]  # γ_L(F_v)
-            if cand < best_cost:
-                best_cost, best_index = cand, 2
+            if cand < best:
+                best, code = cand, 1
+            cand = left_f_term[w]  # γ_L(F_v)
+            if cand < best:
+                best, code = cand, 2
             cand = size_w * left_v + left_sums_g[w]  # γ_L(G_w)
-            if cand < best_cost:
-                best_cost, best_index = cand, 3
-            cand = size_v * right_g[w] + row_right_v[w]  # γ_R(F_v)
-            if cand < best_cost:
-                best_cost, best_index = cand, 4
+            if cand < best:
+                best, code = cand, 3
+            cand = right_f_term[w]  # γ_R(F_v)
+            if cand < best:
+                best, code = cand, 4
             cand = size_w * right_v + right_sums_g[w]  # γ_R(G_w)
-            if cand < best_cost:
-                best_cost, best_index = cand, 5
-
-            row_codes[w] = best_index
-            row_costs[w] = best_cost
-
-            if parent_v != -1:
-                left_sums_f[parent_v][w] += row_left_v[w] if on_left_f[v] else best_cost
-                right_sums_f[parent_v][w] += row_right_v[w] if on_right_f[v] else best_cost
-                heavy_sums_f[parent_v][w] += row_heavy_v[w] if on_heavy_f[v] else best_cost
+            if cand < best:
+                best, code = cand, 5
+            code_row[w] = code
+            cost_row[w] = best
 
             parent_w = parents_g[w]
             if parent_w != -1:
-                left_sums_g[parent_w] += left_sums_g[w] if on_left_g[w] else best_cost
-                right_sums_g[parent_w] += right_sums_g[w] if on_right_g[w] else best_cost
-                heavy_sums_g[parent_w] += heavy_sums_g[w] if on_heavy_g[w] else best_cost
+                left_sums_g[parent_w] += left_sums_g[w] if on_left_g[w] else best
+                right_sums_g[parent_w] += right_sums_g[w] if on_right_g[w] else best
+                heavy_sums_g[parent_w] += heavy_sums_g[w] if on_heavy_g[w] else best
+
+        choice_codes[v] = code_row
+        costs[v] = cost_row
+        parent_v = parents_f[v]
+        if parent_v != -1:
+            cost_vec = costs[v]
+            left_sums_f[parent_v] += left_sums_f[v] if on_left_f[v] else cost_vec
+            right_sums_f[parent_v] += right_sums_f[v] if on_right_f[v] else cost_vec
+            heavy_sums_f[parent_v] += heavy_sums_f[v] if on_heavy_f[v] else cost_vec
 
     return OptimalStrategyResult(
         choice_codes=choice_codes,
-        cost=costs[n_f - 1][n_g - 1],
+        cost=costs[n_f - 1, n_g - 1],
         costs=costs,
     )
 

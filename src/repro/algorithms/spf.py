@@ -182,10 +182,11 @@ class _GridFrame:
     them with O(1) copies, which is what makes every lookup constant-time.
 
     All arrays are subtree-local; ``o_lo`` maps local postorder ids back to
-    global ones (the subtree is postorder-contiguous).  ``ins_sum[x][y]`` is
-    the total removal cost of the forest at ``(x, y)`` — the value of every
-    subproblem whose decomposed-side forest is empty, and the jump row of the
-    path-node removal steps.
+    global ones (the subtree is postorder-contiguous).  The total removal
+    cost of the forest at ``(x, y)`` is the value of every subproblem whose
+    decomposed-side forest is empty, and the jump row of the path-node
+    removal steps; the NumPy kernel holds it as its ``suffix_left`` array,
+    and :meth:`ins_sum_rows` builds it as lists for the scalar kernel.
     """
 
     __slots__ = (
@@ -226,21 +227,27 @@ class _GridFrame:
         self.labels_post = [tree.labels[o_lo + p] for p in range(m)]
         self.cost_post = [removal_cost(label) for label in self.labels_post]
         self.cost_pre = [self.cost_post[p] for p in post_of_pre]
-
-        # ins_sum[x][y] = Σ cost over {pre ≥ x, post ≤ y-1}, built bottom-up
-        # over x: adding the node with preorder x contributes to every y past
-        # its postorder position.
-        width = m + 1
-        grid: List[List[float]] = [[0.0] * width for _ in range(width)]
-        for x in range(m - 1, -1, -1):
-            row = list(grid[x + 1])
-            cost = self.cost_pre[x]
-            for y in range(post_of_pre[x] + 1, width):
-                row[y] += cost
-            grid[x] = row
-        self.ins_sum = grid
-        #: Lazily built array mirrors, populated by the NumPy kernel.
+        #: Lazily built: the scalar kernel's sum rows, the NumPy kernel's
+        #: array mirrors.
+        self.ins_sum: Optional[List[List[float]]] = None
         self.np_arrays = None
+
+    def ins_sum_rows(self) -> List[List[float]]:
+        """``ins_sum[x][y]`` = Σ cost over ``{pre ≥ x, post ≤ y-1}``, built
+        bottom-up over ``x`` on first use: adding the node with preorder
+        ``x`` contributes to every ``y`` past its postorder position."""
+        if self.ins_sum is None:
+            m = self.m
+            width = m + 1
+            grid: List[List[float]] = [[0.0] * width for _ in range(width)]
+            for x in range(m - 1, -1, -1):
+                row = list(grid[x + 1])
+                cost = self.cost_pre[x]
+                for y in range(self.post_of_pre[x] + 1, width):
+                    row[y] += cost
+                grid[x] = row
+            self.ins_sum = grid
+        return self.ins_sum
 
 
 class SinglePathContext:
@@ -331,53 +338,59 @@ class SinglePathContext:
         self._renames: Dict[Tuple[str, str], object] = {}
 
     def _rename_matrix(self, side: str, kind: str):
-        """Dense rename-cost matrix in frame coordinates (vector kernel).
-
-        Row axis is the decomposed tree, column axis the other tree; for
-        ``side == SIDE_G`` the stored costs are ``rename(label_F, label_G)``
-        with the *original* argument order, so the swapped orientation still
-        charges the correct direction-sensitive cost.
-        """
+        """Dense rename-cost matrix in frame coordinates (vector keyroot
+        kernel): :meth:`_rename_block` over both whole frames, cached per
+        orientation."""
         key = (side, kind)
         matrix = self._renames.get(key)
         if matrix is None:
-            matrix = self._workspace_rename_matrix(side, kind)
-            if matrix is None:
-                rows, cols = self.tree_f, self.tree_g
-                rename = self.cost_model.rename
-                if side == SIDE_G:
-                    rows, cols = cols, rows
-                    rename = lambda a, b: self.cost_model.rename(b, a)  # noqa: E731
-                matrix = _np_kernel.rename_matrix(
-                    self.workspace.frame(rows, kind).labels,
-                    self.workspace.frame(cols, kind).labels,
-                    rename,
-                )
-            self._renames[key] = matrix
+            matrix = self._renames[key] = self._rename_block(side, kind)
         return matrix
 
-    def _workspace_rename_matrix(self, side: str, kind: str):
-        """Rename matrix as an integer-code gather from the workspace's
-        alphabet table — the same values
-        :func:`repro.algorithms.spf_numpy.rename_matrix` would produce by
-        calling the cost model, without the per-pair Python calls.  ``None``
-        for labels that cannot be interned and for alphabets past
-        :data:`~repro.algorithms.workspace.MAX_DENSE_ALPHABET`, the cases
-        ``rename_matrix`` still serves."""
+    def _rename_block(self, side: str, kind: str, rows=slice(None), cols=slice(None)):
+        """Rename costs between the decomposed tree's frame ids ``rows`` (a
+        list or a slice; row axis) and the other tree's frame ids ``cols`` (a
+        slice; column axis).
+
+        For ``side == SIDE_G`` the stored costs are ``rename(label_F,
+        label_G)`` with the *original* argument order, so the swapped
+        orientation still charges the correct direction-sensitive cost.  The
+        values are an integer-code gather from the workspace's alphabet
+        table, without per-pair cost-model calls;
+        :func:`repro.algorithms.spf_numpy.rename_matrix` computes them for
+        labels that cannot be interned, for alphabets past
+        :data:`~repro.algorithms.workspace.MAX_DENSE_ALPHABET` and for
+        unit-cost workspaces.
+        """
         workspace = self.workspace
+        if side == SIDE_F:
+            dec_tree, oth_tree = self.tree_f, self.tree_g
+        else:
+            dec_tree, oth_tree = self.tree_g, self.tree_f
         # Intern both trees before sizing the table, so the alphabet covers
         # every code about to be gathered.
-        codes_f = workspace.frame_codes(self.tree_f, kind, as_numpy=True)
-        codes_g = workspace.frame_codes(self.tree_g, kind, as_numpy=True)
-        if codes_f is None or codes_g is None:
-            return None
-        table = workspace.rename_table()
-        if table is None:
-            return None
-        if side == SIDE_F:
-            return table[codes_f[:, None], codes_g[None, :]]
-        # Swapped orientation: matrix[i, j] = rename(label_F[j], label_G[i]).
-        return table[codes_f[None, :], codes_g[:, None]]
+        codes_dec = workspace.frame_codes(dec_tree, kind, as_numpy=True)
+        codes_oth = workspace.frame_codes(oth_tree, kind, as_numpy=True)
+        table = None
+        if codes_dec is not None and codes_oth is not None:
+            table = workspace.rename_table()
+        if table is not None:
+            codes_dec = codes_dec[rows][:, None]
+            codes_oth = codes_oth[cols][None, :]
+            if side == SIDE_F:
+                return table[codes_dec, codes_oth]
+            return table[codes_oth, codes_dec]
+        rename = self.cost_model.rename
+        if side == SIDE_G:
+            cm_rename = rename
+            rename = lambda a, b: cm_rename(b, a)  # noqa: E731
+        labels_dec = workspace.frame(dec_tree, kind).labels
+        if isinstance(rows, slice):
+            labels_dec = labels_dec[rows]
+        else:
+            labels_dec = [labels_dec[i] for i in rows]
+        labels_oth = workspace.frame(oth_tree, kind).labels[cols]
+        return _np_kernel.rename_matrix(labels_dec, labels_oth, rename)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -532,13 +545,14 @@ class SinglePathContext:
         dec_costs = workspace.node_costs(dec_tree, del_op)
         if frame.m + 1 >= _np_kernel.MIN_INNER_VECTOR_WIDTH:
             base = self.D if side == SIDE_F else self.D.T
-            rename = self.cost_model.rename
-            if side == SIDE_G:
-                cm_rename = rename
-                rename = lambda a, b: cm_rename(b, a)  # noqa: E731
+            # Rename rows of the path nodes against the frame's subtree; left
+            # frame ids are postorder ids.
+            path_nodes = [u for u, on in zip(chain.nodes, chain.on_path) if on]
+            ren_rows = self._rename_block(
+                side, LEFT, path_nodes, slice(frame.o_lo, frame.o_lo + frame.m)
+            )
             _np_kernel.inner_spine(
-                dec_tree, chain, frame, dec_costs, rename, base,
-                deadline=self.deadline,
+                chain, frame, dec_costs, ren_rows, base, deadline=self.deadline
             )
         else:
             self._inner_spine_py(side, dec_tree, chain, frame, dec_costs)
@@ -650,7 +664,8 @@ class SinglePathContext:
         # where a tick call is dwarfed by the row's inner loop — also check
         # per row.
         row_deadline = deadline if (deadline is not None and width >= 64) else None
-        rows: Dict[int, List[List[float]]] = {n: frame.ins_sum}
+        ins_sum = frame.ins_sum_rows()
+        rows: Dict[int, List[List[float]]] = {n: ins_sum}
         for s in range(n - 1, -1, -1):
             u = nodes[s]
             del_u = chain_costs[s]
@@ -664,7 +679,6 @@ class SinglePathContext:
                 # F-side forest is the single tree rooted at the path node u:
                 # direction right, forest-split jumps to the empty forest
                 # (ins_sum), tree×tree cells write D and use the rename term.
-                ins_sum = frame.ins_sum
                 label_u = dec_tree.labels[u]
                 rename_row = [rename(label_u, labels_post[p]) for p in range(m)]
                 du_path = [nan] * m

@@ -346,7 +346,6 @@ def _inner_frame_arrays(frame) -> Dict[str, np.ndarray]:
         "size_pre": size_pre,
         "size_post": size_post,
         "cost_post": cost_post,
-        "ins_sum": np.asarray(frame.ins_sum, dtype=np.float64),
         "mask_left": mask_left,
         "suffix_left": suffix_left,
         "mask_right": mask_right,
@@ -359,11 +358,10 @@ def _inner_frame_arrays(frame) -> Dict[str, np.ndarray]:
 
 
 def inner_spine(
-    dec_tree,
     chain,
     frame,
     dec_costs: Sequence[float],
-    rename: Callable[[object, object], float],
+    ren_rows: np.ndarray,
     base: np.ndarray,
     deadline=None,
 ) -> None:
@@ -375,6 +373,8 @@ def inner_spine(
     with the same cumulative-cost prefix/suffix minimum used by the left/right
     kernel; only path-node rows need a per-``x`` loop because their
     forest-split term reads subtree distances produced by the same row.
+    ``ren_rows`` holds the rename costs of the chain's path nodes (one row
+    each, in chain order) against the frame's subtree in local postorder.
     """
     g = _inner_frame_arrays(frame)
     m = frame.m
@@ -398,24 +398,20 @@ def inner_spine(
         if jump[s] < n:
             readers[jump[s]] += 1
 
-    path_nodes = [u for s, u in enumerate(nodes) if on_path[s]]
-    ren_rows = rename_matrix(
-        [dec_tree.labels[u] for u in path_nodes], frame.labels_post, rename
-    )
-    path_index = {u: i for i, u in enumerate(path_nodes)}
-
     post_of_pre = g["post_of_pre"]
     pre_of_post = g["pre_of_post"]
     cost_post = g["cost_post"]
-    ins_sum = g["ins_sum"]
     mask_left = g["mask_left"]
+    # suffix_left[x][y] is the removal cost of the forest at boundary cell
+    # (x, y): the grid of the empty decomposed-side forest.
     suffix_left = g["suffix_left"]
     mask_right = g["mask_right"]
     prefix_right = g["prefix_right"]
     jump_x = g["jump_x"]
     jump_y = g["jump_y"]
 
-    rows: Dict[int, np.ndarray] = {n: ins_sum}
+    rows: Dict[int, np.ndarray] = {n: suffix_left}
+    path_row = len(ren_rows)  # the loop meets the path nodes last to first
     for s in range(n - 1, -1, -1):
         u = nodes[s]
         del_u = chain_costs[s]
@@ -427,10 +423,11 @@ def inner_spine(
             deadline.tick(width)
 
         if on_path[s]:
+            path_row -= 1
             table = _inner_row_path(
                 u, del_u, base_val, row_next, base, o_lo, m, width,
-                post_of_pre, pre_of_post, cost_post, ins_sum, mask_right,
-                jump_y, ren_rows[path_index[u]], deadline,
+                post_of_pre, pre_of_post, cost_post, suffix_left, mask_right,
+                jump_y, ren_rows[path_row], deadline,
             )
         elif remove_right[s]:
             du = base[u, o_lo : o_lo + m]

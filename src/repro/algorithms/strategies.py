@@ -188,10 +188,6 @@ class EncodedStrategy(Strategy):
                 f"invalid path-choice code {code!r} for subtree pair ({v}, {w})"
             ) from exc
 
-    def as_codes(self) -> Sequence[Sequence[int]]:
-        """The raw code matrix (row = node of F, column = node of G)."""
-        return self._codes
-
     def as_matrix(self) -> List[List[PathChoice]]:
         """The decoded :class:`PathChoice` matrix (materialized on demand)."""
         return [[ALL_FIXED_CHOICES[code] for code in row] for row in self._codes]

@@ -20,11 +20,11 @@ This module implements:
   compared in the paper (the quantity plotted in Figure 8 and reported in
   Tables 1 and 2).  Zhang-L/R and Klein-H decompose only ``F``, so
   :func:`strategy_cost` walks only the relevant subtrees of ``F``;
-  Demaine-H and RTED take every pair ``(v, w)`` and run as flat row scans
-  (:func:`demaine_count`, :func:`rted_count`) — Algorithm 2's incremental
-  cost sums, count only — which :func:`strategy_cost` with the matching
-  chooser and :func:`optimal_cost_bruteforce` cross-check in the
-  test-suite.
+  Demaine-H takes every pair ``(v, w)`` and runs as a flat row scan
+  (:func:`demaine_count`), which :func:`strategy_cost` with the Demaine
+  chooser cross-checks in the test-suite.  RTED's count is the cost
+  Algorithm 2 computes (:func:`rted_count`), checked against
+  :func:`optimal_cost_bruteforce`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..algorithms.optimal_strategy import optimal_strategy
 from ..algorithms.strategies import SIDE_F, SIDE_G, PathChoice, Strategy
 from ..exceptions import UnknownAlgorithmError
 from ..trees.tree import HEAVY, LEFT, RIGHT, Tree
@@ -173,76 +174,9 @@ def demaine_count(tree_f: Tree, tree_g: Tree) -> int:
 
 
 def rted_count(tree_f: Tree, tree_g: Tree) -> int:
-    """Relevant subproblems of RTED (the optimal LRH strategy, Algorithm 2).
-
-    Algorithm 2's recurrence with only the cost kept (no strategy matrix),
-    laid out like :func:`demaine_count`: the three ``F``-side cost sums are
-    NumPy rows over ``G``, the ``G``-side sums per-row lists.  Equal to
-    :func:`~repro.algorithms.optimal_strategy.optimal_strategy`'s ``cost``.
-    """
-    n_f, n_g = tree_f.n, tree_g.n
-    sizes_f, sizes_g = tree_f.sizes, tree_g.sizes
-    parents_f, parents_g = tree_f.parents, tree_g.parents
-    full_f = tree_f.full_decomposition_sizes()
-    left_f = tree_f.left_decomposition_sizes()
-    right_f = tree_f.right_decomposition_sizes()
-    full_g = np.asarray(tree_g.full_decomposition_sizes(), dtype=np.int64)
-    left_g = np.asarray(tree_g.left_decomposition_sizes(), dtype=np.int64)
-    right_g = np.asarray(tree_g.right_decomposition_sizes(), dtype=np.int64)
-    on_left_f = tree_f.on_parent_path_all(LEFT)
-    on_right_f = tree_f.on_parent_path_all(RIGHT)
-    on_heavy_f = tree_f.on_parent_path_all(HEAVY)
-    on_left_g = tree_g.on_parent_path_all(LEFT)
-    on_right_g = tree_g.on_parent_path_all(RIGHT)
-    on_heavy_g = tree_g.on_parent_path_all(HEAVY)
-
-    left_sums_f = np.zeros((n_f, n_g), dtype=np.int64)
-    right_sums_f = np.zeros((n_f, n_g), dtype=np.int64)
-    heavy_sums_f = np.zeros((n_f, n_g), dtype=np.int64)
-    root_cost = 0
-    for v in range(n_f):
-        size_v = sizes_f[v]
-        full_v, left_v, right_v = full_f[v], left_f[v], right_f[v]
-        heavy_f_term = (size_v * full_g + heavy_sums_f[v]).tolist()
-        left_f_term = (size_v * left_g + left_sums_f[v]).tolist()
-        right_f_term = (size_v * right_g + right_sums_f[v]).tolist()
-        left_sums_g: List[int] = [0] * n_g
-        right_sums_g: List[int] = [0] * n_g
-        heavy_sums_g: List[int] = [0] * n_g
-        cost_row: List[int] = [0] * n_g
-        for w in range(n_g):
-            size_w = sizes_g[w]
-            best = heavy_f_term[w]
-            candidate = size_w * full_v + heavy_sums_g[w]
-            if candidate < best:
-                best = candidate
-            if left_f_term[w] < best:
-                best = left_f_term[w]
-            candidate = size_w * left_v + left_sums_g[w]
-            if candidate < best:
-                best = candidate
-            if right_f_term[w] < best:
-                best = right_f_term[w]
-            candidate = size_w * right_v + right_sums_g[w]
-            if candidate < best:
-                best = candidate
-            cost_row[w] = best
-
-            parent_w = parents_g[w]
-            if parent_w != -1:
-                left_sums_g[parent_w] += left_sums_g[w] if on_left_g[w] else best
-                right_sums_g[parent_w] += right_sums_g[w] if on_right_g[w] else best
-                heavy_sums_g[parent_w] += heavy_sums_g[w] if on_heavy_g[w] else best
-
-        parent_v = parents_f[v]
-        if parent_v == -1:
-            root_cost = cost_row[n_g - 1]
-        else:
-            cost_vec = np.asarray(cost_row, dtype=np.int64)
-            left_sums_f[parent_v] += left_sums_f[v] if on_left_f[v] else cost_vec
-            right_sums_f[parent_v] += right_sums_f[v] if on_right_f[v] else cost_vec
-            heavy_sums_f[parent_v] += heavy_sums_f[v] if on_heavy_f[v] else cost_vec
-    return int(root_cost)
+    """Relevant subproblems of RTED: the cost of the optimal LRH strategy,
+    computed by Algorithm 2 (:func:`~repro.algorithms.optimal_strategy.optimal_strategy`)."""
+    return optimal_strategy(tree_f, tree_g).cost
 
 
 # --------------------------------------------------------------------------- #

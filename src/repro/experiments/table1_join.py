@@ -52,14 +52,6 @@ class Table1Result:
                 return entry
         raise KeyError(algorithm)
 
-    def speedup_over_best_competitor(self) -> float:
-        """RTED speed-up factor w.r.t. the fastest fixed-strategy competitor."""
-        rted_seconds = self.row("rted").seconds
-        competitor_seconds = min(
-            entry.seconds for entry in self.rows if entry.algorithm != "rted"
-        )
-        return competitor_seconds / rted_seconds if rted_seconds else float("inf")
-
 
 def run_table1(
     node_count: int = 48,

@@ -282,11 +282,6 @@ class JoinStats:
     total_time: float = 0.0
 
     @property
-    def pairs_pruned(self) -> int:
-        """Pairs eliminated by any lower-bound mechanism (index or stages)."""
-        return self.index_pruned + sum(self.stage_pruned.values())
-
-    @property
     def filter_rate(self) -> float:
         """Fraction of all pairs that never reached the exact verifier."""
         if self.pairs_total == 0:

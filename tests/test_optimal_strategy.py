@@ -1,5 +1,7 @@
 """Tests for Algorithm 2 (OptStrategy) — the optimal LRH strategy in O(n^2)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,7 +12,6 @@ from repro.algorithms import (
     SIDE_F,
     SIDE_G,
     optimal_strategy,
-    optimal_strategy_cost,
 )
 from repro.algorithms.optimal_strategy import (
     _node_heights,
@@ -52,7 +53,9 @@ class TestPaperExample4:
     def test_tie_breaks_to_heavy_path_in_f(self):
         # All candidates tie; the paper picks γ_H(F_3).
         result = optimal_strategy(self.tree_f, self.tree_g)
-        root_choice = result.choices[self.tree_f.root][self.tree_g.root]
+        root_choice = result.strategy.choose(
+            self.tree_f, self.tree_g, self.tree_f.root, self.tree_g.root
+        )
         assert root_choice == PathChoice(SIDE_F, HEAVY)
 
     def test_leaf_pairs_cost_one(self):
@@ -67,26 +70,20 @@ class TestOptimalityAgainstBruteForce:
     def test_random_trees(self, seed):
         tree_f = random_tree(10 + seed, rng=seed, max_depth=6, max_fanout=4)
         tree_g = random_tree(8 + seed, rng=seed + 100, max_depth=6, max_fanout=4)
-        assert optimal_strategy_cost(tree_f, tree_g) == optimal_cost_bruteforce(tree_f, tree_g)
+        assert rted_count(tree_f, tree_g) == optimal_cost_bruteforce(tree_f, tree_g)
 
     @pytest.mark.parametrize(
         "shape", ["left-branch", "right-branch", "full-binary", "zigzag", "mixed"]
     )
     def test_synthetic_shapes(self, shape):
         tree = make_shape(shape, 21)
-        assert optimal_strategy_cost(tree, tree) == optimal_cost_bruteforce(tree, tree)
+        assert rted_count(tree, tree) == optimal_cost_bruteforce(tree, tree)
 
     @given(tree_pairs())
     @settings(max_examples=40, deadline=None)
     def test_property_based(self, pair):
         tree_f, tree_g = pair
-        assert optimal_strategy_cost(tree_f, tree_g) == optimal_cost_bruteforce(tree_f, tree_g)
-
-    @given(tree_pairs())
-    @settings(max_examples=40, deadline=None)
-    def test_rted_count_agrees(self, pair):
-        tree_f, tree_g = pair
-        assert rted_count(tree_f, tree_g) == optimal_strategy_cost(tree_f, tree_g)
+        assert rted_count(tree_f, tree_g) == optimal_cost_bruteforce(tree_f, tree_g)
 
 
 class TestOptimalityAgainstFixedStrategies:
@@ -96,7 +93,7 @@ class TestOptimalityAgainstFixedStrategies:
     def test_random_trees(self, seed):
         tree_f = random_tree(12, rng=seed, max_depth=6, max_fanout=4)
         tree_g = random_tree(12, rng=seed + 50, max_depth=6, max_fanout=4)
-        optimal = optimal_strategy_cost(tree_f, tree_g)
+        optimal = rted_count(tree_f, tree_g)
         for choice in ALL_FIXED_CHOICES:
             fixed = strategy_cost(tree_f, tree_g, lambda v, w, c=choice: c)
             assert optimal <= fixed
@@ -107,13 +104,13 @@ class TestOptimalityAgainstFixedStrategies:
     )
     def test_rted_never_worse_than_paper_competitors(self, algorithm, shape):
         tree = make_shape(shape, 41)
-        assert optimal_strategy_cost(tree, tree) <= count_subproblems(algorithm, tree, tree)
+        assert rted_count(tree, tree) <= count_subproblems(algorithm, tree, tree)
 
     @given(tree_pairs())
     @settings(max_examples=30, deadline=None)
     def test_property_based_dominance(self, pair):
         tree_f, tree_g = pair
-        optimal = optimal_strategy_cost(tree_f, tree_g)
+        optimal = rted_count(tree_f, tree_g)
         for algorithm in ["zhang-l", "zhang-r", "klein-h", "demaine-h"]:
             assert optimal <= count_subproblems(algorithm, tree_f, tree_g)
 
@@ -188,25 +185,25 @@ class TestStrategyChoicesMatchShapes:
     def test_left_branch_prefers_left_paths(self):
         tree = left_branch_tree(41)
         result = optimal_strategy(tree, tree)
-        assert optimal_strategy_cost(tree, tree) == count_subproblems("zhang-l", tree, tree)
-        root_choice = result.choices[tree.root][tree.root]
+        assert rted_count(tree, tree) == count_subproblems("zhang-l", tree, tree)
+        root_choice = result.strategy.choose(tree, tree, tree.root, tree.root)
         assert root_choice.kind in (LEFT, HEAVY)  # heavy == left path for this shape
 
     def test_right_branch_matches_zhang_r(self):
         tree = right_branch_tree(41)
-        assert optimal_strategy_cost(tree, tree) == count_subproblems("zhang-r", tree, tree)
+        assert rted_count(tree, tree) == count_subproblems("zhang-r", tree, tree)
 
     def test_zigzag_matches_demaine(self):
         tree = zigzag_tree(41)
-        assert optimal_strategy_cost(tree, tree) == count_subproblems("demaine-h", tree, tree)
+        assert rted_count(tree, tree) == count_subproblems("demaine-h", tree, tree)
 
     def test_full_binary_matches_zhang_l(self):
         tree = full_binary_tree(31)
-        assert optimal_strategy_cost(tree, tree) == count_subproblems("zhang-l", tree, tree)
+        assert rted_count(tree, tree) == count_subproblems("zhang-l", tree, tree)
 
     def test_mixed_strictly_beats_every_competitor(self):
         tree = make_shape("mixed", 81)
-        optimal = optimal_strategy_cost(tree, tree)
+        optimal = rted_count(tree, tree)
         for algorithm in ["zhang-l", "zhang-r", "klein-h", "demaine-h"]:
             assert optimal < count_subproblems(algorithm, tree, tree)
 
@@ -216,9 +213,10 @@ class TestStrategyMatrixShape:
         tree_f = random_tree(9, rng=3)
         tree_g = random_tree(7, rng=4)
         result = optimal_strategy(tree_f, tree_g)
-        assert len(result.choices) == tree_f.n
-        assert all(len(row) == tree_g.n for row in result.choices)
-        for row in result.choices:
+        choices = result.strategy.as_matrix()
+        assert len(choices) == tree_f.n
+        assert all(len(row) == tree_g.n for row in choices)
+        for row in choices:
             for choice in row:
                 assert choice is not None
                 assert choice.side in (SIDE_F, SIDE_G)
@@ -238,3 +236,20 @@ class TestStrategyMatrixShape:
         decoded = strategy.as_matrix()
         assert decoded[tree.root][tree.root] in ALL_FIXED_CHOICES
         assert strategy.choose(tree, tree, 0, 0) is decoded[0][0]
+
+
+class TestFlatLoopFootprint:
+    """The flat loop holds the paper's arrays only: three ``int64`` cost-sum
+    arrays, the ``int8`` strategy and the ``int64`` cost matrix — 33 bytes a
+    pair — plus ``O(|G|)`` row temporaries."""
+
+    def test_peak_bytes_per_pair_on_a_deep_pair(self):
+        tree_f, tree_g = zigzag_tree(300), zigzag_tree(299)
+        _optimal_strategy_python(tree_f, tree_g)  # fill the per-tree caches
+        tracemalloc.start()
+        try:
+            _optimal_strategy_python(tree_f, tree_g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * tree_f.n * tree_g.n

@@ -13,6 +13,7 @@ limit.
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -27,8 +28,11 @@ from repro.algorithms import (
     LeftGStrategy,
     RightFStrategy,
     RightGStrategy,
+    SIDE_F,
+    SIDE_G,
     SinglePathContext,
     StrategyExecutor,
+    TedWorkspace,
     make_algorithm,
     optimal_strategy,
     spf_A,
@@ -37,6 +41,7 @@ from repro.algorithms import (
     spf_R,
 )
 from repro.algorithms import batch_kernel, spf_numpy
+from repro.algorithms import workspace as workspace_module
 from repro.costs import StringRenameCostModel, WeightedCostModel
 from repro.datasets import random_tree
 from repro.trees import HEAVY, LEFT, RIGHT, Node, Tree
@@ -246,6 +251,67 @@ class TestInnerPathFunctions:
         tree_f, tree_g = pair
         expected = small_pair_distance(tree_f, tree_g)
         assert spf_H(tree_f, tree_g) == pytest.approx(expected)
+
+
+FRACTIONAL = WeightedCostModel(delete_cost=1.3, insert_cost=0.7, rename_cost=1.9)
+
+
+class TestInnerKernelInputs:
+    """What the inner-path kernels read: one boundary-sum grid per grid
+    frame, built by the kernel that runs it, and (vector kernel) path rename
+    rows gathered from the workspace's alphabet table."""
+
+    @staticmethod
+    def _run_heavy(tree_f, tree_g, workspace, side):
+        context = SinglePathContext(tree_f, tree_g, cost_model=FRACTIONAL, workspace=workspace)
+        distance = context.run_inner(side, HEAVY, tree_f.root, tree_g.root)
+        return distance, context.cells, context.D
+
+    @pytest.mark.parametrize("width", [None, 10_000], ids=["default", "scalar"])
+    def test_each_grid_frame_builds_one_sum_grid(self, width, monkeypatch):
+        if width is not None:
+            monkeypatch.setattr(spf_numpy, "MIN_INNER_VECTOR_WIDTH", width)
+        threshold = spf_numpy.MIN_INNER_VECTOR_WIDTH
+        tree_f, tree_g = random_tree(60, rng=21), random_tree(55, rng=22)
+        workspace = TedWorkspace(FRACTIONAL)
+        distance = self._run_heavy(tree_f, tree_g, workspace, SIDE_F)[0]
+        expected = make_algorithm("simple").compute(tree_f, tree_g, cost_model=FRACTIONAL)
+        assert distance == pytest.approx(expected.distance)
+        frames = [frame for _, frame in workspace._grids.values()]
+        vector = [frame.m + 1 >= threshold for frame in frames]
+        assert any(vector) == (width is None)
+        for frame, is_vector in zip(frames, vector):
+            # The vector kernel reads its suffix-sum array; the scalar
+            # kernel's list rows exist only where that kernel ran.
+            assert (frame.ins_sum is None) == is_vector
+            assert (frame.np_arrays is not None) == is_vector
+            if is_vector:
+                assert "ins_sum" not in frame.np_arrays
+
+    @pytest.mark.parametrize("side", [SIDE_F, SIDE_G])
+    def test_path_rename_rows_come_from_the_alphabet_table(self, side, monkeypatch):
+        tree_f, tree_g = random_tree(150, rng=3), random_tree(140, rng=4)
+        calls = []
+        rename_matrix = spf_numpy.rename_matrix
+
+        def counted(*args):
+            calls.append(len(args[0]) * len(args[1]))
+            return rename_matrix(*args)
+
+        monkeypatch.setattr(spf_numpy, "rename_matrix", counted)
+        workspace = TedWorkspace(FRACTIONAL)
+        workspace.interner.codes_postorder(tree_f)
+        workspace.interner.codes_postorder(tree_g)
+        assert workspace.rename_table() is not None
+        gathered = self._run_heavy(tree_f, tree_g, workspace, side)
+        assert calls == []
+
+        # Without a table the cost model fills the same rows.
+        monkeypatch.setattr(workspace_module, "MAX_DENSE_ALPHABET", 0)
+        called = self._run_heavy(tree_f, tree_g, TedWorkspace(FRACTIONAL), side)
+        assert calls
+        assert gathered[:2] == called[:2]
+        assert np.array_equal(gathered[2], called[2], equal_nan=True)
 
 
 EXECUTOR_STRATEGIES = [
