@@ -39,9 +39,11 @@ Run with::
 In ``--quick`` mode nothing is written unless ``--output`` is given, and the
 process exits non-zero unless the C kernel is bit-identical to the scalar
 reference, does not regress it, stays ≤ 25 µs/pair on the reduced
-headline, and a one-lane 16-node call costs at most
+headline, a one-lane 16-node call costs at most
 :data:`MAX_CALL_OVERHEAD` times the batched per-pair cost of its size
-class, measured in the same run — conservative CI gates; without a
+class, and a warm ``compute_small`` at most
+:data:`MAX_SINGLE_PAIR_OVERHEAD` times that one-lane call, measured in the
+same run — conservative CI gates; without a
 compiler only the scalar path runs.  The committed full-mode
 ``BENCH_batch.json`` records the reference numbers, stamped with the git
 commit it measured and the machine.
@@ -91,6 +93,10 @@ HEADLINE_CUTOFF = 3.0
 #: cost at most this many times that class's batched per-pair cost.
 MAX_CALL_OVERHEAD = 15.0
 OVERHEAD_SIZE = 16
+#: The single-pair gate: a warm ``compute_small`` — the gates and a
+#: one-lane ``kernel_chunk_entries`` around the kernel call — may cost at
+#: most this many times a bare one-lane ``native_batch`` call.
+MAX_SINGLE_PAIR_OVERHEAD = 2.0
 
 
 def make_workload(tree_size: int, pairs: int, rng: int = 1):
@@ -242,8 +248,9 @@ def run_size_classes(repeats: int, quick: bool) -> List[Dict]:
 def run_call_overhead(repeats: int, quick: bool) -> Dict:
     """µs per call for pairs run one at a time, over the pairs of the
     :data:`OVERHEAD_SIZE`-node size class: a one-lane ``native_batch`` on
-    the corpus pack, and ``compute_small`` on a warm workspace (its cached
-    one-row packs).  Both must give the batched call's tuples."""
+    the corpus pack, and ``compute_small`` on a warm workspace (a one-lane
+    ``kernel_chunk_entries`` over its cached one-tree packs).  Both must
+    give the batched call's tuples."""
     trees, pairs = size_class_workload(OVERHEAD_SIZE, quick)
     workspace = TedWorkspace()
     pack = build_corpus_pack(trees, workspace.interner)
@@ -387,11 +394,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         overhead["one_lane_vs_batched"] = (
             overhead["per_call_us"]["native_batch_one_lane"] / batched
         )
+        overhead["compute_small_vs_one_lane"] = (
+            overhead["per_call_us"]["compute_small"]
+            / overhead["per_call_us"]["native_batch_one_lane"]
+        )
         print(
             f"call overhead, {OVERHEAD_SIZE}-node pairs: one-lane native_batch "
             f"{overhead['per_call_us']['native_batch_one_lane']:.1f} us/call "
             f"({overhead['one_lane_vs_batched']:.1f}x batched {batched:.2f} us/pair), "
-            f"compute_small {overhead['per_call_us']['compute_small']:.1f} us/call"
+            f"compute_small {overhead['per_call_us']['compute_small']:.1f} us/call "
+            f"({overhead['compute_small_vs_one_lane']:.1f}x one-lane)"
         )
 
     report = {
@@ -429,6 +441,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 failures.append(
                     f"one-lane call costs {overhead['one_lane_vs_batched']:.1f}x the "
                     f"batched per-pair cost (gate {MAX_CALL_OVERHEAD:.0f}x)"
+                )
+            if overhead["compute_small_vs_one_lane"] > MAX_SINGLE_PAIR_OVERHEAD:
+                failures.append(
+                    f"warm compute_small costs {overhead['compute_small_vs_one_lane']:.1f}x "
+                    f"a one-lane native_batch call (gate {MAX_SINGLE_PAIR_OVERHEAD:.0f}x)"
                 )
         if failures:
             for failure in failures:

@@ -11,10 +11,11 @@ runs in one of two places:
   keyroot-region kernel of the strategy executor, driven region by region
   by :func:`run_batch` otherwise (no C compiler, or ``RTED_NO_NATIVE=1``).
 
-Single pairs (:meth:`TedWorkspace.compute_small
-<repro.algorithms.workspace.TedWorkspace.compute_small>`) and batch lanes
-(:func:`kernel_chunk_entries`) both take the C kernel when it is there and
-:func:`run_batch` when it is not, so every path runs the same program.
+Every small pair enters through :func:`kernel_chunk_entries`, which takes
+the C kernel when it is there and :func:`run_batch` when it is not; a
+single pair (:meth:`TedWorkspace.compute_small
+<repro.algorithms.workspace.TedWorkspace.compute_small>`) is a one-lane
+batch, so every path runs the same gates and the same program.
 
 * **The cell gate** — an unbounded left sweep evaluates exactly
   ``S_L(F) · S_L(G)`` cells, with ``S_L(T)`` the summed subtree sizes of
@@ -26,14 +27,16 @@ Single pairs (:meth:`TedWorkspace.compute_small
   :func:`mirrored_arrays` — reverse-postorder ``lml`` / keyroots / codes,
   built from :meth:`Tree.rpost_of_post <repro.trees.Tree.rpost_of_post>`
   without a mirrored tree.
-* **Packing** — :func:`build_corpus_pack` lowers a corpus into
-  struct-of-arrays form (:class:`CorpusPack`): per-tree sizes, sweep sizes
-  and eligibility plus the concatenated ``lml`` / label-code / keyroot
-  arrays the C kernel reads, the mirrored trees stored as extra tree rows.
-  A pack is built once per corpus epoch; the multiprocessing fan-out hands
-  the parent's pack to its workers through the pool initializer.
-* **Batches** — :func:`kernel_chunk_entries` applies the per-pair gates of
-  ``compute_small`` and runs the surviving lanes, left and right, in one
+* **Packing** — :func:`build_corpus_pack` lowers trees into
+  struct-of-arrays form (:class:`CorpusPack`, one int64 block): per-tree
+  sizes and sweep sizes plus the concatenated ``lml`` / label-code /
+  keyroot arrays the C kernel reads, the mirrored trees stored as extra
+  tree rows.  A corpus pack is built once per corpus epoch (the
+  multiprocessing fan-out hands the parent's pack to its workers through
+  the pool initializer); a workspace caches one one-tree pack per tree.
+* **Dispatch** — :func:`kernel_chunk_entries` applies the per-pair gates
+  (cell gate, bounded size pre-check, code gate) and runs the surviving
+  lanes, left and right, in one
   :func:`~repro.algorithms.native.native_batch` call — under a deadline,
   in calls of at most :data:`SMALL_PAIR_CELLS` summed cells — or lane by
   lane through :func:`run_batch` without a provider.
@@ -134,63 +137,78 @@ def mirrored_arrays(tree, codes: Sequence[int]) -> Tuple[List[int], List[int], L
 class CorpusPack:
     """Struct-of-arrays form of one corpus side for the small-pair kernels.
 
-    All fields are flat NumPy arrays indexed by tree row, or by node /
-    keyroot through the per-row offsets.  Tree ``t`` has two rows: row
-    ``t`` holds its arrays for the left sweep and row ``n_trees + t`` the
-    :func:`mirrored_arrays` for the right sweep, so a right lane ``(i, j)``
-    is the left program over rows ``(n_trees_a + i, n_trees_b + j)``.
-    Trees with uninternable labels contribute empty slices and are flagged
-    off in :attr:`eligible`.  A pack is immutable and can serve both sides
-    of a batch; packs meant for one batch must share one
+    Every field is a view into one C-contiguous int64 :attr:`block`,
+    indexed by tree row, or by node / keyroot through the per-row offsets.
+    Tree ``t`` has two rows: row ``t`` holds its arrays for the left sweep
+    and row ``n_trees + t`` the :func:`mirrored_arrays` for the right sweep,
+    so a right lane ``(i, j)`` is the left program over rows
+    ``(n_trees_a + i, n_trees_b + j)``.  Trees with uninternable labels
+    contribute empty slices (no keyroots), which is what :attr:`eligible`
+    reads.  A pack is immutable and can serve both sides of a batch; packs
+    meant for one batch must share one
     :class:`~repro.algorithms.workspace.LabelInterner` so their codes agree.
-    It pickles field by field, without its address cache, which is how it
-    reaches ``spawn`` and ``forkserver`` workers.
+    It pickles as its block, without its caches, which is how it reaches
+    ``spawn`` and ``forkserver`` workers.
 
-    The layout (``T`` = ``n_trees``, ``N`` = total nodes, ``K`` = total
-    keyroots over both rows of the eligible trees)::
+    The block layout (``T`` = ``n_trees``, ``N`` = total nodes, ``K`` =
+    total keyroots over both rows of the eligible trees)::
 
-        eligible[T]   sweep_l[T]   sweep_r[T]          (per tree)
+        T, N, K                                         (header)
+        sweep_l[T]   sweep_r[T]                         (per tree)
         sizes[2T]   node_off[2T] ─► lml_flat[N], codes_flat[N]  (row-local lml)
         kr_off[2T], kr_count[2T] ─► kroots[K]  (ascending)
 
     ``sweep_l``/``sweep_r`` (:func:`sweep_sizes`, set for every tree) and
-    ``eligible`` feed the per-pair gates of :func:`kernel_chunk_entries`;
-    the row arrays are what the C kernel and :func:`run_batch` read.
-    :func:`row_pack` builds the one-row variant a single pair runs on.
+    :attr:`eligible` feed the per-pair gates of :func:`kernel_chunk_entries`;
+    the row arrays are what the C kernel and :func:`run_batch` read.  A
+    single pair runs on two one-tree packs, as lane ``(0, 0)``.
     """
 
     __slots__ = (
-        "n_trees",
-        "eligible", "sweep_l", "sweep_r",
-        "sizes", "kr_off", "kr_count", "node_off", "lml_flat", "codes_flat", "kroots",
-        "_gate", "_addresses",
+        "block", "n_trees", "sweep_l", "sweep_r",
+        "sizes", "node_off", "kr_off", "kr_count", "lml_flat", "codes_flat", "kroots",
+        "_row_offsets", "_gate", "_addresses",
     )
     #: The row arrays in the order the C kernel takes them.
     _ROW_FIELDS = (
         "lml_flat", "codes_flat", "kroots", "node_off", "kr_off", "kr_count", "sizes",
     )
 
-    def __init__(self, **arrays) -> None:
-        for name in self.__slots__[:-2]:  # every field but the two caches
-            setattr(self, name, arrays[name])
-        self._gate = None
+    def __init__(self, block: _np.ndarray, gate=None) -> None:
+        t, n, k = block[:3].tolist()
+        self.block = block
+        self.n_trees = t
+        offsets = {}
+        offset = 3
+        for name, length in (
+            ("sweep_l", t), ("sweep_r", t), ("sizes", 2 * t), ("node_off", 2 * t),
+            ("kr_off", 2 * t), ("kr_count", 2 * t), ("lml_flat", n), ("codes_flat", n),
+            ("kroots", k),
+        ):
+            setattr(self, name, block[offset : offset + length])
+            offsets[name] = offset
+            offset += length
+        self._row_offsets = tuple(offsets[name] for name in self._ROW_FIELDS)
+        self._gate = gate
         self._addresses = None
 
-    def __getstate__(self) -> Dict[str, object]:
-        # The address cache stays behind: addresses are only valid in the
-        # process that computed them (a forked child inherits them along
-        # with the arrays, copy-on-write).
-        return {name: getattr(self, name) for name in self.__slots__[:-1]}
+    def __reduce__(self):
+        # The caches stay behind: addresses are only valid in the process
+        # that computed them (a forked child inherits them along with the
+        # block, copy-on-write).
+        return CorpusPack, (self.block,)
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._addresses = None
+    @property
+    def eligible(self) -> _np.ndarray:
+        """Per-tree flags: does the tree have packed rows?  Every tree has
+        at least one keyroot, so only uninternable ones have none."""
+        return self.kr_count[: self.n_trees] > 0
 
     def gate_rows(self) -> Tuple[List[int], List[bool], List[Tuple[int, int]]]:
-        """Per-tree ``(sizes, eligible, sweep sizes)`` as Python lists,
-        built on first use: the per-pair gates read single entries, which
-        is far cheaper from a list than from a NumPy array."""
+        """Per-tree ``(sizes, eligible, sweep sizes)`` as Python lists —
+        handed over by :func:`build_corpus_pack`, rebuilt on first use
+        after unpickling: the per-pair gates read single entries, which is
+        far cheaper from a list than from a NumPy array."""
         if self._gate is None:
             self._gate = (
                 self.sizes[: self.n_trees].tolist(),
@@ -201,40 +219,15 @@ class CorpusPack:
 
     def addresses(self) -> Tuple[int, ...]:
         """The data addresses of the seven row arrays, in the C kernel's
-        argument order, computed on first use and cached for the pack's
-        life (the arrays never move)."""
+        argument order: offsets from the block's address, looked up on
+        first use and cached for the pack's life (the block never moves)."""
         if self._addresses is None:
-            rows = [getattr(self, name) for name in self._ROW_FIELDS]
-            if any(x.dtype != _np.int64 or not x.flags.c_contiguous for x in rows):
-                raise TypeError("pack row arrays must be C-contiguous int64")
-            self._addresses = tuple(x.ctypes.data for x in rows)
+            block = self.block
+            if block.dtype != _np.int64 or not block.flags.c_contiguous:
+                raise TypeError("a pack block must be C-contiguous int64")
+            base = block.ctypes.data
+            self._addresses = tuple(base + 8 * offset for offset in self._row_offsets)
         return self._addresses
-
-
-def row_pack(lml: Sequence[int], keyroots: Sequence[int], codes: Sequence[int]) -> CorpusPack:
-    """A one-row pack over one tree's ``(lml, keyroots, codes)`` for one
-    sweep direction: what a single pair hands the C kernel, as lane
-    ``(0, 0)``.  Only the row arrays are set — the gate fields are
-    ``None`` — and they are views into one int64 block, so their addresses
-    follow from the block's: one NumPy address lookup (~3 µs) instead of
-    seven, which a fresh workspace pays per request."""
-    n = len(lml)
-    k = len(keyroots)
-    block = _np.fromiter(
-        chain((0, 0, k, n), lml, codes, keyroots), dtype=_np.int64, count=4 + 2 * n + k
-    )
-    pack = CorpusPack(
-        n_trees=1, eligible=None, sweep_l=None, sweep_r=None,
-        node_off=block[0:1], kr_off=block[1:2], kr_count=block[2:3], sizes=block[3:4],
-        lml_flat=block[4 : 4 + n],
-        codes_flat=block[4 + n : 4 + 2 * n],
-        kroots=block[4 + 2 * n :],
-    )
-    base = block.ctypes.data
-    pack._addresses = (
-        base + 32, base + 32 + 8 * n, base + 32 + 16 * n, base, base + 8, base + 16, base + 24,
-    )
-    return pack
 
 
 def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
@@ -245,13 +238,13 @@ def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
     kernel runs is decided per pair, by the cell gate.
     """
     n_trees = len(trees)
-    eligible = _np.zeros(n_trees, dtype=bool)
-    sweep_l = _np.zeros(n_trees, dtype=_np.int64)
-    sweep_r = _np.zeros(n_trees, dtype=_np.int64)
-    sizes = _np.zeros(2 * n_trees, dtype=_np.int64)
-    kr_off = _np.zeros(2 * n_trees, dtype=_np.int64)
-    kr_count = _np.zeros(2 * n_trees, dtype=_np.int64)
-    node_off = _np.zeros(2 * n_trees, dtype=_np.int64)
+    sweep_l: List[int] = []
+    sweep_r: List[int] = []
+    eligible: List[bool] = []
+    sizes = [0] * (2 * n_trees)
+    node_off = [0] * (2 * n_trees)
+    kr_off = [0] * (2 * n_trees)
+    kr_count = [0] * (2 * n_trees)
     lml_parts: List[Sequence[int]] = []
     code_parts: List[Sequence[int]] = []
     kr_parts: List[Sequence[int]] = []
@@ -260,11 +253,13 @@ def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
     for idx, tree in enumerate(trees):
         n = tree.n
         sizes[idx] = sizes[n_trees + idx] = n
-        sweep_l[idx], sweep_r[idx] = sweep_sizes(tree)
+        left, right = sweep_sizes(tree)
+        sweep_l.append(left)
+        sweep_r.append(right)
         codes = interner.codes_postorder(tree)
+        eligible.append(codes is not None)
         if codes is None:
             continue
-        eligible[idx] = True
         rows = (
             (idx, (tree.lml, tree.keyroots_left(), codes)),
             (n_trees + idx, mirrored_arrays(tree, codes)),
@@ -278,18 +273,18 @@ def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
             kr_parts.append(keyroots)
             total_kr += len(keyroots)
             total_nodes += n
-
-    def flat(parts, size):
-        return _np.fromiter(chain.from_iterable(parts), dtype=_np.int64, count=size)
-
-    return CorpusPack(
-        n_trees=n_trees,
-        eligible=eligible, sweep_l=sweep_l, sweep_r=sweep_r,
-        sizes=sizes, kr_off=kr_off, kr_count=kr_count, node_off=node_off,
-        lml_flat=flat(lml_parts, total_nodes),
-        codes_flat=flat(code_parts, total_nodes),
-        kroots=flat(kr_parts, total_kr),
+    block = _np.fromiter(
+        chain(
+            (n_trees, total_nodes, total_kr), sweep_l, sweep_r,
+            sizes, node_off, kr_off, kr_count,
+            chain.from_iterable(lml_parts),
+            chain.from_iterable(code_parts),
+            chain.from_iterable(kr_parts),
+        ),
+        dtype=_np.int64,
+        count=3 + 10 * n_trees + 2 * total_nodes + total_kr,
     )
+    return CorpusPack(block, gate=(sizes[:n_trees], eligible, list(zip(sweep_l, sweep_r))))
 
 
 def _lane_arrays(pack: CorpusPack, row: int, cache: Dict[int, tuple]) -> tuple:
@@ -417,18 +412,22 @@ def kernel_chunk_entries(
 ) -> List[Tuple]:
     """Batch result tuples for one chunk, kernel-eligible lanes batched.
 
-    Replicates the scalar dispatch of :meth:`TedWorkspace.compute_small`
-    pair by pair — in order: cell gate (:func:`choose_sweep` over
-    :data:`SMALL_PAIR_CELLS`; pairs over budget fall back), bounded size
-    pre-check (``|n − m| ≥ cutoff`` aborts with the difference as the bound
-    *before* label codes are consulted), code gate (uninternable labels
-    fall back) — and runs each lane in the direction the gate chose, so the
-    emitted tuples are bit-identical to the per-pair path, including the
-    ``aborted`` flag and subproblem counts.  ``fallback`` computes one pair
-    through the ordinary per-pair machinery and must return a finished
-    result tuple.  Left and right lanes run together, through the C kernel
-    (:func:`repro.algorithms.native.native_batch`) when a provider is
-    available and through :func:`run_batch` otherwise.
+    The one dispatcher of the small-pair program: a single pair
+    (:meth:`TedWorkspace.compute_small
+    <repro.algorithms.workspace.TedWorkspace.compute_small>`) is a one-lane
+    chunk over two one-tree packs.  Each pair meets, in order: the cell
+    gate (:func:`choose_sweep` over :data:`SMALL_PAIR_CELLS`; pairs over
+    budget fall back), the bounded size pre-check (``|n − m| ≥ cutoff``
+    aborts with the difference as the bound *before* label codes are
+    consulted), and the code gate (uninternable labels fall back); the
+    surviving lanes run in the direction the cell gate chose.  Entries are
+    ``(i, j, value, cells)`` unbounded and ``(i, j, value, cells, aborted)``
+    with a cutoff, an aborted value being the proving bound.  ``fallback``
+    computes one refused pair through the ordinary per-pair machinery and
+    returns its entry.  Left and right lanes run together, through the C
+    kernel (:func:`repro.algorithms.native.native_batch`) when a provider
+    is available and through :func:`run_batch` otherwise; ``workspace``,
+    when given, counts the lanes in its stats.
 
     The C kernel cannot be interrupted, so under an ambient deadline the
     lanes run in calls of at most :data:`SMALL_PAIR_CELLS` summed cells —
@@ -501,7 +500,6 @@ def kernel_chunk_entries(
     if workspace is not None:
         workspace.stats.native_runs += native_lanes
         workspace.stats.small_pair_runs += len(lane_pos)
-        workspace.stats.batch_lanes += len(lane_pos)
         workspace.stats.right_sweeps += right_lanes
     if cutoff is None:
         for p, pos in enumerate(lane_pos):

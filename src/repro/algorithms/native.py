@@ -10,10 +10,10 @@ single provider, ``cc``, compiles :data:`_C_SOURCE` with the system compiler
 
 Every entry point degrades gracefully: when no compiler is available — or
 the ``RTED_NO_NATIVE=1`` kill-switch is set — callers receive ``None`` and
-run the Python lanes instead, bit-identically.  Callers never choose: single
-pairs (``TedWorkspace.compute_small``) and batch lanes
-(``batch_kernel.kernel_chunk_entries``) take the C kernel whenever it is
-there.
+run the Python lanes instead, bit-identically.  Callers never choose: every
+small pair reaches the kernel through ``batch_kernel.kernel_chunk_entries``
+— a single pair (``TedWorkspace.compute_small``) as a one-lane batch —
+which takes the C kernel whenever it is there.
 
 Bit-identity: the C kernel executes the same integer-valued float64
 arithmetic as ``_region_py`` under unit costs — every add is by 1.0, every

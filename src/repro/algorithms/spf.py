@@ -471,7 +471,6 @@ class SinglePathContext:
             side, dec, oth,
             workspace.frame_costs(dec_tree, kind, del_op, as_numpy=False),
             workspace.frame_costs(oth_tree, kind, ins_op, as_numpy=False),
-            self._unit_codes(dec_tree, oth_tree, kind, as_numpy=False),
         )
         try:
             self.cells += _np_kernel.run_regions(
@@ -788,7 +787,6 @@ class SinglePathContext:
         oth: _Frame,
         del_costs: List[float],
         ins_costs: List[float],
-        unit_codes=None,
     ) -> Callable[[int, int, Optional[Tuple[float, float, float]]], int]:
         """Bind the scalar region kernel :func:`_region_py` to one orientation.
 
@@ -797,11 +795,15 @@ class SinglePathContext:
         :data:`~repro.algorithms.spf_numpy.MIN_VECTOR_COLS`, where the vector
         kernel's per-region setup overhead would dominate (the many tiny
         tables produced by branchy trees).  ``del_costs`` / ``ins_costs`` are
-        Python-float lists.  With ``unit_codes`` (a pair of frame-order code
-        lists, unit-cost workspaces only) the kernel compares interned codes
-        instead of labels and ``rename`` is :func:`operator.ne`: a ``bool``
-        added to an integer-valued float is exact, so the distances are
-        bit-identical to calling the unit cost model.  The binding is a
+        Python-float lists.  When both trees' labels intern, the kernel reads
+        frame-order codes instead of labels: unit-cost workspaces compare
+        them with :func:`operator.ne` (a ``bool`` added to an
+        integer-valued float is exact), other workspaces look them up in the
+        alphabet's rename table
+        (:meth:`~repro.algorithms.workspace.TedWorkspace.rename_table`, whose
+        entries are the cost model's own values) once it is built — either
+        way the distances are bit-identical to calling the cost model, which
+        is then not called per cell.  The binding is a
         :func:`functools.partial`, so a region costs no extra Python frame.
         """
         base = self.D if side == SIDE_F else self.D.T
@@ -819,10 +821,23 @@ class SinglePathContext:
             def read_row(node_post: int, col_posts: List[int], lo: int, hi: int) -> List[float]:
                 return [item(node_post, p) for p in col_posts[lo - 1 : hi]]
 
-        if unit_codes is not None:
-            labels_f, labels_g = unit_codes
-            rename: Callable[[object, object], float] = ne
-        else:
+        workspace = self.workspace
+        labels_f = workspace.frame_codes(dec.tree, dec.kind, as_numpy=False)
+        labels_g = workspace.frame_codes(oth.tree, oth.kind, as_numpy=False)
+        rename: Optional[Callable[[object, object], float]] = None
+        if labels_f is not None and labels_g is not None:
+            if workspace.unit_cost:
+                rename = ne
+            else:
+                # Only a table built already (by the vector kernel or an
+                # earlier pair): on a one-off pair of small trees its K²
+                # entries cost more than the cells they would serve.
+                table = workspace.rename_table(build=False)
+                if table is not None:
+                    # The transposed view keeps rename(label_F, label_G)
+                    # when G is decomposed.
+                    rename = (table if side == SIDE_F else table.T).item
+        if rename is None:
             labels_f, labels_g = dec.labels, oth.labels
             rename = self.cost_model.rename
             if side == SIDE_G:

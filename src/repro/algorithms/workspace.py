@@ -57,15 +57,14 @@ with exact equality.
 
 from __future__ import annotations
 
-from math import inf
 from typing import Dict, List, Optional, Tuple
 
 import numpy as _np
 
 from ..costs import CostModel, UnitCostModel
 from ..exceptions import WorkspaceError
-from ..runtime import active_deadline, as_deadline, deadline_scope
-from ..trees.tree import LEFT, RIGHT, Tree
+from ..runtime import as_deadline, deadline_scope
+from ..trees.tree import LEFT, Tree
 from .base import (
     BoundedResult,
     CutoffExceeded,
@@ -75,14 +74,7 @@ from .base import (
     resolve_cost_model,
 )
 from . import batch_kernel
-from .batch_kernel import (
-    CorpusPack,
-    choose_sweep,
-    mirrored_arrays,
-    row_pack,
-    sweep_sizes,
-)
-from . import native
+from .batch_kernel import CorpusPack, build_corpus_pack, choose_sweep
 from .spf import _Frame, _GridFrame
 
 
@@ -170,7 +162,6 @@ class WorkspaceStats:
         "frame_misses",
         "small_pair_runs",
         "right_sweeps",
-        "batch_lanes",
         "native_runs",
         "bypasses",
     )
@@ -181,7 +172,6 @@ class WorkspaceStats:
         self.small_pair_runs = 0
         #: Small-pair runs that took the right sweep (mirrored arrays).
         self.right_sweeps = 0
-        self.batch_lanes = 0
         self.native_runs = 0
         self.bypasses = 0
 
@@ -194,16 +184,6 @@ class WorkspaceStats:
 #: per-pair interning of :func:`repro.algorithms.spf_numpy.rename_matrix`
 #: takes over.
 MAX_DENSE_ALPHABET = 2048
-
-def _finite_cutoff(cutoff: Optional[float]) -> Optional[float]:
-    """``None`` for an infinite cutoff, which bounds nothing (every distance
-    is finite) and which the banded small-pair programs cannot represent:
-    the band width ``ceil(cutoff) - 1`` has no integer value."""
-    return None if cutoff == inf else cutoff
-
-
-#: The one lane of a single pair over two row packs.
-_LANE = (0,)
 
 
 class TedWorkspace:
@@ -253,8 +233,7 @@ class TedWorkspace:
         self._node_costs: Dict[Tuple[int, str], Tuple[Tree, List[float]]] = {}
         self._kind_equiv: Dict[int, Tuple[Tree, Tuple[List[bool], List[bool]]]] = {}
         self._grids: Dict[Tuple[int, int, str], Tuple[Tree, _GridFrame]] = {}
-        self._small: Dict[Tuple[int, str], Tuple[Tree, Optional[CorpusPack]]] = {}
-        self._sweeps: Dict[int, Tuple[Tree, Tuple[int, int]]] = {}
+        self._packs: Dict[int, Tuple[Tree, CorpusPack]] = {}
         #: Distinct trees currently covered by the caches (generation bound).
         self._seen_trees: Dict[int, Tree] = {}
 
@@ -301,8 +280,7 @@ class TedWorkspace:
                 self._node_costs.clear()
                 self._kind_equiv.clear()
                 self._grids.clear()
-                self._small.clear()
-                self._sweeps.clear()
+                self._packs.clear()
                 self._seen_trees.clear()
             self._seen_trees[id(tree)] = tree
 
@@ -433,13 +411,14 @@ class TedWorkspace:
                 self._insert_table = table
         return table
 
-    def rename_table(self):
+    def rename_table(self, build: bool = True):
         """Dense ``K × K`` rename-cost table over the interned alphabet.
 
         ``table[code_a, code_b] == rename(label_a, label_b)``; rebuilt (and
         only then) when the alphabet has grown past the built size.  Returns
         ``None`` for oversized alphabets and for unit-cost workspaces (whose
-        kernels compare code arrays instead).
+        kernels compare code arrays instead) — and, with ``build=False``,
+        when no table covers the alphabet yet.
         """
         if self.unit_cost:
             return None
@@ -448,6 +427,8 @@ class TedWorkspace:
             return None
         table = self._rename_table
         if table is None or table.shape[0] < size:
+            if not build:
+                return None
             rename = self.cost_model.rename
             labels = self.interner.labels
             table = _np.empty((size, size), dtype=_np.float64)
@@ -461,35 +442,15 @@ class TedWorkspace:
     # ------------------------------------------------------------------ #
     # Unit-cost small-pair fast path
     # ------------------------------------------------------------------ #
-    def _sweep_sizes(self, tree: Tree) -> Tuple[int, int]:
-        """Cached :func:`~repro.algorithms.batch_kernel.sweep_sizes`."""
-        cached = self._sweeps.get(id(tree))
+    def _tree_pack(self, tree: Tree) -> CorpusPack:
+        """Cached one-tree :func:`~repro.algorithms.batch_kernel.build_corpus_pack`
+        of ``tree`` (both sweep rows) over the workspace's interner."""
+        cached = self._packs.get(id(tree))
         if cached is not None:
             return cached[1]
         self._admit(tree)
-        sizes = sweep_sizes(tree)
-        self._sweeps[id(tree)] = (tree, sizes)
-        return sizes
-
-    def _small_pack(self, tree: Tree, sweep: str = LEFT) -> Optional[CorpusPack]:
-        """Cached one-row pack
-        (:func:`~repro.algorithms.batch_kernel.row_pack`, its addresses
-        included) of ``tree``'s arrays for the ``sweep`` direction — the
-        mirrored arrays for ``RIGHT``, built only when first needed — or
-        ``None`` for uninternable labels."""
-        key = (id(tree), sweep)
-        cached = self._small.get(key)
-        if cached is not None:
-            return cached[1]
-        self._admit(tree)
-        codes = self.interner.codes_postorder(tree)
-        if codes is None:
-            pack = None
-        elif sweep == LEFT:
-            pack = row_pack(tree.lml, tree.keyroots_left(), codes)
-        else:
-            pack = row_pack(*mirrored_arrays(tree, codes))
-        self._small[key] = (tree, pack)
+        pack = build_corpus_pack([tree], self.interner)
+        self._packs[id(tree)] = (tree, pack)
         return pack
 
     def compute_small(
@@ -498,78 +459,56 @@ class TedWorkspace:
         """Exact unit-cost TED through the small-pair program, or ``None``
         when inapplicable.
 
-        The small-pair program (:mod:`repro.algorithms.batch_kernel`): a
-        flat keyroot sweep (the Zhang–Shasha recurrence) over cached
-        one-row packs — no context, no executor.  It runs in the C kernel
-        when a compiled provider is present and otherwise through
-        :func:`~repro.algorithms.batch_kernel.run_batch`, which drives spf's
-        scalar region kernel over the same packs.  Only unit-cost
-        workspaces qualify — there every intermediate value is an
-        integer-valued float64, so the result is bit-identical to every
-        other kernel — and only pairs whose cheaper sweep evaluates at most
+        The small-pair program (:mod:`repro.algorithms.batch_kernel`) is a
+        flat keyroot sweep (the Zhang–Shasha recurrence) — no context, no
+        executor.  A single pair runs it as a one-lane batch: the two trees'
+        cached one-tree packs go to :func:`kernel_chunk_entries
+        <repro.algorithms.batch_kernel.kernel_chunk_entries>` as lane
+        ``(0, 0)``, so it meets the same gates and kernels as every batch
+        lane.  Only unit-cost workspaces qualify — there every intermediate
+        value is an integer-valued float64, so the result is bit-identical
+        to every other kernel — and only pairs the cell gate admits: the
+        cheaper sweep evaluates at most
         :data:`~repro.algorithms.batch_kernel.SMALL_PAIR_CELLS` cells.  That
         sweep runs: the left one, or on a strictly cheaper right side the
-        same program over the mirrored arrays.  Returns ``(distance, cells,
+        same program over the mirrored rows.  Returns ``(distance, cells,
         sweep)`` with ``cells`` the number of forest-distance cells
         evaluated (the relevant subproblems of the executed program) and
-        ``sweep`` the direction that ran, ``"left"`` or ``"right"``.
+        ``sweep`` the direction that ran, ``"left"`` or ``"right"``; pairs
+        the gates refuse (over budget, uninternable labels) give ``None``.
 
         With ``cutoff`` the run is *τ-bounded* (``DESIGN.md``, *Bounded
-        verification*): the size pre-check raises
-        :class:`~repro.algorithms.base.CutoffExceeded` immediately, every
-        region is restricted to its ``|i − j| < cutoff`` band (out-of-band
-        cells provably hold ``≥ cutoff`` and are read as ``+inf``), the
-        final region runs the per-row abort, and a banded result landing at
-        or above the cutoff raises with the cutoff as the proving bound; the
-        exception's ``sweep`` names the direction the gate chose.
-        Sub-cutoff results are bit-identical to unbounded runs — every cell
-        whose true value is below the cutoff lies in the band and its
-        minimum-winning candidate chain repeats the identical arithmetic.
-        The gate order — unit-cost gate, cell gate, bounded size pre-check
-        *before* the code gate — is the one :func:`kernel_chunk_entries
-        <repro.algorithms.batch_kernel.kernel_chunk_entries>` replicates.
+        verification*): the size pre-check aborts at once, every region is
+        restricted to its ``|i − j| < cutoff`` band (out-of-band cells
+        provably hold ``≥ cutoff`` and are read as ``+inf``), the final
+        region runs the per-row abort, and a banded result landing at or
+        above the cutoff aborts with the cutoff as the proving bound.  An
+        abort raises :class:`~repro.algorithms.base.CutoffExceeded` with the
+        evaluated cells and, as ``sweep``, the direction the cell gate
+        chose.  Sub-cutoff results are bit-identical to unbounded runs —
+        every cell whose true value is below the cutoff lies in the band and
+        its minimum-winning candidate chain repeats the identical
+        arithmetic.
         """
         if not self.unit_cost:
             return None
-        sweep = choose_sweep(
-            self._sweep_sizes(tree_f),
-            self._sweep_sizes(tree_g),
-            batch_kernel.SMALL_PAIR_CELLS,
+        pack_f = self._tree_pack(tree_f)
+        pack_g = self._tree_pack(tree_g)
+        (entry,) = batch_kernel.kernel_chunk_entries(
+            pack_f, pack_g, [(0, 0)], cutoff, _inapplicable, workspace=self
         )
-        if sweep is None:
+        if entry is None:
             return None
-        n, m = tree_f.n, tree_g.n
-        cutoff = _finite_cutoff(cutoff)
-        if cutoff is not None and abs(n - m) >= cutoff:
-            exceeded = CutoffExceeded(float(abs(n - m)))
+        # The pair was admitted, so the cell gate names its direction.
+        sweep = choose_sweep(
+            pack_f.gate_rows()[2][0], pack_g.gate_rows()[2][0], batch_kernel.SMALL_PAIR_CELLS
+        )
+        if len(entry) == 5 and entry[4]:  # aborted under the cutoff
+            exceeded = CutoffExceeded(entry[2])
+            exceeded.subproblems = entry[3]
             exceeded.sweep = sweep
             raise exceeded
-        pack_f = self._small_pack(tree_f, sweep)
-        pack_g = self._small_pack(tree_g, sweep)
-        if pack_f is None or pack_g is None:
-            return None
-        # The C kernel has no deadline hook and the Python lane's ticks are
-        # amortized (a tiny pair may never reach a clock read), so settle
-        # an already-blown budget before the sweep.
-        deadline = active_deadline()
-        if deadline is not None:
-            deadline.check()
-        self.stats.small_pair_runs += 1
-        if sweep == RIGHT:
-            self.stats.right_sweeps += 1
-        out = native.native_batch(pack_f, pack_g, _LANE, _LANE, cutoff)
-        if out is None:
-            out = batch_kernel.run_batch(pack_f, pack_g, _LANE, _LANE, cutoff)
-        else:
-            self.stats.native_runs += 1
-        value = float(out[0][0])
-        cells = int(out[1][0])
-        if out[2][0]:
-            exceeded = CutoffExceeded(value)
-            exceeded.subproblems = cells
-            exceeded.sweep = sweep
-            raise exceeded
-        return value, cells, sweep
+        return entry[2], entry[3], sweep
 
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
@@ -580,8 +519,7 @@ class TedWorkspace:
         self._node_costs.clear()
         self._kind_equiv.clear()
         self._grids.clear()
-        self._small.clear()
-        self._sweeps.clear()
+        self._packs.clear()
         self._seen_trees.clear()
         self._delete_table = None
         self._insert_table = None
@@ -592,6 +530,12 @@ class TedWorkspace:
             f"TedWorkspace(cost_model={self.cost_model!r}, "
             f"alphabet={len(self.interner)}, trees={len(self._frames)})"
         )
+
+
+def _inapplicable(i: int, j: int) -> None:
+    """The single-pair fallback: a pair the small-pair gates refuse has no
+    small-pair result."""
+    return None
 
 
 #: ``extra["kernel"]`` of results produced by the small-pair program (the C

@@ -68,8 +68,9 @@ def as_corpus(trees: CorpusLike) -> TreeCorpus:
 def _kernel_workspace(algo) -> Optional[TedWorkspace]:
     """The workspace backing the batch kernel, or ``None`` if inapplicable.
 
-    The kernel replaces :meth:`TedWorkspace.compute_small` calls only —
-    so it requires the amortized wrapper (``WorkspaceTED``, i.e. a registry
+    Batching stands in for per-pair :meth:`TedWorkspace.compute_small`
+    calls only — each of which is the same dispatcher with one lane — so
+    it requires the amortized wrapper (``WorkspaceTED``, i.e. a registry
     name on a workspace-capable engine; ``recursive`` and pre-built
     instances never qualify) with a unit-cost workspace.  Every emitted
     tuple is bit-identical to the per-pair path.

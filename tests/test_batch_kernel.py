@@ -393,7 +393,9 @@ class TestCellGate:
             try:
                 out = reference.compute_small(shapes[i], shapes[j], cutoff=cutoff)
             except CutoffExceeded as exceeded:
-                assert exceeded.sweep in ("left", "right")
+                assert exceeded.sweep == choose_sweep(
+                    sweep_sizes(shapes[i]), sweep_sizes(shapes[j]), SMALL_PAIR_CELLS
+                )
                 expected = (i, j, exceeded.lower_bound, exceeded.subproblems, True)
             else:
                 if out is None:
@@ -532,26 +534,31 @@ class TestNativeBackend:
             assert default_ws.stats.native_runs == default_ws.stats.small_pair_runs > 0
 
     @pytest.mark.skipif(not native_available(), reason="no compiled provider")
-    def test_native_small_pair_direct(self, corpus):
-        # A single pair through native_batch: the workspace's cached one-row
-        # packs, lane (0, 0).
+    @pytest.mark.parametrize("sweep, row", [("left", 0), ("right", 1)])
+    def test_native_small_pair_direct(self, corpus, sweep, row):
+        # A single pair through native_batch: the workspace's cached
+        # one-tree packs, lane (0, 0) for the left sweep and the mirrored
+        # rows (1, 1) for the right one.
         workspace = TedWorkspace()
         f, g = corpus[4], corpus[5]
-        pack_f = workspace._small_pack(f)
-        pack_g = workspace._small_pack(g)
-        values, cells, aborted = native_batch(pack_f, pack_g, [0], [0], None)
+        pack_f = workspace._tree_pack(f)
+        pack_g = workspace._tree_pack(g)
+        values, cells, aborted = native_batch(pack_f, pack_g, [row], [row], None)
         value, cells, aborted = float(values[0]), int(cells[0]), bool(aborted[0])
-        expected_value, expected_cells = zhang_reference(f, g)
+        expected_value, expected_cells = zhang_reference(f, g, sweep)
         assert (value, cells, aborted) == (expected_value, expected_cells, False)
 
-    @pytest.mark.parametrize("sweep", ["left", "right"])
-    def test_row_pack_addresses_are_its_arrays(self, corpus, sweep):
-        # row_pack derives its addresses from its block's; they must be
-        # exactly the addresses of the row arrays it exposes.
-        pack = TedWorkspace()._small_pack(corpus[4], sweep)
-        assert pack.addresses() == tuple(
-            getattr(pack, name).ctypes.data for name in pack._ROW_FIELDS
-        )
+    @pytest.mark.parametrize("trees", ["one", "corpus"])
+    def test_pack_addresses_are_its_row_views(self, corpus, trees):
+        # addresses() derives the row addresses from the block's; they must
+        # be exactly the addresses of the row views the pack exposes.
+        if trees == "one":
+            pack = TedWorkspace()._tree_pack(corpus[4])
+        else:
+            pack = build_corpus_pack(corpus, TedWorkspace().interner)
+        views = [getattr(pack, name) for name in pack._ROW_FIELDS]
+        assert all(view.base is pack.block for view in views)
+        assert pack.addresses() == tuple(view.ctypes.data for view in views)
 
     @pytest.mark.skipif(not native_available(), reason="no compiled provider")
     def test_concurrent_calls_share_no_buffer(self, corpus, pairs):
@@ -604,9 +611,10 @@ class TestNativeBackend:
             assert native_provider() is None
             workspace = TedWorkspace()
             f, g = random_tree(10, rng=7), random_tree(11, rng=8)
-            pack_f = workspace._small_pack(f)
-            pack_g = workspace._small_pack(g)
+            pack_f = workspace._tree_pack(f)
+            pack_g = workspace._tree_pack(g)
             assert native_batch(pack_f, pack_g, [0], [0]) is None
+            assert native_batch(pack_f, pack_g, [1], [1]) is None
             value, cells, _ = workspace.compute_small(f, g)
             assert (value, cells) == zhang_reference(f, g)
             assert workspace.stats.native_runs == 0
@@ -642,24 +650,44 @@ class TestNativeBackend:
 class TestPackPickling:
     """Under ``spawn`` and ``forkserver`` a pack reaches workers pickled."""
 
-    def test_round_trip_is_field_by_field_identical(self, corpus):
-        pack = build_corpus_pack(corpus, TedWorkspace().interner)
-        pack.gate_rows()  # a built gate cache travels too
+    #: Every array field of a pack, all views into its block.
+    FIELDS = (
+        "block", "sweep_l", "sweep_r", "eligible", "sizes", "node_off", "kr_off",
+        "kr_count", "lml_flat", "codes_flat", "kroots",
+    )
+
+    @pytest.mark.parametrize("trees", ["one", "corpus"])
+    def test_round_trip_is_its_block(self, corpus, trees):
+        if trees == "one":
+            pack = TedWorkspace()._tree_pack(corpus[0])
+            other = TedWorkspace()._tree_pack(corpus[1])
+            lanes = [(0, 0), (1, 1)]  # the left sweep, then the right one
+            pairs = [(0, 0)]
+        else:
+            pack = other = build_corpus_pack(corpus, TedWorkspace().interner)
+            lanes = [(0, 1), (pack.n_trees, pack.n_trees + 1)]
+            pairs = [(0, 1)]
         clone = pickle.loads(pickle.dumps(pack))
         assert clone is not pack
-        for name in type(pack).__slots__:
+        assert pack._gate is not None and clone._gate is None  # caches stay behind
+        assert clone.n_trees == pack.n_trees
+        assert clone.block.flags.c_contiguous and clone.block.dtype == np.int64
+        for name in self.FIELDS:
             original, copied = getattr(pack, name), getattr(clone, name)
-            if isinstance(original, np.ndarray):
-                assert copied.dtype == original.dtype
-                assert copied.shape == original.shape
-                assert (copied == original).all()
-            else:
-                assert copied == original, name
-        # The unpickled pack is a working kernel input.
-        row_f, row_g = gate_rows(clone, corpus, 0, 1)
-        values, cells, _ = run_batch(clone, clone, [row_f], [row_g])
-        expected = TedWorkspace().compute_small(corpus[0], corpus[1])
-        assert (values[0], cells[0]) == expected[:2]
+            assert copied.dtype == original.dtype, name
+            assert copied.shape == original.shape, name
+            assert (copied == original).all(), name
+            if name not in ("block", "eligible"):
+                assert copied.base is clone.block, name
+        assert clone.gate_rows() == pack.gate_rows()
+        # The unpickled pack is a working kernel input, in both directions.
+        other_clone = clone if other is pack else pickle.loads(pickle.dumps(other))
+        for row_f, row_g in lanes:
+            got = run_batch(clone, other_clone, [row_f], [row_g])
+            want = run_batch(pack, other, [row_f], [row_g])
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        (entry,) = kernel_chunk_entries(clone, other_clone, pairs, None, None)
+        assert entry[2:] == TedWorkspace().compute_small(corpus[0], corpus[1])[:2]
 
     @pytest.mark.skipif(not native_available(), reason="no compiled provider")
     @pytest.mark.parametrize("cutoff", [None, 3.0])
@@ -827,5 +855,4 @@ class TestConfiguration:
         kernel_chunk_entries(
             pack, pack, lanes, None, None, workspace=workspace
         )
-        assert workspace.stats.batch_lanes == len(lanes)
         assert workspace.stats.small_pair_runs == len(lanes)

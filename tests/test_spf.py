@@ -314,6 +314,55 @@ class TestInnerKernelInputs:
         assert np.array_equal(gathered[2], called[2], equal_nan=True)
 
 
+class CountingRenames(WeightedCostModel):
+    """Weighted costs with a direction-sensitive rename that counts its calls."""
+
+    def __init__(self, *costs):
+        super().__init__(*costs)
+        self.calls = 0
+
+    def rename(self, label_from, label_to):
+        self.calls += 1
+        if label_from == label_to:
+            return 0.0
+        return self._rename if str(label_from) < str(label_to) else self._rename + 0.25
+
+
+class TestScalarRegionInputs:
+    """The scalar keyroot kernel reads rename costs from the workspace's
+    alphabet table once one is built, instead of calling the cost model."""
+
+    @pytest.mark.parametrize(
+        "costs", [(1.3, 0.7, 1.9), (1.25, 0.75, 1.5)], ids=["fractional", "dyadic"]
+    )
+    def test_no_rename_calls_with_a_table(self, costs, monkeypatch):
+        tree_f, tree_g = random_tree(90, rng=1), random_tree(80, rng=2)
+        model = CountingRenames(*costs)
+
+        def run_all(workspace):
+            context = SinglePathContext(tree_f, tree_g, cost_model=model, workspace=workspace)
+            return [
+                spf_L(tree_f, tree_g, cost_model=model, workspace=workspace),
+                spf_H(tree_f, tree_g, cost_model=model, workspace=workspace),
+                context.run(SIDE_G, LEFT, tree_f.root, tree_g.root),
+            ]
+
+        workspace = TedWorkspace(model)
+        run_all(workspace)  # warm: the vector kernel builds the table
+        model.calls = 0
+        gathered = run_all(workspace)
+        assert model.calls == 0
+
+        # Without a table the cost model is called per cell, for the same bits.
+        monkeypatch.setattr(workspace_module, "MAX_DENSE_ALPHABET", 0)
+        called = run_all(TedWorkspace(model))
+        assert model.calls > 0
+        assert gathered == called
+        if costs[0] == 1.25:  # dyadic costs add exactly in any order
+            oracle = make_algorithm("simple").compute(tree_f, tree_g, cost_model=model)
+            assert gathered == [oracle.distance] * 3
+
+
 EXECUTOR_STRATEGIES = [
     LeftFStrategy(),
     RightFStrategy(),
