@@ -30,14 +30,14 @@ In ``--quick`` mode nothing is written unless ``--output`` is given and the
 process exits non-zero unless the borderline join verify-stage speedup is
 ≥ 1.15x and the distant-pair zhang-l speedup at 128 nodes is ≥ 1.5x
 (conservative CI gates; the committed full-mode ``BENCH_bounded.json``
-records the reference numbers).
+records the reference numbers, stamped with the git commit it measured and
+the machine, ``stamp.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import time
 from pathlib import Path
@@ -47,6 +47,7 @@ from repro import make_algorithm
 from repro.costs import UNIT_COST
 from repro.datasets import clustered_corpus, perturb_tree, random_tree
 from repro.join import BatchRefiner, JoinStats, Planner, TreeCorpus, batch_distances, execute_plan
+from stamp import machine_stamp
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_bounded.json"
 
@@ -218,8 +219,7 @@ def run_benchmark(pr3_trees: int, borderline_trees: int, pair_reps: int) -> Dict
     )
     return {
         "benchmark": "τ-bounded exact verification vs unbounded verification",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_stamp(),
         "entries": entries,
         "borderline_verify_speedup": borderline["verify_stage_speedup"],
         "pr3_verify_speedup": next(

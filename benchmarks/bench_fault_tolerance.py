@@ -26,14 +26,15 @@ The process exits non-zero unless:
 * ``JoinStats.retried_chunks > 0`` under injection (faults really fired).
 
 ``--quick`` shrinks the corpus (CI runners give the pool 2 slow cores);
-the full mode uses the complete 2k-tree corpus.
+the full mode uses the complete 2k-tree corpus and writes
+``BENCH_fault_tolerance.json``, stamped with the git commit it measured and
+the machine (``stamp.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import time
 from pathlib import Path
@@ -41,6 +42,7 @@ from pathlib import Path
 from repro.datasets import clustered_corpus
 from repro.join import batch_self_join
 from repro.join import faults
+from stamp import machine_stamp
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_fault_tolerance.json"
 
@@ -103,8 +105,7 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "fault_tolerance",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_stamp(),
         "quick": args.quick,
         "corpus_trees": len(trees),
         "threshold": THRESHOLD,

@@ -25,8 +25,8 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_query.py            # full, writes BENCH_query.json
     PYTHONPATH=src python benchmarks/bench_query.py --quick    # CI smoke (<1 min)
 
-The committed ``BENCH_query.json`` is the baseline recorded on the machine
-that introduced the retrieval core.  Both modes enforce the retrieval-core
+The committed ``BENCH_query.json`` is a full run, stamped with the git
+commit it measured and the machine (``stamp.py``).  Both modes enforce the retrieval-core
 acceptance invariants on the synthetic curve — the examined-pairs ratio
 ``exact_computed / corpus_size`` must *strictly decrease* as the corpus
 grows, and indexed kNN must beat brute force in wall-clock at the largest
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import random
 import sys
 import time
@@ -47,6 +46,7 @@ from typing import Dict, List, Optional
 
 from repro.datasets import clustered_corpus, perturb_tree, treebank_like_tree
 from repro.join import QueryEngine, TreeCorpus, batch_distances
+from stamp import machine_stamp
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_query.json"
 
@@ -222,8 +222,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "k": K,
         "cluster_size": CLUSTER_SIZE,
         "synthetic_tree_sizes": SYNTHETIC_SIZES,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_stamp(),
         "entries": entries,
         "gates": {
             "examined_ratio_strictly_decreasing": not any(

@@ -23,7 +23,9 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_service.py            # full, writes BENCH_service.json
     PYTHONPATH=src python benchmarks/bench_service.py --quick    # CI smoke gate
 
-In ``--quick`` mode nothing is written unless ``--output`` is given.
+The committed ``BENCH_service.json`` is a full run, stamped with the git
+commit it measured and the machine (``stamp.py``).  In ``--quick`` mode
+nothing is written unless ``--output`` is given.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import platform
 import statistics
 import sys
 import time
@@ -49,6 +50,7 @@ from repro.io import to_bracket
 from repro.join import TreeCorpus
 from repro.runtime import Deadline, TARGET_RESOLUTION
 from repro.service import RtedService, ServiceConfig
+from stamp import machine_stamp
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_service.json"
 
@@ -256,8 +258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures = check_gates(overhead, shedding)
     report = {
         "benchmark": "serving layer: deadline overhead, latency percentiles, load shedding",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_stamp(),
         "deadline_overhead": overhead,
         "latency": latency,
         "shedding": shedding,

@@ -96,9 +96,9 @@ class RTED(TEDAlgorithm):
 
         ambient = active_deadline()
         if ambient is not None:
-            # The strategy phase is O(n²) and uninstrumented; settle its
-            # bill here so an already-blown budget never enters the
-            # (potentially much larger) distance phase.
+            # The strategy phase ticks once per row, amortized; settle the
+            # ticks not yet polled here so an already-blown budget never
+            # enters the (potentially much larger) distance phase.
             ambient.check()
 
         distance_watch = Stopwatch()

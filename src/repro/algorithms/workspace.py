@@ -461,7 +461,8 @@ class TedWorkspace:
 
         The small-pair program (:mod:`repro.algorithms.batch_kernel`) is a
         flat keyroot sweep (the Zhang–Shasha recurrence) — no context, no
-        executor.  A single pair runs it as a one-lane batch: the two trees'
+        executor.  A single pair runs it as a one-lane batch: once the cell
+        gate has admitted it (before any pack is built), the two trees'
         cached one-tree packs go to :func:`kernel_chunk_entries
         <repro.algorithms.batch_kernel.kernel_chunk_entries>` as lane
         ``(0, 0)``, so it meets the same gates and kernels as every batch
@@ -492,17 +493,19 @@ class TedWorkspace:
         """
         if not self.unit_cost:
             return None
-        pack_f = self._tree_pack(tree_f)
-        pack_g = self._tree_pack(tree_g)
+        # The cell gate before the packs: an over-budget pair builds none.
+        sweep = choose_sweep(
+            batch_kernel.sweep_sizes(tree_f), batch_kernel.sweep_sizes(tree_g),
+            batch_kernel.SMALL_PAIR_CELLS,
+        )
+        if sweep is None:
+            return None
         (entry,) = batch_kernel.kernel_chunk_entries(
-            pack_f, pack_g, [(0, 0)], cutoff, _inapplicable, workspace=self
+            self._tree_pack(tree_f), self._tree_pack(tree_g), [(0, 0)], cutoff,
+            _inapplicable, workspace=self,
         )
         if entry is None:
             return None
-        # The pair was admitted, so the cell gate names its direction.
-        sweep = choose_sweep(
-            pack_f.gate_rows()[2][0], pack_g.gate_rows()[2][0], batch_kernel.SMALL_PAIR_CELLS
-        )
         if len(entry) == 5 and entry[4]:  # aborted under the cutoff
             exceeded = CutoffExceeded(entry[2])
             exceeded.subproblems = entry[3]

@@ -13,11 +13,6 @@ from repro.algorithms import (
     SIDE_G,
     optimal_strategy,
 )
-from repro.algorithms.optimal_strategy import (
-    _node_heights,
-    _optimal_strategy_numpy,
-    _optimal_strategy_python,
-)
 from repro.counting import (
     count_subproblems,
     optimal_cost_bruteforce,
@@ -31,11 +26,31 @@ from repro.datasets import (
     make_shape,
     random_tree,
     right_branch_tree,
+    swissprot_like_tree,
+    treebank_like_tree,
     zigzag_tree,
 )
+from repro.exceptions import ComputeTimeoutError
+from repro.runtime import CancelToken, Deadline, deadline_scope
 from repro.trees import HEAVY, LEFT, RIGHT, tree_from_nested
 
 from conftest import tree_pairs
+
+#: Shallow, wide pairs: few height levels, many subtree pairs on each.
+BUSHY_PAIRS = {
+    "flat-random": lambda: (
+        random_tree(40, rng=1, max_depth=2, max_fanout=12),
+        random_tree(36, rng=2, max_depth=2, max_fanout=12),
+    ),
+    "swissprot": lambda: (
+        swissprot_like_tree(rng=3, target_size=40),
+        swissprot_like_tree(rng=4, target_size=36),
+    ),
+    "treebank": lambda: (
+        treebank_like_tree(rng=5, target_size=40),
+        treebank_like_tree(rng=6, target_size=36),
+    ),
+}
 
 
 class TestPaperExample4:
@@ -79,6 +94,11 @@ class TestOptimalityAgainstBruteForce:
         tree = make_shape(shape, 21)
         assert rted_count(tree, tree) == optimal_cost_bruteforce(tree, tree)
 
+    @pytest.mark.parametrize("bushy", sorted(BUSHY_PAIRS))
+    def test_bushy_trees(self, bushy):
+        tree_f, tree_g = BUSHY_PAIRS[bushy]()
+        assert rted_count(tree_f, tree_g) == optimal_cost_bruteforce(tree_f, tree_g)
+
     @given(tree_pairs())
     @settings(max_examples=40, deadline=None)
     def test_property_based(self, pair):
@@ -115,18 +135,9 @@ class TestOptimalityAgainstFixedStrategies:
             assert optimal <= count_subproblems(algorithm, tree_f, tree_g)
 
 
-def _implementations(tree_f, tree_g):
-    """Both Algorithm 2 implementations and the dispatcher on one pair."""
-    return (
-        _optimal_strategy_python(tree_f, tree_g),
-        _optimal_strategy_numpy(tree_f, tree_g, _node_heights(tree_f), _node_heights(tree_g)),
-        optimal_strategy(tree_f, tree_g),
-    )
-
-
 class TestAlgorithm2MatchesFigure5:
-    """Every entry of both Algorithm 2 implementations, re-derived from the
-    cost formula: the six Figure 5 candidates of ``(v, w)`` are the
+    """Every entry of Algorithm 2's result, re-derived from the cost
+    formula: the six Figure 5 candidates of ``(v, w)`` are the
     single-path cost (Lemma 4) plus the result's own costs over the
     relevant subtrees; ``costs[v][w]`` must be their minimum and
     ``choice_codes[v][w]`` the first candidate attaining it."""
@@ -150,8 +161,7 @@ class TestAlgorithm2MatchesFigure5:
         assert result.cost == costs[tree_f.root][tree_g.root]
 
     def _check(self, tree_f, tree_g):
-        for result in _implementations(tree_f, tree_g):
-            self._assert_figure5(tree_f, tree_g, result)
+        self._assert_figure5(tree_f, tree_g, optimal_strategy(tree_f, tree_g))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_trees(self, seed):
@@ -166,6 +176,10 @@ class TestAlgorithm2MatchesFigure5:
     def test_synthetic_shapes(self, shape):
         tree = make_shape(shape, 33)
         self._check(tree, tree)
+
+    @pytest.mark.parametrize("bushy", sorted(BUSHY_PAIRS))
+    def test_bushy_trees(self, bushy):
+        self._check(*BUSHY_PAIRS[bushy]())
 
     @given(tree_pairs())
     @settings(max_examples=25, deadline=None)
@@ -239,17 +253,50 @@ class TestStrategyMatrixShape:
 
 
 class TestFlatLoopFootprint:
-    """The flat loop holds the paper's arrays only: three ``int64`` cost-sum
+    """Algorithm 2 holds the paper's arrays only: three ``int64`` cost-sum
     arrays, the ``int8`` strategy and the ``int64`` cost matrix — 33 bytes a
-    pair — plus ``O(|G|)`` row temporaries."""
+    pair — plus ``O(|G|)`` row temporaries, on deep and bushy pairs alike."""
 
-    def test_peak_bytes_per_pair_on_a_deep_pair(self):
-        tree_f, tree_g = zigzag_tree(300), zigzag_tree(299)
-        _optimal_strategy_python(tree_f, tree_g)  # fill the per-tree caches
+    @pytest.mark.parametrize(
+        "make_pair",
+        [
+            lambda: (zigzag_tree(300), zigzag_tree(299)),
+            lambda: (random_tree(300, rng=1), random_tree(300, rng=2)),
+            lambda: (full_binary_tree(511), full_binary_tree(511)),
+            lambda: (
+                swissprot_like_tree(rng=3, target_size=400),
+                swissprot_like_tree(rng=4, target_size=400),
+            ),
+        ],
+        ids=["zigzag-300", "random-300", "full-binary-511", "swissprot-400"],
+    )
+    def test_peak_bytes_per_pair(self, make_pair):
+        tree_f, tree_g = make_pair()
+        optimal_strategy(tree_f, tree_g)  # fill the per-tree caches
         tracemalloc.start()
         try:
-            _optimal_strategy_python(tree_f, tree_g)
+            optimal_strategy(tree_f, tree_g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 40 * tree_f.n * tree_g.n
+
+
+class TestDeadline:
+    def test_cancelled_token_stops_the_first_row(self):
+        # Each row of F ticks the ambient deadline once, weighted by |G|;
+        # a cancelled token raises from the first row's tick.
+        ticks = []
+
+        class RecordingDeadline(Deadline):
+            def tick(self, weight=1):
+                ticks.append(weight)
+                super().tick(weight)
+
+        tree_f, tree_g = random_tree(300, rng=1), random_tree(300, rng=2)
+        token = CancelToken()
+        token.cancel()
+        with deadline_scope(RecordingDeadline(token=token)):
+            with pytest.raises(ComputeTimeoutError, match="cancelled"):
+                optimal_strategy(tree_f, tree_g)
+        assert ticks == [tree_g.n]

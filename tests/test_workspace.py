@@ -280,6 +280,15 @@ class TestWorkspaceInternals:
         assert min(left_s * left_l, right_s * right_l) > budget
         assert workspace.compute_small(small, large) is None
 
+    def test_over_budget_pair_builds_no_pack(self):
+        # The cell gate runs before the one-tree packs are built: a pair it
+        # refuses leaves no pack behind and runs no lane.
+        tree_f, tree_g = make_shape("zigzag", 300), make_shape("zigzag", 300)
+        workspace = TedWorkspace()
+        assert workspace.compute_small(tree_f, tree_g) is None
+        assert not workspace._packs
+        assert workspace.stats.small_pair_runs == 0
+
     def test_clear_resets_caches(self):
         workspace = TedWorkspace()
         tree = random_tree(10, rng=1)
