@@ -25,21 +25,21 @@ cache/interning amortization alone.
 
 Run with::
 
-    PYTHONPATH=src python benchmarks/bench_batch_ted.py           # full, writes BENCH_batch.json
+    PYTHONPATH=src python benchmarks/bench_batch_ted.py           # full, writes BENCH_batch_ted.json
     PYTHONPATH=src python benchmarks/bench_batch_ted.py --quick   # CI smoke gate
 
 In ``--quick`` mode nothing is written unless ``--output`` is given and the
 process exits non-zero unless the small-batch ``rted`` median speedup is
 ≥ 2.5x and the join verify-stage speedup is ≥ 1.2x (conservative CI gates;
-the committed full-mode ``BENCH_batch.json`` records the reference numbers,
-≥ 5x and ≥ 1.5x on the baseline container).
+the committed full-mode ``BENCH_batch_ted.json`` records the reference
+numbers, stamped with the git commit it measured and the machine
+(``stamp.py``)).  ``BENCH_batch.json`` belongs to ``bench_batch_kernel.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import time
 from pathlib import Path
@@ -50,8 +50,9 @@ from repro.algorithms import TedWorkspace, make_algorithm
 from repro.costs import WeightedCostModel
 from repro.datasets import clustered_corpus, random_tree
 from repro.join import TreeCorpus, batch_self_join, default_cascade
+from stamp import machine_stamp
 
-DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_batch.json"
+DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_batch_ted.json"
 
 JOIN_THRESHOLD = 3.0
 
@@ -223,8 +224,7 @@ def run_benchmark(pair_count: int, join_trees: int) -> Dict:
     )
     return {
         "benchmark": "amortized batch TED (workspace + interning vs per-call contexts)",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
+        **machine_stamp(),
         "entries": entries,
         "headline_median_per_pair_speedup": headline["median_per_pair_speedup"],
         "join_verify_speedup": next(

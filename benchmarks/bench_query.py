@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
-"""Benchmark: one-vs-corpus retrieval (kNN) at scale — metric index vs brute force.
+"""Benchmark: one-vs-corpus retrieval at scale — kNN and range queries vs brute force.
 
 Corpus-size growth curves for :class:`repro.join.QueryEngine` over two
 workload families:
 
 * **synthetic** — clustered corpora mixing tree sizes 6–18 (size spread is
-  what gives the VP-tree's triangle bounds their discrimination), clusters
-  ≤ 1 edit wide;
+  what gives the cascade's size bound and the VP-tree's triangle bounds
+  their discrimination), clusters ≤ 1 edit wide;
 * **treebank** — `treebank_like_tree` corpora with sizes drawn from 6–20,
   natural (skewed) label distribution.
 
-Per corpus size the benchmark builds the engine (VP-tree included), then
-answers perturbed-corpus-tree kNN queries three ways:
+Per corpus size the benchmark answers perturbed-corpus-tree queries:
 
-* **indexed** — best-first VP-tree search with the shrinking τ-bounded
-  refiner (`exact_computed` is the *examined pairs* count, the number a
-  sublinear index is judged by);
-* **scan** — the sound linear-scan fallback (cascade bounds only);
+* **knn** — ``QueryEngine.knn``: the size-ordered scan with the shrinking
+  τ-bounded refiner (`exact_computed` is the *examined pairs* count);
 * **brute** — `batch_distances` over every `(query, corpus[j])` pair: no
-  index, no cascade, no cutoff.  The reference cost.
+  index, no cascade, no cutoff.  The reference cost for kNN;
+* **range (vp)** / **range (inverted)** — ``QueryEngine.range_query`` at
+  ``τ = RANGE_TAU`` with VP-tree candidate generation and with the
+  asymmetric inverted index (``use_metric_index=False``); time and
+  `exact_computed` per query, VP-tree build time alongside.  Both legs
+  must return the same matches; they carry no gate.
 
 Run with::
 
@@ -27,11 +29,11 @@ Run with::
 
 The committed ``BENCH_query.json`` is a full run, stamped with the git
 commit it measured and the machine (``stamp.py``).  Both modes enforce the retrieval-core
-acceptance invariants on the synthetic curve — the examined-pairs ratio
+acceptance invariants on the synthetic kNN curve — the examined-pairs ratio
 ``exact_computed / corpus_size`` must *strictly decrease* as the corpus
-grows, and indexed kNN must beat brute force in wall-clock at the largest
-size — and exit non-zero when either fails; in ``--quick`` mode (the CI
-gate) nothing is written unless ``--output`` is given.
+grows, and kNN must beat brute force in wall-clock at the largest size —
+and exit non-zero when either fails; in ``--quick`` mode (the CI gate)
+nothing is written unless ``--output`` is given.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ from stamp import machine_stamp
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_query.json"
 
 K = 5
+RANGE_TAU = 3.0
 CLUSTER_SIZE = 10
 #: Mixed tree sizes: the size spread both feeds the cascade's cheapest bound
 #: and spreads the corpus distance distribution, which is what lets
-#: vantage-point partitions discriminate (a fixed-size corpus concentrates
+#: vantage-point partitions discriminate for range queries (a fixed-size corpus concentrates
 #: all cross-cluster distances into a narrow band and defeats any metric
 #: index; real collections are size-diverse).
 SYNTHETIC_SIZES = [6, 9, 12, 15, 18]
@@ -122,35 +125,47 @@ def run_family(
         queries = make_queries(trees, num_queries)
 
         engine = QueryEngine(corpus)
+        # Untimed warm-up on a corpus tree: builds the corpus artifacts every
+        # later query (and brute force) reuses — pack, profiles, filter
+        # arrays — so the timed legs measure per-query cost only.
         start = time.perf_counter()
-        engine.metric_index()
-        build_seconds = time.perf_counter() - start
-
-        knn_seconds = examined = pruned = 0.0
-        indexed_results = []
+        engine.knn(trees[0], K)
+        setup_seconds = time.perf_counter() - start
+        knn_seconds = examined = 0.0
+        knn_results = []
         for query in queries:
             start = time.perf_counter()
             result = engine.knn(query, K)
             knn_seconds += time.perf_counter() - start
             examined += result.stats.exact_computed
-            pruned += result.stats.vp_pruned_subtrees
-            indexed_results.append(result.matches)
-
-        scan_engine = QueryEngine(corpus, use_metric_index=False)
-        scan_seconds = scan_examined = 0.0
-        for query in queries:
-            start = time.perf_counter()
-            result = scan_engine.knn(query, K)
-            scan_seconds += time.perf_counter() - start
-            scan_examined += result.stats.exact_computed
+            knn_results.append(result.matches)
 
         brute_seconds = 0.0
-        for query, indexed in zip(queries[:brute_queries], indexed_results):
+        for query, matches in zip(queries[:brute_queries], knn_results):
             start = time.perf_counter()
             reference = brute_force_knn(corpus, query, K)
             brute_seconds += time.perf_counter() - start
-            assert indexed == reference, (
-                f"indexed kNN diverged from brute force at n={num_trees}"
+            assert matches == reference, f"kNN diverged from brute force at n={num_trees}"
+
+        start = time.perf_counter()
+        engine.metric_index()
+        build_seconds = time.perf_counter() - start
+        inverted_engine = QueryEngine(corpus, use_metric_index=False)
+        legs = {"vp": engine, "inverted": inverted_engine}
+        range_seconds = dict.fromkeys(legs, 0.0)
+        range_examined = dict.fromkeys(legs, 0)
+        pruned = 0
+        for query in queries:
+            answers = {}
+            for leg, leg_engine in legs.items():
+                start = time.perf_counter()
+                result = leg_engine.range_query(query, RANGE_TAU)
+                range_seconds[leg] += time.perf_counter() - start
+                range_examined[leg] += result.stats.exact_computed
+                pruned += result.stats.vp_pruned_subtrees  # 0 on the inverted leg
+                answers[leg] = result.matches
+            assert answers["vp"] == answers["inverted"], (
+                f"range legs diverged at n={num_trees}"
             )
 
         entry = {
@@ -158,25 +173,33 @@ def run_family(
             "corpus_size": num_trees,
             "k": K,
             "queries": num_queries,
-            "build_seconds": build_seconds,
+            "setup_seconds": setup_seconds,
             "knn_seconds_avg": knn_seconds / num_queries,
-            "scan_seconds_avg": scan_seconds / num_queries,
             "brute_seconds_avg": brute_seconds / brute_queries,
             "examined_avg": examined / num_queries,
             "examined_ratio": examined / num_queries / num_trees,
-            "scan_examined_avg": scan_examined / num_queries,
-            "vp_pruned_avg": pruned / num_queries,
             "speedup_vs_brute": (brute_seconds / brute_queries)
             / (knn_seconds / num_queries),
+            "range_tau": RANGE_TAU,
+            "vp_build_seconds": build_seconds,
+            "range_vp_seconds_avg": range_seconds["vp"] / num_queries,
+            "range_vp_examined_avg": range_examined["vp"] / num_queries,
+            "range_vp_pruned_avg": pruned / num_queries,
+            "range_inverted_seconds_avg": range_seconds["inverted"] / num_queries,
+            "range_inverted_examined_avg": range_examined["inverted"] / num_queries,
         }
         entries.append(entry)
         print(
-            f"{family:>9} n={num_trees:>6} build={build_seconds:7.1f}s "
+            f"{family:>9} n={num_trees:>6} "
             f"knn={entry['knn_seconds_avg'] * 1000:8.1f}ms "
             f"brute={entry['brute_seconds_avg'] * 1000:8.1f}ms "
             f"examined={entry['examined_avg']:8.0f} "
             f"ratio={entry['examined_ratio']:.4f} "
-            f"speedup={entry['speedup_vs_brute']:.1f}x",
+            f"speedup={entry['speedup_vs_brute']:.1f}x | "
+            f"range vp={entry['range_vp_seconds_avg'] * 1000:8.1f}ms "
+            f"({entry['range_vp_examined_avg']:.0f} examined, build {build_seconds:.1f}s) "
+            f"inverted={entry['range_inverted_seconds_avg'] * 1000:8.1f}ms "
+            f"({entry['range_inverted_examined_avg']:.0f} examined)",
             flush=True,
         )
     return entries
@@ -218,8 +241,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures = check_invariants(entries)
     report = {
-        "benchmark": "one-vs-corpus kNN: metric index vs linear scan vs brute force",
+        "benchmark": "one-vs-corpus kNN scan vs brute force; range query with and without the metric index",
         "k": K,
+        "range_tau": RANGE_TAU,
         "cluster_size": CLUSTER_SIZE,
         "synthetic_tree_sizes": SYNTHETIC_SIZES,
         **machine_stamp(),

@@ -396,15 +396,14 @@ def knn(
     engine: Optional[str] = None,
     workers: int = 1,
     use_cascade: bool = True,
-    use_metric_index: bool = True,
     deadline: Optional[float] = None,
     **kwargs,
 ) -> QueryResult:
     """The ``k`` corpus trees nearest to ``query`` (exact, ties by index).
 
-    Runs the best-first metric-index search of
-    :class:`~repro.join.query.QueryEngine` when the cost model is provably
-    a metric, and a sound linear scan otherwise; either way the result is
+    Runs the size-ordered scan of :class:`~repro.join.query.QueryEngine`
+    (near-sized trees first, cascade and refiner cutoff just above the
+    shrinking k-th best distance) under every cost model; the result is
     exactly the first ``k`` entries of the brute-force ``(distance, index)``
     ranking.  ``corpus`` may be a sequence of trees/parseable descriptions
     or a prebuilt :class:`~repro.join.corpus.TreeCorpus` — pass the corpus
@@ -414,7 +413,8 @@ def knn(
     ``result.stats.epoch``/``snapshot_epoch`` record what was queried
     against what).  Extra keyword
     arguments reach the :class:`QueryEngine` (``chunk_size``, ``leaf_size``,
-    ``policy``, ...).  ``deadline``
+    ``policy``, ...); ``use_metric_index`` is accepted there too, but it
+    affects range queries only.  ``deadline``
     (seconds or a :class:`~repro.runtime.Deadline`) is per *call*, not part
     of the cached engine: on expiry the best results examined so far come
     back with ``result.stats.partial = True``.
@@ -433,7 +433,6 @@ def knn(
         engine=engine,
         workers=workers,
         use_cascade=use_cascade,
-        use_metric_index=use_metric_index,
         **kwargs,
     )
     return engine_obj.knn(parse_tree(query), k, deadline=deadline)

@@ -11,8 +11,9 @@ Installed as the ``rted`` console script.  Sub-commands:
   self join (or ``--other @b.txt`` for a cross join) with the filter cascade
   and optional multiprocessing fan-out;
 * ``rted query QUERY @collection.txt --top-k 5`` (or ``--range 3``) —
-  one-vs-corpus retrieval through the query engine (metric-index search
-  when the cost model allows, sound linear scan otherwise);
+  one-vs-corpus retrieval through the query engine (kNN scans the corpus in
+  size order; range queries use the metric index when the cost model
+  allows, the inverted index otherwise);
 * ``rted serve @collection.txt --port 8617`` — HTTP serving layer with
   per-request deadlines, admission control, SIGTERM graceful drain, live
   corpus management (``POST /corpora``, ``POST /corpora/NAME/trees``,
@@ -242,8 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--no-metric-index",
         action="store_true",
-        help="disable VP-tree candidate generation (always linear scan; "
-        "results are identical either way)",
+        help="range queries only: disable VP-tree candidate generation "
+        "(inverted index instead; results are identical either way)",
     )
     query.add_argument("--workers", type=int, default=1, help="refinement processes")
     query.add_argument(

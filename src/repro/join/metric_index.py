@@ -8,8 +8,9 @@ the partition, split at the median distance ``mu`` into an inside ball
 (``d ≤ mu``) and an outside shell (``d > mu``), and recurse.  At query
 time the triangle inequality turns one exact distance ``d(q, vantage)``
 into a lower bound for a whole subtree — ``d(q, x) ≥ d(q, v) − mu`` inside
-the ball, ``d(q, x) ≥ mu − d(q, v)`` outside — so range and nearest
-searches visit only the partitions the bound cannot exclude.
+the ball, ``d(q, x) ≥ mu − d(q, v)`` outside — so range searches visit
+only the partitions the bound cannot exclude.  The query engine uses the
+tree for range queries only; its kNN is a size-ordered scan.
 
 **Metric gating (the soundness rule).**  Triangle-inequality pruning is
 *unsound* for non-metric cost models: a violated triangle silently drops
@@ -19,8 +20,8 @@ positive :meth:`~repro.costs.CostModel.min_operation_cost` (a zero
 infimum admits distance-0 pairs of distinct trees, making TED a
 pseudometric and median splits degenerate).  :meth:`VPTree.build` raises
 :class:`~repro.exceptions.MetricGateError` on an ineligible model — callers (the
-query engine) check the gate first and fall back to a linear scan, which
-is always sound.
+query engine) check the gate first and fall back to the inverted index,
+which is always sound.
 
 Construction cost is ``O(N log N)`` exact TEDs, paid once per corpus and
 amortized over queries; the distances run through

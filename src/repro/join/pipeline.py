@@ -26,9 +26,9 @@ pipeline is factored into three pieces:
 :func:`execute_plan` runs one: candidates → filters → refinement, with
 streaming :class:`~repro.join.cascade.JoinStats`.  The legacy all-pairs
 join is *one composition* of these pieces (``plan_join``); asymmetric
-range queries are another (``plan_range``); the best-first kNN search of
-:mod:`repro.join.query` reuses the same sources, filters and refiner under
-its own control loop because its threshold shrinks while it runs.
+range queries are another (``plan_range``); the size-ordered kNN scan of
+:mod:`repro.join.query` reuses the same filters and refiner under its own
+control loop because its threshold shrinks while it runs.
 
 The evaluation path is **asymmetric** throughout: a plan carries two
 corpora (``corpus_a`` for the left side of every pair, ``corpus_b`` for the

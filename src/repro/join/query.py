@@ -2,7 +2,7 @@
 
 The all-pairs join answers "which pairs of corpus trees are close"; this
 module answers the question a retrieval service actually sees — "which
-corpus trees are close to *this* query" — sublinearly where possible:
+corpus trees are close to *this* query":
 
 * :meth:`QueryEngine.range_query` (``TED(query, tree) < τ``) is one more
   composition of the planner/filter/refiner pipeline
@@ -11,29 +11,27 @@ corpus trees are close to *this* query" — sublinearly where possible:
   the sound filter cascade evaluated query-profile-vs-corpus-profile, and
   the τ-bounded batched refiner.
 * :meth:`QueryEngine.knn` has no fixed τ, so it cannot be a static plan:
-  it runs **best-first** over the vantage-point tree
-  (:mod:`repro.join.metric_index`), maintaining the k best results as a
-  shrinking radius ``r`` (the current k-th best distance).  Every subtree
-  is enqueued with its triangle-inequality lower bound; a popped bound
-  that exceeds ``r`` ends the search.  The radius feeds straight into the
-  τ-bounded refiner of PR 5: leaf buckets are filtered by the cascade at
-  ``τ_eff`` just above ``r`` and verified with ``cutoff`` just above ``r``,
-  so non-competitive candidates abort as soon as ``d > r`` is proven.
+  it scans the corpus in **size order** (near-sized trees first), keeping
+  the k best results as a shrinking radius ``r`` (the current k-th best
+  distance).  Each block of the scan is re-filtered by the cascade at
+  ``τ_eff`` just above ``r`` and verified by the τ-bounded batched refiner
+  with ``cutoff`` just above ``r``, so non-competitive candidates are pruned
+  by a bound or abort as soon as ``d > r`` is proven.
 
 Tie-safety: results are ordered lexicographically by ``(distance, index)``
-and every prune is strict — a subtree is discarded only when its lower
-bound *exceeds* the current radius, cascade/refiner cutoffs sit one ULP
-above ``r`` (``math.nextafter``) — so ``knn`` returns exactly the first
-``k`` entries of the brute-force ranking, ties included (the property
-suite asserts set equality against brute force).
+and every prune is strict — cascade/refiner cutoffs sit one ULP above ``r``
+(``math.nextafter``) — so ``knn`` returns exactly the first ``k`` entries of
+the brute-force ranking, ties included (the property suite asserts set
+equality against brute force).
 
-Cost-model soundness: triangle-inequality pruning engages only when
-:func:`~repro.join.metric_index.metric_eligible` holds; otherwise the
-engine falls back to a linear scan whose only pruning comes from the
-orientation-independent operation-count bounds of the cascade (sound for
-any model with a positive cost floor, including non-symmetric ones).
-Distances are always computed ``query → corpus tree``, so non-symmetric
-models return the correctly oriented result set.
+Cost-model soundness: triangle-inequality pruning (range queries only)
+engages only when :func:`~repro.join.metric_index.metric_eligible` holds;
+otherwise candidates come from the inverted index and the only pruning is
+the orientation-independent operation-count bounds of the cascade (sound
+for any model with a positive cost floor, including non-symmetric ones).
+The kNN scan uses those same bounds under every model.  Distances are
+always computed ``query → corpus tree``, so non-symmetric models return the
+correctly oriented result set.
 
 Live corpora: the engine serves a **mutating** corpus exactly.  It pins a
 :class:`~repro.join.corpus.CorpusSnapshot` (and builds its VP-tree over the
@@ -48,10 +46,11 @@ snapshot is refreshed and the index lazily rebuilt.
 
 from __future__ import annotations
 
-import heapq
+import inspect
 import math
 import numbers
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 from weakref import WeakKeyDictionary
@@ -63,7 +62,7 @@ from ..exceptions import ComputeTimeoutError, QueryError
 from ..runtime import active_deadline, as_deadline, deadline_scope
 from ..trees.tree import Tree
 from .batch import DEFAULT_CHUNK_SIZE, _resolve_algorithm, _supports_cutoff
-from .cascade import CascadeContext, JoinStats, PairFilters, operations_threshold
+from .cascade import CascadeContext, JoinStats, operations_threshold
 from .corpus import CorpusSnapshot, TreeCorpus
 from .metric_index import DEFAULT_LEAF_SIZE, VPTree, metric_eligible
 from .pairs import CandidatePairs
@@ -78,20 +77,6 @@ _INF = float("inf")
 #: evaluation + removed-result filtering); the budget only caps how much
 #: unindexed side work a query tolerates before paying for a rebuild.
 DEFAULT_STALENESS_BUDGET = 0.25
-
-#: Warm-start probe size for best-first kNN: this many size-nearest corpus
-#: trees are verified up front to seed a finite radius, so the traversal's
-#: vantage evaluations start τ-bounded and near-root subtrees prune
-#: immediately instead of after a cold (infinite-radius) descent.
-KNN_PROBE = 32
-
-#: Frontier expansion width for best-first kNN: up to this many VP-tree
-#: nodes are popped per round and their vantages evaluated in ONE batched
-#: refiner call, so vantage distances go through the batched small-pair
-#: kernel instead of one Python ``compute()`` per node.  The price is a
-#: slightly stale radius within a round (a sequential search might have
-#: pruned a few of them); results are identical either way.
-VANTAGE_BATCH = 8
 
 
 def _merge_report(stats: "QueryStats", report) -> None:
@@ -123,13 +108,14 @@ class QueryStats(JoinStats):
     The inherited fields keep their join meanings with "pairs" read as
     "corpus trees" (``pairs_total`` = corpus size, ``exact_computed`` =
     exact TED evaluations including metric-index vantage evaluations —
-    the *examined* count a sublinear index is judged by).
+    the *examined* count).
     """
 
     corpus_size: int = 0
     metric_index_used: bool = False
-    """Whether the VP-tree drove candidate generation (``False`` under a
-    non-metric cost model — the soundness gate — or with the index off)."""
+    """Whether the VP-tree drove range-query candidate generation.  Always
+    ``False`` for kNN, and for range queries under a non-metric cost model
+    (the soundness gate) or with the index off."""
 
     vp_nodes_visited: int = 0
     vp_pruned_subtrees: int = 0
@@ -197,44 +183,30 @@ class QueryResult:
 class _TopK:
     """The k best ``(distance, index)`` results, tie-broken by index.
 
-    A fixed-size max-heap: :meth:`worst` is the current k-th best entry —
-    the search radius — and :meth:`offer` replaces it whenever a new result
-    precedes it lexicographically.  Offers are idempotent per index (a
-    corpus tree examined both by the warm-start probe and by the traversal
-    must not occupy two heap slots and push out a distinct result).
+    A sorted list of at most ``k`` entries: :meth:`worst` is the current
+    k-th best entry — the search radius — and :meth:`offer` keeps a new
+    result whenever it precedes that entry lexicographically.  The scan
+    offers each corpus tree at most once.
     """
 
     def __init__(self, k: int) -> None:
         self.k = k
-        self._heap: List[Tuple[float, int]] = []  # (-distance, -index)
-        self._members: set = set()
+        self._best: List[Tuple[float, int]] = []  # (distance, index), ascending
 
     def worst(self) -> Tuple[float, int]:
         """The current k-th best ``(distance, index)``; infinite until full."""
-        if len(self._heap) < self.k:
+        if len(self._best) < self.k:
             return (_INF, -1)
-        neg_d, neg_j = self._heap[0]
-        return (-neg_d, -neg_j)
+        return self._best[-1]
 
     def offer(self, index: int, distance: float) -> None:
-        if index in self._members:
-            return
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-distance, -index))
-            self._members.add(index)
-            return
-        worst_d, worst_j = self.worst()
-        if (distance, index) < (worst_d, worst_j):
-            _, evicted_neg_j = heapq.heapreplace(self._heap, (-distance, -index))
-            self._members.discard(-evicted_neg_j)
-            self._members.add(index)
+        if (distance, index) < self.worst():
+            insort(self._best, (distance, index))
+            del self._best[self.k:]
 
     def items(self) -> List[Tuple[int, float]]:
         """The results as ``(index, distance)`` sorted by ``(distance, index)``."""
-        return sorted(
-            ((-neg_j, -neg_d) for neg_d, neg_j in self._heap),
-            key=lambda entry: (entry[1], entry[0]),
-        )
+        return [(index, distance) for distance, index in self._best]
 
 
 class _MetricRangeSource:
@@ -278,8 +250,7 @@ class _MetricRangeSource:
             # d(q, v) ≥ τ + mu proves the whole inside ball non-matching, so
             # the vantage evaluation itself is bounded at τ + mu.
             distance = self.engine._vantage_distance(
-                vp.corpus, self.query, node.vantage, tau + node.mu, stats,
-                count_exact=False,
+                vp.corpus, self.query, node.vantage, tau + node.mu, stats
             )
             if distance is None:
                 pruned += 1 + (vp.nodes[node.inside].count if node.inside >= 0 else 0)
@@ -308,13 +279,14 @@ class QueryEngine:
     Construction is cheap; expensive artifacts — corpus profiles, the label
     interner, the batch-kernel pack and the vantage-point tree — are built
     lazily on first use and amortized across queries, so a long-lived
-    engine answers a query stream the way the ROADMAP's service item needs.
-    ``use_metric_index`` requests VP-tree candidate generation; it engages
-    only when the cost model passes the metric gate
-    (:func:`metric_eligible`), falling back to a linear scan (with the
-    sound cascade bounds still pruning) otherwise.  Pass a prebuilt
-    ``metric_index`` to share one VP-tree across engines (it must match the
-    corpus *and* its current epoch — a stale index is refused outright).
+    engine answers a query stream without rebuilding them.  kNN always
+    runs the size-ordered scan.  ``use_metric_index`` requests VP-tree
+    candidate generation for range queries; it engages only when the cost
+    model passes the metric gate (:func:`metric_eligible`), falling back to
+    the inverted index (with the sound cascade bounds still pruning)
+    otherwise.  Pass a prebuilt ``metric_index`` to share one VP-tree
+    across engines (it must match the corpus *and* its current epoch — a
+    stale index is refused outright).
 
     **Live corpora.**  The engine pins a :class:`CorpusSnapshot` of its
     corpus and searches the pin; mutations between queries never invalidate
@@ -493,7 +465,8 @@ class QueryEngine:
 
         Ineligible means: the index is disabled, the pinned snapshot is
         empty, or the cost model fails the metric gate — in which case
-        every query soundly falls back to a linear scan.  The tree is built
+        range queries soundly fall back to the inverted index.  Only range
+        queries use the tree; kNN never builds it.  The tree is built
         over the *pinned snapshot*, so its node ids stay meaningful across
         corpus mutations; a snapshot refresh drops it for lazy rebuild.
         """
@@ -543,15 +516,14 @@ class QueryEngine:
         index: int,
         cutoff: Optional[float],
         stats: QueryStats,
-        count_exact: bool = True,
     ) -> Optional[float]:
         """Exact ``d(query, corpus[index])``, or ``None`` if ``≥ cutoff``.
 
         ``corpus`` is the collection ``index`` refers to — the pinned
         snapshot a VP-tree was built over, never the drifting live corpus.
-        ``count_exact=False`` skips the ``exact_computed`` increment for
-        exact results whose consumer counts them itself (the range source
-        routes them through the executor as prerefined entries).
+        Only bounded runs count towards ``exact_computed`` here: the range
+        source routes exact results through the executor as prerefined
+        entries, which counts them itself.
         """
         tree = corpus.trees[index]
         if cutoff is None or not math.isfinite(cutoff) or not self._bounded_ok:
@@ -565,8 +537,6 @@ class QueryEngine:
             if result.aborted:
                 stats.aborted_early += 1
             return None
-        if count_exact:
-            stats.exact_computed += 1
         return result.distance
 
     # ------------------------------------------------------------------ #
@@ -574,8 +544,8 @@ class QueryEngine:
         """The ``k`` nearest corpus trees, exactly (ties broken by index).
 
         Equivalent to sorting the brute-force distance list by
-        ``(distance, index)`` and taking the first ``k`` — the metric index
-        and the shrinking-cutoff refinement only change *how much work* that
+        ``(distance, index)`` and taking the first ``k`` — the size-ordered
+        scan with its shrinking cutoff only changes *how much work* that
         takes, never the result (asserted by the property suite).
 
         ``deadline`` (seconds or a :class:`~repro.runtime.Deadline`) bounds
@@ -611,26 +581,7 @@ class QueryEngine:
                 with deadline_scope(dl):
                     query_corpus = self._query_corpus(query)
                     if len(snap) > 0:
-                        refiner = self._refiner(query_corpus, snap)
-                        ctx = CascadeContext(
-                            threshold=_INF, ops_threshold=_INF, cost_model=self.cost_model
-                        )
-                        # Accept stages report upper-bound mapping costs,
-                        # not exact distances — wrong for ranking — so kNN
-                        # always verifies exactly.
-                        filters = self._planner.filters(
-                            refiner, use_cascade=self.use_cascade, early_accept=False
-                        )
-                        vp = self.metric_index()
-                        if vp is not None:
-                            stats.metric_index_used = True
-                            self._knn_best_first(
-                                vp, query_corpus, ctx, filters, refiner, top, stats, snap
-                            )
-                        else:
-                            self._knn_scan(
-                                query_corpus, ctx, filters, refiner, top, stats, snap
-                            )
+                        self._knn_scan(query_corpus, snap, top, stats)
                     if added:
                         # Provisional k-th best among snapshot survivors caps
                         # the side-list refinement (one ULP above, so ties
@@ -656,41 +607,27 @@ class QueryEngine:
         stats.total_time = time.perf_counter() - started
         return QueryResult(kind="knn", parameter=float(k), matches=matches, stats=stats)
 
-    def _shrinking_ctx(self, ctx: CascadeContext, radius: float) -> None:
-        """Point the cascade context just above the current radius."""
-        if radius == _INF:
-            ctx.threshold = ctx.ops_threshold = _INF
-        else:
-            ctx.threshold = _just_above(radius)
-            ctx.ops_threshold = operations_threshold(ctx.threshold, self.cost_model)
-
-    def _refine_candidates(
-        self,
-        top: _TopK,
-        candidates: List[int],
-        query_corpus: TreeCorpus,
-        ctx: CascadeContext,
-        filters: PairFilters,
-        refiner: BatchRefiner,
-        stats: QueryStats,
-        corpus: TreeCorpus,
+    def _knn_scan(
+        self, query_corpus: TreeCorpus, corpus: TreeCorpus, top: _TopK, stats: QueryStats
     ) -> None:
-        """Filter a candidate block at the current radius, then refine it.
+        """Size-ordered scan kNN over ``corpus`` (the pinned snapshot).
 
-        ``corpus`` is the pinned snapshot the candidate indices refer to.
-        The refiner cutoff sits one ULP above the radius, so candidates tied
-        with the k-th best still come back exact (and win or lose on index
-        order), while everything strictly farther aborts as a bounded run.
+        Examines near-sized trees first (ties by index) so the radius
+        shrinks early.  Each block is filtered by the cascade just above the
+        current radius and refined with a cutoff one ULP above it, so
+        candidates tied with the k-th best still come back exact (and win or
+        lose on index order), while everything strictly farther is pruned by
+        a bound or aborts as a bounded run.  Only the cascade's
+        orientation-independent operation-count bounds prune, never the
+        triangle inequality, so the scan is sound under every cost model.
         """
-        radius, _ = top.worst()
-        self._shrinking_ctx(ctx, radius)
-        survivors, _ = filters.run(
-            CandidatePairs([0] * len(candidates), candidates),
-            query_corpus, corpus, ctx, stats,
+        refiner = self._refiner(query_corpus, corpus)
+        # Accept stages report upper-bound mapping costs, not exact
+        # distances — wrong for ranking — so kNN always verifies exactly.
+        filters = self._planner.filters(
+            refiner, use_cascade=self.use_cascade, early_accept=False
         )
-        if not survivors:
-            return
-        cutoff = None if radius == _INF else _just_above(radius)
+        ctx = CascadeContext(threshold=_INF, ops_threshold=_INF, cost_model=self.cost_model)
 
         def on_chunk(chunk_results: List[Tuple]) -> None:
             for entry in chunk_results:
@@ -704,135 +641,22 @@ class QueryEngine:
                 # compete normally even as the radius keeps shrinking.
                 top.offer(j, value)
 
-        report = refiner.refine(survivors, cutoff, on_chunk)
-        _merge_report(stats, report)
-
-    def _size_order(self, corpus: TreeCorpus, query_size: int) -> List[int]:
-        """Corpus indices ordered by size distance to the query (ties by index)."""
         trees = corpus.trees
-        return sorted(
-            range(len(trees)),
-            key=lambda j: (abs(trees[j].n - query_size), j),
-        )
-
-    def _knn_best_first(
-        self, vp: VPTree, query_corpus, ctx, filters, refiner, top: _TopK, stats,
-        corpus: TreeCorpus,
-    ) -> None:
-        """Best-first VP-tree search with a shrinking radius.
-
-        The frontier is a min-heap of ``(lower bound, node)``; popping a
-        bound strictly above the radius proves every remaining subtree
-        non-competitive (bounds only grow down the heap, the radius only
-        shrinks), which ends the search.
-        """
-        if vp.root < 0:
-            return
-        # Warm start: verify a small block of size-nearest trees to make the
-        # radius finite before any vantage evaluation (trees re-encountered
-        # by the traversal are no-ops — offers are idempotent per index).
-        probe = self._size_order(corpus, query_corpus.trees[0].n)[:KNN_PROBE]
-        self._refine_candidates(
-            top, probe, query_corpus, ctx, filters, refiner, stats, corpus
-        )
-        frontier: List[Tuple[float, int]] = [(0.0, vp.root)]
-        while frontier:
-            radius, _ = top.worst()
-            batch: List[Tuple[float, object]] = []
-            bucket_members: List[int] = []
-            while frontier and len(batch) < VANTAGE_BATCH:
-                bound, node_id = heapq.heappop(frontier)
-                if bound > radius:
-                    remaining = vp.nodes[node_id].count + sum(
-                        vp.nodes[nid].count for _, nid in frontier
-                    )
-                    stats.vp_pruned_subtrees += remaining
-                    frontier = []
-                    break
-                node = vp.nodes[node_id]
-                stats.vp_nodes_visited += 1
-                if node.bucket is not None:
-                    bucket_members.extend(node.bucket)
-                else:
-                    batch.append((bound, node))
-            if bucket_members:
-                self._refine_candidates(
-                    top, bucket_members, query_corpus, ctx, filters, refiner, stats, corpus
-                )
-            if not batch:
-                continue
-            # One batched (small-pair kernel) evaluation for every vantage in
-            # the round, bounded at the loosest per-node abort threshold: an
-            # abort then proves d(q, v) > r + mu for *its* node too, which
-            # prunes the inside ball (d ≥ d(q,v) − mu > r) and rules the
-            # vantage itself out as a result.
-            cutoff = (
-                None
-                if radius == _INF
-                else _just_above(radius + max(node.mu for _, node in batch))
-            )
-            distances: Dict[int, Optional[float]] = {}
-
-            def on_chunk(chunk_results: List[Tuple]) -> None:
-                for entry in chunk_results:
-                    _, j, value, subproblems = entry[:4]
-                    stats.exact_computed += 1
-                    stats.total_subproblems += subproblems
-                    if len(entry) > 4 and entry[4]:
-                        stats.aborted_early += 1
-                        distances[j] = None
-                    else:
-                        distances[j] = value
-
-            report = refiner.refine(
-                [(0, node.vantage) for _, node in batch], cutoff, on_chunk
-            )
-            _merge_report(stats, report)
-            for bound, node in batch:
-                if node.vantage not in distances:
-                    # The refiner dropped the pair (poisoned under fault
-                    # injection): no distance proof either way, so keep both
-                    # children alive at the parent bound.
-                    if node.inside >= 0:
-                        heapq.heappush(frontier, (bound, node.inside))
-                    if node.outside >= 0:
-                        heapq.heappush(frontier, (bound, node.outside))
-                    continue
-                distance = distances[node.vantage]
-                if distance is None:
-                    if node.inside >= 0:
-                        stats.vp_pruned_subtrees += vp.nodes[node.inside].count
-                    if node.outside >= 0:
-                        heapq.heappush(frontier, (bound, node.outside))
-                    continue
-                top.offer(node.vantage, distance)
-                if node.inside >= 0:
-                    heapq.heappush(
-                        frontier, (max(bound, distance - node.mu), node.inside)
-                    )
-                if node.outside >= 0:
-                    heapq.heappush(
-                        frontier, (max(bound, node.mu - distance), node.outside)
-                    )
-
-    def _knn_scan(
-        self, query_corpus, ctx, filters, refiner, top: _TopK, stats,
-        corpus: TreeCorpus,
-    ) -> None:
-        """Linear-scan kNN (the sound fallback for non-metric cost models).
-
-        Examines near-sized trees first so the radius shrinks early, then
-        lets the per-block cascade re-filter and the shrinking refiner
-        cutoff discard the rest cheaply.  Every corpus tree is considered —
-        only the cascade's orientation-independent operation-count bounds
-        prune, never the triangle inequality.
-        """
-        order = self._size_order(corpus, query_corpus.trees[0].n)
+        query_size = query_corpus.trees[0].n
+        order = sorted(range(len(trees)), key=lambda j: (abs(trees[j].n - query_size), j))
         for start in range(0, len(order), self.chunk_size):
             block = order[start : start + self.chunk_size]
-            self._refine_candidates(
-                top, block, query_corpus, ctx, filters, refiner, stats, corpus
+            radius, _ = top.worst()
+            if radius == _INF:
+                cutoff = None
+            else:
+                cutoff = ctx.threshold = _just_above(radius)
+                ctx.ops_threshold = operations_threshold(cutoff, self.cost_model)
+            survivors, _ = filters.run(
+                CandidatePairs([0] * len(block), block), query_corpus, corpus, ctx, stats
             )
+            if survivors:
+                _merge_report(stats, refiner.refine(survivors, cutoff, on_chunk))
 
     # ------------------------------------------------------------------ #
     def range_query(self, query: Tree, threshold: float, deadline=None) -> QueryResult:
@@ -921,6 +745,11 @@ class QueryEngine:
 _ENGINE_CACHE: "WeakKeyDictionary[TreeCorpus, Dict[tuple, QueryEngine]]" = (
     WeakKeyDictionary()
 )
+_ENGINE_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(QueryEngine).parameters.items()
+    if parameter.default is not inspect.Parameter.empty
+}
 
 
 def query_engine(corpus: TreeCorpus, **kwargs) -> QueryEngine:
@@ -930,8 +759,17 @@ def query_engine(corpus: TreeCorpus, **kwargs) -> QueryEngine:
     :func:`repro.api.knn` / :func:`repro.api.range_query` calls against one
     :class:`TreeCorpus` reuse the engine — and with it the interner, pack
     and lazily built metric index — instead of rebuilding per call.
+    Settings passed at their default value key like omitted ones, so a
+    ``knn`` call (which takes no ``use_metric_index``) and a default
+    ``range_query`` call share one engine.
     """
-    key = tuple(sorted(kwargs.items()))
+    key = tuple(
+        sorted(
+            (name, value)
+            for name, value in kwargs.items()
+            if name not in _ENGINE_DEFAULTS or _ENGINE_DEFAULTS[name] != value
+        )
+    )
     per_corpus = _ENGINE_CACHE.setdefault(corpus, {})
     engine = per_corpus.get(key)
     if engine is None:

@@ -68,7 +68,7 @@ class TestPropertySuite:
             for k in (1, 5, len(corpus) + 3):
                 result = engine.knn(query, k)
                 assert result.matches == [(j, d) for d, j in ranking[:k]]
-                assert result.stats.metric_index_used == metric
+                assert result.stats.metric_index_used is False
             for threshold in (1.0, 2.5, 4.0):
                 result = engine.range_query(query, threshold)
                 expected = sorted(
@@ -152,21 +152,47 @@ class TestQueryEngine:
         result = engine.range_query(trees[0], 0.5)
         assert (0, 0.0) in result.matches and (len(trees), 0.0) in result.matches
 
-    def test_metric_index_examines_fewer_than_scan(self):
+    def test_metric_index_range_examines_fewer_than_corpus(self):
         # Clustered corpus, tight radius: triangle pruning must cut the
         # number of exact evaluations well below the corpus size.
-        from repro.datasets.workloads import clustered_corpus
-
         trees = clustered_corpus(
             num_clusters=12, cluster_size=8, tree_size=10, num_edits=1,
             rng=random.Random(8),
         )
         corpus = TreeCorpus(trees)
         engine = QueryEngine(corpus)
-        result = engine.knn(trees[0], 3)
+        result = engine.range_query(trees[0], 2.0)
         assert result.stats.metric_index_used
         assert result.stats.exact_computed < len(corpus)
         assert result.stats.vp_pruned_subtrees > 0
+
+    def test_knn_never_builds_the_metric_index(self, monkeypatch):
+        # kNN is the size-ordered scan under every model; only range
+        # queries build (and then reuse) the VP-tree.
+        builds = []
+        build = VPTree.__dict__["build"].__func__
+
+        def spy(cls, *args, **kwargs):
+            builds.append(1)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(VPTree, "build", classmethod(spy))
+        trees = _random_trees(30, random.Random(12))
+        corpus = TreeCorpus(trees)
+        assert metric_eligible(UnitCostModel())
+        engine = QueryEngine(corpus)
+        for query in trees[:3]:
+            assert engine.knn(query, 4).stats.metric_index_used is False
+        assert len(builds) == 0
+        for query in trees[:3]:
+            assert engine.range_query(query, 3.0).stats.metric_index_used
+        assert len(builds) == 1
+        # The functional API shares one cached engine between both calls.
+        knn(trees[0], corpus, 4)
+        assert len(builds) == 1
+        range_query(trees[0], corpus, 3.0)
+        range_query(trees[1], corpus, 3.0, use_metric_index=True)
+        assert len(builds) == 2
 
     def test_prebuilt_metric_index_reuse(self):
         corpus = TreeCorpus(_random_trees(20, random.Random(9)))
