@@ -57,9 +57,9 @@ RANGE_TAU = 3.0
 CLUSTER_SIZE = 10
 #: Mixed tree sizes: the size spread both feeds the cascade's cheapest bound
 #: and spreads the corpus distance distribution, which is what lets
-#: vantage-point partitions discriminate for range queries (a fixed-size corpus concentrates
-#: all cross-cluster distances into a narrow band and defeats any metric
-#: index; real collections are size-diverse).
+#: vantage-point partitions discriminate for range queries (a fixed-size
+#: corpus concentrates all cross-cluster distances into a narrow band and
+#: defeats any metric index; real collections are size-diverse).
 SYNTHETIC_SIZES = [6, 9, 12, 15, 18]
 SEED = 20110713
 
