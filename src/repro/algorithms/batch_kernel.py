@@ -31,9 +31,11 @@ batch, so every path runs the same gates and the same program.
   struct-of-arrays form (:class:`CorpusPack`, one int64 block): per-tree
   sizes and sweep sizes plus the concatenated ``lml`` / label-code /
   keyroot arrays the C kernel reads, the mirrored trees stored as extra
-  tree rows.  A corpus pack is built once per corpus epoch (the
-  multiprocessing fan-out hands the parent's pack to its workers through
-  the pool initializer); a workspace caches one one-tree pack per tree.
+  tree rows.  A corpus caches one pack per epoch (the multiprocessing
+  fan-out hands the parent's pack to its workers through the pool
+  initializer); a live corpus derives each new epoch's pack from the last
+  with :func:`extend_corpus_pack`, which lowers only the trees added since.
+  A workspace caches one one-tree pack per tree.
 * **Dispatch** — :func:`kernel_chunk_entries` applies the per-pair gates
   (cell gate, bounded size pre-check, code gate) and runs the surviving
   lanes, left and right, in one
@@ -285,6 +287,72 @@ def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
         count=3 + 10 * n_trees + 2 * total_nodes + total_kr,
     )
     return CorpusPack(block, gate=(sizes[:n_trees], eligible, list(zip(sweep_l, sweep_r))))
+
+
+def _spans(starts: _np.ndarray, lengths: _np.ndarray) -> _np.ndarray:
+    """The indices of the spans ``[starts[i], starts[i] + lengths[i])``,
+    concatenated in order."""
+    ends = _np.cumsum(lengths)
+    return _np.arange(int(ends[-1]) if ends.size else 0) + _np.repeat(
+        starts - (ends - lengths), lengths
+    )
+
+
+def _tree_rows(pack: CorpusPack, trees: _np.ndarray) -> tuple:
+    """The per-tree arrays of ``pack``'s trees ``trees``, in that order:
+    ``(sweep_l, sweep_r, sizes, kr_left, kr_right, lml, codes, kroots)``.
+
+    An eligible tree's two rows are adjacent in the block — the left row's
+    ``2n`` nodes are followed by the mirrored row's, its keyroots likewise
+    — so each tree is one node span and one keyroot span; ineligible trees
+    have empty spans.  The row arrays are row-local, so spans move between
+    blocks unchanged.
+    """
+    t = pack.n_trees
+    sizes = pack.sizes[trees]
+    kr_left = pack.kr_count[trees]
+    kr_right = pack.kr_count[t + trees]
+    nodes = _spans(pack.node_off[trees], _np.where(kr_left > 0, 2 * sizes, 0))
+    return (
+        pack.sweep_l[trees], pack.sweep_r[trees], sizes, kr_left, kr_right,
+        pack.lml_flat[nodes], pack.codes_flat[nodes],
+        pack.kroots[_spans(pack.kr_off[trees], kr_left + kr_right)],
+    )
+
+
+def extend_corpus_pack(
+    pack: CorpusPack, keep: Sequence[int], new_trees: Sequence, interner
+) -> CorpusPack:
+    """``pack``'s trees ``keep`` (ascending tree indices) followed by
+    ``new_trees``, as one new pack.
+
+    The kept trees' spans are gathered out of the old block and only
+    ``new_trees`` are lowered (:func:`build_corpus_pack`), so a live
+    corpus's next pack costs ``O(Σ n)`` array copies plus the lowering of
+    the trees added since.  ``interner`` must be the one ``pack`` was coded
+    by (its codes only ever grow, so the kept codes stay valid); the result
+    is then byte-identical to :func:`build_corpus_pack` over the same trees.
+    """
+    parts = [_tree_rows(pack, _np.asarray(keep, dtype=_np.int64))]
+    if new_trees:
+        added = build_corpus_pack(new_trees, interner)
+        parts.append(_tree_rows(added, _np.arange(added.n_trees)))
+    sweep_l, sweep_r, sizes, kr_left, kr_right, lml, codes, kroots = (
+        _np.concatenate(columns) for columns in zip(*parts)
+    )
+    eligible = kr_left > 0
+    node_len = _np.where(eligible, 2 * sizes, 0)
+    node_start = _np.cumsum(node_len) - node_len
+    kr_len = kr_left + kr_right
+    kr_start = _np.cumsum(kr_len) - kr_len
+    block = _np.concatenate((
+        _np.array([sizes.size, lml.size, kroots.size], dtype=_np.int64),
+        sweep_l, sweep_r, sizes, sizes,
+        _np.where(eligible, node_start, 0), _np.where(eligible, node_start + sizes, 0),
+        _np.where(eligible, kr_start, 0), _np.where(eligible, kr_start + kr_left, 0),
+        kr_left, kr_right, lml, codes, kroots,
+    ))
+    return CorpusPack(block)
 
 
 def _lane_arrays(pack: CorpusPack, row: int, cache: Dict[int, tuple]) -> tuple:

@@ -77,8 +77,9 @@ class TreeCorpus:
     ``corpus.trees[i]``, join matches and query results mean — are the live
     slots in ascending slot order.  Every mutation bumps :attr:`epoch`;
     dense views (the ``trees`` tuple, :meth:`profile` wrappers,
-    :meth:`filter_arrays`, :meth:`pack`) are rebuilt lazily when their
-    cached epoch is stale, while slot-keyed profiles survive mutations.
+    :meth:`filter_arrays`) are rebuilt lazily when their cached epoch is
+    stale, :meth:`pack` is derived from the previous epoch's pack, and
+    slot-keyed profiles survive mutations.
 
     The dense tree sequence is exposed as a tuple, so accidental in-place
     mutation still surfaces as an error at the mutation site
@@ -112,8 +113,8 @@ class TreeCorpus:
         self._dense_of: Dict[int, int] = {}
         self._dense_profiles: List[Optional[TreeProfile]] = []
         # Interner-coded arrays (batch-kernel pack, filter arrays), per epoch:
-        # (builder, own interner?) → (interner, epoch, arrays).
-        self._coded: Dict[Tuple[object, bool], Tuple[object, int, object]] = {}
+        # (name, own interner?) → (interner, epoch, arrays, slot ids).
+        self._coded: Dict[Tuple[str, bool], Tuple[object, int, object, List[int]]] = {}
         self._snapshot_cache: Optional["CorpusSnapshot"] = None
         # Mutation ledger (exposed verbatim by the service's /stats).
         self.adds = 0
@@ -327,21 +328,32 @@ class TreeCorpus:
         A :class:`~repro.algorithms.batch_kernel.CorpusPack` built over
         :meth:`interner` — the struct-of-arrays input of the batched
         small-pair kernels.  The cache is keyed on **(interner identity,
-        epoch)**: a corpus mutation or a late :meth:`share_interner` switch
-        invalidates it (a pack whose label codes or tree rows no longer
-        match the corpus must never be served), while repeated batches
-        within one epoch share a single pack, including the one handed to
-        worker processes through the pool initializer.
+        epoch)**: repeated batches within one epoch share a single pack,
+        including the one handed to worker processes through the pool
+        initializer.  The first pack of a new epoch is derived from the
+        previous one (see :meth:`pack_for`); a late :meth:`share_interner`
+        switch lowers every tree again, since a pack whose label codes no
+        longer match the corpus must never be served.
         """
         return self.pack_for(self.interner())
 
     def pack_for(self, interner):
         """The batch-kernel pack coded by ``interner`` (cached like
         :meth:`pack`); a cross batch packs side b against side a's
-        interner so the codes of both packs agree."""
-        from ..algorithms.batch_kernel import build_corpus_pack
+        interner so the codes of both packs agree.
 
-        return self._coded_arrays(build_corpus_pack, interner)
+        When the cached pack is from an earlier epoch but the same
+        interner, the new one is derived from it
+        (:func:`~repro.algorithms.batch_kernel.extend_corpus_pack`): the
+        surviving trees' rows are copied and only the trees added since
+        are lowered, giving the same block a full build would.  The first
+        pack, or the first under another interner, lowers every tree.
+        """
+        from ..algorithms import batch_kernel
+
+        return self._coded_arrays(
+            "pack", batch_kernel.build_corpus_pack, interner, batch_kernel.extend_corpus_pack
+        )
 
     def filter_arrays(self, interner=None):
         """The size, label and binary-branch arrays of the cascade.
@@ -355,17 +367,37 @@ class TreeCorpus:
 
         if interner is None:
             interner = self.interner()
-        return self._coded_arrays(build_filter_arrays, interner)
+        return self._coded_arrays("filters", build_filter_arrays, interner)
 
-    def _coded_arrays(self, build, interner):
-        """``build(trees, interner)``, cached per epoch and interner: one slot
-        for the corpus's own interner and one for the latest foreign one."""
-        slot = (build, interner is self._interner)
-        cached = self._coded.get(slot)
-        if cached is None or cached[0] is not interner or cached[1] != self._epoch:
-            cached = (interner, self._epoch, build(self.trees, interner))
-            self._coded[slot] = cached
-        return cached[2]
+    def _coded_arrays(self, name, build, interner, extend=None):
+        """``build(trees, interner)``, cached per epoch and interner under
+        ``name``: one slot for the corpus's own interner and one for the
+        latest foreign one.
+
+        Each entry records the slot ids it was built over.  With ``extend``,
+        a stale entry under the same interner is carried into the new epoch
+        as ``extend(arrays, keep, new_trees, interner)`` instead of being
+        rebuilt: ``keep`` are its dense positions whose slots are still
+        live, ``new_trees`` the trees added since.  Slots are append-only
+        and dense order is slot order, so the live view is exactly the kept
+        slots followed by the new ones.  The stale entry is replaced, so
+        its arrays are freed once no batch holds them.
+        """
+        self._refresh_view()
+        key = (name, interner is self._interner)
+        cached = self._coded.get(key)
+        if cached is not None and cached[0] is interner and cached[1] == self._epoch:
+            return cached[2]
+        if extend is not None and cached is not None and cached[0] is interner:
+            dead = self._dead
+            keep = [i for i, slot in enumerate(cached[3]) if slot not in dead]
+            slots = self._slots
+            new_trees = [slots[s] for s in self._view_slots[len(keep):]]
+            arrays = extend(cached[2], keep, new_trees, interner)
+        else:
+            arrays = build(self._view_trees, interner)
+        self._coded[key] = (interner, self._epoch, arrays, self._view_slots)
+        return arrays
 
 
 class CorpusSnapshot(TreeCorpus):
@@ -473,9 +505,19 @@ class CorpusSnapshot(TreeCorpus):
 
     def pack(self):
         # While the parent has not mutated, the snapshot's pack *is* the
-        # parent's (same trees, same interner, same epoch-keyed cache) —
-        # one pack serves both.  After a mutation the snapshot builds its
-        # own (the parent's new pack no longer matches the pinned trees).
+        # parent's (same trees, same interner) — one pack serves both.  The
+        # snapshot files it in its own cache, so after the parent moves on
+        # it keeps serving that pack instead of lowering the pinned trees
+        # again; packs are immutable, so the parent's later epochs cannot
+        # change it.  A snapshot that never served a pack while current
+        # builds its own.
         if self.is_current():
-            return self._parent.pack()
+            parent = self._parent
+            pack = parent.pack()
+            interner = parent._interner
+            self._refresh_view()
+            self._coded[("pack", interner is self._interner)] = (
+                interner, self._epoch, pack, self._view_slots,
+            )
+            return pack
         return super().pack()

@@ -652,6 +652,7 @@ class QueryEngine:
             else:
                 cutoff = ctx.threshold = _just_above(radius)
                 ctx.ops_threshold = operations_threshold(cutoff, self.cost_model)
+            stats.candidate_pairs += len(block)
             survivors, _ = filters.run(
                 CandidatePairs([0] * len(block), block), query_corpus, corpus, ctx, stats
             )

@@ -391,6 +391,8 @@ class TestCli:
         assert [line[0] for line in lines] == ["0", "2"]
         assert "#" not in captured.out
         assert "# corpus size:      3" in captured.err
+        # The scan hands every tree to the cascade: all three are candidates.
+        assert "# candidates:       3 (index pruned 0)" in captured.err
         assert "# matches:          2" in captured.err
 
     def test_query_range_command(self, tmp_path, capsys):

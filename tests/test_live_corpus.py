@@ -24,6 +24,8 @@ import random
 import numpy as np
 import pytest
 
+from repro.algorithms import batch_kernel
+from repro.algorithms.workspace import LabelInterner
 from repro.costs import UnitCostModel, WeightedCostModel
 from repro.datasets import random_tree
 from repro.exceptions import CorpusError, QueryError
@@ -32,6 +34,7 @@ from repro.join.batch import batch_similarity_join
 from repro.join.corpus import CorpusSnapshot, TreeCorpus
 from repro.join.metric_index import VPTree
 from repro.join.query import QueryEngine
+from repro.trees import Node, Tree
 
 from test_service import _get, _post, run_service
 
@@ -243,6 +246,127 @@ class TestPackEpochKeying:
         # Parent moved on: the snapshot now needs its own pinned-membership pack.
         assert snap.pack() is not corpus.pack()
         assert snap.pack().n_trees == 5 and corpus.pack().n_trees == 6
+
+
+    def test_snapshot_keeps_the_pack_it_served(self, monkeypatch):
+        corpus = TreeCorpus(_forest(6, seed=15))
+        snap = corpus.snapshot()
+        served = snap.pack()
+        built = _spy_builds(monkeypatch)
+        corpus.add_trees(_forest(1, seed=16))
+        corpus.remove_trees([0])
+        # The pinned trees are the ones the served pack holds, under the
+        # same interner: no second lowering.
+        assert snap.pack() is served
+        assert built == []
+        assert corpus.pack().n_trees == 6
+        assert built == [1]  # the parent lowered only its added tree
+
+
+def _spy_builds(monkeypatch):
+    """Record the tree count of every ``build_corpus_pack`` call."""
+    built = []
+    real = batch_kernel.build_corpus_pack
+
+    def counting(trees, interner):
+        built.append(len(trees))
+        return real(trees, interner)
+
+    monkeypatch.setattr(batch_kernel, "build_corpus_pack", counting)
+    return built
+
+
+def _assert_fresh_pack(pack, trees, interner):
+    """``pack`` is byte-identical to a full build over ``trees``."""
+    fresh = batch_kernel.build_corpus_pack(list(trees), interner)
+    assert pack.block.dtype == fresh.block.dtype and pack.block.flags.c_contiguous
+    assert pack.block.tobytes() == fresh.block.tobytes()
+    assert pack.gate_rows() == fresh.gate_rows()
+
+
+def _uninternable(seed):
+    """A small tree with one unhashable label (no packed rows)."""
+    return Tree(Node(["x", seed], [Node("a"), Node("b", [Node(["y"])])]))
+
+
+# --------------------------------------------------------------------------- #
+# Packs derived across epochs: equal to a full build, lowering only additions
+# --------------------------------------------------------------------------- #
+class TestDerivedPack:
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_random_writes_match_a_fresh_build(self, seed):
+        rng = random.Random(seed)
+        pool = _forest(60, seed=seed, lo=1, hi=10) + [_uninternable(i) for i in range(6)]
+        rng.shuffle(pool)
+        corpus = TreeCorpus(pool[:10])
+        foreign = LabelInterner()
+        for step in range(80):
+            if len(corpus) and rng.random() < 0.45:
+                corpus.remove_trees(rng.sample(range(len(corpus)), rng.randint(1, min(3, len(corpus)))))
+            else:
+                corpus.add_trees(rng.sample(pool, rng.randint(1, 3)))
+            if step % 20 == 10:
+                # Remove every tree, then grow again from nothing.
+                corpus.remove_trees(range(len(corpus)))
+                _assert_fresh_pack(corpus.pack(), corpus.trees, corpus.interner())
+                corpus.add_trees(rng.sample(pool, 2))
+            if rng.random() < 0.6:
+                _assert_fresh_pack(corpus.pack(), corpus.trees, corpus.interner())
+            if rng.random() < 0.3:
+                _assert_fresh_pack(corpus.pack_for(foreign), corpus.trees, foreign)
+        assert corpus.pack() is corpus.pack()
+
+    def test_each_write_lowers_only_the_added_trees(self, monkeypatch):
+        trees = _forest(202, seed=34, lo=4, hi=10)
+        corpus = TreeCorpus(trees[:200])
+        foreign = LabelInterner()
+        corpus.pack()
+        corpus.pack_for(foreign)
+        built = _spy_builds(monkeypatch)
+        corpus.add_trees(trees[200:202])
+        corpus.remove_trees([3, 150])
+        own, other = corpus.pack(), corpus.pack_for(foreign)
+        assert built == [2, 2]
+        _assert_fresh_pack(own, corpus.trees, corpus.interner())
+        _assert_fresh_pack(other, corpus.trees, foreign)
+        del built[:]
+        corpus.remove_trees([0])
+        _assert_fresh_pack(corpus.pack(), corpus.trees, corpus.interner())
+        assert built == [199]  # the fresh build of the check alone
+
+    def test_interner_switch_and_new_foreign_interner_lower_everything(self, monkeypatch):
+        trees = _forest(12, seed=35)
+        corpus = TreeCorpus(trees[:10])
+        corpus.pack()
+        corpus.pack_for(LabelInterner())
+        built = _spy_builds(monkeypatch)
+        corpus.add_trees(trees[10:])
+        other = LabelInterner()
+        _assert_fresh_pack(corpus.pack_for(other), corpus.trees, other)
+        assert built[0] == 12  # not the interner the cached pack was coded by
+        shared = TreeCorpus(trees[:3]).interner()
+        corpus.share_interner(shared)
+        del built[:]
+        _assert_fresh_pack(corpus.pack(), corpus.trees, shared)
+        assert built[0] == 12
+
+    def test_range_read_after_writes_lowers_only_the_added_tree(self, monkeypatch):
+        trees = _forest(201, seed=36, lo=4, hi=12)
+        corpus = TreeCorpus(trees[:200])
+        engine = QueryEngine(corpus)
+        query = trees[7]
+        engine.range_query(query, 3.0)
+        built = _spy_builds(monkeypatch)
+        corpus.add_trees(trees[200:])
+        corpus.remove_trees([11])
+        result = engine.range_query(query, 3.0)
+        # One one-tree lowering for the query itself and one for the added
+        # tree; the 199 surviving trees are carried over, not relowered.
+        assert sorted(built) == [1, 1]
+        assert result.stats.side_evaluated == 1
+        fresh = QueryEngine(TreeCorpus(list(corpus.trees))).range_query(query, 3.0)
+        assert result.matches == fresh.matches
+        _assert_fresh_pack(corpus.pack(), corpus.trees, corpus.interner())
 
 
 # --------------------------------------------------------------------------- #

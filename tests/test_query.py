@@ -194,6 +194,18 @@ class TestQueryEngine:
         range_query(trees[1], corpus, 3.0, use_metric_index=True)
         assert len(builds) == 2
 
+    def test_knn_counts_the_trees_it_scans_as_candidates(self):
+        # Every block of the scan goes through the cascade, so each tree of
+        # the corpus is one candidate; the size bound's prunes come out of
+        # those candidates, never out of the count.
+        trees = _random_trees(40, random.Random(13))
+        corpus = TreeCorpus(trees)
+        stats = knn(trees[0], corpus, 3, chunk_size=8).stats
+        assert stats.candidate_pairs == len(corpus) == stats.pairs_total
+        assert stats.index_pruned == 0
+        assert stats.exact_computed + sum(stats.stage_pruned.values()) == len(corpus)
+        assert stats.candidate_hit_rate == 3 / len(corpus)
+
     def test_prebuilt_metric_index_reuse(self):
         corpus = TreeCorpus(_random_trees(20, random.Random(9)))
         vp = VPTree.build(corpus)
