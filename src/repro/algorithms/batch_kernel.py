@@ -292,10 +292,8 @@ def build_corpus_pack(trees: Sequence, interner) -> CorpusPack:
 def _spans(starts: _np.ndarray, lengths: _np.ndarray) -> _np.ndarray:
     """The indices of the spans ``[starts[i], starts[i] + lengths[i])``,
     concatenated in order."""
-    ends = _np.cumsum(lengths)
-    return _np.arange(int(ends[-1]) if ends.size else 0) + _np.repeat(
-        starts - (ends - lengths), lengths
-    )
+    first = _np.cumsum(lengths) - lengths
+    return _np.arange(int(lengths.sum())) + _np.repeat(starts - first, lengths)
 
 
 def _tree_rows(pack: CorpusPack, trees: _np.ndarray) -> tuple:
