@@ -5,8 +5,8 @@ Corpus-size growth curves for :class:`repro.join.QueryEngine` over two
 workload families:
 
 * **synthetic** — clustered corpora mixing tree sizes 6–18 (size spread is
-  what gives the cascade's size bound and the VP-tree's triangle bounds
-  their discrimination), clusters ≤ 1 edit wide;
+  what gives the cascade's size bound its discrimination), clusters ≤ 1
+  edit wide;
 * **treebank** — `treebank_like_tree` corpora with sizes drawn from 6–20,
   natural (skewed) label distribution.
 
@@ -15,12 +15,11 @@ Per corpus size the benchmark answers perturbed-corpus-tree queries:
 * **knn** — ``QueryEngine.knn``: the size-ordered scan with the shrinking
   τ-bounded refiner (`exact_computed` is the *examined pairs* count);
 * **brute** — `batch_distances` over every `(query, corpus[j])` pair: no
-  index, no cascade, no cutoff.  The reference cost for kNN;
-* **range (vp)** / **range (inverted)** — ``QueryEngine.range_query`` at
-  ``τ = RANGE_TAU`` with VP-tree candidate generation and with the
-  asymmetric inverted index (``use_metric_index=False``); time and
-  `exact_computed` per query, VP-tree build time alongside.  Both legs
-  must return the same matches; they carry no gate.
+  index, no cascade, no cutoff.  The reference cost for kNN, and the
+  reference answer for both query kinds;
+* **range (inverted)** — ``QueryEngine.range_query`` at ``τ = RANGE_TAU``
+  on the asymmetric inverted index; time and `exact_computed` per query.
+  Its answers must equal brute force's; it carries no gate.
 
 Run with::
 
@@ -55,11 +54,10 @@ DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_query.json"
 K = 5
 RANGE_TAU = 3.0
 CLUSTER_SIZE = 10
-#: Mixed tree sizes: the size spread both feeds the cascade's cheapest bound
-#: and spreads the corpus distance distribution, which is what lets
-#: vantage-point partitions discriminate for range queries (a fixed-size
-#: corpus concentrates all cross-cluster distances into a narrow band and
-#: defeats any metric index; real collections are size-diverse).
+#: Mixed tree sizes: the size spread feeds the cascade's cheapest bound and
+#: the size-ordered kNN scan (a fixed-size corpus concentrates all
+#: cross-cluster distances into a narrow band; real collections are
+#: size-diverse).
 SYNTHETIC_SIZES = [6, 9, 12, 15, 18]
 SEED = 20110713
 
@@ -103,14 +101,15 @@ def make_queries(trees: List, count: int, seed: int = SEED) -> List:
     return queries
 
 
-def brute_force_knn(corpus: TreeCorpus, query, k: int):
-    """Reference ranking: every pair exact, no index/cascade/cutoff."""
+def brute_force_ranking(corpus: TreeCorpus, query):
+    """Reference ranking, ``(index, distance)`` by ``(distance, index)``:
+    every pair exact, no index/cascade/cutoff."""
     query_corpus = TreeCorpus([query], interner=corpus.interner())
     entries = batch_distances(
         query_corpus, corpus, [(0, j) for j in range(len(corpus))]
     )
     ranking = sorted((distance, j) for _, j, distance, *_ in entries)
-    return [(j, d) for d, j in ranking[:k]]
+    return [(j, d) for d, j in ranking]
 
 
 def run_family(
@@ -141,32 +140,25 @@ def run_family(
             knn_results.append(result.matches)
 
         brute_seconds = 0.0
+        references = []
         for query, matches in zip(queries[:brute_queries], knn_results):
             start = time.perf_counter()
-            reference = brute_force_knn(corpus, query, K)
+            ranking = brute_force_ranking(corpus, query)
             brute_seconds += time.perf_counter() - start
-            assert matches == reference, f"kNN diverged from brute force at n={num_trees}"
+            assert matches == ranking[:K], f"kNN diverged from brute force at n={num_trees}"
+            references.append([(j, d) for j, d in ranking if d < RANGE_TAU])
 
-        start = time.perf_counter()
-        engine.metric_index()
-        build_seconds = time.perf_counter() - start
-        inverted_engine = QueryEngine(corpus, use_metric_index=False)
-        legs = {"vp": engine, "inverted": inverted_engine}
-        range_seconds = dict.fromkeys(legs, 0.0)
-        range_examined = dict.fromkeys(legs, 0)
-        pruned = 0
+        range_seconds = 0.0
+        range_examined = 0
+        range_results = []
         for query in queries:
-            answers = {}
-            for leg, leg_engine in legs.items():
-                start = time.perf_counter()
-                result = leg_engine.range_query(query, RANGE_TAU)
-                range_seconds[leg] += time.perf_counter() - start
-                range_examined[leg] += result.stats.exact_computed
-                pruned += result.stats.vp_pruned_subtrees  # 0 on the inverted leg
-                answers[leg] = result.matches
-            assert answers["vp"] == answers["inverted"], (
-                f"range legs diverged at n={num_trees}"
-            )
+            start = time.perf_counter()
+            result = engine.range_query(query, RANGE_TAU)
+            range_seconds += time.perf_counter() - start
+            range_examined += result.stats.exact_computed
+            range_results.append(result.matches)
+        for matches, reference in zip(range_results, references):
+            assert matches == reference, f"range diverged from brute force at n={num_trees}"
 
         entry = {
             "family": family,
@@ -181,12 +173,8 @@ def run_family(
             "speedup_vs_brute": (brute_seconds / brute_queries)
             / (knn_seconds / num_queries),
             "range_tau": RANGE_TAU,
-            "vp_build_seconds": build_seconds,
-            "range_vp_seconds_avg": range_seconds["vp"] / num_queries,
-            "range_vp_examined_avg": range_examined["vp"] / num_queries,
-            "range_vp_pruned_avg": pruned / num_queries,
-            "range_inverted_seconds_avg": range_seconds["inverted"] / num_queries,
-            "range_inverted_examined_avg": range_examined["inverted"] / num_queries,
+            "range_inverted_seconds_avg": range_seconds / num_queries,
+            "range_inverted_examined_avg": range_examined / num_queries,
         }
         entries.append(entry)
         print(
@@ -196,9 +184,7 @@ def run_family(
             f"examined={entry['examined_avg']:8.0f} "
             f"ratio={entry['examined_ratio']:.4f} "
             f"speedup={entry['speedup_vs_brute']:.1f}x | "
-            f"range vp={entry['range_vp_seconds_avg'] * 1000:8.1f}ms "
-            f"({entry['range_vp_examined_avg']:.0f} examined, build {build_seconds:.1f}s) "
-            f"inverted={entry['range_inverted_seconds_avg'] * 1000:8.1f}ms "
+            f"range={entry['range_inverted_seconds_avg'] * 1000:8.1f}ms "
             f"({entry['range_inverted_examined_avg']:.0f} examined)",
             flush=True,
         )
@@ -241,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures = check_invariants(entries)
     report = {
-        "benchmark": "one-vs-corpus kNN scan vs brute force; range query with and without the metric index",
+        "benchmark": "one-vs-corpus kNN scan vs brute force; range query on the inverted index",
         "k": K,
         "range_tau": RANGE_TAU,
         "cluster_size": CLUSTER_SIZE,

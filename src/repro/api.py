@@ -372,14 +372,13 @@ def _query_corpus(collection) -> TreeCorpus:
 
     Passing a prebuilt :class:`TreeCorpus` is the warm path: repeated
     queries against the same corpus object reuse the cached profiles,
-    inverted indexes, batch-kernel pack and the lazily built metric index
-    (engines are cached per corpus by :func:`repro.join.query.query_engine`).
+    inverted indexes and batch-kernel pack (engines are cached per corpus by :func:`repro.join.query.query_engine`).
     The corpus may be *live* — mutated via
     :meth:`~repro.join.corpus.TreeCorpus.add_trees` /
     :meth:`~repro.join.corpus.TreeCorpus.remove_trees` between calls — and
     results stay exact: the cached engine pins an epoch snapshot, answers
-    over it plus an exactly-evaluated side list of newer trees, and rebuilds
-    its metric index only past its staleness budget.  A plain sequence is
+    over it plus an exactly-evaluated side list of newer trees, and re-pins
+    only past its staleness budget.  A plain sequence is
     parsed and wrapped fresh on every call.
     """
     if isinstance(collection, TreeCorpus):
@@ -412,9 +411,9 @@ def knn(
     mutations (exact, via the engine's snapshot + side-list machinery —
     ``result.stats.epoch``/``snapshot_epoch`` record what was queried
     against what).  Extra keyword
-    arguments reach the :class:`QueryEngine` (``chunk_size``, ``leaf_size``,
-    ``policy``, ...); ``use_metric_index`` is accepted there too, but it
-    affects range queries only.  ``deadline``
+    arguments reach the :class:`QueryEngine` (``chunk_size``, ``policy``,
+    ...), except ``use_metric_index``: it is accepted and ignored, as in
+    :func:`range_query`.  ``deadline``
     (seconds or a :class:`~repro.runtime.Deadline`) is per *call*, not part
     of the cached engine: on expiry the best results examined so far come
     back with ``result.stats.partial = True``.
@@ -426,6 +425,7 @@ def knn(
     >>> result.indices
     [0, 2]
     """
+    kwargs.pop("use_metric_index", None)
     engine_obj = query_engine(
         _query_corpus(corpus),
         algorithm=algorithm,
@@ -455,13 +455,15 @@ def range_query(
 
     The one-vs-corpus counterpart of :func:`similarity_join` (same strict
     ``< τ`` match semantics), run through the planner/filter/refiner
-    pipeline with metric-index candidate generation when the cost model
-    passes the metric gate.  Results are ``(index, distance)`` sorted by
+    pipeline with inverted-index candidate generation.  Results are ``(index, distance)`` sorted by
     ``(distance, index)``; distances are always exact.  See :func:`knn`
     for the ``corpus``, keyword-argument and ``deadline`` conventions (on
     expiry the matches found so far return with ``stats.partial = True`` —
     a subset of the full answer, never a wrong superset).  A non-finite
     ``threshold`` raises :class:`~repro.exceptions.QueryError`.
+    ``use_metric_index`` is accepted for callers written against the
+    retired VP-tree search and ignored: every range query runs on the
+    inverted index.
 
     Examples
     --------
@@ -477,7 +479,6 @@ def range_query(
         engine=engine,
         workers=workers,
         use_cascade=use_cascade,
-        use_metric_index=use_metric_index,
         **kwargs,
     )
     return engine_obj.range_query(parse_tree(query), threshold, deadline=deadline)

@@ -12,8 +12,7 @@ Installed as the ``rted`` console script.  Sub-commands:
   and optional multiprocessing fan-out;
 * ``rted query QUERY @collection.txt --top-k 5`` (or ``--range 3``) —
   one-vs-corpus retrieval through the query engine (kNN scans the corpus in
-  size order; range queries use the metric index when the cost model
-  allows, the inverted index otherwise);
+  size order; range queries take their candidates from the inverted index);
 * ``rted serve @collection.txt --port 8617`` — HTTP serving layer with
   per-request deadlines, admission control, SIGTERM graceful drain, live
   corpus management (``POST /corpora``, ``POST /corpora/NAME/trees``,
@@ -240,12 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the filter cascade (refine every candidate exactly)",
     )
-    query.add_argument(
-        "--no-metric-index",
-        action="store_true",
-        help="range queries only: disable VP-tree candidate generation "
-        "(inverted index instead; results are identical either way)",
-    )
     query.add_argument("--workers", type=int, default=1, help="refinement processes")
     query.add_argument(
         "--deadline",
@@ -442,7 +435,6 @@ def _dispatch(args) -> int:
             engine=args.engine,
             workers=args.workers,
             use_cascade=not args.no_cascade,
-            use_metric_index=not args.no_metric_index,
         )
         if args.top_k is not None:
             result = knn(query_tree, corpus, args.top_k, deadline=args.deadline, **options)
@@ -459,10 +451,6 @@ def _dispatch(args) -> int:
             stats = result.stats
             err = sys.stderr
             print(f"# corpus size:      {stats.corpus_size}", file=err)
-            print(f"# metric index:     {'used' if stats.metric_index_used else 'off'}", file=err)
-            if stats.metric_index_used:
-                print(f"# vp nodes visited: {stats.vp_nodes_visited}", file=err)
-                print(f"# vp pruned trees:  {stats.vp_pruned_subtrees}", file=err)
             print(
                 f"# candidates:       {stats.candidate_pairs} (index pruned {stats.index_pruned})",
                 file=err,

@@ -4,9 +4,8 @@ Two layers:
 
 * the **retrieval core** — the planner/filter/refiner pipeline
   (:mod:`repro.join.pipeline`) composing candidate sources (shared binary
-  branches over the pair arrays of :mod:`repro.join.pairs`, the
-  :mod:`repro.join.metric_index` VP-tree), the ordered filter cascade and
-  the batched exact refiner; the all-pairs join
+  branches over the pair arrays of :mod:`repro.join.pairs`), the ordered
+  filter cascade and the batched exact refiner; the all-pairs join
   (:func:`batch_similarity_join`) and one-vs-corpus queries
   (:class:`~repro.join.query.QueryEngine` — ``knn`` / ``range_query``) are
   both compositions of it;

@@ -359,10 +359,15 @@ def batch_distances(
             cost_model, interner=corpus_a.interner()
         )
         algo = _resolve_algorithm(algorithm, engine, ws)
-        bounded_ok = cutoff is None or _supports_cutoff(algo)
         lookup_b = corpus_b.trees if corpus_b is not None else corpus_a.trees
+        # Inspecting the compute signature costs more than a small kernel
+        # pair, so only the first pair that falls back per pair pays it.
+        bounded_ok = None
 
         def fallback(i, j):
+            nonlocal bounded_ok
+            if bounded_ok is None:
+                bounded_ok = cutoff is None or _supports_cutoff(algo)
             return _compute_entry(
                 algo, corpus_a.trees[i], lookup_b[j], i, j, cost_model, cutoff,
                 bounded_ok,

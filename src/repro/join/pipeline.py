@@ -11,7 +11,7 @@ pipeline is factored into three pieces:
 * :class:`CandidateSource` — produces the pairs that may still satisfy the
   predicate as index arrays (:class:`~repro.join.pairs.CandidatePairs`),
   pruning what it can *without materializing it* (shared binary branches,
-  metric-index traversals, or plain enumeration);
+  or plain enumeration);
 * :class:`~repro.join.cascade.PairFilters` — the ordered filter stages and
   the one driver that runs candidate blocks through them, deciding
   ``PRUNE`` / ``ACCEPT`` / ``CONTINUE`` (the linear bounds over pair
@@ -41,7 +41,7 @@ for one-vs-corpus queries (side *a* is the query).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -71,15 +71,11 @@ class CandidateSet:
     """What a :class:`CandidateSource` hands to the executor.
 
     ``pairs`` still need filtering and refinement (index arrays, see
-    :class:`~repro.join.pairs.CandidatePairs`); ``prerefined`` carries
-    pairs whose **exact** distance the source already computed as a side
-    effect of candidate generation (e.g. vantage points of a metric-index
-    traversal) — the executor consumes the distance instead of recomputing
-    it; ``pruned`` counts the pairs eliminated without being materialized.
+    :class:`~repro.join.pairs.CandidatePairs`); ``pruned`` counts the pairs
+    eliminated without being materialized.
     """
 
     pairs: CandidatePairs
-    prerefined: List[Tuple[int, int, float]] = field(default_factory=list)
     pruned: int = 0
 
 
@@ -303,7 +299,7 @@ class Planner:
     The planner owns the workload-independent decisions: converting the
     distance threshold into operation-count space (the cost-model soundness
     rule), choosing the candidate source (inverted index vs plain
-    enumeration vs a caller-supplied metric-index traversal), choosing the
+    enumeration), choosing the
     filter stages per pair against the verifier that will run it
     (:meth:`filters`), and stripping accept stages when exact distances are
     required.
@@ -390,26 +386,23 @@ class Planner:
         use_cascade: bool = True,
         cascade: Optional[Sequence[FilterStage]] = None,
         early_accept: bool = False,
-        source: Optional[CandidateSource] = None,
     ) -> RetrievalPlan:
         """A one-vs-corpus range query (``TED(query, tree) < τ``) as a plan.
 
         ``query_corpus`` is a one-tree corpus wrapping the query (side *a*
         of every pair, so non-symmetric cost models are oriented
-        query → corpus tree).  ``source`` overrides the candidate source —
-        the query engine passes its metric-index traversal here; the
-        default is the asymmetric inverted-index source (or plain
-        enumeration with the cascade off).  ``early_accept`` defaults to
+        query → corpus tree).  Candidates come from the asymmetric
+        inverted index (plain enumeration with the cascade off).
+        ``early_accept`` defaults to
         *off* for queries: an accepted pair reports the upper-bound mapping
         cost instead of the exact distance, which is fine for a join's
         match set but wrong for result ranking.
         """
         ctx = self._context(threshold)
-        if source is None:
-            if use_cascade:
-                source = QueryIndexSource(corpus, query_corpus)
-            else:
-                source = AllPairsSource(query_corpus, corpus)
+        if use_cascade:
+            source: CandidateSource = QueryIndexSource(corpus, query_corpus)
+        else:
+            source = AllPairsSource(query_corpus, corpus)
         filters = self.filters(
             refiner, use_cascade=use_cascade, cascade=cascade, early_accept=early_accept
         )
@@ -451,7 +444,7 @@ def execute_plan(
     tick = time.perf_counter()
     generated = plan.source.candidates(ctx)
     stats.index_pruned = generated.pruned
-    stats.candidate_pairs = len(generated.pairs) + len(generated.prerefined)
+    stats.candidate_pairs = len(generated.pairs)
     stats.candidate_time = time.perf_counter() - tick
     if progress is not None:
         progress(stats)
@@ -459,13 +452,6 @@ def execute_plan(
     # ---- filter cascade -------------------------------------------------- #
     matches: List[Tuple[int, int, float]] = sink if sink is not None else []
     tick = time.perf_counter()
-    for i, j, distance in generated.prerefined:
-        # Exact distances computed during candidate generation (metric-index
-        # vantage points): consume, don't recompute.
-        stats.exact_computed += 1
-        if distance < ctx.threshold:
-            stats.exact_matched += 1
-            matches.append((i, j, distance))
     # One ambient budget governs the whole plan: the cascade checks it
     # between pair blocks (and per pair in per-pair stages), refinement
     # inherits it through batch_distances.

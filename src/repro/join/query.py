@@ -6,10 +6,9 @@ corpus trees are close to *this* query":
 
 * :meth:`QueryEngine.range_query` (``TED(query, tree) < τ``) is one more
   composition of the planner/filter/refiner pipeline
-  (:mod:`repro.join.pipeline`): a candidate source (the metric index when
-  the cost model passes the gate, the asymmetric inverted index otherwise),
-  the sound filter cascade evaluated query-profile-vs-corpus-profile, and
-  the τ-bounded batched refiner.
+  (:mod:`repro.join.pipeline`): the asymmetric inverted index as the
+  candidate source, the sound filter cascade evaluated
+  query-profile-vs-corpus-profile, and the τ-bounded batched refiner.
 * :meth:`QueryEngine.knn` has no fixed τ, so it cannot be a static plan:
   it scans the corpus in **size order** (near-sized trees first), keeping
   the k best results as a shrinking radius ``r`` (the current k-th best
@@ -24,24 +23,21 @@ and every prune is strict — cascade/refiner cutoffs sit one ULP above ``r``
 the brute-force ranking, ties included (the property suite asserts set
 equality against brute force).
 
-Cost-model soundness: triangle-inequality pruning (range queries only)
-engages only when :func:`~repro.join.metric_index.metric_eligible` holds;
-otherwise candidates come from the inverted index and the only pruning is
-the orientation-independent operation-count bounds of the cascade (sound
-for any model with a positive cost floor, including non-symmetric ones).
-The kNN scan uses those same bounds under every model.  Distances are
-always computed ``query → corpus tree``, so non-symmetric models return the
-correctly oriented result set.
+Cost-model soundness: neither query kind uses the triangle inequality.
+The only pruning is the orientation-independent operation-count bounds of
+the inverted index and the cascade, sound for any model with a positive
+cost floor, including non-symmetric ones.  Distances are always computed
+``query → corpus tree``, so non-symmetric models return the correctly
+oriented result set.
 
 Live corpora: the engine serves a **mutating** corpus exactly.  It pins a
-:class:`~repro.join.corpus.CorpusSnapshot` (and builds its VP-tree over the
-pin); per query it reads the membership drift — parent trees added since
+:class:`~repro.join.corpus.CorpusSnapshot`; per query it reads the membership drift — parent trees added since
 the pin form a *deferred-insert side list* that is refined exactly and
 merged by ``(distance, index)``, snapshot results whose trees the parent
 removed are dropped during translation to current indices — so kNN/range
 results are bit-identical to a fresh engine over the current trees.  Once
 the drift exceeds ``staleness_budget`` (a fraction of the pinned size) the
-snapshot is refreshed and the index lazily rebuilt.
+snapshot is refreshed.
 """
 
 from __future__ import annotations
@@ -61,21 +57,20 @@ from ..costs import CostModel
 from ..exceptions import ComputeTimeoutError, QueryError
 from ..runtime import active_deadline, as_deadline, deadline_scope
 from ..trees.tree import Tree
-from .batch import DEFAULT_CHUNK_SIZE, _resolve_algorithm, _supports_cutoff
+from .batch import DEFAULT_CHUNK_SIZE, _resolve_algorithm
 from .cascade import CascadeContext, JoinStats, operations_threshold
 from .corpus import CorpusSnapshot, TreeCorpus
-from .metric_index import DEFAULT_LEAF_SIZE, VPTree, metric_eligible
 from .pairs import CandidatePairs
-from .pipeline import BatchRefiner, CandidateSet, Planner, execute_plan
+from .pipeline import BatchRefiner, Planner, execute_plan
 
 _INF = float("inf")
 
-#: Default staleness budget: a pinned snapshot is refreshed (and the
-#: VP-tree lazily rebuilt) once the membership drift — trees added plus
+#: Default staleness budget: a pinned snapshot is refreshed once the
+#: membership drift — trees added plus
 #: trees removed since the pin — exceeds this fraction of the pinned
 #: corpus size.  Below the budget, queries stay exact anyway (side-list
 #: evaluation + removed-result filtering); the budget only caps how much
-#: unindexed side work a query tolerates before paying for a rebuild.
+#: unindexed side work a query tolerates before paying for a fresh pin.
 DEFAULT_STALENESS_BUDGET = 0.25
 
 
@@ -107,20 +102,10 @@ class QueryStats(JoinStats):
 
     The inherited fields keep their join meanings with "pairs" read as
     "corpus trees" (``pairs_total`` = corpus size, ``exact_computed`` =
-    exact TED evaluations including metric-index vantage evaluations —
-    the *examined* count).
+    exact TED evaluations — the *examined* count).
     """
 
     corpus_size: int = 0
-    metric_index_used: bool = False
-    """Whether the VP-tree drove range-query candidate generation.  Always
-    ``False`` for kNN, and for range queries under a non-metric cost model
-    (the soundness gate) or with the index off."""
-
-    vp_nodes_visited: int = 0
-    vp_pruned_subtrees: int = 0
-    """Corpus trees inside subtrees discarded by triangle-inequality bounds
-    (never examined individually)."""
 
     partial: bool = False
     """``True`` when a deadline expired mid-query: the matches are the best
@@ -146,9 +131,6 @@ class QueryStats(JoinStats):
         data.update(
             {
                 "corpus_size": self.corpus_size,
-                "metric_index_used": self.metric_index_used,
-                "vp_nodes_visited": self.vp_nodes_visited,
-                "vp_pruned_subtrees": self.vp_pruned_subtrees,
                 "partial": self.partial,
                 "epoch": self.epoch,
                 "snapshot_epoch": self.snapshot_epoch,
@@ -209,84 +191,17 @@ class _TopK:
         return [(index, distance) for distance, index in self._best]
 
 
-class _MetricRangeSource:
-    """Candidate source backed by a VP-tree traversal (fixed radius τ).
-
-    Emits leaf-bucket members as ordinary candidate pairs (they continue
-    through the cascade and the τ-bounded refiner) and vantage points —
-    whose exact distances the traversal computed anyway — as prerefined
-    entries the executor consumes directly.
-    """
-
-    def __init__(self, engine: "QueryEngine", vp: VPTree, query: Tree, stats: QueryStats) -> None:
-        self.engine = engine
-        self.vp = vp
-        self.query = query
-        self.stats = stats
-
-    def candidates(self, ctx: CascadeContext) -> CandidateSet:
-        tau = ctx.threshold
-        stats = self.stats
-        vp = self.vp
-        pairs: List[Tuple[int, int]] = []
-        prerefined: List[Tuple[int, int, float]] = []
-        pruned = 0
-        stack: List[Tuple[float, int]] = []
-        if vp.root >= 0:
-            stack.append((0.0, vp.root))
-        while stack:
-            bound, node_id = stack.pop()
-            node = vp.nodes[node_id]
-            if bound >= tau:
-                # Strict match semantics (TED < τ): a subtree whose lower
-                # bound reaches τ cannot contain a match.
-                pruned += node.count
-                stats.vp_pruned_subtrees += node.count
-                continue
-            stats.vp_nodes_visited += 1
-            if node.bucket is not None:
-                pairs.extend((0, j) for j in node.bucket)
-                continue
-            # d(q, v) ≥ τ + mu proves the whole inside ball non-matching, so
-            # the vantage evaluation itself is bounded at τ + mu.
-            distance = self.engine._vantage_distance(
-                vp.corpus, self.query, node.vantage, tau + node.mu, stats
-            )
-            if distance is None:
-                pruned += 1 + (vp.nodes[node.inside].count if node.inside >= 0 else 0)
-                stats.vp_pruned_subtrees += (
-                    vp.nodes[node.inside].count if node.inside >= 0 else 0
-                )
-                if node.outside >= 0:
-                    stack.append((bound, node.outside))
-                continue
-            prerefined.append((0, node.vantage, distance))
-            if node.inside >= 0:
-                stack.append((max(bound, distance - node.mu), node.inside))
-            if node.outside >= 0:
-                stack.append((max(bound, node.mu - distance), node.outside))
-        pairs.sort()
-        return CandidateSet(
-            pairs=CandidatePairs([0] * len(pairs), [j for _, j in pairs]),
-            prerefined=prerefined,
-            pruned=pruned,
-        )
-
-
 class QueryEngine:
     """One-vs-corpus retrieval over a (possibly live) :class:`TreeCorpus`.
 
     Construction is cheap; expensive artifacts — corpus profiles, the label
-    interner, the batch-kernel pack and the vantage-point tree — are built
+    interner, the inverted index and the batch-kernel pack — are built
     lazily on first use and amortized across queries, so a long-lived
-    engine answers a query stream without rebuilding them.  kNN always
-    runs the size-ordered scan.  ``use_metric_index`` requests VP-tree
-    candidate generation for range queries; it engages only when the cost
-    model passes the metric gate (:func:`metric_eligible`), falling back to
-    the inverted index (with the sound cascade bounds still pruning)
-    otherwise.  Pass a prebuilt ``metric_index`` to share one VP-tree
-    across engines (it must match the corpus *and* its current epoch — a
-    stale index is refused outright).
+    engine answers a query stream without rebuilding them.  kNN runs the
+    size-ordered scan; range queries take their candidates from the
+    inverted index (every pair with the cascade off).  Both prune only
+    with the cascade's operation-count bounds, sound under every cost
+    model.
 
     **Live corpora.**  The engine pins a :class:`CorpusSnapshot` of its
     corpus and searches the pin; mutations between queries never invalidate
@@ -296,8 +211,7 @@ class QueryEngine:
     are dropped while translating to current indices — so kNN/range stay
     bit-identical to a fresh engine over the current trees.  Once the drift
     exceeds ``staleness_budget`` (a fraction of the pinned size, default
-    :data:`DEFAULT_STALENESS_BUDGET`) the pin is refreshed and the VP-tree
-    lazily rebuilt.
+    :data:`DEFAULT_STALENESS_BUDGET`) the pin is refreshed.
 
     Execution knobs (``algorithm``, ``engine``, ``workers``, ``chunk_size``,
     ``policy``) mirror the batch join and apply to every refinement batch,
@@ -313,10 +227,6 @@ class QueryEngine:
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         use_cascade: bool = True,
-        use_metric_index: bool = True,
-        metric_index: Optional[VPTree] = None,
-        leaf_size: int = DEFAULT_LEAF_SIZE,
-        seed: int = 0,
         policy=None,
         staleness_budget: float = DEFAULT_STALENESS_BUDGET,
     ) -> None:
@@ -330,9 +240,6 @@ class QueryEngine:
         self.workers = workers
         self.chunk_size = chunk_size
         self.use_cascade = use_cascade
-        self.use_metric_index = use_metric_index
-        self.leaf_size = leaf_size
-        self.seed = seed
         self.policy = policy
         if not isinstance(staleness_budget, (int, float)) or staleness_budget < 0:
             raise QueryError(
@@ -340,32 +247,11 @@ class QueryEngine:
             )
         self.staleness_budget = float(staleness_budget)
         self._ws = TedWorkspace(self.cost_model, interner=self.corpus.interner())
-        self._algo = _resolve_algorithm(algorithm, engine, self._ws)
-        self._bounded_ok = _supports_cutoff(self._algo)
+        # Fail at construction, not on the first query, for an unknown
+        # algorithm name or engine.
+        _resolve_algorithm(algorithm, engine, self._ws)
         self._planner = Planner(self.cost_model)
         self._snap: Optional[TreeCorpus] = None
-        if metric_index is not None:
-            target = metric_index.corpus
-            pins_corpus = target is self.corpus or (
-                isinstance(target, CorpusSnapshot) and target.parent is self.corpus
-            )
-            if not pins_corpus:
-                raise QueryError("metric_index was built over a different corpus")
-            built_epoch = getattr(target, "epoch", 0)
-            current_epoch = getattr(self.corpus, "epoch", 0)
-            if built_epoch != current_epoch:
-                raise QueryError(
-                    f"metric_index is stale: built at epoch {built_epoch} but the "
-                    f"corpus is at epoch {current_epoch} — rebuild it (or let the "
-                    "engine build its own)"
-                )
-            # Pin the epoch the index was built at, so its bucket/vantage ids
-            # keep meaning the same trees whatever the corpus does next.
-            self._snap = target if isinstance(target, CorpusSnapshot) else (
-                self.corpus.snapshot()
-            )
-        self._vp = metric_index
-        self._vp_unavailable = False
 
     # ------------------------------------------------------------------ #
     # Snapshot pinning
@@ -373,10 +259,9 @@ class QueryEngine:
     def _pinned(self) -> TreeCorpus:
         """The snapshot this query should search (refreshing past budget).
 
-        Within the staleness budget the old pin (and its VP-tree) keeps
-        serving — exactness is preserved by the caller's side-list merge and
-        removed-result filtering.  Past it, a fresh snapshot replaces the
-        pin and the VP-tree is dropped for lazy rebuild.
+        Within the staleness budget the old pin keeps serving — exactness
+        is preserved by the caller's side-list merge and removed-result
+        filtering.  Past it, a fresh snapshot replaces the pin.
         """
         corpus = self.corpus
         if isinstance(corpus, CorpusSnapshot):
@@ -393,8 +278,6 @@ class QueryEngine:
             budget = max(1, int(self.staleness_budget * max(1, len(snap))))
             if len(added) + len(removed) > budget:
                 self._snap = corpus.snapshot()
-                self._vp = None
-                self._vp_unavailable = False
         return self._snap
 
     @property
@@ -460,36 +343,6 @@ class QueryEngine:
         return results
 
     # ------------------------------------------------------------------ #
-    def metric_index(self) -> Optional[VPTree]:
-        """The engine's VP-tree, built lazily; ``None`` when ineligible.
-
-        Ineligible means: the index is disabled, the pinned snapshot is
-        empty, or the cost model fails the metric gate — in which case
-        range queries soundly fall back to the inverted index.  Only range
-        queries use the tree; kNN never builds it.  The tree is built
-        over the *pinned snapshot*, so its node ids stay meaningful across
-        corpus mutations; a snapshot refresh drops it for lazy rebuild.
-        """
-        if not self.use_metric_index:
-            return None
-        snap = self._pinned()
-        if self._vp is None and not self._vp_unavailable:
-            if len(snap) == 0 or not metric_eligible(self.cost_model):
-                self._vp_unavailable = True
-            else:
-                self._vp = VPTree.build(
-                    snap,
-                    algorithm=self.algorithm,
-                    cost_model=self.cost_model,
-                    engine=self.engine,
-                    leaf_size=self.leaf_size,
-                    seed=self.seed,
-                    workers=self.workers,
-                    chunk_size=self.chunk_size,
-                    workspace=self._ws,
-                )
-        return self._vp
-
     def _query_corpus(self, query: Tree) -> TreeCorpus:
         # Sharing the interner keeps the query tree's label codes compatible
         # with the corpus's cached batch-kernel pack, so refinement batches
@@ -508,36 +361,6 @@ class QueryEngine:
             workspace=self._ws,
             policy=self.policy,
         )
-
-    def _vantage_distance(
-        self,
-        corpus: TreeCorpus,
-        query: Tree,
-        index: int,
-        cutoff: Optional[float],
-        stats: QueryStats,
-    ) -> Optional[float]:
-        """Exact ``d(query, corpus[index])``, or ``None`` if ``≥ cutoff``.
-
-        ``corpus`` is the collection ``index`` refers to — the pinned
-        snapshot a VP-tree was built over, never the drifting live corpus.
-        Only bounded runs count towards ``exact_computed`` here: the range
-        source routes exact results through the executor as prerefined
-        entries, which counts them itself.
-        """
-        tree = corpus.trees[index]
-        if cutoff is None or not math.isfinite(cutoff) or not self._bounded_ok:
-            result = self._algo.compute(query, tree, cost_model=self.cost_model)
-        else:
-            result = self._algo.compute(
-                query, tree, cost_model=self.cost_model, cutoff=cutoff
-            )
-        if getattr(result, "bounded", False):
-            stats.exact_computed += 1
-            if result.aborted:
-                stats.aborted_early += 1
-            return None
-        return result.distance
 
     # ------------------------------------------------------------------ #
     def knn(self, query: Tree, k: int, deadline=None) -> QueryResult:
@@ -663,9 +486,9 @@ class QueryEngine:
     def range_query(self, query: Tree, threshold: float, deadline=None) -> QueryResult:
         """Every corpus tree with ``TED(query, tree) < threshold``, exactly.
 
-        One planner composition (:meth:`Planner.plan_range`): metric-index
-        traversal (when eligible) or the asymmetric inverted index as the
-        candidate source, the cascade at τ, the τ-bounded batched refiner.
+        One planner composition (:meth:`Planner.plan_range`): the
+        asymmetric inverted index as the candidate source, the cascade at
+        τ, the τ-bounded batched refiner.
 
         ``deadline`` bounds the query like :meth:`knn`: on expiry the
         matches streamed before the budget ran out come back with
@@ -700,19 +523,12 @@ class QueryEngine:
         try:
             with deadline_scope(dl):
                 query_corpus = self._query_corpus(query)
-                refiner = self._refiner(query_corpus, snap)
-                source = None
-                vp = self.metric_index() if threshold > 0 else None
-                if vp is not None:
-                    stats.metric_index_used = True
-                    source = _MetricRangeSource(self, vp, query, stats)
                 plan = self._planner.plan_range(
                     snap,
                     query_corpus,
                     threshold,
-                    refiner,
+                    self._refiner(query_corpus, snap),
                     use_cascade=self.use_cascade,
-                    source=source,
                 )
                 # The sink keeps already-verified matches reachable if the
                 # deadline aborts the plan mid-refinement.
@@ -758,11 +574,10 @@ def query_engine(corpus: TreeCorpus, **kwargs) -> QueryEngine:
 
     Keyed weakly by corpus identity plus the engine settings, so repeated
     :func:`repro.api.knn` / :func:`repro.api.range_query` calls against one
-    :class:`TreeCorpus` reuse the engine — and with it the interner, pack
-    and lazily built metric index — instead of rebuilding per call.
-    Settings passed at their default value key like omitted ones, so a
-    ``knn`` call (which takes no ``use_metric_index``) and a default
-    ``range_query`` call share one engine.
+    :class:`TreeCorpus` reuse the engine — and with it the interner,
+    inverted index and pack — instead of rebuilding per call.  Settings
+    passed at their default value key like omitted ones, so a ``knn`` call
+    and a ``range_query`` call with default settings share one engine.
     """
     key = tuple(
         sorted(

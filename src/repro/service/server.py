@@ -2,7 +2,7 @@
 
 The library answers one call at a time; a service answers a *stream* of
 requests against corpora whose expensive artifacts — the label interner,
-filter profiles, the batch-kernel pack, the metric index — should be paid
+filter profiles, the inverted index, the batch-kernel pack — should be paid
 once, not per request.  :class:`RtedService` registers
 :class:`~repro.join.corpus.TreeCorpus` objects at startup and serves:
 
@@ -254,7 +254,7 @@ class RtedService:
 
     ``corpora`` maps names (the ``"corpus"`` field of query requests) to
     :class:`TreeCorpus` objects.  Each gets one cached
-    :class:`QueryEngine`, so the interner, profiles, pack and metric index
+    :class:`QueryEngine`, so the interner, profiles, inverted index and pack
     are built once and amortized across the request stream.  The instance
     is fully testable in-process: ``await service.start()`` with
     ``port=0``, issue requests against ``service.port``, then

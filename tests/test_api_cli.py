@@ -148,6 +148,7 @@ def _execution_entry_points():
 REMOVED_SWITCHES = [
     "use_numpy", "bounded_verify", "batch_kernel",
     "approximate", "pq_gram_cutoff", "use_candidate_index",
+    "use_metric_index", "metric_index",
 ]
 
 
@@ -398,10 +399,20 @@ class TestCli:
     def test_query_range_command(self, tmp_path, capsys):
         path = tmp_path / "collection.txt"
         path.write_text("{a{b}{c}{d}}\n{x{y}}\n{a{b}}\n")
-        assert cli_main(["query", "{a{b}{c}}", f"@{path}", "--range", "2"]) == 0
-        lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert cli_main(
+            ["query", "{a{b}{c}}", f"@{path}", "--range", "2", "--stats"]
+        ) == 0
+        captured = capsys.readouterr()
+        lines = [line.split("\t") for line in captured.out.splitlines()]
         assert [line[0] for line in lines] == ["0", "2"]
         assert all(float(line[1]) < 2.0 for line in lines)
+        assert "# matches:          2" in captured.err
+        # Range queries always run on the inverted index: no VP-tree lines,
+        # and no switch to turn an index off.
+        assert "# metric index" not in captured.err and "# vp " not in captured.err
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["query", "{a}", f"@{path}", "--range", "2", "--no-metric-index"])
+        assert exit_info.value.code == 2
 
     def test_query_modes_are_exclusive(self, tmp_path, capsys):
         path = tmp_path / "collection.txt"

@@ -488,6 +488,24 @@ class TestLegacyAlgorithmInstances:
         assert (i, j) == (0, 1) and not aborted
         assert value == EXACT.distance(f, g)
 
+    def test_kernel_only_join_never_inspects_compute(self, monkeypatch):
+        # Whether compute() takes a cutoff matters only to pairs that fall
+        # back to it; a join whose every pair runs the small-pair kernel
+        # never asks.
+        import inspect
+
+        calls = []
+        signature = inspect.signature
+        monkeypatch.setattr(
+            inspect, "signature", lambda *a, **k: calls.append(a) or signature(*a, **k)
+        )
+        trees = clustered_corpus(
+            num_clusters=4, cluster_size=5, tree_size=10, num_edits=3, rng=55
+        )
+        result = batch_self_join(trees, 2.5, early_accept=False)
+        assert result.stats.exact_computed > 0
+        assert calls == []
+
 
 class TestJoinAbortStats:
     def test_aborted_early_counts_cut_short_verifications(self):

@@ -32,7 +32,6 @@ from repro.exceptions import CorpusError, QueryError
 from repro.io import to_bracket
 from repro.join.batch import batch_similarity_join
 from repro.join.corpus import CorpusSnapshot, TreeCorpus
-from repro.join.metric_index import VPTree
 from repro.join.query import QueryEngine
 from repro.trees import Node, Tree
 
@@ -406,22 +405,6 @@ class TestEngineStaleness:
         with pytest.raises(QueryError):
             QueryEngine(corpus, staleness_budget=-0.5)
 
-    def test_prebuilt_stale_metric_index_refused(self):
-        corpus = TreeCorpus(_forest(20, seed=20))
-        vp = VPTree.build(corpus.snapshot())
-        corpus.add_trees(_forest(1, seed=21))
-        with pytest.raises(QueryError, match="stale"):
-            QueryEngine(corpus, metric_index=vp)
-
-    def test_prebuilt_snapshot_index_accepted(self):
-        corpus = TreeCorpus(_forest(20, seed=22))
-        vp = VPTree.build(corpus.snapshot())
-        engine = QueryEngine(corpus, metric_index=vp)
-        assert engine.metric_index() is vp
-        query = random_tree(6, rng=220)
-        result = engine.knn(query, 3)
-        fresh = QueryEngine(TreeCorpus(list(corpus.trees))).knn(query, 3)
-        assert result.matches == fresh.matches
 
 
 # --------------------------------------------------------------------------- #

@@ -260,7 +260,7 @@ def test_clustered_corpus_matches_reference():
 @given(trees_a=tree_lists(min_size=1, max_size=6), trees_b=tree_lists(min_size=1, max_size=6))
 def test_block_intersections_match_counters(trees_a, trees_b):
     # The path pairs without a generation-time intersection take (all-pairs
-    # fallback, metric-index and kNN candidates): label and branch
+    # fallback and kNN candidates): label and branch
     # intersections of arbitrary pairs, within one side and across two.
     corpus_a, corpus_b = TreeCorpus(trees_a), TreeCorpus(trees_b)
     for other, side_b in ((None, trees_a), (corpus_b, trees_b)):
@@ -339,10 +339,9 @@ def test_deadline_is_checked_between_blocks(monkeypatch):
     assert 1 <= len(seen) <= 4
 
 
-@pytest.mark.parametrize("use_metric_index", [True, False], ids=["vp-tree", "scan"])
-def test_range_query_under_expired_deadline_is_partial(use_metric_index):
+def test_range_query_under_expired_deadline_is_partial():
     trees = clustered_corpus(num_clusters=6, cluster_size=6, tree_size=10, rng=3)
-    engine = QueryEngine(TreeCorpus(trees), use_metric_index=use_metric_index)
+    engine = QueryEngine(TreeCorpus(trees))
     result = engine.range_query(
         trees[0], 3.0, deadline=Deadline(expires_at=time.monotonic() - 1)
     )

@@ -1,5 +1,5 @@
-"""Query-engine correctness: knn / range_query vs brute force, metric gating,
-corpus freezing, and the planner pipeline invariants."""
+"""Query-engine correctness: knn / range_query vs brute force, corpus
+freezing, and the planner pipeline invariants."""
 
 import random
 
@@ -25,7 +25,7 @@ ALPHABET = list("abcde")
 
 #: The three property-suite cost models: the canonical unit model, a
 #: fractional metric (min_operation_cost < 1 exercises threshold scaling),
-#: and a non-symmetric model that must never take the VP-tree pruning path.
+#: and a non-symmetric model, under which no triangle-inequality bound holds.
 COST_MODELS = {
     "unit": UnitCostModel(),
     "fractional": WeightedCostModel(0.5, 0.5, 0.5),
@@ -61,14 +61,12 @@ class TestPropertySuite:
         rng = random.Random(hash(model_name) & 0xFFFF)
         corpus = TreeCorpus(_random_trees(50, rng))
         engine = QueryEngine(corpus, cost_model=cost_model)
-        metric = metric_eligible(cost_model)
         for _ in range(70):
             query = random_tree(rng.randint(2, 12), alphabet=ALPHABET, rng=rng)
             ranking = _brute_ranking(query, corpus, cost_model)
             for k in (1, 5, len(corpus) + 3):
                 result = engine.knn(query, k)
                 assert result.matches == [(j, d) for d, j in ranking[:k]]
-                assert result.stats.metric_index_used is False
             for threshold in (1.0, 2.5, 4.0):
                 result = engine.range_query(query, threshold)
                 expected = sorted(
@@ -76,40 +74,40 @@ class TestPropertySuite:
                     key=lambda entry: (entry[1], entry[0]),
                 )
                 assert result.matches == expected
-                assert result.stats.metric_index_used == (metric and threshold > 0)
 
-    def test_non_metric_models_never_take_vp_path(self):
+    def test_non_metric_models_answer_exactly(self):
         rng = random.Random(7)
         corpus = TreeCorpus(_random_trees(30, rng))
         for cost_model in (COST_MODELS["non-symmetric"], StringRenameCostModel()):
             assert not metric_eligible(cost_model)
             engine = QueryEngine(corpus, cost_model=cost_model)
             query = _random_trees(1, rng)[0]
-            assert engine.knn(query, 3).stats.metric_index_used is False
-            assert engine.range_query(query, 2.0).stats.metric_index_used is False
-            assert engine.metric_index() is None
+            ranking = _brute_ranking(query, corpus, cost_model)
+            assert engine.knn(query, 3).matches == [(j, d) for d, j in ranking[:3]]
+            assert engine.range_query(query, 2.0).matches == [
+                (j, d) for d, j in ranking if d < 2.0
+            ]
             with pytest.raises(MetricGateError):
                 VPTree.build(corpus, cost_model=cost_model)
 
 
 class TestQueryEngine:
-    def test_scan_and_index_paths_agree(self):
+    def test_range_and_knn_agree(self):
+        # A full ranking cut at τ is the range answer, in the same order.
         rng = random.Random(11)
         corpus = TreeCorpus(_random_trees(40, rng))
-        indexed = QueryEngine(corpus, use_metric_index=True)
-        scanned = QueryEngine(corpus, use_metric_index=False)
+        engine = QueryEngine(corpus)
         for _ in range(10):
             query = _random_trees(1, rng)[0]
-            assert indexed.knn(query, 4).matches == scanned.knn(query, 4).matches
-            assert (
-                indexed.range_query(query, 3.0).matches
-                == scanned.range_query(query, 3.0).matches
-            )
+            ranking = engine.knn(query, len(corpus)).matches
+            assert engine.range_query(query, 3.0).matches == [
+                (j, d) for j, d in ranking if d < 3.0
+            ]
 
     def test_no_cascade_path_agrees(self):
         rng = random.Random(13)
         corpus = TreeCorpus(_random_trees(25, rng))
-        plain = QueryEngine(corpus, use_cascade=False, use_metric_index=False)
+        plain = QueryEngine(corpus, use_cascade=False)
         full = QueryEngine(corpus)
         query = _random_trees(1, rng)[0]
         assert plain.knn(query, 5).matches == full.knn(query, 5).matches
@@ -128,14 +126,11 @@ class TestQueryEngine:
         assert empty.range_query(query, 2.0).matches == []
 
     @pytest.mark.parametrize("chunk_size", [-1, 0, True, 1.5])
-    @pytest.mark.parametrize("use_metric_index", [False, True])
-    def test_non_positive_int_chunk_size_rejected(self, chunk_size, use_metric_index):
-        # Used to return [] from the scan and KeyError from VPTree.build.
+    def test_non_positive_int_chunk_size_rejected(self, chunk_size):
+        # Used to return [] from the scan.
         corpus = TreeCorpus(_random_trees(12, random.Random(2)))
         with pytest.raises(QueryError, match="chunk_size"):
-            QueryEngine(
-                corpus, chunk_size=chunk_size, use_metric_index=use_metric_index
-            )
+            QueryEngine(corpus, chunk_size=chunk_size)
 
     def test_range_nonpositive_threshold_is_empty(self):
         corpus = TreeCorpus(_random_trees(8, random.Random(5)))
@@ -152,9 +147,9 @@ class TestQueryEngine:
         result = engine.range_query(trees[0], 0.5)
         assert (0, 0.0) in result.matches and (len(trees), 0.0) in result.matches
 
-    def test_metric_index_range_examines_fewer_than_corpus(self):
-        # Clustered corpus, tight radius: triangle pruning must cut the
-        # number of exact evaluations well below the corpus size.
+    def test_range_examines_fewer_than_corpus(self):
+        # Clustered corpus, tight radius: the inverted index and the cascade
+        # must cut the number of exact evaluations below the corpus size.
         trees = clustered_corpus(
             num_clusters=12, cluster_size=8, tree_size=10, num_edits=1,
             rng=random.Random(8),
@@ -162,13 +157,12 @@ class TestQueryEngine:
         corpus = TreeCorpus(trees)
         engine = QueryEngine(corpus)
         result = engine.range_query(trees[0], 2.0)
-        assert result.stats.metric_index_used
         assert result.stats.exact_computed < len(corpus)
-        assert result.stats.vp_pruned_subtrees > 0
+        assert result.stats.index_pruned > 0
 
-    def test_knn_never_builds_the_metric_index(self, monkeypatch):
-        # kNN is the size-ordered scan under every model; only range
-        # queries build (and then reuse) the VP-tree.
+    def test_queries_never_build_the_metric_index(self, monkeypatch):
+        # kNN is the size-ordered scan and range queries run on the
+        # inverted index, under every model: neither builds a VP-tree.
         builds = []
         build = VPTree.__dict__["build"].__func__
 
@@ -182,17 +176,51 @@ class TestQueryEngine:
         assert metric_eligible(UnitCostModel())
         engine = QueryEngine(corpus)
         for query in trees[:3]:
-            assert engine.knn(query, 4).stats.metric_index_used is False
+            engine.knn(query, 4)
         assert len(builds) == 0
         for query in trees[:3]:
-            assert engine.range_query(query, 3.0).stats.metric_index_used
-        assert len(builds) == 1
-        # The functional API shares one cached engine between both calls.
+            engine.range_query(query, 3.0)
+        assert len(builds) == 0
         knn(trees[0], corpus, 4)
-        assert len(builds) == 1
         range_query(trees[0], corpus, 3.0)
         range_query(trees[1], corpus, 3.0, use_metric_index=True)
-        assert len(builds) == 2
+        assert len(builds) == 0
+
+    def test_api_ignores_use_metric_index(self):
+        # The keyword is accepted for old callers and changes nothing.
+        rng = random.Random(14)
+        trees = _random_trees(30, rng)
+        corpus = TreeCorpus(trees)
+        for query in _random_trees(5, rng):
+            for flag in (False, True):
+                assert (
+                    range_query(query, corpus, 3.0, use_metric_index=flag).matches
+                    == range_query(query, corpus, 3.0).matches
+                )
+                assert (
+                    knn(query, corpus, 4, use_metric_index=flag).matches
+                    == knn(query, corpus, 4).matches
+                )
+            assert (
+                range_query(query, trees, 3.0, use_metric_index=False).matches
+                == range_query(query, corpus, 3.0).matches
+            )
+
+    def test_unit_range_query_never_inspects_compute(self, monkeypatch):
+        # Every pair runs the small-pair kernel, so no per-pair fallback
+        # needs to know whether compute() takes a cutoff.
+        import inspect
+
+        calls = []
+        signature = inspect.signature
+        monkeypatch.setattr(
+            inspect, "signature", lambda *a, **k: calls.append(a) or signature(*a, **k)
+        )
+        trees = clustered_corpus(num_clusters=6, cluster_size=6, tree_size=10, rng=3)
+        engine = QueryEngine(TreeCorpus(trees))
+        for query in trees[:4]:
+            assert engine.range_query(query, 3.0).stats.exact_computed > 0
+        assert calls == []
 
     def test_knn_counts_the_trees_it_scans_as_candidates(self):
         # Every block of the scan goes through the cascade, so each tree of
@@ -205,15 +233,6 @@ class TestQueryEngine:
         assert stats.index_pruned == 0
         assert stats.exact_computed + sum(stats.stage_pruned.values()) == len(corpus)
         assert stats.candidate_hit_rate == 3 / len(corpus)
-
-    def test_prebuilt_metric_index_reuse(self):
-        corpus = TreeCorpus(_random_trees(20, random.Random(9)))
-        vp = VPTree.build(corpus)
-        engine = QueryEngine(corpus, metric_index=vp)
-        assert engine.metric_index() is vp
-        other = TreeCorpus(_random_trees(5, random.Random(10)))
-        with pytest.raises(QueryError):
-            QueryEngine(other, metric_index=vp)
 
     def test_api_accepts_corpus_and_sequences(self):
         from repro import parse_tree
@@ -257,14 +276,13 @@ class TestStageChoice:
     answer: kNN and range results equal those of the old filter list (the
     default cascade minus its accept stage, on every pair)."""
 
-    @pytest.mark.parametrize("use_metric_index", [True, False], ids=["vp-tree", "scan"])
-    def test_answers_match_old_filter_list(self, use_metric_index, monkeypatch):
+    def test_answers_match_old_filter_list(self, monkeypatch):
         trees = clustered_corpus(
             num_clusters=10, cluster_size=6, tree_size=14, num_edits=2, rng=17
         )
         corpus = TreeCorpus(trees)
-        default = QueryEngine(corpus, use_metric_index=use_metric_index)
-        legacy = QueryEngine(corpus, use_metric_index=use_metric_index)
+        default = QueryEngine(corpus)
+        legacy = QueryEngine(corpus)
         old_list = [stage for stage in default_cascade() if not stage.is_accept_stage]
         monkeypatch.setattr(
             legacy._planner, "filters", lambda refiner, **kwargs: PairFilters(old_list)
