@@ -372,8 +372,9 @@ def _query_corpus(collection) -> TreeCorpus:
 
     Passing a prebuilt :class:`TreeCorpus` is the warm path: repeated
     queries against the same corpus object reuse the cached profiles,
-    inverted indexes and batch-kernel pack (engines are cached per corpus by :func:`repro.join.query.query_engine`).
-    The corpus may be *live* — mutated via
+    inverted indexes and batch-kernel pack (engines are cached per corpus
+    by :func:`repro.join.query.query_engine`).  The corpus may be *live* —
+    mutated via
     :meth:`~repro.join.corpus.TreeCorpus.add_trees` /
     :meth:`~repro.join.corpus.TreeCorpus.remove_trees` between calls — and
     results stay exact: the cached engine pins an epoch snapshot, answers
@@ -412,7 +413,7 @@ def knn(
     ``result.stats.epoch``/``snapshot_epoch`` record what was queried
     against what).  Extra keyword
     arguments reach the :class:`QueryEngine` (``chunk_size``, ``policy``,
-    ...), except ``use_metric_index``: it is accepted and ignored, as in
+    ...), except ``use_metric_index``, which is accepted and ignored as in
     :func:`range_query`.  ``deadline``
     (seconds or a :class:`~repro.runtime.Deadline`) is per *call*, not part
     of the cached engine: on expiry the best results examined so far come
@@ -447,7 +448,6 @@ def range_query(
     engine: Optional[str] = None,
     workers: int = 1,
     use_cascade: bool = True,
-    use_metric_index: bool = True,
     deadline: Optional[float] = None,
     **kwargs,
 ) -> QueryResult:
@@ -455,15 +455,15 @@ def range_query(
 
     The one-vs-corpus counterpart of :func:`similarity_join` (same strict
     ``< τ`` match semantics), run through the planner/filter/refiner
-    pipeline with inverted-index candidate generation.  Results are ``(index, distance)`` sorted by
-    ``(distance, index)``; distances are always exact.  See :func:`knn`
-    for the ``corpus``, keyword-argument and ``deadline`` conventions (on
-    expiry the matches found so far return with ``stats.partial = True`` —
-    a subset of the full answer, never a wrong superset).  A non-finite
-    ``threshold`` raises :class:`~repro.exceptions.QueryError`.
-    ``use_metric_index`` is accepted for callers written against the
-    retired VP-tree search and ignored: every range query runs on the
-    inverted index.
+    pipeline with inverted-index candidate generation.  Results are
+    ``(index, distance)`` sorted by ``(distance, index)``; distances are
+    always exact.  See :func:`knn` for the ``corpus``, keyword-argument and
+    ``deadline`` conventions (on expiry the matches found so far return
+    with ``stats.partial = True`` — a subset of the full answer, never a
+    wrong superset).  A non-finite ``threshold`` raises
+    :class:`~repro.exceptions.QueryError`.  A ``use_metric_index`` keyword
+    is accepted for callers written against the retired VP-tree search and
+    ignored: every range query runs on the inverted index.
 
     Examples
     --------
@@ -472,6 +472,7 @@ def range_query(
     >>> result.indices
     [0, 2]
     """
+    kwargs.pop("use_metric_index", None)
     engine_obj = query_engine(
         _query_corpus(corpus),
         algorithm=algorithm,

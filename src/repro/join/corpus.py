@@ -23,7 +23,7 @@ interleaving of adds and removals the corpus is observably identical
 :class:`TreeCorpus` built from the same final tree sequence.
 
 Downstream consumers that need a stable view across queries (the query
-engine's VP-tree, long refinement plans) pin a :class:`CorpusSnapshot` — an
+engine, long refinement plans) pin a :class:`CorpusSnapshot` — an
 epoch-pinned immutable corpus that shares the parent's per-tree profiles and
 reports the membership drift (:meth:`CorpusSnapshot.delta`) since the pin.
 """
@@ -411,12 +411,11 @@ class CorpusSnapshot(TreeCorpus):
     :class:`~repro.exceptions.CorpusError`.
 
     Snapshots make corpus mutation safe for long-lived consumers: the query
-    engine pins one (plus the VP-tree built over it) and consults
-    :meth:`delta` per query — the *deferred-insert side list* (parent trees
-    added since the pin) is evaluated exactly and merged, parent removals
-    are filtered from the snapshot's results via :meth:`to_parent`, and once
-    the drift exceeds the engine's staleness budget a fresh snapshot (and
-    lazily a fresh index) replaces the pin.
+    engine pins one and consults :meth:`delta` per query — the
+    *deferred-insert side list* (parent trees added since the pin) is
+    evaluated exactly and merged, parent removals are filtered from the
+    snapshot's results via :meth:`to_parent`, and once the drift exceeds
+    the engine's staleness budget a fresh snapshot replaces the pin.
     """
 
     def __init__(self, parent: TreeCorpus) -> None:

@@ -299,10 +299,9 @@ class Planner:
     The planner owns the workload-independent decisions: converting the
     distance threshold into operation-count space (the cost-model soundness
     rule), choosing the candidate source (inverted index vs plain
-    enumeration), choosing the
-    filter stages per pair against the verifier that will run it
-    (:meth:`filters`), and stripping accept stages when exact distances are
-    required.
+    enumeration), choosing the filter stages per pair against the verifier
+    that will run it (:meth:`filters`), and stripping accept stages when
+    exact distances are required.
     """
 
     def __init__(self, cost_model: CostModel) -> None:
@@ -393,10 +392,9 @@ class Planner:
         of every pair, so non-symmetric cost models are oriented
         query → corpus tree).  Candidates come from the asymmetric
         inverted index (plain enumeration with the cascade off).
-        ``early_accept`` defaults to
-        *off* for queries: an accepted pair reports the upper-bound mapping
-        cost instead of the exact distance, which is fine for a join's
-        match set but wrong for result ranking.
+        ``early_accept`` defaults to *off* for queries: an accepted pair
+        reports the upper-bound mapping cost instead of the exact distance,
+        which is fine for a join's match set but wrong for result ranking.
         """
         ctx = self._context(threshold)
         if use_cascade:

@@ -31,13 +31,14 @@ cost floor, including non-symmetric ones.  Distances are always computed
 oriented result set.
 
 Live corpora: the engine serves a **mutating** corpus exactly.  It pins a
-:class:`~repro.join.corpus.CorpusSnapshot`; per query it reads the membership drift — parent trees added since
-the pin form a *deferred-insert side list* that is refined exactly and
-merged by ``(distance, index)``, snapshot results whose trees the parent
-removed are dropped during translation to current indices — so kNN/range
-results are bit-identical to a fresh engine over the current trees.  Once
-the drift exceeds ``staleness_budget`` (a fraction of the pinned size) the
-snapshot is refreshed.
+:class:`~repro.join.corpus.CorpusSnapshot`; per query it reads the
+membership drift — parent trees added since the pin form a
+*deferred-insert side list* that is refined exactly and merged by
+``(distance, index)``, snapshot results whose trees the parent removed are
+dropped during translation to current indices — so kNN/range results are
+bit-identical to a fresh engine over the current trees.  Once the drift
+exceeds ``staleness_budget`` (a fraction of the pinned size) the snapshot
+is refreshed.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ from .pipeline import BatchRefiner, Planner, execute_plan
 _INF = float("inf")
 
 #: Default staleness budget: a pinned snapshot is refreshed once the
-#: membership drift — trees added plus
-#: trees removed since the pin — exceeds this fraction of the pinned
-#: corpus size.  Below the budget, queries stay exact anyway (side-list
-#: evaluation + removed-result filtering); the budget only caps how much
-#: unindexed side work a query tolerates before paying for a fresh pin.
+#: membership drift — trees added plus trees removed since the pin —
+#: exceeds this fraction of the pinned corpus size.  Below the budget,
+#: queries stay exact anyway (side-list evaluation + removed-result
+#: filtering); the budget only caps how much unindexed side work a query
+#: tolerates before paying for a fresh pin.
 DEFAULT_STALENESS_BUDGET = 0.25
 
 
@@ -200,8 +201,7 @@ class QueryEngine:
     engine answers a query stream without rebuilding them.  kNN runs the
     size-ordered scan; range queries take their candidates from the
     inverted index (every pair with the cascade off).  Both prune only
-    with the cascade's operation-count bounds, sound under every cost
-    model.
+    with operation-count bounds, sound under every cost model.
 
     **Live corpora.**  The engine pins a :class:`CorpusSnapshot` of its
     corpus and searches the pin; mutations between queries never invalidate
