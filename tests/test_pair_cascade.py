@@ -339,9 +339,10 @@ def test_deadline_is_checked_between_blocks(monkeypatch):
     assert 1 <= len(seen) <= 4
 
 
-def test_range_query_under_expired_deadline_is_partial():
+@pytest.mark.parametrize("use_cascade", [True, False], ids=["inverted-index", "all-pairs"])
+def test_range_query_under_expired_deadline_is_partial(use_cascade):
     trees = clustered_corpus(num_clusters=6, cluster_size=6, tree_size=10, rng=3)
-    engine = QueryEngine(TreeCorpus(trees))
+    engine = QueryEngine(TreeCorpus(trees), use_cascade=use_cascade)
     result = engine.range_query(
         trees[0], 3.0, deadline=Deadline(expires_at=time.monotonic() - 1)
     )

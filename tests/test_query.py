@@ -126,11 +126,19 @@ class TestQueryEngine:
         assert empty.range_query(query, 2.0).matches == []
 
     @pytest.mark.parametrize("chunk_size", [-1, 0, True, 1.5])
-    def test_non_positive_int_chunk_size_rejected(self, chunk_size):
-        # Used to return [] from the scan.
-        corpus = TreeCorpus(_random_trees(12, random.Random(2)))
+    @pytest.mark.parametrize("entry", ["engine", "knn", "range_query"])
+    def test_non_positive_int_chunk_size_rejected(self, chunk_size, entry):
+        # Used to return [] from the scan.  The API functions forward the
+        # keyword to the engine, so they refuse it the same way.
+        trees = _random_trees(12, random.Random(2))
+        corpus = TreeCorpus(trees)
         with pytest.raises(QueryError, match="chunk_size"):
-            QueryEngine(corpus, chunk_size=chunk_size)
+            if entry == "engine":
+                QueryEngine(corpus, chunk_size=chunk_size)
+            elif entry == "knn":
+                knn(trees[0], corpus, 3, chunk_size=chunk_size)
+            else:
+                range_query(trees[0], corpus, 3.0, chunk_size=chunk_size)
 
     def test_range_nonpositive_threshold_is_empty(self):
         corpus = TreeCorpus(_random_trees(8, random.Random(5)))
