@@ -67,6 +67,13 @@ distance=$(timeout 30 curl -sf -X POST "$base/distance" \
     -d '{"tree_a": "{a{b}{c}}", "tree_b": "{a{c}{d}}"}')
 echo "$distance" | grep -q '"distance": 2.0' || fail "/distance gave: $distance"
 
+# A malformed tree is the client's fault: 400 with the parse error, never 500.
+status=$(timeout 30 curl -s -o "$workdir/malformed.json" -w '%{http_code}' \
+    -X POST "$base/distance" -d '{"tree_a": "{a{b}x}", "tree_b": "{a}"}')
+[ "$status" = "400" ] || fail "malformed /distance gave $status, wanted 400"
+grep -q "expected '}' at position 5" "$workdir/malformed.json" \
+    || fail "malformed /distance body: $(cat "$workdir/malformed.json")"
+
 # kNN against the registered corpus.
 knn=$(timeout 30 curl -sf -X POST "$base/knn" -d '{"query": "{a{b}{c}}", "k": 3}')
 echo "$knn" | grep -q '"matches"' || fail "/knn gave: $knn"

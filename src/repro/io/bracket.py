@@ -11,123 +11,116 @@ escaped with a backslash.
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 from ..exceptions import ParseError
 from ..trees.node import Node
 from ..trees.tree import Tree
 
-_ESCAPE = "\\"
-_OPEN = "{"
-_CLOSE = "}"
+#: A token is ``{`` or an escape pair (group 1: the escaped character, ``""``
+#: for a lone final backslash), a plain label run (2) and the ``}`` run after
+#: it (3).  The first position the pattern does not match is an error.
+_TOKEN = re.compile(r"(?:\{|\\(.?))([^{}\\]*)(\}*)", re.S)
 
 
 def escape_label(label: str) -> str:
     """Escape the characters that have structural meaning in bracket notation."""
-    out = []
-    for ch in label:
-        if ch in (_OPEN, _CLOSE, _ESCAPE):
-            out.append(_ESCAPE)
-        out.append(ch)
-    return "".join(out)
+    return label.replace("\\", "\\\\").replace("{", "\\{").replace("}", "\\}")
 
 
 def parse_bracket_node(text: str) -> Node:
-    """Parse bracket notation into a :class:`~repro.trees.node.Node`.
+    """Parse bracket notation into a :class:`~repro.trees.node.Node` (see :func:`parse_bracket`)."""
+    return parse_bracket(text).to_node()
+
+
+def parse_bracket(text: str) -> Tree:
+    """Parse bracket notation into an indexed :class:`~repro.trees.tree.Tree`.
 
     Raises
     ------
     ParseError
         If the text is not a single well-formed bracket-notation tree.
     """
+    return Tree._from_preorder(*_preorder(text))
+
+
+def _preorder(text: str) -> Tuple[List[str], List[int]]:
+    """Scan ``text`` once into preorder labels and parent ids.  ``open_ids``
+    stacks the open nodes over a ``-1`` sentinel; a label with escapes gathers
+    its pieces in a list.  Positions count from the stripped text's start."""
     text = text.strip()
     if not text:
         raise ParseError("empty input", position=0)
-    node, end = _parse_subtree(text, 0)
-    if text[end:].strip():
-        raise ParseError(f"trailing characters after tree: {text[end:]!r}", position=end)
-    return node
-
-
-def parse_bracket(text: str) -> Tree:
-    """Parse bracket notation into an indexed :class:`~repro.trees.tree.Tree`."""
-    return Tree(parse_bracket_node(text))
-
-
-def _parse_label(text: str, pos: int) -> Tuple[str, int]:
-    """Consume a (possibly escaped) label starting at ``pos``."""
-    label_chars: List[str] = []
-    while pos < len(text):
-        ch = text[pos]
-        if ch == _ESCAPE and pos + 1 < len(text):
-            label_chars.append(text[pos + 1])
-            pos += 2
-            continue
-        if ch in (_OPEN, _CLOSE):
-            break
-        label_chars.append(ch)
-        pos += 1
-    return "".join(label_chars), pos
-
-
-def _parse_subtree(text: str, pos: int) -> Tuple[Node, int]:
-    """Parse one ``{label{child}...}`` subtree iteratively.
-
-    A stack of currently open nodes replaces recursion so that arbitrarily
-    deep trees (e.g. branch/chain shapes) parse at the default interpreter
-    recursion limit.
-    """
-    if pos >= len(text) or text[pos] != _OPEN:
-        raise ParseError(f"expected '{{' at position {pos}", position=pos)
-    open_nodes: List[Node] = []
-    while True:
-        if text[pos] == _OPEN:
-            label, pos = _parse_label(text, pos + 1)
-            node = Node(label)
-            if open_nodes:
-                open_nodes[-1].add_child(node)
-            open_nodes.append(node)
-        elif text[pos] == _CLOSE:
-            closed = open_nodes.pop()
-            pos += 1
-            if not open_nodes:
-                return closed, pos
+    labels: List = []
+    parents: List[int] = []
+    add_label = labels.append
+    add_parent = parents.append
+    open_ids = [-1]
+    push = open_ids.append
+    escaped: List[int] = []
+    match = None
+    for match in iter(_TOKEN.scanner(text).match, None):
+        char, run, shut = match.groups()
+        if char is None:
+            add_parent(open_ids[-1])
+            push(len(labels))
+            add_label(run)
         else:
-            # Only '{' (next child) or '}' (close) may follow a closed child.
-            raise ParseError(f"expected '}}' at position {pos}", position=pos)
-        if pos >= len(text):
-            raise ParseError(f"expected '}}' at position {pos}", position=pos)
+            # An escape continues the newest node's label while that node is
+            # still open with no children.
+            node = len(labels) - 1
+            if node < 0:
+                raise ParseError("expected '{' at position 0", position=0)
+            if open_ids[-1] != node:
+                raise ParseError(
+                    f"expected '}}' at position {match.start()}", position=match.start()
+                )
+            pieces = labels[node]
+            if type(pieces) is str:
+                pieces = labels[node] = [pieces]
+                escaped.append(node)
+            pieces.append(char)
+            if run:
+                pieces.append(run)
+        if shut:
+            depth = len(open_ids) - 1
+            if len(shut) >= depth:
+                # This run closes the root: nothing may follow it.
+                end = match.end() - len(shut) + depth
+                if end < len(text):
+                    raise ParseError(
+                        f"trailing characters after tree: {text[end:]!r}", position=end
+                    )
+                open_ids.clear()
+            else:
+                del open_ids[-len(shut) :]
+    if not labels:
+        raise ParseError("expected '{' at position 0", position=0)
+    if open_ids:
+        raise ParseError(f"expected '}}' at position {match.end()}", position=match.end())
+    for node in escaped:
+        labels[node] = "".join(labels[node])
+    return labels, parents
 
 
 def to_bracket(tree: Tree | Node) -> str:
     """Serialize a tree (or node) to bracket notation.
 
     Round-trips with :func:`parse_bracket` for string labels:
-    ``parse_bracket(to_bracket(t)).structurally_equal(t)`` holds.
+    ``parse_bracket(to_bracket(t)).structurally_equal(t)`` holds.  Nodes are
+    written in preorder; a leaf is followed by the ``}`` of every node whose
+    rightmost leaf it is.
     """
-    if isinstance(tree, Tree):
-        root = tree.to_node()
-    else:
-        root = tree
-
-    pieces: List[str] = []
-
-    def emit(node: Node) -> None:
-        # Iterative emission keeps very deep trees (e.g. the left-branch shape)
-        # from exhausting the recursion limit.
-        stack: List[Tuple[Node, int]] = [(node, 0)]
-        while stack:
-            current, child_pos = stack.pop()
-            if child_pos == 0:
-                pieces.append(_OPEN + escape_label(str(current.label)))
-            if child_pos < len(current.children):
-                stack.append((current, child_pos + 1))
-                stack.append((current.children[child_pos], 0))
-            else:
-                pieces.append(_CLOSE)
-
-    emit(root)
-    return "".join(pieces)
+    if isinstance(tree, Node):
+        tree = Tree(tree)
+    closers = [0] * tree.n
+    for leaf in tree.rml:
+        closers[leaf] += 1
+    labels = tree.labels
+    return "".join(
+        "{" + escape_label(str(labels[v])) + "}" * closers[v] for v in tree.post_of_pre
+    )
 
 
 def parse_bracket_collection(text: str) -> List[Tree]:

@@ -61,20 +61,11 @@ def tree_from_parent_array(
             raise TreeConstructionError(f"parent index {p} of node {i} out of range")
         children[p].append(i)
 
-    nodes = [Node(label) for label in labels]
-    # Detect cycles: a valid parent array reaches the root from every node.
-    for i in range(n):
-        seen = set()
-        j = i
-        while j != -1:
-            if j in seen:
-                raise TreeConstructionError("parent array contains a cycle")
-            seen.add(j)
-            j = parents[j]
-
-    for i in range(n):
-        nodes[i].children = [nodes[c] for c in children[i]]
-    return Tree(nodes[roots[0]])
+    # With one root, a node the walk never reaches hangs off a cycle.
+    tree = _preorder_tree(roots[0], children.__getitem__, labels.__getitem__)
+    if tree.n != n:
+        raise TreeConstructionError("parent array contains a cycle")
+    return tree
 
 
 def tree_from_edges(
@@ -117,23 +108,32 @@ def tree_from_edges(
             return identity
         return labels.get(identity, identity)
 
-    def build(identity: object, visited: set) -> Node:
-        if identity in visited:
-            raise TreeConstructionError("edge list contains a cycle")
-        visited.add(identity)
-        node = Node(label_of(identity))
-        for child in children.get(identity, []):
-            node.add_child(build(child, visited))
-        visited.remove(identity)
-        return node
-
-    tree = Tree(build(root, set()))
+    tree = _preorder_tree(root, lambda v: children.get(v, ()), label_of)
     if tree.n != len(all_nodes):
         raise TreeConstructionError(
             "edge list is not connected: "
             f"{len(all_nodes) - tree.n} node(s) unreachable from the root"
         )
     return tree
+
+
+def _preorder_tree(root, children, label) -> Tree:
+    """Index the tree under ``root`` (``children(v)`` left to right, ``label(v)``)
+    by an explicit-stack preorder walk.  Only an edge list can reach a node
+    twice: each entry of a parent array names one parent."""
+    labels: List[object] = []
+    parents: List[int] = []
+    seen = set()
+    stack = [(root, -1)]
+    while stack:
+        v, parent = stack.pop()
+        if v in seen:
+            raise TreeConstructionError("edge list contains a cycle or a node with two parents")
+        seen.add(v)
+        stack.extend((c, len(labels)) for c in reversed(children(v)))
+        labels.append(label(v))
+        parents.append(parent)
+    return Tree._from_preorder(labels, parents)
 
 
 def single_node_tree(label: object = "a") -> Tree:

@@ -1,9 +1,8 @@
 """Indexed, immutable ordered labeled trees.
 
-:class:`Tree` is the workhorse data structure of the library.  It converts a
-recursive :class:`repro.trees.node.Node` structure into flat arrays indexed by
-*postorder position* (0-based), which is the node identifier used throughout
-the algorithms:
+:class:`Tree` is the workhorse data structure of the library.  It holds a tree as
+flat arrays indexed by *postorder position* (0-based), which is the node
+identifier used throughout the algorithms:
 
 * ``labels[i]`` — label of node ``i``;
 * ``parents[i]`` — postorder id of the parent (``-1`` for the root);
@@ -90,8 +89,71 @@ class Tree:
             raise TreeConstructionError(
                 f"Tree must be constructed from a Node, got {type(root).__name__}"
             )
-        self._index(root)
-        self._compute_heavy_children()
+        self._index_preorder(*_node_preorder(root))
+
+    # ------------------------------------------------------------------ #
+    # Construction
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def _from_preorder(cls, labels: List[object], parents: List[int]) -> "Tree":
+        """Index the tree whose preorder node ``i`` has label ``labels[i]`` and
+        parent ``parents[i]`` (a preorder id; ``-1`` for the root, node 0)."""
+        tree = cls.__new__(cls)
+        tree._index_preorder(labels, parents)
+        return tree
+
+    def _index_preorder(self, labels: List[object], parents: List[int]) -> None:
+        """Populate every postorder array from preorder labels and parents.
+
+        Preorder node ``i`` spans ``[i, i + size - 1]``, so its postorder id
+        is ``i + size - 1 - depth``, its leftmost leaf ``i - depth`` and its
+        rightmost leaf preorder node ``i + size - 1``.  The children sweep
+        meets siblings left to right; a strict ``>`` keeps heavy-child ties on
+        the leftmost child, as the reference RTED implementation does.
+        """
+        n = len(labels)
+        depth = [0] * n
+        for i in range(1, n):
+            depth[i] = depth[parents[i]] + 1
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[parents[i]] += size[i]
+        post_of_pre = [i + s - 1 - d for i, s, d in zip(range(n), size, depth)]
+        del depth
+        pre_of_post = [0] * n
+        for i, v in enumerate(post_of_pre):
+            pre_of_post[v] = i
+        sizes = list(map(size.__getitem__, pre_of_post))
+        rml = [post_of_pre[i + s - 1] for i, s in zip(pre_of_post, sizes)]
+        del size
+        # A trailing -1 maps the root's parent id (-1) to -1.
+        post_of_pre.append(-1)
+        parent_post = list(map(post_of_pre.__getitem__, parents))
+        post_of_pre.pop()
+        children: List[List[int]] = [[] for _ in range(n)]
+        child_index = [0] * n
+        heavy = [-1] * n
+        heavy_size = [0] * n
+        for p, c in zip(parent_post[1:], post_of_pre[1:]):
+            kids = children[p]
+            child_index[c] = len(kids)
+            kids.append(c)
+            if sizes[c] > heavy_size[p]:
+                heavy_size[p] = sizes[c]
+                heavy[p] = c
+        lml = [v - s + 1 for v, s in enumerate(sizes)]
+
+        self.labels: Sequence[object] = list(map(labels.__getitem__, pre_of_post))
+        self.parents: Sequence[int] = list(map(parent_post.__getitem__, pre_of_post))
+        self.children: Sequence[List[int]] = children
+        self.sizes: Sequence[int] = sizes
+        self.depths: Sequence[int] = [i - low for i, low in zip(pre_of_post, lml)]
+        self.lml: Sequence[int] = lml
+        self.rml: Sequence[int] = rml
+        self.pre_of_post: Sequence[int] = pre_of_post
+        self.post_of_pre: Sequence[int] = post_of_pre
+        self.child_index: Sequence[int] = child_index
+        self.heavy_child: Sequence[int] = heavy
         self._full_decomp: Optional[List[int]] = None
         self._left_decomp: Optional[List[int]] = None
         self._right_decomp: Optional[List[int]] = None
@@ -101,96 +163,6 @@ class Tree:
         self._rpost_of_post: Optional[List[int]] = None
         self._post_of_rpost: Optional[List[int]] = None
         self._on_path_all: dict = {}
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def _index(self, root: Node) -> None:
-        """Assign postorder ids and populate the flat arrays."""
-        labels: List[object] = []
-        parents: List[int] = []
-        children: List[List[int]] = []
-        sizes: List[int] = []
-        depths: List[int] = []
-        lml: List[int] = []
-        rml: List[int] = []
-        pre_of_post: List[int] = []
-        child_index: List[int] = []
-
-        # Iterative postorder traversal carrying (node, parent_marker, depth).
-        # ``pending`` mirrors the recursion stack; each frame tracks which
-        # children have already been emitted so we can assign ids bottom-up.
-        preorder_counter = 0
-        stack: List[Tuple[Node, int, int, List[int], int]] = []
-        # frame: (node, depth, preorder_id, collected_child_ids, next_child_pos)
-        stack.append((root, 0, preorder_counter, [], 0))
-        preorder_counter += 1
-
-        while stack:
-            node, depth, pre_id, child_ids, next_child = stack.pop()
-            if next_child < len(node.children):
-                stack.append((node, depth, pre_id, child_ids, next_child + 1))
-                child = node.children[next_child]
-                stack.append((child, depth + 1, preorder_counter, [], 0))
-                preorder_counter += 1
-                continue
-
-            # All children processed: emit this node.
-            my_id = len(labels)
-            labels.append(node.label)
-            parents.append(-1)
-            children.append(child_ids)
-            depths.append(depth)
-            pre_of_post.append(pre_id)
-            child_index.append(0)
-            if child_ids:
-                size = 1 + sum(sizes[c] for c in child_ids)
-                sizes.append(size)
-                lml.append(lml[child_ids[0]])
-                rml.append(rml[child_ids[-1]])
-                for pos, c in enumerate(child_ids):
-                    parents[c] = my_id
-                    child_index[c] = pos
-            else:
-                sizes.append(1)
-                lml.append(my_id)
-                rml.append(my_id)
-
-            if stack:
-                # Attach to the parent frame that is collecting child ids.
-                stack[-1][3].append(my_id)
-
-        self.labels: Sequence[object] = labels
-        self.parents: Sequence[int] = parents
-        self.children: Sequence[List[int]] = children
-        self.sizes: Sequence[int] = sizes
-        self.depths: Sequence[int] = depths
-        self.lml: Sequence[int] = lml
-        self.rml: Sequence[int] = rml
-        self.pre_of_post: Sequence[int] = pre_of_post
-        self.child_index: Sequence[int] = child_index
-
-        post_of_pre = [0] * len(labels)
-        for post_id, pre_id in enumerate(pre_of_post):
-            post_of_pre[pre_id] = post_id
-        self.post_of_pre: Sequence[int] = post_of_pre
-
-    def _compute_heavy_children(self) -> None:
-        """For each node, record the child rooting the largest subtree.
-
-        Ties are broken towards the leftmost child, which matches the
-        convention of the reference RTED implementation.
-        """
-        heavy = [-1] * self.n
-        for v in range(self.n):
-            best = -1
-            best_size = 0
-            for c in self.children[v]:
-                if self.sizes[c] > best_size:
-                    best_size = self.sizes[c]
-                    best = c
-            heavy[v] = best
-        self.heavy_child: Sequence[int] = heavy
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -276,11 +248,8 @@ class Tree:
         if v is None:
             v = self.root
         self._check(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            yield u
-            stack.extend(reversed(self.children[u]))
+        first = self.pre_of_post[v]
+        yield from self.post_of_pre[first : first + self.sizes[v]]
 
     def subtree_nodes(self, v: int) -> List[int]:
         """Postorder ids of all nodes in the subtree rooted at ``v``, ascending.
@@ -551,11 +520,23 @@ class Tree:
 
     def subtree(self, v: int) -> "Tree":
         """Return the subtree rooted at ``v`` as a new :class:`Tree`."""
-        return Tree(self.to_node(v))
+        nodes = list(self.iter_preorder(v))
+        first = self.pre_of_post[v]
+        pre, parents = self.pre_of_post, self.parents
+        return Tree._from_preorder(
+            [self.labels[u] for u in nodes],
+            [-1] + [pre[parents[u]] - first for u in nodes[1:]],
+        )
 
     def mirrored(self) -> "Tree":
-        """Return a new tree with the order of children reversed at every node."""
-        return Tree(self.to_node().mirrored())
+        """Return a new tree with the order of children reversed at every node.
+
+        Reverse postorder is the mirrored tree's preorder: ``u`` becomes ``n - 1 - u``.
+        """
+        last = self.n - 1
+        return Tree._from_preorder(
+            self.labels[::-1], [-1] + [last - p for p in self.parents[-2::-1]]
+        )
 
     # ------------------------------------------------------------------ #
     # Label sequences (used by bounds and serializers)
@@ -583,3 +564,25 @@ class Tree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tree(n={self.n}, depth={self.depth()}, root_label={self.labels[self.root]!r})"
+
+
+def _node_preorder(root: Node) -> Tuple[List[object], List[int]]:
+    """Preorder labels and parent ids under ``root``; each stack frame is a
+    parent's id and an iterator over its remaining children."""
+    labels: List[object] = [root.label]
+    parents = [-1]
+    add_label = labels.append
+    add_parent = parents.append
+    stack = [(0, iter(root.children))]
+    push = stack.append
+    while stack:
+        parent, kids = stack[-1]
+        for child in kids:
+            add_parent(parent)
+            add_label(child.label)
+            if child.children:
+                push((len(labels) - 1, iter(child.children)))
+                break
+        else:
+            stack.pop()
+    return labels, parents

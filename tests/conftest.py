@@ -88,6 +88,46 @@ def small_pair_distance(tree_f: Tree, tree_g: Tree) -> float:
     return result[0]
 
 
+#: The eleven postorder arrays every :class:`Tree` carries.
+TREE_ARRAYS = (
+    "labels",
+    "parents",
+    "children",
+    "sizes",
+    "depths",
+    "lml",
+    "rml",
+    "pre_of_post",
+    "post_of_pre",
+    "child_index",
+    "heavy_child",
+)
+
+
+def tree_arrays(tree: Tree) -> dict:
+    """The :data:`TREE_ARRAYS` of ``tree`` as plain lists, for equality checks."""
+    return {name: list(getattr(tree, name)) for name in TREE_ARRAYS}
+
+
+#: Malformed bracket texts with the message and position their ``ParseError``
+#: carries.  Positions count from the start of the stripped text.
+MALFORMED_BRACKET = [
+    ("", "empty input", 0),
+    ("   ", "empty input", 0),
+    ("a", "expected '{' at position 0", 0),
+    ("}", "expected '{' at position 0", 0),
+    ("{a", "expected '}' at position 2", 2),
+    ("{a{b}", "expected '}' at position 5", 5),
+    ("{a{b}x}", "expected '}' at position 5", 5),
+    ("{a\\", "expected '}' at position 3", 3),
+    ("{a\\}", "expected '}' at position 4", 4),
+    ("{a}}", "trailing characters after tree: '}'", 3),
+    ("{a}{b}", "trailing characters after tree: '{b}'", 3),
+    ("{a}trailing", "trailing characters after tree: 'trailing'", 3),
+    ("{a}  {b}", "trailing characters after tree: '  {b}'", 3),
+]
+
+
 # --------------------------------------------------------------------------- #
 # Hypothesis strategies
 # --------------------------------------------------------------------------- #

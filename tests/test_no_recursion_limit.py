@@ -2,7 +2,8 @@
 
 PR 2 made every ``auto``-engine distance recursion-free; this extends the
 monkeypatch-forbid guarantee to the remaining production helpers — bracket
-I/O, the distance bounds, ASCII rendering and edit-mapping extraction — which
+I/O, the parent-array and edge-list builders, the distance bounds, ASCII
+rendering and edit-mapping extraction — which
 used to widen ``sys.setrecursionlimit`` around recursive traversals (a
 thread-hostile mutation for a service).  Only the cross-check oracles
 (``algorithms/simple.py``, ``algorithms/forest_engine.py``,
@@ -20,7 +21,7 @@ from repro.costs import WeightedCostModel
 from repro.datasets import random_tree
 from repro.io.bracket import parse_bracket, to_bracket
 from repro.join import batch_self_join
-from repro.trees import Node, Tree
+from repro.trees import Node, Tree, tree_from_edges, tree_from_parent_array
 from repro.visualize import render_mapping, render_outline, render_tree
 
 from conftest import small_pair_distance
@@ -54,6 +55,15 @@ class TestIterativeHelpers:
         tree = parse_bracket(text)
         assert tree.n == DEPTH
         assert to_bracket(tree) == text
+
+    def test_array_and_edge_builders_on_deep_chains(self, deep_tree):
+        # A chain listed root first: node i's parent is i - 1.
+        parents = [-1] + list(range(DEPTH - 1))
+        from_array = tree_from_parent_array(["a"] * DEPTH, parents)
+        from_edges = tree_from_edges([(i - 1, i) for i in range(1, DEPTH)])
+        for tree in (from_array, from_edges):
+            assert list(tree.parents) == list(deep_tree.parents)
+            assert tree.depth() == DEPTH - 1
 
     def test_upper_bounds_on_deep_trees(self, deep_tree):
         other = _path_tree(DEPTH - 3, label="b")

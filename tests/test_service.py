@@ -21,6 +21,8 @@ from repro.io import to_bracket
 from repro.join.corpus import TreeCorpus
 from repro.service import RtedService, ServiceConfig
 
+from conftest import MALFORMED_BRACKET
+
 
 def _post(base, path, body, timeout=60):
     request = urllib.request.Request(
@@ -280,6 +282,18 @@ class TestEndpoints:
             assert status == 404
             status, _, _ = await asyncio.to_thread(_get, base, "/distance")
             assert status == 405
+            # Every malformed tree is a 400 carrying the ParseError text,
+            # on each endpoint that parses trees.
+            for text, message, _ in MALFORMED_BRACKET:
+                for path, payload in [
+                    ("/distance", {"tree_a": "{b}", "tree_b": text}),
+                    ("/range", {"query": text, "threshold": 1.0}),
+                    ("/knn", {"query": text, "k": 1}),
+                    ("/corpora/default/trees", {"trees": ["{b}", text]}),
+                ]:
+                    status, _, body_ = await asyncio.to_thread(_post, base, path, payload)
+                    assert (status, body_["error"]) == (400, message), (path, text)
+            assert len(service.corpora["default"]) == 24
 
         run_service(body)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.exceptions import InvalidNodeError, TreeConstructionError
 from repro.trees import HEAVY, LEFT, RIGHT, Node, Tree, tree_from_nested
 
-from conftest import trees
+from conftest import tree_arrays, trees
 
 
 @pytest.fixture
@@ -89,6 +89,14 @@ class TestSubtreeQueries:
         sub = example.subtree(3)
         assert sub.n == 3
         assert list(sub.labels) == ["d", "e", "c"]
+        for v in range(example.n):
+            assert tree_arrays(example.subtree(v)) == tree_arrays(Tree(example.to_node(v)))
+
+    @given(trees(max_children=4))
+    @settings(max_examples=40, deadline=None)
+    def test_subtree_arrays_match_node_route(self, tree):
+        for v in range(tree.n):
+            assert tree_arrays(tree.subtree(v)) == tree_arrays(Tree(tree.to_node(v)))
 
     def test_num_leaves(self, example):
         assert example.num_leaves() == 4
@@ -184,6 +192,12 @@ class TestDerivedTrees:
         mirrored = example.mirrored()
         assert mirrored.labels_preorder() == ["a", "f", "c", "e", "d", "b"]
         assert mirrored.n == example.n
+        assert tree_arrays(mirrored) == tree_arrays(Tree(example.to_node().mirrored()))
+
+    @given(trees(max_children=4))
+    @settings(max_examples=40, deadline=None)
+    def test_mirrored_arrays_match_node_route(self, tree):
+        assert tree_arrays(tree.mirrored()) == tree_arrays(Tree(tree.to_node().mirrored()))
 
     def test_to_node_round_trip(self, example):
         rebuilt = Tree(example.to_node())
