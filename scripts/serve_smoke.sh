@@ -67,12 +67,28 @@ distance=$(timeout 30 curl -sf -X POST "$base/distance" \
     -d '{"tree_a": "{a{b}{c}}", "tree_b": "{a{c}{d}}"}')
 echo "$distance" | grep -q '"distance": 2.0' || fail "/distance gave: $distance"
 
+# With the compiled kernel that small pair ran on the event loop, and
+# /stats counts it.  (Without a C compiler every pair takes the executor.)
+if python -c 'import sys; from repro.algorithms import native_available; sys.exit(not native_available())'; then
+    timeout 10 curl -sf "$base/stats" | grep -Eq '"served_inline": [1-9]' \
+        || fail "/stats served_inline after a small /distance: $(curl -s "$base/stats")"
+fi
+
 # A malformed tree is the client's fault: 400 with the parse error, never 500.
 status=$(timeout 30 curl -s -o "$workdir/malformed.json" -w '%{http_code}' \
     -X POST "$base/distance" -d '{"tree_a": "{a{b}x}", "tree_b": "{a}"}')
 [ "$status" = "400" ] || fail "malformed /distance gave $status, wanted 400"
 grep -q "expected '}' at position 5" "$workdir/malformed.json" \
     || fail "malformed /distance body: $(cat "$workdir/malformed.json")"
+
+# JSON nested past the recursion limit is a malformed body: 400, not 500.
+python -c 'print("{\"tree_a\": " + "[" * 100000 + "]" * 100000 + ", \"tree_b\": \"{a}\"}")' \
+    > "$workdir/nested.json"
+status=$(timeout 30 curl -s -o "$workdir/nested_out.json" -w '%{http_code}' \
+    -X POST "$base/distance" --data-binary "@$workdir/nested.json")
+[ "$status" = "400" ] || fail "nested-JSON /distance gave $status, wanted 400"
+grep -q "invalid JSON body" "$workdir/nested_out.json" \
+    || fail "nested-JSON /distance body: $(cat "$workdir/nested_out.json")"
 
 # kNN against the registered corpus.
 knn=$(timeout 30 curl -sf -X POST "$base/knn" -d '{"query": "{a{b}{c}}", "k": 3}')

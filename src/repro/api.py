@@ -22,14 +22,17 @@ from .algorithms.base import (
     ENGINE_AUTO,
     BoundedResult,
     TEDResult,
+    TEDAlgorithm,
+    resolve_cost_model,
     resolve_engine,
     validate_cutoff,
 )
+from .algorithms.batch_kernel import SMALL_PAIR_CELLS, choose_sweep, sweep_sizes
 from .algorithms.edit_mapping import EditMapping, EditOperation, compute_edit_mapping
 from .algorithms.registry import PAPER_ALGORITHMS, make_algorithm
 from .algorithms.rted import RTED
 from .algorithms.workspace import TedWorkspace, WorkspaceTED
-from .costs import CostModel
+from .costs import CostModel, UnitCostModel
 from .exceptions import ParseError
 from .io.bracket import parse_bracket, to_bracket
 from .io.newick import parse_newick
@@ -202,17 +205,11 @@ def compute(
     cutoff = validate_cutoff(cutoff)
     algo = make_algorithm(algorithm, engine=engine)
     f, g = parse_tree(tree_f), parse_tree(tree_g)
-    if (
-        type(algo) is RTED
-        and algo.engine == ENGINE_AUTO
-        and (cutoff is None or math.isfinite(cutoff))
-    ):
-        # The wrapper runs the small-pair program where its own gates admit
-        # the pair (unit costs, the cheaper sweep within SMALL_PAIR_CELLS,
-        # internable labels) and hands every other pair to the wrapped RTED
-        # unchanged.  The workspace is fresh per call: nothing is shared
-        # across the service's compute threads, and ad-hoc labels cannot
-        # grow a long-lived interner.  A -inf cutoff keeps RTED's handling.
+    if small_pair_admits(algo, f, g, cost_model, cutoff):
+        # The wrapper runs the small-pair program (falling back to the
+        # wrapped RTED on uninternable labels).  The workspace is fresh per
+        # call: nothing is shared across the service's compute threads, and
+        # ad-hoc labels cannot grow a long-lived interner.
         algo = WorkspaceTED(algo, TedWorkspace())
     with deadline_scope(as_deadline(deadline)):
         if cutoff is None:
@@ -221,6 +218,34 @@ def compute(
             result = algo.compute(f, g, cost_model=cost_model, cutoff=cutoff)
     result.extra.setdefault("kernel", result.extra.get("engine", resolve_engine(engine)))
     return result
+
+
+def small_pair_admits(
+    algo: TEDAlgorithm,
+    f: Tree,
+    g: Tree,
+    cost_model: Optional[CostModel] = None,
+    cutoff: Optional[float] = None,
+) -> bool:
+    """Whether :func:`compute` runs the pair ``(f, g)`` through the
+    small-pair program rather than RTED's strategy and ``spf``.
+
+    ``algo`` is :func:`~repro.algorithms.registry.make_algorithm`'s result
+    and ``cutoff`` has passed
+    :func:`~repro.algorithms.base.validate_cutoff`.  A pair qualifies when
+    ``algo`` is RTED on the ``auto`` engine, the costs are unit, the cutoff
+    is finite or absent (a ``-inf`` cutoff keeps RTED's handling) and the
+    cheaper Zhang–Shasha sweep evaluates at most ``SMALL_PAIR_CELLS``
+    cells.  The bound on cells bounds the pair's time, which is why the
+    service runs admitted pairs on its event loop.
+    """
+    return (
+        type(algo) is RTED
+        and algo.engine == ENGINE_AUTO
+        and (cutoff is None or math.isfinite(cutoff))
+        and type(resolve_cost_model(cost_model)) is UnitCostModel
+        and choose_sweep(sweep_sizes(f), sweep_sizes(g), SMALL_PAIR_CELLS) is not None
+    )
 
 
 def edit_mapping(

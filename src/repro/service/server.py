@@ -58,9 +58,9 @@ a deadline run the library code bit-identically to a direct call: the
 ambient deadline checks read state only and never touch the DP arithmetic.
 
 **Admission control.**  Compute requests pass a bounded admission gate:
-at most ``max_inflight`` run concurrently (worker threads via
-``asyncio.to_thread``) and at most ``max_queue`` more may wait on the
-semaphore.  Anything beyond that is *shed* with ``503`` and a
+at most ``max_inflight`` run concurrently (on the compute executor's
+threads, or on the loop for small pairs; see below) and at most
+``max_queue`` more may wait on the semaphore.  Anything beyond that is *shed* with ``503`` and a
 ``Retry-After`` header before any compute work starts — the queue can
 never grow without bound, so overload degrades into fast rejections
 rather than memory growth and collapse.  Request bodies are capped
@@ -72,10 +72,21 @@ in-flight requests to finish, then cancels the drain token — which expires
 every in-flight deadline, so stragglers return ``504`` promptly — and
 finally joins the compute executor.  ``rted serve`` then exits 0.
 
+**Small pairs on the event loop.**  An ad-hoc ``/distance`` pair (no
+``i``/``j``) whose body is at most :data:`INLINE_BODY_BYTES` is parsed on
+the loop; when a compiled provider is present and
+:func:`~repro.api.small_pair_admits` admits the pair, it is computed there
+too, with no hop to a worker thread.  The cell gate bounds that work (the
+costliest admitted pair takes a few milliseconds, one uncancellable C call),
+and a server pinned to one CPU gains nothing from the thread.  Every other
+request — refused pairs with their trees already parsed, corpus pairs,
+queries, joins, corpus writes — runs on the compute executor.
+``GET /stats`` counts the inline ones as ``served_inline``.
+
 Per-corpus compute (knn/range/join) serializes on a per-corpus lock —
 the cached engine's amortized workspace and the corpus's lazily built
 artifacts are not thread-safe — while ``/distance`` requests use fresh
-per-call contexts and scale across the worker threads.
+per-call contexts.
 """
 
 from __future__ import annotations
@@ -92,7 +103,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from ..algorithms.base import resolve_engine, validate_cutoff
-from ..api import compute, parse_tree
+from ..algorithms.native import native_available, native_provider
+from ..algorithms.registry import make_algorithm
+from ..api import compute, parse_tree, small_pair_admits
 from ..exceptions import ComputeTimeoutError, ReproError
 from ..join.corpus import TreeCorpus
 from ..join.query import QueryEngine
@@ -102,6 +115,11 @@ from ..runtime import CancelToken, Deadline, env_int
 #: plus the bounded admission queue keep worst-case service memory linear
 #: in configuration, not in offered load.
 MAX_BODY_BYTES = env_int("RTED_SERVICE_MAX_BODY", 8 << 20, minimum=1024)
+
+#: Largest ``/distance`` body (bytes) parsed on the event loop.  Parsing
+#: costs about 0.3 µs a byte, so this bounds the parse to a few
+#: milliseconds; larger bodies parse on a compute thread.
+INLINE_BODY_BYTES = 16 << 10
 
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
 
@@ -188,6 +206,8 @@ class ServiceCounters:
     client_errors: int = 0
     server_errors: int = 0
     partial_results: int = 0
+    served_inline: int = 0
+    """Requests computed on the event loop (small ``/distance`` pairs)."""
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -198,6 +218,7 @@ class ServiceCounters:
             "client_errors": self.client_errors,
             "server_errors": self.server_errors,
             "partial_results": self.partial_results,
+            "served_inline": self.served_inline,
         }
 
 
@@ -316,6 +337,9 @@ class RtedService:
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_inflight, thread_name_prefix="rted-compute"
         )
+        # Compile or load the C kernel now, off the loop: a first small
+        # pair run inline must not do it while holding the loop.
+        await asyncio.get_running_loop().run_in_executor(self._executor, native_provider)
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
         )
@@ -453,7 +477,7 @@ class RtedService:
                 headers[name.strip().lower()] = value.strip()
         return method, path, headers
 
-    async def _read_body(self, reader, headers) -> Dict[str, object]:
+    async def _read_body(self, reader, headers) -> Tuple[Dict[str, object], int]:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
@@ -468,11 +492,13 @@ class RtedService:
             raise _HttpError(400, "truncated request body")
         try:
             payload = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested past the
+            # interpreter's recursion limit.
             raise _HttpError(400, f"invalid JSON body: {exc}")
         if not isinstance(payload, dict):
             raise _HttpError(400, "JSON body must be an object")
-        return payload
+        return payload, length
 
     # ------------------------------------------------------------------ #
     # Control endpoints
@@ -541,16 +567,25 @@ class RtedService:
         self._admitted += 1
         try:
             payload: Dict[str, object] = {}
+            size = 0
             if needs_body:
-                payload = await self._read_body(reader, headers)
+                payload, size = await self._read_body(reader, headers)
             assert self._semaphore is not None
             async with self._semaphore:
                 self._inflight += 1
                 try:
                     deadline = self._request_deadline(payload)
-                    result = await asyncio.get_running_loop().run_in_executor(
-                        self._executor, self._compute, op, payload, deadline
-                    )
+                    trees, inline = self._parse_on_loop(op, payload, size)
+                    if inline:
+                        # Yield once before holding the loop, so the rest of
+                        # a burst reaches the admission check first.
+                        await asyncio.sleep(0)
+                        result = self._compute(op, payload, deadline, trees)
+                        self.counters.served_inline += 1
+                    else:
+                        result = await asyncio.get_running_loop().run_in_executor(
+                            self._executor, self._compute, op, payload, deadline, trees
+                        )
                 finally:
                     self._inflight -= 1
         except ComputeTimeoutError as exc:
@@ -581,6 +616,34 @@ class RtedService:
         # cut short even requests that asked for no time limit.
         return Deadline(timeout, token=self._drain_token)
 
+    def _parse_on_loop(self, op, payload, size: int):
+        """``(trees, inline)``: an ad-hoc ``/distance`` pair's parsed trees
+        and whether it runs on the loop, or ``(None, False)`` when the
+        request is not parsed here.
+
+        Only small bodies on hosts with the compiled provider are parsed
+        here; the corpus form stays off the loop because it takes a corpus
+        lock that a join may hold.  ``inline`` is :func:`small_pair_admits`:
+        the cell gate bounds the pair's work.  Parse and argument errors
+        raise exactly as they would on a compute thread.
+        """
+        if (
+            op != "/distance"
+            or "i" in payload
+            or "j" in payload
+            or size > INLINE_BODY_BYTES
+            or not native_available()
+        ):
+            return None, False
+        tree_a = parse_tree(self._field(payload, "tree_a", str, "a tree string"))
+        tree_b = parse_tree(self._field(payload, "tree_b", str, "a tree string"))
+        cutoff = validate_cutoff(payload.get("cutoff"))
+        algo = make_algorithm(
+            payload.get("algorithm", self.algorithm),
+            engine=payload.get("engine", self.engine),
+        )
+        return (tree_a, tree_b), small_pair_admits(algo, tree_a, tree_b, None, cutoff)
+
     def _corpus_engine(self, payload) -> Tuple[str, QueryEngine]:
         name = payload.get("corpus", "default")
         if not isinstance(name, str) or name not in self._engines:
@@ -596,8 +659,10 @@ class RtedService:
             raise _HttpError(400, f"field {key!r} must be {desc}")
         return value
 
-    def _compute(self, op: Union[str, tuple], payload, deadline: Deadline):
-        """One compute request, run inside a worker thread."""
+    def _compute(self, op: Union[str, tuple], payload, deadline: Deadline, trees=None):
+        """One compute request, run inside a worker thread (or, for a
+        small ``/distance`` pair, on the loop).  ``trees`` are the pair
+        :meth:`_parse_on_loop` already parsed, if any."""
         if isinstance(op, tuple):
             if op[0] == "corpora:create":
                 return self._do_corpus_create(payload)
@@ -605,7 +670,7 @@ class RtedService:
                 return self._do_corpus_add(op[1], payload)
             return self._do_corpus_remove(op[1], op[2])
         if op == "/distance":
-            return self._do_distance(payload, deadline)
+            return self._do_distance(payload, deadline, trees)
         if op == "/knn":
             return self._do_knn(payload, deadline)
         if op == "/range":
@@ -667,11 +732,14 @@ class RtedService:
             corpus.remove_trees([index])
             return {"removed": index, "size": len(corpus), "epoch": corpus.epoch}
 
-    def _do_distance(self, payload, deadline: Deadline):
+    def _do_distance(self, payload, deadline: Deadline, trees=None):
         if "i" in payload or "j" in payload:
             return self._do_corpus_distance(payload, deadline)
-        tree_a = parse_tree(self._field(payload, "tree_a", str, "a tree string"))
-        tree_b = parse_tree(self._field(payload, "tree_b", str, "a tree string"))
+        if trees is not None:
+            tree_a, tree_b = trees
+        else:
+            tree_a = parse_tree(self._field(payload, "tree_a", str, "a tree string"))
+            tree_b = parse_tree(self._field(payload, "tree_b", str, "a tree string"))
         cutoff = payload.get("cutoff")
         result = compute(
             tree_a,

@@ -14,12 +14,15 @@ import urllib.request
 
 import pytest
 
+from repro.algorithms import native as native_module
+from repro.algorithms.native import native_available
 from repro.api import compute, parse_tree
 from repro.datasets import random_tree
 from repro.datasets.shapes import right_branch_tree, zigzag_tree
 from repro.io import to_bracket
 from repro.join.corpus import TreeCorpus
 from repro.service import RtedService, ServiceConfig
+from repro.service import server as server_module
 
 from conftest import MALFORMED_BRACKET
 
@@ -450,3 +453,161 @@ class TestDrain:
 
         config = ServiceConfig(port=0, drain_grace=5.0)
         run_service(body, config=config)
+
+
+def _post_raw(base, path, data, timeout=60):
+    """POST ``data`` (bytes) as is; returns ``(status, decoded body)``."""
+    request = urllib.request.Request(base + path, data=data, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+class TestHostileBodies:
+    def test_deeply_nested_json_is_400(self):
+        # json.loads raises RecursionError past the interpreter's limit;
+        # that is a malformed body, not a server fault.
+        nested = "[" * 100_000 + "]" * 100_000
+
+        async def body(service, base):
+            for path, template in [
+                ("/distance", '{"tree_a": %s, "tree_b": "{a}"}'),
+                ("/range", '{"query": %s, "threshold": 1.0}'),
+                ("/knn", '{"query": %s, "k": 1}'),
+                ("/corpora/default/trees", '{"trees": %s}'),
+            ]:
+                data = (template % nested).encode("ascii")
+                status, payload = await asyncio.to_thread(_post_raw, base, path, data)
+                assert status == 400, (path, payload)
+                assert payload["error"].startswith("invalid JSON body: "), path
+                assert "recursion" in payload["error"], path
+            assert service.counters.server_errors == 0
+            assert service.counters.client_errors == 4
+            assert len(service.corpora["default"]) == 24
+
+        run_service(body)
+
+
+class TestInlineRouting:
+    """Small ad-hoc ``/distance`` pairs run on the event loop; every other
+    request runs on the compute executor."""
+
+    @staticmethod
+    def _spy(service):
+        """Record the thread of every ``_compute`` call on ``service``."""
+        threads = []
+        compute_ = service._compute
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return compute_(*args, **kwargs)
+
+        service._compute = spy
+        return threads
+
+    def test_routing(self, monkeypatch):
+        big_a = to_bracket(random_tree(900, rng=5))
+        big_b = to_bracket(random_tree(880, rng=6))
+        long_label = "{" + "x" * 20_000 + "}"
+        small = {"tree_a": "{a{b}{c}}", "tree_b": "{a{c}{d}}"}
+
+        async def body(service, base):
+            loop_thread = threading.get_ident()
+            threads = self._spy(service)
+
+            async def ran_on(request, expected_status=200):
+                threads.clear()
+                status, _, payload = await asyncio.to_thread(
+                    _post, base, "/distance", request
+                )
+                assert status == expected_status, (request.keys(), payload)
+                (thread,) = threads
+                return "loop" if thread == loop_thread else "executor", payload
+
+            inline = native_available()
+            where, payload = await ran_on(small)
+            assert where == ("loop" if inline else "executor")
+            assert payload["distance"] == 2.0
+            assert service.counters.served_inline == int(inline)
+            # Over the cell gate: parsed on the loop, computed off it.
+            where, payload = await ran_on(
+                {"tree_a": big_a, "tree_b": big_b, "deadline": 0.05}, 504
+            )
+            assert (where, payload["timeout"]) == ("executor", True)
+            # The gate passes, but the body is over the inline bound.
+            where, payload = await ran_on({"tree_a": long_label, "tree_b": long_label})
+            assert (where, payload["distance"]) == ("executor", 0.0)
+            # The corpus form takes a corpus lock, so it never runs inline.
+            where, payload = await ran_on({"corpus": "default", "i": 0, "j": 1})
+            assert where == "executor"
+            assert service.counters.served_inline == int(inline)
+            # An inline pair honours an expired deadline.
+            where, payload = await ran_on({**small, "deadline": 1e-9}, 504)
+            assert where == ("loop" if inline else "executor")
+            assert payload["timeout"] is True
+            # Without the compiled provider every pair takes the executor.
+            monkeypatch.setenv("RTED_NO_NATIVE", "1")
+            where, payload = await ran_on(small)
+            assert (where, payload["distance"]) == ("executor", 2.0)
+            monkeypatch.delenv("RTED_NO_NATIVE")
+            _, _, stats = await asyncio.to_thread(_get, base, "/stats")
+            assert stats["counters"]["served_inline"] == int(inline)
+            assert stats["counters"]["server_errors"] == 0
+
+        run_service(body)
+
+    def test_inline_bodies_match_the_executor(self, monkeypatch):
+        # The same requests answered inline and, with the compiled provider
+        # switched off for routing only, on the executor give equal bodies.
+        cases = [
+            {"tree_a": to_bracket(random_tree(30, rng=1)),
+             "tree_b": to_bracket(random_tree(30, rng=2))},
+            {"tree_a": to_bracket(right_branch_tree(64)),
+             "tree_b": to_bracket(right_branch_tree(64, label="b"))},
+            {"tree_a": "{a{b}{c}}", "tree_b": "{x{y}{z}{w}}", "cutoff": 1.5},
+            {"tree_a": "{a{b}{c}}", "tree_b": "{a{b}{d}{e}}", "cutoff": float("inf")},
+            {"tree_a": "{a{b}{c}}", "tree_b": "{a{b}{d}}", "algorithm": "zhang-l"},
+            {"tree_a": "{a{b}{c}}", "tree_b": "{a{b}{d}}", "engine": "spf"},
+        ]
+
+        async def body(service, base):
+            if not native_available():
+                pytest.skip("no compiled provider: every pair takes the executor")
+            inline = []
+            for request in cases:
+                inline.append(await asyncio.to_thread(_post, base, "/distance", request))
+            served_inline = service.counters.served_inline
+            assert served_inline == 4
+            monkeypatch.setattr(server_module, "native_available", lambda: False)
+            for request, (status, _, payload) in zip(cases, inline):
+                again = await asyncio.to_thread(_post, base, "/distance", request)
+                assert (again[0], again[2]) == (status, payload)
+            assert service.counters.served_inline == served_inline
+
+        run_service(body)
+
+    def test_start_loads_the_kernel_before_requests(self, monkeypatch):
+        # start() compiles or loads the C kernel, so no request does it
+        # while holding the event loop.
+        native_module._reset_provider_cache()
+        compiles = []
+        real_compile = native_module._compile_cc_library
+
+        def spy():
+            compiles.append(threading.get_ident())
+            return real_compile()
+
+        monkeypatch.setattr(native_module, "_compile_cc_library", spy)
+
+        async def body(service, base):
+            started = len(compiles)
+            assert started == (0 if native_module._killed() else 1)
+            status, _, payload = await asyncio.to_thread(
+                _post, base, "/distance", {"tree_a": "{a{b}}", "tree_b": "{a{c}}"}
+            )
+            assert (status, payload["distance"]) == (200, 1.0)
+            assert len(compiles) == started
+
+        run_service(body)
