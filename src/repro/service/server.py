@@ -635,8 +635,7 @@ class RtedService:
             or not native_available()
         ):
             return None, False
-        tree_a = parse_tree(self._field(payload, "tree_a", str, "a tree string"))
-        tree_b = parse_tree(self._field(payload, "tree_b", str, "a tree string"))
+        tree_a, tree_b = self._parse_pair(payload)
         cutoff = validate_cutoff(payload.get("cutoff"))
         algo = make_algorithm(
             payload.get("algorithm", self.algorithm),
@@ -735,11 +734,7 @@ class RtedService:
     def _do_distance(self, payload, deadline: Deadline, trees=None):
         if "i" in payload or "j" in payload:
             return self._do_corpus_distance(payload, deadline)
-        if trees is not None:
-            tree_a, tree_b = trees
-        else:
-            tree_a = parse_tree(self._field(payload, "tree_a", str, "a tree string"))
-            tree_b = parse_tree(self._field(payload, "tree_b", str, "a tree string"))
+        tree_a, tree_b = trees if trees is not None else self._parse_pair(payload)
         cutoff = payload.get("cutoff")
         result = compute(
             tree_a,
@@ -750,6 +745,12 @@ class RtedService:
             deadline=deadline,
         )
         return _distance_body(result)
+
+    def _parse_pair(self, payload):
+        return (
+            parse_tree(self._field(payload, "tree_a", str, "a tree string")),
+            parse_tree(self._field(payload, "tree_b", str, "a tree string")),
+        )
 
     def _do_corpus_distance(self, payload, deadline: Deadline):
         """Distance between two registered trees, memoized per epoch.

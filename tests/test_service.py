@@ -28,9 +28,10 @@ from conftest import MALFORMED_BRACKET
 
 
 def _post(base, path, body, timeout=60):
+    """POST ``body`` as JSON (or as is, when it is already bytes)."""
     request = urllib.request.Request(
         base + path,
-        data=json.dumps(body).encode("utf-8"),
+        data=body if isinstance(body, bytes) else json.dumps(body).encode("utf-8"),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
@@ -455,16 +456,6 @@ class TestDrain:
         run_service(body, config=config)
 
 
-def _post_raw(base, path, data, timeout=60):
-    """POST ``data`` (bytes) as is; returns ``(status, decoded body)``."""
-    request = urllib.request.Request(base + path, data=data, method="POST")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
 class TestHostileBodies:
     def test_deeply_nested_json_is_400(self):
         # json.loads raises RecursionError past the interpreter's limit;
@@ -479,7 +470,7 @@ class TestHostileBodies:
                 ("/corpora/default/trees", '{"trees": %s}'),
             ]:
                 data = (template % nested).encode("ascii")
-                status, payload = await asyncio.to_thread(_post_raw, base, path, data)
+                status, _, payload = await asyncio.to_thread(_post, base, path, data)
                 assert status == 400, (path, payload)
                 assert payload["error"].startswith("invalid JSON body: "), path
                 assert "recursion" in payload["error"], path
@@ -494,19 +485,6 @@ class TestInlineRouting:
     """Small ad-hoc ``/distance`` pairs run on the event loop; every other
     request runs on the compute executor."""
 
-    @staticmethod
-    def _spy(service):
-        """Record the thread of every ``_compute`` call on ``service``."""
-        threads = []
-        compute_ = service._compute
-
-        def spy(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return compute_(*args, **kwargs)
-
-        service._compute = spy
-        return threads
-
     def test_routing(self, monkeypatch):
         big_a = to_bracket(random_tree(900, rng=5))
         big_b = to_bracket(random_tree(880, rng=6))
@@ -515,7 +493,14 @@ class TestInlineRouting:
 
         async def body(service, base):
             loop_thread = threading.get_ident()
-            threads = self._spy(service)
+            threads = []  # the thread of every _compute call
+            compute_ = service._compute
+
+            def spy(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return compute_(*args, **kwargs)
+
+            service._compute = spy
 
             async def ran_on(request, expected_status=200):
                 threads.clear()
