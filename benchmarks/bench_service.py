@@ -17,6 +17,11 @@ Three measurements back the PR's serving-layer claims:
   against a one-slot service: the gate asserts overload produces fast 503
   shedding (bounded queue), not queue growth, and that every response —
   served or shed — returns promptly.
+* **where computing on the event loop stops paying** — concurrent
+  ``/distance`` pairs of growing size against two ``rted serve`` processes
+  on every CPU, one computing every small-pair-program pair on its event
+  loop and one computing every pair on its executor.  This is the
+  measurement behind ``server.INLINE_CELLS``; it is recorded, not gated.
 
 Run with::
 
@@ -34,6 +39,7 @@ import argparse
 import asyncio
 import json
 import statistics
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +50,7 @@ from typing import Dict, List, Optional
 import urllib.error
 import urllib.request
 
+from repro.algorithms.batch_kernel import SMALL_PAIR_CELLS, sweep_sizes
 from repro.api import compute
 from repro.datasets import random_tree
 from repro.io import to_bracket
@@ -221,6 +228,95 @@ async def bench_shedding(quick: bool) -> Dict:
 
 
 # --------------------------------------------------------------------------- #
+# Inline versus executor /distance pairs (the INLINE_CELLS break-even)
+# --------------------------------------------------------------------------- #
+#: A ``rted serve`` process whose event loop computes every pair within
+#: ``argv[1]`` cells (0: none, so every pair takes the executor).
+_SERVE_WITH_INLINE_CELLS = """
+import sys
+from repro.service import server
+server.INLINE_CELLS = int(sys.argv[1])
+sys.exit(server.run_server({}, server.ServiceConfig(port=0)))
+"""
+
+
+def _start_server(inline_cells: int):
+    process = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_WITH_INLINE_CELLS, str(inline_cells)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    line = process.stderr.readline()
+    if "listening on" not in line:
+        process.kill()
+        raise RuntimeError(f"rted serve did not start: {line!r}")
+    return process, int(line.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
+
+
+async def _round_trip(port: int, request: bytes) -> float:
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    start = time.perf_counter()
+    writer.write(request)
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    if not response.startswith(b"HTTP/1.1 200 "):
+        raise RuntimeError(f"unexpected response {response[:120]!r}")
+    return time.perf_counter() - start
+
+
+async def _drive(port: int, request: bytes, concurrency: int, seconds: float) -> Dict:
+    for _ in range(20):
+        await _round_trip(port, request)
+    latencies: List[float] = []
+    stop = time.perf_counter() + seconds
+
+    async def client():
+        while time.perf_counter() < stop:
+            latencies.append(await _round_trip(port, request))
+
+    start = time.perf_counter()
+    await asyncio.gather(*(client() for _ in range(concurrency)))
+    wall = time.perf_counter() - start
+    return {"throughput_rps": len(latencies) / wall, **_percentiles(latencies)}
+
+
+def bench_inline_break_even(quick: bool) -> List[Dict]:
+    sizes = [80, 160] if quick else [60, 80, 100, 120, 140, 160, 200, 280]
+    seconds = 0.5 if quick else 4.0
+    concurrency = 4
+    servers = {"loop": _start_server(SMALL_PAIR_CELLS), "executor": _start_server(0)}
+    entries = []
+    try:
+        for nodes in sizes:
+            f, g = random_tree(nodes, rng=1), random_tree(nodes, rng=2)
+            body = json.dumps({"tree_a": to_bracket(f), "tree_b": to_bracket(g)}).encode()
+            request = (
+                b"POST /distance HTTP/1.1\r\nHost: bench\r\nContent-Length: %d\r\n\r\n"
+                % len(body)
+            ) + body
+            cells = min(a * b for a, b in zip(sweep_sizes(f), sweep_sizes(g)))
+            entry: Dict = {"nodes": nodes, "cells": cells, "concurrency": concurrency}
+            for mode, (_, port) in servers.items():
+                entry[mode] = asyncio.run(_drive(port, request, concurrency, seconds))
+            entries.append(entry)
+            print(
+                f"inline break-even cells={cells:7d} "
+                f"loop rps={entry['loop']['throughput_rps']:6.1f} "
+                f"p50={entry['loop']['p50_ms']:5.2f}ms  "
+                f"executor rps={entry['executor']['throughput_rps']:6.1f} "
+                f"p50={entry['executor']['p50_ms']:5.2f}ms",
+                flush=True,
+            )
+    finally:
+        for process, _ in servers.values():
+            process.terminate()
+            process.wait()
+    return entries
+
+
+# --------------------------------------------------------------------------- #
 def check_gates(overhead: Dict, shedding: Dict) -> List[str]:
     failures = []
     if overhead["overhead_fraction"] > OVERHEAD_GATE:
@@ -254,14 +350,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     latency = asyncio.run(bench_latency(args.quick))
     shedding = asyncio.run(bench_shedding(args.quick))
+    break_even = bench_inline_break_even(args.quick)
 
     failures = check_gates(overhead, shedding)
     report = {
-        "benchmark": "serving layer: deadline overhead, latency percentiles, load shedding",
+        "benchmark": (
+            "serving layer: deadline overhead, latency percentiles, load shedding, "
+            "inline pair break-even"
+        ),
         **machine_stamp(),
         "deadline_overhead": overhead,
         "latency": latency,
         "shedding": shedding,
+        "inline_break_even": break_even,
         "gates": {
             "overhead_below_gate": not any("overhead" in f for f in failures),
             "overload_sheds": shedding["shed"] > 0,

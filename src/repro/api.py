@@ -164,13 +164,18 @@ def tree_edit_distance(
 def compute(
     tree_f: TreeLike,
     tree_g: TreeLike,
-    algorithm: str = "rted",
+    algorithm: Union[str, TEDAlgorithm] = "rted",
     cost_model: Optional[CostModel] = None,
     engine: Optional[str] = None,
     cutoff: Optional[float] = None,
     deadline: Optional[float] = None,
 ) -> Union[TEDResult, BoundedResult]:
     """Full computation result (distance, subproblem count, timings).
+
+    ``algorithm`` is a registry name or an algorithm
+    :func:`~repro.algorithms.registry.make_algorithm` already built; a
+    name is built with ``engine``, which otherwise only names the kernel of
+    results that report none.
 
     ``engine`` selects the execution backend exactly as in
     :func:`tree_edit_distance`; the engine actually used is reported in
@@ -203,7 +208,10 @@ def compute(
     keyword still honor it through their instrumented kernels.
     """
     cutoff = validate_cutoff(cutoff)
-    algo = make_algorithm(algorithm, engine=engine)
+    if isinstance(algorithm, TEDAlgorithm):
+        algo = algorithm
+    else:
+        algo = make_algorithm(algorithm, engine=engine)
     f, g = parse_tree(tree_f), parse_tree(tree_g)
     if small_pair_admits(algo, f, g, cost_model, cutoff):
         # The wrapper runs the small-pair program (falling back to the
@@ -226,6 +234,7 @@ def small_pair_admits(
     g: Tree,
     cost_model: Optional[CostModel] = None,
     cutoff: Optional[float] = None,
+    budget: int = SMALL_PAIR_CELLS,
 ) -> bool:
     """Whether :func:`compute` runs the pair ``(f, g)`` through the
     small-pair program rather than RTED's strategy and ``spf``.
@@ -236,15 +245,18 @@ def small_pair_admits(
     ``algo`` is RTED on the ``auto`` engine, the costs are unit, the cutoff
     is finite or absent (a ``-inf`` cutoff keeps RTED's handling) and the
     cheaper Zhang–Shasha sweep evaluates at most ``SMALL_PAIR_CELLS``
-    cells.  The bound on cells bounds the pair's time, which is why the
-    service runs admitted pairs on its event loop.
+    cells.  A smaller ``budget`` asks whether the pair qualifies *and* its
+    sweep fits ``budget`` cells: the service runs such pairs on its event
+    loop.
     """
     return (
         type(algo) is RTED
         and algo.engine == ENGINE_AUTO
         and (cutoff is None or math.isfinite(cutoff))
         and type(resolve_cost_model(cost_model)) is UnitCostModel
-        and choose_sweep(sweep_sizes(f), sweep_sizes(g), SMALL_PAIR_CELLS) is not None
+        and choose_sweep(
+            sweep_sizes(f), sweep_sizes(g), min(budget, SMALL_PAIR_CELLS)
+        ) is not None
     )
 
 

@@ -75,13 +75,15 @@ finally joins the compute executor.  ``rted serve`` then exits 0.
 **Small pairs on the event loop.**  An ad-hoc ``/distance`` pair (no
 ``i``/``j``) whose body is at most :data:`INLINE_BODY_BYTES` is parsed on
 the loop; when a compiled provider is present and
-:func:`~repro.api.small_pair_admits` admits the pair, it is computed there
-too, with no hop to a worker thread.  The cell gate bounds that work (the
-costliest admitted pair takes a few milliseconds, one uncancellable C call),
-and a server pinned to one CPU gains nothing from the thread.  Every other
-request — refused pairs with their trees already parsed, corpus pairs,
-queries, joins, corpus writes — runs on the compute executor.
-``GET /stats`` counts the inline ones as ``served_inline``.
+:func:`~repro.api.small_pair_admits` admits the pair within
+:data:`INLINE_CELLS`, it is computed there too, with no hop to a worker
+thread.  Below that bound the hop and its GIL hand-offs cost more than the
+kernel itself; above it the kernel, which releases the GIL, runs on a
+compute thread in parallel with the loop.  Every other request — larger
+pairs with their trees already parsed, corpus pairs, queries, joins,
+corpus writes — runs on the compute executor, where ``max_inflight``
+threads share the CPUs.  ``GET /stats`` counts the inline ones as
+``served_inline``.
 
 Per-corpus compute (knn/range/join) serializes on a per-corpus lock —
 the cached engine's amortized workspace and the corpus's lazily built
@@ -120,6 +122,14 @@ MAX_BODY_BYTES = env_int("RTED_SERVICE_MAX_BODY", 8 << 20, minimum=1024)
 #: costs about 0.3 µs a byte, so this bounds the parse to a few
 #: milliseconds; larger bodies parse on a compute thread.
 INLINE_BODY_BYTES = 16 << 10
+
+#: Largest sweep (forest-distance cells) a ``/distance`` pair may take to
+#: be computed on the event loop.  Below it the thread hop and its GIL
+#: hand-offs cost more than running the C kernel on the loop; above it the
+#: kernel, which releases the GIL on a compute thread, is better run in
+#: parallel with the loop's request handling.  Measured with concurrent
+#: random pairs against a server on two CPUs (DESIGN.md, serving section).
+INLINE_CELLS = 1 << 17
 
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
 
@@ -566,6 +576,9 @@ class RtedService:
         # connections cannot all pass the check and overrun the bound.
         self._admitted += 1
         try:
+            # Yield once after admission, so the rest of a burst reaches the
+            # admission check before any pair computes on the loop.
+            await asyncio.sleep(0)
             payload: Dict[str, object] = {}
             size = 0
             if needs_body:
@@ -575,16 +588,13 @@ class RtedService:
                 self._inflight += 1
                 try:
                     deadline = self._request_deadline(payload)
-                    trees, inline = self._parse_on_loop(op, payload, size)
+                    pair, inline = self._parse_on_loop(op, payload, size)
                     if inline:
-                        # Yield once before holding the loop, so the rest of
-                        # a burst reaches the admission check first.
-                        await asyncio.sleep(0)
-                        result = self._compute(op, payload, deadline, trees)
+                        result = self._compute(op, payload, deadline, pair)
                         self.counters.served_inline += 1
                     else:
                         result = await asyncio.get_running_loop().run_in_executor(
-                            self._executor, self._compute, op, payload, deadline, trees
+                            self._executor, self._compute, op, payload, deadline, pair
                         )
                 finally:
                     self._inflight -= 1
@@ -617,14 +627,14 @@ class RtedService:
         return Deadline(timeout, token=self._drain_token)
 
     def _parse_on_loop(self, op, payload, size: int):
-        """``(trees, inline)``: an ad-hoc ``/distance`` pair's parsed trees
-        and whether it runs on the loop, or ``(None, False)`` when the
-        request is not parsed here.
+        """``(pair, inline)``: an ad-hoc ``/distance`` pair's
+        :meth:`_distance_pair` and whether it runs on the loop, or
+        ``(None, False)`` when the request is not parsed here.
 
         Only small bodies on hosts with the compiled provider are parsed
         here; the corpus form stays off the loop because it takes a corpus
-        lock that a join may hold.  ``inline`` is :func:`small_pair_admits`:
-        the cell gate bounds the pair's work.  Parse and argument errors
+        lock that a join may hold.  ``inline`` is :func:`small_pair_admits`
+        with the :data:`INLINE_CELLS` budget.  Parse and argument errors
         raise exactly as they would on a compute thread.
         """
         if (
@@ -635,13 +645,12 @@ class RtedService:
             or not native_available()
         ):
             return None, False
-        tree_a, tree_b = self._parse_pair(payload)
-        cutoff = validate_cutoff(payload.get("cutoff"))
-        algo = make_algorithm(
-            payload.get("algorithm", self.algorithm),
-            engine=payload.get("engine", self.engine),
+        pair = self._distance_pair(payload)
+        tree_a, tree_b, args = pair
+        inline = small_pair_admits(
+            args["algorithm"], tree_a, tree_b, None, args["cutoff"], budget=INLINE_CELLS
         )
-        return (tree_a, tree_b), small_pair_admits(algo, tree_a, tree_b, None, cutoff)
+        return pair, inline
 
     def _corpus_engine(self, payload) -> Tuple[str, QueryEngine]:
         name = payload.get("corpus", "default")
@@ -658,10 +667,10 @@ class RtedService:
             raise _HttpError(400, f"field {key!r} must be {desc}")
         return value
 
-    def _compute(self, op: Union[str, tuple], payload, deadline: Deadline, trees=None):
+    def _compute(self, op: Union[str, tuple], payload, deadline: Deadline, pair=None):
         """One compute request, run inside a worker thread (or, for a
-        small ``/distance`` pair, on the loop).  ``trees`` are the pair
-        :meth:`_parse_on_loop` already parsed, if any."""
+        small ``/distance`` pair, on the loop).  ``pair`` is the
+        :meth:`_distance_pair` :meth:`_parse_on_loop` already read, if any."""
         if isinstance(op, tuple):
             if op[0] == "corpora:create":
                 return self._do_corpus_create(payload)
@@ -669,7 +678,7 @@ class RtedService:
                 return self._do_corpus_add(op[1], payload)
             return self._do_corpus_remove(op[1], op[2])
         if op == "/distance":
-            return self._do_distance(payload, deadline, trees)
+            return self._do_distance(payload, deadline, pair)
         if op == "/knn":
             return self._do_knn(payload, deadline)
         if op == "/range":
@@ -731,26 +740,23 @@ class RtedService:
             corpus.remove_trees([index])
             return {"removed": index, "size": len(corpus), "epoch": corpus.epoch}
 
-    def _do_distance(self, payload, deadline: Deadline, trees=None):
+    def _do_distance(self, payload, deadline: Deadline, pair=None):
         if "i" in payload or "j" in payload:
             return self._do_corpus_distance(payload, deadline)
-        tree_a, tree_b = trees if trees is not None else self._parse_pair(payload)
-        cutoff = payload.get("cutoff")
-        result = compute(
-            tree_a,
-            tree_b,
-            algorithm=payload.get("algorithm", self.algorithm),
-            engine=payload.get("engine", self.engine),
-            cutoff=cutoff,
-            deadline=deadline,
-        )
-        return _distance_body(result)
+        tree_a, tree_b, args = pair if pair is not None else self._distance_pair(payload)
+        return _distance_body(compute(tree_a, tree_b, deadline=deadline, **args))
 
-    def _parse_pair(self, payload):
-        return (
-            parse_tree(self._field(payload, "tree_a", str, "a tree string")),
-            parse_tree(self._field(payload, "tree_b", str, "a tree string")),
-        )
+    def _distance_pair(self, payload):
+        """``(tree_a, tree_b, args)``: an ad-hoc ``/distance`` body read
+        once — the parsed trees and :func:`compute`'s ``cutoff`` (validated),
+        ``algorithm`` (built) and ``engine`` keywords, checked in
+        :func:`compute`'s order."""
+        tree_a = parse_tree(self._field(payload, "tree_a", str, "a tree string"))
+        tree_b = parse_tree(self._field(payload, "tree_b", str, "a tree string"))
+        engine = payload.get("engine", self.engine)
+        cutoff = validate_cutoff(payload.get("cutoff"))
+        algorithm = make_algorithm(payload.get("algorithm", self.algorithm), engine=engine)
+        return tree_a, tree_b, {"algorithm": algorithm, "engine": engine, "cutoff": cutoff}
 
     def _do_corpus_distance(self, payload, deadline: Deadline):
         """Distance between two registered trees, memoized per epoch.

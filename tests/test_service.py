@@ -7,6 +7,7 @@ dependency) and talks real HTTP to it through ``urllib`` in worker threads.
 
 import asyncio
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -14,7 +15,9 @@ import urllib.request
 
 import pytest
 
+from repro import api as api_module
 from repro.algorithms import native as native_module
+from repro.algorithms.batch_kernel import SMALL_PAIR_CELLS
 from repro.algorithms.native import native_available
 from repro.api import compute, parse_tree
 from repro.datasets import random_tree
@@ -540,6 +543,50 @@ class TestInlineRouting:
             _, _, stats = await asyncio.to_thread(_get, base, "/stats")
             assert stats["counters"]["served_inline"] == int(inline)
             assert stats["counters"]["server_errors"] == 0
+
+        run_service(body)
+
+    def test_inline_cells_bound(self, monkeypatch):
+        # A path of n nodes sweeps n² cells, so the largest path pair within
+        # INLINE_CELLS runs on the loop and the next one up on the executor,
+        # both through the small-pair program.  Either way the request's
+        # algorithm is built once, where the service reads the body.
+        built = []
+        make_algorithm = server_module.make_algorithm
+
+        def counting_make_algorithm(*args, **kwargs):
+            built.append(args)
+            return make_algorithm(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "make_algorithm", counting_make_algorithm)
+        monkeypatch.setattr(api_module, "make_algorithm", counting_make_algorithm)
+        n = math.isqrt(server_module.INLINE_CELLS)
+        assert n * n <= server_module.INLINE_CELLS < (n + 1) ** 2 <= SMALL_PAIR_CELLS
+
+        def path(size, label):
+            return "{" + label + ("{" + label) * (size - 1) + "}" * size
+
+        async def body(service, base):
+            loop_thread = threading.get_ident()
+            threads = []
+            compute_ = service._compute
+
+            def spy(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return compute_(*args, **kwargs)
+
+            service._compute = spy
+            inline = native_available()
+            for size, expected in ((n, inline), (n + 1, False)):
+                request = {"tree_a": path(size, "a"), "tree_b": path(size, "b")}
+                status, _, payload = await asyncio.to_thread(_post, base, "/distance", request)
+                assert (status, payload["distance"]) == (200, float(size))
+                assert payload["kernel"] == "small-pair"
+                assert payload["subproblems"] == size * size
+                assert (threads.pop() == loop_thread) == expected
+                assert built == [("rted",)]
+                built.clear()
+            assert service.counters.served_inline == int(inline)
 
         run_service(body)
 
